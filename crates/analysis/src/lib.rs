@@ -75,15 +75,15 @@ fn cumulative_at(samples: &[(f64, f64)], b: f64) -> f64 {
 /// reconcile with the counter at the last complete boundary.
 pub fn windowed_goodput(record: &FlightRecord, window_s: f64) -> GoodputSeries {
     assert!(window_s > 0.0, "window must be positive");
-    let flows = record.flow_ids();
+    let tracks = record.by_flow();
     let t_max =
         record.flow_samples.iter().map(|p| p.t_s).fold(0.0f64, f64::max);
     let n_windows = (t_max / window_s).floor() as usize;
     let t = (1..=n_windows).map(|k| k as f64 * window_s).collect();
-    let bps = flows
+    let bps = tracks
         .iter()
-        .map(|&f| {
-            let samples = record.delivered_series(f);
+        .map(|track| {
+            let samples = track.delivered_series();
             (0..n_windows)
                 .map(|k| {
                     let lo = cumulative_at(&samples, k as f64 * window_s);
@@ -93,6 +93,7 @@ pub fn windowed_goodput(record: &FlightRecord, window_s: f64) -> GoodputSeries {
                 .collect()
         })
         .collect();
+    let flows = tracks.iter().map(|track| track.flow).collect();
     GoodputSeries { window_s, t, flows, bps }
 }
 

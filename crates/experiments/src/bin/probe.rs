@@ -122,10 +122,10 @@ fn main() {
                 String::new()
             },
         );
-        for flow in rec.flow_ids() {
-            let cycles = rec.probe_bw_cycles(flow);
+        for track in rec.by_flow() {
+            let cycles = track.probe_bw_cycles();
             if cycles > 0 {
-                println!("  probe_bw     : flow {flow} completed {cycles} ProbeBW cycles");
+                println!("  probe_bw     : flow {} completed {cycles} ProbeBW cycles", track.flow);
             }
         }
     }

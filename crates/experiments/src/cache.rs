@@ -234,19 +234,25 @@ mod tests {
             std::env::temp_dir().join(format!("elephants-cache-quarantine-{}", std::process::id()));
         let cache = RunCache::new(&tmp);
         let cfg = quick_cfg();
-        let path = cache.path_for(&cfg, 9);
         std::fs::create_dir_all(&tmp).unwrap();
-        std::fs::write(&path, "{ this is not json").unwrap();
         // The instance counter belongs to this cache alone, so the exact
         // count holds under parallel test execution (the process-wide
         // aggregate is shared and would race).
         assert_eq!(cache.quarantined(), 0);
-        assert!(cache.get(&cfg, 9).is_none());
-        assert_eq!(cache.quarantined(), 1, "quarantine must be counted");
+        // The second body is the one that used to overflow the parser's
+        // stack and take the whole sweep down with it.
+        let corrupt = ["{ this is not json".to_string(), "[".repeat(200_000)];
+        for (n, body) in corrupt.iter().enumerate() {
+            let seed = 9 + n as u64;
+            let path = cache.path_for(&cfg, seed);
+            std::fs::write(&path, body).unwrap();
+            assert!(cache.get(&cfg, seed).is_none());
+            assert_eq!(cache.quarantined(), n as u64 + 1, "each quarantine is counted once");
+            assert!(!path.exists(), "corrupt entry must be renamed away");
+            assert!(path.with_extension("quarantine").exists(), "quarantine file must exist");
+        }
         assert_eq!(cache.put_errors(), 0, "a quarantine is not a put error");
-        assert!(cache_quarantined() >= 1, "aggregate includes this instance");
-        assert!(!path.exists(), "corrupt entry must be renamed away");
-        assert!(path.with_extension("quarantine").exists(), "quarantine file must exist");
+        assert!(cache_quarantined() >= 2, "aggregate includes this instance");
         std::fs::remove_dir_all(&tmp).ok();
     }
 

@@ -747,14 +747,14 @@ pub fn emit_dynamics_figures(
 ) -> std::io::Result<Vec<PathBuf>> {
     use crate::svg::{write_chart, ChartSpec, Series};
     let mut written = Vec::new();
-    let flows = record.flow_ids();
-    if !flows.is_empty() {
-        let series: Vec<Series> = flows
+    let tracks = record.by_flow();
+    if !tracks.is_empty() {
+        let series: Vec<Series> = tracks
             .iter()
-            .map(|&f| Series {
-                name: format!("flow {f}"),
-                points: record
-                    .cwnd_series(f)
+            .map(|track| Series {
+                name: format!("flow {}", track.flow),
+                points: track
+                    .cwnd_series()
                     .into_iter()
                     .map(|(t, cwnd)| (t, cwnd / 1e3))
                     .collect(),

@@ -7,7 +7,8 @@
 //! serialize through this module instead of `serde`/`serde_json`:
 //!
 //! * [`Value`] — an owned JSON document model,
-//! * [`parse`] — a strict recursive-descent parser,
+//! * [`Reader`] — a strict pull reader over the text, and [`parse`], which
+//!   builds a [`Value`] with it,
 //! * [`Value::to_string_compact`] / [`Value::to_string_pretty`] — writers
 //!   with deterministic output (object keys keep insertion order, so the
 //!   same data always produces byte-identical text),
@@ -16,11 +17,22 @@
 //!   crates via [`impl_json_struct!`], [`impl_json_unit_enum!`] and
 //!   [`impl_json_newtype!`].
 //!
+//! Every macro-declared type converts in both directions *without* a
+//! [`Value`] in between: [`ToJson::write_json`] appends straight to a
+//! `String` and [`FromJson::read_json`] pulls straight off a [`Reader`],
+//! which is what keeps an 11 MB flight record from living in memory as a
+//! tree of per-field allocations. `Value` remains the document model for
+//! data whose shape is not a fixed struct: hand-written impls (optional
+//! fields, tagged enums) implement only [`ToJson::to_json`] /
+//! [`FromJson::from_json`] and inherit streaming methods that go through
+//! a `Value` of just their own subtree.
+//!
 //! Integers ride in a dedicated [`Value::Int`] (`i128`) variant rather
 //! than through `f64`, so `u64` seeds and byte counters round-trip
 //! exactly. Non-finite floats serialize as `null` (matching serde_json)
 //! and parse back as `NaN`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Error produced by parsing or by [`FromJson`] conversions.
@@ -181,54 +193,100 @@ fn write_f64(out: &mut String, x: f64) {
 
 fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    // Everything that needs escaping is ASCII, so a byte scan finds the
+    // runs in between and they are copied whole.
+    let mut run_start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
+/// Deepest array/object nesting the reader accepts. Input is read by
+/// recursive descent, so without a bound a corrupt file of repeated `[`
+/// overflows the stack and aborts the process instead of returning an
+/// error. The documents this workspace writes nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(JsonError::new(format!("trailing input at byte {}", p.pos)));
-    }
+    let mut r = Reader::new(input);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A JSON number as lexed: integer literals (no `.`, `e` or `E`) keep
+/// their exact value, everything else is a float.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Number {
+    /// An integer literal that fits `i128`.
+    Int(i128),
+    /// A literal with a fraction or exponent, or an integer beyond `i128`.
+    Float(f64),
 }
 
-impl Parser<'_> {
+/// A strict pull reader over JSON text: the one lexer behind both
+/// [`parse`] (which builds a [`Value`]) and the typed
+/// [`FromJson::read_json`] impls (which do not).
+///
+/// Each method expects the cursor on the first byte of a value and leaves
+/// it just past that value; [`Reader::object`] and [`Reader::array`] hand
+/// the cursor to a callback once per member, which reads it with some
+/// type's [`FromJson::read_json`] (scalars included: `u64::read_json(r)`).
+/// Values the caller does not want go through [`Reader::skip`], which
+/// checks them against the same grammar, so a document is accepted or
+/// rejected identically whichever way it is read.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    depth: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned on the first value of `text`.
+    pub fn new(text: &'a str) -> Self {
+        let mut r = Reader { text, pos: 0, depth: 0 };
+        r.skip_ws();
+        r
+    }
+
+    /// Check that only whitespace follows the value that was read.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(JsonError::new(format!("trailing input at byte {}", self.pos)));
+        }
+        Ok(())
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -236,15 +294,12 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(JsonError::new(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            )))
+            Err(JsonError::new(format!("expected '{}' at byte {}", b as char, self.pos)))
         }
     }
 
     fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             true
         } else {
@@ -252,164 +307,90 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    /// The error for the cursor not being on a `wanted`: names the kind of
+    /// value that is there, or the byte if none can start there.
+    fn mismatch(&self, wanted: &str) -> JsonError {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let got = match rest.first() {
+            Some(b'{') => "object",
+            Some(b'[') => "array",
+            Some(b'"') => "string",
+            Some(b'-' | b'0'..=b'9') => "number",
+            _ if rest.starts_with(b"true") || rest.starts_with(b"false") => "bool",
+            _ if rest.starts_with(b"null") => "null",
+            Some(&b) => {
+                return JsonError::new(format!("unexpected byte '{}' at {}", b as char, self.pos))
+            }
+            None => return JsonError::new("unexpected end of input"),
+        };
+        JsonError::new(format!("expected {wanted}, got {got} at byte {}", self.pos))
+    }
+
+    /// Read any value into the document model.
+    pub fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(JsonError::new(format!(
-                "unexpected byte '{}' at {}",
-                b as char, self.pos
-            ))),
-            None => Err(JsonError::new("unexpected end of input")),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(|r, key| {
+                    fields.push((key.to_string(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b't' | b'f') => self.bool().map(Value::Bool),
+            Some(b'n') if self.null() => Ok(Value::Null),
+            _ => match self.number()? {
+                Number::Int(i) => Ok(Value::Int(i)),
+                Number::Float(x) => Ok(Value::Float(x)),
+            },
         }
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(JsonError::new(format!("expected ',' or '}}' at byte {}", self.pos))),
-            }
+    /// Read past any value, checking its grammar but keeping nothing.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'[') => self.array(|r| r.skip()),
+            Some(b'"') => self.string().map(drop),
+            Some(b't' | b'f') => self.bool().map(drop),
+            Some(b'n') if self.null() => Ok(()),
+            _ => self.number().map(drop),
         }
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(JsonError::new(format!("expected ',' or ']' at byte {}", self.pos))),
-            }
+    /// Consume `null` if that is the next value; `false` leaves the cursor
+    /// where it was.
+    fn null(&mut self) -> bool {
+        self.eat_literal("null")
+    }
+
+    /// Read `true` or `false`.
+    fn bool(&mut self) -> Result<bool, JsonError> {
+        if self.eat_literal("true") {
+            Ok(true)
+        } else if self.eat_literal("false") {
+            Ok(false)
+        } else {
+            Err(self.mismatch("bool"))
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let start = self.pos;
-            // Fast path: copy a run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| JsonError::new(format!("invalid utf-8 in string: {e}")))?;
-                s.push_str(chunk);
-            }
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| JsonError::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'b' => s.push('\u{08}'),
-                        b'f' => s.push('\u{0c}'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: a following \uXXXX low half.
-                                if !self.eat_literal("\\u") {
-                                    return Err(JsonError::new("lone high surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(JsonError::new("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            s.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| JsonError::new("invalid \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(JsonError::new(format!(
-                                "unknown escape '\\{}'",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                Some(b) => {
-                    return Err(JsonError::new(format!(
-                        "raw control byte 0x{b:02x} in string"
-                    )))
-                }
-                None => return Err(JsonError::new("unterminated string")),
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(JsonError::new("truncated \\u escape"));
-        }
-        let txt = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| JsonError::new("invalid \\u escape"))?;
-        let v = u32::from_str_radix(txt, 16).map_err(|_| JsonError::new("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
+    /// Read a number.
+    fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'-') => self.pos += 1,
+            Some(b) if b.is_ascii_digit() => {}
+            _ => return Err(self.mismatch("number")),
         }
         let mut float = false;
         while let Some(b) = self.peek() {
@@ -422,33 +403,221 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let txt = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if float {
-            txt.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| JsonError::new(format!("bad number '{txt}': {e}")))
-        } else {
+        let txt = &self.text[start..self.pos];
+        if !float {
+            // i64 first: it covers every counter this workspace writes and
+            // parses several times faster than i128.
+            if let Ok(i) = txt.parse::<i64>() {
+                return Ok(Number::Int(i as i128));
+            }
+            if let Ok(i) = txt.parse::<i128>() {
+                return Ok(Number::Int(i));
+            }
             // Magnitudes beyond i128 (e.g. a serialized f64::MAX) fall back
             // to the float representation rather than erroring.
-            match txt.parse::<i128>() {
-                Ok(i) => Ok(Value::Int(i)),
-                Err(_) => txt
-                    .parse::<f64>()
-                    .map(Value::Float)
-                    .map_err(|e| JsonError::new(format!("bad number '{txt}': {e}"))),
+        }
+        txt.parse::<f64>()
+            .map(Number::Float)
+            .map_err(|e| JsonError::new(format!("bad number '{txt}': {e}")))
+    }
+
+    /// Read a string. Borrowed from the input when it holds no escapes.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.peek() != Some(b'"') {
+            return Err(self.mismatch("string"));
+        }
+        self.pos += 1;
+        let mut owned: Option<String> = None;
+        loop {
+            // A run of plain bytes. It starts and ends next to ASCII, so
+            // slicing the text there is on a character boundary.
+            let start = self.pos;
+            while let Some(b) = self.peek() {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            let run = &self.text[start..self.pos];
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    s.push(self.escape()?);
+                }
+                Some(b) => {
+                    return Err(JsonError::new(format!("raw control byte 0x{b:02x} in string")))
+                }
+                None => return Err(JsonError::new("unterminated string")),
+            }
+        }
+    }
+
+    /// The character an escape sequence stands for; the cursor is just
+    /// past the backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let esc = self.peek().ok_or_else(|| JsonError::new("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let cp = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: a following \uXXXX low half.
+                    if !self.eat_literal("\\u") {
+                        return Err(JsonError::new("lone high surrogate"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(JsonError::new("invalid low surrogate"));
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                char::from_u32(cp).ok_or_else(|| JsonError::new("invalid \\u escape"))?
+            }
+            other => {
+                return Err(JsonError::new(format!("unknown escape '\\{}'", other as char)))
+            }
+        })
+    }
+
+    /// Exactly four hex digits (`from_str_radix` would also take a sign).
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .text
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| JsonError::new("truncated \\u escape"))?;
+        let mut v = 0;
+        for &b in digits {
+            let d = (b as char).to_digit(16).ok_or_else(|| JsonError::new("invalid \\u escape"))?;
+            v = v * 16 + d;
+        }
+        self.pos += 4;
+        Ok(v)
+    }
+
+    /// Step into a container. `Ok(false)`: it was empty and is closed again.
+    fn enter(&mut self, open: u8, close: u8, wanted: &str) -> Result<bool, JsonError> {
+        if self.peek() != Some(open) {
+            return Err(self.mismatch(wanted));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After a member: step over `,` (`Ok(true)`, another follows) or `close`.
+    fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(JsonError::new(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.pos
+            ))),
+        }
+    }
+
+    /// Read an object: `member` is called once per key, in document order,
+    /// with the cursor on that key's value, and must read or
+    /// [`skip`](Reader::skip) it. Duplicate keys are passed through.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if !self.enter(b'{', b'}', "object")? {
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            member(self, &key)?;
+            if !self.more(b'}')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Read an array: `item` is called once per element with the cursor on
+    /// it, and must read or [`skip`](Reader::skip) it.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if !self.enter(b'[', b']', "array")? {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            if !self.more(b']')? {
+                return Ok(());
             }
         }
     }
 }
 
-/// Convert a domain value into a JSON [`Value`].
+/// Convert a domain value into JSON.
 pub trait ToJson {
-    /// The JSON representation of `self`.
+    /// The JSON representation of `self` in the document model.
     fn to_json(&self) -> Value;
+
+    /// Append the compact rendering to `out`: byte for byte what
+    /// `self.to_json().to_string_compact()` produces. The provided body
+    /// does exactly that; the impls in this crate and the `impl_json_*!`
+    /// macros write the text directly instead.
+    fn write_json(&self, out: &mut String) {
+        self.to_json().write(out, None, 0);
+    }
 
     /// Compact rendering.
     fn to_json_string(&self) -> String {
-        self.to_json().to_string_compact()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
     /// Pretty (two-space indented) rendering.
@@ -457,18 +626,33 @@ pub trait ToJson {
     }
 }
 
-/// Reconstruct a domain value from a JSON [`Value`].
+/// Reconstruct a domain value from JSON.
 pub trait FromJson: Sized {
     /// Convert from a parsed document.
     fn from_json(v: &Value) -> Result<Self, JsonError>;
 
+    /// Read one value of this type off the reader: the same result as
+    /// `Self::from_json(&r.value()?)`. The provided body does exactly
+    /// that; the impls in this crate and the `impl_json_*!` macros read
+    /// the text directly instead.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        Self::from_json(&r.value()?)
+    }
+
     /// Parse text and convert.
     fn from_json_str(s: &str) -> Result<Self, JsonError> {
-        Self::from_json(&parse(s)?)
+        let mut r = Reader::new(s);
+        let v = Self::read_json(&mut r)?;
+        r.finish()?;
+        Ok(v)
     }
 }
 
 // ---- primitive impls ----------------------------------------------------
+
+fn expected(wanted: &str, got: &Value) -> JsonError {
+    JsonError::new(format!("expected {wanted}, got {}", got.kind_name()))
+}
 
 macro_rules! impl_json_int {
     ($($ty:ty),+) => {
@@ -477,25 +661,26 @@ macro_rules! impl_json_int {
                 fn to_json(&self) -> Value {
                     Value::Int(*self as i128)
                 }
+                fn write_json(&self, out: &mut String) {
+                    let _ = write!(out, "{self}");
+                }
             }
             impl FromJson for $ty {
                 fn from_json(v: &Value) -> Result<Self, JsonError> {
-                    match v {
-                        Value::Int(i) => <$ty>::try_from(*i).map_err(|_| {
-                            JsonError::new(format!(
-                                "integer {i} out of range for {}",
-                                stringify!($ty)
-                            ))
-                        }),
-                        other => Err(JsonError::new(format!(
-                            "expected integer, got {}",
-                            other.kind_name()
-                        ))),
-                    }
+                    narrow(i128::from_json(v)?)
+                }
+                fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+                    narrow(i128::read_json(r)?)
                 }
             }
         )+
     };
+}
+
+fn narrow<T: TryFrom<i128>>(i: i128) -> Result<T, JsonError> {
+    T::try_from(i).map_err(|_| {
+        JsonError::new(format!("integer {i} out of range for {}", std::any::type_name::<T>()))
+    })
 }
 
 impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
@@ -504,13 +689,22 @@ impl ToJson for i128 {
     fn to_json(&self) -> Value {
         Value::Int(*self)
     }
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
 }
 
 impl FromJson for i128 {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v {
             Value::Int(i) => Ok(*i),
-            other => Err(JsonError::new(format!("expected integer, got {}", other.kind_name()))),
+            other => Err(expected("integer", other)),
+        }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        match r.number()? {
+            Number::Int(i) => Ok(i),
+            Number::Float(_) => Err(JsonError::new("expected integer, got float")),
         }
     }
 }
@@ -519,20 +713,29 @@ impl ToJson for bool {
     fn to_json(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
 }
 
 impl FromJson for bool {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v {
             Value::Bool(b) => Ok(*b),
-            other => Err(JsonError::new(format!("expected bool, got {}", other.kind_name()))),
+            other => Err(expected("bool", other)),
         }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.bool()
     }
 }
 
 impl ToJson for f64 {
     fn to_json(&self) -> Value {
         Value::Float(*self)
+    }
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self);
     }
 }
 
@@ -544,8 +747,17 @@ impl FromJson for f64 {
             Value::Int(i) => Ok(*i as f64),
             // Non-finite floats serialize as null.
             Value::Null => Ok(f64::NAN),
-            other => Err(JsonError::new(format!("expected number, got {}", other.kind_name()))),
+            other => Err(expected("number", other)),
         }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        if r.null() {
+            return Ok(f64::NAN);
+        }
+        Ok(match r.number()? {
+            Number::Float(x) => x,
+            Number::Int(i) => i as f64,
+        })
     }
 }
 
@@ -553,11 +765,17 @@ impl ToJson for f32 {
     fn to_json(&self) -> Value {
         Value::Float(*self as f64)
     }
+    fn write_json(&self, out: &mut String) {
+        write_f64(out, *self as f64);
+    }
 }
 
 impl FromJson for f32 {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         f64::from_json(v).map(|x| x as f32)
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        f64::read_json(r).map(|x| x as f32)
     }
 }
 
@@ -565,14 +783,20 @@ impl ToJson for String {
     fn to_json(&self) -> Value {
         Value::Str(self.clone())
     }
+    fn write_json(&self, out: &mut String) {
+        write_json_string(out, self);
+    }
 }
 
 impl FromJson for String {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v {
             Value::Str(s) => Ok(s.clone()),
-            other => Err(JsonError::new(format!("expected string, got {}", other.kind_name()))),
+            other => Err(expected("string", other)),
         }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.string().map(Cow::into_owned)
     }
 }
 
@@ -580,11 +804,28 @@ impl ToJson for str {
     fn to_json(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn write_json(&self, out: &mut String) {
+        write_json_string(out, self);
+    }
+}
+
+fn write_json_array<'a, T: ToJson + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write_json(out);
+    }
+    out.push(']');
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_json_array(out, self);
     }
 }
 
@@ -592,8 +833,16 @@ impl<T: FromJson> FromJson for Vec<T> {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         match v {
             Value::Array(items) => items.iter().map(FromJson::from_json).collect(),
-            other => Err(JsonError::new(format!("expected array, got {}", other.kind_name()))),
+            other => Err(expected("array", other)),
         }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut items = Vec::new();
+        r.array(|r| {
+            items.push(T::read_json(r)?);
+            Ok(())
+        })?;
+        Ok(items)
     }
 }
 
@@ -602,6 +851,12 @@ impl<T: ToJson> ToJson for Option<T> {
         match self {
             Some(x) => x.to_json(),
             None => Value::Null,
+        }
+    }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -613,11 +868,25 @@ impl<T: FromJson> FromJson for Option<T> {
             other => T::from_json(other).map(Some),
         }
     }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        if r.null() {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
+        }
+    }
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> Value {
         Value::Array(vec![self.0.to_json(), self.1.to_json()])
+    }
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.write_json(out);
+        out.push(',');
+        self.1.write_json(out);
+        out.push(']');
     }
 }
 
@@ -627,10 +896,24 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
             Value::Array(items) if items.len() == 2 => {
                 Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
             }
-            other => Err(JsonError::new(format!(
-                "expected 2-element array, got {}",
-                other.kind_name()
-            ))),
+            other => Err(expected("2-element array", other)),
+        }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let (mut a, mut b) = (None, None);
+        r.array(|r| {
+            if a.is_none() {
+                a = Some(A::read_json(r)?);
+            } else if b.is_none() {
+                b = Some(B::read_json(r)?);
+            } else {
+                return Err(JsonError::new("expected 2-element array, got a longer one"));
+            }
+            Ok(())
+        })?;
+        match (a, b) {
+            (Some(a), Some(b)) => Ok((a, b)),
+            _ => Err(JsonError::new("expected 2-element array, got a shorter one")),
         }
     }
 }
@@ -638,6 +921,9 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> Value {
         Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, out: &mut String) {
+        write_json_array(out, self);
     }
 }
 
@@ -651,18 +937,33 @@ impl<T: FromJson + Copy + Default, const N: usize> FromJson for [T; N] {
                 }
                 Ok(out)
             }
-            other => Err(JsonError::new(format!(
-                "expected {N}-element array, got {}",
-                other.kind_name()
-            ))),
+            other => Err(expected(&format!("{N}-element array"), other)),
         }
+    }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        let mut out = [T::default(); N];
+        let mut n = 0;
+        r.array(|r| {
+            let slot = out
+                .get_mut(n)
+                .ok_or_else(|| JsonError::new(format!("expected {N}-element array, got a longer one")))?;
+            *slot = T::read_json(r)?;
+            n += 1;
+            Ok(())
+        })?;
+        if n != N {
+            return Err(JsonError::new(format!("expected {N}-element array, got {n} elements")));
+        }
+        Ok(out)
     }
 }
 
 // ---- derive-free impl macros --------------------------------------------
 
 /// Implement [`ToJson`]/[`FromJson`] for a struct with named public (or
-/// crate-visible) fields. Fields serialize in the listed order.
+/// crate-visible) fields. Fields serialize in the listed order; on read
+/// they may come in any order, unknown keys are ignored and the first of
+/// a repeated key wins.
 ///
 /// ```
 /// use elephants_json::{impl_json_struct, FromJson, ToJson};
@@ -681,11 +982,39 @@ macro_rules! impl_json_struct {
                     $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),)+
                 ])
             }
+            fn write_json(&self, out: &mut String) {
+                out.push('{');
+                $(
+                    // An identifier needs no escaping.
+                    out.push_str(concat!("\"", stringify!($field), "\":"));
+                    $crate::ToJson::write_json(&self.$field, out);
+                    out.push(',');
+                )+
+                out.pop();
+                out.push('}');
+            }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Value) -> Result<Self, $crate::JsonError> {
                 Ok(Self {
                     $($field: $crate::FromJson::from_json(v.get_field(stringify!($field))?)?,)+
+                })
+            }
+            fn read_json(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::JsonError> {
+                $(let mut $field = None;)+
+                r.object(|r, key| {
+                    match key {
+                        $(stringify!($field) if $field.is_none() => {
+                            $field = Some($crate::FromJson::read_json(r)?);
+                        })+
+                        _ => r.skip()?,
+                    }
+                    Ok(())
+                })?;
+                Ok(Self {
+                    $($field: $field.ok_or_else(|| {
+                        $crate::JsonError::new(concat!("missing field '", stringify!($field), "'"))
+                    })?,)+
                 })
             }
         }
@@ -703,6 +1032,11 @@ macro_rules! impl_json_unit_enum {
                     $($ty::$variant => stringify!($variant),)+
                 }.to_string())
             }
+            fn write_json(&self, out: &mut String) {
+                out.push_str(match self {
+                    $($ty::$variant => concat!("\"", stringify!($variant), "\""),)+
+                });
+            }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Value) -> Result<Self, $crate::JsonError> {
@@ -715,6 +1049,14 @@ macro_rules! impl_json_unit_enum {
                     },
                     other => Err($crate::JsonError::new(format!(
                         "expected string for {}, got {}", stringify!($ty), other.kind_name()
+                    ))),
+                }
+            }
+            fn read_json(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::JsonError> {
+                match &*r.string()? {
+                    $(stringify!($variant) => Ok($ty::$variant),)+
+                    other => Err($crate::JsonError::new(format!(
+                        "unknown {} variant '{}'", stringify!($ty), other
                     ))),
                 }
             }
@@ -731,10 +1073,16 @@ macro_rules! impl_json_newtype {
             fn to_json(&self) -> $crate::Value {
                 $crate::ToJson::to_json(&self.0)
             }
+            fn write_json(&self, out: &mut String) {
+                $crate::ToJson::write_json(&self.0, out)
+            }
         }
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Value) -> Result<Self, $crate::JsonError> {
                 Ok($ty($crate::FromJson::from_json(v)?))
+            }
+            fn read_json(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::JsonError> {
+                Ok($ty($crate::FromJson::read_json(r)?))
             }
         }
     };
@@ -842,6 +1190,62 @@ mod tests {
         assert!(parse(r#"{"a" 1}"#).is_err());
         assert!(parse("tru").is_err());
         assert!(parse("\"\\q\"").is_err());
+        // `from_str_radix` took a sign, so this used to read as "A".
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(String::from_json_str(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u00g1""#).is_err());
+        assert!(parse(r#""\u00""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        let objects = |depth: usize| format!("{}1{}", r#"{"a":"#.repeat(depth), "}".repeat(depth));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        // The typed reader skips unknown keys through the same bound; the
+        // unclosed case is the corrupt file that used to abort the process.
+        let hidden = |depth: usize| format!(r#"{{"junk":{},"n":1}}"#, nested(depth));
+        impl_json_struct!(OnlyN { n });
+        struct OnlyN {
+            n: u64,
+        }
+        assert_eq!(OnlyN::from_json_str(&hidden(MAX_DEPTH - 1)).unwrap().n, 1);
+        assert!(OnlyN::from_json_str(&hidden(MAX_DEPTH)).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(OnlyN::from_json_str(&format!(r#"{{"junk":{}"#, "[".repeat(200_000))).is_err());
+    }
+
+    #[test]
+    fn typed_and_tree_paths_agree() {
+        // The streaming impls against the document model they replaced.
+        let d = demo();
+        assert_eq!(d.to_json_string(), d.to_json().to_string_compact());
+        let text = r#" { "extra" : [1, {"x": null}], "opt" : true, "tags" : [ ], "n" : 7,
+            "label" : "\u00e9\ud83d\ude00", "rate" : 2, "n" : "first one wins" } "#;
+        let typed = Demo::from_json_str(text).unwrap();
+        assert_eq!(typed, Demo::from_json(&parse(text).unwrap()).unwrap());
+        assert_eq!(typed.label, "é\u{1F600}");
+        assert_eq!((typed.n, typed.rate, typed.opt), (7, 2.0, Some(true)));
+        for bad in [
+            r#"{"n":1,"rate":1,"label":"","tags":[]}"#,
+            r#"{"n":1.5,"rate":1,"label":"","tags":[],"opt":null}"#,
+            r#"{"n":1,"rate":"x","label":"","tags":[],"opt":null}"#,
+            r#"{"n":1,"rate":1,"label":"","tags":[1,],"opt":null}"#,
+            r#"{"n":1,"rate":1,"label":"","tags":[],"opt":null} x"#,
+            r#"[1]"#,
+        ] {
+            assert!(Demo::from_json_str(bad).is_err(), "{bad}");
+            assert!(parse(bad).and_then(|v| Demo::from_json(&v)).is_err(), "{bad}");
+        }
+        assert_eq!(Color::Green.to_json_string(), Color::Green.to_json().to_string_compact());
+        assert_eq!(Wrapper(9).to_json_string(), "9");
+        let odd = "a\u{1}\u{8}\u{c}\u{1f}\"\\/é\n".to_string();
+        assert_eq!(odd.to_json_string(), odd.to_json().to_string_compact());
+        assert_eq!(String::from_json_str(&odd.to_json_string()).unwrap(), odd);
     }
 
     #[test]

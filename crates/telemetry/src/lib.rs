@@ -18,6 +18,7 @@ use elephants_netsim::{
     FlowSample, QueueSample, Recorder, SimDuration, TraceEvent, TRACE_NO_FLOW,
 };
 use std::any::Any;
+use std::collections::BTreeMap;
 
 /// Schema version stamped into every [`FlightRecord`]. Bump when the JSON
 /// shape of the record or its point types changes.
@@ -161,6 +162,82 @@ fn backfill_zero(v: &mut Value, array_field: &str, name: &str) {
     }
 }
 
+/// `Err` unless a reader of [`FLIGHT_RECORD_VERSION`] understands `version`.
+fn check_version(version: u32) -> Result<(), JsonError> {
+    if version == 0 || version > FLIGHT_RECORD_VERSION {
+        return Err(JsonError::new(format!(
+            "flight record schema v{version} (reader supports v1..v{FLIGHT_RECORD_VERSION})"
+        )));
+    }
+    Ok(())
+}
+
+/// The upgrade path of [`FlightRecord::parse`]: read the text into the
+/// document model, learn the version, add the fields that version did not
+/// have yet, then convert. A current-version record gains nothing here and
+/// fails on whatever made the direct read fail.
+fn parse_upgrading(s: &str) -> Result<FlightRecord, JsonError> {
+    let mut v = elephants_json::parse(s)?;
+    let version = u32::from_json(v.get_field("schema_version")?)?;
+    check_version(version)?;
+    if version < 3 {
+        backfill_zero(&mut v, "flow_samples", "delivered_bytes");
+        backfill_zero(&mut v, "flow_samples", "retx");
+    }
+    if version < 2 {
+        backfill_zero(&mut v, "queue_samples", "link");
+    }
+    FlightRecord::from_json(&v)
+}
+
+/// One flow's samples, in record order: what [`FlightRecord::by_flow`]
+/// splits a record into.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlowTrack<'a> {
+    /// Flow id.
+    pub flow: u32,
+    /// The flow's rows of [`FlightRecord::flow_samples`].
+    pub points: Vec<&'a FlowPoint>,
+}
+
+impl FlowTrack<'_> {
+    fn series(&self, y: impl Fn(&FlowPoint) -> u64) -> Vec<(f64, f64)> {
+        self.points.iter().map(|p| (p.t_s, y(p) as f64)).collect()
+    }
+
+    /// The `(t, cwnd)` series (cwnd in bytes).
+    pub fn cwnd_series(&self) -> Vec<(f64, f64)> {
+        self.series(|p| p.cwnd)
+    }
+
+    /// The `(t, cumulative delivered bytes)` series. All-zero for records
+    /// older than schema v3 (the counter is backfilled).
+    pub fn delivered_series(&self) -> Vec<(f64, f64)> {
+        self.series(|p| p.delivered_bytes)
+    }
+
+    /// The `(t, cumulative retransmitted segments)` series.
+    pub fn retx_series(&self) -> Vec<(f64, f64)> {
+        self.series(|p| p.retx)
+    }
+
+    /// Number of completed ProbeBW cycles visible in the phase series:
+    /// transitions *into* the 1.25 up-probe phase (BBRv1 labels it
+    /// `"probe_bw:1.25"`, BBRv2 `"probe_bw:up"`).
+    pub fn probe_bw_cycles(&self) -> u64 {
+        let mut cycles = 0;
+        let mut prev_up = false;
+        for p in &self.points {
+            let up = p.phase == "probe_bw:1.25" || p.phase == "probe_bw:up";
+            if up && !prev_up {
+                cycles += 1;
+            }
+            prev_up = up;
+        }
+        cycles
+    }
+}
+
 impl FlightRecord {
     /// Parse a record, rejecting schema mismatches loudly.
     ///
@@ -170,22 +247,15 @@ impl FlightRecord {
     /// goodput, not garbage), and v1 queue points predate multi-bottleneck
     /// `link` ids (backfilled to 0). The original `schema_version` is kept
     /// so provenance stays visible. Unknown (future) versions still fail.
+    ///
+    /// A record with every current field decodes straight off the text.
+    /// Only text that does not (an older record, or a damaged one) is read
+    /// into the document model, where fields can be added before decoding.
     pub fn parse(s: &str) -> Result<FlightRecord, JsonError> {
-        let mut v = elephants_json::parse(s)?;
-        let version = u32::from_json(v.get_field("schema_version")?)?;
-        if version == 0 || version > FLIGHT_RECORD_VERSION {
-            return Err(JsonError::new(format!(
-                "flight record schema v{version} (reader supports v1..v{FLIGHT_RECORD_VERSION})"
-            )));
+        match FlightRecord::from_json_str(s) {
+            Ok(record) => check_version(record.schema_version).map(|()| record),
+            Err(_) => parse_upgrading(s),
         }
-        if version < 3 {
-            backfill_zero(&mut v, "flow_samples", "delivered_bytes");
-            backfill_zero(&mut v, "flow_samples", "retx");
-        }
-        if version < 2 {
-            backfill_zero(&mut v, "queue_samples", "link");
-        }
-        FlightRecord::from_json(&v)
     }
 
     /// The distinct flow ids present, ascending.
@@ -196,32 +266,35 @@ impl FlightRecord {
         ids
     }
 
-    /// The `(t, cwnd)` series of one flow (cwnd in bytes).
-    pub fn cwnd_series(&self, flow: u32) -> Vec<(f64, f64)> {
-        self.flow_samples
-            .iter()
-            .filter(|p| p.flow == flow)
-            .map(|p| (p.t_s, p.cwnd as f64))
-            .collect()
+    /// Every flow's samples, ascending by flow id, split out in one pass
+    /// over [`FlightRecord::flow_samples`]. The way to look at all flows:
+    /// the per-flow methods below read the whole record on every call.
+    pub fn by_flow(&self) -> Vec<FlowTrack<'_>> {
+        let mut tracks: BTreeMap<u32, Vec<&FlowPoint>> = BTreeMap::new();
+        for p in &self.flow_samples {
+            tracks.entry(p.flow).or_default().push(p);
+        }
+        tracks.into_iter().map(|(flow, points)| FlowTrack { flow, points }).collect()
     }
 
-    /// The `(t, cumulative delivered bytes)` series of one flow. All-zero
-    /// for records older than schema v3 (the counter is backfilled).
+    /// One flow's samples (none for a flow the record does not hold).
+    fn track(&self, flow: u32) -> FlowTrack<'_> {
+        FlowTrack { flow, points: self.flow_samples.iter().filter(|p| p.flow == flow).collect() }
+    }
+
+    /// The `(t, cwnd)` series of one flow (cwnd in bytes).
+    pub fn cwnd_series(&self, flow: u32) -> Vec<(f64, f64)> {
+        self.track(flow).cwnd_series()
+    }
+
+    /// The `(t, cumulative delivered bytes)` series of one flow.
     pub fn delivered_series(&self, flow: u32) -> Vec<(f64, f64)> {
-        self.flow_samples
-            .iter()
-            .filter(|p| p.flow == flow)
-            .map(|p| (p.t_s, p.delivered_bytes as f64))
-            .collect()
+        self.track(flow).delivered_series()
     }
 
     /// The `(t, cumulative retransmitted segments)` series of one flow.
     pub fn retx_series(&self, flow: u32) -> Vec<(f64, f64)> {
-        self.flow_samples
-            .iter()
-            .filter(|p| p.flow == flow)
-            .map(|p| (p.t_s, p.retx as f64))
-            .collect()
+        self.track(flow).retx_series()
     }
 
     /// The distinct instrumented link ids present, ascending.
@@ -250,20 +323,9 @@ impl FlightRecord {
             .collect()
     }
 
-    /// Number of completed ProbeBW cycles visible in a flow's phase series:
-    /// transitions *into* the 1.25 up-probe phase (BBRv1 labels it
-    /// `"probe_bw:1.25"`, BBRv2 `"probe_bw:up"`).
+    /// Completed ProbeBW cycles of one flow ([`FlowTrack::probe_bw_cycles`]).
     pub fn probe_bw_cycles(&self, flow: u32) -> u64 {
-        let mut cycles = 0;
-        let mut prev_up = false;
-        for p in self.flow_samples.iter().filter(|p| p.flow == flow) {
-            let up = p.phase == "probe_bw:1.25" || p.phase == "probe_bw:up";
-            if up && !prev_up {
-                cycles += 1;
-            }
-            prev_up = up;
-        }
-        cycles
+        self.track(flow).probe_bw_cycles()
     }
 }
 
@@ -500,6 +562,55 @@ mod tests {
         let deep: Vec<f64> = record.queue_series_for(5).iter().map(|p| p.1).collect();
         assert_eq!(deep, vec![7.0, 8.0]);
         assert!(record.queue_series_for(99).is_empty());
+    }
+
+    #[test]
+    fn one_pass_split_equals_a_scan_per_flow() {
+        use elephants_netsim::prop::{run_cases, vec_of, DEFAULT_CASES};
+        use elephants_netsim::{prop_check_eq, RngExt};
+        const PHASES: [&str; 5] =
+            ["startup", "probe_bw:1.25", "probe_bw:0.75", "probe_bw:up", "cubic"];
+        run_cases("one_pass_split_equals_a_scan_per_flow", DEFAULT_CASES, |rng| {
+            // Sparse ids; each tick samples a random subset in a random
+            // order, so flows go missing from ticks and some show up once.
+            let ids = vec_of(rng, 1, 8, |r| r.random_range(0u32..1000) * 7919);
+            let mut rec = FlightRecorder::new();
+            for tick in 0..rng.random_range(1u64..30) {
+                for _ in 0..rng.random_range(0..=ids.len()) {
+                    let flow = ids[rng.random_range(0..ids.len())];
+                    let phase = PHASES[rng.random_range(0..PHASES.len())];
+                    let cwnd = rng.random_range(1u64..1_000_000);
+                    rec.on_flow_sample(&sample(tick * 10, flow, cwnd, phase));
+                }
+            }
+            let only_once = u32::MAX;
+            rec.on_flow_sample(&sample(5, only_once, 1, "startup"));
+            let record = rec.into_record("split".into(), 0, SimDuration::from_millis(10));
+
+            // The per-flow scans, spelled out here so the reference shares
+            // no code with the split.
+            let of = |flow: u32| record.flow_samples.iter().filter(move |p| p.flow == flow);
+            let scan = |flow: u32, y: fn(&FlowPoint) -> u64| -> Vec<(f64, f64)> {
+                of(flow).map(|p| (p.t_s, y(p) as f64)).collect()
+            };
+            let tracks = record.by_flow();
+            let split_ids: Vec<u32> = tracks.iter().map(|t| t.flow).collect();
+            prop_check_eq!(&split_ids, &record.flow_ids());
+            prop_check_eq!(tracks.last().map(|t| t.points.len()), Some(1));
+            for track in &tracks {
+                let f = track.flow;
+                prop_check_eq!(track, &record.track(f));
+                prop_check_eq!(track.cwnd_series(), scan(f, |p| p.cwnd));
+                prop_check_eq!(track.delivered_series(), scan(f, |p| p.delivered_bytes));
+                prop_check_eq!(track.retx_series(), scan(f, |p| p.retx));
+                let ups: Vec<bool> =
+                    of(f).map(|p| p.phase == "probe_bw:1.25" || p.phase == "probe_bw:up").collect();
+                let entries = ups.iter().enumerate().filter(|&(i, &up)| up && (i == 0 || !ups[i - 1]));
+                prop_check_eq!(track.probe_bw_cycles(), entries.count() as u64);
+                prop_check_eq!(record.probe_bw_cycles(f), track.probe_bw_cycles());
+            }
+            Ok(())
+        });
     }
 
     #[test]

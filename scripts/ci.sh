@@ -51,6 +51,16 @@
 #                                plus a replay of the flight-record
 #                                back-compat suite (v1/v2 fixtures must
 #                                still parse with counters backfilled)
+#   scripts/ci.sh --benchmark-smoke  also build and exercise `benchmark/`,
+#                                the standalone package BENCHMARK.json
+#                                points at: its own unit tests, then
+#                                `benchmark/run.sh --smoke --traced` (debug
+#                                build, 100 Mbps cells, every check, ~10 s
+#                                a workload). No PR that claims a gain may
+#                                edit that directory, so a crate API change
+#                                that stops it compiling or trips one of
+#                                its checks has to fail here, not in the
+#                                benchmark driver afterwards
 #   scripts/ci.sh --bench-gate   also run the tracked engine benchmarks
 #                                against a scratch copy of the committed
 #                                BENCH_netsim.json and fail when events/sec
@@ -68,6 +78,7 @@ check_smoke=0
 fuzz_smoke=0
 topo_smoke=0
 dynamics_smoke=0
+benchmark_smoke=0
 bench_gate=0
 for arg in "$@"; do
   case "$arg" in
@@ -78,6 +89,7 @@ for arg in "$@"; do
     --fuzz-smoke) fuzz_smoke=1 ;;
     --topo-smoke) topo_smoke=1 ;;
     --dynamics-smoke) dynamics_smoke=1 ;;
+    --benchmark-smoke) benchmark_smoke=1 ;;
     --bench-gate) bench_gate=1 ;;
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
@@ -89,6 +101,13 @@ cargo test -q --offline
 
 if [[ "$bench_smoke" -eq 1 ]]; then
   cargo bench --offline -p elephants-bench -- --test
+fi
+
+if [[ "$benchmark_smoke" -eq 1 ]]; then
+  # run.sh exits nonzero when any workload reports `correct: false` or a
+  # failed cell; its results go to benchmark/target/ (ignored by git).
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  benchmark/run.sh --smoke --traced
 fi
 
 if [[ "$bench_gate" -eq 1 ]]; then
