@@ -1,7 +1,7 @@
 //! One bench per paper figure/table: regenerates a reduced-scale slice of
 //! the corresponding experiment grid and times it. The *full* regeneration
 //! (all bandwidths, paper durations) is done by the `elephants-experiments`
-//! binaries (`cargo run --release -p elephants-experiments --bin fig2` …);
+//! `repro` binary (`cargo run --release -p elephants-experiments --bin repro -- fig2` …);
 //! these benches keep the assembly paths exercised and their cost tracked.
 
 use elephants_bench::harness::Criterion;

@@ -22,7 +22,7 @@
 use crate::harness::{BenchResult, Criterion};
 use crate::{parkinglot_scenario, regression_scenario, table2_scenario};
 use elephants_experiments::{Runner, ScenarioConfig};
-use elephants_json::{FromJson, JsonError, ToJson, Value};
+use elephants_json::{impl_json_struct, FromJson, ToJson};
 use std::path::PathBuf;
 
 /// Benchmark id (group/name) of the regression scenario in the engine bench.
@@ -40,10 +40,9 @@ pub const GATE_DEFAULT_THRESHOLD: f64 = 0.10;
 
 /// One measured point on the perf trajectory.
 ///
-/// Entries recorded before PR 7 carry only the median; on parse their
-/// `min_run_ms`/`max_run_ms` are backfilled from the median and `runs` is 0
-/// ("spread not recorded"), so "within noise" claims are only checkable for
-/// entries measured after the fields existed.
+/// The committed entries measured before the spread was recorded have
+/// `runs` 0 and `min_run_ms`/`max_run_ms` equal to the median, so "within
+/// noise" claims are only checkable against later entries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchEntry {
     /// Milestone label (e.g. `"pr4-recorder"`, `"current"`).
@@ -60,7 +59,7 @@ pub struct BenchEntry {
     pub min_run_ms: f64,
     /// Slowest sample, milliseconds.
     pub max_run_ms: f64,
-    /// Number of timed samples behind the statistics (0 = pre-PR7 entry).
+    /// Number of timed samples behind the statistics (0 = spread not recorded).
     pub runs: u64,
     /// Events processed by one run of the scenario.
     pub events_processed: u64,
@@ -68,52 +67,18 @@ pub struct BenchEntry {
     pub peak_queue_pkts: u64,
 }
 
-impl ToJson for BenchEntry {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("label".to_string(), self.label.to_json()),
-            ("bench".to_string(), self.bench.to_json()),
-            ("events_per_sec".to_string(), self.events_per_sec.to_json()),
-            ("ns_per_event".to_string(), self.ns_per_event.to_json()),
-            ("median_run_ms".to_string(), self.median_run_ms.to_json()),
-            ("min_run_ms".to_string(), self.min_run_ms.to_json()),
-            ("max_run_ms".to_string(), self.max_run_ms.to_json()),
-            ("runs".to_string(), self.runs.to_json()),
-            ("events_processed".to_string(), self.events_processed.to_json()),
-            ("peak_queue_pkts".to_string(), self.peak_queue_pkts.to_json()),
-        ])
-    }
-}
-
-impl FromJson for BenchEntry {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let median_run_ms = f64::from_json(v.get_field("median_run_ms")?)?;
-        // Fields added in PR 7 are optional so committed pre-PR7 entries
-        // keep parsing; see the struct docs for the backfill semantics.
-        let opt_f64 = |name: &str, fallback: f64| match v.get_field(name) {
-            Ok(field) => f64::from_json(field),
-            Err(_) => Ok(fallback),
-        };
-        Ok(BenchEntry {
-            label: String::from_json(v.get_field("label")?)?,
-            bench: match v.get_field("bench") {
-                Ok(field) => String::from_json(field)?,
-                Err(_) => REGRESSION_BENCH_ID.to_string(),
-            },
-            events_per_sec: f64::from_json(v.get_field("events_per_sec")?)?,
-            ns_per_event: f64::from_json(v.get_field("ns_per_event")?)?,
-            median_run_ms,
-            min_run_ms: opt_f64("min_run_ms", median_run_ms)?,
-            max_run_ms: opt_f64("max_run_ms", median_run_ms)?,
-            runs: match v.get_field("runs") {
-                Ok(field) => u64::from_json(field)?,
-                Err(_) => 0,
-            },
-            events_processed: u64::from_json(v.get_field("events_processed")?)?,
-            peak_queue_pkts: u64::from_json(v.get_field("peak_queue_pkts")?)?,
-        })
-    }
-}
+impl_json_struct!(BenchEntry {
+    label,
+    bench,
+    events_per_sec,
+    ns_per_event,
+    median_run_ms,
+    min_run_ms,
+    max_run_ms,
+    runs,
+    events_processed,
+    peak_queue_pkts,
+});
 
 /// A passing gate comparison: which baseline was used and the ratio.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +98,7 @@ pub struct BenchReport {
     pub entries: Vec<BenchEntry>,
 }
 
-elephants_json::impl_json_struct!(BenchReport { scenario, entries });
+impl_json_struct!(BenchReport { scenario, entries });
 
 impl BenchReport {
     /// Insert `entry`, replacing any previous entry with the same label.
@@ -358,24 +323,11 @@ mod tests {
         let r = BenchReport { scenario: "s".into(), entries: vec![entry("a", 1.5)] };
         let back = BenchReport::from_json_str(&r.to_json_pretty()).unwrap();
         assert_eq!(back, r);
-    }
-
-    #[test]
-    fn pre_pr7_entries_parse_with_backfilled_spread() {
-        // The exact shape committed before PR 7: no bench/min/max/runs.
-        let old = r#"{
-            "label": "pr4-recorder",
-            "events_per_sec": 12190651.171217684,
-            "ns_per_event": 82.03007254944802,
-            "median_run_ms": 465.17228,
-            "events_processed": 5670753,
-            "peak_queue_pkts": 21229
-        }"#;
-        let e = BenchEntry::from_json_str(old).unwrap();
-        assert_eq!(e.bench, REGRESSION_BENCH_ID);
-        assert_eq!(e.min_run_ms, e.median_run_ms);
-        assert_eq!(e.max_run_ms, e.median_run_ms);
-        assert_eq!(e.runs, 0, "pre-PR7 entries have no recorded spread");
+        // The committed trajectory carries every field and survives a
+        // read-modify-write untouched.
+        let committed = include_str!("../../../BENCH_netsim.json");
+        let report = BenchReport::from_json_str(committed).unwrap();
+        assert_eq!(report.to_json_pretty(), committed);
     }
 
     /// The gate must catch exactly the regression that PR 6 landed: the

@@ -14,7 +14,7 @@
 //!   under load) on current code: committing a fixture asserts "this bug
 //!   is fixed and must stay fixed". A still-failing find lives in a
 //!   branch alongside the fix, never alone on main.
-//! * Filenames are `chaos-<fnv64 of the config JSON>.json`, so the same
+//! * Filenames are `chaos-<ScenarioConfig::fingerprint>.json`, so the same
 //!   minimal repro never commits twice and names are diff-stable.
 
 use crate::oracle::{judge, CaseOutcome};
@@ -45,14 +45,9 @@ pub fn default_corpus_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/chaos")
 }
 
-/// FNV-1a over the config's canonical JSON: the fixture's identity.
+/// The fixture's identity: the config's content hash.
 pub fn fixture_stem(cfg: &ScenarioConfig) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in cfg.to_json_string().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    format!("chaos-{h:016x}")
+    format!("chaos-{:016x}", cfg.fingerprint())
 }
 
 /// Write `fixture` into `dir`, creating it if needed. Returns the path

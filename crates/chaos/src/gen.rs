@@ -11,9 +11,8 @@
 //! 2. **Deterministic.** The config is a pure function of the case seed,
 //!    so any finding replays from the seed alone.
 //! 3. **Discrete knob values.** Sampled floats come from small fixed
-//!    menus (or are rounded to a few decimals) so two distinct cases can
-//!    never collide in `cache_key`'s fixed-precision formatting, and
-//!    shrunk repros print as round, human-readable numbers.
+//!    menus (or are rounded to a few decimals) so menu coverage can be
+//!    asserted and shrunk repros print as round, human-readable numbers.
 //!
 //! One deliberate asymmetry: `SetBandwidth` fault events only ever
 //! *lower* the link rate below the configured `bw_bps`. Raising it would
@@ -68,7 +67,7 @@ fn choose<T: Copy>(rng: &mut SmallRng, menu: &[T]) -> T {
 }
 
 /// A loss probability from a mild menu, exactly representable in a few
-/// decimals (cache-key and shrink-output hygiene).
+/// decimals (shrink-output hygiene).
 fn loss_prob(rng: &mut SmallRng) -> f64 {
     choose(rng, &[0.0001, 0.0005, 0.001, 0.002, 0.005, 0.01])
 }

@@ -1,16 +1,18 @@
 //! On-disk cache of run results.
 //!
 //! Simulation runs are pure functions of `(ScenarioConfig, seed)`, so their
-//! results are cached as JSON under `results/cache/`. Re-running a figure
-//! binary reuses every run it shares with previous figures (the whole study
-//! is one 810-cell grid viewed from different angles).
+//! results are cached as JSON under `results/cache/` (local, not tracked
+//! in git; `sweep` fills it). Re-running a figure binary reuses every run
+//! it shares with previous figures (the whole study is one 810-cell grid
+//! viewed from different angles).
 //!
 //! Robustness properties:
 //!
-//! * Every filename carries [`CACHE_SCHEMA_VERSION`]; bumping it when
-//!   `RunResult`'s JSON shape changes orphans stale entries instead of
-//!   letting them parse into garbage.
-//! * An entry that exists but does not parse is **quarantined** (renamed to
+//! * An entry is named by [`ScenarioConfig::cache_key`], which hashes the
+//!   whole config, plus [`CACHE_SCHEMA_VERSION`]: a different run or a
+//!   different `RunResult` shape is a different file, never a stale hit.
+//!   Old entries are not read or migrated; they are recomputed.
+//! * An entry that exists but cannot be decoded is **quarantined** (renamed to
 //!   `*.quarantine`, counted, warned about) rather than silently
 //!   recomputed — corruption is a signal worth surfacing, and the rename
 //!   stops the next run from tripping over the same bytes.
@@ -22,20 +24,16 @@
 use crate::runner::{RunError, RunResult};
 use crate::scenario::ScenarioConfig;
 use elephants_json::{FromJson, ToJson};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Version stamp embedded in every cache filename. Bump when the
-/// `RunResult` JSON schema (or the meaning of any field) changes.
-/// v4: `ScenarioConfig` gained the `coalesce` knob (PR 7) — entries
-/// serialized without it no longer parse.
-/// v5: `RunResult` gained `fault_events_applied` (PR 8) — entries
-/// serialized without it no longer parse.
-/// v6: `ScenarioConfig` gained `topology`/`fault_link` and `RunResult`
-/// gained per-bottleneck `links` (PR 9) — entries serialized without
-/// them no longer parse.
+/// `RunResult` JSON schema (or the meaning of any field) changes, or when
+/// the simulator changes what a given config computes. A `ScenarioConfig`
+/// change needs no bump: the config is hashed into the key.
 pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// Cache writes that failed (IO errors on create/write).
@@ -110,16 +108,24 @@ impl RunCache {
         self.dir.join(format!("{}-v{}.json", cfg.cache_key(seed), CACHE_SCHEMA_VERSION))
     }
 
-    /// Fetch a cached result if present and parseable. Unparsable entries
-    /// are quarantined (renamed, counted, warned about), not silently
-    /// recomputed over.
+    /// Fetch a cached result if present and decodable. Only a missing
+    /// file is a miss: an entry that cannot be read, is not UTF-8 or does
+    /// not parse is quarantined (renamed, counted, warned about), not
+    /// silently recomputed over.
     pub fn get(&self, cfg: &ScenarioConfig, seed: u64) -> Option<RunResult> {
         if !self.enabled {
             return None;
         }
         let path = self.path_for(cfg, seed);
-        let text = std::fs::read_to_string(&path).ok()?;
-        match RunResult::from_json_str(&text) {
+        let decoded = match std::fs::read_to_string(&path) {
+            // No such entry, or no such cache directory yet.
+            Err(e) if matches!(e.kind(), ErrorKind::NotFound | ErrorKind::NotADirectory) => {
+                return None
+            }
+            Err(e) => Err(e.to_string()),
+            Ok(text) => RunResult::from_json_str(&text).map_err(|e| e.to_string()),
+        };
+        match decoded {
             Ok(result) => Some(result),
             Err(e) => {
                 let quarantine = path.with_extension("quarantine");
@@ -211,6 +217,28 @@ mod tests {
     }
 
     #[test]
+    fn configs_the_old_key_merged_get_their_own_results() {
+        let tmp = std::env::temp_dir().join(format!("elephants-cache-merge-{}", std::process::id()));
+        let cache = RunCache::new(&tmp);
+        // `--bw 100M` vs `--bw 100900K` shared one fixed-precision key, so
+        // the second run was handed the first one's result.
+        let (a, mut b) = (quick_cfg(), quick_cfg());
+        b.bw_bps = 100_900_000;
+        let fresh = RunCache::disabled().run(&b, 1);
+        assert_ne!(cache.run(&a, 1).events, fresh.events, "the pair must differ to bite");
+        assert_eq!(cache.run(&b, 1).events, fresh.events);
+        assert_eq!(cache.get(&b, 1).map(|r| r.events), Some(fresh.events));
+        // So did 0.50 and 0.504 BDP. Those two queues hold the same number
+        // of packets and the runs agree, so count the entries instead.
+        let (mut c, mut d) = (quick_cfg(), quick_cfg());
+        (c.queue_bdp, d.queue_bdp) = (0.5, 0.504);
+        cache.run(&c, 1);
+        cache.run(&d, 1);
+        assert_eq!(std::fs::read_dir(&tmp).unwrap().count(), 4, "one entry per config");
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    #[test]
     fn disabled_cache_never_stores() {
         let cache = RunCache::disabled();
         let cfg = quick_cfg();
@@ -240,8 +268,10 @@ mod tests {
         // aggregate is shared and would race).
         assert_eq!(cache.quarantined(), 0);
         // The second body is the one that used to overflow the parser's
-        // stack and take the whole sweep down with it.
-        let corrupt = ["{ this is not json".to_string(), "[".repeat(200_000)];
+        // stack and take the whole sweep down with it; the third is not
+        // UTF-8 and used to read as a plain miss.
+        let corrupt =
+            [b"{ this is not json".to_vec(), b"[".repeat(200_000), vec![0xff, 0xfe]];
         for (n, body) in corrupt.iter().enumerate() {
             let seed = 9 + n as u64;
             let path = cache.path_for(&cfg, seed);
@@ -252,7 +282,7 @@ mod tests {
             assert!(path.with_extension("quarantine").exists(), "quarantine file must exist");
         }
         assert_eq!(cache.put_errors(), 0, "a quarantine is not a put error");
-        assert!(cache_quarantined() >= 2, "aggregate includes this instance");
+        assert!(cache_quarantined() >= 3, "aggregate includes this instance");
         std::fs::remove_dir_all(&tmp).ok();
     }
 

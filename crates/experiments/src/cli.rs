@@ -1,4 +1,4 @@
-//! Minimal argument parsing shared by the figure/table binaries.
+//! Minimal argument parsing shared by `repro` and the experiment binaries.
 //!
 //! Flags:
 //!
@@ -302,14 +302,20 @@ impl Cli {
     }
 
     /// Parse the process arguments, exiting with a message on error.
+    pub fn parse() -> Cli {
+        Cli::parse_or_exit(std::env::args().skip(1))
+    }
+
+    /// Parse `args` (the process arguments after the program name and any
+    /// subcommand), exiting with a message on error.
     ///
     /// Also installs the parsed `--check` mode as the process-wide default
     /// (see [`crate::runner::set_default_check_mode`]), so every runner the
     /// binary builds afterwards — including the ones a sweep spawns on
     /// worker threads — inherits it. Done here, not in [`Cli::parse_from`],
     /// so library tests parsing argument lists never mutate global state.
-    pub fn parse() -> Cli {
-        match Cli::parse_from(std::env::args().skip(1)) {
+    pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Cli {
+        match Cli::parse_from(args) {
             Ok(cli) => {
                 crate::runner::set_default_check_mode(cli.check);
                 cli
@@ -445,7 +451,6 @@ mod tests {
         assert_eq!(cfg.loss, cli.loss);
         assert_eq!(cfg.faults, cli.faults);
         assert!(cfg.coalesce);
-        assert!(cfg.is_faulted());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The experiment harness that reproduces the paper's evaluation: the
 //! Table 1 scenario grid, a deterministic runner, a thread-parallel sweep
 //! with an on-disk result cache, and one assembly function per paper figure
-//! and table (binaries `fig2` … `fig8`, `table2`, `table3`, `sweep`).
+//! and table (binaries `repro <fig2…fig8|table2|table3>` and `sweep`).
 //!
 //! ```no_run
 //! use elephants_experiments::prelude::*;

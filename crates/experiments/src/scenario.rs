@@ -2,8 +2,9 @@
 
 use elephants_aqm::AqmKind;
 use elephants_cca::CcaKind;
+use elephants_netsim::rng::fnv1a;
 use elephants_netsim::{bdp_bytes, Bandwidth, FaultPlan, LossModel, SimDuration, TopologySpec};
-use elephants_json::{impl_json_struct, impl_json_unit_enum, FromJson, JsonError, ToJson, Value};
+use elephants_json::{impl_json_struct, impl_json_unit_enum, ToJson};
 
 /// The paper's bottleneck bandwidths (Table 1).
 pub const PAPER_BWS: [u64; 5] =
@@ -98,68 +99,27 @@ pub struct ScenarioConfig {
     pub start_offset_ms: Vec<u64>,
 }
 
-// Hand-written (not `impl_json_struct!`) so `start_offset_ms` can be
-// omitted when empty and backfilled on parse: every pre-offset config
-// JSON — committed chaos fixtures (whose filenames hash the JSON), cache
-// artifacts, round-trip oracles — stays byte-identical. The macro would
-// both emit the field unconditionally and reject documents lacking it.
-impl ToJson for ScenarioConfig {
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("cca1".to_string(), self.cca1.to_json()),
-            ("cca2".to_string(), self.cca2.to_json()),
-            ("aqm".to_string(), self.aqm.to_json()),
-            ("queue_bdp".to_string(), self.queue_bdp.to_json()),
-            ("bw_bps".to_string(), self.bw_bps.to_json()),
-            ("duration".to_string(), self.duration.to_json()),
-            ("warmup".to_string(), self.warmup.to_json()),
-            ("flow_scale".to_string(), self.flow_scale.to_json()),
-            ("mss".to_string(), self.mss.to_json()),
-            ("ecn".to_string(), self.ecn.to_json()),
-            ("rtt_ms".to_string(), self.rtt_ms.to_json()),
-            ("seed".to_string(), self.seed.to_json()),
-            ("loss".to_string(), self.loss.to_json()),
-            ("faults".to_string(), self.faults.to_json()),
-            ("max_events".to_string(), self.max_events.to_json()),
-            ("coalesce".to_string(), self.coalesce.to_json()),
-            ("topology".to_string(), self.topology.to_json()),
-            ("fault_link".to_string(), self.fault_link.to_json()),
-        ];
-        if !self.start_offset_ms.is_empty() {
-            fields.push(("start_offset_ms".to_string(), self.start_offset_ms.to_json()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl FromJson for ScenarioConfig {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ScenarioConfig {
-            cca1: FromJson::from_json(v.get_field("cca1")?)?,
-            cca2: FromJson::from_json(v.get_field("cca2")?)?,
-            aqm: FromJson::from_json(v.get_field("aqm")?)?,
-            queue_bdp: FromJson::from_json(v.get_field("queue_bdp")?)?,
-            bw_bps: FromJson::from_json(v.get_field("bw_bps")?)?,
-            duration: FromJson::from_json(v.get_field("duration")?)?,
-            warmup: FromJson::from_json(v.get_field("warmup")?)?,
-            flow_scale: FromJson::from_json(v.get_field("flow_scale")?)?,
-            mss: FromJson::from_json(v.get_field("mss")?)?,
-            ecn: FromJson::from_json(v.get_field("ecn")?)?,
-            rtt_ms: FromJson::from_json(v.get_field("rtt_ms")?)?,
-            seed: FromJson::from_json(v.get_field("seed")?)?,
-            loss: FromJson::from_json(v.get_field("loss")?)?,
-            faults: FromJson::from_json(v.get_field("faults")?)?,
-            max_events: FromJson::from_json(v.get_field("max_events")?)?,
-            coalesce: FromJson::from_json(v.get_field("coalesce")?)?,
-            topology: FromJson::from_json(v.get_field("topology")?)?,
-            fault_link: FromJson::from_json(v.get_field("fault_link")?)?,
-            start_offset_ms: match v.get_field("start_offset_ms") {
-                Ok(f) => FromJson::from_json(f)?,
-                Err(_) => Vec::new(),
-            },
-        })
-    }
-}
+impl_json_struct!(ScenarioConfig {
+    cca1,
+    cca2,
+    aqm,
+    queue_bdp,
+    bw_bps,
+    duration,
+    warmup,
+    flow_scale,
+    mss,
+    ecn,
+    rtt_ms,
+    seed,
+    loss,
+    faults,
+    max_events,
+    coalesce,
+    topology,
+    fault_link,
+    start_offset_ms,
+});
 
 /// Fluent constructor for [`ScenarioConfig`]: start from the paper
 /// defaults, override individual fields, and validate once at
@@ -390,43 +350,6 @@ impl ScenarioConfig {
         self.start_offset_ms.iter().map(|&ms| SimDuration::from_millis(ms)).collect()
     }
 
-    /// Whether any fault-injection knob deviates from the fault-free
-    /// default.
-    pub fn is_faulted(&self) -> bool {
-        self.loss != LossModel::None
-            || !self.faults.is_empty()
-            || self.max_events != u64::MAX
-            || self.fault_link != 0
-    }
-
-    /// Stable fingerprint of the fault knobs, empty for fault-free
-    /// configs so the plain grid keeps human-readable cache keys.
-    fn fault_fingerprint(&self) -> String {
-        if !self.is_faulted() {
-            return String::new();
-        }
-        // FNV-1a over the canonical JSON of the fault knobs: stable across
-        // runs (insertion-ordered JSON), filename-safe, and collision-proof
-        // enough for a cache key that also carries every other field.
-        let mut h: u64 = 0xcbf29ce484222325;
-        // `fault_link` folds in only when non-default so every pre-topology
-        // faulted config keeps the fingerprint already on disk.
-        let mut canon = format!(
-            "{}|{}|{}",
-            self.loss.to_json_string(),
-            self.faults.to_json_string(),
-            self.max_events,
-        );
-        if self.fault_link != 0 {
-            canon.push_str(&format!("|link{}", self.fault_link));
-        }
-        for b in canon.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        format!("-f{h:016x}")
-    }
-
     /// Bottleneck bandwidth as a typed quantity.
     pub fn bandwidth(&self) -> Bandwidth {
         Bandwidth::from_bps(self.bw_bps)
@@ -448,46 +371,31 @@ impl ScenarioConfig {
         self.cca1 == self.cca2
     }
 
-    /// Stable cache key for (config, seed) results.
-    ///
-    /// Opt-in knobs append suffixes only when they deviate from the
-    /// default (mirroring the fault fingerprint), so the plain grid's
-    /// keys — and any cache entries already on disk — are unchanged.
+    /// 64-bit FNV-1a of the canonical (compact) JSON: the config's
+    /// identity wherever a file is named after it. Every field is in the
+    /// JSON, so every field is in the hash.
+    pub fn fingerprint(&self) -> u64 {
+        fnv1a(self.to_json_string().as_bytes())
+    }
+
+    /// Cache key of this scenario run at `seed`: a prefix for the human
+    /// reading a directory listing, then the [`Self::fingerprint`] of the
+    /// config with `seed` set to the run's seed (what the `Runner` does,
+    /// so configs differing only in `seed` share their results). Different
+    /// runs never share a key; equivalent spellings of one run (offsets
+    /// `[]` and `[0, 0]`) get different keys and cost one extra miss.
     pub fn cache_key(&self, seed: u64) -> String {
+        let run = ScenarioConfig { seed, ..self.clone() };
         format!(
-            "{}-{}-{}-q{:.2}bdp-{}mbps-d{}ms-w{}ms-fs{:.3}-mss{}-ecn{}-rtt{}-s{}{}{}",
+            "{}-{}-{}-q{}bdp-{}-s{}-{:016x}",
             self.cca1,
             self.cca2,
             self.aqm,
             self.queue_bdp,
-            self.bw_bps / 1_000_000,
-            self.duration.as_nanos() / 1_000_000,
-            self.warmup.as_nanos() / 1_000_000,
-            self.flow_scale,
-            self.mss,
-            self.ecn as u8,
-            self.rtt_ms,
+            self.bandwidth(),
             seed,
-            self.fault_fingerprint(),
-            if self.coalesce { "-gro" } else { "" },
-        ) + &self.offset_tag()
-            + &self.topology.cache_tag()
-    }
-
-    /// Cache-key suffix for staggered joins: `-off<ms>x<ms>…` (one entry
-    /// per configured group), empty when every offset is zero so the
-    /// synchronized grid's keys — and cache entries on disk — never move.
-    fn offset_tag(&self) -> String {
-        if !self.is_staggered() {
-            return String::new();
-        }
-        let joined = self
-            .start_offset_ms
-            .iter()
-            .map(|ms| ms.to_string())
-            .collect::<Vec<_>>()
-            .join("x");
-        format!("-off{joined}")
+            run.fingerprint(),
+        )
     }
 
     /// Human-readable label ("BBRv1 vs CUBIC, fifo, 2 BDP, 1Gbps"); a
@@ -640,6 +548,19 @@ mod tests {
         assert_ne!(a.cache_key(1), b.cache_key(1));
         assert_ne!(a.cache_key(1), a.cache_key(2));
         assert_eq!(a.cache_key(1), a.cache_key(1));
+        assert!(a.cache_key(1).starts_with("bbr1-cubic-red-q2bdp-100Mbps-s1-"), "{}", a.cache_key(1));
+        // The pairs the fixed-precision key used to merge: `--bw 100M` vs
+        // `--bw 100900K`, and 0.50 vs 0.504 BDP.
+        let mut off_grid = a.clone();
+        off_grid.bw_bps = 100_900_000;
+        assert_ne!(a.cache_key(1), off_grid.cache_key(1));
+        let half = ScenarioConfig { queue_bdp: 0.5, ..a.clone() };
+        let half_ish = ScenarioConfig { queue_bdp: 0.504, ..a.clone() };
+        assert_ne!(half.cache_key(1), half_ish.cache_key(1));
+        // The runner overrides `cfg.seed` with the run's seed, so it is not
+        // part of the run's identity.
+        let reseeded = ScenarioConfig { seed: 99, ..a.clone() };
+        assert_eq!(a.cache_key(1), reseeded.cache_key(1));
     }
 
     #[test]
@@ -647,12 +568,10 @@ mod tests {
         let opts = RunOptions::standard();
         let base =
             ScenarioConfig::new(CcaKind::Cubic, CcaKind::Cubic, AqmKind::Fifo, 2.0, PAPER_BWS[0], &opts);
-        assert!(!base.is_faulted());
         assert!(base.validate().is_ok());
 
         let mut lossy = base.clone();
         lossy.loss = LossModel::GilbertElliott { p_gb: 0.01, p_bg: 0.2 };
-        assert!(lossy.is_faulted());
         assert!(lossy.validate().is_ok());
         assert_ne!(base.cache_key(1), lossy.cache_key(1));
 
@@ -670,58 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_knob_changes_cache_key_only_when_enabled() {
-        let opts = RunOptions::standard();
-        let base =
-            ScenarioConfig::new(CcaKind::Cubic, CcaKind::Cubic, AqmKind::Fifo, 2.0, PAPER_BWS[0], &opts);
-        assert!(!base.coalesce);
-        assert!(
-            !base.cache_key(1).contains("-gro"),
-            "default configs must keep their pre-coalescing cache keys"
-        );
-        let gro = ScenarioConfig::builder(
-            CcaKind::Cubic,
-            CcaKind::Cubic,
-            AqmKind::Fifo,
-            2.0,
-            PAPER_BWS[0],
-            &opts,
-        )
-        .coalesce(true)
-        .build()
-        .unwrap();
-        assert_ne!(base.cache_key(1), gro.cache_key(1));
-        assert!(gro.cache_key(1).ends_with("-gro"));
-    }
-
-    #[test]
-    fn topology_knob_changes_cache_key_only_when_non_default() {
-        let opts = RunOptions::standard();
-        let base =
-            ScenarioConfig::new(CcaKind::Cubic, CcaKind::Cubic, AqmKind::Fifo, 2.0, PAPER_BWS[0], &opts);
-        assert_eq!(base.topology, TopologySpec::Dumbbell);
-        assert!(
-            !base.cache_key(1).contains("-topo"),
-            "dumbbell configs must keep their pre-topology cache keys"
-        );
-        let pl = ScenarioConfig::builder(
-            CcaKind::Cubic,
-            CcaKind::Cubic,
-            AqmKind::Fifo,
-            2.0,
-            PAPER_BWS[0],
-            &opts,
-        )
-        .topology(TopologySpec::ParkingLot { hops: 3 })
-        .build()
-        .unwrap();
-        assert_ne!(base.cache_key(1), pl.cache_key(1));
-        assert!(pl.cache_key(1).ends_with("-topo-pl3"), "{}", pl.cache_key(1));
-        assert!(pl.label().ends_with(", parking-lot:3"), "{}", pl.label());
-        assert!(!base.label().contains("dumbbell"), "default label is unchanged");
-    }
-
-    #[test]
     fn fault_link_validates_against_topology_and_fingerprints() {
         let opts = RunOptions::standard();
         let mut cfg =
@@ -734,7 +601,6 @@ mod tests {
         assert!(err.contains("fault_link"), "{err}");
         cfg.topology = TopologySpec::ParkingLot { hops: 3 };
         assert!(cfg.validate().is_ok(), "hop 1 exists on a 3-hop parking lot");
-        assert!(cfg.is_faulted());
         assert_ne!(cfg.cache_key(1), key0, "fault_link is part of the fingerprint");
         cfg.fault_link = 3;
         assert!(cfg.validate().is_err(), "3 hops means links 0..=2");
@@ -764,60 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn start_offset_changes_cache_key_only_when_nonzero() {
-        let opts = RunOptions::standard();
-        let base =
-            ScenarioConfig::new(CcaKind::Cubic, CcaKind::Cubic, AqmKind::Fifo, 2.0, PAPER_BWS[0], &opts);
-        assert!(!base.is_staggered());
-        assert!(
-            !base.cache_key(1).contains("-off"),
-            "synchronized configs must keep their pre-offset cache keys"
-        );
-        // All-zero offsets are synchronized too: no tag, no key movement.
-        let mut zeroed = base.clone();
-        zeroed.start_offset_ms = vec![0, 0];
-        assert_eq!(base.cache_key(1), zeroed.cache_key(1));
-        let late = ScenarioConfig::builder(
-            CcaKind::Cubic,
-            CcaKind::Cubic,
-            AqmKind::Fifo,
-            2.0,
-            PAPER_BWS[0],
-            &opts,
-        )
-        .start_offset_ms(vec![0, 3000])
-        .build()
-        .unwrap();
-        assert!(late.is_staggered());
-        assert_ne!(base.cache_key(1), late.cache_key(1));
-        assert!(late.cache_key(1).contains("-off0x3000"), "{}", late.cache_key(1));
-    }
-
-    #[test]
-    fn start_offset_json_is_omitted_when_empty_and_backfilled_on_parse() {
-        use elephants_json::FromJson;
-        let opts = RunOptions::quick();
-        let base =
-            ScenarioConfig::new(CcaKind::BbrV1, CcaKind::Cubic, AqmKind::Fifo, 2.0, PAPER_BWS[0], &opts);
-        let json = base.to_json_string();
-        assert!(
-            !json.contains("start_offset_ms"),
-            "default configs must serialize byte-identically to the pre-offset era"
-        );
-        // Pre-offset documents (no field at all) parse with an empty list.
-        let back = ScenarioConfig::from_json_str(&json).unwrap();
-        assert_eq!(back, base);
-        assert!(back.start_offset_ms.is_empty());
-        // Staggered (and even explicit all-zero) lists round-trip exactly.
-        for offsets in [vec![0, 2000], vec![0, 0]] {
-            let mut cfg = base.clone();
-            cfg.start_offset_ms = offsets;
-            let again = ScenarioConfig::from_json_str(&cfg.to_json_string()).unwrap();
-            assert_eq!(again, cfg);
-        }
-    }
-
-    #[test]
     fn start_offset_validation_bounds_groups_and_duration() {
         let opts = RunOptions::quick();
         let builder = |offs: Vec<u64>| {
@@ -832,7 +644,8 @@ mod tests {
             .start_offset_ms(offs)
             .build()
         };
-        assert!(builder(vec![0, 1000]).is_ok());
+        assert!(builder(vec![0, 1000]).unwrap().is_staggered());
+        assert!(!builder(vec![0, 0]).unwrap().is_staggered(), "all-zero offsets are synchronized");
         assert!(builder(vec![0, 0, 1000]).is_err(), "dumbbell has two groups");
         let err = builder(vec![0, 10_000_000]).unwrap_err();
         assert!(err.contains("no runtime"), "{err}");
@@ -847,6 +660,7 @@ mod tests {
         cfg.loss = LossModel::Bernoulli { p: 0.001 };
         cfg.faults = FaultPlan::flap(SimDuration::from_secs(2), SimDuration::from_secs(1));
         cfg.max_events = 5_000_000;
+        cfg.start_offset_ms = vec![0, 2000];
         let back = ScenarioConfig::from_json_str(&cfg.to_json_string()).unwrap();
         assert_eq!(back, cfg);
     }
@@ -940,5 +754,7 @@ mod tests {
         let opts = RunOptions::standard();
         let c = ScenarioConfig::new(CcaKind::BbrV2, CcaKind::Cubic, AqmKind::FqCodel, 16.0, PAPER_BWS[4], &opts);
         assert_eq!(c.label(), "BBRv2 vs CUBIC, fq_codel, 16 BDP, 25Gbps");
+        let pl = ScenarioConfig { topology: TopologySpec::ParkingLot { hops: 3 }, ..c };
+        assert_eq!(pl.label(), "BBRv2 vs CUBIC, fq_codel, 16 BDP, 25Gbps, parking-lot:3");
     }
 }

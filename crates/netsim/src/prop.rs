@@ -46,20 +46,10 @@
 //!
 //!   The replay seed takes precedence over `ELEPHANTS_PROP_CASES`.
 
-use crate::rng::{SeedableRng, SmallRng};
+use crate::rng::{fnv1a, SeedableRng, SmallRng};
 
 /// Default number of cases per property (matches proptest's default scale).
 pub const DEFAULT_CASES: u32 = 256;
-
-/// FNV-1a over the test name: stable per-property seed stream base.
-fn name_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 /// Absolute case-count override applied by [`run_cases`], for soaking
 /// the property suites at 10–100× depth without a recompile.
@@ -99,7 +89,8 @@ where
         return;
     }
     let cases = effective_cases(cases);
-    let base = name_hash(name);
+    // Stable per-property seed stream base.
+    let base = fnv1a(name.as_bytes());
     for case in 0..cases {
         let seed = base.wrapping_add(case as u64);
         let mut rng = SmallRng::seed_from_u64(seed);

@@ -22,6 +22,18 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// 64-bit FNV-1a: the workspace's one hash for names that must come out
+/// the same on every host and toolchain (property-test seed streams,
+/// run-cache keys, chaos fixture stems). Not for keys from outside.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// A generator constructible from a 64-bit seed.
 pub trait SeedableRng: Sized {
     /// Build a generator whose entire stream is a function of `seed`.

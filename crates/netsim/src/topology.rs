@@ -701,16 +701,6 @@ impl ExplicitSpec {
     }
 }
 
-/// FNV-1a over a byte string (cache-tag fingerprint for explicit specs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// The shape of the network a scenario runs on.
 ///
 /// `Dumbbell` is the default and routes through the exact pre-existing
@@ -804,23 +794,6 @@ impl TopologySpec {
             }
             .build(),
             TopologySpec::Explicit(spec) => spec.build(),
-        }
-    }
-
-    /// Cache-key suffix: empty for the default dumbbell (so pre-existing
-    /// keys are untouched), a short readable tag for named presets, and a
-    /// content fingerprint for explicit link lists.
-    pub fn cache_tag(&self) -> String {
-        match self {
-            TopologySpec::Dumbbell => String::new(),
-            TopologySpec::ParkingLot { hops } => format!("-topo-pl{hops}"),
-            TopologySpec::MultiDumbbell { rtts_ms } => {
-                let joined: Vec<String> = rtts_ms.iter().map(|r| r.to_string()).collect();
-                format!("-topo-md{}", joined.join("x"))
-            }
-            TopologySpec::Explicit(_) => {
-                format!("-topo-x{:016x}", fnv1a(self.to_json_string().as_bytes()))
-            }
         }
     }
 }
@@ -1104,13 +1077,6 @@ mod tests {
         assert!(TopologySpec::from_str("parking-lot:1").is_err(), "1 hop is a dumbbell");
         assert!(TopologySpec::from_str("multi-dumbbell:62").is_err(), "one group is no contest");
         assert!(TopologySpec::from_str("triangle").is_err());
-        // Cache tags: empty for the default, distinct readable tags otherwise.
-        assert_eq!(TopologySpec::Dumbbell.cache_tag(), "");
-        assert_eq!(TopologySpec::ParkingLot { hops: 3 }.cache_tag(), "-topo-pl3");
-        assert_eq!(
-            TopologySpec::MultiDumbbell { rtts_ms: vec![62, 124] }.cache_tag(),
-            "-topo-md62x124"
-        );
     }
 
     #[test]
@@ -1146,7 +1112,6 @@ mod tests {
         assert_eq!(topo.path_rtt(NodeId(0), NodeId(1)), Some(SimDuration::from_millis(6)));
         let ts = TopologySpec::Explicit(spec.clone());
         assert_eq!(TopologySpec::from_json_str(&ts.to_json_string()).unwrap(), ts);
-        assert!(ts.cache_tag().starts_with("-topo-x"));
 
         // Unroutable group: no reverse path.
         let broken = ExplicitSpec {

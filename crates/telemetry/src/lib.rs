@@ -13,7 +13,7 @@
 //! `elephants-json`; the artifact carries [`FLIGHT_RECORD_VERSION`] so
 //! readers can reject records written by a different schema.
 
-use elephants_json::{impl_json_struct, FromJson, JsonError, Value};
+use elephants_json::{impl_json_struct, FromJson, JsonError};
 use elephants_netsim::{
     FlowSample, QueueSample, Recorder, SimDuration, TraceEvent, TRACE_NO_FLOW,
 };
@@ -21,17 +21,9 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 /// Schema version stamped into every [`FlightRecord`]. Bump when the JSON
-/// shape of the record or its point types changes.
-///
-/// v2: [`QueuePoint`] gained a `link` field so multi-bottleneck topologies
-/// can record one queue series per instrumented link.
-///
-/// v3: [`FlowPoint`] gained cumulative `delivered_bytes` / `retx` counters
-/// so the analysis layer can difference windowed goodput out of a record.
-///
-/// The parser is backward compatible: v1 and v2 records are upgraded on
-/// read ([`FlightRecord::parse`]), with missing counters backfilled to 0
-/// (and, for v1, the queue `link` backfilled to 0 — single-bottleneck era).
+/// shape of the record or its point types changes. [`FlightRecord::parse`]
+/// reads this version only: records are regenerated from `(config, seed)`,
+/// not migrated.
 pub const FLIGHT_RECORD_VERSION: u32 = 3;
 
 /// One per-flow sample row (times in seconds; `null` = not yet measured).
@@ -51,11 +43,9 @@ pub struct FlowPoint {
     pub inflight: u64,
     /// CCA phase label (e.g. `"slow_start"`, `"probe_bw:1.25"`).
     pub phase: String,
-    /// Cumulative bytes delivered to the receiver's application (v3+;
-    /// backfilled to 0 when parsing older records).
+    /// Cumulative bytes delivered to the receiver's application.
     pub delivered_bytes: u64,
-    /// Cumulative retransmitted segments at the sender (v3+; backfilled
-    /// to 0 when parsing older records).
+    /// Cumulative retransmitted segments at the sender.
     pub retx: u64,
 }
 
@@ -145,50 +135,14 @@ impl_json_struct!(FlightRecord {
     events_truncated,
 });
 
-/// Append `(name, 0)` to every object in a JSON array field unless the
-/// key is already present — the backfill primitive behind the versioned
-/// parser's upgrade path.
-fn backfill_zero(v: &mut Value, array_field: &str, name: &str) {
-    let Value::Object(fields) = v else { return };
-    let Some((_, Value::Array(rows))) = fields.iter_mut().find(|(k, _)| k == array_field) else {
-        return;
-    };
-    for row in rows {
-        if let Value::Object(row_fields) = row {
-            if !row_fields.iter().any(|(k, _)| k == name) {
-                row_fields.push((name.to_string(), Value::Int(0)));
-            }
-        }
-    }
+/// The one field every version of the record has had, read off a text
+/// that need not be a current record: what names the version in the error
+/// when an older or newer record is refused.
+struct VersionStamp {
+    schema_version: u32,
 }
 
-/// `Err` unless a reader of [`FLIGHT_RECORD_VERSION`] understands `version`.
-fn check_version(version: u32) -> Result<(), JsonError> {
-    if version == 0 || version > FLIGHT_RECORD_VERSION {
-        return Err(JsonError::new(format!(
-            "flight record schema v{version} (reader supports v1..v{FLIGHT_RECORD_VERSION})"
-        )));
-    }
-    Ok(())
-}
-
-/// The upgrade path of [`FlightRecord::parse`]: read the text into the
-/// document model, learn the version, add the fields that version did not
-/// have yet, then convert. A current-version record gains nothing here and
-/// fails on whatever made the direct read fail.
-fn parse_upgrading(s: &str) -> Result<FlightRecord, JsonError> {
-    let mut v = elephants_json::parse(s)?;
-    let version = u32::from_json(v.get_field("schema_version")?)?;
-    check_version(version)?;
-    if version < 3 {
-        backfill_zero(&mut v, "flow_samples", "delivered_bytes");
-        backfill_zero(&mut v, "flow_samples", "retx");
-    }
-    if version < 2 {
-        backfill_zero(&mut v, "queue_samples", "link");
-    }
-    FlightRecord::from_json(&v)
-}
+impl_json_struct!(VersionStamp { schema_version });
 
 /// One flow's samples, in record order: what [`FlightRecord::by_flow`]
 /// splits a record into.
@@ -210,8 +164,7 @@ impl FlowTrack<'_> {
         self.series(|p| p.cwnd)
     }
 
-    /// The `(t, cumulative delivered bytes)` series. All-zero for records
-    /// older than schema v3 (the counter is backfilled).
+    /// The `(t, cumulative delivered bytes)` series.
     pub fn delivered_series(&self) -> Vec<(f64, f64)> {
         self.series(|p| p.delivered_bytes)
     }
@@ -239,23 +192,26 @@ impl FlowTrack<'_> {
 }
 
 impl FlightRecord {
-    /// Parse a record, rejecting schema mismatches loudly.
-    ///
-    /// Older schema versions are upgraded on read rather than rejected:
-    /// v1/v2 flow points predate the cumulative `delivered_bytes` / `retx`
-    /// counters (backfilled to 0 — analysis over such records sees zero
-    /// goodput, not garbage), and v1 queue points predate multi-bottleneck
-    /// `link` ids (backfilled to 0). The original `schema_version` is kept
-    /// so provenance stays visible. Unknown (future) versions still fail.
-    ///
-    /// A record with every current field decodes straight off the text.
-    /// Only text that does not (an older record, or a damaged one) is read
-    /// into the document model, where fields can be added before decoding.
+    /// Parse a record written at [`FLIGHT_RECORD_VERSION`]. A record of
+    /// any other version is refused with an error naming both versions,
+    /// whether or not it happens to decode; text that is not a record at
+    /// all keeps the decoder's error.
     pub fn parse(s: &str) -> Result<FlightRecord, JsonError> {
-        match FlightRecord::from_json_str(s) {
-            Ok(record) => check_version(record.schema_version).map(|()| record),
-            Err(_) => parse_upgrading(s),
+        let decoded = FlightRecord::from_json_str(s);
+        let version = match &decoded {
+            Ok(record) => record.schema_version,
+            Err(_) => match VersionStamp::from_json_str(s) {
+                Ok(stamp) => stamp.schema_version,
+                Err(_) => return decoded,
+            },
+        };
+        if version != FLIGHT_RECORD_VERSION {
+            return Err(JsonError::new(format!(
+                "flight record schema v{version}: this build reads v{FLIGHT_RECORD_VERSION} \
+                 only; regenerate the record"
+            )));
         }
+        decoded
     }
 
     /// The distinct flow ids present, ascending.
@@ -479,45 +435,34 @@ mod tests {
     #[test]
     fn schema_mismatch_is_rejected() {
         let record = FlightRecorder::new().into_record("x".into(), 0, SimDuration::from_millis(1));
-        let json = record.to_json_string().replace("\"schema_version\":3", "\"schema_version\":99");
-        let err = FlightRecord::parse(&json).unwrap_err();
-        assert!(err.to_string().contains("schema"), "{err}");
-        let zero = record.to_json_string().replace("\"schema_version\":3", "\"schema_version\":0");
-        assert!(FlightRecord::parse(&zero).is_err(), "v0 was never written");
-    }
-
-    #[test]
-    fn v2_records_parse_with_counters_backfilled() {
-        // A pre-v3 record: flow points have no delivered_bytes/retx.
-        let json = r#"{"schema_version":2,"label":"old","seed":5,"sample_interval_s":0.01,
+        // A current-shaped record under another version number, and the
+        // shapes v2 (no counters) and v1 (no queue `link` either) had.
+        let restamped = |v: u32| {
+            let stamp = format!("\"schema_version\":{v}");
+            record.to_json_string().replace("\"schema_version\":3", &stamp)
+        };
+        let v2 = r#"{"schema_version":2,"label":"old","seed":5,"sample_interval_s":0.01,
             "flow_samples":[{"t_s":0.01,"flow":0,"cwnd":14800,"pacing_bps":null,
                 "srtt_s":0.062,"inflight":7400,"phase":"slow_start"}],
             "queue_samples":[{"t_s":0.01,"link":1,"backlog_pkts":2,"backlog_bytes":3000,
                 "dropped":0,"marked":0,"control":null}],
             "events":[],"events_truncated":0}"#;
-        let rec = FlightRecord::parse(json).unwrap();
-        assert_eq!(rec.schema_version, 2, "provenance is preserved");
-        assert_eq!(rec.flow_samples[0].delivered_bytes, 0);
-        assert_eq!(rec.flow_samples[0].retx, 0);
-        assert_eq!(rec.flow_samples[0].cwnd, 14_800);
-        assert_eq!(rec.queue_samples[0].link, 1);
-    }
-
-    #[test]
-    fn v1_records_parse_with_link_and_counters_backfilled() {
-        // The v1 era: single bottleneck, queue points had no link id.
-        let json = r#"{"schema_version":1,"label":"ancient","seed":5,"sample_interval_s":0.01,
+        let v1 = r#"{"schema_version":1,"label":"ancient","seed":5,"sample_interval_s":0.01,
             "flow_samples":[{"t_s":0.01,"flow":1,"cwnd":29600,"pacing_bps":2000000,
                 "srtt_s":null,"inflight":0,"phase":"startup"}],
             "queue_samples":[{"t_s":0.01,"backlog_pkts":9,"backlog_bytes":13500,
                 "dropped":1,"marked":0,"control":0.5}],
             "events":[],"events_truncated":0}"#;
-        let rec = FlightRecord::parse(json).unwrap();
-        assert_eq!(rec.schema_version, 1);
-        assert_eq!(rec.flow_samples[0].delivered_bytes, 0);
-        assert_eq!(rec.flow_samples[0].retx, 0);
-        assert_eq!(rec.queue_samples[0].link, 0, "v1 queue points map to link 0");
-        assert_eq!(rec.queue_series_for(0).len(), 1);
+        let refused =
+            [(0, restamped(0)), (1, v1.to_string()), (2, v2.to_string()), (4, restamped(4))];
+        for (version, text) in refused {
+            let err = FlightRecord::parse(&text).unwrap_err().to_string();
+            assert!(err.contains(&format!("schema v{version}:")), "{err}");
+            assert!(err.contains("reads v3 only"), "{err}");
+        }
+        // A damaged current record is a decode error, not a version one.
+        let err = FlightRecord::parse(&restamped(3).replace("\"seed\"", "\"sed\"")).unwrap_err();
+        assert!(err.to_string().contains("seed"), "{err}");
     }
 
     #[test]

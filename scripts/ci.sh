@@ -17,7 +17,7 @@
 #   scripts/ci.sh --record-smoke also run one short recorded scenario
 #                                through the probe binary with the full
 #                                flight recorder on; probe re-parses its own
-#                                record through the versioned parser, so a
+#                                record through FlightRecord::parse, so a
 #                                schema regression fails here
 #   scripts/ci.sh --check-smoke  also run one short scenario per CCA x AQM
 #                                pair (5 x 5) through the probe binary with
@@ -36,7 +36,7 @@
 #                                or corpus regression fails the lane
 #   scripts/ci.sh --topo-smoke   also run the topology lane: the dumbbell
 #                                equivalence suite (byte-identical RunMetrics
-#                                and cache keys vs pre-topology fixtures), a
+#                                vs pre-topology fixtures), a
 #                                strict-checked 3-hop parking-lot probe run
 #                                with per-hop link reports, and the
 #                                rtt_unfair binary (which exits nonzero if
@@ -48,9 +48,9 @@
 #                                CUBIC shows the paper's early-suppression/
 #                                partial-recovery shape and a late CUBIC
 #                                joiner claims fair share in finite time)
-#                                plus a replay of the flight-record
-#                                back-compat suite (v1/v2 fixtures must
-#                                still parse with counters backfilled)
+#                                plus the flight-record integration suite
+#                                (recording perturbs nothing, records
+#                                round-trip through the parser)
 #   scripts/ci.sh --benchmark-smoke  also build and exercise `benchmark/`,
 #                                the standalone package BENCHMARK.json
 #                                points at: its own unit tests, then
@@ -94,6 +94,14 @@ for arg in "$@"; do
     *) echo "unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
+
+# The run cache is local state that `sweep` regenerates; a tracked entry is
+# one no build can be trusted to read.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1 \
+    && [[ -n "$(git ls-files results/cache)" ]]; then
+  echo "results/cache/ must not be tracked in git (git rm -r --cached results/cache)" >&2
+  exit 1
+fi
 
 cargo build --release --offline
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -178,8 +186,8 @@ fi
 
 if [[ "$topo_smoke" -eq 1 ]]; then
   # The topology subsystem's safety envelope plus its two new behaviors.
-  # 1. Dumbbell equivalence: RunMetrics JSON and cache keys byte-identical
-  #    to fixtures pinned before the subsystem existed.
+  # 1. Dumbbell equivalence: RunMetrics JSON byte-identical to fixtures
+  #    pinned before the subsystem existed.
   cargo test -q --offline -p integration-tests --test topology_equiv
 
   # 2. Multi-bottleneck strict run: a 3-hop parking lot under the strict
@@ -212,8 +220,8 @@ if [[ "$topo_smoke" -eq 1 ]]; then
 fi
 
 if [[ "$dynamics_smoke" -eq 1 ]]; then
-  # The fairness-dynamics lane: windowed-analysis claims plus schema
-  # back-compat.
+  # The fairness-dynamics lane: windowed-analysis claims plus the record
+  # suite they rest on.
   # 1. The dynamics binary runs the CCA-pair matrix with the recorder on
   #    and exits nonzero if BBRv1-vs-CUBIC loses the paper's shape or the
   #    late CUBIC joiner never reaches fair share; the grep pins the
@@ -231,9 +239,8 @@ if [[ "$dynamics_smoke" -eq 1 ]]; then
     exit 1
   fi
 
-  # 2. Record-version back-compat: committed v1/v2 fixtures must parse
-  #    with the v3 counters backfilled (plus the recorder-identity tests
-  #    riding in the same suite).
+  # 2. The flight-record suite: recording changes no metric, and a
+  #    written record parses back to the same bytes.
   cargo test -q --offline -p integration-tests --test telemetry
 fi
 

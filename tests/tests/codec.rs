@@ -12,8 +12,8 @@
 //!   keys, unknown keys, duplicate keys, integers for floats, `null`s,
 //!   out-of-range integers, `\u` escapes and surrogate pairs, odd
 //!   whitespace, and truncated or byte-flipped text;
-//! * `FlightRecord::parse` must keep the accept/reject set of the tree
-//!   parser it used to be (version gate, v1/v2 backfill, v3 strictness);
+//! * `FlightRecord::parse` must keep the accept/reject set of the same
+//!   rule applied to the tree (current version and every field, or refuse);
 //! * the committed v3 record must re-encode to exactly the file.
 
 use elephants::experiments::LinkResult;
@@ -391,34 +391,13 @@ fn run_result_codec_matches_the_document_model() {
 
 // ---- FlightRecord::parse: the versioned entry point ----------------------
 
-/// `FlightRecord::parse` as it was when it went through the document model
-/// for every record: the accept/reject set the current one must keep.
+/// `FlightRecord::parse`'s rule applied to the document model: the
+/// accept/reject set the streaming one must keep.
 fn parse_via_tree(text: &str) -> Result<FlightRecord, JsonError> {
-    fn backfill_zero(v: &mut Value, array_field: &str, name: &str) {
-        let Value::Object(fields) = v else { return };
-        let Some((_, Value::Array(rows))) = fields.iter_mut().find(|(k, _)| k == array_field)
-        else {
-            return;
-        };
-        for row in rows {
-            if let Value::Object(row_fields) = row {
-                if !row_fields.iter().any(|(k, _)| k == name) {
-                    row_fields.push((name.to_string(), Value::Int(0)));
-                }
-            }
-        }
-    }
-    let mut v = parse(text)?;
+    let v = parse(text)?;
     let version = u32::from_json(v.get_field("schema_version")?)?;
-    if version == 0 || version > FLIGHT_RECORD_VERSION {
+    if version != FLIGHT_RECORD_VERSION {
         return Err(JsonError::new(format!("flight record schema v{version}")));
-    }
-    if version < 3 {
-        backfill_zero(&mut v, "flow_samples", "delivered_bytes");
-        backfill_zero(&mut v, "flow_samples", "retx");
-    }
-    if version < 2 {
-        backfill_zero(&mut v, "queue_samples", "link");
     }
     FlightRecord::from_json(&v)
 }
@@ -429,8 +408,8 @@ fn versioned_parse_keeps_its_accept_and_reject_set() {
     run_cases("versioned_parse_accept_set", 256, |rng| {
         let mut doc = gen_record(rng).to_json();
         let version = rng.random_range(0u32..=FLIGHT_RECORD_VERSION + 1);
-        // Strip the newer fields from some rows, whatever the version says:
-        // v1/v2 get them back as zeros, v3 must refuse.
+        // Strip the fields older versions lacked from some rows, whatever
+        // the version says: neither an old stamp nor an old shape gets in.
         let strip_from = rng.random_range(0u32..=FLIGHT_RECORD_VERSION + 1);
         let Value::Object(fields) = &mut doc else { unreachable!("a struct encodes as an object") };
         for (key, value) in fields.iter_mut() {

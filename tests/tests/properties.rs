@@ -220,3 +220,87 @@ fn simulation_is_deterministic() {
         Ok(())
     });
 }
+
+/// The run-cache key is sound: over generated scenarios, the smallest
+/// step in any one config field, or in the run seed, is a different key.
+#[test]
+fn cache_key_separates_every_field_and_run_seed() {
+    use elephants::cca::CcaKind;
+    use elephants::experiments::ScenarioConfig;
+    use elephants::netsim::{ExplicitSpec, FaultAction, GroupDef, LinkDef, LossModel};
+    use elephants::AqmKind;
+
+    const AQMS: [AqmKind; 5] =
+        [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie];
+    fn next<T: Copy + PartialEq>(menu: &[T], now: T) -> T {
+        menu[(menu.iter().position(|&k| k == now).unwrap() + 1) % menu.len()]
+    }
+    const NS: SimDuration = SimDuration::from_nanos(1);
+    const LINK: LinkDef = LinkDef { src: 0, dst: 1, bw_bps: 1, delay_us: 1, shaped: true };
+    // One step per `ScenarioConfig` field other than `seed`.
+    type Step = fn(&mut ScenarioConfig);
+    let steps: [(&str, Step); 18] = [
+        ("cca1", |c| c.cca1 = next(&CcaKind::ALL, c.cca1)),
+        ("cca2", |c| c.cca2 = next(&CcaKind::ALL, c.cca2)),
+        ("aqm", |c| c.aqm = next(&AQMS, c.aqm)),
+        ("queue_bdp", |c| c.queue_bdp += 0.004),
+        ("bw_bps", |c| c.bw_bps += 1),
+        ("duration", |c| c.duration += NS),
+        ("warmup", |c| c.warmup += NS),
+        ("flow_scale", |c| c.flow_scale -= 0.0004),
+        ("mss", |c| c.mss += 1),
+        ("ecn", |c| c.ecn = !c.ecn),
+        ("rtt_ms", |c| c.rtt_ms += 1),
+        ("loss", |c| {
+            c.loss = match c.loss {
+                LossModel::None => LossModel::Bernoulli { p: 1e-9 },
+                _ => LossModel::None,
+            }
+        }),
+        ("faults", |c| c.faults = c.faults.clone().with(NS, FaultAction::LinkUp)),
+        ("max_events", |c| c.max_events -= 1),
+        ("coalesce", |c| c.coalesce = !c.coalesce),
+        ("topology", |c| match &mut c.topology {
+            TopologySpec::Dumbbell => c.topology = TopologySpec::ParkingLot { hops: 2 },
+            TopologySpec::ParkingLot { hops } => *hops += 1,
+            TopologySpec::MultiDumbbell { rtts_ms } => rtts_ms.push(1),
+            TopologySpec::Explicit(spec) => spec.links.push(LINK),
+        }),
+        ("fault_link", |c| c.fault_link += 1),
+        ("start_offset_ms", |c| match c.start_offset_ms.last_mut() {
+            Some(last) => *last += 1,
+            None => c.start_offset_ms = vec![0, 1],
+        }),
+    ];
+
+    run_cases("cache_key_separates_every_field_and_run_seed", DEFAULT_CASES, |rng| {
+        let mut base = elephants::chaos::generate_case(rng.random_range(0u64..1 << 40));
+        // The generator draws no explicit topologies; they make the longest
+        // config JSON, so make some here.
+        if rng.random_bool(0.25) {
+            base.topology = TopologySpec::Explicit(ExplicitSpec {
+                n_nodes: 64,
+                links: vec![LINK; rng.random_range(1usize..64)],
+                groups: vec![GroupDef { sender: 0, receiver: 1 }],
+            });
+        }
+        let seed = rng.random_range(0u64..u64::MAX);
+        let key = base.cache_key(seed);
+        prop_check_eq!(&key, &base.clone().cache_key(seed), "deterministic");
+        prop_check!(key.len() < 120, "{} bytes: {key}", key.len());
+        prop_check!(
+            key.bytes().all(|b| b.is_ascii_alphanumeric() || b"._-".contains(&b)),
+            "not a portable file name: {key}"
+        );
+        prop_check!(key != base.cache_key(seed + 1), "run seed is not in {key}");
+        let reseeded = ScenarioConfig { seed: base.seed ^ 1, ..base.clone() };
+        prop_check_eq!(&key, &reseeded.cache_key(seed), "`cfg.seed` is overridden by the run seed");
+        for (field, step) in &steps {
+            let mut stepped = base.clone();
+            step(&mut stepped);
+            prop_check!(stepped != base, "the {field} step changed nothing");
+            prop_check!(key != stepped.cache_key(seed), "a step in {field} kept the key {key}");
+        }
+        Ok(())
+    });
+}

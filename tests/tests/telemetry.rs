@@ -111,43 +111,6 @@ fn bbr1_vs_cubic_record_shows_probe_bw_cycles() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Committed records from older schema versions stay readable forever.
-///
-/// The fixtures are real (truncated) recorder output down-converted to
-/// the historical schemas: v2 lacks the v3 cumulative `delivered_bytes`
-/// / `retx` flow counters, v1 additionally lacks the per-link `link`
-/// field on queue samples. The parser must accept both and backfill
-/// zeros rather than error — these files are pinned so a future schema
-/// bump cannot silently orphan archived records.
-#[test]
-fn archived_v1_and_v2_records_still_parse() {
-    let fixture = |name: &str| {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("fixtures/records")
-            .join(name);
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"))
-    };
-
-    let v2 = FlightRecord::parse(&fixture("v2.flight.json")).expect("v2 fixture parses");
-    assert_eq!(v2.schema_version, 2, "original version preserved for provenance");
-    assert!(!v2.flow_samples.is_empty());
-    assert!(v2.flow_samples.iter().all(|p| p.delivered_bytes == 0 && p.retx == 0));
-    assert!(v2.queue_samples.iter().any(|q| q.link == 0), "v2 queue samples carry link ids");
-
-    let v1 = FlightRecord::parse(&fixture("v1.flight.json")).expect("v1 fixture parses");
-    assert_eq!(v1.schema_version, 1);
-    assert!(v1.flow_samples.iter().all(|p| p.delivered_bytes == 0 && p.retx == 0));
-    assert!(
-        !v1.queue_samples.is_empty() && v1.queue_samples.iter().all(|q| q.link == 0),
-        "v1 queue samples backfill link 0"
-    );
-
-    // The backfilled records feed the analysis layer without panicking:
-    // zero counters simply mean zero goodput everywhere.
-    let d = elephants::analysis::fairness_dynamics(&v2, &[0, 0], 0.01, 1e8);
-    assert!(d.total_bps.iter().all(|&b| b == 0.0));
-}
-
 #[test]
 fn flight_record_round_trips_through_versioned_parser() {
     let cfg = ScenarioConfig::new(

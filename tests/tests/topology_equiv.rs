@@ -1,16 +1,12 @@
 //! Topology-subsystem equivalence tests.
 //!
 //! PR 9 lifts the hard-coded dumbbell into a `TopologySpec` on
-//! `ScenarioConfig`. Two properties pin the redesign's safety envelope:
+//! `ScenarioConfig`. One property pins the redesign's safety envelope:
 //!
-//! 1. **Dumbbell identity** — the default (dumbbell) topology path must
-//!    produce `RunMetrics` JSON byte-identical to fixtures pinned from the
-//!    build *before* the topology subsystem existed, across 5 CCA×AQM
-//!    cells. Any diff means the redesign changed simulation behaviour.
-//! 2. **Cache-key stability** — non-topology configs must keep the exact
-//!    cache keys they had before the redesign (pinned as strings), so no
-//!    cached grid result is spuriously invalidated beyond the one
-//!    explicit schema-version bump.
+//! **Dumbbell identity** — the default (dumbbell) topology path must
+//! produce `RunMetrics` JSON byte-identical to fixtures pinned from the
+//! build *before* the topology subsystem existed, across 5 CCA×AQM
+//! cells. Any diff means the redesign changed simulation behaviour.
 //!
 //! Regenerate the pinned fixtures (only when intentionally re-baselining,
 //! from a build whose behaviour is known-good) with:
@@ -98,30 +94,6 @@ fn dumbbell_topology_is_byte_identical_to_pre_change_fixtures() {
             cfg.label()
         );
     }
-}
-
-/// Cache keys for non-topology configs are pinned as literal strings from
-/// the pre-redesign build: the topology knob must be suffix-only (empty
-/// for the default dumbbell), like every other opt-in knob.
-#[test]
-fn cache_keys_for_default_topology_are_unchanged() {
-    let dir = fixture_dir();
-    let regen = std::env::var_os("UPDATE_FIXTURES").is_some();
-    let path = dir.join("cache_keys.txt");
-    let got: String = fixture_cells()
-        .iter()
-        .map(|(_, cfg)| format!("{}\n", cfg.cache_key(FIXTURE_SEED)))
-        .collect();
-    if regen {
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        eprintln!("regenerated fixture {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing fixture {} ({e}); regenerate with UPDATE_FIXTURES=1", path.display())
-    });
-    assert_eq!(got, want, "cache keys for default-topology configs changed");
 }
 
 /// A strict-checked 3-hop parking-lot run completes with zero invariant
