@@ -14,8 +14,19 @@ fn main() {
     for (cca1, cca2) in paper_pairs() {
         for &bw in &cli.bws {
             for aqm in AqmKind::PAPER_SET {
-                let cfg = ScenarioConfig::new(cca1, cca2, aqm, 2.0, bw, &cli.opts);
-                let trace = run_scenario_traced(&cfg, cli.opts.seed, SimDuration::from_millis(500));
+                let mut cfg = ScenarioConfig::new(cca1, cca2, aqm, 2.0, bw, &cli.opts);
+                if let Err(e) = cli.apply_faults(&mut cfg) {
+                    eprintln!("invalid fault configuration: {e}");
+                    std::process::exit(2);
+                }
+                let trace =
+                    match run_scenario_traced(&cfg, cli.opts.seed, SimDuration::from_millis(500)) {
+                        Ok(trace) => trace,
+                        Err(e) => {
+                            eprintln!("{}: {e}", cfg.label());
+                            std::process::exit(1);
+                        }
+                    };
                 let path = format!(
                     "{}/dataset/{}_vs_{}_{}_{}.json",
                     cli.out_dir,

@@ -31,7 +31,7 @@ use elephants_netsim::{
 };
 use elephants_tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use elephants_telemetry::{FlightRecord, FlightRecorder};
-use elephants_workload::{group_specs, plan_flows};
+use elephants_workload::{group_specs, plan_flows, FlowPlan, GroupSpec};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -487,19 +487,22 @@ impl Runner {
     }
 }
 
-/// Execute one (config, seed) run, optionally recording.
+/// Build the simulator for one (config, seed): validate, build the
+/// topology with the AQM under test on every shaped hop, install the
+/// recorder, the loss model and the fault plan, and register every planned
+/// flow. Returns the ready simulator with its flow groups and flow plan
+/// (flow ids are assigned in plan order, group by group).
 ///
-/// The simulation is driven in fixed simulated-time slices (which does not
-/// perturb the event schedule — `run_until` + `finalize` is byte-identical
-/// to a one-shot `run`), checking the event budget and the wall clock
-/// between slices.
-fn run_one(
+/// The one place a `ScenarioConfig` becomes a `Simulator` inside this
+/// crate: [`Runner`] and [`crate::trace::run_scenario_traced`] both step
+/// what this returns, so a knob honoured by one is honoured by the other.
+/// The install order (recorder before fault plan) fixes the `(time, seq)`
+/// order of same-instant events and must not change.
+pub(crate) fn assemble(
     cfg: &ScenarioConfig,
     seed: u64,
-    wall_limit: Duration,
     recording: Option<&Recording>,
-    check: CheckMode,
-) -> Result<(RunResult, Option<CheckReport>), RunError> {
+) -> Result<(Simulator, Vec<GroupSpec>, FlowPlan), RunError> {
     if let Err(detail) = cfg.validate() {
         return Err(RunError { kind: RunErrorKind::InvalidConfig, detail });
     }
@@ -533,7 +536,6 @@ fn run_one(
     };
     let sim_cfg = SimConfig { duration: cfg.duration, warmup, max_events: cfg.max_events };
     let mut sim = Simulator::new(topo, sim_cfg, seed);
-    sim.set_check_mode(check);
 
     if let Some(rec) = recording {
         if rec.flows || rec.queue {
@@ -579,6 +581,40 @@ fn run_one(
             sim.add_flow(s_node, r_node, Box::new(tx), Box::new(rx), start + g.start_offset);
         }
     }
+    Ok((sim, groups, plan))
+}
+
+/// `Err(EventBudget)` when `sim` stopped on `max_events` with work pending.
+pub(crate) fn check_event_budget(sim: &mut Simulator, max_events: u64) -> Result<(), RunError> {
+    if !sim.budget_exhausted() {
+        return Ok(());
+    }
+    Err(RunError {
+        kind: RunErrorKind::EventBudget,
+        detail: format!(
+            "event budget exhausted: {} events processed of max {} with work pending at t={:?}",
+            sim.events_processed(),
+            max_events,
+            sim.now(),
+        ),
+    })
+}
+
+/// Execute one (config, seed) run, optionally recording.
+///
+/// The simulation is driven in fixed simulated-time slices (which does not
+/// perturb the event schedule — `run_until` + `finalize` is byte-identical
+/// to a one-shot `run`), checking the event budget and the wall clock
+/// between slices.
+fn run_one(
+    cfg: &ScenarioConfig,
+    seed: u64,
+    wall_limit: Duration,
+    recording: Option<&Recording>,
+    check: CheckMode,
+) -> Result<(RunResult, Option<CheckReport>), RunError> {
+    let (mut sim, groups, plan) = assemble(cfg, seed, recording)?;
+    sim.set_check_mode(check);
 
     // Watchdog loop: advance in 64 simulated-time slices, checking the
     // event budget and the wall clock at each boundary. Slicing does not
@@ -591,17 +627,7 @@ fn run_one(
     while t < end {
         t = (t + slice).min(end);
         sim.run_until(t);
-        if sim.budget_exhausted() {
-            return Err(RunError {
-                kind: RunErrorKind::EventBudget,
-                detail: format!(
-                    "event budget exhausted: {} events processed of max {} with work pending at t={:?}",
-                    sim.events_processed(),
-                    cfg.max_events,
-                    sim.now(),
-                ),
-            });
-        }
+        check_event_budget(&mut sim, cfg.max_events)?;
         if started.elapsed() > wall_limit {
             return Err(RunError {
                 kind: RunErrorKind::WallClock,

@@ -13,22 +13,20 @@
 //!
 //! Traces serialize to JSON for external analysis.
 //!
-//! Tracing is deliberately **dumbbell-only**: it reproduces the paper's
-//! published-log format, which is defined for the two-sender testbed. A
-//! config carrying a non-default [`TopologySpec`] is rejected up front;
-//! multi-bottleneck time series come from the flight recorder's per-link
-//! queue channel instead (`Runner::recorder` +
+//! The traced simulator is assembled by the same function as
+//! [`Runner`](crate::runner::Runner)'s, so loss models, fault plans, start
+//! offsets and topologies apply to a trace exactly as to a run. On a
+//! multi-bottleneck topology the queue and drop columns describe the
+//! primary bottleneck (the link `RunResult`'s top-level counters describe)
+//! and `sender_mbps` has one entry per flow group; per-link series come
+//! from the flight recorder (`Runner::recorder` +
 //! `FlightRecord::queue_series_for`).
-//!
-//! [`TopologySpec`]: elephants_netsim::TopologySpec
 
+use crate::runner::{assemble, check_event_budget, RunError};
 use crate::scenario::ScenarioConfig;
-use elephants_aqm::build_aqm;
-use elephants_cca::build_cca_seeded;
-use elephants_netsim::{DumbbellSpec, SimConfig, SimDuration, SimTime, Simulator, TopologySpec};
-use elephants_tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use elephants_workload::plan_flows;
 use elephants_json::{impl_json_struct, ToJson};
+use elephants_netsim::{FlowId, SimDuration, SimTime};
+use elephants_tcp::{TcpReceiver, TcpSender};
 
 /// One sampling instant.
 #[derive(Debug, Clone)]
@@ -41,7 +39,7 @@ pub struct TraceSample {
     pub queue_pkts: usize,
     /// Bottleneck queue depth, bytes.
     pub queue_bytes: u64,
-    /// Cumulative bottleneck drops.
+    /// Cumulative bottleneck drops: queue drops plus loss-model losses.
     pub drops: u64,
     /// Cumulative retransmissions across all flows.
     pub retransmits: u64,
@@ -101,69 +99,44 @@ impl ScenarioTrace {
 ///
 /// The event schedule is identical to [`crate::runner::Runner`] runs for
 /// the same `(cfg, seed)` — stepping with `run_until` does not inject
-/// events — so traces are faithful views of the untraced runs.
-pub fn run_scenario_traced(cfg: &ScenarioConfig, seed: u64, interval: SimDuration) -> ScenarioTrace {
+/// events — so traces are faithful views of the untraced runs. An invalid
+/// config or an exhausted event budget comes back as the [`RunError`] the
+/// runner would report.
+pub fn run_scenario_traced(
+    cfg: &ScenarioConfig,
+    seed: u64,
+    interval: SimDuration,
+) -> Result<ScenarioTrace, RunError> {
     assert!(!interval.is_zero(), "sampling interval must be positive");
-    assert!(
-        cfg.topology == TopologySpec::Dumbbell,
-        "tracing is dumbbell-only (paper log format); use the flight recorder's \
-         per-link queue channel for `{}`",
-        cfg.topology
-    );
-    let bw = cfg.bandwidth();
-    let spec = DumbbellSpec::paper_with_rtt(bw, cfg.rtt());
-    let mut topo = spec.build();
-    topo.set_bottleneck_aqm(build_aqm(cfg.aqm, cfg.queue_bytes(), cfg.bw_bps, cfg.mss, cfg.ecn, seed));
+    let (mut sim, groups, plan) = assemble(cfg, seed, None)?;
+    // Flow ids were assigned in plan order, group by group.
+    let flow_group: Vec<usize> = plan
+        .starts
+        .iter()
+        .enumerate()
+        .flat_map(|(group, starts)| std::iter::repeat_n(group, starts.len()))
+        .collect();
 
-    let sim_cfg = SimConfig { duration: cfg.duration, warmup: cfg.warmup, max_events: u64::MAX };
-    let mut sim = Simulator::new(topo, sim_cfg, seed);
-
-    let plan = plan_flows(bw, 2, cfg.flow_scale, seed);
-    let mut flow_sender: Vec<usize> = Vec::new();
-    for (sender_idx, starts) in plan.starts.iter().enumerate() {
-        let kind = if sender_idx == 0 { cfg.cca1 } else { cfg.cca2 };
-        let s_node = spec.sender(sender_idx);
-        let r_node = spec.receiver(sender_idx);
-        for (i, &start) in starts.iter().enumerate() {
-            let flow_seed = seed
-                .wrapping_mul(0x100000001B3)
-                .wrapping_add((sender_idx as u64) << 32 | i as u64);
-            let cca = build_cca_seeded(kind, cfg.mss, flow_seed);
-            let tx = TcpSender::new(
-                SenderConfig { mss: cfg.mss, ecn: cfg.ecn, ..Default::default() },
-                r_node,
-                cca,
-            );
-            let rx_cfg = if cfg.coalesce {
-                ReceiverConfig::coalesced()
-            } else {
-                ReceiverConfig::default()
-            };
-            let rx = TcpReceiver::new(rx_cfg, s_node);
-            sim.add_flow(s_node, r_node, Box::new(tx), Box::new(rx), start);
-            flow_sender.push(sender_idx);
-        }
-    }
-
-    let bn = sim.topology().bottleneck_link().expect("dumbbell bottleneck");
+    let bn = sim.topology().bottleneck_link().expect("every TopologySpec designates a bottleneck");
     let mut samples = Vec::new();
-    let mut prev_delivered: Vec<u64> = vec![0; 2];
+    let mut prev_delivered: Vec<u64> = vec![0; groups.len()];
     let mut t = SimTime::ZERO;
     let end = SimTime::ZERO + cfg.duration;
     while t < end {
         t = (t + interval).min(end);
         sim.run_until(t);
+        check_event_budget(&mut sim, cfg.max_events)?;
 
-        let mut delivered: Vec<u64> = vec![0; 2];
+        let mut delivered: Vec<u64> = vec![0; groups.len()];
         let mut retransmits = 0u64;
-        for (idx, &sender_idx) in flow_sender.iter().enumerate() {
-            let flow = elephants_netsim::FlowId(idx as u32);
+        for (idx, &group) in flow_group.iter().enumerate() {
+            let flow = FlowId(idx as u32);
             let rx = sim
                 .receiver(flow)
                 .as_any()
                 .downcast_ref::<TcpReceiver>()
                 .expect("receiver endpoint");
-            delivered[sender_idx] += rx.delivered_bytes();
+            delivered[group] += rx.delivered_bytes();
             let tx = sim
                 .sender(flow)
                 .as_any()
@@ -181,28 +154,30 @@ pub fn run_scenario_traced(cfg: &ScenarioConfig, seed: u64, interval: SimDuratio
                 .collect(),
             queue_pkts: link.aqm.backlog_pkts(),
             queue_bytes: link.aqm.backlog_bytes(),
-            drops: link.aqm_stats().dropped_total(),
+            // The same sum `RunResult::drops` reports.
+            drops: link.aqm_stats().dropped_total() + link.stats().fault_losses,
             retransmits,
         });
         prev_delivered = delivered;
     }
 
-    ScenarioTrace {
+    Ok(ScenarioTrace {
         config: cfg.clone(),
         seed,
         interval_s: interval.as_secs_f64(),
         samples,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Runner;
+    use crate::runner::{RunErrorKind, Runner};
     use crate::scenario::RunOptions;
     use elephants_aqm::AqmKind;
     use elephants_cca::CcaKind;
     use elephants_json::FromJson;
+    use elephants_netsim::{FaultPlan, LossModel};
 
     fn cfg() -> ScenarioConfig {
         ScenarioConfig::new(
@@ -217,7 +192,7 @@ mod tests {
 
     #[test]
     fn trace_covers_full_duration() {
-        let trace = run_scenario_traced(&cfg(), 1, SimDuration::from_millis(500));
+        let trace = run_scenario_traced(&cfg(), 1, SimDuration::from_millis(500)).unwrap();
         let expect = (cfg().duration.as_secs_f64() / 0.5).round() as usize;
         assert_eq!(trace.samples.len(), expect);
         let last = trace.samples.last().unwrap();
@@ -226,18 +201,54 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_totals() {
-        // Stepping must not perturb the simulation: cumulative drops at the
-        // end of the trace equal the untraced run's drop count.
-        let c = cfg();
-        let untraced = Runner::new(&c).seed(3).run().unwrap().into_first();
-        let trace = run_scenario_traced(&c, 3, SimDuration::from_millis(250));
-        assert_eq!(trace.samples.last().unwrap().drops, untraced.drops);
+        // Stepping must not perturb the simulation, and the traced run must
+        // be the run `Runner` makes of the same config — fault knobs
+        // included: cumulative drops at the end of the trace equal the
+        // untraced run's drop count.
+        let step = SimDuration::from_millis(250);
+        let (down_s, outage_s) = (4.9, 0.4);
+        let mut flapped = cfg();
+        flapped.faults = FaultPlan::flap(
+            SimDuration::from_secs_f64(down_s),
+            SimDuration::from_secs_f64(outage_s),
+        );
+        let [clean, flapped] = [cfg(), flapped].map(|c| {
+            let untraced = Runner::new(&c).seed(3).run().unwrap().into_first();
+            let trace = run_scenario_traced(&c, 3, step).unwrap();
+            assert_eq!(trace.samples.last().unwrap().drops, untraced.drops, "{}", c.label());
+            trace
+        });
+
+        // The outage shows in the series: an interval lying wholly inside
+        // it (after the packets already past the link have landed) carries
+        // no goodput.
+        let dark = flapped.samples.iter().any(|s| {
+            s.t - step.as_secs_f64() > down_s + 0.05
+                && s.t < down_s + outage_s
+                && s.sender_mbps.iter().sum::<f64>() == 0.0
+        });
+        assert!(dark, "no zero-goodput sample inside the outage");
+
+        // A loss model reaches the traced run too.
+        let mut lossy = cfg();
+        lossy.loss = LossModel::GilbertElliott { p_gb: 0.002, p_bg: 0.2 };
+        let lossy = run_scenario_traced(&lossy, 3, step).unwrap();
+        assert!(
+            lossy.samples.to_json_string() != clean.samples.to_json_string(),
+            "Gilbert-Elliott loss left the trace unchanged"
+        );
+
+        // A config `Runner` refuses is refused the same way, not panicked on.
+        let mut bad = cfg();
+        bad.fault_link = 1;
+        let err = run_scenario_traced(&bad, 3, step).unwrap_err();
+        assert_eq!(err.kind, RunErrorKind::InvalidConfig);
     }
 
     #[test]
     fn throughput_series_sums_close_to_goodput() {
         let c = cfg();
-        let trace = run_scenario_traced(&c, 1, SimDuration::from_millis(500));
+        let trace = run_scenario_traced(&c, 1, SimDuration::from_millis(500)).unwrap();
         let total: f64 = trace
             .samples
             .iter()
@@ -252,7 +263,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let trace = run_scenario_traced(&cfg(), 1, SimDuration::from_secs(1));
+        let trace = run_scenario_traced(&cfg(), 1, SimDuration::from_secs(1)).unwrap();
         let json = trace.to_json();
         let back = ScenarioTrace::from_json_str(&json).unwrap();
         assert_eq!(back.samples.len(), trace.samples.len());
@@ -261,7 +272,7 @@ mod tests {
 
     #[test]
     fn queue_depth_is_sampled() {
-        let trace = run_scenario_traced(&cfg(), 1, SimDuration::from_millis(200));
+        let trace = run_scenario_traced(&cfg(), 1, SimDuration::from_millis(200)).unwrap();
         assert!(trace.peak_queue_pkts() > 0, "CUBIC must build a queue");
     }
 }

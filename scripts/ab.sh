@@ -20,6 +20,12 @@
 # more than the parent's own inter-quartile distance; the last column says
 # whether that holds.
 #
+# It is also the regression gate (the rule the benchmark driver applies):
+# the exit status is nonzero when, on any workload, the change's median of
+# an end-to-end metric is worse than the parent's by more than that
+# metric's `bound` in BENCHMARK.json (the last column reads `regression`),
+# or when either side had a failed or incorrect run.
+#
 # AB_WORK=<dir> keeps the export and its build there for the next call
 # (otherwise a temporary directory, removed on exit).
 set -euo pipefail
@@ -73,6 +79,7 @@ run_side() { # <checkout> <target dir or empty> <workload>
       bash benchmark/run.sh --workload "$3" --seed "$seed" | tail -n 1 )
 }
 
+status=0
 for w in "${workloads[@]}"; do
   echo "== $w: parent $sha vs change (this checkout), $pairs pairs, seed $seed ==" >&2
   # Build both sides (and warm the page cache) outside the pairs.
@@ -91,11 +98,12 @@ for w in "${workloads[@]}"; do
       echo "  pair $((i + 1))/$pairs $side done" >&2
     done
   done
-  python3 - "$results" "$w" "$sha" "$pairs" "$seed" <<'PY'
+  python3 - "$results" "$w" "$sha" "$pairs" "$seed" <<'PY' || status=1
 import json, statistics, sys
 
 path, workload, sha, pairs, seed = sys.argv[1:6]
-metrics = [(m["name"], m["unit"], m["better"]) for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
+metrics = [(m["name"], m["unit"], m["better"], m["bound"])
+           for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
 runs = {"parent": {}, "change": {}}
 for row in open(path):
     pair, side, line = row.rstrip("\n").split("\t", 2)
@@ -106,13 +114,16 @@ def quartiles(xs):
     return q1, med, q3
 
 print(f"== {workload}: parent {sha} vs change (this checkout), {pairs} pairs, seed {seed} ==")
+bad = False
 for side in ("parent", "change"):
     rs = runs[side].values()
-    print(f"{side}: attempted {sum(r['attempted'] for r in rs)} failed {sum(r['failed'] for r in rs)} "
-          f"incorrect runs {sum(not r['correct'] for r in rs)}")
+    failed, incorrect = sum(r["failed"] for r in rs), sum(not r["correct"] for r in rs)
+    bad = bad or failed > 0 or incorrect > 0
+    print(f"{side}: attempted {sum(r['attempted'] for r in rs)} failed {failed} "
+          f"incorrect runs {incorrect}")
 print(f"{'metric':<20}{'better':<8}{'parent median [q1, q3]':<48}{'change median [q1, q3]':<48}"
-      f"{'change/parent':<15}{'pairs won':<11}gain by the 9-in-10 + IQR rule")
-for name, unit, better in metrics:
+      f"{'change/parent':<15}{'pairs won':<11}gain by the 9-in-10 + IQR rule, or regression")
+for name, unit, better, bound in metrics:
     value = lambda side, i: runs[side][i]["metrics"][name]["value"]
     idx = sorted(runs["parent"])
     a = [value("parent", i) for i in idx]
@@ -122,7 +133,10 @@ for name, unit, better in metrics:
     losses = sum(sign * (y - x) < 0 for x, y in zip(a, b))
     (aq1, am, aq3), (bq1, bm, bq3) = quartiles(a), quartiles(b)
     beyond_iqr = abs(bm - am) > (aq3 - aq1)
-    if wins * 10 >= 9 * len(idx) and beyond_iqr and sign * (bm - am) > 0:
+    if sign * (bm - am) < -bound * abs(am):
+        verdict = f"regression: median worse by more than the {bound:.0%} bound"
+        bad = True
+    elif wins * 10 >= 9 * len(idx) and beyond_iqr and sign * (bm - am) > 0:
         verdict = "yes"
     elif losses * 10 >= 9 * len(idx) and beyond_iqr:
         verdict = "no: worse by the same rule"
@@ -132,6 +146,8 @@ for name, unit, better in metrics:
     ratio = f"{bm / am:.3f}" if am else "n/a"
     print(f"{name:<20}{better:<8}{fmt(aq1, am, aq3):<48}{fmt(bq1, bm, bq3):<48}"
           f"{ratio:<15}{f'{wins}/{len(idx)}':<11}{verdict}")
+sys.exit(bad)
 PY
   rm -f "$results"
 done
+exit "$status"

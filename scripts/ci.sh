@@ -7,9 +7,6 @@
 #
 # Modes:
 #   scripts/ci.sh                build + lint + test (the default gate)
-#   scripts/ci.sh --bench-smoke  also run every bench in one-shot `--test`
-#                                mode (one iteration, no timing) to catch
-#                                bench-code rot without measurement cost
 #   scripts/ci.sh --fault-smoke  also run one link-flap and one
 #                                variable-loss scenario through the
 #                                fault-tolerant sweep binary in quick mode
@@ -61,17 +58,16 @@
 #                                that stops it compiling or trips one of
 #                                its checks has to fail here, not in the
 #                                benchmark driver afterwards
-#   scripts/ci.sh --bench-gate   also run the tracked engine benchmarks
-#                                against a scratch copy of the committed
-#                                BENCH_netsim.json and fail when events/sec
-#                                drops more than 10% below the previous
-#                                committed entry (the PR 6 regression
-#                                detector; threshold: BENCH_GATE_THRESHOLD)
+#   scripts/ci.sh --bench-gate   also run `scripts/ab.sh HEAD`: the working
+#                                tree against its last commit, ten
+#                                interleaved pairs a workload in one sitting;
+#                                fails when an end-to-end metric's median is
+#                                worse by more than its BENCHMARK.json bound
+#                                or a run failed or was incorrect
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-bench_smoke=0
 fault_smoke=0
 record_smoke=0
 check_smoke=0
@@ -82,7 +78,6 @@ benchmark_smoke=0
 bench_gate=0
 for arg in "$@"; do
   case "$arg" in
-    --bench-smoke) bench_smoke=1 ;;
     --fault-smoke) fault_smoke=1 ;;
     --record-smoke) record_smoke=1 ;;
     --check-smoke) check_smoke=1 ;;
@@ -95,21 +90,18 @@ for arg in "$@"; do
   esac
 done
 
-# The run cache is local state that `sweep` regenerates; a tracked entry is
-# one no build can be trusted to read.
+# Everything under results/ is output that `repro` / `sweep` / `dataset`
+# regenerate from this tree; a tracked copy is one no build can be trusted
+# to reproduce.
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1 \
-    && [[ -n "$(git ls-files results/cache)" ]]; then
-  echo "results/cache/ must not be tracked in git (git rm -r --cached results/cache)" >&2
+    && [[ -n "$(git ls-files results)" ]]; then
+  echo "results/ must not be tracked in git (git rm -r --cached results)" >&2
   exit 1
 fi
 
 cargo build --release --offline
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q --offline
-
-if [[ "$bench_smoke" -eq 1 ]]; then
-  cargo bench --offline -p elephants-bench -- --test
-fi
 
 if [[ "$benchmark_smoke" -eq 1 ]]; then
   # run.sh exits nonzero when any workload reports `correct: false` or a
@@ -119,15 +111,7 @@ if [[ "$benchmark_smoke" -eq 1 ]]; then
 fi
 
 if [[ "$bench_gate" -eq 1 ]]; then
-  # Fresh measurement of the tracked engine scenarios, gated against the
-  # committed trajectory. The measurement goes to a scratch copy so CI
-  # never dirties BENCH_netsim.json; the gate still compares against the
-  # committed entries because the copy carries them.
-  gate_out="$(mktemp)"
-  trap 'rm -f "$gate_out"' EXIT
-  cp BENCH_netsim.json "$gate_out"
-  BENCH_OUT="$gate_out" BENCH_GATE=1 BENCH_LABEL=ci-gate \
-    cargo bench --offline -p elephants-bench --bench engine -- engine/25gbps_fifo
+  scripts/ab.sh HEAD
 fi
 
 if [[ "$fault_smoke" -eq 1 ]]; then

@@ -25,7 +25,7 @@ fn dumbbell_cfg(seed: u64) -> ScenarioConfig {
 
 fn trace_json(seed: u64) -> String {
     let cfg = dumbbell_cfg(seed);
-    run_scenario_traced(&cfg, seed, SimDuration::from_millis(500)).to_json()
+    run_scenario_traced(&cfg, seed, SimDuration::from_millis(500)).expect("valid config").to_json()
 }
 
 #[test]
