@@ -84,12 +84,7 @@ fn parse_args() -> Result<Args, String> {
                 .to_string(),
         );
     }
-    let pins_given = shared.loss.is_some()
-        || shared.faults.is_some()
-        || shared.coalesce
-        || shared.topology.is_some()
-        || shared.fault_link.is_some();
-    if pins_given {
+    if shared.scenario_flag().is_some() {
         args.opts.overrides = Some(shared);
     }
     Ok(args)

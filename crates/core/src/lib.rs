@@ -62,10 +62,10 @@ pub use elephants_workload as workload;
 
 pub use elephants_aqm::AqmKind;
 pub use elephants_cca::CcaKind;
-pub use elephants_experiments::{Recording, RunOptions, RunOutcome, RunResult, Runner, ScenarioConfig};
-pub use elephants_netsim::{Bandwidth, SimDuration, SimTime};
+pub use elephants_experiments::RunResult;
+pub use elephants_netsim::SimDuration;
 
-use elephants_experiments::DurationPreset;
+use elephants_experiments::{DurationPreset, RunOptions, ScenarioConfig};
 
 /// A single fairness experiment, configured through a builder.
 ///

@@ -6,20 +6,18 @@
 //!
 //! `cargo run --release -p elephants-experiments --bin aqm_frontier`
 
+use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 
 fn main() {
     let cli = Cli::parse();
+    cli.refuse_scenario_flags().and_then(|_| cli.refuse_record()).unwrap_or_else(|e| exit_usage(&e));
     let aqms = [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie];
     let mut t = TextTable::new(vec!["bw", "aqm", "phi", "jain", "retx", "drops"]);
     for &bw in &cli.bws {
         for aqm in aqms {
             let cfg = ScenarioConfig::new(CcaKind::Cubic, CcaKind::Cubic, aqm, 2.0, bw, &cli.opts);
-            let r = Runner::new(&cfg)
-                .seed(cli.opts.seed)
-                .run()
-                .unwrap_or_else(|e| panic!("run failed ({}): {e}", cfg.label()))
-                .into_first();
+            let r = cli.cache.run(&cfg, cli.opts.seed);
             t.row(vec![
                 bw_label(bw),
                 aqm.name().to_string(),

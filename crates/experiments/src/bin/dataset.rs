@@ -1,49 +1,70 @@
-//! Generate the study's "reproducible dataset": JSON time-series logs
-//! (iperf3-interval-style per-sender throughput + router queue log) for a
-//! slice of the grid.
+//! Generate the study's "reproducible dataset": one flight record (the
+//! iperf3-interval-style per-flow delivered-bytes series plus the router
+//! queue log) per cell of a slice of the grid.
 //!
-//! Usage (defaults: all 9 pairs, FIFO, 2 BDP, 100 Mbps):
+//! Every cell is a recorded `Runner` run — `flows,queue` sampled every
+//! 500 ms unless `--record` / `--sample-interval` say otherwise — so
+//! `--loss`, `--flap`, `--topology`, `--coalesce`, `--fault-link` and
+//! `--check` apply as they do everywhere else. A record counts as written
+//! once it has parsed back; a failed cell exits 1.
+//!
+//! Usage (defaults: all 9 pairs, the paper's three AQMs, 2 BDP):
 //! `cargo run --release -p elephants-experiments --bin dataset -- --bw 100M --out results`
 
+use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 use elephants_netsim::SimDuration;
 
 fn main() {
     let cli = Cli::parse();
+    let recording = cli
+        .record
+        .clone()
+        .unwrap_or_else(|| {
+            Recording::parse("flows,queue")
+                .expect("a valid channel list")
+                .interval(SimDuration::from_millis(500))
+                .svg(false)
+        })
+        .out_dir(format!("{}/dataset", cli.out_dir));
     let mut written = 0;
     for (cca1, cca2) in paper_pairs() {
         for &bw in &cli.bws {
             for aqm in AqmKind::PAPER_SET {
                 let mut cfg = ScenarioConfig::new(cca1, cca2, aqm, 2.0, bw, &cli.opts);
-                if let Err(e) = cli.apply_faults(&mut cfg) {
-                    eprintln!("invalid fault configuration: {e}");
-                    std::process::exit(2);
-                }
-                let trace =
-                    match run_scenario_traced(&cfg, cli.opts.seed, SimDuration::from_millis(500)) {
-                        Ok(trace) => trace,
-                        Err(e) => {
-                            eprintln!("{}: {e}", cfg.label());
-                            std::process::exit(1);
-                        }
-                    };
-                let path = format!(
-                    "{}/dataset/{}_vs_{}_{}_{}.json",
-                    cli.out_dir,
-                    cca1.name(),
-                    cca2.name(),
-                    aqm.name(),
-                    bw_label(bw),
+                cli.shared
+                    .apply(&mut cfg)
+                    .unwrap_or_else(|e| exit_usage(&format!("invalid fault configuration: {e}")));
+                let outcome = Runner::new(&cfg)
+                    .seed(cli.opts.seed)
+                    .check(cli.shared.check.unwrap_or_default())
+                    .recorder(recording.clone())
+                    .run()
+                    .unwrap_or_else(|e| fail(&cfg, &e.to_string()));
+                let record = outcome.load_record().unwrap_or_else(|e| fail(&cfg, &e));
+                written += 1;
+                let r = outcome.first();
+                eprintln!(
+                    "wrote {} ({} flow samples, {} queue samples, {} events; drops={} down_drops={}{})",
+                    outcome.record_path().unwrap_or_default(),
+                    record.flow_samples.len(),
+                    record.queue_samples.len(),
+                    record.events.len(),
+                    r.drops,
+                    r.down_drops,
+                    outcome
+                        .check_reports
+                        .first()
+                        .map(|report| format!("; check: {}", report.summary_line()))
+                        .unwrap_or_default(),
                 );
-                match trace.write_json(&path) {
-                    Ok(()) => {
-                        written += 1;
-                        eprintln!("wrote {path} ({} samples)", trace.samples.len());
-                    }
-                    Err(e) => eprintln!("failed to write {path}: {e}"),
-                }
             }
         }
     }
-    println!("dataset: {written} trace files under {}/dataset/", cli.out_dir);
+    println!("dataset: {written} flight records under {}/dataset/", cli.out_dir);
+}
+
+fn fail(cfg: &ScenarioConfig, why: &str) -> ! {
+    eprintln!("{}: {why}", cfg.label());
+    std::process::exit(1)
 }

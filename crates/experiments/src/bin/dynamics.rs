@@ -23,6 +23,7 @@
 use elephants_analysis::{
     convergence_time, late_joiner_response, suppression_shape, throughput_ratio, ConvergenceSpec,
 };
+use elephants_experiments::cli::parse_bw;
 use elephants_experiments::prelude::*;
 use elephants_experiments::svg::{write_chart, ChartSpec, Series};
 use elephants_netsim::SimDuration;
@@ -56,16 +57,7 @@ fn main() {
     while let Some(a) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| fail(format!("{a} needs a value")));
         match a.as_str() {
-            "--bw" => {
-                let v = val().to_ascii_uppercase();
-                bw = if let Some(x) = v.strip_suffix('G') {
-                    x.parse::<u64>().unwrap_or_else(|e| fail(format!("bad --bw: {e}"))) * 1_000_000_000
-                } else if let Some(x) = v.strip_suffix('M') {
-                    x.parse::<u64>().unwrap_or_else(|e| fail(format!("bad --bw: {e}"))) * 1_000_000
-                } else {
-                    v.parse().unwrap_or_else(|e| fail(format!("bad --bw: {e}")))
-                };
-            }
+            "--bw" => bw = parse_bw(&val()).unwrap_or_else(|e| fail(e)),
             "--secs" => secs = val().parse().unwrap_or_else(|e| fail(format!("bad --secs: {e}"))),
             "--seed" => seed = val().parse().unwrap_or_else(|e| fail(format!("bad --seed: {e}"))),
             "--scale" => scale = val().parse().unwrap_or_else(|e| fail(format!("bad --scale: {e}"))),

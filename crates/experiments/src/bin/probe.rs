@@ -12,6 +12,7 @@
 //!    --topology parking-lot:3 --check strict \
 //!    --record flows,queue,events --sample-interval 10 --out results`
 
+use elephants_experiments::cli::parse_bw;
 use elephants_experiments::prelude::*;
 use elephants_netsim::{CheckMode, SimDuration};
 use elephants_telemetry::FlightRecord;
@@ -46,16 +47,7 @@ fn main() {
             "--cca2" => cca2 = val().parse().unwrap_or_else(|e| fail(e)),
             "--aqm" => aqm = val().parse().unwrap_or_else(|e| fail(e)),
             "--queue" => queue = val().parse().unwrap_or_else(|e| fail(format!("bad --queue: {e}"))),
-            "--bw1" | "--bw" => {
-                let v = val().to_ascii_uppercase();
-                bw = if let Some(x) = v.strip_suffix('G') {
-                    x.parse::<u64>().unwrap_or_else(|e| fail(format!("bad --bw: {e}"))) * 1_000_000_000
-                } else if let Some(x) = v.strip_suffix('M') {
-                    x.parse::<u64>().unwrap_or_else(|e| fail(format!("bad --bw: {e}"))) * 1_000_000
-                } else {
-                    v.parse().unwrap_or_else(|e| fail(format!("bad --bw: {e}")))
-                };
-            }
+            "--bw1" | "--bw" => bw = parse_bw(&val()).unwrap_or_else(|e| fail(e)),
             "--secs" => secs = val().parse().unwrap_or_else(|e| fail(format!("bad --secs: {e}"))),
             "--seed" => seed = val().parse().unwrap_or_else(|e| fail(format!("bad --seed: {e}"))),
             "--scale" => scale = val().parse().unwrap_or_else(|e| fail(format!("bad --scale: {e}"))),

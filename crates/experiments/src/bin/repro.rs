@@ -1,6 +1,8 @@
 //! Regenerates one paper artifact: `repro <fig2..fig8|table2|table3> [flags]`.
-//! Flags are the shared figure flags; see `repro fig2 --help`.
+//! Flags are the shared figure flags; see `repro fig2 --help`. The grids are
+//! the paper's, so the scenario-shaping flags and `--record` are refused.
 
+use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 use elephants_netsim::Bandwidth;
 use elephants_workload::{table2_config, table2_total_flows};
@@ -72,5 +74,14 @@ fn main() {
         eprintln!("usage: repro <{}> [flags]   (flags: repro fig2 --help)", names.join("|"));
         std::process::exit(2);
     };
-    run(&Cli::parse_or_exit(args));
+    let cli = Cli::parse_or_exit(args);
+    cli.refuse_scenario_flags().and_then(|_| cli.refuse_record()).unwrap_or_else(|e| exit_usage(&e));
+    run(&cli);
+    if cli.shared.check.is_some() {
+        eprintln!(
+            "checked_runs: {}  check_violations: {}",
+            cli.cache.checked_runs(),
+            cli.cache.check_violations()
+        );
+    }
 }

@@ -13,6 +13,7 @@
 //! `cargo run --release -p elephants-experiments --bin rtt_unfair -- \
 //!    [--bw 100M] [--base-rtt 31] [--secs 20] [--seed 1] [--scale 1.0]`
 
+use elephants_experiments::cli::parse_bw;
 use elephants_experiments::prelude::*;
 use elephants_netsim::SimDuration;
 
@@ -32,16 +33,7 @@ fn main() {
     while let Some(a) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| fail(format!("{a} needs a value")));
         match a.as_str() {
-            "--bw" => {
-                let v = val().to_ascii_uppercase();
-                bw = if let Some(x) = v.strip_suffix('G') {
-                    x.parse::<u64>().unwrap_or_else(|e| fail(format!("bad --bw: {e}"))) * 1_000_000_000
-                } else if let Some(x) = v.strip_suffix('M') {
-                    x.parse::<u64>().unwrap_or_else(|e| fail(format!("bad --bw: {e}"))) * 1_000_000
-                } else {
-                    v.parse().unwrap_or_else(|e| fail(format!("bad --bw: {e}")))
-                };
-            }
+            "--bw" => bw = parse_bw(&val()).unwrap_or_else(|e| fail(e)),
             "--base-rtt" => {
                 base_rtt = val().parse().unwrap_or_else(|e| fail(format!("bad --base-rtt: {e}")))
             }

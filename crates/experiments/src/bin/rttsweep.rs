@@ -5,11 +5,13 @@
 //!
 //! `cargo run --release -p elephants-experiments --bin rttsweep`
 
+use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 use elephants_netsim::SimDuration;
 
 fn main() {
     let cli = Cli::parse();
+    cli.refuse_scenario_flags().unwrap_or_else(|e| exit_usage(&e));
     let mut t = TextTable::new(vec!["rtt_ms", "bbr1_mbps", "cubic_mbps", "jain", "phi"]);
     for rtt_ms in [12u64, 32, 62, 124, 248] {
         // Scale the run length with the RTT so each sees a similar number
@@ -26,7 +28,8 @@ fn main() {
         .duration(SimDuration::from_millis((rtt_ms * 800).max(20_000)))
         .build()
         .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-        let mut runner = Runner::new(&cfg).seed(cli.opts.seed);
+        let mut runner =
+            Runner::new(&cfg).seed(cli.opts.seed).check(cli.shared.check.unwrap_or_default());
         if rtt_ms == 62 {
             if let Some(rec) = cli.record.clone() {
                 runner = runner.recorder(rec);

@@ -4,25 +4,27 @@
 //! wall-clock) is recorded and reported instead of aborting the other
 //! cells, and the exit status stays 0 so long CI grids degrade gracefully.
 //! Optional `--loss` / `--flap` knobs inject bottleneck anomalies into
-//! every cell.
+//! every cell; `--check audit` ends the summary with what the checker
+//! found in the cells this sweep had to run.
 
+use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 
 fn main() {
     let cli = Cli::parse();
+    cli.refuse_record().unwrap_or_else(|e| exit_usage(&e));
     let mut grid = paper_grid(&cli.opts);
     grid.retain(|c| cli.bws.contains(&c.bw_bps));
     if let Some(n) = cli.limit {
         grid.truncate(n);
     }
     for cfg in &mut grid {
-        if let Err(e) = cli.apply_faults(cfg) {
-            eprintln!("invalid fault configuration: {e}");
-            std::process::exit(2);
-        }
+        cli.shared
+            .apply(cfg)
+            .unwrap_or_else(|e| exit_usage(&format!("invalid fault configuration: {e}")));
     }
     eprintln!("sweeping {} configurations x {} repeats", grid.len(), cli.opts.repeats);
-    let out = try_sweep_with_progress(&grid, cli.opts.repeats, &cli.cache, |done, total| {
+    let out = try_sweep_reporting(&grid, cli.opts.repeats, &cli.cache, |done, total| {
         if done % 25 == 0 || done == total {
             eprintln!("  {done}/{total}");
         }

@@ -17,13 +17,18 @@
 //!   recomputed — corruption is a signal worth surfacing, and the rename
 //!   stops the next run from tripping over the same bytes.
 //! * Write failures are counted per cache instance ([`RunCache::put_errors`])
-//!   and aggregated process-wide ([`cache_put_errors`]), surfaced in sweep
-//!   summaries instead of being swallowed: a full disk should not
-//!   masquerade as a cold cache.
+//!   and surfaced in sweep summaries instead of being swallowed: a full
+//!   disk should not masquerade as a cold cache.
+//!
+//! The cache is also what carries `--check` to the runs it makes: every
+//! sweep and figure goes through [`RunCache::run_checked`], so the mode set
+//! with [`RunCache::check`] reaches each cell without process-wide state,
+//! and what the checker found is counted next to the other incidents.
 
-use crate::runner::{RunError, RunResult};
+use crate::runner::{RunError, RunResult, Runner};
 use crate::scenario::ScenarioConfig;
 use elephants_json::{FromJson, ToJson};
+use elephants_netsim::CheckMode;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,27 +41,6 @@ use std::time::Duration;
 /// change needs no bump: the config is hashed into the key.
 pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
-/// Cache writes that failed (IO errors on create/write).
-static CACHE_PUT_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-/// Cache entries quarantined because they existed but failed to parse.
-static CACHE_QUARANTINED: AtomicU64 = AtomicU64::new(0);
-
-/// Number of cache writes that failed so far in this process, across every
-/// [`RunCache`] instance. Prefer the per-instance [`RunCache::put_errors`]
-/// in tests and sweep summaries — this aggregate is shared by concurrently
-/// running sweeps (and parallel tests), so deltas on it race.
-pub fn cache_put_errors() -> u64 {
-    CACHE_PUT_ERRORS.load(Ordering::Relaxed)
-}
-
-/// Number of unparsable cache entries quarantined so far in this process,
-/// across every [`RunCache`] instance (same caveat as [`cache_put_errors`]:
-/// prefer the per-instance [`RunCache::quarantined`]).
-pub fn cache_quarantined() -> u64 {
-    CACHE_QUARANTINED.load(Ordering::Relaxed)
-}
-
 /// Per-instance incident counters, shared by every clone of one
 /// [`RunCache`] (sweep workers clone the cache; their increments must
 /// land on the same counters the summary reads).
@@ -64,6 +48,8 @@ pub fn cache_quarantined() -> u64 {
 struct CacheStats {
     put_errors: AtomicU64,
     quarantined: AtomicU64,
+    checked_runs: AtomicU64,
+    check_violations: AtomicU64,
 }
 
 /// A JSON file-per-run cache.
@@ -71,6 +57,7 @@ struct CacheStats {
 pub struct RunCache {
     dir: PathBuf,
     enabled: bool,
+    check: CheckMode,
     stats: Arc<CacheStats>,
 }
 
@@ -80,18 +67,21 @@ impl RunCache {
         RunCache {
             dir: dir.as_ref().to_path_buf(),
             enabled: true,
-            stats: Arc::new(CacheStats::default()),
+            check: CheckMode::Off,
+            stats: Arc::default(),
         }
     }
 
     /// A disabled cache (always recompute).
     pub fn disabled() -> Self {
-        RunCache { dir: PathBuf::new(), enabled: false, stats: Arc::new(CacheStats::default()) }
+        RunCache { enabled: false, ..RunCache::new("") }
     }
 
-    /// Default location: `results/cache` under the current directory.
-    pub fn default_location() -> Self {
-        RunCache::new("results/cache")
+    /// Invariant-checking mode for the runs this cache makes on a miss
+    /// (default off). A hit is served as stored and checks nothing.
+    pub fn check(mut self, mode: CheckMode) -> Self {
+        self.check = mode;
+        self
     }
 
     /// Cache writes that failed on this instance (and its clones).
@@ -102,6 +92,17 @@ impl RunCache {
     /// Entries this instance (and its clones) quarantined as unparsable.
     pub fn quarantined(&self) -> u64 {
         self.stats.quarantined.load(Ordering::Relaxed)
+    }
+
+    /// Runs this instance (and its clones) made under the checker.
+    pub fn checked_runs(&self) -> u64 {
+        self.stats.checked_runs.load(Ordering::Relaxed)
+    }
+
+    /// Invariant violations the checker counted over those runs (audit
+    /// mode; a strict run panics on its first one instead).
+    pub fn check_violations(&self) -> u64 {
+        self.stats.check_violations.load(Ordering::Relaxed)
     }
 
     fn path_for(&self, cfg: &ScenarioConfig, seed: u64) -> PathBuf {
@@ -131,7 +132,6 @@ impl RunCache {
                 let quarantine = path.with_extension("quarantine");
                 let moved = std::fs::rename(&path, &quarantine).is_ok();
                 self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                CACHE_QUARANTINED.fetch_add(1, Ordering::Relaxed);
                 eprintln!(
                     "warning: quarantined unparsable cache entry {} ({}){}",
                     path.display(),
@@ -143,7 +143,7 @@ impl RunCache {
         }
     }
 
-    /// Store a result. IO errors are counted in [`cache_put_errors`] so
+    /// Store a result. IO errors are counted in [`RunCache::put_errors`] so
     /// sweeps can surface them; the run itself still succeeds.
     pub fn put(&self, cfg: &ScenarioConfig, seed: u64, result: &RunResult) {
         if !self.enabled {
@@ -153,12 +153,12 @@ impl RunCache {
             .and_then(|_| std::fs::write(self.path_for(cfg, seed), result.to_json_pretty()));
         if write.is_err() {
             self.stats.put_errors.fetch_add(1, Ordering::Relaxed);
-            CACHE_PUT_ERRORS.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Run (or fetch) one seed of a scenario, reporting failures instead
-    /// of aborting. Only successful runs are cached.
+    /// of aborting. Only successful runs are cached; only a run made here
+    /// is checked.
     pub fn run_checked(
         &self,
         cfg: &ScenarioConfig,
@@ -168,8 +168,11 @@ impl RunCache {
         if let Some(hit) = self.get(cfg, seed) {
             return Ok(hit);
         }
-        let result =
-            crate::runner::Runner::new(cfg).seed(seed).wall_limit(wall_limit).run()?.into_first();
+        let outcome =
+            Runner::new(cfg).seed(seed).wall_limit(wall_limit).check(self.check).run()?;
+        self.stats.checked_runs.fetch_add(outcome.check_reports.len() as u64, Ordering::Relaxed);
+        self.stats.check_violations.fetch_add(outcome.check_violations(), Ordering::Relaxed);
+        let result = outcome.into_first();
         self.put(cfg, seed, &result);
         Ok(result)
     }
@@ -263,9 +266,8 @@ mod tests {
         let cache = RunCache::new(&tmp);
         let cfg = quick_cfg();
         std::fs::create_dir_all(&tmp).unwrap();
-        // The instance counter belongs to this cache alone, so the exact
-        // count holds under parallel test execution (the process-wide
-        // aggregate is shared and would race).
+        // The counter belongs to this cache alone, so the exact count
+        // holds under parallel test execution.
         assert_eq!(cache.quarantined(), 0);
         // The second body is the one that used to overflow the parser's
         // stack and take the whole sweep down with it; the third is not
@@ -282,7 +284,6 @@ mod tests {
             assert!(path.with_extension("quarantine").exists(), "quarantine file must exist");
         }
         assert_eq!(cache.put_errors(), 0, "a quarantine is not a put error");
-        assert!(cache_quarantined() >= 3, "aggregate includes this instance");
         std::fs::remove_dir_all(&tmp).ok();
     }
 
@@ -297,7 +298,6 @@ mod tests {
         assert!(result.events > 0);
         assert_eq!(cache.put_errors(), 1, "failed put must be counted exactly");
         assert_eq!(cache.quarantined(), 0);
-        assert!(cache_put_errors() >= 1, "aggregate includes this instance");
         std::fs::remove_file(&tmp).ok();
     }
 

@@ -17,8 +17,10 @@
 //!   a comma-separated subset of `flows`, `queue`, `events`
 //! * `--sample-interval MS` — flight-recorder sample spacing in ms
 //! * `--check MODE` — runtime invariant checking: `off` (default), `audit`
-//!   (count violations, report them in the outcome) or `strict` (panic on
-//!   the first violation; a sweep degrades the cell to a failed run)
+//!   (count violations; a sweep ends with `check_violations: N`) or
+//!   `strict` (panic on the first violation; a sweep degrades the cell to
+//!   a failed run). The mode rides on [`Cli::cache`], which every cell a
+//!   sweep or figure runs goes through.
 //! * `--coalesce` — enable GRO-style receive coalescing on every receiver
 //!   (off by default; changes cache keys, so coalesced and plain results
 //!   never mix)
@@ -28,13 +30,25 @@
 //! * `--fault-link N` — aim `--loss`/`--flap` at bottleneck hop `N`
 //!   (default 0, the only hop on a dumbbell)
 //!
-//! The scenario-shaping subset lives in [`SharedFlags`], which `probe` and
-//! the `chaos` fuzzer reuse so every binary spells these flags identically.
+//! `--loss` … `--fault-link` live in [`SharedFlags`], which `probe` and the
+//! `chaos` fuzzer reuse so every binary spells these flags identically;
+//! [`Cli`] holds the parsed set as [`Cli::shared`]. Every binary parses all
+//! of them, and one that cannot honour a flag refuses it with exit 2
+//! ([`Cli::refuse_scenario_flags`], [`Cli::refuse_record`]) instead of
+//! running as if it had not been given: `repro` and `aqm_frontier` take
+//! neither scenario-shaping flags nor `--record`, `rttsweep` no
+//! scenario-shaping flags, `sweep` no `--record`; `dataset` takes all.
 
 use crate::cache::RunCache;
 use crate::runner::Recording;
 use crate::scenario::{DurationPreset, RunOptions, ScenarioConfig, PAPER_BWS};
 use elephants_netsim::{CheckMode, FaultPlan, LossModel, SimDuration, TopologySpec};
+
+/// Print `msg` and exit with the usage-error status.
+pub fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
 
 /// Parsed command line for a figure binary.
 #[derive(Debug, Clone)]
@@ -43,26 +57,19 @@ pub struct Cli {
     pub opts: RunOptions,
     /// Bandwidths to sweep.
     pub bws: Vec<u64>,
-    /// Results cache (possibly disabled).
+    /// Results cache (possibly disabled), carrying the `--check` mode to
+    /// the runs it makes.
     pub cache: RunCache,
     /// CSV output directory.
     pub out_dir: String,
-    /// Loss model to install on the bottleneck (default: none).
-    pub loss: LossModel,
-    /// Fault plan to install on the bottleneck (default: empty).
-    pub faults: FaultPlan,
     /// Keep only the first N grid configs (smoke runs; `None` = all).
     pub limit: Option<usize>,
-    /// Flight recording requested with `--record` (`None` = don't record).
+    /// Flight recording requested with `--record`, rooted at
+    /// `OUT/records` (`None` = don't record).
     pub record: Option<Recording>,
-    /// Invariant-checking mode requested with `--check` (default: off).
-    pub check: CheckMode,
-    /// GRO-style receive coalescing requested with `--coalesce`.
-    pub coalesce: bool,
-    /// Topology requested with `--topology` (default: dumbbell).
-    pub topology: TopologySpec,
-    /// Bottleneck hop the loss/fault knobs target (`--fault-link`).
-    pub fault_link: u32,
+    /// The shared flags as parsed; put the scenario-shaping ones on a
+    /// config with `cli.shared.apply(&mut cfg)`.
+    pub shared: SharedFlags,
 }
 
 /// The per-scenario flags every scenario-building binary shares (`probe`,
@@ -128,6 +135,21 @@ impl SharedFlags {
             _ => return Ok(false),
         }
         Ok(true)
+    }
+
+    /// The first scenario-shaping flag that was given (`--loss`, `--flap`,
+    /// `--coalesce`, `--topology`, `--fault-link`), if any: the ones
+    /// [`Self::apply`] writes onto a config.
+    pub fn scenario_flag(&self) -> Option<&'static str> {
+        [
+            ("--loss", self.loss.is_some()),
+            ("--flap", self.faults.is_some()),
+            ("--coalesce", self.coalesce),
+            ("--topology", self.topology.is_some()),
+            ("--fault-link", self.fault_link.is_some()),
+        ]
+        .into_iter()
+        .find_map(|(flag, given)| given.then_some(flag))
     }
 
     /// Copy the flags that were given onto a scenario and validate the
@@ -207,7 +229,9 @@ fn parse_flap(s: &str) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-fn parse_bw(s: &str) -> Result<u64, String> {
+/// Parse one bandwidth: an integer in bit/s with an optional `K`, `M` or
+/// `G` suffix (`100M`, `100900K`, `25g`).
+pub fn parse_bw(s: &str) -> Result<u64, String> {
     let s = s.trim().to_ascii_uppercase();
     let (num, mult) = if let Some(x) = s.strip_suffix('G') {
         (x, 1_000_000_000u64)
@@ -271,34 +295,32 @@ impl Cli {
             }
         }
         let cache = if use_cache { RunCache::new(format!("{out_dir}/cache")) } else { RunCache::disabled() };
+        let cache = cache.check(shared.check.unwrap_or_default());
         let record = shared.recording(&out_dir)?;
-        Ok(Cli {
-            opts,
-            bws,
-            cache,
-            out_dir,
-            loss: shared.loss.unwrap_or(LossModel::None),
-            faults: shared.faults.clone().unwrap_or_else(FaultPlan::none),
-            limit,
-            record,
-            check: shared.check.unwrap_or(CheckMode::Off),
-            coalesce: shared.coalesce,
-            topology: shared.topology.clone().unwrap_or_default(),
-            fault_link: shared.fault_link.unwrap_or(0),
-        })
+        Ok(Cli { opts, bws, cache, out_dir, limit, record, shared })
     }
 
-    /// Copy the CLI's per-scenario knobs (`--loss`, `--flap`, `--coalesce`,
-    /// `--topology`, `--fault-link`) into a scenario and validate the
-    /// combination. Call this on every config a fault-aware binary builds
-    /// from the parsed CLI.
-    pub fn apply_faults(&self, cfg: &mut ScenarioConfig) -> Result<(), String> {
-        cfg.loss = self.loss;
-        cfg.faults = self.faults.clone();
-        cfg.coalesce = self.coalesce;
-        cfg.topology = self.topology.clone();
-        cfg.fault_link = self.fault_link;
-        cfg.validate()
+    /// `Err` naming the flag when a scenario-shaping one was given: for
+    /// binaries whose configs are fixed by what they reproduce.
+    pub fn refuse_scenario_flags(&self) -> Result<(), String> {
+        match self.shared.scenario_flag() {
+            Some(flag) => Err(format!(
+                "{flag} is not supported here: this binary runs fixed scenarios \
+                 (sweep, dataset and probe take it)"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// `Err` when `--record` was given: for binaries whose runs all go
+    /// through the cache, which stores results and not flight records.
+    pub fn refuse_record(&self) -> Result<(), String> {
+        match self.record {
+            Some(_) => Err("--record is not supported here: this binary's runs go through \
+                            the result cache (dataset, rttsweep and probe take it)"
+                .to_string()),
+            None => Ok(()),
+        }
     }
 
     /// Parse the process arguments, exiting with a message on error.
@@ -308,23 +330,8 @@ impl Cli {
 
     /// Parse `args` (the process arguments after the program name and any
     /// subcommand), exiting with a message on error.
-    ///
-    /// Also installs the parsed `--check` mode as the process-wide default
-    /// (see [`crate::runner::set_default_check_mode`]), so every runner the
-    /// binary builds afterwards — including the ones a sweep spawns on
-    /// worker threads — inherits it. Done here, not in [`Cli::parse_from`],
-    /// so library tests parsing argument lists never mutate global state.
     pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Cli {
-        match Cli::parse_from(args) {
-            Ok(cli) => {
-                crate::runner::set_default_check_mode(cli.check);
-                cli
-            }
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
+        Cli::parse_from(args).unwrap_or_else(|msg| exit_usage(&msg))
     }
 }
 
@@ -336,7 +343,10 @@ usage: <figure-binary> [--quick|--full] [--repeats N] [--scale F] [--seed N]
                        [--sample-interval MS] [--check off|audit|strict]
                        [--coalesce]
                        [--topology dumbbell|parking-lot:K|multi-dumbbell:R1,R2[,..]]
-                       [--fault-link N]";
+                       [--fault-link N]
+a flag the binary cannot honour is refused (exit 2): repro and aqm_frontier
+take neither --loss/--flap/--coalesce/--topology/--fault-link nor --record,
+rttsweep none of the former, sweep no --record; dataset takes them all";
 
 #[cfg(test)]
 mod tests {
@@ -363,8 +373,8 @@ mod tests {
 
     #[test]
     fn bw_list_parsing() {
-        let cli = parse(&["--bw", "100M,1G"]).unwrap();
-        assert_eq!(cli.bws, vec![100_000_000, 1_000_000_000]);
+        let cli = parse(&["--bw", "100M,1G,100900K,25g,1234"]).unwrap();
+        assert_eq!(cli.bws, vec![100_000_000, 1_000_000_000, 100_900_000, 25_000_000_000, 1234]);
         assert!(parse(&["--bw", "12X"]).is_err());
     }
 
@@ -382,15 +392,13 @@ mod tests {
 
     #[test]
     fn loss_flag_parses_and_validates() {
-        assert_eq!(parse(&[]).unwrap().loss, LossModel::None);
-        assert_eq!(parse(&["--loss", "none"]).unwrap().loss, LossModel::None);
+        let loss = |args: &[&str]| parse(args).unwrap().shared.loss;
+        assert_eq!(loss(&[]), None);
+        assert_eq!(loss(&["--loss", "none"]), Some(LossModel::None));
+        assert_eq!(loss(&["--loss", "bernoulli:0.01"]), Some(LossModel::Bernoulli { p: 0.01 }));
         assert_eq!(
-            parse(&["--loss", "bernoulli:0.01"]).unwrap().loss,
-            LossModel::Bernoulli { p: 0.01 }
-        );
-        assert_eq!(
-            parse(&["--loss", "ge:0.002,0.2"]).unwrap().loss,
-            LossModel::GilbertElliott { p_gb: 0.002, p_bg: 0.2 }
+            loss(&["--loss", "ge:0.002,0.2"]),
+            Some(LossModel::GilbertElliott { p_gb: 0.002, p_bg: 0.2 })
         );
         // Validation rejects out-of-range probabilities and junk.
         assert!(parse(&["--loss", "bernoulli:1.5"]).is_err());
@@ -401,7 +409,7 @@ mod tests {
     #[test]
     fn flap_flag_builds_a_plan() {
         let cli = parse(&["--flap", "2,0.5"]).unwrap();
-        assert_eq!(cli.faults.events.len(), 2, "flap = LinkDown + LinkUp");
+        assert_eq!(cli.shared.faults.unwrap().events.len(), 2, "flap = LinkDown + LinkUp");
         assert!(parse(&["--flap", "2"]).is_err());
         assert!(parse(&["--flap", "-1,2"]).is_err());
         assert!(parse(&["--flap", "1,0"]).is_err());
@@ -425,17 +433,18 @@ mod tests {
 
     #[test]
     fn check_flag_parses() {
-        assert_eq!(parse(&[]).unwrap().check, CheckMode::Off);
-        assert_eq!(parse(&["--check", "off"]).unwrap().check, CheckMode::Off);
-        assert_eq!(parse(&["--check", "audit"]).unwrap().check, CheckMode::Audit);
-        assert_eq!(parse(&["--check", "strict"]).unwrap().check, CheckMode::Strict);
-        assert_eq!(parse(&["--check", "STRICT"]).unwrap().check, CheckMode::Strict);
+        let check = |args: &[&str]| parse(args).unwrap().shared.check;
+        assert_eq!(check(&[]), None);
+        assert_eq!(check(&["--check", "off"]), Some(CheckMode::Off));
+        assert_eq!(check(&["--check", "audit"]), Some(CheckMode::Audit));
+        assert_eq!(check(&["--check", "strict"]), Some(CheckMode::Strict));
+        assert_eq!(check(&["--check", "STRICT"]), Some(CheckMode::Strict));
         assert!(parse(&["--check", "paranoid"]).is_err());
         assert!(parse(&["--check"]).is_err());
     }
 
     #[test]
-    fn apply_faults_transfers_knobs_into_config() {
+    fn parsed_cli_applies_its_shared_flags_to_a_config() {
         use elephants_aqm::AqmKind;
         use elephants_cca::CcaKind;
         let cli = parse(&["--loss", "ge:0.002,0.2", "--flap", "1,0.25", "--coalesce"]).unwrap();
@@ -447,32 +456,30 @@ mod tests {
             100_000_000,
             &RunOptions::quick(),
         );
-        cli.apply_faults(&mut cfg).unwrap();
-        assert_eq!(cfg.loss, cli.loss);
-        assert_eq!(cfg.faults, cli.faults);
+        cli.shared.apply(&mut cfg).unwrap();
+        assert_eq!(Some(cfg.loss), cli.shared.loss);
+        assert_eq!(Some(cfg.faults), cli.shared.faults);
         assert!(cfg.coalesce);
     }
 
     #[test]
     fn coalesce_flag_defaults_off() {
-        assert!(!parse(&[]).unwrap().coalesce);
-        assert!(parse(&["--coalesce"]).unwrap().coalesce);
+        assert!(!parse(&[]).unwrap().shared.coalesce);
+        assert!(parse(&["--coalesce"]).unwrap().shared.coalesce);
     }
 
     #[test]
     fn topology_flag_parses_all_spellings() {
-        assert_eq!(parse(&[]).unwrap().topology, TopologySpec::Dumbbell);
+        let topology = |args: &[&str]| parse(args).unwrap().shared.topology;
+        assert_eq!(topology(&[]), None);
+        assert_eq!(topology(&["--topology", "dumbbell"]), Some(TopologySpec::Dumbbell));
         assert_eq!(
-            parse(&["--topology", "dumbbell"]).unwrap().topology,
-            TopologySpec::Dumbbell
+            topology(&["--topology", "parking-lot:3"]),
+            Some(TopologySpec::ParkingLot { hops: 3 })
         );
         assert_eq!(
-            parse(&["--topology", "parking-lot:3"]).unwrap().topology,
-            TopologySpec::ParkingLot { hops: 3 }
-        );
-        assert_eq!(
-            parse(&["--topology", "multi-dumbbell:31,124"]).unwrap().topology,
-            TopologySpec::MultiDumbbell { rtts_ms: vec![31, 124] }
+            topology(&["--topology", "multi-dumbbell:31,124"]),
+            Some(TopologySpec::MultiDumbbell { rtts_ms: vec![31, 124] })
         );
         assert!(parse(&["--topology", "torus"]).is_err());
         assert!(parse(&["--topology", "parking-lot:1"]).is_err(), "needs >= 2 hops");
@@ -483,11 +490,11 @@ mod tests {
     fn fault_link_flag_parses_and_validates_through_apply() {
         use elephants_aqm::AqmKind;
         use elephants_cca::CcaKind;
-        assert_eq!(parse(&[]).unwrap().fault_link, 0);
+        assert_eq!(parse(&[]).unwrap().shared.fault_link, None);
         let cli =
             parse(&["--topology", "parking-lot:3", "--fault-link", "2", "--loss", "bernoulli:0.01"])
                 .unwrap();
-        assert_eq!(cli.fault_link, 2);
+        assert_eq!(cli.shared.fault_link, Some(2));
         let mut cfg = ScenarioConfig::new(
             CcaKind::Cubic,
             CcaKind::Cubic,
@@ -496,15 +503,39 @@ mod tests {
             100_000_000,
             &RunOptions::quick(),
         );
-        cli.apply_faults(&mut cfg).unwrap();
+        cli.shared.apply(&mut cfg).unwrap();
         assert_eq!(cfg.topology, TopologySpec::ParkingLot { hops: 3 });
         assert_eq!(cfg.fault_link, 2);
         // A dumbbell has one hop: fault_link 2 must fail validation.
         let bad = parse(&["--fault-link", "2"]).unwrap();
         let mut cfg2 = cfg.clone();
         cfg2.topology = TopologySpec::Dumbbell;
-        assert!(bad.apply_faults(&mut cfg2).is_err());
+        assert!(bad.shared.apply(&mut cfg2).is_err());
         assert!(parse(&["--fault-link", "x"]).is_err());
+    }
+
+    #[test]
+    fn flags_a_binary_cannot_honour_are_refused_by_name() {
+        for (args, flag) in [
+            (&["--loss", "bernoulli:0.01"][..], "--loss"),
+            (&["--flap", "2,0.5"], "--flap"),
+            (&["--coalesce"], "--coalesce"),
+            (&["--topology", "parking-lot:2"], "--topology"),
+            (&["--fault-link", "0"], "--fault-link"),
+        ] {
+            let cli = parse(args).unwrap();
+            assert_eq!(cli.shared.scenario_flag(), Some(flag));
+            let msg = cli.refuse_scenario_flags().unwrap_err();
+            assert!(msg.starts_with(flag), "{msg}");
+            assert!(cli.refuse_record().is_ok());
+        }
+        // Flags that shape the runner, not the scenario, are not pins.
+        let cli = parse(&["--check", "audit", "--record", "flows", "--sample-interval", "50"]).unwrap();
+        assert_eq!(cli.shared.scenario_flag(), None);
+        assert!(cli.refuse_scenario_flags().is_ok());
+        assert!(cli.refuse_record().unwrap_err().starts_with("--record"));
+        let plain = parse(&["--quick", "--bw", "100M"]).unwrap();
+        assert!(plain.refuse_scenario_flags().is_ok() && plain.refuse_record().is_ok());
     }
 
     // One round-trip test per shared flag: the spelling parsed by

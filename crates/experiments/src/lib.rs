@@ -23,11 +23,10 @@ pub mod runner;
 pub mod scenario;
 pub mod svg;
 pub mod sweep;
-pub mod trace;
 
-pub use cache::{cache_put_errors, cache_quarantined, RunCache, CACHE_SCHEMA_VERSION};
+pub use cache::{RunCache, CACHE_SCHEMA_VERSION};
 pub use cli::{Cli, SharedFlags};
-pub use par::{par_map, par_map_with_workers, par_try_map, par_try_map_with_workers};
+pub use par::{par_map_with_workers, par_try_map_with_workers};
 pub use figures::{
     fig2, fig3, fig4, fig5, fig6, fig7, fig8, render_table3, table3, FigureOutput, Table3Row,
     FIGURE_BUFFERS_BDP,
@@ -43,10 +42,8 @@ pub use scenario::{
 };
 pub use svg::{line_chart, write_chart, ChartSpec, Series};
 pub use sweep::{
-    sweep, sweep_with_progress, try_sweep, try_sweep_with_progress, try_sweep_with_workers,
-    FailedRun, SweepOutput,
+    sweep, try_sweep_reporting, try_sweep_with_workers, FailedRun, SweepOutput,
 };
-pub use trace::{run_scenario_traced, ScenarioTrace, TraceSample};
 
 /// Convenience re-exports for binaries and examples.
 pub mod prelude {
@@ -56,10 +53,7 @@ pub mod prelude {
     pub use crate::report::{bw_label, TextTable};
     pub use crate::runner::{Recording, RunError, RunErrorKind, RunOutcome, Runner};
     pub use crate::scenario::*;
-    pub use crate::sweep::{
-        sweep, sweep_with_progress, try_sweep, try_sweep_with_progress, FailedRun, SweepOutput,
-    };
-    pub use crate::trace::{run_scenario_traced, ScenarioTrace};
+    pub use crate::sweep::{sweep, try_sweep_reporting, FailedRun, SweepOutput};
     pub use elephants_aqm::AqmKind;
     pub use elephants_cca::CcaKind;
     pub use elephants_netsim::TopologySpec;

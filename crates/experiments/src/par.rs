@@ -9,28 +9,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of worker threads to use: the available parallelism, capped by
-/// the number of work items (no point spawning idle threads).
-fn worker_count(items: usize) -> usize {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    cores.min(items).max(1)
-}
-
-/// Apply `f` to every item in parallel and return results in input order.
+/// Apply `f` to every item in parallel, on `workers` threads (`0` means
+/// one per core), and return results in input order.
 ///
 /// `f` must be `Sync` because all workers share it; items are handed out
 /// through an atomic cursor so threads self-balance on uneven run times.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_with_workers(items, worker_count(items.len()), f)
-}
-
-/// [`par_map`] with an explicit worker count (`0` means the default).
-///
 /// The result must not depend on `workers`: items are independent and the
 /// output is reassembled in input order, so any thread count yields the
 /// same vector. Tests pin this down by sweeping worker counts.
@@ -43,7 +26,12 @@ where
     if items.is_empty() {
         return Vec::new();
     }
-    let workers = if workers == 0 { worker_count(items.len()) } else { workers.min(items.len()) };
+    // No point spawning more threads than there are items.
+    let workers = match workers {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(items.len());
     if workers == 1 {
         return items.iter().map(&f).collect();
     }
@@ -90,22 +78,12 @@ fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// [`par_map`] that isolates worker panics.
+/// [`par_map_with_workers`] that isolates worker panics.
 ///
 /// A panic inside `f` is caught with `catch_unwind` and returned as
 /// `Err(payload)` for that item; every other item keeps running on its
 /// worker. This is what makes an 810-cell sweep survive one poisoned cell
 /// instead of tearing the whole process down at `join()`.
-pub fn par_try_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_try_map_with_workers(items, worker_count(items.len()), f)
-}
-
-/// [`par_try_map`] with an explicit worker count (`0` means the default).
 pub fn par_try_map_with_workers<T, R, F>(
     items: &[T],
     workers: usize,
@@ -131,20 +109,20 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_output() {
-        let out: Vec<u32> = par_map(&[] as &[u32], |&x| x);
+        let out: Vec<u32> = par_map_with_workers(&[] as &[u32], 0, |&x| x);
         assert!(out.is_empty());
     }
 
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map(&items, |&x| x * 2);
+        let out = par_map_with_workers(&items, 0, |&x| x * 2);
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_item_runs_inline() {
-        let out = par_map(&[41u32], |&x| x + 1);
+        let out = par_map_with_workers(&[41u32], 0, |&x| x + 1);
         assert_eq!(out, vec![42]);
     }
 
@@ -160,7 +138,7 @@ mod tests {
     #[test]
     fn uneven_work_still_complete() {
         let items: Vec<u32> = (0..64).collect();
-        let out = par_map(&items, |&x| {
+        let out = par_map_with_workers(&items, 0, |&x| {
             if x % 7 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -172,7 +150,7 @@ mod tests {
     #[test]
     fn try_map_isolates_a_panicking_closure() {
         let items: Vec<u32> = (0..32).collect();
-        let out = par_try_map(&items, |&x| {
+        let out = par_try_map_with_workers(&items, 0, |&x| {
             if x == 13 {
                 panic!("poisoned cell {x}");
             }

@@ -33,37 +33,7 @@ use elephants_tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use elephants_telemetry::{FlightRecord, FlightRecorder};
 use elephants_workload::{group_specs, plan_flows, FlowPlan, GroupSpec};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
-
-/// How many runs had a degenerate (zero-width) measurement window clamped
-/// away (see [`Runner::run`]). A nonzero value means some scenario was
-/// configured with `warmup >= duration`.
-static DEGENERATE_WINDOW_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of runs so far whose measurement window had to be clamped.
-pub fn degenerate_window_runs() -> u64 {
-    DEGENERATE_WINDOW_RUNS.load(Ordering::Relaxed)
-}
-
-/// Process-wide default invariant-checking mode, picked up by every
-/// [`Runner`] built after it is set (the CLI sets it from `--check` once,
-/// before any sweep spawns workers). Stored as the `CheckMode` discriminant.
-static CHECK_MODE: AtomicU8 = AtomicU8::new(CheckMode::Off as u8);
-
-/// Set the process-wide default invariant-checking mode.
-pub fn set_default_check_mode(mode: CheckMode) {
-    CHECK_MODE.store(mode as u8, Ordering::Relaxed);
-}
-
-/// The process-wide default invariant-checking mode.
-pub fn default_check_mode() -> CheckMode {
-    match CHECK_MODE.load(Ordering::Relaxed) {
-        x if x == CheckMode::Audit as u8 => CheckMode::Audit,
-        x if x == CheckMode::Strict as u8 => CheckMode::Strict,
-        _ => CheckMode::Off,
-    }
-}
 
 /// Why a single (config, seed) run failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -420,8 +390,7 @@ pub struct Runner {
 
 impl Runner {
     /// A runner for `cfg` with defaults: the config's own base seed, the
-    /// default wall limit, one repeat, no recording, and the process-wide
-    /// default check mode ([`default_check_mode`], normally off).
+    /// default wall limit, one repeat, no recording, no invariant checking.
     pub fn new(cfg: &ScenarioConfig) -> Self {
         Runner {
             cfg: cfg.clone(),
@@ -429,7 +398,7 @@ impl Runner {
             wall_limit: DEFAULT_WALL_LIMIT,
             repeats: 1,
             recording: None,
-            check: default_check_mode(),
+            check: CheckMode::Off,
         }
     }
 
@@ -494,11 +463,9 @@ impl Runner {
 /// (flow ids are assigned in plan order, group by group).
 ///
 /// The one place a `ScenarioConfig` becomes a `Simulator` inside this
-/// crate: [`Runner`] and [`crate::trace::run_scenario_traced`] both step
-/// what this returns, so a knob honoured by one is honoured by the other.
-/// The install order (recorder before fault plan) fixes the `(time, seq)`
-/// order of same-instant events and must not change.
-pub(crate) fn assemble(
+/// crate. The install order (recorder before fault plan) fixes the
+/// `(time, seq)` order of same-instant events and must not change.
+fn assemble(
     cfg: &ScenarioConfig,
     seed: u64,
     recording: Option<&Recording>,
@@ -526,11 +493,9 @@ pub(crate) fn assemble(
 
     // A warmup at or past the end of the run would leave a zero-width
     // measurement window, turning every windowed rate below into a division
-    // by zero (inf/NaN goodput). Clamp to "no warmup" and count the incident
-    // so sweeps can surface the misconfiguration.
+    // by zero (inf/NaN goodput). Clamp to "no warmup".
     let warmup = if cfg.duration <= cfg.warmup && !cfg.duration.is_zero() {
-        DEGENERATE_WINDOW_RUNS.fetch_add(1, Ordering::Relaxed);
-        elephants_netsim::SimDuration::ZERO
+        SimDuration::ZERO
     } else {
         cfg.warmup
     };
@@ -585,7 +550,7 @@ pub(crate) fn assemble(
 }
 
 /// `Err(EventBudget)` when `sim` stopped on `max_events` with work pending.
-pub(crate) fn check_event_budget(sim: &mut Simulator, max_events: u64) -> Result<(), RunError> {
+fn check_event_budget(sim: &mut Simulator, max_events: u64) -> Result<(), RunError> {
     if !sim.budget_exhausted() {
         return Ok(());
     }
@@ -862,11 +827,6 @@ pub fn average_runs(config: ScenarioConfig, runs: Vec<RunResult>) -> AveragedRes
     }
 }
 
-/// Convenience used by tests: first flow's start time for the plan.
-pub fn first_start(cfg: &ScenarioConfig, seed: u64) -> SimTime {
-    plan_flows(cfg.bandwidth(), cfg.topology.n_groups() as u32, cfg.flow_scale, seed).starts[0][0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -915,9 +875,7 @@ mod tests {
     fn degenerate_window_is_clamped_not_inf() {
         let mut cfg = quick_cfg(CcaKind::Reno, CcaKind::Reno, AqmKind::Fifo, 1.0, 100_000_000);
         cfg.warmup = cfg.duration; // zero-width window as configured
-        let before = degenerate_window_runs();
         let r = run_seeded(&cfg, 3);
-        assert!(degenerate_window_runs() > before, "clamp must be counted");
         assert!(r.utilization.is_finite(), "φ = {}", r.utilization);
         assert!(r.jain.is_finite(), "J = {}", r.jain);
         assert!(r.sender_mbps.iter().all(|m| m.is_finite()), "{:?}", r.sender_mbps);
@@ -1034,18 +992,6 @@ mod tests {
             assert_eq!(out.check_violations(), 0, "{aqm}: strict run must be clean");
             assert_eq!(out.check_reports.len(), 1);
         }
-    }
-
-    #[test]
-    fn default_check_mode_round_trips_through_the_global() {
-        use elephants_netsim::CheckMode;
-        // Serialize against other tests touching the global by restoring it.
-        let before = default_check_mode();
-        set_default_check_mode(CheckMode::Audit);
-        assert_eq!(default_check_mode(), CheckMode::Audit);
-        let cfg = quick_cfg(CcaKind::Reno, CcaKind::Reno, AqmKind::Fifo, 1.0, 100_000_000);
-        assert_eq!(Runner::new(&cfg).check, CheckMode::Audit);
-        set_default_check_mode(before);
     }
 
     #[test]

@@ -366,11 +366,6 @@ impl ScenarioConfig {
         ((bdp as f64 * self.queue_bdp) as u64).max(4 * self.mss as u64)
     }
 
-    /// Whether both senders run the same CCA.
-    pub fn is_intra(&self) -> bool {
-        self.cca1 == self.cca2
-    }
-
     /// 64-bit FNV-1a of the canonical (compact) JSON: the config's
     /// identity wherever a file is named after it. Every field is in the
     /// JSON, so every field is in the hash.
@@ -443,11 +438,9 @@ pub enum DurationPreset {
     Standard,
     /// The paper's full 200 s everywhere (expensive at 10/25 Gbps).
     Full,
-    /// Tiny runs for benchmark harness runs (seconds of wall time per figure).
-    Bench,
 }
 
-impl_json_unit_enum!(DurationPreset { Quick, Standard, Full, Bench });
+impl_json_unit_enum!(DurationPreset { Quick, Standard, Full });
 
 impl RunOptions {
     /// Default options: standard durations, 1 repeat, full flow counts.
@@ -486,10 +479,6 @@ impl RunOptions {
                 b if b <= 150_000_000 => 10,
                 b if b <= 1_500_000_000 => 5,
                 _ => 2,
-            },
-            DurationPreset::Bench => match bw_bps {
-                b if b <= 150_000_000 => 3,
-                _ => 1,
             },
         };
         SimDuration::from_secs(secs)

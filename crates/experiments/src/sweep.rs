@@ -6,17 +6,17 @@
 //! its simulator — no shared mutable state, no locks (the "share nothing"
 //! idiom from the hpc-parallel guides).
 //!
-//! The fault-tolerant entry points ([`try_sweep`],
-//! [`try_sweep_with_progress`]) never abort the grid: a panicking cell is
-//! isolated by [`crate::par::par_try_map`], a runaway cell is stopped by the
+//! The fault-tolerant entry points ([`try_sweep_with_workers`],
+//! [`try_sweep_reporting`]) never abort the grid: a panicking cell is
+//! isolated by [`par_try_map_with_workers`], a runaway cell is stopped by the
 //! runner's event-budget/wall-clock watchdogs, and each failure is recorded
 //! as a [`FailedRun`] in the [`SweepOutput`]. Every failure whose
 //! [`RunError::is_retryable`] holds — the environment-dependent classes:
 //! wall-clock overruns (machine load) and Io (filesystem) — gets a single
 //! bounded retry before being reported; deterministic classes (panic,
 //! event budget, invalid config) would fail identically and are not
-//! retried. The legacy [`sweep`]/[`sweep_with_progress`] wrappers keep the
-//! all-or-nothing contract the figure binaries want.
+//! retried. [`sweep`] keeps the all-or-nothing contract figure assembly
+//! wants.
 
 use crate::cache::RunCache;
 use crate::par::par_try_map_with_workers;
@@ -50,24 +50,31 @@ pub struct SweepOutput {
     pub retried: u64,
     /// Cache write failures observed by *this sweep's* cache instance
     /// (zero when the sweep ran without a cache, e.g. in the generic test
-    /// seam). Process-wide aggregates remain available via
-    /// [`crate::cache::cache_put_errors`].
+    /// seam).
     pub cache_put_errors: u64,
     /// Unparsable cache entries quarantined by this sweep's cache instance
     /// (same scoping as `cache_put_errors`).
     pub cache_quarantined: u64,
+    /// Runs the cache instance made under the invariant checker (cells
+    /// served from the cache are not re-run, so not checked).
+    pub checked_runs: u64,
+    /// Invariant violations counted over those runs.
+    pub check_violations: u64,
 }
 
 impl SweepOutput {
     /// One-line health summary for sweep binaries and logs.
     pub fn summary_line(&self) -> String {
         format!(
-            "configs_ok: {}  failed_cells: {}  retried: {}  cache_put_errors: {}  cache_quarantined: {}",
+            "configs_ok: {}  failed_cells: {}  retried: {}  cache_put_errors: {}  \
+             cache_quarantined: {}  checked_runs: {}  check_violations: {}",
             self.results.len(),
             self.failed.len(),
             self.retried,
             self.cache_put_errors,
             self.cache_quarantined,
+            self.checked_runs,
+            self.check_violations,
         )
     }
 }
@@ -84,7 +91,7 @@ fn work_list(configs: &[ScenarioConfig], repeats: u32) -> Vec<(usize, u64)> {
 /// panic-isolating executor, retry wall-clock failures once, regroup.
 ///
 /// Generic over the runner so tests can inject failing cells; production
-/// callers go through [`try_sweep`], which plugs in the cached runner.
+/// callers go through [`try_sweep_cached`], which plugs in the cached runner.
 fn try_sweep_impl<F>(
     configs: &[ScenarioConfig],
     repeats: u32,
@@ -170,20 +177,42 @@ where
         results,
         failed,
         retried,
-        // The generic engine has no cache; the cached wrappers fill these
-        // from their instance's counters after the sweep finishes.
+        // The generic engine has no cache; `try_sweep_cached` fills these
+        // from its instance's counters after the sweep finishes.
         cache_put_errors: 0,
         cache_quarantined: 0,
+        checked_runs: 0,
+        check_violations: 0,
     }
 }
 
 /// Run every config for `repeats` seeds, in parallel, through the cache,
 /// degrading gracefully: failed cells are recorded, not fatal.
-pub fn try_sweep(configs: &[ScenarioConfig], repeats: u32, cache: &RunCache) -> SweepOutput {
-    try_sweep_with_workers(configs, repeats, cache, 0)
+fn try_sweep_cached(
+    configs: &[ScenarioConfig],
+    repeats: u32,
+    cache: &RunCache,
+    workers: usize,
+    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
+) -> SweepOutput {
+    let mut out = try_sweep_impl(
+        configs,
+        repeats,
+        workers,
+        |cfg, seed| cache.run_checked(cfg, seed, DEFAULT_WALL_LIMIT),
+        progress,
+    );
+    // The instance's own counters: a concurrent sweep (or parallel test)
+    // on another cache cannot leak its incidents into this summary.
+    out.cache_put_errors = cache.put_errors();
+    out.cache_quarantined = cache.quarantined();
+    out.checked_runs = cache.checked_runs();
+    out.check_violations = cache.check_violations();
+    out
 }
 
-/// [`try_sweep`] with an explicit worker count (`0` means the default).
+/// Fault-tolerant sweep with an explicit worker count (`0` means the
+/// default).
 ///
 /// The output must not depend on `workers`: runs are independent and
 /// reassembled in input order, so any thread count yields byte-identical
@@ -194,39 +223,18 @@ pub fn try_sweep_with_workers(
     cache: &RunCache,
     workers: usize,
 ) -> SweepOutput {
-    let mut out = try_sweep_impl(
-        configs,
-        repeats,
-        workers,
-        |cfg, seed| cache.run_checked(cfg, seed, DEFAULT_WALL_LIMIT),
-        None,
-    );
-    // Instance counters, not the process-wide aggregates: a concurrent
-    // sweep (or parallel test) must not leak its incidents into this
-    // sweep's summary.
-    out.cache_put_errors = cache.put_errors();
-    out.cache_quarantined = cache.quarantined();
-    out
+    try_sweep_cached(configs, repeats, cache, workers, None)
 }
 
 /// Progress-reporting fault-tolerant sweep: calls `progress(done, total)`
 /// as runs finish.
-pub fn try_sweep_with_progress(
+pub fn try_sweep_reporting(
     configs: &[ScenarioConfig],
     repeats: u32,
     cache: &RunCache,
     progress: impl Fn(usize, usize) + Sync,
 ) -> SweepOutput {
-    let mut out = try_sweep_impl(
-        configs,
-        repeats,
-        0,
-        |cfg, seed| cache.run_checked(cfg, seed, DEFAULT_WALL_LIMIT),
-        Some(&progress),
-    );
-    out.cache_put_errors = cache.put_errors();
-    out.cache_quarantined = cache.quarantined();
-    out
+    try_sweep_cached(configs, repeats, cache, 0, Some(&progress))
 }
 
 /// Run every config for `repeats` seeds, in parallel, through the cache.
@@ -235,29 +243,9 @@ pub fn try_sweep_with_progress(
 ///
 /// # Panics
 /// Panics if any cell fails — figure assembly needs the full grid. Use
-/// [`try_sweep`] for graceful degradation.
+/// [`try_sweep_with_workers`] for graceful degradation.
 pub fn sweep(configs: &[ScenarioConfig], repeats: u32, cache: &RunCache) -> Vec<AveragedResult> {
-    let out = try_sweep(configs, repeats, cache);
-    assert_failures_empty(&out);
-    out.results
-}
-
-/// Progress-reporting sweep: calls `progress(done, total)` as runs finish.
-///
-/// # Panics
-/// Panics if any cell fails, like [`sweep`].
-pub fn sweep_with_progress(
-    configs: &[ScenarioConfig],
-    repeats: u32,
-    cache: &RunCache,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Vec<AveragedResult> {
-    let out = try_sweep_with_progress(configs, repeats, cache, progress);
-    assert_failures_empty(&out);
-    out.results
-}
-
-fn assert_failures_empty(out: &SweepOutput) {
+    let out = try_sweep_with_workers(configs, repeats, cache, 0);
     if let Some(first) = out.failed.first() {
         panic!(
             "{} cell(s) failed; first: ({}, seed {}): {}",
@@ -267,6 +255,7 @@ fn assert_failures_empty(out: &SweepOutput) {
             first.error,
         );
     }
+    out.results
 }
 
 #[cfg(test)]
@@ -302,11 +291,30 @@ mod tests {
     fn progress_counts_every_run() {
         let cache = RunCache::disabled();
         let n = std::sync::atomic::AtomicUsize::new(0);
-        let _ = sweep_with_progress(&cfgs(), 2, &cache, |_, total| {
+        let _ = try_sweep_reporting(&cfgs(), 2, &cache, |_, total| {
             assert_eq!(total, 4);
             n.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(n.load(std::sync::atomic::Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn audit_sweep_reports_what_it_checked_and_a_warm_pass_checks_nothing() {
+        use elephants_netsim::CheckMode;
+        let tmp = std::env::temp_dir().join(format!("elephants-sweep-audit-{}", std::process::id()));
+        let cold = try_sweep_with_workers(&cfgs(), 2, &RunCache::new(&tmp).check(CheckMode::Audit), 0);
+        assert!(cold.failed.is_empty(), "{:?}", cold.failed);
+        assert_eq!((cold.checked_runs, cold.check_violations), (4, 0), "2 configs x 2 seeds, clean");
+        assert!(
+            cold.summary_line().ends_with("checked_runs: 4  check_violations: 0"),
+            "{}",
+            cold.summary_line()
+        );
+        // Same directory, fresh counters: every cell is a hit, none is re-run.
+        let warm = try_sweep_with_workers(&cfgs(), 2, &RunCache::new(&tmp).check(CheckMode::Audit), 0);
+        assert_eq!(warm.checked_runs, 0, "a cached cell must not pay the checker");
+        assert_eq!(warm.results[1].runs[1].events, cold.results[1].runs[1].events);
+        std::fs::remove_dir_all(&tmp).ok();
     }
 
     /// The acceptance scenario: one panicking cell, one event-budget cell,

@@ -7,7 +7,7 @@
 
 pub mod stats;
 
-pub use stats::{mean, mean_std, summarize_surviving, FailureCounts, Summary};
+pub use stats::{mean, mean_std, Summary};
 
 use elephants_json::impl_json_struct;
 

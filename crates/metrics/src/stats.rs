@@ -55,49 +55,6 @@ impl Summary {
     }
 }
 
-/// Bookkeeping for failure-aware aggregation: how many cells were
-/// attempted versus lost to failures, carried alongside statistics computed
-/// over the survivors so a partially-failed grid cannot masquerade as a
-/// fully-measured one.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FailureCounts {
-    /// Cells attempted.
-    pub attempted: usize,
-    /// Cells that produced no sample.
-    pub failed: usize,
-}
-
-impl_json_struct!(FailureCounts { attempted, failed });
-
-impl FailureCounts {
-    /// Cells that produced a sample.
-    pub fn succeeded(&self) -> usize {
-        self.attempted - self.failed
-    }
-
-    /// Fraction of attempted cells that succeeded (1.0 for zero attempts:
-    /// an empty grid has nothing failing).
-    pub fn success_rate(&self) -> f64 {
-        if self.attempted == 0 {
-            1.0
-        } else {
-            self.succeeded() as f64 / self.attempted as f64
-        }
-    }
-}
-
-/// Summarize the surviving samples of a partially-failed grid.
-///
-/// `None` marks a failed cell. The statistics cover only the `Some`
-/// samples; the returned [`FailureCounts`] keeps the gaps visible so a
-/// mean over 3 of 5 seeds is never mistaken for a mean over all 5.
-pub fn summarize_surviving(samples: &[Option<f64>]) -> (Summary, FailureCounts) {
-    let survivors: Vec<f64> = samples.iter().filter_map(|s| *s).collect();
-    let counts =
-        FailureCounts { attempted: samples.len(), failed: samples.len() - survivors.len() };
-    (Summary::of(&survivors), counts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,25 +100,5 @@ mod tests {
     #[should_panic(expected = "NaN sample")]
     fn summary_rejects_nan() {
         Summary::of(&[1.0, f64::NAN, 3.0]);
-    }
-
-    #[test]
-    fn surviving_summary_skips_failed_cells_but_counts_them() {
-        let (s, c) = summarize_surviving(&[Some(1.0), None, Some(3.0), None, Some(2.0)]);
-        assert_eq!(s.n, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!((c.attempted, c.failed, c.succeeded()), (5, 2, 3));
-        assert!((c.success_rate() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn surviving_summary_edge_cases() {
-        let (s, c) = summarize_surviving(&[]);
-        assert_eq!((s.n, c.attempted), (0, 0));
-        assert_eq!(c.success_rate(), 1.0, "empty grid has nothing failing");
-        let (s, c) = summarize_surviving(&[None, None]);
-        assert_eq!(s.n, 0);
-        assert_eq!((c.failed, c.succeeded()), (2, 0));
-        assert_eq!(c.success_rate(), 0.0);
     }
 }

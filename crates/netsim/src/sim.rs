@@ -946,11 +946,6 @@ impl Simulator {
     }
 }
 
-/// Identify the bottleneck link id of a simulator (convenience).
-pub fn bottleneck_of(sim: &Simulator) -> Option<LinkId> {
-    sim.topology().bottleneck_link()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,7 +72,8 @@ impl Topology {
         self.kinds[node.0 as usize]
     }
 
-    /// Add a link and return its id. Routing entries are added separately.
+    /// Add a link and return its id. The builders fill the route tables
+    /// once every link is in (`auto_route`).
     pub fn add_link(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec, aqm: Box<dyn Aqm>) -> LinkId {
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link::new(id, src, dst, spec, aqm));
@@ -84,12 +85,6 @@ impl Topology {
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link::with_big_fifo(id, src, dst, spec));
         id
-    }
-
-    /// Install a route: packets at `node` destined to `dst` leave via `link`.
-    pub fn set_route(&mut self, node: NodeId, dst: NodeId, link: LinkId) {
-        debug_assert_eq!(self.links[link.0 as usize].src, node, "route link must originate at node");
-        self.routes[node.0 as usize][dst.0 as usize] = Some(link);
     }
 
     /// Next-hop link for a packet at `node` heading to `dst`.
@@ -183,9 +178,8 @@ impl Topology {
 
 /// Populate `topo`'s route tables towards every host by shortest hop
 /// count over the directed links, breaking ties by lowest link id (so
-/// routing is a deterministic function of the link list). The dumbbell
-/// builder keeps its hand-written routes; the parking-lot, multi-dumbbell
-/// and explicit builders all route through this.
+/// routing is a deterministic function of the link list). Every builder
+/// routes through this.
 fn auto_route(topo: &mut Topology) {
     let n = topo.n_nodes();
     let hosts: Vec<NodeId> = (0..n as u32)
@@ -321,49 +315,34 @@ impl DumbbellSpec {
         let r2 = self.router2();
 
         // Forward direction: senders -> r1 -> r2 -> receivers.
-        let mut fwd_access = Vec::new();
         for i in 0..n {
-            fwd_access.push(topo.add_link_big_fifo(self.sender(i), r1, self.access));
+            topo.add_link_big_fifo(self.sender(i), r1, self.access);
         }
         let bottleneck = topo.add_link_big_fifo(r1, r2, self.bottleneck);
         topo.bottlenecks.push(bottleneck);
-        let mut fwd_leaf = Vec::new();
         for i in 0..n {
-            fwd_leaf.push(topo.add_link_big_fifo(r2, self.receiver(i), self.leaf));
+            topo.add_link_big_fifo(r2, self.receiver(i), self.leaf);
         }
 
         // Reverse direction: receivers -> r2 -> r1 -> senders. The reverse
         // bottleneck segment runs at the raw 100 Gbps router interconnect
         // (the paper shapes only the forward direction with `tc`).
-        let mut rev_leaf = Vec::new();
         for i in 0..n {
-            rev_leaf.push(topo.add_link_big_fifo(self.receiver(i), r2, self.leaf));
+            topo.add_link_big_fifo(self.receiver(i), r2, self.leaf);
         }
         let rev_spec = LinkSpec::new(crate::units::Bandwidth::from_gbps(100), self.bottleneck.prop);
-        let rev_bottleneck = topo.add_link_big_fifo(r2, r1, rev_spec);
-        let mut rev_access = Vec::new();
+        topo.add_link_big_fifo(r2, r1, rev_spec);
         for i in 0..n {
-            rev_access.push(topo.add_link_big_fifo(r1, self.sender(i), self.access));
+            topo.add_link_big_fifo(r1, self.sender(i), self.access);
         }
 
-        // Routes: everything from sender i to any receiver goes via its
-        // access link, r1 routes all receivers over the bottleneck, etc.
         for i in 0..n {
-            let s = self.sender(i);
-            let r = self.receiver(i);
-            topo.sender_hosts.push(s);
-            topo.receiver_hosts.push(r);
-            for j in 0..n {
-                let rj = self.receiver(j);
-                topo.set_route(s, rj, fwd_access[i]);
-                topo.set_route(r1, rj, bottleneck);
-                topo.set_route(r2, rj, fwd_leaf[j]);
-                let sj = self.sender(j);
-                topo.set_route(r, sj, rev_leaf[i]);
-                topo.set_route(r2, sj, rev_bottleneck);
-                topo.set_route(r1, sj, rev_access[j]);
-            }
+            topo.sender_hosts.push(self.sender(i));
+            topo.receiver_hosts.push(self.receiver(i));
         }
+        // Every path on a dumbbell is unique, so shortest-hop routing is
+        // the only routing there is.
+        auto_route(&mut topo);
 
         topo.base_rtt = (self.access.prop + self.bottleneck.prop + self.leaf.prop) * 2;
         topo

@@ -15,7 +15,9 @@
 #                                through the probe binary with the full
 #                                flight recorder on; probe re-parses its own
 #                                record through FlightRecord::parse, so a
-#                                schema regression fails here
+#                                schema regression fails here; then the
+#                                quick 100 Mbps dataset slice, whose count
+#                                line only counts records that parsed back
 #   scripts/ci.sh --check-smoke  also run one short scenario per CCA x AQM
 #                                pair (5 x 5) through the probe binary with
 #                                `--check strict`, built in the `checked`
@@ -145,6 +147,14 @@ if [[ "$record_smoke" -eq 1 ]]; then
     --record flows,queue,events --out "$rec_dir" 2>&1 | tee /dev/stderr)"
   if ! grep -q 'record       :' <<<"$out"; then
     echo "record smoke: probe did not verify a flight record" >&2
+    exit 1
+  fi
+  # The dataset is the same recorder over a grid slice: 9 pairs x 3 AQMs,
+  # each record read back through the parser before it is counted.
+  out="$(cargo run --release --offline -p elephants-experiments --bin dataset -- \
+    --quick --bw 100M --out "$rec_dir" 2>&1 | tee /dev/stderr)"
+  if ! grep -q '^dataset: 27 ' <<<"$out"; then
+    echo "record smoke: dataset did not write and re-read 27 flight records" >&2
     exit 1
   fi
 fi

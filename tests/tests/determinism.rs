@@ -10,8 +10,8 @@
 
 use elephants::cca::CcaKind;
 use elephants::experiments::{
-    par_map_with_workers, run_scenario_traced, try_sweep_with_workers, RunCache, RunOptions,
-    Runner, ScenarioConfig,
+    par_map_with_workers, try_sweep_with_workers, Recording, RunCache, RunOptions, Runner,
+    ScenarioConfig,
 };
 use elephants::json::ToJson;
 use elephants::netsim::{FaultPlan, LossModel};
@@ -23,23 +23,34 @@ fn dumbbell_cfg(seed: u64) -> ScenarioConfig {
     ScenarioConfig::new(CcaKind::Reno, CcaKind::Cubic, AqmKind::FqCodel, 2.0, 100_000_000, &opts)
 }
 
-fn trace_json(seed: u64) -> String {
-    let cfg = dumbbell_cfg(seed);
-    run_scenario_traced(&cfg, seed, SimDuration::from_millis(500)).expect("valid config").to_json()
+/// The bytes of the flight record a 500 ms-sampled run writes (`tag`
+/// keeps concurrently running tests in directories of their own).
+fn record_bytes(tag: &str, seed: u64) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("elephants-determinism-{}-{tag}", std::process::id()));
+    let recording = Recording::parse("flows,queue")
+        .unwrap()
+        .interval(SimDuration::from_millis(500))
+        .out_dir(&dir)
+        .svg(false);
+    let outcome =
+        Runner::new(&dumbbell_cfg(seed)).seed(seed).recorder(recording).run().expect("valid config");
+    let bytes = std::fs::read(outcome.record_path().expect("the run recorded")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    bytes
 }
 
 #[test]
 fn same_seed_produces_byte_identical_json() {
-    let a = trace_json(42);
-    let b = trace_json(42);
+    let a = record_bytes("same-a", 42);
+    let b = record_bytes("same-b", 42);
     assert!(!a.is_empty());
     assert_eq!(a, b, "same (config, seed) must serialize to identical bytes");
 }
 
 #[test]
 fn different_seeds_produce_different_json() {
-    let a = trace_json(42);
-    let b = trace_json(43);
+    let a = record_bytes("diff-a", 42);
+    let b = record_bytes("diff-b", 43);
     assert_ne!(a, b, "different seeds must produce observably different runs");
 }
 

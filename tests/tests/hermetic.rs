@@ -8,12 +8,20 @@
 //! "1.0"` or `foo = { version = "..." }`) fails this test with the
 //! offending manifest and line, before it gets a chance to break the
 //! offline build.
+//!
+//! The same walk guards a second property of the sources: no crate keeps
+//! process-wide mutable state. A `static` holding an `Atomic*`, `Mutex`,
+//! `OnceLock` or `RefCell` outside `#[cfg(test)]` is shared by every
+//! `Runner`, sweep and test in the process (the `--check` default used to
+//! be one, and a test that set it put every concurrently running test into
+//! audit mode); state belongs on the instance that owns it, as the cache
+//! counters are.
 
 use std::path::{Path, PathBuf};
 
-/// Collect every Cargo.toml under the workspace root, skipping build
-/// output and VCS metadata.
-fn find_manifests(root: &Path) -> Vec<PathBuf> {
+/// Collect every file whose name ends in `suffix` under `root`, skipping
+/// build output and VCS metadata.
+fn find_files(root: &Path, suffix: &str) -> Vec<PathBuf> {
     let mut found = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -30,7 +38,7 @@ fn find_manifests(root: &Path) -> Vec<PathBuf> {
                     continue;
                 }
                 stack.push(path);
-            } else if name == "Cargo.toml" {
+            } else if name.ends_with(suffix) {
                 found.push(path);
             }
         }
@@ -87,10 +95,106 @@ fn scan_manifest(text: &str) -> Vec<(usize, String)> {
     offending
 }
 
+/// Scan one source file; returns `(line_number, declaration)` for every
+/// `static` outside a `#[cfg(test)]` item whose type allows mutation
+/// through a shared reference.
+fn scan_statics(text: &str) -> Vec<(usize, String)> {
+    const SHARED_MUT: [&str; 4] = ["Atomic", "Mutex", "OnceLock", "RefCell"];
+    let depth_change = |line: &str| {
+        line.matches('{').count() as i64 - line.matches('}').count() as i64
+    };
+    let mut hits = Vec::new();
+    let mut after_cfg_test = false;
+    let mut test_item_depth = 0i64;
+    let mut lines = text.lines().enumerate();
+    while let Some((idx, raw)) = lines.next() {
+        let line = raw.trim();
+        if test_item_depth > 0 {
+            test_item_depth += depth_change(line);
+            continue;
+        }
+        if line == "#[cfg(test)]" {
+            after_cfg_test = true;
+            continue;
+        }
+        if after_cfg_test {
+            // Further attributes and doc comments belong to the same item;
+            // the item itself is skipped whole, block or one-liner.
+            if !(line.starts_with("#[") || line.starts_with("//")) {
+                after_cfg_test = false;
+                test_item_depth = depth_change(line).max(0);
+            }
+            continue;
+        }
+        // `'static` lifetimes have no space in front of the keyword.
+        if !(line.starts_with("static ") || (line.starts_with("pub") && line.contains(" static "))) {
+            continue;
+        }
+        let mut decl = line.to_string();
+        while !decl.contains(';') {
+            let Some((_, more)) = lines.next() else { break };
+            decl.push(' ');
+            decl.push_str(more.trim());
+        }
+        if SHARED_MUT.iter().any(|marker| decl.contains(marker)) {
+            hits.push((idx + 1, decl));
+        }
+    }
+    hits
+}
+
+#[test]
+fn no_crate_keeps_process_wide_mutable_state() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("workspace root").to_path_buf();
+    let sources: Vec<PathBuf> = find_files(&root.join("crates"), ".rs")
+        .into_iter()
+        .filter(|path| path.components().any(|c| c.as_os_str() == "src"))
+        .collect();
+    assert!(sources.len() >= 50, "expected every crate's sources, found {} files", sources.len());
+    let mut violations = Vec::new();
+    for source in &sources {
+        let text = std::fs::read_to_string(source).expect("source readable");
+        for (line_no, decl) in scan_statics(&text) {
+            violations.push(format!("{}:{line_no}: {decl}", source.display()));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "process-wide mutable state found (keep it on the instance that owns it):\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn static_scanner_flags_shared_mutable_state_outside_tests() {
+    // The four statics `elephants-experiments` used to keep.
+    let bad = "use std::sync::atomic::{AtomicU64, AtomicU8};\n\
+        static DEGENERATE_WINDOW_RUNS: AtomicU64 = AtomicU64::new(0);\n\
+        static CHECK_MODE: AtomicU8 = AtomicU8::new(CheckMode::Off as u8);\n\
+        /// Cache writes that failed.\n\
+        pub(crate) static CACHE_PUT_ERRORS: AtomicU64 = AtomicU64::new(0);\n\
+        pub static CACHE_QUARANTINED:\n    AtomicU64 = AtomicU64::new(0);\n\
+        thread_local! {\n    static SCRATCH: RefCell<Vec<u8>> = RefCell::new(Vec::new());\n}\n";
+    let hits = scan_statics(bad);
+    assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), [2, 3, 5, 6, 9], "{hits:?}");
+
+    let good = "static NAMES: [&str; 2] = [\"a\", \"b\"];\n\
+        pub fn name() -> &'static str { NAMES[0] }\n\
+        #[cfg(test)]\nstatic CALLS: AtomicU64 = AtomicU64::new(0);\n\
+        #[cfg(test)]\n#[allow(dead_code)]\nmod tests {\n    use super::*;\n\
+        \x20   static SEEN: Mutex<Vec<u32>> = Mutex::new(Vec::new());\n\
+        \x20   fn f() { if true { } }\n}\n\
+        pub const AFTER: u32 = 1;\n";
+    assert!(scan_statics(good).is_empty(), "{:?}", scan_statics(good));
+    // Code after a test module is scanned again.
+    let tail = format!("{good}static LATE: OnceLock<u32> = OnceLock::new();\n");
+    assert_eq!(scan_statics(&tail).len(), 1);
+}
+
 #[test]
 fn every_workspace_dependency_is_a_path_dependency() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("workspace root").to_path_buf();
-    let manifests = find_manifests(&root);
+    let manifests = find_files(&root, "Cargo.toml");
     assert!(
         manifests.len() >= 16,
         "expected the full workspace (root + members incl. crates/analysis), found {} manifests",
