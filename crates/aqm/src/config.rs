@@ -1,63 +1,48 @@
-//! Uniform construction of the paper's three AQMs from scenario parameters.
+//! Uniform construction of every queue discipline from scenario parameters:
+//! one table row per [`AqmKind`], read by everything that names, parses,
+//! lists or builds one.
 
 use crate::codel::{Codel, CodelConfig};
 use crate::fq_codel::{FqCodel, FqCodelConfig};
 use crate::pie::{Pie, PieConfig};
 use crate::red::{Red, RedConfig};
 use elephants_netsim::{Aqm, DropTail};
-use elephants_json::impl_json_unit_enum;
 
-/// The queue disciplines evaluated by the paper (plus plain CoDel for
-/// completeness).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AqmKind {
-    /// Droptail FIFO.
-    Fifo,
-    /// Random Early Detection.
-    Red,
-    /// Flow-queuing CoDel (`tc fq_codel`).
-    FqCodel,
-    /// Plain single-queue CoDel (not in the paper's grid; kept for ablations).
-    Codel,
-    /// PIE, RFC 8033 (extension: the paper's "future AQM" direction).
-    Pie,
-}
+/// A row's constructor: [`build_aqm`]'s arguments after the kind, in order
+/// (`buffer_bytes`, `bandwidth_bps`, `mtu`, `ecn`, `hash_salt`).
+type BuildAqm = fn(u64, u64, u32, bool, u64) -> Box<dyn Aqm>;
 
-impl_json_unit_enum!(AqmKind { Fifo, Red, FqCodel, Codel, Pie });
-
-impl AqmKind {
-    /// The grid the paper sweeps (Table 1).
-    pub const PAPER_SET: [AqmKind; 3] = [AqmKind::Fifo, AqmKind::FqCodel, AqmKind::Red];
-
-    /// Lower-case name used in reports and file names.
-    pub fn name(self) -> &'static str {
-        match self {
-            AqmKind::Fifo => "fifo",
-            AqmKind::Red => "red",
-            AqmKind::FqCodel => "fq_codel",
-            AqmKind::Codel => "codel",
-            AqmKind::Pie => "pie",
-        }
-    }
-}
-
-impl std::fmt::Display for AqmKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for AqmKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "fifo" | "pfifo" | "droptail" => Ok(AqmKind::Fifo),
-            "red" => Ok(AqmKind::Red),
-            "fq_codel" | "fqcodel" | "fq-codel" => Ok(AqmKind::FqCodel),
-            "codel" => Ok(AqmKind::Codel),
-            "pie" => Ok(AqmKind::Pie),
-            other => Err(format!("unknown AQM '{other}'")),
-        }
+elephants_json::kind_table! {
+    /// The queue disciplines: one row per kind, the only list of them in
+    /// the workspace (DESIGN.md §3h). Adding one is its module plus its
+    /// row here.
+    pub enum AqmKind("AQM") -> BuildAqm {
+        /// Droptail FIFO.
+        Fifo: "fifo", ["pfifo", "droptail"], paper: true,
+            |buffer, _, mtu, _, _| Box::new(DropTail::new(buffer.max(mtu as u64)));
+        /// Flow-queuing CoDel (`tc fq_codel`).
+        FqCodel: "fq_codel", ["fqcodel", "fq-codel"], paper: true, |buffer, _, mtu, ecn, hash_salt| {
+            let mut cfg = FqCodelConfig::tc_defaults(buffer, mtu);
+            cfg.codel.ecn = ecn;
+            cfg.hash_salt = hash_salt;
+            Box::new(FqCodel::new(cfg))
+        };
+        /// Random Early Detection.
+        Red: "red", [], paper: true, |buffer, bandwidth_bps, mtu, ecn, _| {
+            let mut cfg = RedConfig::tc_defaults(buffer.max(4 * mtu as u64), bandwidth_bps, mtu);
+            cfg.ecn = ecn;
+            Box::new(Red::new(cfg))
+        };
+        /// Plain single-queue CoDel (not in the paper's grid; kept for ablations).
+        Codel: "codel", [], paper: false, |buffer, _, mtu, ecn, _| {
+            let limit_bytes = buffer.max(4 * mtu as u64);
+            Box::new(Codel::new(CodelConfig { limit_bytes, mtu, ecn, ..Default::default() }))
+        };
+        /// PIE, RFC 8033 (extension: the paper's "future AQM" direction).
+        Pie: "pie", [], paper: false, |buffer, _, mtu, ecn, _| {
+            let limit_bytes = buffer.max(4 * mtu as u64);
+            Box::new(Pie::new(PieConfig { limit_bytes, ecn, ..Default::default() }))
+        };
     }
 }
 
@@ -76,30 +61,7 @@ pub fn build_aqm(
     ecn: bool,
     hash_salt: u64,
 ) -> Box<dyn Aqm> {
-    match kind {
-        AqmKind::Fifo => Box::new(DropTail::new(buffer_bytes.max(mtu as u64))),
-        AqmKind::Red => {
-            let mut cfg = RedConfig::tc_defaults(buffer_bytes.max(4 * mtu as u64), bandwidth_bps, mtu);
-            cfg.ecn = ecn;
-            Box::new(Red::new(cfg))
-        }
-        AqmKind::FqCodel => {
-            let mut cfg = FqCodelConfig::tc_defaults(buffer_bytes, mtu);
-            cfg.codel.ecn = ecn;
-            cfg.hash_salt = hash_salt;
-            Box::new(FqCodel::new(cfg))
-        }
-        AqmKind::Codel => {
-            let mut cfg = CodelConfig { limit_bytes: buffer_bytes.max(4 * mtu as u64), mtu, ..CodelConfig::default() };
-            cfg.ecn = ecn;
-            Box::new(Codel::new(cfg))
-        }
-        AqmKind::Pie => {
-            let mut cfg = PieConfig { limit_bytes: buffer_bytes.max(4 * mtu as u64), ..PieConfig::default() };
-            cfg.ecn = ecn;
-            Box::new(Pie::new(cfg))
-        }
-    }
+    kind.row()(buffer_bytes, bandwidth_bps, mtu, ecn, hash_salt)
 }
 
 #[cfg(test)]
@@ -108,16 +70,37 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for kind in [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie] {
-            let parsed: AqmKind = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind);
+        let mut spellings = std::collections::HashSet::new();
+        for kind in AqmKind::ALL {
+            for s in kind.spellings() {
+                assert_eq!(s.parse::<AqmKind>().unwrap(), kind, "{s}");
+                assert_eq!(s.to_ascii_uppercase().parse::<AqmKind>().unwrap(), kind, "{s}");
+                assert!(spellings.insert(*s), "'{s}' is claimed by two rows");
+            }
+            assert_eq!(kind.to_string(), kind.name());
         }
-        assert!("bogus".parse::<AqmKind>().is_err());
+        let err = "bogus".parse::<AqmKind>().unwrap_err();
+        for kind in AqmKind::ALL {
+            assert!(err.contains(kind.name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn json_spelling_is_the_variant_name_and_round_trips() {
+        use elephants_json::{FromJson, ToJson};
+        for kind in AqmKind::ALL {
+            let text = kind.to_json_string();
+            assert_eq!(text, format!("\"{kind:?}\""));
+            assert_eq!(text, kind.to_json().to_string_compact());
+            assert_eq!(AqmKind::from_json_str(&text).unwrap(), kind);
+        }
+        assert!(AqmKind::from_json_str("\"fq_codel\"").is_err(), "JSON takes the variant name only");
+        assert!(AqmKind::from_json_str("1").is_err());
     }
 
     #[test]
     fn builds_every_kind() {
-        for kind in [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie] {
+        for kind in AqmKind::ALL {
             let aqm = build_aqm(kind, 1_000_000, 100_000_000, 8900, false, 1);
             assert_eq!(aqm.name(), kind.name());
             assert_eq!(aqm.backlog_pkts(), 0);
@@ -127,7 +110,7 @@ mod tests {
     #[test]
     fn every_discipline_holds_its_invariants_under_drop_heavy_traffic() {
         use elephants_netsim::{FlowId, NodeId, Packet, SeedableRng, SimDuration, SimTime, SmallRng};
-        for kind in [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie] {
+        for kind in AqmKind::ALL {
             // A buffer small enough that the workload overflows it, forcing
             // every drop path (tail, probabilistic, eviction) to fire.
             let mut aqm = build_aqm(kind, 40_000, 100_000_000, 1000, false, 7);

@@ -1,14 +1,9 @@
 //! # elephants-aqm
 //!
-//! The queue disciplines the paper evaluates on the bottleneck router:
-//!
-//! * **FIFO** — plain droptail ([`elephants_netsim::DropTail`], re-exported
-//!   here for convenience);
-//! * **RED** — Random Early Detection (Floyd & Jacobson 1993) with
-//!   `tc red`-style parameters, including the "gentle" extension;
-//! * **CoDel** — Controlled Delay (Nichols & Jacobson, RFC 8289);
-//! * **FQ-CoDel** — flow-queuing CoDel (RFC 8290): 1024 DRR queues, each
-//!   governed by CoDel, as in `tc fq_codel`.
+//! The queue disciplines the bottleneck router can run: one module each
+//! (droptail FIFO is [`elephants_netsim::DropTail`], re-exported here) and
+//! one table row each in [`config`], where `AqmKind::ALL` lists them and
+//! `AqmKind::PAPER_SET` is the grid the paper sweeps.
 //!
 //! All disciplines implement [`elephants_netsim::Aqm`] and are deterministic
 //! given the run RNG.

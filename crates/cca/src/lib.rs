@@ -32,7 +32,6 @@ pub use htcp::{Htcp, HtcpConfig};
 pub use reno::Reno;
 
 use elephants_netsim::{CheckFailure, SimDuration, SimTime};
-use elephants_json::impl_json_unit_enum;
 
 /// Everything a congestion controller learns from one incoming ACK.
 #[derive(Debug, Clone, Copy)]
@@ -199,68 +198,51 @@ pub struct CcaState {
     pub pacing_gain: Option<f64>,
 }
 
-/// Which congestion controller to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CcaKind {
-    /// TCP Reno.
-    Reno,
-    /// TCP CUBIC (Linux default).
-    Cubic,
-    /// Hamilton TCP.
-    Htcp,
-    /// BBR version 1.
-    BbrV1,
-    /// BBR version 2 (v2alpha).
-    BbrV2,
+/// The columns of [`CcaKind`]'s table that are this crate's own.
+struct CcaRow {
+    /// Paper-style display name.
+    pretty: &'static str,
+    /// Constructor from `(mss, per-flow seed)`.
+    build: fn(u32, u64) -> Box<dyn CongestionControl>,
 }
 
-impl_json_unit_enum!(CcaKind { Reno, Cubic, Htcp, BbrV1, BbrV2 });
+elephants_json::kind_table! {
+    /// Which congestion controller to instantiate: one row per kind, the
+    /// only list of CCAs in the workspace (DESIGN.md §3h). Adding one is
+    /// its module plus its row here.
+    pub enum CcaKind("CCA") -> CcaRow {
+        /// BBR version 1.
+        BbrV1: "bbr1", ["bbrv1", "bbr"], paper: true, CcaRow {
+            pretty: "BBRv1",
+            build: |mss, seed| Box::new(BbrV1::new(BbrV1Config { seed, ..Default::default() }, mss)),
+        };
+        /// BBR version 2 (v2alpha).
+        BbrV2: "bbr2", ["bbrv2"], paper: true, CcaRow {
+            pretty: "BBRv2",
+            build: |mss, seed| Box::new(BbrV2::new(BbrV2Config { seed, ..Default::default() }, mss)),
+        };
+        /// Hamilton TCP.
+        Htcp: "htcp", ["h-tcp"], paper: true, CcaRow {
+            pretty: "HTCP",
+            build: |mss, _| Box::new(Htcp::new(HtcpConfig::default(), mss)),
+        };
+        /// TCP Reno.
+        Reno: "reno", [], paper: true, CcaRow {
+            pretty: "Reno",
+            build: |mss, _| Box::new(Reno::new(mss)),
+        };
+        /// TCP CUBIC (Linux default).
+        Cubic: "cubic", [], paper: true, CcaRow {
+            pretty: "CUBIC",
+            build: |mss, _| Box::new(Cubic::new(CubicConfig::default(), mss)),
+        };
+    }
+}
 
 impl CcaKind {
-    /// The five CCAs in the paper's grid.
-    pub const ALL: [CcaKind; 5] =
-        [CcaKind::BbrV1, CcaKind::BbrV2, CcaKind::Htcp, CcaKind::Reno, CcaKind::Cubic];
-
-    /// Lower-case name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CcaKind::Reno => "reno",
-            CcaKind::Cubic => "cubic",
-            CcaKind::Htcp => "htcp",
-            CcaKind::BbrV1 => "bbr1",
-            CcaKind::BbrV2 => "bbr2",
-        }
-    }
-
     /// Paper-style display name.
     pub fn pretty(self) -> &'static str {
-        match self {
-            CcaKind::Reno => "Reno",
-            CcaKind::Cubic => "CUBIC",
-            CcaKind::Htcp => "HTCP",
-            CcaKind::BbrV1 => "BBRv1",
-            CcaKind::BbrV2 => "BBRv2",
-        }
-    }
-}
-
-impl std::fmt::Display for CcaKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for CcaKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reno" => Ok(CcaKind::Reno),
-            "cubic" => Ok(CcaKind::Cubic),
-            "htcp" | "h-tcp" => Ok(CcaKind::Htcp),
-            "bbr1" | "bbrv1" | "bbr" => Ok(CcaKind::BbrV1),
-            "bbr2" | "bbrv2" => Ok(CcaKind::BbrV2),
-            other => Err(format!("unknown CCA '{other}'")),
-        }
+        self.row().pretty
     }
 }
 
@@ -275,13 +257,7 @@ pub fn build_cca(kind: CcaKind, mss: u32) -> Box<dyn CongestionControl> {
 /// in v1, cruise-wait jitter in v2); giving each flow a distinct seed avoids
 /// the artificial probe synchronization a shared default would create.
 pub fn build_cca_seeded(kind: CcaKind, mss: u32, seed: u64) -> Box<dyn CongestionControl> {
-    match kind {
-        CcaKind::Reno => Box::new(Reno::new(mss)),
-        CcaKind::Cubic => Box::new(Cubic::new(CubicConfig::default(), mss)),
-        CcaKind::Htcp => Box::new(Htcp::new(HtcpConfig::default(), mss)),
-        CcaKind::BbrV1 => Box::new(BbrV1::new(BbrV1Config { seed, ..Default::default() }, mss)),
-        CcaKind::BbrV2 => Box::new(BbrV2::new(BbrV2Config { seed, ..Default::default() }, mss)),
-    }
+    (kind.row().build)(mss, seed)
 }
 
 /// Initial congestion window: 10 segments (Linux IW10, RFC 6928).
@@ -296,11 +272,33 @@ mod tests {
 
     #[test]
     fn kind_parsing_round_trips() {
+        let mut spellings = std::collections::HashSet::new();
         for k in CcaKind::ALL {
-            assert_eq!(k.name().parse::<CcaKind>().unwrap(), k);
+            for s in k.spellings() {
+                assert_eq!(s.parse::<CcaKind>().unwrap(), k, "{s}");
+                assert_eq!(s.to_ascii_uppercase().parse::<CcaKind>().unwrap(), k, "{s}");
+                assert!(spellings.insert(*s), "'{s}' is claimed by two rows");
+            }
+            assert_eq!(k.to_string(), k.name());
         }
         assert_eq!("bbr".parse::<CcaKind>().unwrap(), CcaKind::BbrV1);
-        assert!("quic".parse::<CcaKind>().is_err());
+        let err = "quic".parse::<CcaKind>().unwrap_err();
+        for k in CcaKind::ALL {
+            assert!(err.contains(k.name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn json_spelling_is_the_variant_name_and_round_trips() {
+        use elephants_json::{FromJson, ToJson};
+        for k in CcaKind::ALL {
+            let text = k.to_json_string();
+            assert_eq!(text, format!("\"{k:?}\""));
+            assert_eq!(text, k.to_json().to_string_compact());
+            assert_eq!(CcaKind::from_json_str(&text).unwrap(), k);
+        }
+        assert!(CcaKind::from_json_str("\"bbr1\"").is_err(), "JSON takes the variant name only");
+        assert!(CcaKind::from_json_str("1").is_err());
     }
 
     #[test]

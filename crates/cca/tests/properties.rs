@@ -105,7 +105,7 @@ fn drive(cca: &mut dyn CongestionControl, script: &[Step]) -> Result<(), String>
 fn all_ccas_survive_arbitrary_scripts() {
     run_cases("all_ccas_survive_arbitrary_scripts", 48, |rng| {
         let script = gen_script(rng);
-        let kind = CcaKind::ALL[rng.random_range(0usize..5)];
+        let kind = CcaKind::ALL[rng.random_range(0..CcaKind::ALL.len())];
         let mut cca = build_cca_seeded(kind, MSS, 7);
         drive(cca.as_mut(), &script)
     });

@@ -133,14 +133,10 @@ fn fault_plan(rng: &mut SmallRng, duration: SimDuration, bw_bps: u64) -> FaultPl
 /// repro fixture carries its provenance.
 pub fn generate_case(case_seed: u64) -> ScenarioConfig {
     let mut rng = SmallRng::seed_from_u64(case_seed ^ STREAM_SALT);
-    const CCAS: [CcaKind; 5] =
-        [CcaKind::Reno, CcaKind::Cubic, CcaKind::Htcp, CcaKind::BbrV1, CcaKind::BbrV2];
-    const AQMS: [AqmKind; 5] =
-        [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie];
-
-    let cca1 = choose(&mut rng, &CCAS);
-    let cca2 = choose(&mut rng, &CCAS);
-    let aqm = choose(&mut rng, &AQMS);
+    // The kind tables are the menus: a new row is fuzzed from its first commit.
+    let cca1 = choose(&mut rng, &CcaKind::ALL);
+    let cca2 = choose(&mut rng, &CcaKind::ALL);
+    let aqm = choose(&mut rng, &AqmKind::ALL);
     let queue_bdp = choose(&mut rng, &QUEUE_MENU);
     let bw_bps = choose(&mut rng, &BW_MENU);
 
@@ -284,8 +280,8 @@ mod tests {
             assert!((cfg.fault_link as usize) < cfg.topology.n_bottlenecks());
             off_hop += (cfg.fault_link != 0) as u32;
         }
-        assert_eq!(ccas.len(), 5, "all CCAs explored: {ccas:?}");
-        assert_eq!(aqms.len(), 5, "all AQMs explored: {aqms:?}");
+        assert_eq!(ccas.len(), CcaKind::ALL.len(), "all CCAs explored: {ccas:?}");
+        assert_eq!(aqms.len(), AqmKind::ALL.len(), "all AQMs explored: {aqms:?}");
         assert!(coalesced > 50 && coalesced < 450, "coalesce on in {coalesced}/500");
         assert!(faulted > 100, "faulted in only {faulted}/500");
         assert!(lossy > 50, "lossy in only {lossy}/500");

@@ -13,8 +13,8 @@
 //!
 //! * [`netsim`] — the simulator (time, events, links, routing, dumbbell);
 //! * [`tcp`] — SACK scoreboard, RTO, pacing, delivery-rate sampling;
-//! * [`cca`] — the five congestion controllers;
-//! * [`aqm`] — droptail FIFO, RED, CoDel and FQ-CoDel;
+//! * [`cca`] — the congestion controllers ([`CcaKind::ALL`]);
+//! * [`aqm`] — the queue disciplines ([`AqmKind::ALL`]);
 //! * [`workload`] — iperf3-style flow scaling (paper Table 2);
 //! * [`metrics`] — Jain index, utilization φ, relative retransmissions;
 //! * [`experiments`] — the Table 1 grid, parallel sweeps, and one
@@ -116,8 +116,8 @@ impl Default for FairnessStudyBuilder {
 }
 
 impl FairnessStudyBuilder {
-    /// Set both senders' congestion controllers by name
-    /// (`"bbr1" | "bbr2" | "cubic" | "reno" | "htcp"`).
+    /// Set both senders' congestion controllers by name: the
+    /// [`CcaKind::name`] of any of [`CcaKind::ALL`].
     pub fn cca_pair(mut self, cca1: &str, cca2: &str) -> Self {
         match (cca1.parse(), cca2.parse()) {
             (Ok(a), Ok(b)) => {
@@ -129,8 +129,8 @@ impl FairnessStudyBuilder {
         self
     }
 
-    /// Set the bottleneck queue discipline by name
-    /// (`"fifo" | "red" | "fq_codel" | "codel"`).
+    /// Set the bottleneck queue discipline by name: the
+    /// [`AqmKind::name`] of any of [`AqmKind::ALL`].
     pub fn aqm(mut self, aqm: &str) -> Self {
         match aqm.parse() {
             Ok(a) => self.aqm = a,

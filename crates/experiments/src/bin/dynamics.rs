@@ -84,8 +84,8 @@ fn main() {
     let late_from = secs as f64 * 0.6;
 
     // --- The pair matrix: the four inter pairs plus the CUBIC baseline.
-    let pairs: Vec<(CcaKind, CcaKind)> =
-        INTER_PAIRS.iter().copied().chain([(CcaKind::Cubic, CcaKind::Cubic)]).collect();
+    let mut pairs = inter_pairs();
+    pairs.push((PAPER_BASELINE, PAPER_BASELINE));
     let mut rows: Vec<PairRow> = Vec::new();
     let mut bbr1_shape = None;
     for (cca1, cca2) in pairs {

@@ -25,7 +25,7 @@
 //! with [`RunCache::check`] reaches each cell without process-wide state,
 //! and what the checker found is counted next to the other incidents.
 
-use crate::runner::{RunError, RunResult, Runner};
+use crate::runner::{RunError, RunOutcome, RunResult, Runner};
 use crate::scenario::ScenarioConfig;
 use elephants_json::{FromJson, ToJson};
 use elephants_netsim::CheckMode;
@@ -105,6 +105,14 @@ impl RunCache {
         self.stats.check_violations.load(Ordering::Relaxed)
     }
 
+    /// Add what the checker found over `outcome`'s runs to the counters:
+    /// for a run made under this cache's `--check` mode but not through
+    /// [`RunCache::run_checked`] (a recorded run has no cache entry).
+    pub fn count_checks(&self, outcome: &RunOutcome) {
+        self.stats.checked_runs.fetch_add(outcome.check_reports.len() as u64, Ordering::Relaxed);
+        self.stats.check_violations.fetch_add(outcome.check_violations(), Ordering::Relaxed);
+    }
+
     fn path_for(&self, cfg: &ScenarioConfig, seed: u64) -> PathBuf {
         self.dir.join(format!("{}-v{}.json", cfg.cache_key(seed), CACHE_SCHEMA_VERSION))
     }
@@ -170,8 +178,7 @@ impl RunCache {
         }
         let outcome =
             Runner::new(cfg).seed(seed).wall_limit(wall_limit).check(self.check).run()?;
-        self.stats.checked_runs.fetch_add(outcome.check_reports.len() as u64, Ordering::Relaxed);
-        self.stats.check_violations.fetch_add(outcome.check_violations(), Ordering::Relaxed);
+        self.count_checks(&outcome);
         let result = outcome.into_first();
         self.put(cfg, seed, &result);
         Ok(result)

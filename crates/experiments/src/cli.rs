@@ -35,9 +35,9 @@
 //! [`Cli`] holds the parsed set as [`Cli::shared`]. Every binary parses all
 //! of them, and one that cannot honour a flag refuses it with exit 2
 //! ([`Cli::refuse_scenario_flags`], [`Cli::refuse_record`]) instead of
-//! running as if it had not been given: `repro` and `aqm_frontier` take
-//! neither scenario-shaping flags nor `--record`, `rttsweep` no
-//! scenario-shaping flags, `sweep` no `--record`; `dataset` takes all.
+//! running as if it had not been given: `repro` takes no scenario-shaping
+//! flags and (`repro rttsweep` apart) no `--record`, `sweep` no `--record`;
+//! `dataset` takes all.
 
 use crate::cache::RunCache;
 use crate::runner::Recording;
@@ -242,7 +242,8 @@ pub fn parse_bw(s: &str) -> Result<u64, String> {
     } else {
         (s.as_str(), 1u64)
     };
-    num.parse::<u64>().map(|n| n * mult).map_err(|e| format!("bad bandwidth '{s}': {e}"))
+    let n = num.parse::<u64>().map_err(|e| format!("bad bandwidth '{s}': {e}"))?;
+    n.checked_mul(mult).ok_or_else(|| format!("bad bandwidth '{s}': more than u64 bit/s"))
 }
 
 impl Cli {
@@ -317,7 +318,7 @@ impl Cli {
     pub fn refuse_record(&self) -> Result<(), String> {
         match self.record {
             Some(_) => Err("--record is not supported here: this binary's runs go through \
-                            the result cache (dataset, rttsweep and probe take it)"
+                            the result cache (dataset, repro rttsweep and probe take it)"
                 .to_string()),
             None => Ok(()),
         }
@@ -344,9 +345,9 @@ usage: <figure-binary> [--quick|--full] [--repeats N] [--scale F] [--seed N]
                        [--coalesce]
                        [--topology dumbbell|parking-lot:K|multi-dumbbell:R1,R2[,..]]
                        [--fault-link N]
-a flag the binary cannot honour is refused (exit 2): repro and aqm_frontier
-take neither --loss/--flap/--coalesce/--topology/--fault-link nor --record,
-rttsweep none of the former, sweep no --record; dataset takes them all";
+a flag the binary cannot honour is refused (exit 2): repro takes neither
+--loss/--flap/--coalesce/--topology/--fault-link nor (repro rttsweep apart)
+--record, sweep no --record; dataset takes them all";
 
 #[cfg(test)]
 mod tests {
@@ -376,6 +377,10 @@ mod tests {
         let cli = parse(&["--bw", "100M,1G,100900K,25g,1234"]).unwrap();
         assert_eq!(cli.bws, vec![100_000_000, 1_000_000_000, 100_900_000, 25_000_000_000, 1234]);
         assert!(parse(&["--bw", "12X"]).is_err());
+        // 99999999999 x 1e9 does not fit a u64: an error, not a wrapped rate.
+        let err = parse(&["--bw", "99999999999G"]).unwrap_err();
+        assert!(err.starts_with("bad bandwidth"), "{err}");
+        assert_eq!(parse_bw("18446744073G"), Ok(18_446_744_073_000_000_000));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::report::{bw_label, TextTable};
 use crate::svg::{ChartSpec, Series};
 use crate::runner::AveragedResult;
 use crate::scenario::{
-    paper_pairs, RunOptions, ScenarioConfig, INTER_PAIRS, INTRA_PAIRS, PAPER_QUEUES_BDP,
+    inter_pairs, intra_pairs, paper_pairs, RunOptions, ScenarioConfig, PAPER_QUEUES_BDP,
 };
 use crate::sweep::sweep;
 use elephants_aqm::AqmKind;
@@ -71,7 +71,7 @@ fn throughput_figure(
     let mut text = String::new();
     let mut tables = Vec::new();
     let mut charts = Vec::new();
-    for &(cca1, cca2) in &INTER_PAIRS {
+    for (cca1, cca2) in inter_pairs() {
         for &bw in bws {
             let configs: Vec<ScenarioConfig> = PAPER_QUEUES_BDP
                 .iter()
@@ -159,9 +159,7 @@ fn jain_figure(
     let mut text = String::new();
     let mut tables = Vec::new();
     let mut charts = Vec::new();
-    for (mode, pairs) in
-        [("inter", &INTER_PAIRS[..]), ("intra", &INTRA_PAIRS[..])]
-    {
+    for (mode, pairs) in [("inter", inter_pairs()), ("intra", intra_pairs())] {
         for &buf in &FIGURE_BUFFERS_BDP {
             let mut t = TextTable::new(
                 std::iter::once("bw".to_string())
@@ -170,7 +168,7 @@ fn jain_figure(
             );
             // One row per bandwidth, one column per pair.
             let mut columns: Vec<Vec<f64>> = Vec::new();
-            for &(cca1, cca2) in pairs {
+            for &(cca1, cca2) in &pairs {
                 let configs: Vec<ScenarioConfig> = bws
                     .iter()
                     .map(|&bw| ScenarioConfig::new(cca1, cca2, aqm, buf, bw, opts))
@@ -247,11 +245,11 @@ fn intra_metric_figure(
         for &buf in &FIGURE_BUFFERS_BDP {
             let mut t = TextTable::new(
                 std::iter::once("bw".to_string())
-                    .chain(INTRA_PAIRS.iter().map(|&(a, _)| a.pretty().to_string()))
+                    .chain(CcaKind::PAPER_SET.iter().map(|cca| cca.pretty().to_string()))
                     .collect::<Vec<_>>(),
             );
             let mut columns: Vec<Vec<f64>> = Vec::new();
-            for &(cca, _) in &INTRA_PAIRS {
+            for cca in CcaKind::PAPER_SET {
                 let configs: Vec<ScenarioConfig> = bws
                     .iter()
                     .map(|&bw| ScenarioConfig::new(cca, cca, aqm, buf, bw, opts))
@@ -280,11 +278,11 @@ fn intra_metric_figure(
                     log_x: true,
                     ..Default::default()
                 },
-                INTRA_PAIRS
+                CcaKind::PAPER_SET
                     .iter()
                     .zip(&columns)
-                    .map(|(&(a, _), col)| Series {
-                        name: a.pretty().into(),
+                    .map(|(cca, col)| Series {
+                        name: cca.pretty().into(),
                         points: bws.iter().zip(col).map(|(&bw, &v)| (bw as f64, v)).collect(),
                     })
                     .collect(),
@@ -330,7 +328,10 @@ pub struct Table3Row {
 pub fn table3(opts: &RunOptions, cache: &RunCache, bws: &[u64], queues: &[f64]) -> Vec<Table3Row> {
     let pairs = paper_pairs();
     let mut rows = Vec::new();
-    for aqm in [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel] {
+    // The paper's Table 3 lists FQ_CODEL last.
+    let mut aqms = AqmKind::PAPER_SET;
+    aqms.sort_by_key(|&aqm| aqm == AqmKind::FqCodel);
+    for aqm in aqms {
         // CUBIC-CUBIC reference retransmissions per condition.
         let ref_configs: Vec<ScenarioConfig> = queues
             .iter()

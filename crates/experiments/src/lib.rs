@@ -37,8 +37,8 @@ pub use runner::{
     RunOutcome, RunResult, Runner, DEFAULT_SAMPLE_INTERVAL, DEFAULT_WALL_LIMIT,
 };
 pub use scenario::{
-    paper_grid, paper_pairs, DurationPreset, RunOptions, ScenarioBuilder, ScenarioConfig,
-    INTER_PAIRS, INTRA_PAIRS, PAPER_BWS, PAPER_MSS, PAPER_QUEUES_BDP,
+    inter_pairs, intra_pairs, paper_grid, paper_pairs, DurationPreset, RunOptions,
+    ScenarioBuilder, ScenarioConfig, PAPER_BASELINE, PAPER_BWS, PAPER_MSS, PAPER_QUEUES_BDP,
 };
 pub use svg::{line_chart, write_chart, ChartSpec, Series};
 pub use sweep::{

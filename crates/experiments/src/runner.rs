@@ -167,13 +167,6 @@ impl Recording {
         self
     }
 
-    /// Override the event-trace ring capacity.
-    pub fn event_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "trace capacity must be nonzero");
-        self.event_capacity = capacity;
-        self
-    }
-
     /// Override the output directory.
     pub fn out_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.out_dir = dir.into();
@@ -981,12 +974,43 @@ mod tests {
         assert!(report.events_checked > 0, "checker must have observed events");
     }
 
+    /// `scripts/ci.sh --check-smoke`: every CCA x AQM cell (what `probe
+    /// --cca1 K --cca2 cubic --aqm A --queue 2 --bw 100M --secs 5 --check
+    /// strict` runs) plus one coalescing cell, in the `checked` profile. A
+    /// violated invariant panics inside the run; `events_checked` shows
+    /// the checker observed the run rather than silently no-opping.
+    #[test]
+    #[ignore = "a 5 s run per CCA x AQM cell: scripts/ci.sh --check-smoke runs it in the checked profile"]
+    fn strict_checking_passes_every_cca_aqm_cell() {
+        use elephants_netsim::CheckMode;
+        let cell = |cca: CcaKind, aqm: AqmKind, coalesce: bool| {
+            let opts = RunOptions::standard();
+            let cfg = ScenarioConfig::builder(cca, CcaKind::Cubic, aqm, 2.0, 100_000_000, &opts)
+                .duration(SimDuration::from_secs(5))
+                .coalesce(coalesce)
+                .build()
+                .unwrap();
+            let out = Runner::new(&cfg).seed(1).check(CheckMode::Strict).run().unwrap();
+            let label = cfg.label();
+            assert_eq!(out.check_reports.len(), 1, "{label}: strict checker did not report");
+            assert!(out.check_reports[0].events_checked > 0, "{label}: checker saw no events");
+            assert_eq!(out.check_violations(), 0, "{label}: violations reported");
+        };
+        for cca in CcaKind::ALL {
+            for aqm in AqmKind::ALL {
+                cell(cca, aqm, false);
+            }
+        }
+        // The GRO-style receive path must hold the same invariants.
+        cell(CcaKind::Cubic, AqmKind::Fifo, true);
+    }
+
     #[test]
     fn strict_checking_passes_the_scenario_grid_sampler() {
         use elephants_netsim::CheckMode;
-        // One cell per AQM keeps this debug-mode test quick; the release
-        // check-smoke lane in scripts/ci.sh covers the full CCA x AQM grid.
-        for aqm in [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie] {
+        // One cell per AQM keeps this debug-mode test quick; the ignored
+        // test below covers the full CCA x AQM grid.
+        for aqm in AqmKind::ALL {
             let cfg = quick_cfg(CcaKind::BbrV1, CcaKind::Cubic, aqm, 2.0, 100_000_000);
             let out = Runner::new(&cfg).seed(5).check(CheckMode::Strict).run().unwrap();
             assert_eq!(out.check_violations(), 0, "{aqm}: strict run must be clean");
@@ -1137,5 +1161,49 @@ mod tests {
             "a 3s-late group must move less than a synchronized one"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The detail of the `InvalidConfig` error `edit` turns a good config
+    /// into; the run must be refused, not panic or produce numbers.
+    fn refused(edit: impl FnOnce(&mut ScenarioConfig)) -> String {
+        let mut cfg = quick_cfg(CcaKind::Cubic, CcaKind::Cubic, AqmKind::Fifo, 2.0, 100_000_000);
+        edit(&mut cfg);
+        let err = Runner::new(&cfg).seed(1).run().unwrap_err();
+        assert_eq!(err.kind, RunErrorKind::InvalidConfig, "{err}");
+        err.detail
+    }
+
+    #[test]
+    fn zero_bandwidth_is_an_invalid_config() {
+        assert!(refused(|c| c.bw_bps = 0).contains("bw_bps"));
+    }
+
+    #[test]
+    fn nan_queue_is_an_invalid_config() {
+        assert!(refused(|c| c.queue_bdp = f64::NAN).contains("queue_bdp"));
+        assert!(refused(|c| c.queue_bdp = f64::INFINITY).contains("queue_bdp"));
+    }
+
+    #[test]
+    fn non_positive_queue_is_an_invalid_config() {
+        assert!(refused(|c| c.queue_bdp = -1.0).contains("queue_bdp"));
+        assert!(refused(|c| c.queue_bdp = 0.0).contains("queue_bdp"));
+    }
+
+    #[test]
+    fn zero_mss_is_an_invalid_config() {
+        assert!(refused(|c| c.mss = 0).contains("mss"));
+    }
+
+    #[test]
+    fn rtt_inside_the_edge_budget_is_an_invalid_config() {
+        // The dumbbell used to assert here and the parking lot to return
+        // its own error; both are refused by `validate` now.
+        assert!(refused(|c| c.rtt_ms = 6).contains("rtt_ms"));
+        assert!(refused(|c| {
+            c.rtt_ms = 3;
+            c.topology = elephants_netsim::TopologySpec::ParkingLot { hops: 2 };
+        })
+        .contains("rtt_ms"));
     }
 }

@@ -3,7 +3,9 @@
 use elephants_aqm::AqmKind;
 use elephants_cca::CcaKind;
 use elephants_netsim::rng::fnv1a;
-use elephants_netsim::{bdp_bytes, Bandwidth, FaultPlan, LossModel, SimDuration, TopologySpec};
+use elephants_netsim::{
+    bdp_bytes, Bandwidth, FaultPlan, LossModel, SimDuration, TopologySpec, EDGE_ONE_WAY,
+};
 use elephants_json::{impl_json_struct, impl_json_unit_enum, ToJson};
 
 /// The paper's bottleneck bandwidths (Table 1).
@@ -18,26 +20,23 @@ pub const PAPER_QUEUES_BDP: [f64; 6] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
 /// Jumbo-frame segment size used by every flow in the paper.
 pub const PAPER_MSS: u32 = 8900;
 
-/// The four inter-CCA pairings (everything vs CUBIC).
-pub const INTER_PAIRS: [(CcaKind, CcaKind); 4] = [
-    (CcaKind::BbrV1, CcaKind::Cubic),
-    (CcaKind::BbrV2, CcaKind::Cubic),
-    (CcaKind::Htcp, CcaKind::Cubic),
-    (CcaKind::Reno, CcaKind::Cubic),
-];
+/// The CCA every inter-CCA pairing of Table 1 is measured against.
+pub const PAPER_BASELINE: CcaKind = CcaKind::Cubic;
 
-/// The five intra-CCA pairings (each CCA vs itself).
-pub const INTRA_PAIRS: [(CcaKind, CcaKind); 5] = [
-    (CcaKind::BbrV1, CcaKind::BbrV1),
-    (CcaKind::BbrV2, CcaKind::BbrV2),
-    (CcaKind::Htcp, CcaKind::Htcp),
-    (CcaKind::Reno, CcaKind::Reno),
-    (CcaKind::Cubic, CcaKind::Cubic),
-];
+/// The inter-CCA pairings: every other paper CCA vs [`PAPER_BASELINE`].
+pub fn inter_pairs() -> Vec<(CcaKind, CcaKind)> {
+    let others = CcaKind::PAPER_SET.into_iter().filter(|&cca| cca != PAPER_BASELINE);
+    others.map(|cca| (cca, PAPER_BASELINE)).collect()
+}
 
-/// All nine pairings of Table 1.
+/// The intra-CCA pairings: each paper CCA vs itself.
+pub fn intra_pairs() -> Vec<(CcaKind, CcaKind)> {
+    CcaKind::PAPER_SET.into_iter().map(|cca| (cca, cca)).collect()
+}
+
+/// All pairings of Table 1, inter then intra.
 pub fn paper_pairs() -> Vec<(CcaKind, CcaKind)> {
-    INTER_PAIRS.iter().chain(INTRA_PAIRS.iter()).copied().collect()
+    [inter_pairs(), intra_pairs()].concat()
 }
 
 /// One cell of the experiment grid.
@@ -173,12 +172,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Override the segment size.
-    pub fn mss(mut self, mss: u32) -> Self {
-        self.cfg.mss = mss;
-        self
-    }
-
     /// Enable or disable end-to-end ECN.
     pub fn ecn(mut self, ecn: bool) -> Self {
         self.cfg.ecn = ecn;
@@ -296,14 +289,28 @@ impl ScenarioConfig {
         }
     }
 
-    /// Validate the fault-injection knobs and watchdog budget.
+    /// Validate the link parameters, the fault-injection knobs and the
+    /// watchdog budget.
     ///
     /// Must be called on every config loaded from outside the library
     /// (CLI flags, JSON fault-plan files) before it reaches a simulator:
-    /// `Simulator::install_fault_plan` panics on invalid plans, and the
-    /// run path degrades that panic into a failed cell rather than a
-    /// diagnosis.
+    /// a zero bandwidth, an RTT inside the edge links' share or an invalid
+    /// fault plan panics during assembly, and the run path degrades that
+    /// panic into a failed cell rather than a diagnosis.
     pub fn validate(&self) -> Result<(), String> {
+        if self.bw_bps == 0 || self.mss == 0 {
+            return Err(format!("bw_bps {} and mss {} must be positive", self.bw_bps, self.mss));
+        }
+        if !(self.queue_bdp.is_finite() && self.queue_bdp > 0.0) {
+            return Err(format!("queue_bdp must be finite and positive, got {}", self.queue_bdp));
+        }
+        if self.rtt() <= EDGE_ONE_WAY * 2 {
+            return Err(format!(
+                "rtt_ms {} must exceed the {:?} the access and leaf links contribute",
+                self.rtt_ms,
+                EDGE_ONE_WAY * 2
+            ));
+        }
         self.loss.validate()?;
         self.faults.validate()?;
         self.topology.validate()?;
@@ -506,12 +513,43 @@ mod tests {
 
     #[test]
     fn grid_has_810_configs() {
-        let grid = paper_grid(&RunOptions::standard());
+        // The one place a literal list is the point: the pairs and the AQM
+        // order the hand-written `INTER_PAIRS` / `INTRA_PAIRS` / `PAPER_SET`
+        // gave, which `sweep --limit N`, the dataset and every figure's
+        // column order follow.
+        use AqmKind::{Fifo, FqCodel, Red};
+        use CcaKind::{BbrV1, BbrV2, Cubic, Htcp, Reno};
+        let pairs = [
+            (BbrV1, Cubic),
+            (BbrV2, Cubic),
+            (Htcp, Cubic),
+            (Reno, Cubic),
+            (BbrV1, BbrV1),
+            (BbrV2, BbrV2),
+            (Htcp, Htcp),
+            (Reno, Reno),
+            (Cubic, Cubic),
+        ];
+        assert_eq!(inter_pairs(), pairs[..4]);
+        assert_eq!(intra_pairs(), pairs[4..]);
+        assert_eq!(paper_pairs(), pairs);
+
+        let mut cells = Vec::new();
+        for (cca1, cca2) in pairs {
+            for aqm in [Fifo, FqCodel, Red] {
+                for q in PAPER_QUEUES_BDP {
+                    for bw in PAPER_BWS {
+                        cells.push((cca1, cca2, aqm, q, bw));
+                    }
+                }
+            }
+        }
+        let grid: Vec<_> = paper_grid(&RunOptions::standard())
+            .iter()
+            .map(|c| (c.cca1, c.cca2, c.aqm, c.queue_bdp, c.bw_bps))
+            .collect();
         assert_eq!(grid.len(), 810);
-        // 9 pairs, 3 AQMs, 6 queues, 5 bandwidths.
-        let pairs: std::collections::HashSet<_> =
-            grid.iter().map(|c| (c.cca1, c.cca2)).collect();
-        assert_eq!(pairs.len(), 9);
+        assert_eq!(grid, cells);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!   same data always produces byte-identical text),
 //! * [`ToJson`] / [`FromJson`] — conversion traits implemented for
 //!   primitives and containers here and for domain types in their own
-//!   crates via [`impl_json_struct!`], [`impl_json_unit_enum!`] and
-//!   [`impl_json_newtype!`].
+//!   crates via [`impl_json_struct!`], [`impl_json_unit_enum!`],
+//!   [`impl_json_newtype!`] and — for an enum declared as a table of its
+//!   kinds — [`kind_table!`].
 //!
 //! Every macro-declared type converts in both directions *without* a
 //! [`Value`] in between: [`ToJson::write_json`] appends straight to a
@@ -1061,6 +1062,103 @@ macro_rules! impl_json_unit_enum {
                 }
             }
         }
+    };
+}
+
+/// Declare a fieldless "kind" enum as a table, one row per variant, and
+/// derive from the rows everything that enumerates the kinds: `ALL`,
+/// `PAPER_SET` (the rows marked `paper: true`), `name()` / `Display`,
+/// `spellings()`, a case-insensitive `FromStr` over them whose error lists
+/// the known names, the JSON encoding (the variant name, as
+/// [`impl_json_unit_enum!`] writes it) and a private `row()` returning the
+/// row's last column — a value of the type named in the header, for
+/// whatever else a kind carries (a display name, a constructor).
+///
+/// ```
+/// elephants_json::kind_table! {
+///     /// A fruit.
+///     pub enum Fruit("fruit") -> u32 {
+///         /// Malus domestica.
+///         Apple: "apple", ["pomme"], paper: true, 52;
+///         Fig: "fig", [], paper: false, 74;
+///     }
+/// }
+/// assert_eq!(Fruit::ALL, [Fruit::Apple, Fruit::Fig]);
+/// assert_eq!(Fruit::PAPER_SET, [Fruit::Apple]);
+/// assert_eq!("POMME".parse(), Ok(Fruit::Apple));
+/// assert_eq!("kiwi".parse::<Fruit>().unwrap_err(), "unknown fruit 'kiwi' (known: apple, fig)");
+/// assert_eq!((Fruit::Fig.to_string(), Fruit::Fig.row()), ("fig".to_string(), 74));
+/// ```
+#[macro_export]
+macro_rules! kind_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident($what:literal) -> $row_ty:ty {
+            $($(#[$vmeta:meta])*
+            $variant:ident: $name:literal, [$($alias:literal),*], paper: $paper:literal, $row:expr;)+
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $ty {
+            /// Every kind, in table order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$variant),+];
+
+            /// The kinds in the paper's grid (Table 1), in table order.
+            pub const PAPER_SET: [$ty; 0 $(+ $paper as usize)+] = {
+                let mut out = [Self::ALL[0]; 0 $(+ $paper as usize)+];
+                let (mut i, mut n) = (0, 0);
+                while i < Self::ALL.len() {
+                    if [$($paper),+][i] {
+                        out[n] = Self::ALL[i];
+                        n += 1;
+                    }
+                    i += 1;
+                }
+                out
+            };
+
+            /// Every spelling `FromStr` accepts for this kind; the first is
+            /// [`Self::name`].
+            pub fn spellings(self) -> &'static [&'static str] {
+                match self {
+                    $($ty::$variant => &[$name $(, $alias)*],)+
+                }
+            }
+
+            /// Lower-case name used in reports, file names and flags.
+            pub fn name(self) -> &'static str {
+                self.spellings()[0]
+            }
+
+            fn row(self) -> $row_ty {
+                match self {
+                    $($ty::$variant => $row,)+
+                }
+            }
+        }
+
+        impl std::fmt::Display for $ty {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        impl std::str::FromStr for $ty {
+            type Err = String;
+            fn from_str(s: &str) -> Result<Self, String> {
+                let s = s.to_ascii_lowercase();
+                Self::ALL.into_iter().find(|k| k.spellings().contains(&s.as_str())).ok_or_else(|| {
+                    format!("unknown {} '{s}' (known: {})", $what, [$($name),+].join(", "))
+                })
+            }
+        }
+
+        $crate::impl_json_unit_enum!($ty { $($variant),+ });
     };
 }
 

@@ -73,7 +73,7 @@ pub use sim::{
 pub use time::{SimDuration, SimTime};
 pub use topology::{
     DumbbellSpec, ExplicitSpec, GroupDef, LinkDef, MultiDumbbellSpec, ParkingLotSpec, Topology,
-    TopologySpec,
+    TopologySpec, EDGE_ONE_WAY,
 };
 pub use units::{bdp_bytes, Bandwidth};
 

@@ -231,6 +231,11 @@ impl std::fmt::Debug for Topology {
     }
 }
 
+/// One-way delay the paper-style edges add to a path (1 ms access + 2 ms
+/// leaf); the trunk absorbs the rest of an end-to-end RTT, which therefore
+/// has to exceed twice this.
+pub const EDGE_ONE_WAY: SimDuration = SimDuration::from_millis(3);
+
 /// Builder for the paper's dumbbell (Fig. 1).
 ///
 /// `n_pairs` sender hosts connect through router 1 → router 2 to `n_pairs`
@@ -262,12 +267,11 @@ impl DumbbellSpec {
     /// future-work "different RTTs" extension). Access/leaf one-way delays
     /// keep the paper's 1 + 2 ms; the trunk absorbs the rest.
     pub fn paper_with_rtt(bw: crate::units::Bandwidth, rtt: SimDuration) -> Self {
-        let edge = SimDuration::from_millis(3); // 1 ms access + 2 ms leaf, one way
         assert!(
-            rtt > edge * 2,
+            rtt > EDGE_ONE_WAY * 2,
             "RTT must exceed the 6 ms the access/leaf links contribute"
         );
-        let trunk_one_way = (rtt / 2).saturating_sub(edge);
+        let trunk_one_way = (rtt / 2).saturating_sub(EDGE_ONE_WAY);
         DumbbellSpec {
             n_pairs: 2,
             bottleneck: LinkSpec::new(bw, trunk_one_way),
@@ -410,15 +414,14 @@ impl ParkingLotSpec {
         if self.hops < 2 {
             return Err(format!("parking lot needs >= 2 hops, got {}", self.hops));
         }
-        let edge = SimDuration::from_millis(3); // 1 ms access + 2 ms leaf, one way
-        if self.rtt <= edge * 2 {
+        if self.rtt <= EDGE_ONE_WAY * 2 {
             return Err(format!(
                 "parking-lot RTT {:?} must exceed the 6 ms edge budget",
                 self.rtt
             ));
         }
         let k = self.hops;
-        let trunk_one_way = (self.rtt / 2).saturating_sub(edge);
+        let trunk_one_way = (self.rtt / 2).saturating_sub(EDGE_ONE_WAY);
         let hop_prop = trunk_one_way / (k as u64);
         if hop_prop.is_zero() {
             return Err("parking-lot RTT too small to split across hops".to_string());
@@ -520,13 +523,12 @@ impl MultiDumbbellSpec {
         // The shortest group keeps the dumbbell's 1 ms access delay; the
         // trunk absorbs the rest of its RTT, and longer groups stretch
         // only their own access links.
-        let edge = SimDuration::from_millis(3);
-        if min_rtt <= edge * 2 {
+        if min_rtt <= EDGE_ONE_WAY * 2 {
             return Err(format!(
                 "multi-dumbbell min RTT {min_rtt:?} must exceed the 6 ms edge budget"
             ));
         }
-        let trunk = (min_rtt / 2).saturating_sub(edge);
+        let trunk = (min_rtt / 2).saturating_sub(EDGE_ONE_WAY);
 
         let mut kinds = Vec::with_capacity(2 * n + 2);
         kinds.extend(std::iter::repeat_n(NodeKind::Host, n));

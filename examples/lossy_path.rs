@@ -45,7 +45,7 @@ fn run_one(kind: CcaKind, loss: f64) -> f64 {
 }
 
 fn main() {
-    let kinds = [CcaKind::Cubic, CcaKind::Reno, CcaKind::Htcp, CcaKind::BbrV1, CcaKind::BbrV2];
+    let kinds = CcaKind::ALL;
     println!("Single flow, 500 Mbps bottleneck, random in-flight loss\n");
     print!("{:>9}", "loss %");
     for k in kinds {

@@ -8,19 +8,21 @@
 //!
 //! The corpus is seeded with a few **curated** generated cases (fault
 //! plans, loss models, coalescing) so the replay path is exercised even
-//! while the fuzzer has found no real bugs. Regenerate those after an
-//! intentional generator change with:
+//! while the fuzzer has found no real bugs. A fixture stores a config, not
+//! a seed, so what is asserted is that some committed cheap fixture
+//! *covers* each corner — a change to the generator's seed -> case mapping
+//! (a new CCA or AQM in its menus, say) leaves the corpus alone. When a
+//! corner is uncovered, fill it from the generator with:
 //!
 //! ```sh
 //! UPDATE_CHAOS_SEEDS=1 cargo test -q -p integration-tests --test chaos_corpus
 //! ```
 //!
-//! (then delete any stale `chaos-*.json` the old generator produced, and
-//! re-run without the env var to confirm everything judges clean).
+//! (then re-run without the env var to confirm everything judges clean).
 
 use elephants::chaos::{
-    case_cost, default_corpus_dir, fixture_stem, generate_case, load_corpus, replay_all,
-    replay_failures, save_fixture, CaseOutcome, ChaosFixture,
+    case_cost, default_corpus_dir, generate_case, load_corpus, replay_all, replay_failures,
+    save_fixture, CaseOutcome, ChaosFixture,
 };
 use elephants::experiments::ScenarioConfig;
 
@@ -28,53 +30,48 @@ use elephants::experiments::ScenarioConfig;
 /// (determinism oracle), so keep each run to a few megabytes of traffic.
 const CURATED_COST_CAP: u64 = 4_000_000;
 
-fn first_seed(tag: &str, pred: impl Fn(&ScenarioConfig) -> bool) -> (u64, ScenarioConfig) {
-    (0..10_000u64)
-        .map(|s| (s, generate_case(s)))
-        .find(|(_, c)| case_cost(c) < CURATED_COST_CAP && pred(c))
-        .unwrap_or_else(|| panic!("no cheap generated case matching `{tag}` in 10k seeds"))
-}
+type Corner = (&'static str, fn(&ScenarioConfig) -> bool);
 
-/// The curated corner cases: one faulted, one lossy, one coalescing, one
-/// multi-bottleneck and one staggered-start run, each found by a
-/// deterministic scan over the generator's seed space.
-fn curated_fixtures() -> Vec<ChaosFixture> {
-    let picks = [
-        ("faulted", first_seed("faulted", |c| !c.faults.is_empty())),
-        ("lossy", first_seed("lossy", |c| c.loss != elephants::netsim::LossModel::None)),
-        ("coalescing", first_seed("coalescing", |c| c.coalesce)),
-        (
-            "multi-bottleneck",
-            first_seed("multi-bottleneck", |c| c.topology.n_bottlenecks() > 1),
-        ),
-        ("staggered", first_seed("staggered", |c| c.is_staggered())),
-    ];
-    picks
-        .into_iter()
-        .map(|(tag, (seed, config))| ChaosFixture {
-            found_by_seed: seed,
-            oracle: "curated".to_string(),
-            detail: format!("curated seed corpus: cheap {tag} case"),
-            config,
-        })
-        .collect()
-}
+/// The corners the corpus must cover with a cheap case each.
+const CURATED_CORNERS: [Corner; 5] = [
+    ("faulted", |c| !c.faults.is_empty()),
+    ("lossy", |c| c.loss != elephants::netsim::LossModel::None),
+    ("coalescing", |c| c.coalesce),
+    ("multi-bottleneck", |c| c.topology.n_bottlenecks() > 1),
+    ("staggered", |c| c.is_staggered()),
+];
 
 #[test]
 fn curated_seed_fixtures_are_committed_and_current() {
     let dir = default_corpus_dir();
-    for fixture in curated_fixtures() {
-        let path = dir.join(format!("{}.json", fixture_stem(&fixture.config)));
-        if std::env::var("UPDATE_CHAOS_SEEDS").is_ok() {
-            save_fixture(&dir, &fixture).expect("write curated fixture");
-            eprintln!("updated {}", path.display());
+    let mut corpus: Vec<ScenarioConfig> = load_corpus(&dir)
+        .expect("corpus must parse")
+        .into_iter()
+        .map(|(_, fixture)| fixture.config)
+        .collect();
+    for (tag, corner) in CURATED_CORNERS {
+        let covers = |c: &ScenarioConfig| case_cost(c) < CURATED_COST_CAP && corner(c);
+        if corpus.iter().any(covers) {
             continue;
         }
         assert!(
-            path.is_file(),
-            "curated fixture {} missing — regenerate with UPDATE_CHAOS_SEEDS=1",
-            path.display()
+            std::env::var("UPDATE_CHAOS_SEEDS").is_ok(),
+            "no cheap committed fixture covers `{tag}` — add one with UPDATE_CHAOS_SEEDS=1"
         );
+        // A deterministic scan over the generator's seed space.
+        let (seed, config) = (0..10_000u64)
+            .map(|s| (s, generate_case(s)))
+            .find(|(_, c)| covers(c))
+            .unwrap_or_else(|| panic!("no cheap generated case matching `{tag}` in 10k seeds"));
+        let fixture = ChaosFixture {
+            found_by_seed: seed,
+            oracle: "curated".to_string(),
+            detail: format!("curated seed corpus: cheap {tag} case"),
+            config,
+        };
+        let path = save_fixture(&dir, &fixture).expect("write curated fixture");
+        eprintln!("updated {}", path.display());
+        corpus.push(fixture.config);
     }
 }
 

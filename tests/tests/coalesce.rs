@@ -114,16 +114,12 @@ fn coalesce_off_is_byte_identical_to_pre_change_fixtures() {
 /// manufacture bytes or wedge the transfer.
 #[test]
 fn coalesce_on_conserves_delivery_across_the_grid_under_strict_check() {
-    const CCAS: [CcaKind; 5] =
-        [CcaKind::Reno, CcaKind::Cubic, CcaKind::Htcp, CcaKind::BbrV1, CcaKind::BbrV2];
-    const AQMS: [AqmKind; 5] =
-        [AqmKind::Fifo, AqmKind::Red, AqmKind::Codel, AqmKind::FqCodel, AqmKind::Pie];
-    for cca in CCAS {
-        for aqm in AQMS {
+    for cca in CcaKind::ALL {
+        for aqm in AqmKind::ALL {
             let build = |coalesce: bool| {
                 // 8 s (6 s measurement window past warmup) lets steady
                 // state dominate the slower ACK-thinned ramp while keeping
-                // the 25-cell grid debug-mode tractable.
+                // the CCA x AQM grid debug-mode tractable.
                 ScenarioConfig::builder(
                     cca,
                     CcaKind::Cubic,

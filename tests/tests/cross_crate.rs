@@ -5,7 +5,7 @@ use elephants::cca::{build_cca_seeded, CcaKind};
 use elephants::netsim::prelude::*;
 use elephants::netsim::LossModel;
 use elephants::tcp::{flow_pair, ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use elephants::{AqmKind, FairnessStudy};
+use elephants::FairnessStudy;
 
 #[test]
 fn study_outcome_invariants_hold_across_grid_sample() {
@@ -153,12 +153,6 @@ fn flow_scale_controls_flow_count() {
         .run();
     // Table 2 at 500 Mbps = 5 flows/node; 40% = 2/node = 4 total.
     assert_eq!(out.flows, 4);
-}
-
-#[test]
-fn aqm_kind_constants_cover_paper_set() {
-    assert_eq!(AqmKind::PAPER_SET.len(), 3);
-    assert_eq!(CcaKind::ALL.len(), 5);
 }
 
 #[test]

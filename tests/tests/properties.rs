@@ -203,11 +203,11 @@ fn simulation_is_deterministic() {
         use elephants::AqmKind;
         let seed = rng.random_range(0u64..1000);
         let q = rng.random_range(1usize..4);
-        let cca = CcaKind::ALL[rng.random_range(0usize..5)];
+        let cca = CcaKind::ALL[rng.random_range(0..CcaKind::ALL.len())];
         let cfg = ScenarioConfig::new(
             cca,
             CcaKind::Cubic,
-            AqmKind::PAPER_SET[q % 3],
+            AqmKind::PAPER_SET[q % AqmKind::PAPER_SET.len()],
             [0.5, 2.0, 16.0][q - 1],
             100_000_000,
             &RunOptions::quick(),
@@ -230,8 +230,6 @@ fn cache_key_separates_every_field_and_run_seed() {
     use elephants::netsim::{ExplicitSpec, FaultAction, GroupDef, LinkDef, LossModel};
     use elephants::AqmKind;
 
-    const AQMS: [AqmKind; 5] =
-        [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel, AqmKind::Codel, AqmKind::Pie];
     fn next<T: Copy + PartialEq>(menu: &[T], now: T) -> T {
         menu[(menu.iter().position(|&k| k == now).unwrap() + 1) % menu.len()]
     }
@@ -242,7 +240,7 @@ fn cache_key_separates_every_field_and_run_seed() {
     let steps: [(&str, Step); 18] = [
         ("cca1", |c| c.cca1 = next(&CcaKind::ALL, c.cca1)),
         ("cca2", |c| c.cca2 = next(&CcaKind::ALL, c.cca2)),
-        ("aqm", |c| c.aqm = next(&AQMS, c.aqm)),
+        ("aqm", |c| c.aqm = next(&AqmKind::ALL, c.aqm)),
         ("queue_bdp", |c| c.queue_bdp += 0.004),
         ("bw_bps", |c| c.bw_bps += 1),
         ("duration", |c| c.duration += NS),
