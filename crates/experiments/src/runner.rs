@@ -823,7 +823,7 @@ pub fn average_runs(config: ScenarioConfig, runs: Vec<RunResult>) -> AveragedRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::RunOptions;
+    use crate::scenario::{RunOptions, ScenarioBuilder};
     use elephants_aqm::AqmKind;
     use elephants_cca::CcaKind;
 
@@ -976,33 +976,47 @@ mod tests {
 
     /// `scripts/ci.sh --check-smoke`: every CCA x AQM cell (what `probe
     /// --cca1 K --cca2 cubic --aqm A --queue 2 --bw 100M --secs 5 --check
-    /// strict` runs) plus one coalescing cell, in the `checked` profile. A
-    /// violated invariant panics inside the run; `events_checked` shows
-    /// the checker observed the run rather than silently no-opping.
+    /// strict` runs), one coalescing cell, and the three loss-recovery cells
+    /// `tests/fixtures/recovery` pins (2 BDP cells rarely leave the
+    /// cumulative-ACK path), in the `checked` profile. A violated invariant
+    /// or scoreboard `debug_assert!` panics inside the run; `events_checked`
+    /// shows the checker observed the run rather than silently no-opping.
     #[test]
     #[ignore = "a 5 s run per CCA x AQM cell: scripts/ci.sh --check-smoke runs it in the checked profile"]
     fn strict_checking_passes_every_cca_aqm_cell() {
-        use elephants_netsim::CheckMode;
-        let cell = |cca: CcaKind, aqm: AqmKind, coalesce: bool| {
-            let opts = RunOptions::standard();
-            let cfg = ScenarioConfig::builder(cca, CcaKind::Cubic, aqm, 2.0, 100_000_000, &opts)
-                .duration(SimDuration::from_secs(5))
-                .coalesce(coalesce)
-                .build()
-                .unwrap();
+        use elephants_netsim::{CheckMode, FaultPlan, LossModel};
+        let opts = RunOptions::standard();
+        let cell = |cca: CcaKind, aqm: AqmKind, queue_bdp: f64, secs: u64| {
+            ScenarioConfig::builder(cca, CcaKind::Cubic, aqm, queue_bdp, 100_000_000, &opts)
+                .duration(SimDuration::from_secs(secs))
+        };
+        let check = |b: ScenarioBuilder| {
+            let cfg = b.build().unwrap();
             let out = Runner::new(&cfg).seed(1).check(CheckMode::Strict).run().unwrap();
             let label = cfg.label();
             assert_eq!(out.check_reports.len(), 1, "{label}: strict checker did not report");
             assert!(out.check_reports[0].events_checked > 0, "{label}: checker saw no events");
             assert_eq!(out.check_violations(), 0, "{label}: violations reported");
+            out.into_first()
         };
         for cca in CcaKind::ALL {
             for aqm in AqmKind::ALL {
-                cell(cca, aqm, false);
+                check(cell(cca, aqm, 2.0, 5));
             }
         }
         // The GRO-style receive path must hold the same invariants.
-        cell(CcaKind::Cubic, AqmKind::Fifo, true);
+        check(cell(CcaKind::Cubic, AqmKind::Fifo, 2.0, 5).coalesce(true));
+        // So must SACK recovery, RTO and its undo: a shallow buffer under
+        // BBRv1, bursty random loss, a link flap.
+        let ge = LossModel::GilbertElliott { p_gb: 0.002, p_bg: 0.2 };
+        let flap = FaultPlan::flap(SimDuration::from_secs(10), SimDuration::from_secs(4));
+        for lossy in [
+            cell(CcaKind::BbrV1, AqmKind::Fifo, 0.5, 20),
+            cell(CcaKind::Htcp, AqmKind::Fifo, 2.0, 20).loss(ge),
+            cell(CcaKind::BbrV1, AqmKind::Fifo, 2.0, 20).faults(flap),
+        ] {
+            assert!(check(lossy).retransmits > 0, "the cell never entered recovery");
+        }
     }
 
     #[test]

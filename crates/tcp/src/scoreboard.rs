@@ -55,9 +55,9 @@ pub struct AckBatch {
     /// a timeout in progress was spurious.
     pub lost_never_retx: bool,
     /// The removed segment with the highest `delivered_at_send` (later
-    /// sequence wins ties) and its sequence: the delivery-rate and
-    /// round-accounting sample candidate.
-    pub sample: Option<(u64, PktMeta)>,
+    /// sequence wins ties): the delivery-rate and round-accounting sample
+    /// candidate.
+    pub sample: Option<PktMeta>,
     /// Latest transmission time among never-retransmitted segments
     /// (Karn's rule): `now - latest_clean_tx` is the smallest — i.e. the
     /// taken — RTT sample of the batch.
@@ -67,7 +67,7 @@ pub struct AckBatch {
 impl AckBatch {
     /// Fold one removed segment into the aggregate (in sequence order —
     /// the tie-breaks match the per-segment callback spelling exactly).
-    fn fold(&mut self, seq: u64, meta: &PktMeta) {
+    fn fold(&mut self, meta: &PktMeta) {
         if meta.state != PktState::Sacked {
             self.newly_acked += 1;
         }
@@ -79,8 +79,8 @@ impl AckBatch {
                 Some(self.latest_clean_tx.map_or(meta.tx_time, |t| t.max(meta.tx_time)));
         }
         match self.sample {
-            Some((_, best)) if meta.delivered_at_send < best.delivered_at_send => {}
-            _ => self.sample = Some((seq, *meta)),
+            Some(best) if meta.delivered_at_send < best.delivered_at_send => {}
+            _ => self.sample = Some(*meta),
         }
     }
 }
@@ -95,8 +95,18 @@ pub struct Scoreboard {
     n_sacked: usize,
     n_lost: usize,
     n_lost_retx: usize,
-    /// Highest sequence number SACKed so far (None until first SACK).
+    /// Highest SACKed sequence number still above `snd_una` (None until a
+    /// SACK arrives, and again once the cumulative ACK passes it).
     highest_sacked: Option<u64>,
+    // Forward-only scan cursors: absolute sequence numbers, clamped to
+    // `snd_una` on use, so `push_sent` and `advance_una` never touch them.
+    /// No `Outstanding` entry below this: where `detect_losses` resumes.
+    loss_scan: u64,
+    /// No `Lost` entry below this: where `next_lost` resumes.
+    next_retx: u64,
+    /// No in-flight (`Outstanding` | `LostRetx`) entry below this: where
+    /// `first_inflight_tx_time` resumes.
+    first_inflight: u64,
 }
 
 impl Scoreboard {
@@ -140,7 +150,7 @@ impl Scoreboard {
         self.n_sacked
     }
 
-    /// Highest SACKed sequence number.
+    /// Highest SACKed sequence number not yet covered by the cumulative ACK.
     pub fn highest_sacked(&self) -> Option<u64> {
         self.highest_sacked
     }
@@ -203,6 +213,9 @@ impl Scoreboard {
             f(self.base, &meta);
             self.base += 1;
         }
+        if self.highest_sacked.is_some_and(|hs| hs < self.base) {
+            self.highest_sacked = None;
+        }
     }
 
     /// Advance the cumulative ACK point to `new_una`, folding the removed
@@ -217,7 +230,7 @@ impl Scoreboard {
     /// runs are byte-identical either way.
     pub fn advance_una_batch(&mut self, new_una: u64) -> AckBatch {
         let mut batch = AckBatch::default();
-        self.advance_una(new_una, |seq, meta| batch.fold(seq, meta));
+        self.advance_una(new_una, |_, meta| batch.fold(meta));
         batch
     }
 
@@ -242,24 +255,30 @@ impl Scoreboard {
 
     /// FACK-style loss marking: any Outstanding segment more than
     /// `dupthresh` below the highest SACK is lost. Invokes `f` per newly
-    /// lost segment; returns the count.
+    /// lost segment; returns the count. Resumes at the loss-scan cursor, so
+    /// a recovery episode visits each segment once, not once per ACK.
     pub fn detect_losses(&mut self, dupthresh: u64, mut f: impl FnMut(u64)) -> u64 {
         let Some(hs) = self.highest_sacked else { return 0 };
         // dupthresh == 0 would underflow below (debug panic, huge cutoff in
         // release); treat it as the most aggressive sensible threshold.
         let dupthresh = dupthresh.max(1);
-        let cutoff = hs.saturating_sub(dupthresh - 1); // seq < cutoff ⇒ lost
+        // seq < cutoff ⇒ lost
+        let cutoff = hs.saturating_sub(dupthresh - 1).min(self.snd_nxt());
+        let start = self.loss_scan.max(self.base);
         let mut newly = 0;
-        let base = self.base;
-        let limit = cutoff.saturating_sub(base).min(self.entries.len() as u64) as usize;
-        for idx in 0..limit {
-            if self.entries[idx].state == PktState::Outstanding {
-                let seq = base + idx as u64;
+        for seq in start..cutoff {
+            if self.entries[(seq - self.base) as usize].state == PktState::Outstanding {
+                // Lost segments always sit below Outstanding ones (this scan
+                // marks a prefix, an RTO marks everything, the undo clears
+                // them all), so `next_lost` has never walked past `seq`.
+                debug_assert!(self.next_retx <= seq, "newly lost {seq} below retransmit cursor");
                 self.set_state(seq, PktState::Lost);
                 f(seq);
                 newly += 1;
             }
         }
+        self.loss_scan = start.max(cutoff);
+        debug_assert!(self.loss_scan <= self.snd_nxt());
         newly
     }
 
@@ -275,6 +294,9 @@ impl Scoreboard {
                 reverted += 1;
             }
         }
+        // Outstanding segments reappeared below both cursors.
+        self.loss_scan = self.base;
+        self.first_inflight = self.base;
         reverted
     }
 
@@ -287,28 +309,41 @@ impl Scoreboard {
                 _ => {}
             }
         }
+        // The retransmission sweep restarts from snd_una.
+        self.next_retx = self.base;
     }
 
     /// Transmission time of the oldest segment currently in flight
     /// (Outstanding or LostRetx). Anchors the retransmission timer, so that
     /// a stalled head-of-line hole eventually times out even while later
     /// SACK-carrying ACKs keep arriving (Linux `tcp_rearm_rto` semantics).
-    pub fn first_inflight_tx_time(&self) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .find(|m| matches!(m.state, PktState::Outstanding | PktState::LostRetx))
-            .map(|m| m.tx_time)
+    pub fn first_inflight_tx_time(&mut self) -> Option<SimTime> {
+        let in_flight =
+            |m: &PktMeta| matches!(m.state, PktState::Outstanding | PktState::LostRetx);
+        // Outside recovery the head is in flight: answer without the cursor.
+        let head = self.entries.front()?;
+        if in_flight(head) {
+            return Some(head.tx_time);
+        }
+        let start = self.first_inflight.max(self.base);
+        debug_assert!(start <= self.snd_nxt());
+        let found = self.entries.range((start - self.base) as usize..).position(in_flight);
+        self.first_inflight = found.map_or(self.snd_nxt(), |off| start + off as u64);
+        self.get(self.first_inflight).map(|m| m.tx_time)
     }
 
     /// Next lost segment to retransmit (lowest sequence first).
-    pub fn next_lost(&self) -> Option<u64> {
+    pub fn next_lost(&mut self) -> Option<u64> {
         if self.n_lost == 0 {
             return None;
         }
-        self.entries
-            .iter()
-            .position(|m| m.state == PktState::Lost)
-            .map(|idx| self.base + idx as u64)
+        let start = self.next_retx.max(self.base);
+        debug_assert!(start <= self.snd_nxt());
+        let is_lost = |m: &PktMeta| m.state == PktState::Lost;
+        let found = self.entries.range((start - self.base) as usize..).position(is_lost);
+        debug_assert!(found.is_some(), "a Lost entry sits below the next-retransmit cursor");
+        self.next_retx = start + found? as u64;
+        Some(self.next_retx)
     }
 
     /// Record the retransmission of `seq` with a fresh rate-sampler snapshot.
@@ -316,6 +351,7 @@ impl Scoreboard {
         let idx = (seq - self.base) as usize;
         debug_assert_eq!(self.entries[idx].state, PktState::Lost, "only lost segments are retransmitted");
         self.set_state(seq, PktState::LostRetx);
+        self.first_inflight = self.first_inflight.min(seq);
         let e = &mut self.entries[idx];
         e.tx_time = meta_update.tx_time;
         e.retx = true;
@@ -353,6 +389,9 @@ impl Scoreboard {
         (o, s, l, r)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -557,7 +596,12 @@ mod tests {
                 prop_check!(sb.snd_una() <= sb.snd_nxt());
                 prop_check!(sb.inflight_segments() <= sb.len() as u64);
                 if let Some(hs) = sb.highest_sacked() {
-                    prop_check!(hs < sb.snd_nxt(), "highest_sacked {hs} >= snd_nxt");
+                    prop_check!(
+                        sb.snd_una() <= hs && hs < sb.snd_nxt(),
+                        "highest_sacked {hs} outside [snd_una {}, snd_nxt {})",
+                        sb.snd_una(),
+                        sb.snd_nxt()
+                    );
                 }
             }
             Ok(())

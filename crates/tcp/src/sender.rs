@@ -294,7 +294,6 @@ impl TcpSender {
         // most recently transmitted one for the rate sample and RTT.
         let mut newly_acked_bytes: u64 = 0;
         let mut sample: Option<PktMeta> = None;
-        let mut sample_seq = 0u64;
         let mut rtt_sample: Option<SimDuration> = None;
 
         let mut spurious_evidence = false;
@@ -310,23 +309,17 @@ impl TcpSender {
             if self.rto_episode && batch.lost_never_retx {
                 spurious_evidence = true;
             }
-            if let Some((seq, meta)) = batch.sample {
-                if sample.is_none_or(|s| meta.delivered_at_send >= s.delivered_at_send) {
-                    sample = Some(meta);
-                    sample_seq = seq;
-                }
-            }
+            sample = batch.sample;
             if let Some(tx) = batch.latest_clean_tx {
                 let r = now.since(tx);
                 rtt_sample = Some(rtt_sample.map_or(r, |x: SimDuration| x.min(r)));
             }
         }
         for (s, e) in info.sack_ranges() {
-            self.board.apply_sack(s, e, |seq, meta| {
+            self.board.apply_sack(s, e, |_seq, meta| {
                 newly_acked_bytes += mss;
                 if sample.is_none_or(|s| meta.delivered_at_send >= s.delivered_at_send) {
                     sample = Some(*meta);
-                    sample_seq = seq;
                 }
                 if !meta.retx {
                     let r = now.since(meta.tx_time);
@@ -379,7 +372,6 @@ impl TcpSender {
             if s.tx_time > self.first_tx_time {
                 self.first_tx_time = s.tx_time;
             }
-            let _ = sample_seq;
         }
 
         // Loss detection (FACK-style with DUPTHRESH).

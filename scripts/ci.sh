@@ -26,7 +26,10 @@
 #                                runtime-invariant violation panics the run
 #                                and fails the lane; one extra cell runs
 #                                coalesced so the GRO-style receive path is
-#                                strict-checked too
+#                                strict-checked too, and three loss-heavy
+#                                cells (shallow buffer, random loss, link
+#                                flap) run the scoreboard's recovery path
+#                                with its debug assertions on
 #   scripts/ci.sh --fuzz-smoke   also run the chaos fuzzer: ~25 fixed-seed
 #                                generated scenarios through the strict
 #                                four-oracle judge (invariants, graceful

@@ -32,3 +32,26 @@ pub fn study_secs(
 pub fn quick_study(cca1: &str, cca2: &str, aqm: &str, queue_bdp: f64, mbps: u64) -> StudyOutcome {
     study_secs(cca1, cca2, aqm, queue_bdp, mbps, if mbps > 200 { 8 } else { 12 })
 }
+
+/// Compare `got` with the pinned `tests/fixtures/<subdir>/<name>`, or, with
+/// `UPDATE_FIXTURES` set, write it there. Re-baseline only from a build
+/// whose behaviour is known-good: the fixtures are the "before" side of a
+/// byte-identity contract.
+pub fn assert_pinned(subdir: &str, name: &str, got: &str, label: &str) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(subdir);
+    let path = dir.join(name);
+    if std::env::var_os("UPDATE_FIXTURES").is_some() {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, got).unwrap();
+        eprintln!("regenerated fixture {}", path.display());
+        return;
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing fixture {} ({e}); regenerate with UPDATE_FIXTURES=1 \
+             only from a known-good build",
+            path.display()
+        )
+    });
+    assert_eq!(got, want, "{label}: diverged from the pre-change pinned fixture");
+}

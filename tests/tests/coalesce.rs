@@ -26,13 +26,8 @@ use elephants::experiments::{RunOptions, Runner, ScenarioConfig};
 use elephants::json::ToJson;
 use elephants::netsim::CheckMode;
 use elephants::{AqmKind, SimDuration};
-use std::path::PathBuf;
 
 const FIXTURE_SEED: u64 = 42;
-
-fn fixture_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures/coalesce")
-}
 
 /// The pinned cells: one per AQM, cycling through the five CCAs (all vs
 /// CUBIC) so every discipline and every sender implementation appears.
@@ -72,32 +67,8 @@ fn metrics_json(cfg: &ScenarioConfig) -> String {
 /// hot-path refactor land as a pure optimization.
 #[test]
 fn coalesce_off_is_byte_identical_to_pre_change_fixtures() {
-    let dir = fixture_dir();
-    let regen = std::env::var_os("UPDATE_FIXTURES").is_some();
-    if regen {
-        std::fs::create_dir_all(&dir).unwrap();
-    }
     for (name, cfg) in fixture_cells() {
-        let got = metrics_json(&cfg);
-        let path = dir.join(&name);
-        if regen {
-            std::fs::write(&path, &got).unwrap();
-            eprintln!("regenerated fixture {}", path.display());
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing fixture {} ({e}); regenerate with UPDATE_FIXTURES=1 \
-                 only from a known-good build",
-                path.display()
-            )
-        });
-        assert_eq!(
-            got,
-            want,
-            "{}: RunMetrics diverged from the pre-change pinned fixture",
-            cfg.label()
-        );
+        integration_tests::assert_pinned("coalesce", &name, &metrics_json(&cfg), &cfg.label());
     }
 }
 
