@@ -46,6 +46,27 @@ impl Default for CodelConfig {
     }
 }
 
+/// A packet FIFO with its byte backlog kept alongside: the queue CoDel's
+/// control law pops from. [`Codel`] owns one, `FqCodel` one per bucket.
+#[derive(Debug, Default)]
+pub(crate) struct PacketFifo {
+    pub(crate) pkts: VecDeque<Packet>,
+    pub(crate) bytes: u64,
+}
+
+impl PacketFifo {
+    pub(crate) fn push(&mut self, pkt: Packet) {
+        self.bytes += pkt.size as u64;
+        self.pkts.push_back(pkt);
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Packet> {
+        let pkt = self.pkts.pop_front()?;
+        self.bytes -= pkt.size as u64;
+        Some(pkt)
+    }
+}
+
 /// The CoDel control-law state machine (one per queue).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CodelState {
@@ -97,26 +118,24 @@ impl CodelState {
         }
     }
 
-    /// RFC 8289 dequeue: pop packets from `pop`, dropping (or marking)
-    /// according to the control law. `backlog` must report bytes remaining
-    /// *after* the most recent pop.
-    pub fn dequeue(
+    /// RFC 8289 dequeue: pop packets from `q`, dropping (or marking)
+    /// according to the control law.
+    pub(crate) fn dequeue(
         &mut self,
         cfg: &CodelConfig,
         now: SimTime,
-        pop: &mut dyn FnMut() -> Option<Packet>,
-        backlog: &dyn Fn() -> u64,
+        q: &mut PacketFifo,
     ) -> (Option<Packet>, CodelOutcome) {
         let mut out = CodelOutcome { dropped: 0, marked: 0 };
 
-        let mut pkt = match pop() {
+        let mut pkt = match q.pop() {
             Some(p) => p,
             None => {
                 self.first_above_time = None;
                 return (None, out);
             }
         };
-        let mut ok_to_drop = self.sojourn_above(cfg, now, &pkt, backlog());
+        let mut ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes);
 
         if self.dropping {
             if !ok_to_drop {
@@ -133,7 +152,7 @@ impl CodelState {
                     }
                     out.dropped += 1;
                     self.count += 1;
-                    pkt = match pop() {
+                    pkt = match q.pop() {
                         Some(p) => p,
                         None => {
                             self.dropping = false;
@@ -141,7 +160,7 @@ impl CodelState {
                             return (None, out);
                         }
                     };
-                    ok_to_drop = self.sojourn_above(cfg, now, &pkt, backlog());
+                    ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes);
                     if !ok_to_drop {
                         self.dropping = false;
                     } else {
@@ -156,7 +175,7 @@ impl CodelState {
                 out.marked += 1;
             } else {
                 out.dropped += 1;
-                pkt = match pop() {
+                pkt = match q.pop() {
                     Some(p) => p,
                     None => {
                         self.first_above_time = None;
@@ -167,7 +186,7 @@ impl CodelState {
                         return (None, out);
                     }
                 };
-                let _ = self.sojourn_above(cfg, now, &pkt, backlog());
+                let _ = self.sojourn_above(cfg, now, &pkt, q.bytes);
             }
             self.dropping = true;
             // If we recently stopped dropping, resume the drop rate where we
@@ -190,8 +209,7 @@ impl CodelState {
 pub struct Codel {
     cfg: CodelConfig,
     state: CodelState,
-    queue: VecDeque<Packet>,
-    backlog: u64,
+    queue: PacketFifo,
     stats: AqmStats,
 }
 
@@ -199,7 +217,7 @@ impl Codel {
     /// Build a CoDel queue.
     pub fn new(cfg: CodelConfig) -> Self {
         assert!(cfg.limit_bytes > 0);
-        Codel { cfg, state: CodelState::default(), queue: VecDeque::new(), backlog: 0, stats: AqmStats::default() }
+        Codel { cfg, state: CodelState::default(), queue: PacketFifo::default(), stats: AqmStats::default() }
     }
 
     /// The configuration in force.
@@ -215,35 +233,18 @@ impl Codel {
 
 impl Aqm for Codel {
     fn enqueue(&mut self, mut pkt: Packet, now: SimTime, _rng: &mut SmallRng) -> Verdict {
-        if self.backlog + pkt.size as u64 > self.cfg.limit_bytes {
+        if self.queue.bytes + pkt.size as u64 > self.cfg.limit_bytes {
             self.stats.dropped_enqueue += 1;
             return Verdict::Dropped;
         }
         pkt.enqueued_at = now;
-        self.backlog += pkt.size as u64;
-        self.queue.push_back(pkt);
+        self.queue.push(pkt);
         self.stats.enqueued += 1;
         Verdict::Enqueued
     }
 
     fn dequeue(&mut self, now: SimTime, _rng: &mut SmallRng) -> DequeueResult {
-        let state = &mut self.state;
-        let cfg = &self.cfg;
-        // `pop` mutates both the queue and the byte count while `backlog_fn`
-        // reads the count, so both go through RefCells.
-        let (pkt, outcome) = {
-            let backlog_ref = std::cell::RefCell::new(&mut self.backlog);
-            let queue_ref = std::cell::RefCell::new(&mut self.queue);
-            let mut pop = || {
-                let r = queue_ref.borrow_mut().pop_front();
-                if let Some(ref p) = r {
-                    **backlog_ref.borrow_mut() -= p.size as u64;
-                }
-                r
-            };
-            let backlog_fn = || **backlog_ref.borrow();
-            state.dequeue(cfg, now, &mut pop, &backlog_fn)
-        };
+        let (pkt, outcome) = self.state.dequeue(&self.cfg, now, &mut self.queue);
         self.stats.dropped_dequeue += outcome.dropped as u64;
         self.stats.marked += outcome.marked as u64;
         if pkt.is_some() {
@@ -253,11 +254,11 @@ impl Aqm for Codel {
     }
 
     fn backlog_bytes(&self) -> u64 {
-        self.backlog
+        self.queue.bytes
     }
 
     fn backlog_pkts(&self) -> usize {
-        self.queue.len()
+        self.queue.pkts.len()
     }
 
     fn stats(&self) -> AqmStats {
@@ -270,13 +271,13 @@ impl Aqm for Codel {
 
     fn check_invariants(&self, now: SimTime, deep: bool) -> Vec<CheckFailure> {
         let mut fails = Vec::new();
-        if let Some(f) = queue_accounting_failure(self.stats, self.queue.len() as u64) {
+        if let Some(f) = queue_accounting_failure(self.stats, self.queue.pkts.len() as u64) {
             fails.push(f);
         }
         if deep {
-            let sum: u64 = self.queue.iter().map(|p| p.size as u64).sum();
-            if sum != self.backlog {
-                let backlog = self.backlog;
+            let sum: u64 = self.queue.pkts.iter().map(|p| p.size as u64).sum();
+            if sum != self.queue.bytes {
+                let backlog = self.queue.bytes;
                 fails.push(CheckFailure::new(
                     "queue_byte_accounting",
                     format!("backlog counter {backlog} != sum of resident sizes {sum}"),
@@ -284,7 +285,7 @@ impl Aqm for Codel {
             }
             // Sojourn ≥ 0 by construction (`SimTime::since` saturates), so
             // the checkable form is: no resident enqueue stamp in the future.
-            if let Some(p) = self.queue.iter().find(|p| p.enqueued_at > now) {
+            if let Some(p) = self.queue.pkts.iter().find(|p| p.enqueued_at > now) {
                 let at = p.enqueued_at;
                 fails.push(CheckFailure::new(
                     "queue_sojourn",

@@ -7,7 +7,7 @@
 //! the head of the *fattest* sub-queue, which is what protects light flows
 //! from heavy ones.
 
-use crate::codel::{CodelConfig, CodelState};
+use crate::codel::{CodelConfig, CodelState, PacketFifo};
 use elephants_netsim::{Aqm, AqmStats, CheckFailure, DequeueResult, Packet, SimTime, Verdict};
 use elephants_json::impl_json_struct;
 use elephants_netsim::SmallRng;
@@ -62,20 +62,18 @@ enum ListState {
 
 #[derive(Debug)]
 struct Bucket {
-    queue: VecDeque<Packet>,
+    queue: PacketFifo,
     codel: CodelState,
     deficit: i64,
-    backlog: u64,
     state: ListState,
 }
 
 impl Bucket {
     fn new() -> Self {
         Bucket {
-            queue: VecDeque::new(),
+            queue: PacketFifo::default(),
             codel: CodelState::default(),
             deficit: 0,
-            backlog: 0,
             state: ListState::Idle,
         }
     }
@@ -128,7 +126,7 @@ impl FqCodel {
 
     /// Number of distinct non-empty buckets (diagnostic).
     pub fn active_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.queue.is_empty()).count()
+        self.buckets.iter().filter(|b| !b.queue.pkts.is_empty()).count()
     }
 
     fn drop_from_fattest(&mut self) -> Option<Packet> {
@@ -136,10 +134,8 @@ impl FqCodel {
             .buckets
             .iter()
             .enumerate()
-            .max_by_key(|(_, b)| b.backlog)?;
-        let b = &mut self.buckets[idx];
-        let pkt = b.queue.pop_front()?;
-        b.backlog -= pkt.size as u64;
+            .max_by_key(|(_, b)| b.queue.bytes)?;
+        let pkt = self.buckets[idx].queue.pop()?;
         self.total_pkts -= 1;
         self.total_bytes -= pkt.size as u64;
         self.stats.dropped_enqueue += 1;
@@ -154,8 +150,7 @@ impl Aqm for FqCodel {
         let key = (pkt.flow, pkt.seq, pkt.kind);
         {
             let b = &mut self.buckets[idx];
-            b.queue.push_back(pkt);
-            b.backlog += pkt.size as u64;
+            b.queue.push(pkt);
             if b.state == ListState::Idle {
                 b.state = ListState::New;
                 b.deficit = self.cfg.quantum as i64;
@@ -215,26 +210,13 @@ impl Aqm for FqCodel {
 
             // Run CoDel on this bucket.
             let cfg = self.cfg.codel;
-            let popped_bytes = std::cell::Cell::new(0u64);
-            let (pkt, outcome) = {
-                let b = &mut self.buckets[idx];
-                let backlog_ref = std::cell::RefCell::new(&mut b.backlog);
-                let queue_ref = std::cell::RefCell::new(&mut b.queue);
-                let pb = &popped_bytes;
-                let mut pop = || {
-                    let r = queue_ref.borrow_mut().pop_front();
-                    if let Some(ref p) = r {
-                        **backlog_ref.borrow_mut() -= p.size as u64;
-                        pb.set(pb.get() + p.size as u64);
-                    }
-                    r
-                };
-                let backlog_fn = || **backlog_ref.borrow();
-                b.codel.dequeue(&cfg, now, &mut pop, &backlog_fn)
-            };
+            let b = &mut self.buckets[idx];
+            let bytes_before = b.queue.bytes;
+            let (pkt, outcome) = b.codel.dequeue(&cfg, now, &mut b.queue);
+            let popped_bytes = bytes_before - b.queue.bytes;
             let popped = outcome.dropped as usize + pkt.is_some() as usize;
             self.total_pkts -= popped;
-            self.total_bytes -= popped_bytes.get();
+            self.total_bytes -= popped_bytes;
             dropped_total += outcome.dropped;
             self.stats.dropped_dequeue += outcome.dropped as u64;
             self.stats.marked += outcome.marked as u64;
@@ -300,17 +282,17 @@ impl Aqm for FqCodel {
             let mut pkts = 0usize;
             let mut bytes = 0u64;
             for (idx, b) in self.buckets.iter().enumerate() {
-                pkts += b.queue.len();
-                bytes += b.backlog;
-                let sum: u64 = b.queue.iter().map(|p| p.size as u64).sum();
-                if sum != b.backlog {
-                    let backlog = b.backlog;
+                pkts += b.queue.pkts.len();
+                bytes += b.queue.bytes;
+                let sum: u64 = b.queue.pkts.iter().map(|p| p.size as u64).sum();
+                if sum != b.queue.bytes {
+                    let backlog = b.queue.bytes;
                     fails.push(CheckFailure::new(
                         "queue_byte_accounting",
                         format!("bucket {idx}: backlog counter {backlog} != sum of resident sizes {sum}"),
                     ));
                 }
-                if let Some(p) = b.queue.iter().find(|p| p.enqueued_at > now) {
+                if let Some(p) = b.queue.pkts.iter().find(|p| p.enqueued_at > now) {
                     let at = p.enqueued_at;
                     fails.push(CheckFailure::new(
                         "queue_sojourn",
@@ -335,10 +317,10 @@ impl Aqm for FqCodel {
                         format!("bucket {idx} state {state:?} but appears {on_new}x on new / {on_old}x on old list"),
                     ));
                 }
-                if b.state == ListState::Idle && !b.queue.is_empty() {
+                if b.state == ListState::Idle && !b.queue.pkts.is_empty() {
                     fails.push(CheckFailure::new(
                         "fq_codel_drr_lists",
-                        format!("bucket {idx} idle with {} resident packets", b.queue.len()),
+                        format!("bucket {idx} idle with {} resident packets", b.queue.pkts.len()),
                     ));
                 }
             }

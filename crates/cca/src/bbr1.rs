@@ -1,18 +1,14 @@
-//! BBR version 1 (Cardwell et al., 2016/2017).
-//!
-//! BBR builds an explicit model of the path — maximum recent delivery rate
-//! (`BtlBw`, a windowed max over 10 rounds) and minimum recent RTT
-//! (`RTprop`, a windowed min over 10 s) — and paces at `gain × BtlBw` while
-//! capping inflight at `cwnd_gain × BDP` (the "2 BDP inflight cap" the paper
-//! repeatedly invokes). It is deliberately **loss-blind**: packet loss does
-//! not reduce the sending rate; only an RTO collapses the window.
-//!
-//! State machine: `Startup → Drain → ProbeBW ⇄ ProbeRTT`.
+//! BBR version 1 (Cardwell et al., 2016/2017): the model of [`crate::bbr`]
+//! under an eight-phase pacing-gain cycle, capping inflight at
+//! `cwnd_gain × BDP` (the "2 BDP inflight cap" the paper repeatedly
+//! invokes). It is deliberately **loss-blind**: packet loss does not reduce
+//! the sending rate; only an RTO collapses the window.
 
-use crate::filters::WindowedMaxByRound;
-use crate::{AckEvent, CcaState, CongestionControl, LossEvent, INITIAL_CWND_SEGMENTS};
-use elephants_netsim::{SimDuration, SimTime};
+pub use crate::bbr::BbrMode;
+use crate::bbr::{forward_to_core, BbrCore};
+use crate::{AckEvent, CcaState, CongestionControl, LossEvent};
 use elephants_json::impl_json_struct;
+use elephants_netsim::{CheckFailure, SimDuration, SimTime};
 
 /// BBRv1 tuning constants (defaults mirror Linux `tcp_bbr.c`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,245 +60,68 @@ impl Default for BbrV1Config {
 /// The ProbeBW pacing-gain cycle (8 phases of ~1 RTprop each).
 pub const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 
-/// BBR operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BbrMode {
-    /// Exponential search for the bottleneck bandwidth.
-    Startup,
-    /// Drain the queue Startup built.
-    Drain,
-    /// Steady-state bandwidth probing.
-    ProbeBw,
-    /// Periodic floor-RTT re-measurement.
-    ProbeRtt,
-}
-
-/// The BBRv1 congestion controller.
+/// The BBRv1 congestion controller: the shared model plus the gain cycle.
 #[derive(Debug, Clone)]
 pub struct BbrV1 {
     cfg: BbrV1Config,
-    mss: u64,
-    mode: BbrMode,
-    cwnd: u64,
-    prior_cwnd: u64,
-    pacing_gain: f64,
-    cwnd_gain: f64,
-    // Model.
-    bw_filter: WindowedMaxByRound,
-    rtprop: SimDuration,
-    rtprop_stamp: SimTime,
-    rtprop_valid: bool,
-    round_count: u64,
-    // Startup full-pipe detection.
-    full_bw: u64,
-    full_bw_cnt: u32,
-    full_pipe: bool,
+    core: BbrCore,
     // ProbeBW cycling.
     cycle_index: usize,
     cycle_stamp: SimTime,
-    // ProbeRTT bookkeeping.
-    /// Whether the RTprop estimate was stale when the current ACK arrived
-    /// (computed before the refresh, as in Linux `bbr_update_min_rtt`).
-    rtprop_expired: bool,
-    probe_rtt_done_stamp: Option<SimTime>,
-    probe_rtt_round_done: bool,
-    probe_rtt_enter_round: u64,
-    // Deterministic phase randomness.
-    rng_state: u64,
-    // RTO bookkeeping.
-    in_rto_recovery: bool,
 }
 
 impl BbrV1 {
     /// A fresh BBRv1 controller with IW10.
     pub fn new(cfg: BbrV1Config, mss: u32) -> Self {
-        let mss = mss as u64;
         BbrV1 {
-            mss,
-            mode: BbrMode::Startup,
-            cwnd: INITIAL_CWND_SEGMENTS * mss,
-            prior_cwnd: 0,
-            pacing_gain: cfg.high_gain,
-            cwnd_gain: cfg.high_gain,
-            bw_filter: WindowedMaxByRound::new(cfg.bw_window_rounds),
-            rtprop: SimDuration::MAX,
-            rtprop_stamp: SimTime::ZERO,
-            rtprop_valid: false,
-            round_count: 0,
-            full_bw: 0,
-            full_bw_cnt: 0,
-            full_pipe: false,
+            core: BbrCore::new(mss, cfg.high_gain, cfg.bw_window_rounds, cfg.seed),
+            cfg,
             cycle_index: 0,
             cycle_stamp: SimTime::ZERO,
-            rtprop_expired: false,
-            probe_rtt_done_stamp: None,
-            probe_rtt_round_done: false,
-            probe_rtt_enter_round: 0,
-            rng_state: cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
-            in_rto_recovery: false,
-            cfg,
         }
     }
 
     /// Current mode (test hook).
     pub fn mode(&self) -> BbrMode {
-        self.mode
+        self.core.mode
     }
 
     /// Current bottleneck-bandwidth estimate (bits/s).
     pub fn btlbw(&self) -> Option<u64> {
-        self.bw_filter.get()
-    }
-
-    /// Current RTprop estimate.
-    pub fn rtprop(&self) -> Option<SimDuration> {
-        self.rtprop_valid.then_some(self.rtprop)
+        self.core.btlbw()
     }
 
     /// Current pacing gain (test hook).
     pub fn pacing_gain(&self) -> f64 {
-        self.pacing_gain
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*: deterministic per-flow randomness.
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// BDP in bytes for the current model, scaled by `gain`.
-    fn inflight_target(&self, gain: f64) -> u64 {
-        let (Some(bw), true) = (self.bw_filter.get(), self.rtprop_valid) else {
-            return INITIAL_CWND_SEGMENTS * self.mss;
-        };
-        let bdp = bw as f64 * self.rtprop.as_secs_f64() / 8.0;
-        ((gain * bdp) as u64).max(self.min_pipe_cwnd())
-    }
-
-    fn min_pipe_cwnd(&self) -> u64 {
-        4 * self.mss
-    }
-
-    fn update_model(&mut self, ev: &AckEvent) {
-        if ev.round_start {
-            self.round_count += 1;
-        }
-        if let Some(rate) = ev.delivery_rate {
-            // App-limited samples only raise the estimate, never refresh it.
-            if !ev.app_limited || Some(rate) >= self.bw_filter.get() {
-                self.bw_filter.update(self.round_count, rate);
-            }
-        }
-        let expired = self.rtprop_valid && ev.now.since(self.rtprop_stamp) > self.cfg.rtprop_window;
-        self.rtprop_expired = expired;
-        if !self.rtprop_valid || ev.rtt <= self.rtprop || expired {
-            self.rtprop = ev.rtt;
-            self.rtprop_stamp = ev.now;
-            self.rtprop_valid = true;
-        }
-    }
-
-    fn check_full_pipe(&mut self, ev: &AckEvent) {
-        if self.full_pipe || !ev.round_start || ev.app_limited {
-            return;
-        }
-        let Some(bw) = self.bw_filter.get() else { return };
-        if bw as f64 >= self.full_bw as f64 * self.cfg.full_bw_thresh {
-            self.full_bw = bw;
-            self.full_bw_cnt = 0;
-            return;
-        }
-        self.full_bw_cnt += 1;
-        if self.full_bw_cnt >= self.cfg.full_bw_count {
-            self.full_pipe = true;
-        }
+        self.core.pacing_gain
     }
 
     fn enter_probe_bw(&mut self, now: SimTime) {
-        self.mode = BbrMode::ProbeBw;
-        self.cwnd_gain = self.cfg.cwnd_gain;
         // Random initial phase, excluding the 0.75 (drain) phase — per spec.
-        let r = (self.next_rand() % 7) as usize;
+        let r = (self.core.next_rand() % 7) as usize;
         self.cycle_index = if r >= 1 { r + 1 } else { 0 };
         self.cycle_stamp = now;
-        self.pacing_gain = PROBE_BW_GAINS[self.cycle_index];
+        self.core.pacing_gain = PROBE_BW_GAINS[self.cycle_index];
     }
 
     fn advance_cycle(&mut self, ev: &AckEvent) {
         // Phase advances roughly once per RTprop; the 1.25 phase holds until
         // it has actually inflated inflight (or saw loss), the 0.75 phase
         // ends as soon as inflight is back at 1 BDP.
+        let core = &self.core;
         let elapsed = ev.now.since(self.cycle_stamp);
         let should_advance = match PROBE_BW_GAINS[self.cycle_index] {
             g if g > 1.0 => {
-                elapsed > self.rtprop
-                    && (ev.newly_lost > 0 || ev.inflight >= self.inflight_target(g))
+                elapsed > core.rtprop && (ev.newly_lost > 0 || ev.inflight >= core.bdp_bytes(g))
             }
-            g if g < 1.0 => {
-                elapsed > self.rtprop || ev.inflight <= self.inflight_target(1.0)
-            }
-            _ => elapsed > self.rtprop,
+            g if g < 1.0 => elapsed > core.rtprop || ev.inflight <= core.bdp_bytes(1.0),
+            _ => elapsed > core.rtprop,
         };
         if should_advance {
             self.cycle_index = (self.cycle_index + 1) % PROBE_BW_GAINS.len();
             self.cycle_stamp = ev.now;
-            self.pacing_gain = PROBE_BW_GAINS[self.cycle_index];
+            self.core.pacing_gain = PROBE_BW_GAINS[self.cycle_index];
         }
-    }
-
-    fn check_probe_rtt(&mut self, ev: &AckEvent) {
-        // Enter ProbeRTT when the RTprop estimate has gone stale.
-        if self.mode != BbrMode::ProbeRtt && self.rtprop_valid && self.rtprop_expired {
-            self.mode = BbrMode::ProbeRtt;
-            self.pacing_gain = 1.0;
-            self.cwnd_gain = 1.0;
-            self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
-            self.probe_rtt_done_stamp = None;
-            self.probe_rtt_round_done = false;
-            self.probe_rtt_enter_round = self.round_count;
-        }
-        if self.mode == BbrMode::ProbeRtt {
-            if self.probe_rtt_done_stamp.is_none() && ev.inflight <= self.min_pipe_cwnd() {
-                self.probe_rtt_done_stamp = Some(ev.now + self.cfg.probe_rtt_duration);
-            }
-            if ev.round_start && self.round_count > self.probe_rtt_enter_round {
-                self.probe_rtt_round_done = true;
-            }
-            if let Some(done) = self.probe_rtt_done_stamp {
-                if self.probe_rtt_round_done && ev.now >= done {
-                    // Fresh floor measurement: restart the clock.
-                    self.rtprop_stamp = ev.now;
-                    self.cwnd = self.cwnd.max(self.prior_cwnd);
-                    if self.full_pipe {
-                        self.enter_probe_bw(ev.now);
-                    } else {
-                        self.mode = BbrMode::Startup;
-                        self.pacing_gain = self.cfg.high_gain;
-                        self.cwnd_gain = self.cfg.high_gain;
-                    }
-                }
-            }
-        }
-    }
-
-    fn set_cwnd(&mut self, ev: &AckEvent) {
-        let target = self.inflight_target(self.cwnd_gain);
-        if self.mode == BbrMode::ProbeRtt {
-            self.cwnd = self.cwnd.min(self.min_pipe_cwnd());
-            return;
-        }
-        if self.full_pipe {
-            self.cwnd = (self.cwnd + ev.newly_acked).min(target);
-        } else if self.cwnd < target {
-            // Startup: grow by bytes acked toward the high-gain target,
-            // never shrinking (Linux bbr_set_cwnd).
-            self.cwnd += ev.newly_acked;
-        }
-        self.cwnd = self.cwnd.max(self.min_pipe_cwnd());
     }
 }
 
@@ -312,28 +131,23 @@ impl CongestionControl for BbrV1 {
     }
 
     fn on_ack(&mut self, ev: &AckEvent, _in_recovery: bool) {
-        self.update_model(ev);
-
-        match self.mode {
-            BbrMode::Startup => {
-                self.check_full_pipe(ev);
-                if self.full_pipe {
-                    self.mode = BbrMode::Drain;
-                    self.pacing_gain = 1.0 / self.cfg.high_gain;
-                    self.cwnd_gain = self.cfg.high_gain;
-                }
-            }
-            BbrMode::Drain => {
-                if ev.inflight <= self.inflight_target(1.0) {
-                    self.enter_probe_bw(ev.now);
-                }
-            }
-            BbrMode::ProbeBw => self.advance_cycle(ev),
-            BbrMode::ProbeRtt => {}
+        self.core.update_model(ev, self.cfg.rtprop_window);
+        if self.core.startup_drain_step(ev, self.cfg.full_bw_thresh, self.cfg.full_bw_count) {
+            self.enter_probe_bw(ev.now);
+        } else if self.core.mode == BbrMode::ProbeBw {
+            self.advance_cycle(ev);
         }
-        self.check_probe_rtt(ev);
-        self.set_cwnd(ev);
-        self.in_rto_recovery = false;
+        // ProbeRTT pins the window to the 4-segment pipe floor.
+        if self.core.probe_rtt_step(ev, self.core.min_pipe_cwnd(), self.cfg.probe_rtt_duration) {
+            self.enter_probe_bw(ev.now);
+        }
+        // The 2 BDP inflight cap is ProbeBW's; Startup and Drain (and a
+        // Startup resumed after ProbeRTT) size the window by `high_gain`.
+        let cwnd_gain = match self.core.mode {
+            BbrMode::ProbeBw => self.cfg.cwnd_gain,
+            _ => self.cfg.high_gain,
+        };
+        self.core.set_cwnd(ev, self.core.bdp_bytes(cwnd_gain));
     }
 
     fn on_loss_event(&mut self, _ev: &LossEvent) {
@@ -341,93 +155,26 @@ impl CongestionControl for BbrV1 {
         // losses (the paper's "rigid response" that inflates retransmissions).
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        // Collapse to one segment; restore after recovery (Linux bbr saves
-        // prior_cwnd and restores it when the RTO episode ends).
-        self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
-        self.cwnd = self.mss;
-        self.in_rto_recovery = true;
-    }
-
-    fn on_spurious_rto(&mut self, _now: SimTime) {
-        if self.prior_cwnd > 0 {
-            self.cwnd = self.cwnd.max(self.prior_cwnd);
-            self.prior_cwnd = 0;
-        }
-    }
-
-    fn on_recovery_exit(&mut self, _now: SimTime) {
-        if self.prior_cwnd > 0 {
-            self.cwnd = self.cwnd.max(self.prior_cwnd);
-            self.prior_cwnd = 0;
-        }
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn pacing_rate(&self) -> Option<u64> {
-        match self.bw_filter.get() {
-            Some(bw) => Some((self.pacing_gain * bw as f64) as u64),
-            None => {
-                // Bootstrap before the first rate sample: IW over 1 ms,
-                // like Linux's bbr_init_pacing_rate_from_rtt.
-                let iw_bits = (INITIAL_CWND_SEGMENTS * self.mss * 8) as f64;
-                Some((self.cfg.high_gain * iw_bits / 0.001) as u64)
-            }
-        }
-    }
-
-    fn ssthresh(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.mode == BbrMode::Startup
-    }
-
-    fn bw_estimate(&self) -> Option<u64> {
-        self.bw_filter.get()
-    }
+    forward_to_core!();
 
     fn state_snapshot(&self) -> CcaState {
         // ProbeBW labels carry the gain phase so a recorded series exposes
         // the 8-phase cycle (1.25 up-probe -> 0.75 drain -> 6x cruise):
         // counting "probe_bw:1.25" entries counts ProbeBW cycles.
-        let phase = match self.mode {
-            BbrMode::Startup => "startup",
-            BbrMode::Drain => "drain",
-            BbrMode::ProbeRtt => "probe_rtt",
-            BbrMode::ProbeBw => match PROBE_BW_GAINS[self.cycle_index] {
-                g if g > 1.0 => "probe_bw:1.25",
-                g if g < 1.0 => "probe_bw:0.75",
-                _ => "probe_bw:1.00",
-            },
-        };
-        CcaState {
-            phase,
-            cwnd: self.cwnd,
-            ssthresh: u64::MAX,
-            pacing_rate: self.pacing_rate(),
-            bw_estimate: self.bw_filter.get(),
-            pacing_gain: Some(self.pacing_gain),
-        }
+        self.core.snapshot(match PROBE_BW_GAINS[self.cycle_index] {
+            g if g > 1.0 => "probe_bw:1.25",
+            g if g < 1.0 => "probe_bw:0.75",
+            _ => "probe_bw:1.00",
+        })
     }
 
-    fn check_invariants(&self, mss: u32) -> Vec<elephants_netsim::CheckFailure> {
-        let mut fails = crate::generic_cca_failures(self.cwnd(), &self.state_snapshot(), mss);
+    fn check_invariants(&self, mss: u32) -> Vec<CheckFailure> {
+        let mut fails = self.core.check_invariants(&self.state_snapshot(), mss);
         if self.cycle_index >= PROBE_BW_GAINS.len() {
             let i = self.cycle_index;
-            fails.push(elephants_netsim::CheckFailure::new(
+            fails.push(CheckFailure::new(
                 "bbr_cycle_index",
                 format!("ProbeBW gain-cycle index {i} out of range 0..{}", PROBE_BW_GAINS.len()),
-            ));
-        }
-        if !self.bw_filter.is_monotone() {
-            fails.push(elephants_netsim::CheckFailure::new(
-                "bbr_filter_monotone",
-                "bandwidth max-filter deque lost its monotonic order".to_string(),
             ));
         }
         fails
@@ -437,48 +184,7 @@ impl CongestionControl for BbrV1 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const MSS: u32 = 1000;
-
-    struct AckFeeder {
-        now: SimTime,
-        delivered: u64,
-        round: bool,
-    }
-
-    impl AckFeeder {
-        fn new() -> Self {
-            AckFeeder { now: SimTime::ZERO, delivered: 0, round: false }
-        }
-
-        fn ack(
-            &mut self,
-            advance_ms: u64,
-            rate_bps: u64,
-            rtt_ms: u64,
-            inflight: u64,
-            round_start: bool,
-        ) -> AckEvent {
-            self.now += SimDuration::from_millis(advance_ms);
-            self.delivered += MSS as u64;
-            self.round = round_start;
-            AckEvent {
-                now: self.now,
-                rtt: SimDuration::from_millis(rtt_ms),
-                min_rtt: SimDuration::from_millis(rtt_ms),
-                srtt: SimDuration::from_millis(rtt_ms),
-                newly_acked: MSS as u64,
-                newly_lost: 0,
-                inflight,
-                delivery_rate: Some(rate_bps),
-                app_limited: false,
-                delivered: self.delivered,
-                round_start,
-                ecn_ce: false,
-                is_app_limited_now: false,
-            }
-        }
-    }
+    use crate::bbr::testing::{drive_to_probe_bw, AckFeeder, MSS};
 
     #[test]
     fn starts_in_startup_with_high_gain() {
@@ -492,30 +198,16 @@ mod tests {
         let mut b = BbrV1::new(BbrV1Config::default(), MSS);
         let mut f = AckFeeder::new();
         // Growing bandwidth: stays in startup.
-        for (i, bw) in [(1, 10u64), (2, 20), (3, 40)] {
-            b.on_ack(&f.ack(10, bw * 1_000_000, 50, 100_000, true), false);
-            let _ = i;
+        for bw in [10, 20, 40] {
+            b.on_ack(&f.ev(10, bw, 50, 100_000, true, 0), false);
             assert_eq!(b.mode(), BbrMode::Startup);
         }
         // Plateau: three rounds with <25 % growth.
         for _ in 0..3 {
-            b.on_ack(&f.ack(10, 41_000_000, 50, 100_000, true), false);
+            b.on_ack(&f.ev(10, 41, 50, 100_000, true, 0), false);
         }
         assert_eq!(b.mode(), BbrMode::Drain);
         assert!(b.pacing_gain() < 1.0);
-    }
-
-    fn drive_to_probe_bw(b: &mut BbrV1, f: &mut AckFeeder) {
-        for _ in 0..3 {
-            b.on_ack(&f.ack(10, 40_000_000, 50, 300_000, true), false);
-        }
-        for _ in 0..3 {
-            b.on_ack(&f.ack(10, 40_000_000, 50, 300_000, true), false);
-        }
-        assert_eq!(b.mode(), BbrMode::Drain);
-        // Inflight drains below 1 BDP (40 Mbps * 50 ms = 250 kB).
-        b.on_ack(&f.ack(10, 40_000_000, 50, 200_000, false), false);
-        assert_eq!(b.mode(), BbrMode::ProbeBw);
     }
 
     #[test]
@@ -523,6 +215,7 @@ mod tests {
         let mut b = BbrV1::new(BbrV1Config::default(), MSS);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
+        assert_eq!(b.mode(), BbrMode::ProbeBw);
         assert!((b.pacing_gain() - PROBE_BW_GAINS[0]).abs() < 1e-9 || b.pacing_gain() == 1.0 || b.pacing_gain() == 1.25);
     }
 
@@ -534,7 +227,7 @@ mod tests {
         // Pump many ACKs: cwnd must not exceed 2 * BDP.
         let bdp = 40_000_000u64 / 8 / 20; // 40 Mbps * 50 ms = 250_000 B
         for _ in 0..500 {
-            b.on_ack(&f.ack(1, 40_000_000, 50, 200_000, false), false);
+            b.on_ack(&f.ev(1, 40, 50, 200_000, false, 0), false);
         }
         assert!(b.cwnd() <= 2 * bdp + MSS as u64, "cwnd {} vs 2*BDP {}", b.cwnd(), 2 * bdp);
     }
@@ -572,7 +265,7 @@ mod tests {
         drive_to_probe_bw(&mut b, &mut f);
         // 11 s of ACKs whose RTT never reaches the old floor.
         for _ in 0..110 {
-            b.on_ack(&f.ack(100, 40_000_000, 60, 200_000, false), false);
+            b.on_ack(&f.ev(100, 40, 60, 200_000, false, 0), false);
         }
         assert_eq!(b.mode(), BbrMode::ProbeRtt);
         assert!(b.cwnd() <= 4 * MSS as u64, "ProbeRTT pins cwnd to 4 MSS");
@@ -584,13 +277,13 @@ mod tests {
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         for _ in 0..110 {
-            b.on_ack(&f.ack(100, 40_000_000, 60, 200_000, false), false);
+            b.on_ack(&f.ev(100, 40, 60, 200_000, false, 0), false);
         }
         assert_eq!(b.mode(), BbrMode::ProbeRtt);
         // Inflight at the floor; rounds pass; 200+ ms elapse.
-        b.on_ack(&f.ack(10, 40_000_000, 50, 2_000, true), false);
-        b.on_ack(&f.ack(150, 40_000_000, 50, 2_000, true), false);
-        b.on_ack(&f.ack(100, 40_000_000, 50, 2_000, true), false);
+        b.on_ack(&f.ev(10, 40, 50, 2_000, true, 0), false);
+        b.on_ack(&f.ev(150, 40, 50, 2_000, true, 0), false);
+        b.on_ack(&f.ev(100, 40, 50, 2_000, true, 0), false);
         assert_eq!(b.mode(), BbrMode::ProbeBw, "ProbeRTT must end");
     }
 
@@ -598,9 +291,9 @@ mod tests {
     fn app_limited_samples_do_not_lower_estimate() {
         let mut b = BbrV1::new(BbrV1Config::default(), MSS);
         let mut f = AckFeeder::new();
-        b.on_ack(&f.ack(10, 100_000_000, 50, 100_000, true), false);
+        b.on_ack(&f.ev(10, 100, 50, 100_000, true, 0), false);
         assert_eq!(b.btlbw(), Some(100_000_000));
-        let mut ev = f.ack(10, 5_000_000, 50, 100_000, true);
+        let mut ev = f.ev(10, 5, 50, 100_000, true, 0);
         ev.app_limited = true;
         b.on_ack(&ev, false);
         assert_eq!(b.btlbw(), Some(100_000_000), "app-limited sample must not replace max");
@@ -610,7 +303,7 @@ mod tests {
     fn pacing_rate_follows_gain_times_bw() {
         let mut b = BbrV1::new(BbrV1Config::default(), MSS);
         let mut f = AckFeeder::new();
-        b.on_ack(&f.ack(10, 100_000_000, 50, 100_000, true), false);
+        b.on_ack(&f.ev(10, 100, 50, 100_000, true, 0), false);
         let rate = b.pacing_rate().unwrap();
         assert_eq!(rate, (2.885f64 * 100_000_000.0) as u64);
     }
@@ -623,7 +316,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         // BDP = 250 kB; inflight around 250k advances all phases.
         for _ in 0..200 {
-            b.on_ack(&f.ack(60, 40_000_000, 50, 320_000, false), false);
+            b.on_ack(&f.ev(60, 40, 50, 320_000, false, 0), false);
             seen.insert((b.pacing_gain() * 100.0) as u64);
         }
         assert!(seen.contains(&125), "must visit the 1.25 probe phase: {seen:?}");

@@ -15,10 +15,11 @@
 //! * ProbeBW is restructured into DOWN → CRUISE → REFILL → UP, cruising
 //!   with 15 % headroom below `inflight_hi`.
 
-use crate::filters::WindowedMaxByRound;
-use crate::{AckEvent, CcaState, CongestionControl, LossEvent, INITIAL_CWND_SEGMENTS};
-use elephants_netsim::{SimDuration, SimTime};
+pub use crate::bbr::BbrMode;
+use crate::bbr::{forward_to_core, BbrCore};
+use crate::{AckEvent, CcaState, CongestionControl, LossEvent};
 use elephants_json::impl_json_struct;
+use elephants_netsim::{CheckFailure, SimDuration, SimTime};
 
 /// BBRv2 tuning constants (defaults follow the v2alpha kernel).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,19 +100,6 @@ impl Default for BbrV2Config {
     }
 }
 
-/// Top-level BBRv2 mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bbr2Mode {
-    /// Exponential bandwidth search.
-    Startup,
-    /// Queue drain after Startup.
-    Drain,
-    /// Steady state (with a [`ProbePhase`]).
-    ProbeBw,
-    /// Floor-RTT re-measurement.
-    ProbeRtt,
-}
-
 /// ProbeBW sub-phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProbePhase {
@@ -125,23 +113,13 @@ pub enum ProbePhase {
     Up,
 }
 
-/// The BBRv2 congestion controller.
+/// The BBRv2 congestion controller: the shared model plus the loss-bounded
+/// ProbeBW phases.
 #[derive(Debug, Clone)]
 pub struct BbrV2 {
     cfg: BbrV2Config,
-    mss: u64,
-    mode: Bbr2Mode,
+    core: BbrCore,
     phase: ProbePhase,
-    cwnd: u64,
-    prior_cwnd: u64,
-    pacing_gain: f64,
-    // Model.
-    bw_filter: WindowedMaxByRound,
-    rtprop: SimDuration,
-    rtprop_stamp: SimTime,
-    rtprop_valid: bool,
-    rtprop_expired: bool,
-    round_count: u64,
     // Inflight bounds.
     inflight_hi: u64,
     // Per-round loss/ECN accounting.
@@ -152,39 +130,19 @@ pub struct BbrV2 {
     loss_round_rate: f64,
     loss_round_events: u32,
     ce_round_rate: f64,
-    // Startup full-pipe detection.
-    full_bw: u64,
-    full_bw_cnt: u32,
-    full_pipe: bool,
     // Phase clocks.
     phase_stamp: SimTime,
     cruise_wait: SimDuration,
     refill_round: u64,
     up_rounds: u32,
-    // ProbeRTT bookkeeping.
-    probe_rtt_done_stamp: Option<SimTime>,
-    probe_rtt_round_done: bool,
-    probe_rtt_enter_round: u64,
-    rng_state: u64,
 }
 
 impl BbrV2 {
     /// A fresh BBRv2 controller with IW10.
     pub fn new(cfg: BbrV2Config, mss: u32) -> Self {
-        let mss = mss as u64;
         BbrV2 {
-            mss,
-            mode: Bbr2Mode::Startup,
+            core: BbrCore::new(mss, cfg.high_gain, cfg.bw_window_rounds, cfg.seed),
             phase: ProbePhase::Cruise,
-            cwnd: INITIAL_CWND_SEGMENTS * mss,
-            prior_cwnd: 0,
-            pacing_gain: cfg.high_gain,
-            bw_filter: WindowedMaxByRound::new(cfg.bw_window_rounds),
-            rtprop: SimDuration::MAX,
-            rtprop_stamp: SimTime::ZERO,
-            rtprop_valid: false,
-            rtprop_expired: false,
-            round_count: 0,
             inflight_hi: u64::MAX,
             loss_in_round: 0,
             delivered_in_round: 0,
@@ -193,24 +151,17 @@ impl BbrV2 {
             loss_round_rate: 0.0,
             loss_round_events: 0,
             ce_round_rate: 0.0,
-            full_bw: 0,
-            full_bw_cnt: 0,
-            full_pipe: false,
             phase_stamp: SimTime::ZERO,
             cruise_wait: cfg.probe_wait_base,
             refill_round: 0,
             up_rounds: 0,
-            probe_rtt_done_stamp: None,
-            probe_rtt_round_done: false,
-            probe_rtt_enter_round: 0,
-            rng_state: cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1,
             cfg,
         }
     }
 
     /// Current mode (test hook).
-    pub fn mode(&self) -> Bbr2Mode {
-        self.mode
+    pub fn mode(&self) -> BbrMode {
+        self.core.mode
     }
 
     /// Current ProbeBW phase (test hook).
@@ -223,44 +174,16 @@ impl BbrV2 {
         self.inflight_hi
     }
 
-    /// Bottleneck bandwidth estimate (bits/s).
-    pub fn btlbw(&self) -> Option<u64> {
-        self.bw_filter.get()
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn min_pipe_cwnd(&self) -> u64 {
-        4 * self.mss
-    }
-
-    fn bdp_bytes(&self, gain: f64) -> u64 {
-        let (Some(bw), true) = (self.bw_filter.get(), self.rtprop_valid) else {
-            return INITIAL_CWND_SEGMENTS * self.mss;
-        };
-        ((gain * bw as f64 * self.rtprop.as_secs_f64() / 8.0) as u64).max(self.min_pipe_cwnd())
-    }
-
-    fn update_model(&mut self, ev: &AckEvent) {
+    /// Per-round loss/CE accounting: commit the finished round's rates at a
+    /// round start, then add this ACK to the live round.
+    fn account_round(&mut self, ev: &AckEvent) {
         if ev.round_start {
-            // Commit the finished round's loss/CE rates.
             if self.delivered_in_round > 0 {
                 self.loss_round_rate = self.loss_in_round as f64 / self.delivered_in_round as f64;
                 self.loss_round_events = self.loss_events_in_round;
                 self.ce_round_rate = self.ce_in_round as f64 / self.delivered_in_round as f64;
             }
-            self.loss_in_round = 0;
-            self.delivered_in_round = 0;
-            self.ce_in_round = 0;
-            self.loss_events_in_round = 0;
-            self.round_count += 1;
+            self.reset_live_round();
         }
         self.loss_in_round += ev.newly_lost;
         if ev.newly_lost > 0 {
@@ -270,18 +193,13 @@ impl BbrV2 {
         if ev.ecn_ce {
             self.ce_in_round += ev.newly_acked;
         }
-        if let Some(rate) = ev.delivery_rate {
-            if !ev.app_limited || Some(rate) >= self.bw_filter.get() {
-                self.bw_filter.update(self.round_count, rate);
-            }
-        }
-        let expired = self.rtprop_valid && ev.now.since(self.rtprop_stamp) > self.cfg.rtprop_window;
-        self.rtprop_expired = expired;
-        if !self.rtprop_valid || ev.rtt <= self.rtprop || expired {
-            self.rtprop = ev.rtt;
-            self.rtprop_stamp = ev.now;
-            self.rtprop_valid = true;
-        }
+    }
+
+    fn reset_live_round(&mut self) {
+        self.loss_in_round = 0;
+        self.delivered_in_round = 0;
+        self.ce_in_round = 0;
+        self.loss_events_in_round = 0;
     }
 
     /// Whether recent loss/ECN says the inflight volume is too high.
@@ -295,7 +213,7 @@ impl BbrV2 {
         let committed = self.loss_round_events >= LOSS_EVENTS_MIN
             && self.loss_round_rate > self.cfg.loss_thresh;
         let live = self.loss_events_in_round >= LOSS_EVENTS_MIN
-            && self.delivered_in_round > 16 * self.mss
+            && self.delivered_in_round > 16 * self.core.mss
             && (self.loss_in_round as f64
                 > self.cfg.loss_thresh * self.delivered_in_round as f64);
         let ecn = self.ce_round_rate > self.cfg.ecn_thresh;
@@ -304,22 +222,20 @@ impl BbrV2 {
 
     /// Cut `inflight_hi` after probing too hard (v2alpha
     /// `bbr2_handle_inflight_too_high`).
-    fn handle_inflight_too_high(&mut self, ev: &AckEvent) {
-        let base = ev.inflight.max(self.bdp_bytes(1.0));
-        self.inflight_hi = ((base as f64 * (1.0 - self.cfg.beta)) as u64).max(self.min_pipe_cwnd());
+    fn handle_inflight_too_high(&mut self, inflight: u64) {
+        let base = inflight.max(self.core.bdp_bytes(1.0));
+        self.inflight_hi =
+            ((base as f64 * (1.0 - self.cfg.beta)) as u64).max(self.core.min_pipe_cwnd());
         // Reset the live counters so one bad round is punished once.
         self.loss_round_rate = 0.0;
         self.loss_round_events = 0;
-        self.loss_in_round = 0;
-        self.delivered_in_round = 0;
-        self.ce_in_round = 0;
-        self.loss_events_in_round = 0;
+        self.reset_live_round();
     }
 
     fn enter_phase(&mut self, phase: ProbePhase, now: SimTime) {
         self.phase = phase;
         self.phase_stamp = now;
-        self.pacing_gain = match phase {
+        self.core.pacing_gain = match phase {
             ProbePhase::Down => self.cfg.down_gain,
             ProbePhase::Cruise | ProbePhase::Refill => 1.0,
             ProbePhase::Up => self.cfg.up_gain,
@@ -327,11 +243,11 @@ impl BbrV2 {
         match phase {
             ProbePhase::Cruise => {
                 let extra = self.cfg.probe_wait_rand.as_nanos();
-                let r = if extra > 0 { self.next_rand() % extra } else { 0 };
+                let r = if extra > 0 { self.core.next_rand() % extra } else { 0 };
                 self.cruise_wait = self.cfg.probe_wait_base + SimDuration::from_nanos(r);
             }
             ProbePhase::Refill => {
-                self.refill_round = self.round_count;
+                self.refill_round = self.core.round_count;
             }
             ProbePhase::Up => {
                 self.up_rounds = 0;
@@ -344,8 +260,8 @@ impl BbrV2 {
         match self.phase {
             ProbePhase::Down => {
                 // Leave once the queue we built is drained.
-                if ev.inflight <= self.bdp_bytes(1.0)
-                    || ev.now.since(self.phase_stamp) > self.rtprop * 2
+                if ev.inflight <= self.core.bdp_bytes(1.0)
+                    || ev.now.since(self.phase_stamp) > self.core.rtprop * 2
                 {
                     self.enter_phase(ProbePhase::Cruise, ev.now);
                 }
@@ -357,13 +273,13 @@ impl BbrV2 {
             }
             ProbePhase::Refill => {
                 // One full round of refilling, then probe up.
-                if self.round_count > self.refill_round {
+                if self.core.round_count > self.refill_round {
                     self.enter_phase(ProbePhase::Up, ev.now);
                 }
             }
             ProbePhase::Up => {
                 if self.inflight_too_high() {
-                    self.handle_inflight_too_high(ev);
+                    self.handle_inflight_too_high(ev.inflight);
                     self.enter_phase(ProbePhase::Down, ev.now);
                     return;
                 }
@@ -372,12 +288,12 @@ impl BbrV2 {
                     // Probing sustained without excessive loss: raise the
                     // ceiling so the next cruise can use what we found.
                     if self.inflight_hi != u64::MAX && ev.inflight >= self.inflight_hi {
-                        let step = self.mss << self.up_rounds.min(12);
+                        let step = self.core.mss << self.up_rounds.min(12);
                         self.inflight_hi = self.inflight_hi.saturating_add(step);
                     }
                 }
-                if ev.now.since(self.phase_stamp) > self.rtprop
-                    && ev.inflight >= self.bdp_bytes(self.cfg.up_gain)
+                if ev.now.since(self.phase_stamp) > self.core.rtprop
+                    && ev.inflight >= self.core.bdp_bytes(self.cfg.up_gain)
                 {
                     self.enter_phase(ProbePhase::Down, ev.now);
                 }
@@ -385,88 +301,19 @@ impl BbrV2 {
         }
     }
 
-    fn check_probe_rtt(&mut self, ev: &AckEvent) {
-        if self.mode != Bbr2Mode::ProbeRtt && self.rtprop_valid && self.rtprop_expired {
-            self.mode = Bbr2Mode::ProbeRtt;
-            self.pacing_gain = 1.0;
-            self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
-            self.probe_rtt_done_stamp = None;
-            self.probe_rtt_round_done = false;
-            self.probe_rtt_enter_round = self.round_count;
-        }
-        if self.mode == Bbr2Mode::ProbeRtt {
-            let floor = self.probe_rtt_cwnd();
-            if self.probe_rtt_done_stamp.is_none() && ev.inflight <= floor {
-                self.probe_rtt_done_stamp = Some(ev.now + self.cfg.probe_rtt_duration);
-            }
-            if ev.round_start && self.round_count > self.probe_rtt_enter_round {
-                self.probe_rtt_round_done = true;
-            }
-            if let Some(done) = self.probe_rtt_done_stamp {
-                if self.probe_rtt_round_done && ev.now >= done {
-                    self.rtprop_stamp = ev.now;
-                    self.cwnd = self.cwnd.max(self.prior_cwnd);
-                    if self.full_pipe {
-                        self.mode = Bbr2Mode::ProbeBw;
-                        self.enter_phase(ProbePhase::Cruise, ev.now);
-                    } else {
-                        self.mode = Bbr2Mode::Startup;
-                        self.pacing_gain = self.cfg.high_gain;
-                    }
-                }
-            }
-        }
-    }
-
-    /// ProbeRTT window floor: half the estimated BDP (v2 probes less
-    /// brutally than v1's 4-segment floor).
-    fn probe_rtt_cwnd(&self) -> u64 {
-        (self.bdp_bytes(0.5)).max(self.min_pipe_cwnd())
-    }
-
-    fn check_full_pipe(&mut self, ev: &AckEvent) {
-        if self.full_pipe || !ev.round_start || ev.app_limited {
-            return;
-        }
-        let Some(bw) = self.bw_filter.get() else { return };
-        if bw as f64 >= self.full_bw as f64 * self.cfg.full_bw_thresh {
-            self.full_bw = bw;
-            self.full_bw_cnt = 0;
-            return;
-        }
-        self.full_bw_cnt += 1;
-        if self.full_bw_cnt >= self.cfg.full_bw_count {
-            self.full_pipe = true;
-        }
-    }
-
     fn effective_inflight_cap(&self) -> u64 {
         if self.inflight_hi == u64::MAX {
             return u64::MAX;
         }
-        match (self.mode, self.phase) {
+        match (self.core.mode, self.phase) {
             // Cruise keeps headroom below the ceiling so other flows can
             // probe (v2alpha `bbr2_inflight_with_headroom`).
-            (Bbr2Mode::ProbeBw, ProbePhase::Cruise) => {
+            (BbrMode::ProbeBw, ProbePhase::Cruise) => {
                 ((self.inflight_hi as f64 * (1.0 - self.cfg.headroom)) as u64)
-                    .max(self.min_pipe_cwnd())
+                    .max(self.core.min_pipe_cwnd())
             }
             _ => self.inflight_hi,
         }
-    }
-
-    fn set_cwnd(&mut self, ev: &AckEvent) {
-        if self.mode == Bbr2Mode::ProbeRtt {
-            self.cwnd = self.cwnd.min(self.probe_rtt_cwnd());
-            return;
-        }
-        let target = self.bdp_bytes(self.cfg.cwnd_gain).min(self.effective_inflight_cap());
-        if self.full_pipe {
-            self.cwnd = (self.cwnd + ev.newly_acked).min(target);
-        } else if self.cwnd < target {
-            self.cwnd += ev.newly_acked;
-        }
-        self.cwnd = self.cwnd.max(self.min_pipe_cwnd());
     }
 }
 
@@ -476,32 +323,24 @@ impl CongestionControl for BbrV2 {
     }
 
     fn on_ack(&mut self, ev: &AckEvent, _in_recovery: bool) {
-        self.update_model(ev);
-
-        match self.mode {
-            Bbr2Mode::Startup => {
-                self.check_full_pipe(ev);
-                // v2 also leaves Startup when loss says inflight is too high.
-                if !self.full_pipe && self.inflight_too_high() {
-                    self.full_pipe = true;
-                    self.handle_inflight_too_high(ev);
-                }
-                if self.full_pipe {
-                    self.mode = Bbr2Mode::Drain;
-                    self.pacing_gain = 1.0 / self.cfg.high_gain;
-                }
-            }
-            Bbr2Mode::Drain => {
-                if ev.inflight <= self.bdp_bytes(1.0) {
-                    self.mode = Bbr2Mode::ProbeBw;
-                    self.enter_phase(ProbePhase::Cruise, ev.now);
-                }
-            }
-            Bbr2Mode::ProbeBw => self.probe_bw_step(ev),
-            Bbr2Mode::ProbeRtt => {}
+        self.account_round(ev);
+        self.core.update_model(ev, self.cfg.rtprop_window);
+        if self.core.startup_drain_step(ev, self.cfg.full_bw_thresh, self.cfg.full_bw_count) {
+            self.enter_phase(ProbePhase::Cruise, ev.now);
+        } else if self.core.mode == BbrMode::Startup && self.inflight_too_high() {
+            // v2 also leaves Startup when loss says inflight is too high.
+            self.handle_inflight_too_high(ev.inflight);
+            self.core.enter_drain();
+        } else if self.core.mode == BbrMode::ProbeBw {
+            self.probe_bw_step(ev);
         }
-        self.check_probe_rtt(ev);
-        self.set_cwnd(ev);
+        // ProbeRTT floor: half the estimated BDP (v2 probes less brutally
+        // than v1's 4-segment floor).
+        if self.core.probe_rtt_step(ev, self.core.bdp_bytes(0.5), self.cfg.probe_rtt_duration) {
+            self.enter_phase(ProbePhase::Cruise, ev.now);
+        }
+        let target = self.core.bdp_bytes(self.cfg.cwnd_gain).min(self.effective_inflight_cap());
+        self.core.set_cwnd(ev, target);
     }
 
     fn on_loss_event(&mut self, ev: &LossEvent) {
@@ -509,108 +348,31 @@ impl CongestionControl for BbrV2 {
         // threshold still cuts the ceiling (e.g. FIFO overflow caused by a
         // competing CUBIC flow filling the buffer).
         if self.inflight_too_high() {
-            let ack_view = AckEvent {
-                now: ev.now,
-                rtt: self.rtprop,
-                min_rtt: ev.min_rtt,
-                srtt: self.rtprop,
-                newly_acked: 0,
-                newly_lost: 0,
-                inflight: ev.inflight,
-                delivery_rate: None,
-                app_limited: false,
-                delivered: ev.delivered,
-                round_start: false,
-                ecn_ce: false,
-                is_app_limited_now: false,
-            };
-            self.handle_inflight_too_high(&ack_view);
-            if self.mode == Bbr2Mode::ProbeBw && self.phase != ProbePhase::Down {
+            self.handle_inflight_too_high(ev.inflight);
+            if self.core.mode == BbrMode::ProbeBw && self.phase != ProbePhase::Down {
                 self.enter_phase(ProbePhase::Down, ev.now);
             }
         }
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.prior_cwnd = self.prior_cwnd.max(self.cwnd);
-        self.cwnd = self.mss;
-    }
-
-    fn on_spurious_rto(&mut self, _now: SimTime) {
-        if self.prior_cwnd > 0 {
-            self.cwnd = self.cwnd.max(self.prior_cwnd);
-            self.prior_cwnd = 0;
-        }
-    }
-
-    fn on_recovery_exit(&mut self, _now: SimTime) {
-        if self.prior_cwnd > 0 {
-            self.cwnd = self.cwnd.max(self.prior_cwnd);
-            self.prior_cwnd = 0;
-        }
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn pacing_rate(&self) -> Option<u64> {
-        match self.bw_filter.get() {
-            Some(bw) => Some((self.pacing_gain * bw as f64) as u64),
-            None => {
-                let iw_bits = (INITIAL_CWND_SEGMENTS * self.mss * 8) as f64;
-                Some((self.cfg.high_gain * iw_bits / 0.001) as u64)
-            }
-        }
-    }
-
-    fn ssthresh(&self) -> u64 {
-        u64::MAX
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.mode == Bbr2Mode::Startup
-    }
-
-    fn bw_estimate(&self) -> Option<u64> {
-        self.bw_filter.get()
-    }
+    forward_to_core!();
 
     fn state_snapshot(&self) -> CcaState {
-        let phase = match self.mode {
-            Bbr2Mode::Startup => "startup",
-            Bbr2Mode::Drain => "drain",
-            Bbr2Mode::ProbeRtt => "probe_rtt",
-            Bbr2Mode::ProbeBw => match self.phase {
-                ProbePhase::Down => "probe_bw:down",
-                ProbePhase::Cruise => "probe_bw:cruise",
-                ProbePhase::Refill => "probe_bw:refill",
-                ProbePhase::Up => "probe_bw:up",
-            },
-        };
-        CcaState {
-            phase,
-            cwnd: self.cwnd,
-            ssthresh: u64::MAX,
-            pacing_rate: self.pacing_rate(),
-            bw_estimate: self.bw_filter.get(),
-            pacing_gain: Some(self.pacing_gain),
-        }
+        self.core.snapshot(match self.phase {
+            ProbePhase::Down => "probe_bw:down",
+            ProbePhase::Cruise => "probe_bw:cruise",
+            ProbePhase::Refill => "probe_bw:refill",
+            ProbePhase::Up => "probe_bw:up",
+        })
     }
 
-    fn check_invariants(&self, mss: u32) -> Vec<elephants_netsim::CheckFailure> {
-        let mut fails = crate::generic_cca_failures(self.cwnd(), &self.state_snapshot(), mss);
-        if self.inflight_hi < self.min_pipe_cwnd() {
-            let (hi, floor) = (self.inflight_hi, self.min_pipe_cwnd());
-            fails.push(elephants_netsim::CheckFailure::new(
+    fn check_invariants(&self, mss: u32) -> Vec<CheckFailure> {
+        let mut fails = self.core.check_invariants(&self.state_snapshot(), mss);
+        if self.inflight_hi < self.core.min_pipe_cwnd() {
+            let (hi, floor) = (self.inflight_hi, self.core.min_pipe_cwnd());
+            fails.push(CheckFailure::new(
                 "bbr2_inflight_hi",
                 format!("inflight_hi {hi} below the {floor}-byte pipe floor"),
-            ));
-        }
-        if !self.bw_filter.is_monotone() {
-            fails.push(elephants_netsim::CheckFailure::new(
-                "bbr_filter_monotone",
-                "bandwidth max-filter deque lost its monotonic order".to_string(),
             ));
         }
         fails
@@ -620,68 +382,16 @@ impl CongestionControl for BbrV2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const MSS: u32 = 1000;
-
-    struct AckFeeder {
-        now: SimTime,
-        delivered: u64,
-    }
-
-    impl AckFeeder {
-        fn new() -> Self {
-            AckFeeder { now: SimTime::ZERO, delivered: 0 }
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn ev(
-            &mut self,
-            advance_ms: u64,
-            rate_mbps: u64,
-            rtt_ms: u64,
-            inflight: u64,
-            round_start: bool,
-            newly_lost: u64,
-        ) -> AckEvent {
-            self.now += SimDuration::from_millis(advance_ms);
-            self.delivered += MSS as u64;
-            AckEvent {
-                now: self.now,
-                rtt: SimDuration::from_millis(rtt_ms),
-                min_rtt: SimDuration::from_millis(rtt_ms),
-                srtt: SimDuration::from_millis(rtt_ms),
-                newly_acked: MSS as u64,
-                newly_lost,
-                inflight,
-                delivery_rate: Some(rate_mbps * 1_000_000),
-                app_limited: false,
-                delivered: self.delivered,
-                round_start,
-                ecn_ce: false,
-                is_app_limited_now: false,
-            }
-        }
-    }
-
-    fn drive_to_probe_bw(b: &mut BbrV2, f: &mut AckFeeder) {
-        for _ in 0..2 {
-            b.on_ack(&f.ev(10, 40, 50, 300_000, true, 0), false);
-        }
-        for _ in 0..4 {
-            b.on_ack(&f.ev(10, 40, 50, 300_000, true, 0), false);
-        }
-        assert_eq!(b.mode(), Bbr2Mode::Drain);
-        b.on_ack(&f.ev(10, 40, 50, 200_000, false, 0), false);
-        assert_eq!(b.mode(), Bbr2Mode::ProbeBw);
-        assert_eq!(b.phase(), ProbePhase::Cruise);
-    }
+    use crate::bbr::testing::{drive_to_probe_bw, AckFeeder, MSS};
 
     #[test]
     fn startup_to_drain_to_probe_bw() {
         let mut b = BbrV2::new(BbrV2Config::default(), MSS);
         let mut f = AckFeeder::new();
-        assert_eq!(b.mode(), Bbr2Mode::Startup);
+        assert_eq!(b.mode(), BbrMode::Startup);
         drive_to_probe_bw(&mut b, &mut f);
+        assert_eq!(b.mode(), BbrMode::ProbeBw);
+        assert_eq!(b.phase(), ProbePhase::Cruise);
     }
 
     #[test]
@@ -765,7 +475,7 @@ mod tests {
         for _ in 0..30 {
             b.on_ack(&f.ev(2, 40, 50, 100_000, false, 200), false);
         }
-        assert_ne!(b.mode(), Bbr2Mode::Startup, "loss must end startup");
+        assert_ne!(b.mode(), BbrMode::Startup, "loss must end startup");
         assert!(b.inflight_hi() < u64::MAX);
     }
 
@@ -790,7 +500,7 @@ mod tests {
         for _ in 0..60 {
             b.on_ack(&f.ev(100, 40, 60, 240_000, false, 0), false);
         }
-        assert_eq!(b.mode(), Bbr2Mode::ProbeRtt);
+        assert_eq!(b.mode(), BbrMode::ProbeRtt);
         // Floor is 0.5 * BDP = 125 kB, not 4 segments.
         assert!(b.cwnd() >= 4 * MSS as u64);
         assert!(b.cwnd() <= 130_000, "cwnd {}", b.cwnd());

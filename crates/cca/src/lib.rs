@@ -17,6 +17,7 @@
 //! `cwnd()` / `pacing_rate()`. Nothing here depends on the simulator's event
 //! loop, which makes each algorithm unit-testable in isolation.
 
+mod bbr;
 pub mod bbr1;
 pub mod bbr2;
 pub mod cubic;

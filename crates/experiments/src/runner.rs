@@ -976,20 +976,23 @@ mod tests {
 
     /// `scripts/ci.sh --check-smoke`: every CCA x AQM cell (what `probe
     /// --cca1 K --cca2 cubic --aqm A --queue 2 --bw 100M --secs 5 --check
-    /// strict` runs), one coalescing cell, and the three loss-recovery cells
+    /// strict` runs), one coalescing cell, the three loss-recovery cells
     /// `tests/fixtures/recovery` pins (2 BDP cells rarely leave the
-    /// cumulative-ACK path), in the `checked` profile. A violated invariant
-    /// or scoreboard `debug_assert!` panics inside the run; `events_checked`
-    /// shows the checker observed the run rather than silently no-opping.
+    /// cumulative-ACK path) and the six BBR cells `tests/fixtures/bbr` pins
+    /// (no 5 s cell reaches ProbeRTT or cuts `inflight_hi`), in the
+    /// `checked` profile. A violated invariant or a scoreboard / `BbrCore`
+    /// `debug_assert!` panics inside the run; `events_checked` shows the
+    /// checker observed the run rather than silently no-opping.
     #[test]
     #[ignore = "a 5 s run per CCA x AQM cell: scripts/ci.sh --check-smoke runs it in the checked profile"]
     fn strict_checking_passes_every_cca_aqm_cell() {
         use elephants_netsim::{CheckMode, FaultPlan, LossModel};
         let opts = RunOptions::standard();
-        let cell = |cca: CcaKind, aqm: AqmKind, queue_bdp: f64, secs: u64| {
-            ScenarioConfig::builder(cca, CcaKind::Cubic, aqm, queue_bdp, 100_000_000, &opts)
+        let pair = |cca1: CcaKind, cca2: CcaKind, aqm: AqmKind, queue_bdp: f64, secs: u64| {
+            ScenarioConfig::builder(cca1, cca2, aqm, queue_bdp, 100_000_000, &opts)
                 .duration(SimDuration::from_secs(secs))
         };
+        let cell = |cca, aqm, queue_bdp, secs| pair(cca, CcaKind::Cubic, aqm, queue_bdp, secs);
         let check = |b: ScenarioBuilder| {
             let cfg = b.build().unwrap();
             let out = Runner::new(&cfg).seed(1).check(CheckMode::Strict).run().unwrap();
@@ -1017,6 +1020,16 @@ mod tests {
         ] {
             assert!(check(lossy).retransmits > 0, "the cell never entered recovery");
         }
+        // And both BBRs through ProbeRTT, v2's ceiling cuts (from the UP
+        // probe, from `on_loss_event`, from Startup) and its CE accounting.
+        use AqmKind::{Fifo, Red};
+        use CcaKind::{BbrV1, BbrV2};
+        check(cell(BbrV2, Fifo, 16.0, 30));
+        check(cell(BbrV2, Fifo, 0.5, 12));
+        check(pair(BbrV2, BbrV2, Red, 2.0, 12).ecn(true));
+        check(cell(BbrV2, Red, 2.0, 12).ecn(true));
+        check(pair(BbrV1, BbrV1, Fifo, 2.0, 25));
+        check(pair(BbrV2, BbrV2, Fifo, 2.0, 12));
     }
 
     #[test]

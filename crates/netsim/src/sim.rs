@@ -849,10 +849,10 @@ impl Simulator {
     ) {
         let mut emitted = std::mem::take(&mut self.scratch_pkts);
         let mut timers = std::mem::take(&mut self.scratch_timers);
-        let (local, _peer);
+        let local;
         {
             let slot = &mut self.flows[flow.0 as usize];
-            let (ep, gens, l, p) = match dir {
+            let (ep, gens, l, peer) = match dir {
                 Dir::Sender => {
                     (slot.sender.as_mut(), &mut slot.sender_gens, slot.sender_node, slot.receiver_node)
                 }
@@ -861,13 +861,12 @@ impl Simulator {
                 }
             };
             local = l;
-            _peer = p;
             let mut ctx = Ctx {
                 now: self.now,
                 flow,
                 dir,
-                local: l,
-                peer: p,
+                local,
+                peer,
                 rng: &mut self.rng,
                 emitted: &mut emitted,
                 timers: &mut timers,
