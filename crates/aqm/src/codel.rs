@@ -9,12 +9,11 @@
 //! a standalone discipline, and `FqCodel` embeds one state per flow queue.
 
 use elephants_netsim::{
-    queue_accounting_failure, Aqm, AqmStats, CheckFailure, DequeueResult, Packet, SimDuration,
-    SimTime, Verdict,
+    Aqm, AqmStats, CheckFailure, DequeueResult, DropTail, Packet, PacketFifo, SimDuration, SimTime,
+    Verdict,
 };
 use elephants_json::impl_json_struct;
 use elephants_netsim::SmallRng;
-use std::collections::VecDeque;
 
 /// CoDel parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,27 +42,6 @@ impl Default for CodelConfig {
             mtu: 8900,
             ecn: false,
         }
-    }
-}
-
-/// A packet FIFO with its byte backlog kept alongside: the queue CoDel's
-/// control law pops from. [`Codel`] owns one, `FqCodel` one per bucket.
-#[derive(Debug, Default)]
-pub(crate) struct PacketFifo {
-    pub(crate) pkts: VecDeque<Packet>,
-    pub(crate) bytes: u64,
-}
-
-impl PacketFifo {
-    pub(crate) fn push(&mut self, pkt: Packet) {
-        self.bytes += pkt.size as u64;
-        self.pkts.push_back(pkt);
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Packet> {
-        let pkt = self.pkts.pop_front()?;
-        self.bytes -= pkt.size as u64;
-        Some(pkt)
     }
 }
 
@@ -135,7 +113,7 @@ impl CodelState {
                 return (None, out);
             }
         };
-        let mut ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes);
+        let mut ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes());
 
         if self.dropping {
             if !ok_to_drop {
@@ -160,7 +138,7 @@ impl CodelState {
                             return (None, out);
                         }
                     };
-                    ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes);
+                    ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes());
                     if !ok_to_drop {
                         self.dropping = false;
                     } else {
@@ -186,7 +164,7 @@ impl CodelState {
                         return (None, out);
                     }
                 };
-                let _ = self.sojourn_above(cfg, now, &pkt, q.bytes);
+                let _ = self.sojourn_above(cfg, now, &pkt, q.bytes());
             }
             self.dropping = true;
             // If we recently stopped dropping, resume the drop rate where we
@@ -204,20 +182,18 @@ impl CodelState {
     }
 }
 
-/// Standalone CoDel queue discipline.
+/// Standalone CoDel queue discipline: the control law over a [`DropTail`].
 #[derive(Debug)]
 pub struct Codel {
     cfg: CodelConfig,
     state: CodelState,
-    queue: PacketFifo,
-    stats: AqmStats,
+    queue: DropTail,
 }
 
 impl Codel {
     /// Build a CoDel queue.
     pub fn new(cfg: CodelConfig) -> Self {
-        assert!(cfg.limit_bytes > 0);
-        Codel { cfg, state: CodelState::default(), queue: PacketFifo::default(), stats: AqmStats::default() }
+        Codel { cfg, state: CodelState::default(), queue: DropTail::new(cfg.limit_bytes) }
     }
 
     /// The configuration in force.
@@ -232,37 +208,27 @@ impl Codel {
 }
 
 impl Aqm for Codel {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime, _rng: &mut SmallRng) -> Verdict {
-        if self.queue.bytes + pkt.size as u64 > self.cfg.limit_bytes {
-            self.stats.dropped_enqueue += 1;
-            return Verdict::Dropped;
-        }
-        pkt.enqueued_at = now;
-        self.queue.push(pkt);
-        self.stats.enqueued += 1;
-        Verdict::Enqueued
+    fn enqueue(&mut self, pkt: Packet, now: SimTime, rng: &mut SmallRng) -> Verdict {
+        self.queue.enqueue(pkt, now, rng)
     }
 
     fn dequeue(&mut self, now: SimTime, _rng: &mut SmallRng) -> DequeueResult {
-        let (pkt, outcome) = self.state.dequeue(&self.cfg, now, &mut self.queue);
-        self.stats.dropped_dequeue += outcome.dropped as u64;
-        self.stats.marked += outcome.marked as u64;
-        if pkt.is_some() {
-            self.stats.dequeued += 1;
-        }
-        DequeueResult { pkt, dropped: outcome.dropped }
+        self.queue.dequeue_by(|fifo| {
+            let (pkt, out) = self.state.dequeue(&self.cfg, now, fifo);
+            (pkt, out.dropped, out.marked)
+        })
     }
 
     fn backlog_bytes(&self) -> u64 {
-        self.queue.bytes
+        self.queue.backlog_bytes()
     }
 
     fn backlog_pkts(&self) -> usize {
-        self.queue.pkts.len()
+        self.queue.backlog_pkts()
     }
 
     fn stats(&self) -> AqmStats {
-        self.stats
+        self.queue.stats()
     }
 
     fn name(&self) -> &'static str {
@@ -270,30 +236,7 @@ impl Aqm for Codel {
     }
 
     fn check_invariants(&self, now: SimTime, deep: bool) -> Vec<CheckFailure> {
-        let mut fails = Vec::new();
-        if let Some(f) = queue_accounting_failure(self.stats, self.queue.pkts.len() as u64) {
-            fails.push(f);
-        }
-        if deep {
-            let sum: u64 = self.queue.pkts.iter().map(|p| p.size as u64).sum();
-            if sum != self.queue.bytes {
-                let backlog = self.queue.bytes;
-                fails.push(CheckFailure::new(
-                    "queue_byte_accounting",
-                    format!("backlog counter {backlog} != sum of resident sizes {sum}"),
-                ));
-            }
-            // Sojourn ≥ 0 by construction (`SimTime::since` saturates), so
-            // the checkable form is: no resident enqueue stamp in the future.
-            if let Some(p) = self.queue.pkts.iter().find(|p| p.enqueued_at > now) {
-                let at = p.enqueued_at;
-                fails.push(CheckFailure::new(
-                    "queue_sojourn",
-                    format!("resident packet enqueued in the future ({at} > {now})"),
-                ));
-            }
-        }
-        fails
+        self.queue.check_invariants(now, deep)
     }
 }
 

@@ -110,36 +110,39 @@ mod tests {
     #[test]
     fn every_discipline_holds_its_invariants_under_drop_heavy_traffic() {
         use elephants_netsim::{FlowId, NodeId, Packet, SeedableRng, SimDuration, SimTime, SmallRng};
-        for kind in AqmKind::ALL {
+        for (kind, ecn) in AqmKind::ALL.into_iter().flat_map(|k| [(k, false), (k, true)]) {
             // A buffer small enough that the workload overflows it, forcing
-            // every drop path (tail, probabilistic, eviction) to fire.
-            let mut aqm = build_aqm(kind, 40_000, 100_000_000, 1000, false, 7);
+            // every drop path (tail, probabilistic, eviction) to fire — and,
+            // with ECN on, every mark path. 400 ms of 4:1 overload outlasts
+            // CoDel's 100 ms interval and PIE's 150 ms burst allowance.
+            let mut aqm = build_aqm(kind, 40_000, 100_000_000, 1000, ecn, 7);
             let mut rng = SmallRng::seed_from_u64(42);
             let mut t = SimTime::ZERO;
-            for round in 0..200u64 {
-                t += SimDuration::from_micros(50);
+            for round in 0..400u64 {
+                t += SimDuration::from_millis(1);
                 for f in 0..4u32 {
-                    let p = Packet::data(FlowId(f), NodeId(0), NodeId(1), round, 900 + 50 * f, t);
+                    let mut p = Packet::data(FlowId(f), NodeId(0), NodeId(1), round, 900 + 50 * f, t);
+                    p.ecn_capable = true;
                     aqm.enqueue(p, t, &mut rng);
                 }
-                if round % 3 == 0 {
-                    aqm.dequeue(t, &mut rng);
-                }
+                aqm.dequeue(t, &mut rng);
                 let fails = aqm.check_invariants(t, false);
-                assert!(fails.is_empty(), "{kind}: shallow check failed: {fails:?}");
+                assert!(fails.is_empty(), "{kind} ecn={ecn}: shallow check failed: {fails:?}");
             }
             // Drain, deep-checking along the way.
             loop {
                 t += SimDuration::from_micros(200);
                 let done = aqm.dequeue(t, &mut rng).pkt.is_none();
                 let fails = aqm.check_invariants(t, true);
-                assert!(fails.is_empty(), "{kind}: deep check failed: {fails:?}");
+                assert!(fails.is_empty(), "{kind} ecn={ecn}: deep check failed: {fails:?}");
                 if done {
                     break;
                 }
             }
-            assert_eq!(aqm.backlog_pkts(), 0, "{kind}: queue must drain");
-            assert!(aqm.stats().dropped_enqueue + aqm.stats().dropped_dequeue > 0, "{kind}: workload must overflow");
+            let s = aqm.stats();
+            assert_eq!(aqm.backlog_pkts(), 0, "{kind} ecn={ecn}: queue must drain");
+            assert!(s.dropped_total() > 0, "{kind} ecn={ecn}: workload must overflow");
+            assert_eq!(s.marked > 0, ecn && kind != AqmKind::Fifo, "{kind} ecn={ecn}: marks {}", s.marked);
         }
     }
 

@@ -7,8 +7,8 @@
 //! the head of the *fattest* sub-queue, which is what protects light flows
 //! from heavy ones.
 
-use crate::codel::{CodelConfig, CodelState, PacketFifo};
-use elephants_netsim::{Aqm, AqmStats, CheckFailure, DequeueResult, Packet, SimTime, Verdict};
+use crate::codel::{CodelConfig, CodelState};
+use elephants_netsim::{Aqm, AqmStats, CheckFailure, DequeueResult, Packet, PacketFifo, SimTime, Verdict};
 use elephants_json::impl_json_struct;
 use elephants_netsim::SmallRng;
 use std::collections::VecDeque;
@@ -126,7 +126,7 @@ impl FqCodel {
 
     /// Number of distinct non-empty buckets (diagnostic).
     pub fn active_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.queue.pkts.is_empty()).count()
+        self.buckets.iter().filter(|b| !b.queue.is_empty()).count()
     }
 
     fn drop_from_fattest(&mut self) -> Option<Packet> {
@@ -134,7 +134,7 @@ impl FqCodel {
             .buckets
             .iter()
             .enumerate()
-            .max_by_key(|(_, b)| b.queue.bytes)?;
+            .max_by_key(|(_, b)| b.queue.bytes())?;
         let pkt = self.buckets[idx].queue.pop()?;
         self.total_pkts -= 1;
         self.total_bytes -= pkt.size as u64;
@@ -211,9 +211,9 @@ impl Aqm for FqCodel {
             // Run CoDel on this bucket.
             let cfg = self.cfg.codel;
             let b = &mut self.buckets[idx];
-            let bytes_before = b.queue.bytes;
+            let bytes_before = b.queue.bytes();
             let (pkt, outcome) = b.codel.dequeue(&cfg, now, &mut b.queue);
-            let popped_bytes = bytes_before - b.queue.bytes;
+            let popped_bytes = bytes_before - b.queue.bytes();
             let popped = outcome.dropped as usize + pkt.is_some() as usize;
             self.total_pkts -= popped;
             self.total_bytes -= popped_bytes;
@@ -282,23 +282,9 @@ impl Aqm for FqCodel {
             let mut pkts = 0usize;
             let mut bytes = 0u64;
             for (idx, b) in self.buckets.iter().enumerate() {
-                pkts += b.queue.pkts.len();
-                bytes += b.queue.bytes;
-                let sum: u64 = b.queue.pkts.iter().map(|p| p.size as u64).sum();
-                if sum != b.queue.bytes {
-                    let backlog = b.queue.bytes;
-                    fails.push(CheckFailure::new(
-                        "queue_byte_accounting",
-                        format!("bucket {idx}: backlog counter {backlog} != sum of resident sizes {sum}"),
-                    ));
-                }
-                if let Some(p) = b.queue.pkts.iter().find(|p| p.enqueued_at > now) {
-                    let at = p.enqueued_at;
-                    fails.push(CheckFailure::new(
-                        "queue_sojourn",
-                        format!("bucket {idx}: resident packet enqueued in the future ({at} > {now})"),
-                    ));
-                }
+                pkts += b.queue.len();
+                bytes += b.queue.bytes();
+                b.queue.check_deep(now, format_args!("bucket {idx}"), &mut fails);
                 // DRR list discipline: a non-idle bucket sits on exactly one
                 // service list, and an idle bucket never holds packets
                 // (eviction may leave a listed bucket empty; dequeue reaps it
@@ -317,17 +303,17 @@ impl Aqm for FqCodel {
                         format!("bucket {idx} state {state:?} but appears {on_new}x on new / {on_old}x on old list"),
                     ));
                 }
-                if b.state == ListState::Idle && !b.queue.pkts.is_empty() {
+                if b.state == ListState::Idle && !b.queue.is_empty() {
                     fails.push(CheckFailure::new(
                         "fq_codel_drr_lists",
-                        format!("bucket {idx} idle with {} resident packets", b.queue.pkts.len()),
+                        format!("bucket {idx} idle with {} resident packets", b.queue.len()),
                     ));
                 }
             }
             if pkts != self.total_pkts || bytes != self.total_bytes {
                 let (tp, tb) = (self.total_pkts, self.total_bytes);
                 fails.push(CheckFailure::new(
-                    "queue_byte_accounting",
+                    "fq_codel_totals",
                     format!("totals ({tp} pkts, {tb} bytes) != bucket sums ({pkts} pkts, {bytes} bytes)"),
                 ));
             }

@@ -18,12 +18,10 @@
 //! allowance, and the p < 0.2 ⇒ "don't drop below-target" safeguards.
 
 use elephants_netsim::{
-    queue_accounting_failure, Aqm, AqmStats, CheckFailure, DequeueResult, Packet, SimDuration,
-    SimTime, Verdict,
+    Aqm, AqmStats, CheckFailure, DequeueResult, DropTail, Packet, SimDuration, SimTime, Verdict,
 };
 use elephants_json::impl_json_struct;
 use elephants_netsim::{RngExt, SmallRng};
-use std::collections::VecDeque;
 
 /// PIE parameters (RFC 8033 defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,12 +70,11 @@ impl Default for PieConfig {
     }
 }
 
-/// The PIE queue discipline (timestamp variant).
+/// The PIE queue discipline (timestamp variant): its PI controller over a [`DropTail`].
 #[derive(Debug)]
 pub struct Pie {
     cfg: PieConfig,
-    queue: VecDeque<Packet>,
-    backlog: u64,
+    queue: DropTail,
     /// Current drop probability.
     p: f64,
     qdelay_old: SimDuration,
@@ -85,24 +82,20 @@ pub struct Pie {
     qdelay: SimDuration,
     burst_left: SimDuration,
     next_update: SimTime,
-    stats: AqmStats,
 }
 
 impl Pie {
     /// Build a PIE queue.
     pub fn new(cfg: PieConfig) -> Self {
-        assert!(cfg.limit_bytes > 0);
         assert!(!cfg.t_update.is_zero());
         Pie {
             burst_left: cfg.max_burst,
+            queue: DropTail::new(cfg.limit_bytes),
             cfg,
-            queue: VecDeque::new(),
-            backlog: 0,
             p: 0.0,
             qdelay_old: SimDuration::ZERO,
             qdelay: SimDuration::ZERO,
             next_update: SimTime::ZERO,
-            stats: AqmStats::default(),
         }
     }
 
@@ -146,7 +139,7 @@ impl Pie {
                 + self.cfg.beta * s * (qd - self.qdelay_old.as_secs_f64());
 
             // RFC 8033: exponential decay when the queue is idle/empty.
-            if self.backlog == 0 && self.qdelay.is_zero() {
+            if self.queue.backlog_bytes() == 0 && self.qdelay.is_zero() {
                 p *= 0.98;
             }
             self.p = p.clamp(0.0, 1.0);
@@ -165,7 +158,7 @@ impl Pie {
         // Safeguards (RFC 8033 §4.1): don't drop when the delay is clearly
         // below half target and p is modest, or when only one packet sits
         // in the queue.
-        if (self.p < 0.2 && self.qdelay < self.cfg.target.mul_f64(0.5)) || self.queue.len() <= 1 {
+        if (self.p < 0.2 && self.qdelay < self.cfg.target.mul_f64(0.5)) || self.queue.backlog_pkts() <= 1 {
             return false;
         }
         rng.random::<f64>() < self.p
@@ -173,58 +166,36 @@ impl Pie {
 }
 
 impl Aqm for Pie {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime, rng: &mut SmallRng) -> Verdict {
+    fn enqueue(&mut self, pkt: Packet, now: SimTime, rng: &mut SmallRng) -> Verdict {
         self.maybe_update(now);
-        if self.backlog + pkt.size as u64 > self.cfg.limit_bytes {
-            self.stats.dropped_enqueue += 1;
-            return Verdict::Dropped;
+        if !self.queue.fits(&pkt) {
+            return self.queue.refuse();
         }
-        if self.should_drop(rng) {
-            if self.cfg.ecn && pkt.ecn_capable && self.p < self.cfg.mark_ecn_thresh {
-                pkt.ecn_ce = true;
-                pkt.enqueued_at = now;
-                self.backlog += pkt.size as u64;
-                self.queue.push_back(pkt);
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-                return Verdict::Marked;
-            }
-            self.stats.dropped_enqueue += 1;
-            return Verdict::Dropped;
+        let early = self.should_drop(rng);
+        let mark = early && self.cfg.ecn && pkt.ecn_capable && self.p < self.cfg.mark_ecn_thresh;
+        if early && !mark {
+            return self.queue.refuse();
         }
-        pkt.enqueued_at = now;
-        self.backlog += pkt.size as u64;
-        self.queue.push_back(pkt);
-        self.stats.enqueued += 1;
-        Verdict::Enqueued
+        self.queue.admit(pkt, now, mark)
     }
 
-    fn dequeue(&mut self, now: SimTime, _rng: &mut SmallRng) -> DequeueResult {
+    fn dequeue(&mut self, now: SimTime, rng: &mut SmallRng) -> DequeueResult {
         self.maybe_update(now);
-        match self.queue.pop_front() {
-            Some(pkt) => {
-                self.backlog -= pkt.size as u64;
-                self.qdelay = now.since(pkt.enqueued_at);
-                self.stats.dequeued += 1;
-                DequeueResult { pkt: Some(pkt), dropped: 0 }
-            }
-            None => {
-                self.qdelay = SimDuration::ZERO;
-                DequeueResult::EMPTY
-            }
-        }
+        let res = self.queue.dequeue(now, rng);
+        self.qdelay = res.pkt.map_or(SimDuration::ZERO, |pkt| now.since(pkt.enqueued_at));
+        res
     }
 
     fn backlog_bytes(&self) -> u64 {
-        self.backlog
+        self.queue.backlog_bytes()
     }
 
     fn backlog_pkts(&self) -> usize {
-        self.queue.len()
+        self.queue.backlog_pkts()
     }
 
     fn stats(&self) -> AqmStats {
-        self.stats
+        self.queue.stats()
     }
 
     fn name(&self) -> &'static str {
@@ -236,33 +207,13 @@ impl Aqm for Pie {
     }
 
     fn check_invariants(&self, now: SimTime, deep: bool) -> Vec<CheckFailure> {
-        let mut fails = Vec::new();
-        if let Some(f) = queue_accounting_failure(self.stats, self.queue.len() as u64) {
-            fails.push(f);
-        }
+        let mut fails = self.queue.check_invariants(now, deep);
         if !self.p.is_finite() || !(0.0..=1.0).contains(&self.p) {
             let p = self.p;
             fails.push(CheckFailure::new(
                 "pie_drop_probability",
                 format!("drop probability {p} outside [0, 1]"),
             ));
-        }
-        if deep {
-            let sum: u64 = self.queue.iter().map(|p| p.size as u64).sum();
-            if sum != self.backlog {
-                let backlog = self.backlog;
-                fails.push(CheckFailure::new(
-                    "queue_byte_accounting",
-                    format!("backlog counter {backlog} != sum of resident sizes {sum}"),
-                ));
-            }
-            if let Some(p) = self.queue.iter().find(|p| p.enqueued_at > now) {
-                let at = p.enqueued_at;
-                fails.push(CheckFailure::new(
-                    "queue_sojourn",
-                    format!("resident packet enqueued in the future ({at} > {now})"),
-                ));
-            }
         }
         fails
     }

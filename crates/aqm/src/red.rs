@@ -9,10 +9,9 @@
 //! The EWMA decays during idle periods as if small packets had departed, per
 //! the original paper (§Appendix) and `tc red`'s `red_calc_qavg_from_idle_time`.
 
-use elephants_netsim::{queue_accounting_failure, Aqm, AqmStats, CheckFailure, DequeueResult, Packet, SimTime, Verdict};
+use elephants_netsim::{Aqm, AqmStats, CheckFailure, DequeueResult, DropTail, Packet, SimTime, Verdict};
 use elephants_json::impl_json_struct;
 use elephants_netsim::{RngExt, SmallRng};
-use std::collections::VecDeque;
 
 /// RED parameters (byte-based, like `tc red`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,19 +110,17 @@ impl RedConfig {
     }
 }
 
-/// The RED queue discipline.
+/// The RED queue discipline: its average-queue law over a [`DropTail`].
 #[derive(Debug)]
 pub struct Red {
     cfg: RedConfig,
-    queue: VecDeque<Packet>,
-    backlog: u64,
+    queue: DropTail,
     /// EWMA of the queue length in bytes.
     avg: f64,
     /// Packets enqueued since the last early drop/mark (Floyd's `count`).
     count_since_drop: u64,
     /// When the queue went idle (None while busy).
     idle_since: Option<SimTime>,
-    stats: AqmStats,
 }
 
 impl Red {
@@ -131,13 +128,11 @@ impl Red {
     pub fn new(cfg: RedConfig) -> Self {
         cfg.validate().expect("invalid RED config");
         Red {
+            queue: DropTail::new(cfg.limit_bytes),
             cfg,
-            queue: VecDeque::new(),
-            backlog: 0,
             avg: 0.0,
             count_since_drop: 0,
             idle_since: None,
-            stats: AqmStats::default(),
         }
     }
 
@@ -162,7 +157,7 @@ impl Red {
                 self.avg *= (1.0 - self.cfg.w_q).powf(m);
             }
         }
-        self.avg += self.cfg.w_q * (self.backlog as f64 - self.avg);
+        self.avg += self.cfg.w_q * (self.queue.backlog_bytes() as f64 - self.avg);
     }
 
     /// Early-drop probability for the current average (Floyd's `p_b`),
@@ -208,65 +203,39 @@ impl Red {
 }
 
 impl Aqm for Red {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime, rng: &mut SmallRng) -> Verdict {
+    fn enqueue(&mut self, pkt: Packet, now: SimTime, rng: &mut SmallRng) -> Verdict {
         self.update_avg_on_arrival(now);
-
         let early = self.avg >= self.cfg.min_th as f64 && self.should_early_drop(rng);
-        if early {
-            if self.cfg.ecn && pkt.ecn_capable && self.p_b() < 1.0 {
-                pkt.ecn_ce = true;
-                pkt.enqueued_at = now;
-                self.backlog += pkt.size as u64;
-                self.queue.push_back(pkt);
-                self.stats.enqueued += 1;
-                self.stats.marked += 1;
-                return Verdict::Marked;
-            }
-            self.stats.dropped_enqueue += 1;
-            return Verdict::Dropped;
+        let mark = early && self.cfg.ecn && pkt.ecn_capable && self.p_b() < 1.0;
+        if early && !mark {
+            return self.queue.refuse();
         }
-        if self.backlog + pkt.size as u64 > self.cfg.limit_bytes {
-            // Hard (tail) drop.
+        // Hard (tail) drop, of a CE-marked arrival too (tc's child bfifo refuses it).
+        if !self.queue.fits(&pkt) {
             self.count_since_drop = 0;
-            self.stats.dropped_enqueue += 1;
-            return Verdict::Dropped;
+            return self.queue.refuse();
         }
-        pkt.enqueued_at = now;
-        self.backlog += pkt.size as u64;
-        self.queue.push_back(pkt);
-        self.stats.enqueued += 1;
-        Verdict::Enqueued
+        self.queue.admit(pkt, now, mark)
     }
 
-    fn dequeue(&mut self, now: SimTime, _rng: &mut SmallRng) -> DequeueResult {
-        match self.queue.pop_front() {
-            Some(pkt) => {
-                self.backlog -= pkt.size as u64;
-                self.stats.dequeued += 1;
-                if self.queue.is_empty() {
-                    self.idle_since = Some(now);
-                }
-                DequeueResult { pkt: Some(pkt), dropped: 0 }
-            }
-            None => {
-                if self.idle_since.is_none() {
-                    self.idle_since = Some(now);
-                }
-                DequeueResult::EMPTY
-            }
+    fn dequeue(&mut self, now: SimTime, rng: &mut SmallRng) -> DequeueResult {
+        let res = self.queue.dequeue(now, rng);
+        if self.queue.backlog_pkts() == 0 && self.idle_since.is_none() {
+            self.idle_since = Some(now);
         }
+        res
     }
 
     fn backlog_bytes(&self) -> u64 {
-        self.backlog
+        self.queue.backlog_bytes()
     }
 
     fn backlog_pkts(&self) -> usize {
-        self.queue.len()
+        self.queue.backlog_pkts()
     }
 
     fn stats(&self) -> AqmStats {
-        self.stats
+        self.queue.stats()
     }
 
     fn name(&self) -> &'static str {
@@ -278,10 +247,7 @@ impl Aqm for Red {
     }
 
     fn check_invariants(&self, now: SimTime, deep: bool) -> Vec<CheckFailure> {
-        let mut fails = Vec::new();
-        if let Some(f) = queue_accounting_failure(self.stats, self.queue.len() as u64) {
-            fails.push(f);
-        }
+        let mut fails = self.queue.check_invariants(now, deep);
         // The EWMA tracks the backlog, which the hard limit bounds; an
         // average outside [0, limit] (or NaN) means the control law drifted.
         let limit = self.cfg.limit_bytes as f64;
@@ -291,23 +257,6 @@ impl Aqm for Red {
                 "red_avg_range",
                 format!("average queue {avg} outside [0, {limit}]"),
             ));
-        }
-        if deep {
-            let sum: u64 = self.queue.iter().map(|p| p.size as u64).sum();
-            if sum != self.backlog {
-                let backlog = self.backlog;
-                fails.push(CheckFailure::new(
-                    "queue_byte_accounting",
-                    format!("backlog counter {backlog} != sum of resident sizes {sum}"),
-                ));
-            }
-            if let Some(p) = self.queue.iter().find(|p| p.enqueued_at > now) {
-                let at = p.enqueued_at;
-                fails.push(CheckFailure::new(
-                    "queue_sojourn",
-                    format!("resident packet enqueued in the future ({at} > {now})"),
-                ));
-            }
         }
         fails
     }
@@ -454,6 +403,36 @@ mod tests {
         assert!(marked > 0);
         assert_eq!(red.stats().dropped_enqueue, 0);
         assert_eq!(red.stats().marked, marked);
+    }
+
+    #[test]
+    fn ce_marked_arrivals_respect_the_byte_limit() {
+        // w_q = 1 makes the average the instantaneous backlog, so from the
+        // second arrival on every packet is an early verdict that can be a
+        // mark; gentle keeps p_b < 1 up to 2 * max_th, past the limit.
+        let c = RedConfig {
+            limit_bytes: 10_000,
+            min_th: 1_000,
+            max_th: 9_000,
+            max_p: 0.5,
+            w_q: 1.0,
+            avpkt: 1_000,
+            gentle: true,
+            ecn: true,
+            ..cfg()
+        };
+        let mut red = Red::new(c);
+        let mut rng = SmallRng::seed_from_u64(4);
+        for i in 0..100 {
+            let mut p = pkt(i, 1000);
+            p.ecn_capable = true;
+            red.enqueue(p, SimTime::ZERO, &mut rng);
+            assert!(red.backlog_bytes() <= 10_000, "arrival {i}: backlog {}", red.backlog_bytes());
+            let fails = red.check_invariants(SimTime::ZERO, true);
+            assert!(fails.is_empty(), "arrival {i}: {fails:?}");
+        }
+        assert!(red.stats().marked > 0, "the workload must mark");
+        assert!(red.stats().dropped_enqueue > 0, "a full queue refuses marked arrivals too");
     }
 
     #[test]

@@ -978,8 +978,9 @@ mod tests {
     /// --cca1 K --cca2 cubic --aqm A --queue 2 --bw 100M --secs 5 --check
     /// strict` runs), one coalescing cell, the three loss-recovery cells
     /// `tests/fixtures/recovery` pins (2 BDP cells rarely leave the
-    /// cumulative-ACK path) and the six BBR cells `tests/fixtures/bbr` pins
-    /// (no 5 s cell reaches ProbeRTT or cuts `inflight_hi`), in the
+    /// cumulative-ACK path), the six BBR cells `tests/fixtures/bbr` pins
+    /// (no 5 s cell reaches ProbeRTT or cuts `inflight_hi`) and one ECN cell
+    /// per AQM (BBRv2 vs CUBIC, 2 BDP, 5 s), in the
     /// `checked` profile. A violated invariant or a scoreboard / `BbrCore`
     /// `debug_assert!` panics inside the run; `events_checked` shows the
     /// checker observed the run rather than silently no-opping.
@@ -1006,6 +1007,11 @@ mod tests {
             for aqm in AqmKind::ALL {
                 check(cell(cca, aqm, 2.0, 5));
             }
+        }
+        // Every discipline's CE-mark path (at enqueue in RED and PIE, at
+        // dequeue in CoDel and FQ-CoDel) under the strict checker.
+        for aqm in AqmKind::ALL {
+            check(cell(CcaKind::BbrV2, aqm, 2.0, 5).ecn(true));
         }
         // The GRO-style receive path must hold the same invariants.
         check(cell(CcaKind::Cubic, AqmKind::Fifo, 2.0, 5).coalesce(true));

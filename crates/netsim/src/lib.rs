@@ -60,7 +60,7 @@ pub use event::{Event, EventQueue, TimerKind};
 pub use fault::{DuplicateModel, FaultAction, FaultEvent, FaultPlan, LossModel, ReorderModel};
 pub use link::{Link, LinkId, LinkSpec, LinkStats};
 pub use packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketArena, PacketKind, PacketRef, SACK_MAX};
-pub use queue::{queue_accounting_failure, Aqm, AqmStats, DequeueResult, DropTail, Verdict};
+pub use queue::{Aqm, AqmStats, DequeueResult, DropTail, PacketFifo, Verdict};
 pub use record::{
     EventRing, FlowProbe, FlowSample, NullRecorder, QueueSample, Recorder, RecorderConfig,
     RecorderHandle, TraceEvent, TraceEventKind, TRACE_NO_FLOW,

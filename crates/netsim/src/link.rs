@@ -3,7 +3,7 @@
 use crate::event::{Event, EventQueue};
 use crate::fault::{DuplicateModel, FaultAction, LossModel, LossState, ReorderModel};
 use crate::packet::{NodeId, Packet};
-use crate::queue::{Aqm, AqmStats, DropTail};
+use crate::queue::{Aqm, AqmStats, DropTail, Verdict};
 use crate::record::{EventRing, TraceEvent, TraceEventKind, TRACE_NO_FLOW};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
@@ -140,33 +140,20 @@ impl Link {
         if !self.up {
             self.stats.down_drops += 1;
             if let Some(ring) = &mut self.trace {
-                ring.push(TraceEvent {
-                    t: now,
-                    kind: TraceEventKind::Drop,
-                    flow: pkt.flow,
-                    seq: pkt.seq,
-                    size: pkt.size,
-                });
+                trace(ring, now, TraceEventKind::Drop, Some(&pkt));
             }
             return;
         }
         match self.aqm.enqueue(pkt, now, rng) {
-            crate::queue::Verdict::Dropped => {
+            Verdict::Dropped => {
                 if let Some(ring) = &mut self.trace {
-                    ring.push(TraceEvent {
-                        t: now,
-                        kind: TraceEventKind::Drop,
-                        flow: pkt.flow,
-                        seq: pkt.seq,
-                        size: pkt.size,
-                    });
+                    trace(ring, now, TraceEventKind::Drop, Some(&pkt));
                 }
             }
             _ => {
                 if let Some(ring) = &mut self.trace {
-                    let kind =
-                        if pkt.retx { TraceEventKind::Retx } else { TraceEventKind::Enqueue };
-                    ring.push(TraceEvent { t: now, kind, flow: pkt.flow, seq: pkt.seq, size: pkt.size });
+                    let kind = if pkt.retx { TraceEventKind::Retx } else { TraceEventKind::Enqueue };
+                    trace(ring, now, kind, Some(&pkt));
                 }
                 let depth = self.aqm.backlog_pkts() as u64;
                 if depth > self.stats.peak_qlen_pkts {
@@ -193,13 +180,7 @@ impl Link {
         let res = self.aqm.dequeue(now, rng);
         let Some(pkt) = res.pkt else { return };
         if let Some(ring) = &mut self.trace {
-            ring.push(TraceEvent {
-                t: now,
-                kind: TraceEventKind::Dequeue,
-                flow: pkt.flow,
-                seq: pkt.seq,
-                size: pkt.size,
-            });
+            trace(ring, now, TraceEventKind::Dequeue, Some(&pkt));
         }
         let ser = match self.ser_memo {
             Some((rate, size, ser)) if rate == self.rate && size == pkt.size => ser,
@@ -248,13 +229,7 @@ impl Link {
     ) {
         self.stats.fault_events_applied += 1;
         if let Some(ring) = &mut self.trace {
-            ring.push(TraceEvent {
-                t: now,
-                kind: TraceEventKind::Fault,
-                flow: TRACE_NO_FLOW,
-                seq: 0,
-                size: 0,
-            });
+            trace(ring, now, TraceEventKind::Fault, None);
         }
         match action {
             FaultAction::LinkDown => self.set_down(),
@@ -322,6 +297,14 @@ impl Link {
     pub fn take_trace(&mut self) -> Option<Box<EventRing>> {
         self.trace.take()
     }
+}
+
+/// Push one flight-recorder trace event: `pkt`'s identity, or none for a
+/// link-level (fault) event.
+#[inline]
+fn trace(ring: &mut EventRing, t: SimTime, kind: TraceEventKind, pkt: Option<&Packet>) {
+    let (flow, seq, size) = pkt.map_or((TRACE_NO_FLOW, 0, 0), |p| (p.flow, p.seq, p.size));
+    ring.push(TraceEvent { t, kind, flow, seq, size });
 }
 
 impl std::fmt::Debug for Link {

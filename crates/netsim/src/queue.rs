@@ -1,14 +1,17 @@
-//! The queue-discipline (AQM) interface and the basic droptail queue.
+//! The queue-discipline (AQM) interface and the one byte-limited FIFO
+//! every discipline keeps its packets in.
 //!
-//! Concrete disciplines — RED, CoDel, FQ-CoDel — live in the
-//! `elephants-aqm` crate; the trait lives here so that [`crate::link::Link`]
-//! can own a `Box<dyn Aqm>` without a dependency cycle.
+//! Concrete disciplines — RED, PIE, CoDel, FQ-CoDel — live in the
+//! `elephants-aqm` crate as their drop/mark laws over [`DropTail`] (FQ-CoDel
+//! over one [`PacketFifo`] per bucket); the trait lives here so that
+//! [`crate::link::Link`] can own a `Box<dyn Aqm>` without a dependency cycle.
 
 use crate::check::CheckFailure;
 use crate::packet::Packet;
 use crate::time::SimTime;
 use crate::rng::SmallRng;
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Outcome of an enqueue attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,23 +63,6 @@ impl AqmStats {
     }
 }
 
-/// The O(1) accounting balance every discipline must satisfy: each packet
-/// accepted is eventually dequeued, dropped at dequeue, or still resident.
-/// Returns `None` when the books balance.
-pub fn queue_accounting_failure(s: AqmStats, resident_pkts: u64) -> Option<CheckFailure> {
-    if s.enqueued != s.dequeued + s.dropped_dequeue + resident_pkts {
-        let (e, d, dd) = (s.enqueued, s.dequeued, s.dropped_dequeue);
-        Some(CheckFailure::new(
-            "queue_accounting",
-            format!(
-                "enqueued {e} != dequeued {d} + dropped_dequeue {dd} + resident {resident_pkts}"
-            ),
-        ))
-    } else {
-        None
-    }
-}
-
 /// A queue discipline on a link's egress.
 ///
 /// Implementations must be deterministic given the same call sequence and
@@ -109,29 +95,90 @@ pub trait Aqm: Send {
     }
 
     /// Invariant probe for the strict-mode checker. Read-only — must not
-    /// mutate state or draw randomness. The default enforces the O(1)
-    /// packet-accounting balance ([`queue_accounting_failure`]);
-    /// disciplines add their own control-law bounds (RED's average within
-    /// `[0, limit]`, PIE's probability in `[0, 1]`, CoDel sojourn stamps
-    /// not in the future). `deep` enables O(n) scans (per-packet byte
-    /// sums) that are affordable only at finalize.
-    fn check_invariants(&self, _now: SimTime, _deep: bool) -> Vec<CheckFailure> {
-        match queue_accounting_failure(self.stats(), self.backlog_pkts() as u64) {
-            Some(f) => vec![f],
-            None => Vec::new(),
+    /// mutate state or draw randomness. [`DropTail`] enforces the O(1)
+    /// packet-accounting balance and, when `deep`, the O(n) per-packet
+    /// checks ([`PacketFifo::check_deep`]) that are affordable only at
+    /// finalize; disciplines built on it add their control-law bounds
+    /// (RED's average within `[0, limit]`, PIE's probability in `[0, 1]`).
+    fn check_invariants(&self, now: SimTime, deep: bool) -> Vec<CheckFailure>;
+}
+
+/// A packet FIFO with its byte backlog kept alongside: the storage under
+/// every discipline. [`DropTail`] owns one; FQ-CoDel one per bucket.
+#[derive(Debug, Default)]
+pub struct PacketFifo {
+    pkts: VecDeque<Packet>,
+    bytes: u64,
+}
+
+impl PacketFifo {
+    /// Append `pkt` at the tail.
+    #[inline]
+    pub fn push(&mut self, pkt: Packet) {
+        self.bytes += pkt.size as u64;
+        self.pkts.push_back(pkt);
+    }
+
+    /// Remove the head packet.
+    #[inline]
+    pub fn pop(&mut self) -> Option<Packet> {
+        let pkt = self.pkts.pop_front()?;
+        self.bytes -= pkt.size as u64;
+        Some(pkt)
+    }
+
+    /// Packets held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.pkts.len()
+    }
+
+    /// Whether no packet is held.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.pkts.is_empty()
+    }
+
+    /// Bytes held.
+    #[inline]
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// The O(n) structural checks, reported against `at` (which queue):
+    /// the byte counter equals the sum of resident sizes, and no resident
+    /// packet is stamped in the future (sojourn ≥ 0 holds by construction —
+    /// `SimTime::since` saturates — so this is its checkable form).
+    pub fn check_deep(&self, now: SimTime, at: fmt::Arguments<'_>, fails: &mut Vec<CheckFailure>) {
+        let sum: u64 = self.pkts.iter().map(|p| p.size as u64).sum();
+        if sum != self.bytes {
+            let bytes = self.bytes;
+            fails.push(CheckFailure::new(
+                "queue_byte_accounting",
+                format!("{at}: backlog counter {bytes} != sum of resident sizes {sum}"),
+            ));
+        }
+        if let Some(p) = self.pkts.iter().find(|p| p.enqueued_at > now) {
+            let stamp = p.enqueued_at;
+            fails.push(CheckFailure::new(
+                "queue_sojourn",
+                format!("{at}: resident packet enqueued in the future ({stamp} > {now})"),
+            ));
         }
     }
 }
 
 /// Plain droptail FIFO with a byte limit (`pfifo`/`bfifo` semantics).
 ///
-/// This is both the paper's "FIFO" AQM and the default queue on
-/// non-bottleneck links.
+/// This is the paper's "FIFO" AQM, the default queue on non-bottleneck
+/// links, and the queue under RED, PIE and CoDel: it keeps the packets, the
+/// limit, the counters and the CE marks, so a discipline built on it holds
+/// only its drop/mark law and decides through [`DropTail::fits`],
+/// [`DropTail::admit`], [`DropTail::refuse`] and [`DropTail::dequeue_by`].
 #[derive(Debug)]
 pub struct DropTail {
-    queue: VecDeque<Packet>,
+    fifo: PacketFifo,
     limit_bytes: u64,
-    backlog: u64,
     stats: AqmStats,
 }
 
@@ -139,47 +186,88 @@ impl DropTail {
     /// A droptail queue holding at most `limit_bytes` of packets.
     pub fn new(limit_bytes: u64) -> Self {
         assert!(limit_bytes > 0, "droptail limit must be positive");
-        DropTail { queue: VecDeque::new(), limit_bytes, backlog: 0, stats: AqmStats::default() }
+        DropTail { fifo: PacketFifo::default(), limit_bytes, stats: AqmStats::default() }
     }
 
     /// The configured byte limit.
     pub fn limit_bytes(&self) -> u64 {
         self.limit_bytes
     }
+
+    /// Whether `pkt` fits under the byte limit — marked or not.
+    #[inline]
+    pub fn fits(&self, pkt: &Packet) -> bool {
+        self.fifo.bytes + pkt.size as u64 <= self.limit_bytes
+    }
+
+    /// Accept `pkt` at `now` (CE-marked if `mark`): stamp it for sojourn,
+    /// queue it, count it.
+    #[inline]
+    pub fn admit(&mut self, mut pkt: Packet, now: SimTime, mark: bool) -> Verdict {
+        pkt.enqueued_at = now;
+        pkt.ecn_ce |= mark;
+        self.fifo.push(pkt);
+        self.stats.enqueued += 1;
+        if mark {
+            self.stats.marked += 1;
+            Verdict::Marked
+        } else {
+            Verdict::Enqueued
+        }
+    }
+
+    /// Drop the arriving packet.
+    #[inline]
+    pub fn refuse(&mut self) -> Verdict {
+        self.stats.dropped_enqueue += 1;
+        Verdict::Dropped
+    }
+
+    /// Dequeue through a discipline's `law`, which pops from the FIFO and
+    /// returns the packet to send with how many it dropped and marked on
+    /// the way.
+    #[inline]
+    pub fn dequeue_by(
+        &mut self,
+        law: impl FnOnce(&mut PacketFifo) -> (Option<Packet>, u32, u32),
+    ) -> DequeueResult {
+        let (pkt, dropped, marked) = law(&mut self.fifo);
+        self.stats.dropped_dequeue += dropped as u64;
+        self.stats.marked += marked as u64;
+        self.stats.dequeued += pkt.is_some() as u64;
+        DequeueResult { pkt, dropped }
+    }
 }
 
 impl Aqm for DropTail {
-    fn enqueue(&mut self, mut pkt: Packet, now: SimTime, _rng: &mut SmallRng) -> Verdict {
-        if self.backlog + pkt.size as u64 > self.limit_bytes {
-            self.stats.dropped_enqueue += 1;
-            return Verdict::Dropped;
+    #[inline]
+    fn enqueue(&mut self, pkt: Packet, now: SimTime, _rng: &mut SmallRng) -> Verdict {
+        if self.fits(&pkt) {
+            self.admit(pkt, now, false)
+        } else {
+            self.refuse()
         }
-        pkt.enqueued_at = now;
-        self.backlog += pkt.size as u64;
-        self.queue.push_back(pkt);
-        self.stats.enqueued += 1;
-        Verdict::Enqueued
     }
 
+    #[inline]
     fn dequeue(&mut self, _now: SimTime, _rng: &mut SmallRng) -> DequeueResult {
-        match self.queue.pop_front() {
-            Some(pkt) => {
-                self.backlog -= pkt.size as u64;
-                self.stats.dequeued += 1;
-                DequeueResult { pkt: Some(pkt), dropped: 0 }
-            }
-            None => DequeueResult::EMPTY,
-        }
+        // Branching here, not `dequeued += is_some()`: that measured ~2-3% slower on a FIFO cell.
+        let Some(pkt) = self.fifo.pop() else { return DequeueResult::EMPTY };
+        self.stats.dequeued += 1;
+        DequeueResult { pkt: Some(pkt), dropped: 0 }
     }
 
+    #[inline]
     fn backlog_bytes(&self) -> u64 {
-        self.backlog
+        self.fifo.bytes
     }
 
+    #[inline]
     fn backlog_pkts(&self) -> usize {
-        self.queue.len()
+        self.fifo.len()
     }
 
+    #[inline]
     fn stats(&self) -> AqmStats {
         self.stats
     }
@@ -188,27 +276,21 @@ impl Aqm for DropTail {
         "fifo"
     }
 
+    /// The accounting balance — each packet accepted is dequeued, dropped
+    /// at dequeue, or still resident — plus, when `deep`, the FIFO's
+    /// structural checks.
     fn check_invariants(&self, now: SimTime, deep: bool) -> Vec<CheckFailure> {
         let mut fails = Vec::new();
-        if let Some(f) = queue_accounting_failure(self.stats, self.queue.len() as u64) {
-            fails.push(f);
+        let (s, resident) = (self.stats, self.fifo.len() as u64);
+        if s.enqueued != s.dequeued + s.dropped_dequeue + resident {
+            let (e, d, dd) = (s.enqueued, s.dequeued, s.dropped_dequeue);
+            fails.push(CheckFailure::new(
+                "queue_accounting",
+                format!("enqueued {e} != dequeued {d} + dropped_dequeue {dd} + resident {resident}"),
+            ));
         }
         if deep {
-            let sum: u64 = self.queue.iter().map(|p| p.size as u64).sum();
-            if sum != self.backlog {
-                let backlog = self.backlog;
-                fails.push(CheckFailure::new(
-                    "queue_byte_accounting",
-                    format!("backlog counter {backlog} != sum of resident sizes {sum}"),
-                ));
-            }
-            if let Some(p) = self.queue.iter().find(|p| p.enqueued_at > now) {
-                let at = p.enqueued_at;
-                fails.push(CheckFailure::new(
-                    "queue_sojourn",
-                    format!("resident packet enqueued in the future ({at} > {now})"),
-                ));
-            }
+            self.fifo.check_deep(now, format_args!("queue"), &mut fails);
         }
         fails
     }

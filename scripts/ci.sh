@@ -29,9 +29,11 @@
 #                                strict-checked too, and three loss-heavy
 #                                cells (shallow buffer, random loss, link
 #                                flap) run the scoreboard's recovery path
-#                                with its debug assertions on, and the six
+#                                with its debug assertions on, the six
 #                                tests/fixtures/bbr cells take both BBRs
-#                                through ProbeRTT and v2's ceiling cuts
+#                                through ProbeRTT and v2's ceiling cuts,
+#                                and one ECN cell per AQM runs every
+#                                discipline's CE-mark path
 #   scripts/ci.sh --fuzz-smoke   also run the chaos fuzzer: ~25 fixed-seed
 #                                generated scenarios through the strict
 #                                four-oracle judge (invariants, graceful
