@@ -275,7 +275,6 @@ mod tests {
                 TopologySpec::Dumbbell => assert_eq!(cfg.fault_link, 0),
                 TopologySpec::ParkingLot { .. } => parking += 1,
                 TopologySpec::MultiDumbbell { .. } => multi += 1,
-                TopologySpec::Explicit(_) => panic!("generator never emits Explicit"),
             }
             assert!((cfg.fault_link as usize) < cfg.topology.n_bottlenecks());
             off_hop += (cfg.fault_link != 0) as u32;

@@ -7,8 +7,8 @@
 //! (one `Option` branch per event, the same discipline as the flight
 //! recorder) — and enforces, per event and at finalize:
 //!
-//! * **Packet conservation** — every packet injected by a host (plus every
-//!   duplicate copy a fault model created) is, at finalize, exactly one of:
+//! * **Packet conservation** — every packet injected by a host is, at
+//!   finalize, exactly one of:
 //!   delivered to a host, dropped (AQM, down link, fault loss), resident in
 //!   a queue, or parked in the arena awaiting delivery.
 //! * **Scoreboard conservation** — via [`crate::sim::FlowEndpoint::check_invariants`],
@@ -207,11 +207,6 @@ impl Checker {
         Checker { sabotage: Some(threshold), ..Checker::new(mode) }
     }
 
-    /// The mode this checker runs in.
-    pub fn mode(&self) -> CheckMode {
-        self.mode
-    }
-
     /// Count a host-emitted packet accepted onto its first link.
     #[inline]
     pub fn note_injected(&mut self) {
@@ -298,15 +293,13 @@ impl Checker {
 
     /// Finalize-time global packet conservation:
     ///
-    /// `injected + duplicated == delivered + dropped + resident + in_flight`
+    /// `injected == delivered + dropped + resident + in_flight`
     ///
     /// where `dropped` sums every terminal drop class over all links,
     /// `resident` sums queue backlogs, and `in_flight` is the arena's live
     /// count (packets whose `Deliver` event is still pending).
-    #[allow(clippy::too_many_arguments)]
     pub fn check_packet_conservation(
         &mut self,
-        duplicated: u64,
         dropped: u64,
         resident: u64,
         in_flight: u64,
@@ -331,15 +324,14 @@ impl Checker {
                 );
             }
         }
-        let created = self.injected + duplicated;
         let accounted = self.delivered + dropped + resident + in_flight;
-        if created != accounted {
+        if self.injected != accounted {
             let (injected, delivered) = (self.injected, self.delivered);
             self.fail(
                 CheckFailure::new(
                     "packet_conservation",
                     format!(
-                        "injected {injected} + duplicated {duplicated} != \
+                        "injected {injected} != \
                          delivered {delivered} + dropped {dropped} + \
                          resident {resident} + in_flight {in_flight}"
                     ),
@@ -427,10 +419,10 @@ mod tests {
         for _ in 0..6 {
             ck.note_delivered();
         }
-        // 10 injected + 1 dup = 6 delivered + 2 dropped + 2 resident + 1 in flight.
-        ck.check_packet_conservation(1, 2, 2, 1, 100, SimTime::ZERO);
+        // 10 injected = 6 delivered + 2 dropped + 1 resident + 1 in flight.
+        ck.check_packet_conservation(2, 1, 1, 100, SimTime::ZERO);
         assert!(ck.report().is_clean());
-        ck.check_packet_conservation(0, 2, 2, 1, 101, SimTime::ZERO);
+        ck.check_packet_conservation(2, 2, 1, 101, SimTime::ZERO);
         assert_eq!(ck.report().violations_total, 1);
         assert_eq!(ck.report().violations[0].invariant, "packet_conservation");
     }
@@ -445,10 +437,10 @@ mod tests {
             ck.note_delivered();
         }
         // 5 injected = 4 delivered + 1 in flight; below threshold: clean.
-        ck.check_packet_conservation(0, 0, 0, 1, 10, SimTime::ZERO);
+        ck.check_packet_conservation(0, 0, 1, 10, SimTime::ZERO);
         assert!(ck.report().is_clean(), "{:?}", ck.report().violations);
         ck.note_delivered();
-        ck.check_packet_conservation(0, 0, 0, 0, 11, SimTime::ZERO);
+        ck.check_packet_conservation(0, 0, 0, 11, SimTime::ZERO);
         assert_eq!(ck.report().violations_total, 1);
         assert_eq!(ck.report().violations[0].invariant, SABOTAGE_INVARIANT);
     }
@@ -467,7 +459,7 @@ mod tests {
             ck.note_injected();
             ck.note_delivered();
         }
-        ck.check_packet_conservation(0, 0, 0, 0, 1, SimTime::ZERO);
+        ck.check_packet_conservation(0, 0, 0, 1, SimTime::ZERO);
         assert!(ck.report().is_clean());
     }
 

@@ -4,10 +4,8 @@
 //! anomalies (e.g. variable rates of packet loss)". This module implements
 //! that extension in two layers:
 //!
-//! * **Steady-state impairments** applied per packet after serialization
-//!   (i.e. in-flight corruption, invisible to the AQM): [`LossModel`],
-//!   [`ReorderModel`], [`DuplicateModel`] and a uniform jitter knob on the
-//!   link.
+//! * **Steady-state loss** applied per packet after serialization (i.e.
+//!   in-flight corruption, invisible to the AQM): [`LossModel`].
 //! * **Timed faults**: a [`FaultPlan`] — a validated, JSON-round-trippable
 //!   list of [`FaultEvent`]s (link flaps, mid-run bandwidth/delay/loss
 //!   changes) that the simulator dispatches deterministically through the
@@ -105,14 +103,12 @@ impl LossModel {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LossState {
     in_bad_state: bool,
-    /// Number of packets dropped by fault injection.
-    pub losses: u64,
 }
 
 impl LossState {
     /// Decide whether the next packet is lost.
     pub fn should_drop(&mut self, model: &LossModel, rng: &mut SmallRng) -> bool {
-        let drop = match *model {
+        match *model {
             LossModel::None => false,
             LossModel::Bernoulli { p } => p > 0.0 && rng.random::<f64>() < p,
             LossModel::GilbertElliott { p_gb, p_bg } => {
@@ -125,75 +121,6 @@ impl LossState {
                 }
                 self.in_bad_state
             }
-        };
-        if drop {
-            self.losses += 1;
-        }
-        drop
-    }
-}
-
-/// A random packet-reordering process on a link.
-///
-/// With probability `p` a packet's propagation is stretched by `extra`,
-/// letting later packets overtake it (a model of parallel-path or
-/// link-layer retransmission reordering).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReorderModel {
-    /// Reorder probability in `[0, 1]` per packet.
-    pub p: f64,
-    /// Extra one-way delay applied to reordered packets.
-    pub extra: SimDuration,
-}
-
-impl Default for ReorderModel {
-    fn default() -> Self {
-        ReorderModel { p: 0.0, extra: SimDuration::ZERO }
-    }
-}
-
-impl_json_struct!(ReorderModel { p, extra });
-
-impl ReorderModel {
-    /// True when the model never reorders (the default).
-    pub fn is_none(&self) -> bool {
-        self.p <= 0.0 || self.extra.is_zero()
-    }
-
-    /// Validate the probability range.
-    pub fn validate(&self) -> Result<(), String> {
-        if (0.0..=1.0).contains(&self.p) {
-            Ok(())
-        } else {
-            Err(format!("reorder probability out of [0,1]: {}", self.p))
-        }
-    }
-}
-
-/// A random packet-duplication process on a link.
-///
-/// With probability `p` a packet is delivered twice (a model of link-layer
-/// retransmission racing the original).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DuplicateModel {
-    /// Duplication probability in `[0, 1]` per packet.
-    pub p: f64,
-}
-
-impl_json_struct!(DuplicateModel { p });
-
-impl DuplicateModel {
-    /// True when the model never duplicates (the default).
-    pub fn is_none(&self) -> bool {
-        self.p <= 0.0
-    }
-
-    /// Validate the probability range.
-    pub fn validate(&self) -> Result<(), String> {
-        if (0.0..=1.0).contains(&self.p) {
-            Ok(())
-        } else {
-            Err(format!("duplicate probability out of [0,1]: {}", self.p))
         }
     }
 }
@@ -346,7 +273,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(!st.should_drop(&LossModel::None, &mut rng));
         }
-        assert_eq!(st.losses, 0);
     }
 
     #[test]
@@ -363,7 +289,6 @@ mod tests {
         }
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.05).abs() < 0.005, "rate {rate}");
-        assert_eq!(st.losses, drops);
     }
 
     #[test]
@@ -425,15 +350,5 @@ mod tests {
         assert!(zero_bw.validate().is_err());
 
         assert!(FaultPlan::none().validate().is_ok());
-    }
-
-    #[test]
-    fn reorder_and_duplicate_validation() {
-        assert!(ReorderModel { p: 0.5, extra: SimDuration::from_millis(1) }.validate().is_ok());
-        assert!(ReorderModel { p: -0.1, extra: SimDuration::ZERO }.validate().is_err());
-        assert!(ReorderModel::default().is_none());
-        assert!(DuplicateModel { p: 0.01 }.validate().is_ok());
-        assert!(DuplicateModel { p: 1.1 }.validate().is_err());
-        assert!(DuplicateModel::default().is_none());
     }
 }

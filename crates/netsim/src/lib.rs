@@ -57,7 +57,7 @@ pub use check::{
     SABOTAGE_ENV, SABOTAGE_INVARIANT,
 };
 pub use event::{Event, EventQueue, TimerKind};
-pub use fault::{DuplicateModel, FaultAction, FaultEvent, FaultPlan, LossModel, ReorderModel};
+pub use fault::{FaultAction, FaultEvent, FaultPlan, LossModel};
 pub use link::{Link, LinkId, LinkSpec, LinkStats};
 pub use packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketArena, PacketKind, PacketRef, SACK_MAX};
 pub use queue::{Aqm, AqmStats, DequeueResult, DropTail, PacketFifo, Verdict};
@@ -71,17 +71,14 @@ pub use sim::{
     Simulator, TimerToken,
 };
 pub use time::{SimDuration, SimTime};
-pub use topology::{
-    DumbbellSpec, ExplicitSpec, GroupDef, LinkDef, MultiDumbbellSpec, ParkingLotSpec, Topology,
-    TopologySpec, EDGE_ONE_WAY,
-};
+pub use topology::{DumbbellSpec, Topology, TopologySpec, EDGE_ONE_WAY};
 pub use units::{bdp_bytes, Bandwidth};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
     pub use crate::check::{CheckFailure, CheckMode, CheckReport};
     pub use crate::event::TimerKind;
-    pub use crate::fault::{DuplicateModel, FaultAction, FaultEvent, FaultPlan, LossModel, ReorderModel};
+    pub use crate::fault::{FaultAction, FaultEvent, FaultPlan, LossModel};
     pub use crate::link::{LinkId, LinkSpec};
     pub use crate::packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketKind};
     pub use crate::queue::{Aqm, DequeueResult, DropTail, Verdict};

@@ -1,13 +1,13 @@
 //! Unidirectional links: serialization, propagation, egress queueing.
 
 use crate::event::{Event, EventQueue};
-use crate::fault::{DuplicateModel, FaultAction, LossModel, LossState, ReorderModel};
+use crate::fault::{FaultAction, LossModel, LossState};
 use crate::packet::{NodeId, Packet};
 use crate::queue::{Aqm, AqmStats, DropTail, Verdict};
 use crate::record::{EventRing, TraceEvent, TraceEventKind, TRACE_NO_FLOW};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
-use crate::rng::{RngExt, SmallRng};
+use crate::rng::SmallRng;
 use elephants_json::{impl_json_newtype, impl_json_struct};
 
 /// Index of a link within the topology.
@@ -50,10 +50,6 @@ pub struct LinkStats {
     pub fault_losses: u64,
     /// Packets destroyed because the link was down.
     pub down_drops: u64,
-    /// Packets delayed out of order by the reorder model.
-    pub reordered: u64,
-    /// Extra copies delivered by the duplicate model.
-    pub duplicated: u64,
     /// Timed fault actions applied to this link.
     pub fault_events_applied: u64,
     /// Largest egress-queue depth observed, in packets.
@@ -76,14 +72,6 @@ pub struct Link {
     pub aqm: Box<dyn Aqm>,
     /// Random in-flight loss (fault-injection extension; defaults to none).
     pub loss_model: LossModel,
-    /// Random in-flight reordering (defaults to none).
-    pub reorder: ReorderModel,
-    /// Random in-flight duplication (defaults to none).
-    pub duplicate: DuplicateModel,
-    /// Uniform random extra propagation delay in `[0, jitter]` per packet
-    /// (defaults to zero). Unlike [`ReorderModel`] this perturbs *every*
-    /// packet, modelling serialization variance rather than path changes.
-    pub jitter: SimDuration,
     loss_state: LossState,
     up: bool,
     busy: bool,
@@ -112,9 +100,6 @@ impl Link {
             prop: spec.prop,
             aqm,
             loss_model: LossModel::None,
-            reorder: ReorderModel::default(),
-            duplicate: DuplicateModel::default(),
-            jitter: SimDuration::ZERO,
             loss_state: LossState::default(),
             up: true,
             busy: false,
@@ -194,29 +179,14 @@ impl Link {
         self.stats.pkts_tx += 1;
         self.stats.bytes_tx += pkt.size as u64;
         events.schedule(now + ser, Event::LinkTxDone { link: self.id });
-        let lost = self.loss_state.should_drop(&self.loss_model, rng);
-        if lost {
+        // The loss draw happens in event order on the shared run RNG, so a
+        // fixed seed yields a fixed loss pattern; `LossModel::None` draws
+        // nothing.
+        if self.loss_state.should_drop(&self.loss_model, rng) {
             self.stats.fault_losses += 1;
             return;
         }
-        // Per-packet impairment draws happen in event order on the shared
-        // run RNG, so a fixed seed yields a fixed impairment pattern. Each
-        // draw is gated on its model being active: the default (no
-        // impairments) consumes no randomness and leaves un-faulted runs
-        // byte-identical to pre-fault-injection builds.
-        let mut delay = self.prop;
-        if !self.jitter.is_zero() {
-            delay += SimDuration::from_nanos(rng.random_range(0..=self.jitter.as_nanos()));
-        }
-        if !self.reorder.is_none() && rng.random::<f64>() < self.reorder.p {
-            self.stats.reordered += 1;
-            delay += self.reorder.extra;
-        }
-        events.schedule_deliver(now + ser + delay, self.dst, pkt);
-        if !self.duplicate.is_none() && rng.random::<f64>() < self.duplicate.p {
-            self.stats.duplicated += 1;
-            events.schedule_deliver(now + ser + delay, self.dst, pkt);
-        }
+        events.schedule_deliver(now + ser + self.prop, self.dst, pkt);
     }
 
     /// Apply a timed fault action (dispatched by the simulator).
@@ -460,35 +430,5 @@ mod tests {
         assert!(matches!(e1, Event::LinkTxDone { .. }));
         assert!(ev.pop().is_none());
         assert_eq!(link.stats().fault_losses, 1);
-    }
-
-    #[test]
-    fn duplicate_model_delivers_twice() {
-        let mut link = mk_link(10, 0);
-        link.duplicate = DuplicateModel { p: 1.0 };
-        let mut ev = EventQueue::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        link.offer(pkt(0, 1250), SimTime::ZERO, &mut ev, &mut rng);
-        let (_, _) = ev.pop().unwrap(); // TxDone
-        let (_, d1) = ev.pop().unwrap();
-        let (_, d2) = ev.pop().unwrap();
-        assert!(matches!(d1, Event::Deliver { .. }));
-        assert!(matches!(d2, Event::Deliver { .. }));
-        assert_eq!(link.stats().duplicated, 1);
-    }
-
-    #[test]
-    fn reorder_model_delays_marked_packets() {
-        let mut link = mk_link(10, 0);
-        link.reorder = ReorderModel { p: 1.0, extra: SimDuration::from_millis(3) };
-        let mut ev = EventQueue::new();
-        let mut rng = SmallRng::seed_from_u64(0);
-        link.offer(pkt(0, 1250), SimTime::ZERO, &mut ev, &mut rng);
-        let (_, _) = ev.pop().unwrap(); // TxDone at 1 ms
-        let (td, d) = ev.pop().unwrap();
-        assert!(matches!(d, Event::Deliver { .. }));
-        // 1 ms serialization + 0 prop + 3 ms reorder penalty.
-        assert_eq!(td, SimTime::from_nanos(4_000_000));
-        assert_eq!(link.stats().reordered, 1);
     }
 }

@@ -275,10 +275,6 @@ pub struct BottleneckReport {
     pub fault_losses: u64,
     /// Packets destroyed while a fault held the link down.
     pub down_drops: u64,
-    /// Packets delayed out of order by the reorder model.
-    pub reordered: u64,
-    /// Extra copies delivered by the duplicate model.
-    pub duplicated: u64,
     /// Largest bottleneck-queue depth observed, in packets.
     pub peak_qlen_pkts: u64,
     /// Fault-plan events that actually fired before the run ended
@@ -480,11 +476,6 @@ impl Simulator {
             CheckMode::Off => None,
             m => Some(Box::new(Checker::new(m))),
         };
-    }
-
-    /// The active check mode.
-    pub fn check_mode(&self) -> CheckMode {
-        self.checker.as_ref().map_or(CheckMode::Off, |c| c.mode())
     }
 
     /// Remove the checker and return its report (post-run recovery).
@@ -698,12 +689,11 @@ impl Simulator {
     fn run_final_checks(&mut self) {
         let Some(mut ck) = self.checker.take() else { return };
         let (now, seq) = (self.now, self.processed);
-        let (mut dropped, mut duplicated, mut resident) = (0u64, 0u64, 0u64);
+        let (mut dropped, mut resident) = (0u64, 0u64);
         for link in self.topo.links() {
             let ls = link.stats();
             let qs = link.aqm.stats();
             dropped += qs.dropped_enqueue + qs.dropped_dequeue + ls.down_drops + ls.fault_losses;
-            duplicated += ls.duplicated;
             let backlog = link.aqm.backlog_pkts() as u64;
             resident += backlog;
             let mut fails = link.aqm.check_invariants(now, true);
@@ -735,7 +725,7 @@ impl Simulator {
             }
         }
         let in_flight = self.events.packets_live() as u64;
-        ck.check_packet_conservation(duplicated, dropped, resident, in_flight, seq, now);
+        ck.check_packet_conservation(dropped, resident, in_flight, seq, now);
         for (i, slot) in self.flows.iter().enumerate() {
             let fails = slot.sender.check_invariants();
             if !fails.is_empty() {
@@ -925,8 +915,6 @@ impl Simulator {
                         aqm: link.aqm_stats(),
                         fault_losses: link.stats().fault_losses,
                         down_drops: link.stats().down_drops,
-                        reordered: link.stats().reordered,
-                        duplicated: link.stats().duplicated,
                         peak_qlen_pkts: link.stats().peak_qlen_pkts,
                         fault_events_applied: link.stats().fault_events_applied,
                     },
@@ -1310,13 +1298,12 @@ mod tests {
     #[test]
     fn parking_lot_reports_per_link_and_passes_strict_checks() {
         use crate::check::CheckMode;
-        use crate::topology::ParkingLotSpec;
-        let spec = ParkingLotSpec::paper_with_rtt(
-            Bandwidth::from_mbps(100),
-            SimDuration::from_millis(62),
-            3,
-        );
-        let topo = spec.build().unwrap();
+        use crate::topology::TopologySpec;
+        let topo = TopologySpec::ParkingLot { hops: 3 }
+            .build(Bandwidth::from_mbps(100), SimDuration::from_millis(62))
+            .unwrap();
+        let hosts: Vec<(NodeId, NodeId)> =
+            topo.sender_hosts().iter().copied().zip(topo.receiver_hosts().iter().copied()).collect();
         let cfg = SimConfig {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::ZERO,
@@ -1324,8 +1311,7 @@ mod tests {
         };
         let mut sim = Simulator::new(topo, cfg, 7);
         // One blast per group: the long flow plus each cross flow.
-        for g in 0..4usize {
-            let (s, r) = (spec.sender(g), spec.receiver(g));
+        for (s, r) in hosts {
             sim.add_flow(
                 s,
                 r,

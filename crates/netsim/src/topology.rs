@@ -9,18 +9,17 @@
 //! layer can request: `parking-lot:K` (one long flow crossing K shaped
 //! hops, each also loaded by a one-hop cross flow) and `multi-dumbbell`
 //! (one shared bottleneck, per-group access delays realizing
-//! heterogeneous RTTs — the FaiRTT-style BBR unfairness setup), plus an
-//! explicit link-list escape hatch. Every built topology designates one
-//! or more *bottleneck links*; the simulator instruments and checks each.
+//! heterogeneous RTTs — the FaiRTT-style BBR unfairness setup). All three
+//! are one chain of shaped hops that differ only in where each flow group
+//! attaches (`chain`). Every hop of the chain is a designated *bottleneck
+//! link*; the simulator instruments and checks each.
 
 use crate::link::{Link, LinkId, LinkSpec};
 use crate::packet::NodeId;
 use crate::queue::Aqm;
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
-use elephants_json::{
-    impl_json_struct, impl_json_unit_enum, FromJson, JsonError, ToJson, Value,
-};
+use elephants_json::{impl_json_unit_enum, FromJson, JsonError, ToJson, Value};
 
 /// What role a node plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,20 +47,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Create an empty topology with `n` nodes of the given kinds.
-    pub fn new(kinds: Vec<NodeKind>) -> Self {
-        let n = kinds.len();
-        Topology {
-            kinds,
-            links: Vec::new(),
-            routes: vec![vec![None; n]; n],
-            sender_hosts: Vec::new(),
-            receiver_hosts: Vec::new(),
-            bottlenecks: Vec::new(),
-            base_rtt: SimDuration::ZERO,
-        }
-    }
-
     /// Number of nodes.
     pub fn n_nodes(&self) -> usize {
         self.kinds.len()
@@ -72,16 +57,9 @@ impl Topology {
         self.kinds[node.0 as usize]
     }
 
-    /// Add a link and return its id. The builders fill the route tables
-    /// once every link is in (`auto_route`).
-    pub fn add_link(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec, aqm: Box<dyn Aqm>) -> LinkId {
-        let id = LinkId(self.links.len() as u32);
-        self.links.push(Link::new(id, src, dst, spec, aqm));
-        id
-    }
-
-    /// Add a link with a large droptail queue (non-bottleneck default).
-    pub fn add_link_big_fifo(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) -> LinkId {
+    /// Add a link with a large droptail queue; the AQM under test goes in
+    /// afterwards ([`Topology::set_aqm_on`]).
+    fn add_link_big_fifo(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) -> LinkId {
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link::with_big_fifo(id, src, dst, spec));
         id
@@ -178,8 +156,7 @@ impl Topology {
 
 /// Populate `topo`'s route tables towards every host by shortest hop
 /// count over the directed links, breaking ties by lowest link id (so
-/// routing is a deterministic function of the link list). Every builder
-/// routes through this.
+/// routing is a deterministic function of the link list).
 fn auto_route(topo: &mut Topology) {
     let n = topo.n_nodes();
     let hosts: Vec<NodeId> = (0..n as u32)
@@ -231,10 +208,92 @@ impl std::fmt::Debug for Topology {
     }
 }
 
+/// Where one flow group joins a [`chain`]: its sender reaches router `src`
+/// over `access`, and router `dst` reaches its receiver over `leaf`. The
+/// same links, mirrored, carry the group's ACKs back.
+#[derive(Debug, Clone, Copy)]
+struct Attach {
+    src: usize,
+    dst: usize,
+    access: LinkSpec,
+    leaf: LinkSpec,
+}
+
+/// Rate of the raw router interconnect that carries every reverse hop
+/// (the paper shapes only the forward direction with `tc`).
+const INTERCONNECT: Bandwidth = Bandwidth::from_gbps(100);
+
+/// Lay out routers `0..=K` joined by the K shaped `hops`, plus one sender
+/// and one receiver host per attached group. Every named shape is built
+/// here.
+///
+/// Nodes are numbered senders, then routers, then receivers. Links go in
+/// as forward access, hops and leaf, then the mirrored reverse path, whose
+/// hops run at the [`INTERCONNECT`] rate. Link ids follow that order, and
+/// shortest-hop routing breaks its ties by them. Every hop is a designated
+/// bottleneck and starts as a big droptail queue.
+fn chain(hops: &[LinkSpec], groups: &[Attach], base_rtt: SimDuration) -> Topology {
+    let (g, k) = (groups.len(), hops.len());
+    let sender = |j: usize| NodeId(j as u32);
+    let router = |i: usize| NodeId((g + i) as u32);
+    let receiver = |j: usize| NodeId((g + k + 1 + j) as u32);
+    let mut kinds = vec![NodeKind::Host; 2 * g + k + 1];
+    kinds[g..=g + k].fill(NodeKind::Router);
+    let n = kinds.len();
+    let mut topo = Topology {
+        kinds,
+        links: Vec::new(),
+        routes: vec![vec![None; n]; n],
+        sender_hosts: (0..g).map(sender).collect(),
+        receiver_hosts: (0..g).map(receiver).collect(),
+        bottlenecks: Vec::new(),
+        base_rtt,
+    };
+    for (j, a) in groups.iter().enumerate() {
+        topo.add_link_big_fifo(sender(j), router(a.src), a.access);
+    }
+    for (i, &hop) in hops.iter().enumerate() {
+        let id = topo.add_link_big_fifo(router(i), router(i + 1), hop);
+        topo.bottlenecks.push(id);
+    }
+    for (j, a) in groups.iter().enumerate() {
+        topo.add_link_big_fifo(router(a.dst), receiver(j), a.leaf);
+    }
+    for (j, a) in groups.iter().enumerate() {
+        topo.add_link_big_fifo(receiver(j), router(a.dst), a.leaf);
+    }
+    for (i, hop) in hops.iter().enumerate() {
+        let rev = LinkSpec::new(INTERCONNECT, hop.prop);
+        topo.add_link_big_fifo(router(i + 1), router(i), rev);
+    }
+    for (j, a) in groups.iter().enumerate() {
+        topo.add_link_big_fifo(router(a.src), sender(j), a.access);
+    }
+    auto_route(&mut topo);
+    topo
+}
+
 /// One-way delay the paper-style edges add to a path (1 ms access + 2 ms
 /// leaf); the trunk absorbs the rest of an end-to-end RTT, which therefore
 /// has to exceed twice this.
 pub const EDGE_ONE_WAY: SimDuration = SimDuration::from_millis(3);
+
+/// The paper's sender NIC: 25 GbE, 1 ms to the first router.
+const PAPER_ACCESS: LinkSpec =
+    LinkSpec { rate: Bandwidth::from_gbps(25), prop: SimDuration::from_millis(1) };
+
+/// The paper's receiver NIC: 25 GbE, 2 ms from the last router.
+const PAPER_LEAF: LinkSpec =
+    LinkSpec { rate: Bandwidth::from_gbps(25), prop: SimDuration::from_millis(2) };
+
+/// One-way trunk delay that, between the paper's edges, makes a path's
+/// round trip `rtt`.
+fn trunk_one_way(rtt: SimDuration) -> Result<SimDuration, String> {
+    if rtt <= EDGE_ONE_WAY * 2 {
+        return Err(format!("RTT {rtt:?} must exceed the 6 ms edge budget"));
+    }
+    Ok((rtt / 2).saturating_sub(EDGE_ONE_WAY))
+}
 
 /// Builder for the paper's dumbbell (Fig. 1).
 ///
@@ -253,30 +312,28 @@ pub struct DumbbellSpec {
     pub leaf: LinkSpec,
 }
 
-impl_json_struct!(DumbbellSpec { n_pairs, bottleneck, access, leaf });
-
 impl DumbbellSpec {
     /// The paper's topology: 2 host pairs, 25 Gbps access/leaf NICs, and a
     /// bottleneck of `bw` shaped on router 1, with one-way delays
     /// 1 + 28 + 2 ms so the end-to-end RTT is 62 ms.
-    pub fn paper(bw: crate::units::Bandwidth) -> Self {
+    pub fn paper(bw: Bandwidth) -> Self {
         Self::paper_with_rtt(bw, SimDuration::from_millis(62))
     }
 
     /// The paper's topology with a custom end-to-end RTT (the paper's
     /// future-work "different RTTs" extension). Access/leaf one-way delays
     /// keep the paper's 1 + 2 ms; the trunk absorbs the rest.
-    pub fn paper_with_rtt(bw: crate::units::Bandwidth, rtt: SimDuration) -> Self {
-        assert!(
-            rtt > EDGE_ONE_WAY * 2,
-            "RTT must exceed the 6 ms the access/leaf links contribute"
-        );
-        let trunk_one_way = (rtt / 2).saturating_sub(EDGE_ONE_WAY);
+    ///
+    /// # Panics
+    /// Panics unless `rtt` exceeds the 6 ms the access/leaf links
+    /// contribute; [`TopologySpec::build`] returns that as an error.
+    pub fn paper_with_rtt(bw: Bandwidth, rtt: SimDuration) -> Self {
+        let trunk = trunk_one_way(rtt).unwrap_or_else(|e| panic!("{e}"));
         DumbbellSpec {
             n_pairs: 2,
-            bottleneck: LinkSpec::new(bw, trunk_one_way),
-            access: LinkSpec::new(crate::units::Bandwidth::from_gbps(25), SimDuration::from_millis(1)),
-            leaf: LinkSpec::new(crate::units::Bandwidth::from_gbps(25), SimDuration::from_millis(2)),
+            bottleneck: LinkSpec::new(bw, trunk),
+            access: PAPER_ACCESS,
+            leaf: PAPER_LEAF,
         }
     }
 
@@ -286,408 +343,30 @@ impl DumbbellSpec {
         NodeId(i as u32)
     }
 
-    /// Node id of router 1 (owns the bottleneck egress queue).
-    pub fn router1(&self) -> NodeId {
-        NodeId(self.n_pairs as u32)
-    }
-
-    /// Node id of router 2.
-    pub fn router2(&self) -> NodeId {
-        NodeId(self.n_pairs as u32 + 1)
-    }
-
     /// Node id of receiver host `i`.
     pub fn receiver(&self, i: usize) -> NodeId {
         assert!(i < self.n_pairs);
         NodeId((self.n_pairs + 2 + i) as u32)
     }
 
-    /// Materialize the topology. The bottleneck link gets a large droptail
-    /// queue by default; install the AQM under test with
+    /// Materialize the topology: a one-hop chain with every pair attached
+    /// across the hop. The bottleneck link gets a large droptail queue by
+    /// default; install the AQM under test with
     /// [`Topology::set_bottleneck_aqm`].
     pub fn build(&self) -> Topology {
         assert!(self.n_pairs >= 1, "dumbbell needs at least one host pair");
-        let n = self.n_pairs;
-        let mut kinds = Vec::with_capacity(2 * n + 2);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, n));
-        kinds.push(NodeKind::Router);
-        kinds.push(NodeKind::Router);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, n));
-        let mut topo = Topology::new(kinds);
-
-        let r1 = self.router1();
-        let r2 = self.router2();
-
-        // Forward direction: senders -> r1 -> r2 -> receivers.
-        for i in 0..n {
-            topo.add_link_big_fifo(self.sender(i), r1, self.access);
-        }
-        let bottleneck = topo.add_link_big_fifo(r1, r2, self.bottleneck);
-        topo.bottlenecks.push(bottleneck);
-        for i in 0..n {
-            topo.add_link_big_fifo(r2, self.receiver(i), self.leaf);
-        }
-
-        // Reverse direction: receivers -> r2 -> r1 -> senders. The reverse
-        // bottleneck segment runs at the raw 100 Gbps router interconnect
-        // (the paper shapes only the forward direction with `tc`).
-        for i in 0..n {
-            topo.add_link_big_fifo(self.receiver(i), r2, self.leaf);
-        }
-        let rev_spec = LinkSpec::new(crate::units::Bandwidth::from_gbps(100), self.bottleneck.prop);
-        topo.add_link_big_fifo(r2, r1, rev_spec);
-        for i in 0..n {
-            topo.add_link_big_fifo(r1, self.sender(i), self.access);
-        }
-
-        for i in 0..n {
-            topo.sender_hosts.push(self.sender(i));
-            topo.receiver_hosts.push(self.receiver(i));
-        }
-        // Every path on a dumbbell is unique, so shortest-hop routing is
-        // the only routing there is.
-        auto_route(&mut topo);
-
-        topo.base_rtt = (self.access.prop + self.bottleneck.prop + self.leaf.prop) * 2;
-        topo
-    }
-}
-
-/// Builder for a K-hop parking-lot chain.
-///
-/// Routers `R0..RK` are joined by `K` shaped hop links (each its own
-/// bottleneck with its own queue). Flow group 0 runs the long path
-/// `S0 → R0 → … → RK → T0` across every hop; group `g` (1-based) is a
-/// one-hop cross flow loading only hop `g-1`. Reverse paths run on an
-/// unshaped 100 Gbps chain, mirroring the dumbbell's `tc`-shaped-forward
-/// convention. Per-hop propagation splits the long path's trunk budget
-/// evenly so the long flow keeps the configured end-to-end RTT.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParkingLotSpec {
-    /// Number of shaped hops (≥ 2; 1 would be a dumbbell).
-    pub hops: usize,
-    /// Rate of each shaped hop.
-    pub bw: Bandwidth,
-    /// End-to-end RTT of the long (all-hops) path.
-    pub rtt: SimDuration,
-}
-
-impl ParkingLotSpec {
-    /// Paper-style edges (25 Gbps access at 1 ms, leaf at 2 ms) around
-    /// `hops` shaped trunk segments.
-    pub fn paper_with_rtt(bw: Bandwidth, rtt: SimDuration, hops: usize) -> Self {
-        ParkingLotSpec { hops, bw, rtt }
-    }
-
-    /// Node id of sender host `g` (group `g`'s source).
-    pub fn sender(&self, g: usize) -> NodeId {
-        assert!(g <= self.hops);
-        NodeId(g as u32)
-    }
-
-    /// Node id of router `i` (`0..=hops`).
-    pub fn router(&self, i: usize) -> NodeId {
-        assert!(i <= self.hops);
-        NodeId((self.hops + 1 + i) as u32)
-    }
-
-    /// Node id of receiver host `g` (group `g`'s sink).
-    pub fn receiver(&self, g: usize) -> NodeId {
-        assert!(g <= self.hops);
-        NodeId((2 * (self.hops + 1) + g) as u32)
-    }
-
-    /// Router the group-`g` sender attaches to.
-    fn attach_src(&self, g: usize) -> NodeId {
-        if g == 0 { self.router(0) } else { self.router(g - 1) }
-    }
-
-    /// Router the group-`g` receiver attaches to.
-    fn attach_dst(&self, g: usize) -> NodeId {
-        if g == 0 { self.router(self.hops) } else { self.router(g) }
-    }
-
-    /// Materialize the chain. Every shaped hop starts as a big droptail
-    /// queue; install the AQM under test per hop with
-    /// [`Topology::set_aqm_on`].
-    pub fn build(&self) -> Result<Topology, String> {
-        if self.hops < 2 {
-            return Err(format!("parking lot needs >= 2 hops, got {}", self.hops));
-        }
-        if self.rtt <= EDGE_ONE_WAY * 2 {
-            return Err(format!(
-                "parking-lot RTT {:?} must exceed the 6 ms edge budget",
-                self.rtt
-            ));
-        }
-        let k = self.hops;
-        let trunk_one_way = (self.rtt / 2).saturating_sub(EDGE_ONE_WAY);
-        let hop_prop = trunk_one_way / (k as u64);
-        if hop_prop.is_zero() {
-            return Err("parking-lot RTT too small to split across hops".to_string());
-        }
-        // The integer division above can truncate; park the remainder on the
-        // last hop so the hop delays sum to exactly `trunk_one_way` and the
-        // long path realizes the configured RTT to the nanosecond.
-        let last_hop_prop = trunk_one_way - hop_prop * (k as u64 - 1);
-        let hop_prop_of = |i: usize| if i + 1 == k { last_hop_prop } else { hop_prop };
-        let groups = k + 1;
-        let access = LinkSpec::new(Bandwidth::from_gbps(25), SimDuration::from_millis(1));
-        let leaf = LinkSpec::new(Bandwidth::from_gbps(25), SimDuration::from_millis(2));
-
-        let mut kinds = Vec::with_capacity(3 * groups);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, groups));
-        kinds.extend(std::iter::repeat_n(NodeKind::Router, k + 1));
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, groups));
-        let mut topo = Topology::new(kinds);
-
-        for g in 0..groups {
-            topo.add_link_big_fifo(self.sender(g), self.attach_src(g), access);
-        }
-        for i in 0..k {
-            let hop = LinkSpec::new(self.bw, hop_prop_of(i));
-            let id = topo.add_link_big_fifo(self.router(i), self.router(i + 1), hop);
-            topo.bottlenecks.push(id);
-        }
-        for g in 0..groups {
-            topo.add_link_big_fifo(self.attach_dst(g), self.receiver(g), leaf);
-        }
-        for g in 0..groups {
-            topo.add_link_big_fifo(self.receiver(g), self.attach_dst(g), leaf);
-        }
-        for i in 0..k {
-            let rev_hop = LinkSpec::new(Bandwidth::from_gbps(100), hop_prop_of(i));
-            topo.add_link_big_fifo(self.router(i + 1), self.router(i), rev_hop);
-        }
-        for g in 0..groups {
-            topo.add_link_big_fifo(self.attach_src(g), self.sender(g), access);
-        }
-
-        for g in 0..groups {
-            topo.sender_hosts.push(self.sender(g));
-            topo.receiver_hosts.push(self.receiver(g));
-        }
-        auto_route(&mut topo);
-        topo.base_rtt = (access.prop + trunk_one_way + leaf.prop) * 2;
-        Ok(topo)
-    }
-}
-
-/// Builder for a heterogeneous-RTT dumbbell: one shared shaped bottleneck,
-/// one sender/receiver pair per flow group, and per-group access delays
-/// chosen so group `g`'s end-to-end RTT equals `rtts[g]`.
-///
-/// This is the FaiRTT-style shape: a short-RTT BBR group competing with a
-/// long-RTT group through the same queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiDumbbellSpec {
-    /// Shared bottleneck rate.
-    pub bw: Bandwidth,
-    /// Per-group end-to-end RTTs; `rtts.len()` is the number of groups.
-    pub rtts: Vec<SimDuration>,
-}
-
-impl MultiDumbbellSpec {
-    /// Node id of sender host `g`.
-    pub fn sender(&self, g: usize) -> NodeId {
-        assert!(g < self.rtts.len());
-        NodeId(g as u32)
-    }
-
-    /// Node id of router 1 (owns the shared bottleneck queue).
-    pub fn router1(&self) -> NodeId {
-        NodeId(self.rtts.len() as u32)
-    }
-
-    /// Node id of router 2.
-    pub fn router2(&self) -> NodeId {
-        NodeId(self.rtts.len() as u32 + 1)
-    }
-
-    /// Node id of receiver host `g`.
-    pub fn receiver(&self, g: usize) -> NodeId {
-        assert!(g < self.rtts.len());
-        NodeId((self.rtts.len() + 2 + g) as u32)
-    }
-
-    /// Materialize the topology; the shared bottleneck starts as a big
-    /// droptail queue (install the AQM under test on
-    /// [`Topology::bottleneck_link`]).
-    pub fn build(&self) -> Result<Topology, String> {
-        let n = self.rtts.len();
-        if n < 2 {
-            return Err(format!("multi-dumbbell needs >= 2 groups, got {n}"));
-        }
-        let leaf_prop = SimDuration::from_millis(2);
-        let min_rtt = *self.rtts.iter().min().unwrap();
-        // The shortest group keeps the dumbbell's 1 ms access delay; the
-        // trunk absorbs the rest of its RTT, and longer groups stretch
-        // only their own access links.
-        if min_rtt <= EDGE_ONE_WAY * 2 {
-            return Err(format!(
-                "multi-dumbbell min RTT {min_rtt:?} must exceed the 6 ms edge budget"
-            ));
-        }
-        let trunk = (min_rtt / 2).saturating_sub(EDGE_ONE_WAY);
-
-        let mut kinds = Vec::with_capacity(2 * n + 2);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, n));
-        kinds.push(NodeKind::Router);
-        kinds.push(NodeKind::Router);
-        kinds.extend(std::iter::repeat_n(NodeKind::Host, n));
-        let mut topo = Topology::new(kinds);
-
-        let r1 = self.router1();
-        let r2 = self.router2();
-        let access_prop = |rtt: SimDuration| (rtt / 2).saturating_sub(trunk + leaf_prop);
-        let nic = Bandwidth::from_gbps(25);
-
-        for g in 0..n {
-            let spec = LinkSpec::new(nic, access_prop(self.rtts[g]));
-            topo.add_link_big_fifo(self.sender(g), r1, spec);
-        }
-        let bn = topo.add_link_big_fifo(r1, r2, LinkSpec::new(self.bw, trunk));
-        topo.bottlenecks.push(bn);
-        for g in 0..n {
-            topo.add_link_big_fifo(r2, self.receiver(g), LinkSpec::new(nic, leaf_prop));
-        }
-        for g in 0..n {
-            topo.add_link_big_fifo(self.receiver(g), r2, LinkSpec::new(nic, leaf_prop));
-        }
-        topo.add_link_big_fifo(r2, r1, LinkSpec::new(Bandwidth::from_gbps(100), trunk));
-        for g in 0..n {
-            let spec = LinkSpec::new(nic, access_prop(self.rtts[g]));
-            topo.add_link_big_fifo(r1, self.sender(g), spec);
-        }
-
-        for g in 0..n {
-            topo.sender_hosts.push(self.sender(g));
-            topo.receiver_hosts.push(self.receiver(g));
-        }
-        auto_route(&mut topo);
-        topo.base_rtt = min_rtt;
-        Ok(topo)
-    }
-}
-
-/// One directed link in an [`ExplicitSpec`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkDef {
-    /// Source node id.
-    pub src: u32,
-    /// Destination node id.
-    pub dst: u32,
-    /// Serialization rate in bits/s.
-    pub bw_bps: u64,
-    /// One-way propagation delay in microseconds.
-    pub delay_us: u64,
-    /// True for links the experiment layer should treat as bottlenecks
-    /// (instrumented, AQM-under-test installed, checked per link).
-    pub shaped: bool,
-}
-
-impl_json_struct!(LinkDef { src, dst, bw_bps, delay_us, shaped });
-
-/// One flow group (sender → receiver pair) in an [`ExplicitSpec`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GroupDef {
-    /// Sender host node id.
-    pub sender: u32,
-    /// Receiver host node id.
-    pub receiver: u32,
-}
-
-impl_json_struct!(GroupDef { sender, receiver });
-
-/// An explicit link-list topology: the JSON-only escape hatch for shapes
-/// the named presets don't cover. Nodes referenced by a group are hosts;
-/// every other node is a router. Routing is shortest-hop ([`auto_route`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExplicitSpec {
-    /// Total node count (ids `0..n_nodes`).
-    pub n_nodes: u32,
-    /// Directed links, in id order.
-    pub links: Vec<LinkDef>,
-    /// Flow groups; group order fixes sender/receiver host order.
-    pub groups: Vec<GroupDef>,
-}
-
-impl_json_struct!(ExplicitSpec { n_nodes, links, groups });
-
-impl ExplicitSpec {
-    /// Structural validation (cheap, no build).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.n_nodes < 2 {
-            return Err("explicit topology needs >= 2 nodes".to_string());
-        }
-        if self.groups.is_empty() {
-            return Err("explicit topology needs >= 1 flow group".to_string());
-        }
-        if !self.links.iter().any(|l| l.shaped) {
-            return Err("explicit topology needs >= 1 shaped (bottleneck) link".to_string());
-        }
-        for l in &self.links {
-            if l.src >= self.n_nodes || l.dst >= self.n_nodes || l.src == l.dst {
-                return Err(format!("bad link endpoints {} -> {}", l.src, l.dst));
-            }
-            if l.bw_bps == 0 {
-                return Err("explicit link rate must be positive".to_string());
-            }
-        }
-        for g in &self.groups {
-            if g.sender >= self.n_nodes || g.receiver >= self.n_nodes || g.sender == g.receiver {
-                return Err(format!("bad group endpoints {} -> {}", g.sender, g.receiver));
-            }
-        }
-        Ok(())
-    }
-
-    /// Materialize the topology; errors if any group's forward or reverse
-    /// path is unroutable.
-    pub fn build(&self) -> Result<Topology, String> {
-        self.validate()?;
-        let mut kinds = vec![NodeKind::Router; self.n_nodes as usize];
-        for g in &self.groups {
-            kinds[g.sender as usize] = NodeKind::Host;
-            kinds[g.receiver as usize] = NodeKind::Host;
-        }
-        let mut topo = Topology::new(kinds);
-        for l in &self.links {
-            let spec = LinkSpec::new(
-                Bandwidth::from_bps(l.bw_bps),
-                SimDuration::from_micros(l.delay_us),
-            );
-            let id = topo.add_link_big_fifo(NodeId(l.src), NodeId(l.dst), spec);
-            if l.shaped {
-                topo.bottlenecks.push(id);
-            }
-        }
-        for g in &self.groups {
-            topo.sender_hosts.push(NodeId(g.sender));
-            topo.receiver_hosts.push(NodeId(g.receiver));
-        }
-        auto_route(&mut topo);
-        for g in &self.groups {
-            if topo.path_rtt(NodeId(g.sender), NodeId(g.receiver)).is_none() {
-                return Err(format!(
-                    "group {} -> {} has no round-trip route",
-                    g.sender, g.receiver
-                ));
-            }
-        }
-        topo.base_rtt = topo
-            .path_rtt(NodeId(self.groups[0].sender), NodeId(self.groups[0].receiver))
-            .unwrap_or(SimDuration::ZERO);
-        Ok(topo)
+        let pair = Attach { src: 0, dst: 1, access: self.access, leaf: self.leaf };
+        let base_rtt = (self.access.prop + self.bottleneck.prop + self.leaf.prop) * 2;
+        chain(&[self.bottleneck], &vec![pair; self.n_pairs], base_rtt)
     }
 }
 
 /// The shape of the network a scenario runs on.
 ///
 /// `Dumbbell` is the default and routes through the exact pre-existing
-/// [`DumbbellSpec::paper_with_rtt`] path, so default-topology runs stay
-/// byte-identical to the single-bottleneck engine. The other variants
-/// build multi-bottleneck / heterogeneous-RTT shapes parameterized by the
+/// [`DumbbellSpec`] path, so default-topology runs stay byte-identical to
+/// the single-bottleneck engine. The other variants build
+/// multi-bottleneck / heterogeneous-RTT shapes parameterized by the
 /// scenario's bandwidth and base RTT.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TopologySpec {
@@ -706,8 +385,6 @@ pub enum TopologySpec {
         /// Per-group RTTs in milliseconds.
         rtts_ms: Vec<u64>,
     },
-    /// An explicit link list (JSON-only; no CLI spelling).
-    Explicit(ExplicitSpec),
 }
 
 impl TopologySpec {
@@ -717,7 +394,6 @@ impl TopologySpec {
             TopologySpec::Dumbbell => 2,
             TopologySpec::ParkingLot { hops } => hops + 1,
             TopologySpec::MultiDumbbell { rtts_ms } => rtts_ms.len(),
-            TopologySpec::Explicit(spec) => spec.groups.len(),
         }
     }
 
@@ -726,7 +402,6 @@ impl TopologySpec {
         match self {
             TopologySpec::Dumbbell | TopologySpec::MultiDumbbell { .. } => 1,
             TopologySpec::ParkingLot { hops } => *hops,
-            TopologySpec::Explicit(spec) => spec.links.iter().filter(|l| l.shaped).count(),
         }
     }
 
@@ -755,26 +430,60 @@ impl TopologySpec {
                 }
                 Ok(())
             }
-            TopologySpec::Explicit(spec) => spec.validate(),
         }
     }
 
     /// Build the topology for a scenario's bottleneck bandwidth and base
-    /// RTT. `MultiDumbbell` carries its own absolute per-group RTTs and
-    /// `Explicit` its own link rates/delays; both ignore `base_rtt`.
+    /// RTT: choose the chain's hops and where each flow group attaches.
+    /// `MultiDumbbell` carries its own absolute per-group RTTs and ignores
+    /// `base_rtt`; the other shapes fail when `base_rtt` does not exceed
+    /// the 6 ms edge budget.
     pub fn build(&self, bw: Bandwidth, base_rtt: SimDuration) -> Result<Topology, String> {
         self.validate()?;
         match self {
-            TopologySpec::Dumbbell => Ok(DumbbellSpec::paper_with_rtt(bw, base_rtt).build()),
-            TopologySpec::ParkingLot { hops } => {
-                ParkingLotSpec::paper_with_rtt(bw, base_rtt, *hops).build()
+            TopologySpec::Dumbbell => {
+                let bottleneck = LinkSpec::new(bw, trunk_one_way(base_rtt)?);
+                Ok(DumbbellSpec { bottleneck, ..DumbbellSpec::paper(bw) }.build())
             }
-            TopologySpec::MultiDumbbell { rtts_ms } => MultiDumbbellSpec {
-                bw,
-                rtts: rtts_ms.iter().map(|&ms| SimDuration::from_millis(ms)).collect(),
+            TopologySpec::ParkingLot { hops: k } => {
+                let k = *k;
+                let trunk = trunk_one_way(base_rtt)?;
+                let hop_prop = trunk / k as u64;
+                if hop_prop.is_zero() {
+                    return Err("parking-lot RTT too small to split across hops".to_string());
+                }
+                // The integer division can truncate; park the remainder on
+                // the last hop so the hop delays sum to exactly `trunk` and
+                // the long path realizes the configured RTT to the
+                // nanosecond.
+                let mut hops = vec![LinkSpec::new(bw, hop_prop); k];
+                hops[k - 1].prop = trunk - hop_prop * (k as u64 - 1);
+                // Group 0 crosses every hop; group g >= 1 loads hop g - 1.
+                let groups: Vec<Attach> = (0..=k)
+                    .map(|g| if g == 0 { (0, k) } else { (g - 1, g) })
+                    .map(|(src, dst)| Attach { src, dst, access: PAPER_ACCESS, leaf: PAPER_LEAF })
+                    .collect();
+                let long_rtt = (PAPER_ACCESS.prop + trunk + PAPER_LEAF.prop) * 2;
+                Ok(chain(&hops, &groups, long_rtt))
             }
-            .build(),
-            TopologySpec::Explicit(spec) => spec.build(),
+            TopologySpec::MultiDumbbell { rtts_ms } => {
+                // The shortest group keeps the paper's 1 ms access delay;
+                // the trunk absorbs the rest of its RTT, and longer groups
+                // stretch only their own access links.
+                let min_ms = rtts_ms.iter().min().expect("validate() requires at least two RTTs");
+                let min_rtt = SimDuration::from_millis(*min_ms);
+                let trunk = trunk_one_way(min_rtt)?;
+                let groups: Vec<Attach> = rtts_ms
+                    .iter()
+                    .map(|&ms| {
+                        let rtt = SimDuration::from_millis(ms);
+                        let prop = (rtt / 2).saturating_sub(trunk + PAPER_LEAF.prop);
+                        let access = LinkSpec { prop, ..PAPER_ACCESS };
+                        Attach { src: 0, dst: 1, access, leaf: PAPER_LEAF }
+                    })
+                    .collect();
+                Ok(chain(&[LinkSpec::new(bw, trunk)], &groups, min_rtt))
+            }
         }
     }
 }
@@ -788,7 +497,6 @@ impl std::fmt::Display for TopologySpec {
                 let joined: Vec<String> = rtts_ms.iter().map(|r| r.to_string()).collect();
                 write!(f, "multi-dumbbell:{}", joined.join(","))
             }
-            TopologySpec::Explicit(spec) => write!(f, "explicit[{} links]", spec.links.len()),
         }
     }
 }
@@ -797,8 +505,7 @@ impl std::str::FromStr for TopologySpec {
     type Err = String;
 
     /// Parse the CLI spelling: `dumbbell`, `parking-lot:K`, or
-    /// `multi-dumbbell:R1,R2[,..]` (RTTs in ms). Explicit link lists are
-    /// JSON-only.
+    /// `multi-dumbbell:R1,R2[,..]` (RTTs in ms).
     fn from_str(s: &str) -> Result<Self, String> {
         let spec = if s == "dumbbell" {
             TopologySpec::Dumbbell
@@ -835,9 +542,6 @@ impl ToJson for TopologySpec {
                 "MultiDumbbell".to_string(),
                 Value::Object(vec![("rtts_ms".to_string(), rtts_ms.to_json())]),
             )]),
-            TopologySpec::Explicit(spec) => {
-                Value::Object(vec![("Explicit".to_string(), spec.to_json())])
-            }
         }
     }
 }
@@ -859,9 +563,6 @@ impl FromJson for TopologySpec {
                         rtts_ms: Vec::from_json(body.get_field("rtts_ms")?)?,
                     })
                 }
-                Some("Explicit") => Ok(TopologySpec::Explicit(ExplicitSpec::from_json(
-                    v.get_field("Explicit")?,
-                )?)),
                 _ => Err(JsonError::new("unknown TopologySpec variant".to_string())),
             },
             other => Err(JsonError::new(format!(
@@ -875,16 +576,23 @@ impl FromJson for TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::units::Bandwidth;
 
     fn spec() -> DumbbellSpec {
         DumbbellSpec::paper(Bandwidth::from_mbps(100))
     }
 
-    #[test]
-    fn paper_dumbbell_shape() {
+    /// The paper dumbbell and its two routers, read off the bottleneck.
+    fn paper_dumbbell() -> (DumbbellSpec, Topology, NodeId, NodeId) {
         let s = spec();
         let topo = s.build();
+        let bn = topo.link(topo.bottleneck_link().unwrap());
+        let (r1, r2) = (bn.src, bn.dst);
+        (s, topo, r1, r2)
+    }
+
+    #[test]
+    fn paper_dumbbell_shape() {
+        let (s, topo, r1, r2) = paper_dumbbell();
         assert_eq!(topo.n_nodes(), 6);
         // 2 fwd access + bottleneck + 2 fwd leaf + 2 rev leaf + rev bottleneck + 2 rev access
         assert_eq!(topo.links().len(), 10);
@@ -892,36 +600,35 @@ mod tests {
         assert_eq!(topo.bottleneck_links().len(), 1);
         assert_eq!(topo.sender_hosts(), &[NodeId(0), NodeId(1)]);
         assert_eq!(topo.receiver_hosts(), &[NodeId(4), NodeId(5)]);
-        assert_eq!(topo.kind(s.router1()), NodeKind::Router);
+        assert_eq!((r1, r2), (NodeId(2), NodeId(3)), "routers sit between the hosts");
+        assert_eq!(topo.kind(r1), NodeKind::Router);
         assert_eq!(topo.kind(s.sender(0)), NodeKind::Host);
     }
 
     #[test]
     fn forward_path_routes_through_bottleneck() {
-        let s = spec();
-        let topo = s.build();
+        let (s, topo, r1, r2) = paper_dumbbell();
         let bn = topo.bottleneck_link().unwrap();
         // sender0 -> receiver0: access, bottleneck, leaf.
         let l1 = topo.route(s.sender(0), s.receiver(0)).unwrap();
-        assert_eq!(topo.link(l1).dst, s.router1());
-        let l2 = topo.route(s.router1(), s.receiver(0)).unwrap();
+        assert_eq!(topo.link(l1).dst, r1);
+        let l2 = topo.route(r1, s.receiver(0)).unwrap();
         assert_eq!(l2, bn);
-        let l3 = topo.route(s.router2(), s.receiver(0)).unwrap();
+        let l3 = topo.route(r2, s.receiver(0)).unwrap();
         assert_eq!(topo.link(l3).dst, s.receiver(0));
     }
 
     #[test]
     fn reverse_path_avoids_bottleneck() {
-        let s = spec();
-        let topo = s.build();
+        let (s, topo, r1, r2) = paper_dumbbell();
         let bn = topo.bottleneck_link().unwrap();
         let l1 = topo.route(s.receiver(1), s.sender(1)).unwrap();
-        assert_eq!(topo.link(l1).dst, s.router2());
-        let l2 = topo.route(s.router2(), s.sender(1)).unwrap();
+        assert_eq!(topo.link(l1).dst, r2);
+        let l2 = topo.route(r2, s.sender(1)).unwrap();
         assert_ne!(l2, bn);
-        assert_eq!(topo.link(l2).dst, s.router1());
+        assert_eq!(topo.link(l2).dst, r1);
         // Reverse trunk is the unshaped 100G interconnect.
-        assert_eq!(topo.link(l2).rate, Bandwidth::from_gbps(100));
+        assert_eq!(topo.link(l2).rate, INTERCONNECT);
     }
 
     #[test]
@@ -936,10 +643,9 @@ mod tests {
     #[test]
     fn cross_pair_routes_exist() {
         // sender0 can reach receiver1 (needed for arbitrary flow placement).
-        let s = spec();
-        let topo = s.build();
+        let (s, topo, r1, _) = paper_dumbbell();
         assert!(topo.route(s.sender(0), s.receiver(1)).is_some());
-        assert!(topo.route(s.router1(), s.receiver(1)).is_some());
+        assert!(topo.route(r1, s.receiver(1)).is_some());
     }
 
     #[test]
@@ -961,22 +667,21 @@ mod tests {
 
     #[test]
     fn parking_lot_shape_routes_and_rtts() {
-        let s = ParkingLotSpec::paper_with_rtt(
-            Bandwidth::from_mbps(100),
-            SimDuration::from_millis(62),
-            3,
-        );
-        let topo = s.build().unwrap();
+        let topo = TopologySpec::ParkingLot { hops: 3 }
+            .build(Bandwidth::from_mbps(100), SimDuration::from_millis(62))
+            .unwrap();
+        let sender = |g: usize| topo.sender_hosts()[g];
+        let receiver = |g: usize| topo.receiver_hosts()[g];
         // 4 groups: 4 access + 3 hops + 4 leaf forward, mirrored reverse.
         assert_eq!(topo.n_nodes(), 12);
         assert_eq!(topo.links().len(), 22);
         assert_eq!(topo.bottleneck_links().len(), 3);
         assert_eq!(topo.sender_hosts().len(), 4);
         // The long group crosses every bottleneck hop in order.
-        let mut cur = s.sender(0);
+        let mut cur = sender(0);
         let mut crossed = Vec::new();
-        while cur != s.receiver(0) {
-            let l = topo.route(cur, s.receiver(0)).unwrap();
+        while cur != receiver(0) {
+            let l = topo.route(cur, receiver(0)).unwrap();
             if topo.bottleneck_links().contains(&l) {
                 crossed.push(l);
             }
@@ -985,23 +690,20 @@ mod tests {
         assert_eq!(crossed, topo.bottleneck_links());
         // Long path keeps the configured RTT (hop budget splits evenly at
         // this RTT); cross groups see a shorter one-hop RTT.
-        assert_eq!(
-            topo.path_rtt(s.sender(0), s.receiver(0)),
-            Some(SimDuration::from_millis(62)),
-        );
+        assert_eq!(topo.path_rtt(sender(0), receiver(0)), Some(SimDuration::from_millis(62)));
         assert_eq!(topo.base_rtt(), SimDuration::from_millis(62));
-        let cross = topo.path_rtt(s.sender(1), s.receiver(1)).unwrap();
+        let cross = topo.path_rtt(sender(1), receiver(1)).unwrap();
         assert!(cross < SimDuration::from_millis(62), "cross RTT {cross:?}");
         // Cross group g loads exactly hop g-1.
         for g in 1..=3usize {
             let hop = topo.bottleneck_links()[g - 1];
             let at = topo.link(hop).src;
-            assert_eq!(topo.route(at, s.receiver(g)), Some(hop));
+            assert_eq!(topo.route(at, receiver(g)), Some(hop));
         }
         // Reverse paths avoid every shaped hop.
-        let mut cur = s.receiver(0);
-        while cur != s.sender(0) {
-            let l = topo.route(cur, s.sender(0)).unwrap();
+        let mut cur = receiver(0);
+        while cur != sender(0) {
+            let l = topo.route(cur, sender(0)).unwrap();
             assert!(!topo.bottleneck_links().contains(&l), "ACK path hits shaped hop");
             cur = topo.link(l).dst;
         }
@@ -1009,25 +711,19 @@ mod tests {
 
     #[test]
     fn multi_dumbbell_realizes_heterogeneous_rtts() {
-        let s = MultiDumbbellSpec {
-            bw: Bandwidth::from_mbps(100),
-            rtts: vec![SimDuration::from_millis(31), SimDuration::from_millis(124)],
-        };
-        let topo = s.build().unwrap();
+        let topo = TopologySpec::MultiDumbbell { rtts_ms: vec![31, 124] }
+            .build(Bandwidth::from_mbps(100), SimDuration::from_millis(62))
+            .unwrap();
+        let (tx, rx) = (topo.sender_hosts(), topo.receiver_hosts());
         assert_eq!(topo.bottleneck_links().len(), 1);
         assert_eq!(topo.base_rtt(), SimDuration::from_millis(31));
-        assert_eq!(
-            topo.path_rtt(s.sender(0), s.receiver(0)),
-            Some(SimDuration::from_millis(31))
-        );
-        assert_eq!(
-            topo.path_rtt(s.sender(1), s.receiver(1)),
-            Some(SimDuration::from_millis(124))
-        );
+        assert_eq!(topo.path_rtt(tx[0], rx[0]), Some(SimDuration::from_millis(31)));
+        assert_eq!(topo.path_rtt(tx[1], rx[1]), Some(SimDuration::from_millis(124)));
         // Both groups share the single shaped trunk.
         let bn = topo.bottleneck_link().unwrap();
-        for g in 0..2 {
-            assert_eq!(topo.route(s.router1(), s.receiver(g)), Some(bn));
+        let r1 = topo.link(bn).src;
+        for &r in rx {
+            assert_eq!(topo.route(r1, r), Some(bn));
         }
     }
 
@@ -1054,57 +750,14 @@ mod tests {
                 .unwrap();
             assert_eq!(topo.bottleneck_links().len(), spec.n_bottlenecks());
             assert_eq!(topo.sender_hosts().len(), spec.n_groups());
+            // A scenario RTT inside the edge budget is an error, not a
+            // panic, for every shape that uses it.
+            let tight = spec.build(Bandwidth::from_mbps(100), EDGE_ONE_WAY * 2);
+            let uses_base_rtt = !matches!(spec, TopologySpec::MultiDumbbell { .. });
+            assert_eq!(tight.is_err(), uses_base_rtt, "{text} at 6 ms: {tight:?}");
         }
         assert!(TopologySpec::from_str("parking-lot:1").is_err(), "1 hop is a dumbbell");
         assert!(TopologySpec::from_str("multi-dumbbell:62").is_err(), "one group is no contest");
         assert!(TopologySpec::from_str("triangle").is_err());
-    }
-
-    #[test]
-    fn explicit_spec_builds_and_validates() {
-        use elephants_json::{FromJson, ToJson};
-        // 0 -> 2 -> 3 -> 1 forward, 1 -> 3 -> 2 -> 0 reverse; the middle
-        // link is shaped.
-        let mk_link = |src, dst, shaped| LinkDef {
-            src,
-            dst,
-            bw_bps: if shaped { 100_000_000 } else { 25_000_000_000 },
-            delay_us: 1_000,
-            shaped,
-        };
-        let spec = ExplicitSpec {
-            n_nodes: 4,
-            links: vec![
-                mk_link(0, 2, false),
-                mk_link(2, 3, true),
-                mk_link(3, 1, false),
-                mk_link(1, 3, false),
-                mk_link(3, 2, false),
-                mk_link(2, 0, false),
-            ],
-            groups: vec![GroupDef { sender: 0, receiver: 1 }],
-        };
-        let topo = TopologySpec::Explicit(spec.clone())
-            .build(Bandwidth::from_mbps(100), SimDuration::from_millis(62))
-            .unwrap();
-        assert_eq!(topo.bottleneck_links().len(), 1);
-        assert_eq!(topo.kind(NodeId(0)), NodeKind::Host);
-        assert_eq!(topo.kind(NodeId(2)), NodeKind::Router);
-        assert_eq!(topo.path_rtt(NodeId(0), NodeId(1)), Some(SimDuration::from_millis(6)));
-        let ts = TopologySpec::Explicit(spec.clone());
-        assert_eq!(TopologySpec::from_json_str(&ts.to_json_string()).unwrap(), ts);
-
-        // Unroutable group: no reverse path.
-        let broken = ExplicitSpec {
-            links: spec.links[..3].to_vec(),
-            ..spec.clone()
-        };
-        assert!(broken.build().is_err());
-        // No shaped link.
-        let unshaped = ExplicitSpec {
-            links: spec.links.iter().map(|l| LinkDef { shaped: false, ..*l }).collect(),
-            ..spec
-        };
-        assert!(unshaped.validate().is_err());
     }
 }

@@ -50,12 +50,6 @@ impl Bandwidth {
         self.0 as f64 / 1e6
     }
 
-    /// Gigabits per second, fractional.
-    #[inline]
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Time to serialize `bytes` onto a link of this bandwidth.
     ///
     /// Uses 128-bit intermediate math so that 25 Gbps × multi-gigabyte values

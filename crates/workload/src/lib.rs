@@ -228,11 +228,9 @@ mod tests {
 
     #[test]
     fn group_specs_see_heterogeneous_rtts() {
-        let spec = elephants_netsim::MultiDumbbellSpec {
-            bw: Bandwidth::from_mbps(100),
-            rtts: vec![SimDuration::from_millis(31), SimDuration::from_millis(124)],
-        };
-        let topo = spec.build().unwrap();
+        let topo = elephants_netsim::TopologySpec::MultiDumbbell { rtts_ms: vec![31, 124] }
+            .build(Bandwidth::from_mbps(100), SimDuration::from_millis(62))
+            .unwrap();
         let groups = group_specs(&topo);
         assert_eq!(groups[0].rtt, SimDuration::from_millis(31));
         assert_eq!(groups[1].rtt, SimDuration::from_millis(124));

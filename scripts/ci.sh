@@ -41,11 +41,13 @@
 #                                round-trip) plus a full replay of the
 #                                committed regression corpus; any finding
 #                                or corpus regression fails the lane
-#   scripts/ci.sh --topo-smoke   also run the topology lane: the dumbbell
+#   scripts/ci.sh --topo-smoke   also run the topology lane: the
 #                                equivalence suite (byte-identical RunMetrics
-#                                vs pre-topology fixtures), a
-#                                strict-checked 3-hop parking-lot probe run
-#                                with per-hop link reports, and the
+#                                vs pre-topology fixtures, and every shape's
+#                                layout vs tests/fixtures/topology/shapes.json),
+#                                a strict-checked 3-hop parking-lot probe run
+#                                with one link report per hop, a
+#                                strict-checked multi-dumbbell probe run, and the
 #                                rtt_unfair binary (which exits nonzero if
 #                                the short-RTT BBR share is not monotone in
 #                                the RTT ratio)
@@ -188,28 +190,36 @@ fi
 
 if [[ "$topo_smoke" -eq 1 ]]; then
   # The topology subsystem's safety envelope plus its two new behaviors.
-  # 1. Dumbbell equivalence: RunMetrics JSON byte-identical to fixtures
-  #    pinned before the subsystem existed.
+  # 1. Equivalence: RunMetrics JSON byte-identical to fixtures pinned
+  #    before the subsystem existed, and every shape the chain builder
+  #    lays out (dumbbell, parking lot, multi-dumbbell) identical to
+  #    tests/fixtures/topology/shapes.json.
   cargo test -q --offline -p integration-tests --test topology_equiv
 
-  # 2. Multi-bottleneck strict run: a 3-hop parking lot under the strict
-  #    checker must finish with zero violations and report one busy link
-  #    line per hop.
-  out="$(cargo run --release --offline -p elephants-experiments --bin probe -- \
-    --cca1 cubic --cca2 cubic --aqm fifo --queue 2 --bw 100M --secs 5 \
-    --topology parking-lot:3 --check strict 2>&1 | tee /dev/stderr)"
-  if ! grep -q 'check        : mode=Strict' <<<"$out"; then
-    echo "topo smoke: strict checker did not report" >&2
-    exit 1
-  fi
-  if ! grep -q 'violations=0' <<<"$out"; then
-    echo "topo smoke: violations reported on the parking lot" >&2
-    exit 1
-  fi
-  if [[ "$(grep -c 'link' <<<"$out" || true)" -lt 3 ]]; then
-    echo "topo smoke: expected per-hop link report lines" >&2
-    exit 1
-  fi
+  # 2. Strict runs on the other two chain shapes: a 3-hop parking lot and
+  #    a two-RTT multi-dumbbell must finish with zero violations under the
+  #    strict checker. probe prints one `  link` line per shaped hop when
+  #    there is more than one: exactly three on the parking lot, none on
+  #    the multi-dumbbell's single shared bottleneck.
+  for case in parking-lot:3=3 multi-dumbbell:31,124=0; do
+    topology="${case%=*}"
+    hop_lines="${case#*=}"
+    out="$(cargo run --release --offline -p elephants-experiments --bin probe -- \
+      --cca1 cubic --cca2 cubic --aqm fifo --queue 2 --bw 100M --secs 5 \
+      --topology "$topology" --check strict 2>&1 | tee /dev/stderr)"
+    if ! grep -q 'check        : mode=Strict' <<<"$out"; then
+      echo "topo smoke: strict checker did not report on $topology" >&2
+      exit 1
+    fi
+    if ! grep -q 'violations=0' <<<"$out"; then
+      echo "topo smoke: violations reported on $topology" >&2
+      exit 1
+    fi
+    if [[ "$(grep -c '^  link' <<<"$out" || true)" -ne "$hop_lines" ]]; then
+      echo "topo smoke: expected $hop_lines per-hop link lines on $topology" >&2
+      exit 1
+    fi
+  done
 
   # 3. RTT-unfairness: rtt_unfair exits nonzero unless the short-RTT BBR
   #    share grows monotonically through the 1:1/2:1/4:1 ratios.
