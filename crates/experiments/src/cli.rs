@@ -36,8 +36,9 @@
 //! of them, and one that cannot honour a flag refuses it with exit 2
 //! ([`Cli::refuse_scenario_flags`], [`Cli::refuse_record`]) instead of
 //! running as if it had not been given: `repro` takes no scenario-shaping
-//! flags and (`repro rttsweep` apart) no `--record`, `sweep` no `--record`;
-//! `dataset` takes all.
+//! flags, no `--record` (`repro rttsweep` apart) and, in its fixed-bandwidth
+//! targets (`rttsweep`, `ablate`, `dynamics`, `rtt_unfair`), no `--bw`
+//! ([`Cli::refuse_bw`]); `sweep` takes no `--record`; `dataset` takes all.
 
 use crate::cache::RunCache;
 use crate::runner::Recording;
@@ -57,6 +58,8 @@ pub struct Cli {
     pub opts: RunOptions,
     /// Bandwidths to sweep.
     pub bws: Vec<u64>,
+    /// Whether `--bw` was given (`bws` is `PAPER_BWS` otherwise).
+    pub bw_given: bool,
     /// Results cache (possibly disabled), carrying the `--check` mode to
     /// the runs it makes.
     pub cache: RunCache,
@@ -251,6 +254,7 @@ impl Cli {
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
         let mut opts = RunOptions::standard();
         let mut bws: Vec<u64> = PAPER_BWS.to_vec();
+        let mut bw_given = false;
         let mut use_cache = true;
         let mut out_dir = "results".to_string();
         let mut limit = None;
@@ -280,6 +284,7 @@ impl Cli {
                     if bws.is_empty() {
                         return Err("--bw list is empty".into());
                     }
+                    bw_given = true;
                 }
                 "--no-cache" => use_cache = false,
                 "--out" => out_dir = need("--out")?,
@@ -298,7 +303,7 @@ impl Cli {
         let cache = if use_cache { RunCache::new(format!("{out_dir}/cache")) } else { RunCache::disabled() };
         let cache = cache.check(shared.check.unwrap_or_default());
         let record = shared.recording(&out_dir)?;
-        Ok(Cli { opts, bws, cache, out_dir, limit, record, shared })
+        Ok(Cli { opts, bws, bw_given, cache, out_dir, limit, record, shared })
     }
 
     /// `Err` naming the flag when a scenario-shaping one was given: for
@@ -313,15 +318,28 @@ impl Cli {
         }
     }
 
-    /// `Err` when `--record` was given: for binaries whose runs all go
-    /// through the cache, which stores results and not flight records.
+    /// `Err` when `--record` was given: for binaries whose runs go through
+    /// the cache, which stores results and not flight records, or record
+    /// on their own terms (`repro dynamics`).
     pub fn refuse_record(&self) -> Result<(), String> {
         match self.record {
-            Some(_) => Err("--record is not supported here: this binary's runs go through \
-                            the result cache (dataset, repro rttsweep and probe take it)"
+            Some(_) => Err("--record is not supported here: these runs go through the result \
+                            cache or record on their own (dataset, repro rttsweep and probe \
+                            take it)"
                 .to_string()),
             None => Ok(()),
         }
+    }
+
+    /// `Err` when `--bw` was given: for targets that run at fixed
+    /// bandwidths.
+    pub fn refuse_bw(&self) -> Result<(), String> {
+        if self.bw_given {
+            return Err("--bw is not supported here: this target runs at a fixed bandwidth \
+                        (repro fig2..fig8, table2, table3 and aqm_frontier take it)"
+                .to_string());
+        }
+        Ok(())
     }
 
     /// Parse the process arguments, exiting with a message on error.
@@ -347,7 +365,8 @@ usage: <figure-binary> [--quick|--full] [--repeats N] [--scale F] [--seed N]
                        [--fault-link N]
 a flag the binary cannot honour is refused (exit 2): repro takes neither
 --loss/--flap/--coalesce/--topology/--fault-link nor (repro rttsweep apart)
---record, sweep no --record; dataset takes them all";
+--record, and repro rttsweep/ablate/dynamics/rtt_unfair no --bw; sweep takes
+no --record; dataset takes them all";
 
 #[cfg(test)]
 mod tests {
@@ -527,10 +546,10 @@ mod tests {
             (&["--coalesce"], "--coalesce"),
             (&["--topology", "parking-lot:2"], "--topology"),
             (&["--fault-link", "0"], "--fault-link"),
+            (&["--bw", "1G"], "--bw"),
         ] {
             let cli = parse(args).unwrap();
-            assert_eq!(cli.shared.scenario_flag(), Some(flag));
-            let msg = cli.refuse_scenario_flags().unwrap_err();
+            let msg = cli.refuse_scenario_flags().and_then(|_| cli.refuse_bw()).unwrap_err();
             assert!(msg.starts_with(flag), "{msg}");
             assert!(cli.refuse_record().is_ok());
         }
@@ -541,6 +560,7 @@ mod tests {
         assert!(cli.refuse_record().unwrap_err().starts_with("--record"));
         let plain = parse(&["--quick", "--bw", "100M"]).unwrap();
         assert!(plain.refuse_scenario_flags().is_ok() && plain.refuse_record().is_ok());
+        assert!(parse(&["--quick"]).unwrap().refuse_bw().is_ok());
     }
 
     // One round-trip test per shared flag: the spelling parsed by

@@ -15,15 +15,15 @@
 
 use crate::cache::RunCache;
 use crate::report::{bw_label, TextTable};
-use crate::svg::{ChartSpec, Series};
 use crate::runner::AveragedResult;
 use crate::scenario::{
     inter_pairs, intra_pairs, paper_pairs, RunOptions, ScenarioConfig, PAPER_QUEUES_BDP,
 };
+use crate::svg::{ChartSpec, Series};
 use crate::sweep::sweep;
 use elephants_aqm::AqmKind;
 use elephants_cca::CcaKind;
-use elephants_metrics::relative_retransmissions;
+use elephants_metrics::{relative_retransmissions, rr_is_defined};
 
 /// Buffer sizes the paper's Jain/utilization/retransmission figures plot.
 pub const FIGURE_BUFFERS_BDP: [f64; 2] = [2.0, 16.0];
@@ -43,7 +43,48 @@ pub struct FigureOutput {
     pub charts: Vec<(String, ChartSpec, Vec<Series>)>,
 }
 
+/// A column of a panel: `(CSV header, legend name, one y per x)`.
+type Column = (String, String, Vec<f64>);
+
 impl FigureOutput {
+    fn new(id: &'static str, caption: String) -> Self {
+        FigureOutput { id, caption, text: String::new(), tables: Vec::new(), charts: Vec::new() }
+    }
+
+    /// An output that is one table: the caption, then the table as text
+    /// and as `OUT/<id>/<name>.csv`.
+    pub fn table(id: &'static str, caption: &str, name: &str, table: TextTable) -> Self {
+        let text = format!("\n{}", table.render());
+        FigureOutput { text, tables: vec![(name.into(), table)], ..Self::new(id, caption.into()) }
+    }
+
+    /// Add one panel: an `== heading ==` text block over the table `name`
+    /// (a row per `x`, a column per series, `decimals` places) and the
+    /// chart `name` drawing each column against `x`.
+    fn panel(
+        &mut self,
+        name: String,
+        heading: &str,
+        spec: ChartSpec,
+        (x_header, x): (&str, &[(f64, String)]),
+        columns: Vec<Column>,
+        decimals: usize,
+    ) {
+        let header = std::iter::once(x_header.to_string());
+        let mut t = TextTable::new(header.chain(columns.iter().map(|c| c.0.clone())).collect());
+        for (i, (_, label)) in x.iter().enumerate() {
+            let cells = columns.iter().map(|c| format!("{:.*}", decimals, c.2[i]));
+            t.row(std::iter::once(label.clone()).chain(cells).collect());
+        }
+        self.text.push_str(&format!("\n== {heading} ==\n{}", t.render()));
+        let series = columns
+            .into_iter()
+            .map(|(_, name, ys)| Series { name, points: x.iter().map(|p| p.0).zip(ys).collect() })
+            .collect();
+        self.charts.push((name.clone(), spec, series));
+        self.tables.push((name, t));
+    }
+
     /// Write every table as `results/<id>/<name>.csv`.
     pub fn write_csvs(&self, out_dir: &str) -> std::io::Result<()> {
         for (name, table) in &self.tables {
@@ -61,6 +102,34 @@ impl FigureOutput {
     }
 }
 
+/// A chart over a logarithmic x axis (buffer size or bandwidth).
+fn log_chart(title: String, x_label: &str, y_label: &str) -> ChartSpec {
+    let (x_label, y_label) = (x_label.into(), y_label.into());
+    ChartSpec { title, x_label, y_label, log_x: true, ..Default::default() }
+}
+
+/// `metric` for each pair (a column each) at each of `bws`, one AQM and buffer.
+fn bw_columns(
+    pairs: &[(CcaKind, CcaKind)],
+    (aqm, buf): (AqmKind, f64),
+    metric: fn(&AveragedResult) -> f64,
+    opts: &RunOptions,
+    cache: &RunCache,
+    bws: &[u64],
+) -> Vec<Vec<f64>> {
+    let column = |&(cca1, cca2): &(CcaKind, CcaKind)| {
+        let configs: Vec<ScenarioConfig> =
+            bws.iter().map(|&bw| ScenarioConfig::new(cca1, cca2, aqm, buf, bw, opts)).collect();
+        sweep(&configs, opts.repeats, cache).iter().map(metric).collect()
+    };
+    pairs.iter().map(column).collect()
+}
+
+/// The x axis of the bandwidth panels.
+fn bw_axis(bws: &[u64]) -> Vec<(f64, String)> {
+    bws.iter().map(|&bw| (bw as f64, bw_label(bw))).collect()
+}
+
 fn throughput_figure(
     id: &'static str,
     aqm: AqmKind,
@@ -68,9 +137,10 @@ fn throughput_figure(
     cache: &RunCache,
     bws: &[u64],
 ) -> FigureOutput {
-    let mut text = String::new();
-    let mut tables = Vec::new();
-    let mut charts = Vec::new();
+    let caption = "Per-sender throughput of TCP variants vs CUBIC over buffer size, AQM=";
+    let mut fig = FigureOutput::new(id, format!("{caption}{aqm}"));
+    let buffers: Vec<(f64, String)> =
+        PAPER_QUEUES_BDP.iter().map(|&q| (q, format!("{q}"))).collect();
     for (cca1, cca2) in inter_pairs() {
         for &bw in bws {
             let configs: Vec<ScenarioConfig> = PAPER_QUEUES_BDP
@@ -78,65 +148,23 @@ fn throughput_figure(
                 .map(|&q| ScenarioConfig::new(cca1, cca2, aqm, q, bw, opts))
                 .collect();
             let results = sweep(&configs, opts.repeats, cache);
-            let mut t = TextTable::new(vec![
-                "buffer_bdp".to_string(),
-                format!("{}_mbps", cca1.name()),
-                format!("{}_mbps", cca2.name()),
-            ]);
-            for r in &results {
-                t.row(vec![
-                    format!("{}", r.config.queue_bdp),
-                    format!("{:.2}", r.sender_mbps.first().copied().unwrap_or(0.0)),
-                    format!("{:.2}", r.sender_mbps.get(1).copied().unwrap_or(0.0)),
-                ]);
-            }
-            text.push_str(&format!(
-                "\n== {} vs {} @ {} ({}) ==\n{}",
-                cca1.pretty(),
-                cca2.pretty(),
-                bw_label(bw),
-                aqm,
-                t.render()
-            ));
-            let name = format!("{}_vs_{}_{}", cca1.name(), cca2.name(), bw_label(bw));
-            charts.push((
-                name.clone(),
-                ChartSpec {
-                    title: format!("{} vs {} @ {} ({})", cca1.pretty(), cca2.pretty(), bw_label(bw), aqm),
-                    x_label: "buffer (BDP)".into(),
-                    y_label: "throughput (Mbps)".into(),
-                    log_x: true,
-                    ..Default::default()
-                },
-                vec![
-                    Series {
-                        name: cca1.pretty().into(),
-                        points: results
-                            .iter()
-                            .map(|r| (r.config.queue_bdp, r.sender_mbps.first().copied().unwrap_or(0.0)))
-                            .collect(),
-                    },
-                    Series {
-                        name: cca2.pretty().into(),
-                        points: results
-                            .iter()
-                            .map(|r| (r.config.queue_bdp, r.sender_mbps.get(1).copied().unwrap_or(0.0)))
-                            .collect(),
-                    },
-                ],
-            ));
-            tables.push((name, t));
+            let sender = |i: usize, cca: CcaKind| -> Column {
+                let mbps = results.iter().map(|r| r.sender_mbps.get(i).copied().unwrap_or(0.0));
+                (format!("{}_mbps", cca.name()), cca.pretty().into(), mbps.collect())
+            };
+            let bw = bw_label(bw);
+            let title = format!("{} vs {} @ {bw} ({aqm})", cca1.pretty(), cca2.pretty());
+            fig.panel(
+                format!("{}_vs_{}_{bw}", cca1.name(), cca2.name()),
+                &title,
+                log_chart(title.clone(), "buffer (BDP)", "throughput (Mbps)"),
+                ("buffer_bdp", &buffers),
+                vec![sender(0, cca1), sender(1, cca2)],
+                2,
+            );
         }
     }
-    FigureOutput {
-        id,
-        caption: format!(
-            "Per-sender throughput of TCP variants vs CUBIC over buffer size, AQM={aqm}"
-        ),
-        text,
-        tables,
-        charts,
-    }
+    fig
 }
 
 /// Figure 2: per-sender throughput vs buffer size, FIFO.
@@ -156,63 +184,31 @@ fn jain_figure(
     cache: &RunCache,
     bws: &[u64],
 ) -> FigureOutput {
-    let mut text = String::new();
-    let mut tables = Vec::new();
-    let mut charts = Vec::new();
+    let caption = format!("Jain's fairness index, AQM={aqm}, inter/intra, buffers 2 & 16 BDP");
+    let mut fig = FigureOutput::new(id, caption);
+    let x = bw_axis(bws);
     for (mode, pairs) in [("inter", inter_pairs()), ("intra", intra_pairs())] {
         for &buf in &FIGURE_BUFFERS_BDP {
-            let mut t = TextTable::new(
-                std::iter::once("bw".to_string())
-                    .chain(pairs.iter().map(|&(a, b)| format!("{}_vs_{}", a.name(), b.name())))
-                    .collect::<Vec<_>>(),
+            let jain = bw_columns(&pairs, (aqm, buf), |r| r.jain, opts, cache, bws);
+            let columns = pairs.iter().zip(jain).map(|(&(a, b), col)| {
+                let legend = format!("{} vs {}", a.pretty(), b.pretty());
+                (format!("{}_vs_{}", a.name(), b.name()), legend, col)
+            });
+            fig.panel(
+                format!("{mode}_{buf}bdp"),
+                &format!("Jain index, {mode}-CCA, buffer {buf} BDP ({aqm})"),
+                log_chart(
+                    format!("Jain index, {mode}-CCA, {buf} BDP ({aqm})"),
+                    "bottleneck bandwidth (bps)",
+                    "Jain index",
+                ),
+                ("bw", &x),
+                columns.collect(),
+                3,
             );
-            // One row per bandwidth, one column per pair.
-            let mut columns: Vec<Vec<f64>> = Vec::new();
-            for &(cca1, cca2) in &pairs {
-                let configs: Vec<ScenarioConfig> = bws
-                    .iter()
-                    .map(|&bw| ScenarioConfig::new(cca1, cca2, aqm, buf, bw, opts))
-                    .collect();
-                let results = sweep(&configs, opts.repeats, cache);
-                columns.push(results.iter().map(|r| r.jain).collect());
-            }
-            for (i, &bw) in bws.iter().enumerate() {
-                let mut row = vec![bw_label(bw)];
-                for col in &columns {
-                    row.push(format!("{:.3}", col[i]));
-                }
-                t.row(row);
-            }
-            text.push_str(&format!("\n== Jain index, {mode}-CCA, buffer {buf} BDP ({aqm}) ==\n{}", t.render()));
-            let name = format!("{mode}_{buf}bdp");
-            charts.push((
-                name.clone(),
-                ChartSpec {
-                    title: format!("Jain index, {mode}-CCA, {buf} BDP ({aqm})"),
-                    x_label: "bottleneck bandwidth (bps)".into(),
-                    y_label: "Jain index".into(),
-                    log_x: true,
-                    ..Default::default()
-                },
-                pairs
-                    .iter()
-                    .zip(&columns)
-                    .map(|(&(a, b), col)| Series {
-                        name: format!("{} vs {}", a.pretty(), b.pretty()),
-                        points: bws.iter().zip(col).map(|(&bw, &j)| (bw as f64, j)).collect(),
-                    })
-                    .collect(),
-            ));
-            tables.push((name, t));
         }
     }
-    FigureOutput {
-        id,
-        caption: format!("Jain's fairness index, AQM={aqm}, inter/intra, buffers 2 & 16 BDP"),
-        text,
-        tables,
-        charts,
-    }
+    fig
 }
 
 /// Figure 3: Jain index under FIFO.
@@ -233,70 +229,36 @@ pub fn fig6(opts: &RunOptions, cache: &RunCache, bws: &[u64]) -> FigureOutput {
 fn intra_metric_figure(
     id: &'static str,
     metric_name: &str,
-    metric: impl Fn(&AveragedResult) -> f64,
+    metric: fn(&AveragedResult) -> f64,
     opts: &RunOptions,
     cache: &RunCache,
     bws: &[u64],
 ) -> FigureOutput {
-    let mut text = String::new();
-    let mut tables = Vec::new();
-    let mut charts = Vec::new();
+    let caption = format!("Intra-CCA {metric_name} for FIFO, RED and FQ_CODEL at 2 & 16 BDP");
+    let mut fig = FigureOutput::new(id, caption);
+    let x = bw_axis(bws);
+    let pairs = intra_pairs();
     for aqm in AqmKind::PAPER_SET {
         for &buf in &FIGURE_BUFFERS_BDP {
-            let mut t = TextTable::new(
-                std::iter::once("bw".to_string())
-                    .chain(CcaKind::PAPER_SET.iter().map(|cca| cca.pretty().to_string()))
-                    .collect::<Vec<_>>(),
+            let values = bw_columns(&pairs, (aqm, buf), metric, opts, cache, bws);
+            let columns = pairs.iter().zip(values).map(|(&(cca, _), col)| {
+                (cca.pretty().to_string(), cca.pretty().to_string(), col)
+            });
+            fig.panel(
+                format!("{}_{}bdp", aqm.name(), buf),
+                &format!("{metric_name}, intra-CCA, {aqm}, buffer {buf} BDP"),
+                log_chart(
+                    format!("{metric_name}, intra-CCA, {aqm}, {buf} BDP"),
+                    "bottleneck bandwidth (bps)",
+                    metric_name,
+                ),
+                ("bw", &x),
+                columns.collect(),
+                3,
             );
-            let mut columns: Vec<Vec<f64>> = Vec::new();
-            for cca in CcaKind::PAPER_SET {
-                let configs: Vec<ScenarioConfig> = bws
-                    .iter()
-                    .map(|&bw| ScenarioConfig::new(cca, cca, aqm, buf, bw, opts))
-                    .collect();
-                let results = sweep(&configs, opts.repeats, cache);
-                columns.push(results.iter().map(&metric).collect());
-            }
-            for (i, &bw) in bws.iter().enumerate() {
-                let mut row = vec![bw_label(bw)];
-                for col in &columns {
-                    row.push(format!("{:.3}", col[i]));
-                }
-                t.row(row);
-            }
-            text.push_str(&format!(
-                "\n== {metric_name}, intra-CCA, {aqm}, buffer {buf} BDP ==\n{}",
-                t.render()
-            ));
-            let name = format!("{}_{}bdp", aqm.name(), buf);
-            charts.push((
-                name.clone(),
-                ChartSpec {
-                    title: format!("{metric_name}, intra-CCA, {aqm}, {buf} BDP"),
-                    x_label: "bottleneck bandwidth (bps)".into(),
-                    y_label: metric_name.into(),
-                    log_x: true,
-                    ..Default::default()
-                },
-                CcaKind::PAPER_SET
-                    .iter()
-                    .zip(&columns)
-                    .map(|(cca, col)| Series {
-                        name: cca.pretty().into(),
-                        points: bws.iter().zip(col).map(|(&bw, &v)| (bw as f64, v)).collect(),
-                    })
-                    .collect(),
-            ));
-            tables.push((name, t));
         }
     }
-    FigureOutput {
-        id,
-        caption: format!("Intra-CCA {metric_name} for FIFO, RED and FQ_CODEL at 2 & 16 BDP"),
-        text,
-        tables,
-        charts,
-    }
+    fig
 }
 
 /// Figure 7: overall link utilization φ (intra-CCA).
@@ -326,50 +288,38 @@ pub struct Table3Row {
 
 /// Table 3: overall averages per CCA-pair × AQM over queues × bandwidths.
 pub fn table3(opts: &RunOptions, cache: &RunCache, bws: &[u64], queues: &[f64]) -> Vec<Table3Row> {
-    let pairs = paper_pairs();
     let mut rows = Vec::new();
     // The paper's Table 3 lists FQ_CODEL last.
     let mut aqms = AqmKind::PAPER_SET;
     aqms.sort_by_key(|&aqm| aqm == AqmKind::FqCodel);
     for aqm in aqms {
-        // CUBIC-CUBIC reference retransmissions per condition.
-        let ref_configs: Vec<ScenarioConfig> = queues
-            .iter()
-            .flat_map(|&q| {
-                bws.iter().map(move |&bw| (q, bw)).map(|(q, bw)| {
-                    ScenarioConfig::new(CcaKind::Cubic, CcaKind::Cubic, aqm, q, bw, opts)
-                })
-            })
-            .collect();
-        let reference = sweep(&ref_configs, opts.repeats, cache);
-
-        for &(cca1, cca2) in &pairs {
+        // One pair's results per queue x bandwidth condition.
+        let conditions = |cca1: CcaKind, cca2: CcaKind| {
             let configs: Vec<ScenarioConfig> = queues
                 .iter()
-                .flat_map(|&q| {
-                    bws.iter().map(move |&bw| (q, bw)).map(|(q, bw)| {
-                        ScenarioConfig::new(cca1, cca2, aqm, q, bw, opts)
-                    })
-                })
+                .flat_map(|&q| bws.iter().map(move |&bw| (q, bw)))
+                .map(|(q, bw)| ScenarioConfig::new(cca1, cca2, aqm, q, bw, opts))
                 .collect();
-            let results = sweep(&configs, opts.repeats, cache);
+            sweep(&configs, opts.repeats, cache)
+        };
+        // CUBIC-CUBIC reference retransmissions per condition.
+        let reference = conditions(CcaKind::Cubic, CcaKind::Cubic);
+
+        for (cca1, cca2) in paper_pairs() {
+            let results = conditions(cca1, cca2);
             let n = results.len() as f64;
             let avg_phi = results.iter().map(|r| r.utilization).sum::<f64>() / n;
             let avg_jain = results.iter().map(|r| r.jain).sum::<f64>() / n;
             // RR per condition, then averaged (paper Eq. 4 then Avg(RR)).
-            let mut rr_sum = 0.0;
-            let mut rr_n = 0.0;
-            for (r, ref_r) in results.iter().zip(reference.iter()) {
-                let rr = relative_retransmissions(
-                    r.retransmits.round() as u64,
-                    ref_r.retransmits.round() as u64,
-                );
-                if elephants_metrics::rr_is_defined(rr) {
-                    rr_sum += rr;
-                    rr_n += 1.0;
-                }
-            }
-            let avg_rr = if rr_n > 0.0 { rr_sum / rr_n } else { f64::NAN };
+            let rrs: Vec<f64> = results
+                .iter()
+                .zip(&reference)
+                .map(|(r, c)| (r.retransmits.round() as u64, c.retransmits.round() as u64))
+                .map(|(retx, cubic_retx)| relative_retransmissions(retx, cubic_retx))
+                .filter(|&rr| rr_is_defined(rr))
+                .collect();
+            let avg_rr =
+                if rrs.is_empty() { f64::NAN } else { rrs.iter().sum::<f64>() / rrs.len() as f64 };
             rows.push(Table3Row { pair: (cca1, cca2), aqm, avg_phi, avg_rr, avg_jain });
         }
     }

@@ -62,6 +62,18 @@ impl TextTable {
         out
     }
 
+    /// Render one `prefix: column=cell ...` line per row, the greppable
+    /// form a claim target prints.
+    pub fn render_kv(&self, prefix: &str) -> String {
+        let mut out = String::new();
+        for row in &self.rows {
+            let cells: Vec<String> =
+                self.header.iter().zip(row).map(|(h, cell)| format!("{h}={cell}")).collect();
+            let _ = writeln!(out, "{prefix}: {}", cells.join(" "));
+        }
+        out
+    }
+
     /// Render as CSV (RFC-4180-lite; cells with commas get quoted).
     pub fn to_csv(&self) -> String {
         let esc = |s: &String| {
@@ -120,6 +132,14 @@ mod tests {
     fn rejects_width_mismatch() {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["only one"]);
+    }
+
+    #[test]
+    fn kv_lines_pair_each_cell_with_its_column() {
+        let mut t = TextTable::new(vec!["ratio", "share"]);
+        t.row(vec!["1", "0.1177"]);
+        t.row(vec!["2", "0.3085"]);
+        assert_eq!(t.render_kv("rtt"), "rtt: ratio=1 share=0.1177\nrtt: ratio=2 share=0.3085\n");
     }
 
     #[test]

@@ -8,13 +8,10 @@ use crate::record::{EventRing, TraceEvent, TraceEventKind, TRACE_NO_FLOW};
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
 use crate::rng::SmallRng;
-use elephants_json::{impl_json_newtype, impl_json_struct};
 
 /// Index of a link within the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LinkId(pub u32);
-
-impl_json_newtype!(LinkId);
 
 /// Declarative description of a link (rate + propagation delay).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +21,6 @@ pub struct LinkSpec {
     /// One-way propagation delay.
     pub prop: SimDuration,
 }
-
-impl_json_struct!(LinkSpec { rate, prop });
 
 impl LinkSpec {
     /// Construct a link spec.

@@ -8,9 +8,6 @@
 //! the study measures.
 
 use crate::time::SimTime;
-use elephants_json::{
-    impl_json_newtype, impl_json_struct, impl_json_unit_enum, FromJson, JsonError, ToJson, Value,
-};
 
 /// Identifier of a flow (an independent TCP connection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -20,9 +17,6 @@ pub struct FlowId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
-impl_json_newtype!(FlowId);
-impl_json_newtype!(NodeId);
-
 /// Which endpoint of a flow a packet or timer is addressed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dir {
@@ -31,8 +25,6 @@ pub enum Dir {
     /// The data receiver (generates ACKs).
     Receiver,
 }
-
-impl_json_unit_enum!(Dir { Sender, Receiver });
 
 /// Maximum number of SACK ranges carried in one ACK (mirrors the common
 /// 3-block limit of a real TCP header with timestamps).
@@ -54,8 +46,6 @@ pub struct AckInfo {
     /// ECN echo: the receiver saw a Congestion Experienced mark.
     pub ecn_echo: bool,
 }
-
-impl_json_struct!(AckInfo { cum, sacks, n_sacks, ecn_echo });
 
 impl AckInfo {
     /// An ACK with only a cumulative component.
@@ -81,28 +71,6 @@ pub enum PacketKind {
     Data,
     /// A pure acknowledgment.
     Ack(AckInfo),
-}
-
-impl ToJson for PacketKind {
-    fn to_json(&self) -> Value {
-        match self {
-            PacketKind::Data => Value::Str("Data".to_string()),
-            PacketKind::Ack(info) => Value::Object(vec![("Ack".to_string(), info.to_json())]),
-        }
-    }
-}
-
-impl FromJson for PacketKind {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) if s == "Data" => Ok(PacketKind::Data),
-            Value::Object(_) => Ok(PacketKind::Ack(AckInfo::from_json(v.get_field("Ack")?)?)),
-            other => Err(JsonError::new(format!(
-                "expected PacketKind, got {}",
-                other.kind_name()
-            ))),
-        }
-    }
 }
 
 /// A packet on the wire. `Copy`, header-only.
@@ -132,20 +100,6 @@ pub struct Packet {
     /// Whether this is a retransmission (diagnostic only).
     pub retx: bool,
 }
-
-impl_json_struct!(Packet {
-    flow,
-    src,
-    dst,
-    seq,
-    size,
-    kind,
-    sent_at,
-    enqueued_at,
-    ecn_capable,
-    ecn_ce,
-    retx,
-});
 
 impl Packet {
     /// Construct a data segment.

@@ -19,7 +19,7 @@ use crate::packet::NodeId;
 use crate::queue::Aqm;
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
-use elephants_json::{impl_json_unit_enum, FromJson, JsonError, ToJson, Value};
+use elephants_json::{FromJson, JsonError, ToJson, Value};
 
 /// What role a node plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,8 +29,6 @@ pub enum NodeKind {
     /// Forwards packets by static routes.
     Router,
 }
-
-impl_json_unit_enum!(NodeKind { Host, Router });
 
 /// A static-routed network: links plus per-node next-hop tables.
 pub struct Topology {

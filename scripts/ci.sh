@@ -47,19 +47,21 @@
 #                                layout vs tests/fixtures/topology/shapes.json),
 #                                a strict-checked 3-hop parking-lot probe run
 #                                with one link report per hop, a
-#                                strict-checked multi-dumbbell probe run, and the
-#                                rtt_unfair binary (which exits nonzero if
+#                                strict-checked multi-dumbbell probe run, and
+#                                `repro rtt_unfair` (which exits nonzero if
 #                                the short-RTT BBR share is not monotone in
 #                                the RTT ratio)
 #   scripts/ci.sh --dynamics-smoke  also run the fairness-dynamics lane:
-#                                the dynamics binary on the quick 100 Mbps
-#                                scenario (exits nonzero unless BBRv1-vs-
-#                                CUBIC shows the paper's early-suppression/
-#                                partial-recovery shape and a late CUBIC
-#                                joiner claims fair share in finite time)
-#                                plus the flight-record integration suite
-#                                (recording perturbs nothing, records
-#                                round-trip through the parser)
+#                                `repro dynamics` under the strict checker
+#                                (exits nonzero unless BBRv1-vs-CUBIC shows
+#                                the paper's early-suppression/partial-
+#                                recovery shape and a late CUBIC joiner
+#                                claims fair share in finite time; all six
+#                                recorded runs must be checked clean and its
+#                                CSVs written) plus the flight-record
+#                                integration suite (recording perturbs
+#                                nothing, records round-trip through the
+#                                parser)
 #   scripts/ci.sh --benchmark-smoke  also build and exercise `benchmark/`,
 #                                the standalone package BENCHMARK.json
 #                                points at: its own unit tests, then
@@ -221,12 +223,15 @@ if [[ "$topo_smoke" -eq 1 ]]; then
     fi
   done
 
-  # 3. RTT-unfairness: rtt_unfair exits nonzero unless the short-RTT BBR
-  #    share grows monotonically through the 1:1/2:1/4:1 ratios.
-  out="$(cargo run --release --offline -p elephants-experiments --bin rtt_unfair -- \
-    --bw 100M --secs 10 2>&1 | tee /dev/stderr)"
+  # 3. RTT-unfairness: `repro rtt_unfair` exits nonzero unless the
+  #    short-RTT BBR share grows monotonically through the 1:1/2:1/4:1
+  #    ratios.
+  rtt_dir="$(mktemp -d)"
+  out="$(cargo run --release --offline -p elephants-experiments --bin repro -- \
+    rtt_unfair --out "$rtt_dir" 2>&1 | tee /dev/stderr)"
+  rm -rf "$rtt_dir"
   if ! grep -q 'rtt-unfair: monotone=yes' <<<"$out"; then
-    echo "topo smoke: rtt_unfair did not report monotone shares" >&2
+    echo "topo smoke: repro rtt_unfair did not report monotone shares" >&2
     exit 1
   fi
 fi
@@ -234,20 +239,25 @@ fi
 if [[ "$dynamics_smoke" -eq 1 ]]; then
   # The fairness-dynamics lane: windowed-analysis claims plus the record
   # suite they rest on.
-  # 1. The dynamics binary runs the CCA-pair matrix with the recorder on
+  # 1. `repro dynamics` runs the CCA-pair matrix with the recorder on
   #    and exits nonzero if BBRv1-vs-CUBIC loses the paper's shape or the
-  #    late CUBIC joiner never reaches fair share; the grep pins the
-  #    machine-readable summary so a silently-vacuous run also fails.
+  #    late CUBIC joiner never reaches fair share; the greps pin the
+  #    machine-readable summary and the strict checker's count (five pairs
+  #    plus the late joiner) so a silently-vacuous run also fails.
   dyn_dir="$(mktemp -d)"
   trap 'rm -rf "$dyn_dir"' EXIT
-  out="$(cargo run --release --offline -p elephants-experiments --bin dynamics -- \
-    --bw 100M --secs 10 --seed 1 --out "$dyn_dir" 2>&1 | tee /dev/stderr)"
+  out="$(cargo run --release --offline -p elephants-experiments --bin repro -- \
+    dynamics --check strict --out "$dyn_dir" 2>&1 | tee /dev/stderr)"
   if ! grep -q 'dynamics: pairs=5 shape=ok late_join=ok' <<<"$out"; then
     echo "dynamics smoke: shape or late-join gate failed" >&2
     exit 1
   fi
-  if [[ ! -s "$dyn_dir/dynamics.md" ]]; then
-    echo "dynamics smoke: markdown report missing" >&2
+  if ! grep -q 'checked_runs: 6  check_violations: 0' <<<"$out"; then
+    echo "dynamics smoke: the six runs were not all strict-checked clean" >&2
+    exit 1
+  fi
+  if ! find "$dyn_dir/dynamics" -name '*.csv' -size +0 2>/dev/null | grep -q .; then
+    echo "dynamics smoke: no CSV written under $dyn_dir/dynamics/" >&2
     exit 1
   fi
 

@@ -23,7 +23,7 @@ fn bbr1_suppresses_cubic_early_with_partial_recovery() {
     // The paper's qualitative BBRv1-vs-CUBIC shape on the 62 ms dumbbell:
     // CUBIC's share sits well below fair while BBRv1's startup estimate
     // dominates, then recovers as CUBIC's window grows — suppression
-    // without starvation. Thresholds match the `dynamics` binary gate
+    // without starvation. Thresholds match the `repro dynamics` gate
     // (empirically 0.41–0.43 early, 0.71–0.72 late across seeds 1–5).
     let cfg = ScenarioConfig::new(
         CcaKind::BbrV1,
