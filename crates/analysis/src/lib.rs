@@ -1,6 +1,6 @@
 //! # elephants-analysis
 //!
-//! Fairness *dynamics*: turns a recorded run ([`FlightRecord`], schema v3+)
+//! Fairness *dynamics*: turns a recorded run ([`FlightRecord`], schema v3)
 //! into the time-resolved metrics the paper's questions are actually about
 //! — not just "was the final share fair" but *how the share evolved*:
 //!
@@ -13,15 +13,14 @@
 //! * [`late_joiner_response`] — how long a group joining at offset `T`
 //!   takes to claim ≥ (1−ε) of its fair share, and how much the
 //!   incumbents concede;
-//! * [`throughput_ratio`] — per-window inter-group ratio summaries;
 //! * [`bootstrap_ci`] — seeded bootstrap confidence intervals across
 //!   repeats (deterministic: reuses `netsim::rng`, never the wall clock).
 //!
 //! Everything here is a pure function of the record plus explicit
 //! parameters — same record, same windows, same numbers, every time.
-//! Records older than schema v3 parse with `delivered_bytes` backfilled
-//! to 0, so analysis over them reports zero goodput rather than garbage;
-//! callers who care should check [`FlightRecord::schema_version`].
+//! [`FlightRecord::parse`] refuses every schema version but v3, so a
+//! record read back from a file always carries the `delivered_bytes`
+//! counters this crate differences.
 
 use elephants_metrics::{jain_index, link_utilization_windowed};
 use elephants_netsim::{RngExt, SeedableRng, SmallRng};
@@ -312,40 +311,6 @@ pub fn late_joiner_response(
     }
 }
 
-/// Summary of the per-window goodput ratio between two groups.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RatioSummary {
-    /// Windows where the ratio was defined (denominator group active).
-    pub windows: usize,
-    /// Mean ratio over those windows.
-    pub mean: f64,
-    /// Smallest per-window ratio.
-    pub min: f64,
-    /// Largest per-window ratio.
-    pub max: f64,
-    /// Ratio in the last defined window.
-    pub last: f64,
-}
-
-/// Per-window `group a / group b` goodput ratio. Idle-denominator windows
-/// are skipped; `None` when group `b` never moved goodput.
-pub fn throughput_ratio(d: &FairnessDynamics, a: usize, b: usize) -> Option<RatioSummary> {
-    let ratios: Vec<f64> = (0..d.t.len())
-        .filter(|&k| d.group_bps[b][k] > 0.0)
-        .map(|k| d.group_bps[a][k] / d.group_bps[b][k])
-        .collect();
-    if ratios.is_empty() {
-        return None;
-    }
-    Some(RatioSummary {
-        windows: ratios.len(),
-        mean: ratios.iter().sum::<f64>() / ratios.len() as f64,
-        min: ratios.iter().copied().fold(f64::INFINITY, f64::min),
-        max: ratios.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        last: *ratios.last().unwrap(),
-    })
-}
-
 /// The paper's BBRv1-vs-CUBIC qualitative shape, measured: the suppressed
 /// group's mean share early in the run vs late in the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -566,23 +531,6 @@ mod tests {
         let never = record_of(&[&steady_flow(100, 5000, 25_000), &steady_flow(100, 5000, 1_250)]);
         let dn = fairness_dynamics(&never, &[0, 1], 0.5, 2e6);
         assert_eq!(late_joiner_response(&dn, 1, 2.0, &spec).time_to_fair_share_s, None);
-    }
-
-    #[test]
-    fn throughput_ratio_summarizes_defined_windows() {
-        let f0 = steady_flow(100, 2000, 25_000);
-        let f1: Vec<(u64, u64)> =
-            (0..=20u64).map(|k| (k * 100, 12_500 * k.saturating_sub(10))).collect();
-        let rec = record_of(&[&f0, &f1]);
-        let d = fairness_dynamics(&rec, &[0, 1], 0.5, 2e6);
-        let r = throughput_ratio(&d, 0, 1).unwrap();
-        assert_eq!(r.windows, 2, "denominator idle in the first two windows");
-        assert!((r.last - 2.0).abs() < 1e-9);
-        assert!(r.min <= r.mean && r.mean <= r.max);
-        assert!(throughput_ratio(&d, 1, 0).is_some());
-        let silent = record_of(&[&steady_flow(100, 1000, 25_000), &[(0, 0), (1000, 0)]]);
-        let ds = fairness_dynamics(&silent, &[0, 1], 0.5, 2e6);
-        assert!(throughput_ratio(&ds, 0, 1).is_none());
     }
 
     #[test]

@@ -6,31 +6,28 @@
 //! succeed fully offline — so experiment configs, run results and traces
 //! serialize through this module instead of `serde`/`serde_json`:
 //!
-//! * [`Value`] — an owned JSON document model,
-//! * [`Reader`] — a strict pull reader over the text, and [`parse`], which
-//!   builds a [`Value`] with it,
-//! * [`Value::to_string_compact`] / [`Value::to_string_pretty`] — writers
-//!   with deterministic output (object keys keep insertion order, so the
-//!   same data always produces byte-identical text),
-//! * [`ToJson`] / [`FromJson`] — conversion traits implemented for
-//!   primitives and containers here and for domain types in their own
-//!   crates via [`impl_json_struct!`], [`impl_json_unit_enum!`],
-//!   [`impl_json_newtype!`] and — for an enum declared as a table of its
-//!   kinds — [`kind_table!`].
+//! * [`ToJson`] / [`FromJson`] — one way through any type: `write_json`
+//!   appends the compact text straight to a `String` and `read_json` pulls
+//!   the value straight off a [`Reader`], with no document in between
+//!   (which is what keeps an 11 MB flight record from living in memory as
+//!   a tree of per-field allocations). They are implemented for primitives
+//!   and containers here and for domain types in their own crates via
+//!   [`impl_json_struct!`], [`impl_json_unit_enum!`], [`impl_json_newtype!`]
+//!   and — for an enum declared as a table of its kinds — [`kind_table!`];
+//!   an enum with data variants uses [`Reader::variant`] and
+//!   [`write_variant`].
+//! * [`Reader`] — a strict pull reader over the text: the one lexer behind
+//!   every `read_json` and [`parse`].
+//! * [`Value`] / [`parse`] — an owned document model for documents whose
+//!   shape is not a type (reports, tests), with deterministic writers
+//!   [`Value::to_string_compact`] / [`Value::to_string_pretty`] (object
+//!   keys keep insertion order, so the same data always produces
+//!   byte-identical text).
 //!
-//! Every macro-declared type converts in both directions *without* a
-//! [`Value`] in between: [`ToJson::write_json`] appends straight to a
-//! `String` and [`FromJson::read_json`] pulls straight off a [`Reader`],
-//! which is what keeps an 11 MB flight record from living in memory as a
-//! tree of per-field allocations. `Value` remains the document model for
-//! data whose shape is not a fixed struct: hand-written impls (optional
-//! fields, tagged enums) implement only [`ToJson::to_json`] /
-//! [`FromJson::from_json`] and inherit streaming methods that go through
-//! a `Value` of just their own subtree.
-//!
-//! Integers ride in a dedicated [`Value::Int`] (`i128`) variant rather
-//! than through `f64`, so `u64` seeds and byte counters round-trip
-//! exactly. Non-finite floats serialize as `null` (matching serde_json)
+//! The compact text is canonical: [`ToJson::to_json_pretty`] is that text
+//! parsed and re-rendered indented. Integers are read and written exactly
+//! (a [`Value::Int`] is an `i128`), so `u64` seeds and byte counters
+//! round-trip. Non-finite floats serialize as `null` (matching serde_json)
 //! and parse back as `NaN`.
 
 use std::borrow::Cow;
@@ -87,23 +84,7 @@ impl Value {
                 .find(|(k, _)| k == name)
                 .map(|(_, v)| v)
                 .ok_or_else(|| JsonError::new(format!("missing field '{name}'"))),
-            other => Err(JsonError::new(format!(
-                "expected object with field '{name}', got {}",
-                other.kind_name()
-            ))),
-        }
-    }
-
-    /// Short name of this value's kind, for error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
+            _ => Err(JsonError::new(format!("expected an object with field '{name}'"))),
         }
     }
 
@@ -124,13 +105,10 @@ impl Value {
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         match self {
             Value::Null => out.push_str("null"),
-            Value::Bool(true) => out.push_str("true"),
-            Value::Bool(false) => out.push_str("false"),
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Value::Float(x) => write_f64(out, *x),
-            Value::Str(s) => write_json_string(out, s),
+            Value::Bool(b) => b.write_json(out),
+            Value::Int(i) => i.write_json(out),
+            Value::Float(x) => x.write_json(out),
+            Value::Str(s) => s.write_json(out),
             Value::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -158,7 +136,7 @@ impl Value {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_json_string(out, k);
+                    k.write_json(out);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -178,17 +156,6 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
         for _ in 0..w * depth {
             out.push(' ');
         }
-    }
-}
-
-/// Rust's shortest-round-trip `Display` for finite floats is valid JSON
-/// (it never emits exponents, always a leading digit). Non-finite values
-/// have no JSON representation and become `null`.
-fn write_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-    } else {
-        out.push_str("null");
     }
 }
 
@@ -219,6 +186,17 @@ fn write_json_string(out: &mut String, s: &str) {
     }
     out.push_str(&s[run_start..]);
     out.push('"');
+}
+
+/// Append a data variant in the externally tagged layout
+/// [`Reader::variant`] reads: `{"tag":body}`. A unit variant is its name,
+/// written as a string.
+pub fn write_variant(out: &mut String, tag: &str, body: &impl ToJson) {
+    out.push('{');
+    write_json_string(out, tag);
+    out.push(':');
+    body.write_json(out);
+    out.push('}');
 }
 
 /// Deepest array/object nesting the reader accepts. Input is read by
@@ -385,7 +363,17 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Read a number.
+    /// Step over a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Read a number, in one pass over RFC 8259's grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<Number, JsonError> {
         let start = self.pos;
         match self.peek() {
@@ -393,18 +381,33 @@ impl<'a> Reader<'a> {
             Some(b) if b.is_ascii_digit() => {}
             _ => return Err(self.mismatch("number")),
         }
+        // A lone 0 (what follows it is the next token, so "01" is rejected
+        // by whoever reads on), or digits; then a fraction and an exponent,
+        // each needing a digit.
+        let mut ok = if self.peek() == Some(b'0') {
+            self.pos += 1;
+            true
+        } else {
+            self.digits() > 0
+        };
         let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if ok && self.peek() == Some(b'.') {
+            self.pos += 1;
+            float = true;
+            ok = self.digits() > 0;
+        }
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            float = true;
+            if let Some(b'+' | b'-') = self.peek() {
+                self.pos += 1;
             }
+            ok = self.digits() > 0;
         }
         let txt = &self.text[start..self.pos];
+        if !ok {
+            return Err(JsonError::new(format!("bad number '{txt}' at byte {start}")));
+        }
         if !float {
             // i64 first: it covers every counter this workspace writes and
             // parses several times faster than i128.
@@ -599,20 +602,39 @@ impl<'a> Reader<'a> {
             }
         }
     }
+
+    /// Read a value of an enum `what` in the externally tagged layout
+    /// [`write_variant`] writes: a string names a unit variant, an object a
+    /// data variant by its first key. `read` gets the name and whether a
+    /// body follows; with one, the cursor is on it and `read` must read it.
+    /// Keys after the first are checked and skipped.
+    pub fn variant<T>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Self, &str, bool) -> Result<T, JsonError>,
+    ) -> Result<T, JsonError> {
+        match self.peek() {
+            Some(b'"') => {
+                let name = self.string()?;
+                read(self, &name, false)
+            }
+            Some(b'{') => {
+                let (mut read, mut value) = (Some(read), None);
+                self.object(|r, key| match read.take() {
+                    Some(read) => read(r, key, true).map(|v| value = Some(v)),
+                    None => r.skip(),
+                })?;
+                value.ok_or_else(|| JsonError::new(format!("expected {what}, got an empty object")))
+            }
+            _ => Err(self.mismatch(what)),
+        }
+    }
 }
 
 /// Convert a domain value into JSON.
 pub trait ToJson {
-    /// The JSON representation of `self` in the document model.
-    fn to_json(&self) -> Value;
-
-    /// Append the compact rendering to `out`: byte for byte what
-    /// `self.to_json().to_string_compact()` produces. The provided body
-    /// does exactly that; the impls in this crate and the `impl_json_*!`
-    /// macros write the text directly instead.
-    fn write_json(&self, out: &mut String) {
-        self.to_json().write(out, None, 0);
-    }
+    /// Append the compact rendering to `out`.
+    fn write_json(&self, out: &mut String);
 
     /// Compact rendering.
     fn to_json_string(&self) -> String {
@@ -621,24 +643,19 @@ pub trait ToJson {
         out
     }
 
-    /// Pretty (two-space indented) rendering.
+    /// Pretty (two-space indented) rendering: the compact text, read back
+    /// as a document and rendered indented. The one value whose compact
+    /// text is not canonical is `-0.0`: its `-0` reads back as the integer
+    /// 0 and pretty-prints as `0`.
     fn to_json_pretty(&self) -> String {
-        self.to_json().to_string_pretty()
+        parse(&self.to_json_string()).expect("the compact writer emits JSON").to_string_pretty()
     }
 }
 
 /// Reconstruct a domain value from JSON.
 pub trait FromJson: Sized {
-    /// Convert from a parsed document.
-    fn from_json(v: &Value) -> Result<Self, JsonError>;
-
-    /// Read one value of this type off the reader: the same result as
-    /// `Self::from_json(&r.value()?)`. The provided body does exactly
-    /// that; the impls in this crate and the `impl_json_*!` macros read
-    /// the text directly instead.
-    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
-        Self::from_json(&r.value()?)
-    }
+    /// Read one value of this type off the reader.
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError>;
 
     /// Parse text and convert.
     fn from_json_str(s: &str) -> Result<Self, JsonError> {
@@ -651,57 +668,35 @@ pub trait FromJson: Sized {
 
 // ---- primitive impls ----------------------------------------------------
 
-fn expected(wanted: &str, got: &Value) -> JsonError {
-    JsonError::new(format!("expected {wanted}, got {}", got.kind_name()))
-}
-
 macro_rules! impl_json_int {
     ($($ty:ty),+) => {
         $(
             impl ToJson for $ty {
-                fn to_json(&self) -> Value {
-                    Value::Int(*self as i128)
-                }
                 fn write_json(&self, out: &mut String) {
                     let _ = write!(out, "{self}");
                 }
             }
             impl FromJson for $ty {
-                fn from_json(v: &Value) -> Result<Self, JsonError> {
-                    narrow(i128::from_json(v)?)
-                }
                 fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
-                    narrow(i128::read_json(r)?)
+                    let i = i128::read_json(r)?;
+                    Self::try_from(i).map_err(|_| {
+                        JsonError::new(format!("integer {i} out of range for {}", stringify!($ty)))
+                    })
                 }
             }
         )+
     };
 }
 
-fn narrow<T: TryFrom<i128>>(i: i128) -> Result<T, JsonError> {
-    T::try_from(i).map_err(|_| {
-        JsonError::new(format!("integer {i} out of range for {}", std::any::type_name::<T>()))
-    })
-}
-
 impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl ToJson for i128 {
-    fn to_json(&self) -> Value {
-        Value::Int(*self)
-    }
     fn write_json(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
 }
 
 impl FromJson for i128 {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Int(i) => Ok(*i),
-            other => Err(expected("integer", other)),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         match r.number()? {
             Number::Int(i) => Ok(i),
@@ -711,46 +706,33 @@ impl FromJson for i128 {
 }
 
 impl ToJson for bool {
-    fn to_json(&self) -> Value {
-        Value::Bool(*self)
-    }
     fn write_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl FromJson for bool {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(expected("bool", other)),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         r.bool()
     }
 }
 
+/// Rust's shortest-round-trip `Display` for finite floats is valid JSON
+/// (it never emits exponents, always a leading digit). Non-finite values
+/// have no JSON representation and become `null`.
 impl ToJson for f64 {
-    fn to_json(&self) -> Value {
-        Value::Float(*self)
-    }
     fn write_json(&self, out: &mut String) {
-        write_f64(out, *self);
+        if self.is_finite() {
+            let _ = write!(out, "{self}");
+        } else {
+            out.push_str("null");
+        }
     }
 }
 
 impl FromJson for f64 {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Float(x) => Ok(*x),
-            // "2" and "2.0" are the same JSON number; accept both.
-            Value::Int(i) => Ok(*i as f64),
-            // Non-finite floats serialize as null.
-            Value::Null => Ok(f64::NAN),
-            other => Err(expected("number", other)),
-        }
-    }
+    /// "2" and "2.0" are the same JSON number, and `null` is a non-finite
+    /// float: both are accepted.
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         if r.null() {
             return Ok(f64::NAN);
@@ -763,48 +745,30 @@ impl FromJson for f64 {
 }
 
 impl ToJson for f32 {
-    fn to_json(&self) -> Value {
-        Value::Float(*self as f64)
-    }
     fn write_json(&self, out: &mut String) {
-        write_f64(out, *self as f64);
+        f64::from(*self).write_json(out);
     }
 }
 
 impl FromJson for f32 {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        f64::from_json(v).map(|x| x as f32)
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         f64::read_json(r).map(|x| x as f32)
     }
 }
 
 impl ToJson for String {
-    fn to_json(&self) -> Value {
-        Value::Str(self.clone())
-    }
     fn write_json(&self, out: &mut String) {
         write_json_string(out, self);
     }
 }
 
 impl FromJson for String {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(expected("string", other)),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         r.string().map(Cow::into_owned)
     }
 }
 
 impl ToJson for str {
-    fn to_json(&self) -> Value {
-        Value::Str(self.to_string())
-    }
     fn write_json(&self, out: &mut String) {
         write_json_string(out, self);
     }
@@ -822,21 +786,12 @@ fn write_json_array<'a, T: ToJson + 'a>(out: &mut String, items: impl IntoIterat
 }
 
 impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
     fn write_json(&self, out: &mut String) {
         write_json_array(out, self);
     }
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Array(items) => items.iter().map(FromJson::from_json).collect(),
-            other => Err(expected("array", other)),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         let mut items = Vec::new();
         r.array(|r| {
@@ -848,12 +803,6 @@ impl<T: FromJson> FromJson for Vec<T> {
 }
 
 impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Value {
-        match self {
-            Some(x) => x.to_json(),
-            None => Value::Null,
-        }
-    }
     fn write_json(&self, out: &mut String) {
         match self {
             Some(x) => x.write_json(out),
@@ -863,12 +812,6 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         if r.null() {
             Ok(None)
@@ -879,9 +822,6 @@ impl<T: FromJson> FromJson for Option<T> {
 }
 
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Value {
-        Value::Array(vec![self.0.to_json(), self.1.to_json()])
-    }
     fn write_json(&self, out: &mut String) {
         out.push('[');
         self.0.write_json(out);
@@ -892,14 +832,6 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 }
 
 impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Array(items) if items.len() == 2 => {
-                Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
-            }
-            other => Err(expected("2-element array", other)),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         let (mut a, mut b) = (None, None);
         r.array(|r| {
@@ -920,27 +852,12 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 }
 
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
-    fn to_json(&self) -> Value {
-        Value::Array(self.iter().map(ToJson::to_json).collect())
-    }
     fn write_json(&self, out: &mut String) {
         write_json_array(out, self);
     }
 }
 
 impl<T: FromJson + Copy + Default, const N: usize> FromJson for [T; N] {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Array(items) if items.len() == N => {
-                let mut out = [T::default(); N];
-                for (slot, item) in out.iter_mut().zip(items) {
-                    *slot = T::from_json(item)?;
-                }
-                Ok(out)
-            }
-            other => Err(expected(&format!("{N}-element array"), other)),
-        }
-    }
     fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
         let mut out = [T::default(); N];
         let mut n = 0;
@@ -978,11 +895,6 @@ impl<T: FromJson + Copy + Default, const N: usize> FromJson for [T; N] {
 macro_rules! impl_json_struct {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Value {
-                $crate::Value::Object(vec![
-                    $((stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),)+
-                ])
-            }
             fn write_json(&self, out: &mut String) {
                 out.push('{');
                 $(
@@ -996,11 +908,6 @@ macro_rules! impl_json_struct {
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Value) -> Result<Self, $crate::JsonError> {
-                Ok(Self {
-                    $($field: $crate::FromJson::from_json(v.get_field(stringify!($field))?)?,)+
-                })
-            }
             fn read_json(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::JsonError> {
                 $(let mut $field = None;)+
                 r.object(|r, key| {
@@ -1028,11 +935,6 @@ macro_rules! impl_json_struct {
 macro_rules! impl_json_unit_enum {
     ($ty:ident { $($variant:ident),+ $(,)? }) => {
         impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Value {
-                $crate::Value::Str(match self {
-                    $($ty::$variant => stringify!($variant),)+
-                }.to_string())
-            }
             fn write_json(&self, out: &mut String) {
                 out.push_str(match self {
                     $($ty::$variant => concat!("\"", stringify!($variant), "\""),)+
@@ -1040,19 +942,6 @@ macro_rules! impl_json_unit_enum {
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Value) -> Result<Self, $crate::JsonError> {
-                match v {
-                    $crate::Value::Str(s) => match s.as_str() {
-                        $(stringify!($variant) => Ok($ty::$variant),)+
-                        other => Err($crate::JsonError::new(format!(
-                            "unknown {} variant '{}'", stringify!($ty), other
-                        ))),
-                    },
-                    other => Err($crate::JsonError::new(format!(
-                        "expected string for {}, got {}", stringify!($ty), other.kind_name()
-                    ))),
-                }
-            }
             fn read_json(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::JsonError> {
                 match &*r.string()? {
                     $(stringify!($variant) => Ok($ty::$variant),)+
@@ -1168,17 +1057,11 @@ macro_rules! kind_table {
 macro_rules! impl_json_newtype {
     ($ty:ident) => {
         impl $crate::ToJson for $ty {
-            fn to_json(&self) -> $crate::Value {
-                $crate::ToJson::to_json(&self.0)
-            }
             fn write_json(&self, out: &mut String) {
                 $crate::ToJson::write_json(&self.0, out)
             }
         }
         impl $crate::FromJson for $ty {
-            fn from_json(v: &$crate::Value) -> Result<Self, $crate::JsonError> {
-                Ok($ty($crate::FromJson::from_json(v)?))
-            }
             fn read_json(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::JsonError> {
                 Ok($ty($crate::FromJson::read_json(r)?))
             }
@@ -1293,6 +1176,16 @@ mod tests {
         assert!(String::from_json_str(r#""\u+041""#).is_err());
         assert!(parse(r#""\u00g1""#).is_err());
         assert!(parse(r#""\u00""#).is_err());
+        // RFC 8259 numbers: no leading zeros, a digit on each side of `.`,
+        // and a digit after an exponent mark.
+        for bad in ["01", "-01", "00", "1.", "-.5", "1.e5", "2.E3", "-", "1e", "1e+", "[01]"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert!(u64::from_json_str("01").is_err());
+        assert!(f64::from_json_str("-.5").is_err());
+        for good in ["0", "-0", "0.5", "-0.5e-3", "1E+2"] {
+            assert!(parse(good).is_ok() && f64::from_json_str(good).is_ok(), "{good}");
+        }
     }
 
     #[test]
@@ -1319,13 +1212,14 @@ mod tests {
 
     #[test]
     fn typed_and_tree_paths_agree() {
-        // The streaming impls against the document model they replaced.
+        // The typed codec against the document model: the writer's text is
+        // canonical, and the reader takes what `parse` takes.
         let d = demo();
-        assert_eq!(d.to_json_string(), d.to_json().to_string_compact());
+        assert_eq!(d.to_json_string(), parse(&d.to_json_string()).unwrap().to_string_compact());
         let text = r#" { "extra" : [1, {"x": null}], "opt" : true, "tags" : [ ], "n" : 7,
             "label" : "\u00e9\ud83d\ude00", "rate" : 2, "n" : "first one wins" } "#;
         let typed = Demo::from_json_str(text).unwrap();
-        assert_eq!(typed, Demo::from_json(&parse(text).unwrap()).unwrap());
+        assert!(parse(text).is_ok());
         assert_eq!(typed.label, "é\u{1F600}");
         assert_eq!((typed.n, typed.rate, typed.opt), (7, 2.0, Some(true)));
         for bad in [
@@ -1337,12 +1231,11 @@ mod tests {
             r#"[1]"#,
         ] {
             assert!(Demo::from_json_str(bad).is_err(), "{bad}");
-            assert!(parse(bad).and_then(|v| Demo::from_json(&v)).is_err(), "{bad}");
         }
-        assert_eq!(Color::Green.to_json_string(), Color::Green.to_json().to_string_compact());
+        assert_eq!(Color::Green.to_json_string(), r#""Green""#);
         assert_eq!(Wrapper(9).to_json_string(), "9");
         let odd = "a\u{1}\u{8}\u{c}\u{1f}\"\\/é\n".to_string();
-        assert_eq!(odd.to_json_string(), odd.to_json().to_string_compact());
+        assert_eq!(parse(&odd.to_json_string()).unwrap(), Value::Str(odd.clone()));
         assert_eq!(String::from_json_str(&odd.to_json_string()).unwrap(), odd);
     }
 

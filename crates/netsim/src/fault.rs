@@ -15,7 +15,7 @@
 use crate::rng::{RngExt, SmallRng};
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
-use elephants_json::{impl_json_struct, FromJson, JsonError, ToJson, Value};
+use elephants_json::{impl_json_struct, write_variant, FromJson, JsonError, Reader, ToJson};
 
 /// A random packet-loss process on a link.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -41,48 +41,42 @@ pub enum LossModel {
     },
 }
 
+// The JSON bodies of the struct variants, in serde's externally tagged
+// layout: `"None"`, `{"Bernoulli":{"p":..}}`, `{"GilbertElliott":{..}}`.
+struct Bernoulli {
+    p: f64,
+}
+impl_json_struct!(Bernoulli { p });
+
+struct GilbertElliott {
+    p_gb: f64,
+    p_bg: f64,
+}
+impl_json_struct!(GilbertElliott { p_gb, p_bg });
+
 impl ToJson for LossModel {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match *self {
-            LossModel::None => Value::Str("None".to_string()),
-            LossModel::Bernoulli { p } => Value::Object(vec![(
-                "Bernoulli".to_string(),
-                Value::Object(vec![("p".to_string(), p.to_json())]),
-            )]),
-            LossModel::GilbertElliott { p_gb, p_bg } => Value::Object(vec![(
-                "GilbertElliott".to_string(),
-                Value::Object(vec![
-                    ("p_gb".to_string(), p_gb.to_json()),
-                    ("p_bg".to_string(), p_bg.to_json()),
-                ]),
-            )]),
+            LossModel::None => "None".write_json(out),
+            LossModel::Bernoulli { p } => write_variant(out, "Bernoulli", &Bernoulli { p }),
+            LossModel::GilbertElliott { p_gb, p_bg } => {
+                write_variant(out, "GilbertElliott", &GilbertElliott { p_gb, p_bg })
+            }
         }
     }
 }
 
 impl FromJson for LossModel {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) if s == "None" => Ok(LossModel::None),
-            Value::Object(fields) => match fields.first().map(|(k, _)| k.as_str()) {
-                Some("Bernoulli") => {
-                    let body = v.get_field("Bernoulli")?;
-                    Ok(LossModel::Bernoulli { p: f64::from_json(body.get_field("p")?)? })
-                }
-                Some("GilbertElliott") => {
-                    let body = v.get_field("GilbertElliott")?;
-                    Ok(LossModel::GilbertElliott {
-                        p_gb: f64::from_json(body.get_field("p_gb")?)?,
-                        p_bg: f64::from_json(body.get_field("p_bg")?)?,
-                    })
-                }
-                _ => Err(JsonError::new("unknown LossModel variant".to_string())),
-            },
-            other => Err(JsonError::new(format!(
-                "expected LossModel, got {}",
-                other.kind_name()
-            ))),
-        }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.variant("LossModel", |r, name, has_body| match (name, has_body) {
+            ("None", false) => Ok(LossModel::None),
+            ("Bernoulli", true) => {
+                Bernoulli::read_json(r).map(|Bernoulli { p }| LossModel::Bernoulli { p })
+            }
+            ("GilbertElliott", true) => GilbertElliott::read_json(r)
+                .map(|GilbertElliott { p_gb, p_bg }| LossModel::GilbertElliott { p_gb, p_bg }),
+            _ => Err(JsonError::new(format!("unknown LossModel variant '{name}'"))),
+        })
     }
 }
 
@@ -142,43 +136,27 @@ pub enum FaultAction {
 }
 
 impl ToJson for FaultAction {
-    fn to_json(&self) -> Value {
-        match *self {
-            FaultAction::LinkDown => Value::Str("LinkDown".to_string()),
-            FaultAction::LinkUp => Value::Str("LinkUp".to_string()),
-            FaultAction::SetBandwidth(bw) => {
-                Value::Object(vec![("SetBandwidth".to_string(), bw.to_json())])
-            }
-            FaultAction::SetDelay(d) => Value::Object(vec![("SetDelay".to_string(), d.to_json())]),
-            FaultAction::SetLossModel(m) => {
-                Value::Object(vec![("SetLossModel".to_string(), m.to_json())])
-            }
+    fn write_json(&self, out: &mut String) {
+        match self {
+            FaultAction::LinkDown => "LinkDown".write_json(out),
+            FaultAction::LinkUp => "LinkUp".write_json(out),
+            FaultAction::SetBandwidth(bw) => write_variant(out, "SetBandwidth", bw),
+            FaultAction::SetDelay(d) => write_variant(out, "SetDelay", d),
+            FaultAction::SetLossModel(m) => write_variant(out, "SetLossModel", m),
         }
     }
 }
 
 impl FromJson for FaultAction {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) if s == "LinkDown" => Ok(FaultAction::LinkDown),
-            Value::Str(s) if s == "LinkUp" => Ok(FaultAction::LinkUp),
-            Value::Object(fields) => match fields.first().map(|(k, _)| k.as_str()) {
-                Some("SetBandwidth") => {
-                    Ok(FaultAction::SetBandwidth(Bandwidth::from_json(v.get_field("SetBandwidth")?)?))
-                }
-                Some("SetDelay") => {
-                    Ok(FaultAction::SetDelay(SimDuration::from_json(v.get_field("SetDelay")?)?))
-                }
-                Some("SetLossModel") => {
-                    Ok(FaultAction::SetLossModel(LossModel::from_json(v.get_field("SetLossModel")?)?))
-                }
-                _ => Err(JsonError::new("unknown FaultAction variant".to_string())),
-            },
-            other => Err(JsonError::new(format!(
-                "expected FaultAction, got {}",
-                other.kind_name()
-            ))),
-        }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.variant("FaultAction", |r, name, has_body| match (name, has_body) {
+            ("LinkDown", false) => Ok(FaultAction::LinkDown),
+            ("LinkUp", false) => Ok(FaultAction::LinkUp),
+            ("SetBandwidth", true) => Bandwidth::read_json(r).map(FaultAction::SetBandwidth),
+            ("SetDelay", true) => SimDuration::read_json(r).map(FaultAction::SetDelay),
+            ("SetLossModel", true) => LossModel::read_json(r).map(FaultAction::SetLossModel),
+            _ => Err(JsonError::new(format!("unknown FaultAction variant '{name}'"))),
+        })
     }
 }
 

@@ -19,7 +19,7 @@ use crate::packet::NodeId;
 use crate::queue::Aqm;
 use crate::time::SimDuration;
 use crate::units::Bandwidth;
-use elephants_json::{FromJson, JsonError, ToJson, Value};
+use elephants_json::{impl_json_struct, write_variant, FromJson, JsonError, Reader, ToJson};
 
 /// What role a node plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -528,46 +528,42 @@ impl std::str::FromStr for TopologySpec {
     }
 }
 
+// The JSON bodies of the struct variants, in serde's externally tagged
+// layout: `"Dumbbell"`, `{"ParkingLot":{"hops":..}}`, `{"MultiDumbbell":{..}}`.
+struct ParkingLot {
+    hops: usize,
+}
+impl_json_struct!(ParkingLot { hops });
+
+struct MultiDumbbell {
+    rtts_ms: Vec<u64>,
+}
+impl_json_struct!(MultiDumbbell { rtts_ms });
+
 impl ToJson for TopologySpec {
-    fn to_json(&self) -> Value {
+    fn write_json(&self, out: &mut String) {
         match self {
-            TopologySpec::Dumbbell => Value::Str("Dumbbell".to_string()),
-            TopologySpec::ParkingLot { hops } => Value::Object(vec![(
-                "ParkingLot".to_string(),
-                Value::Object(vec![("hops".to_string(), hops.to_json())]),
-            )]),
-            TopologySpec::MultiDumbbell { rtts_ms } => Value::Object(vec![(
-                "MultiDumbbell".to_string(),
-                Value::Object(vec![("rtts_ms".to_string(), rtts_ms.to_json())]),
-            )]),
+            TopologySpec::Dumbbell => "Dumbbell".write_json(out),
+            TopologySpec::ParkingLot { hops } => {
+                write_variant(out, "ParkingLot", &ParkingLot { hops: *hops })
+            }
+            TopologySpec::MultiDumbbell { rtts_ms } => {
+                write_variant(out, "MultiDumbbell", &MultiDumbbell { rtts_ms: rtts_ms.clone() })
+            }
         }
     }
 }
 
 impl FromJson for TopologySpec {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        match v {
-            Value::Str(s) if s == "Dumbbell" => Ok(TopologySpec::Dumbbell),
-            Value::Object(fields) => match fields.first().map(|(k, _)| k.as_str()) {
-                Some("ParkingLot") => {
-                    let body = v.get_field("ParkingLot")?;
-                    Ok(TopologySpec::ParkingLot {
-                        hops: usize::from_json(body.get_field("hops")?)?,
-                    })
-                }
-                Some("MultiDumbbell") => {
-                    let body = v.get_field("MultiDumbbell")?;
-                    Ok(TopologySpec::MultiDumbbell {
-                        rtts_ms: Vec::from_json(body.get_field("rtts_ms")?)?,
-                    })
-                }
-                _ => Err(JsonError::new("unknown TopologySpec variant".to_string())),
-            },
-            other => Err(JsonError::new(format!(
-                "expected TopologySpec, got {}",
-                other.kind_name()
-            ))),
-        }
+    fn read_json(r: &mut Reader<'_>) -> Result<Self, JsonError> {
+        r.variant("TopologySpec", |r, name, has_body| match (name, has_body) {
+            ("Dumbbell", false) => Ok(TopologySpec::Dumbbell),
+            ("ParkingLot", true) => ParkingLot::read_json(r)
+                .map(|ParkingLot { hops }| TopologySpec::ParkingLot { hops }),
+            ("MultiDumbbell", true) => MultiDumbbell::read_json(r)
+                .map(|MultiDumbbell { rtts_ms }| TopologySpec::MultiDumbbell { rtts_ms }),
+            _ => Err(JsonError::new(format!("unknown TopologySpec variant '{name}'"))),
+        })
     }
 }
 

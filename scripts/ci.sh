@@ -17,7 +17,11 @@
 #                                record through FlightRecord::parse, so a
 #                                schema regression fails here; then the
 #                                quick 100 Mbps dataset slice, whose count
-#                                line only counts records that parsed back
+#                                line only counts records that parsed back;
+#                                then a two-cell cached sweep run cold and
+#                                warm into one directory: the warm run reads
+#                                every entry back (none quarantined), writes
+#                                a byte-identical grid.csv and adds no entry
 #   scripts/ci.sh --check-smoke  also run one short scenario per CCA x AQM
 #                                pair (`CcaKind::ALL` x `AqmKind::ALL`)
 #                                under `CheckMode::Strict`, as one ignored
@@ -167,6 +171,30 @@ if [[ "$record_smoke" -eq 1 ]]; then
     --quick --bw 100M --out "$rec_dir" 2>&1 | tee /dev/stderr)"
   if ! grep -q '^dataset: 27 ' <<<"$out"; then
     echo "record smoke: dataset did not write and re-read 27 flight records" >&2
+    exit 1
+  fi
+  # The run cache through a binary: the cold sweep writes one JSON entry
+  # per cell, the warm one must read them all back instead of re-running.
+  cache_dir="$rec_dir/cached"
+  for run in cold warm; do
+    out="$(cargo run --release --offline -p elephants-experiments --bin sweep -- \
+      --quick --bw 100M --limit 2 --out "$cache_dir" 2>&1 | tee /dev/stderr)"
+    cp "$cache_dir/sweep/grid.csv" "$rec_dir/grid.$run.csv"
+    entries="$(find "$cache_dir/cache" -name '*.json' | wc -l)"
+    if [[ "$run" == cold ]]; then
+      cold_entries="$entries"
+    fi
+  done
+  if ! grep -q 'cache_quarantined: 0 ' <<<"$out"; then
+    echo "record smoke: the warm sweep quarantined cache entries" >&2
+    exit 1
+  fi
+  if ! cmp -s "$rec_dir/grid.cold.csv" "$rec_dir/grid.warm.csv"; then
+    echo "record smoke: the warm sweep's grid.csv differs from the cold one" >&2
+    exit 1
+  fi
+  if [[ "$cold_entries" -eq 0 || "$entries" -ne "$cold_entries" ]]; then
+    echo "record smoke: $cold_entries cache entries cold, $entries warm" >&2
     exit 1
   fi
 fi

@@ -21,10 +21,11 @@
 //! (then re-run without the env var to confirm everything judges clean).
 
 use elephants::chaos::{
-    case_cost, default_corpus_dir, generate_case, load_corpus, replay_all, replay_failures,
-    save_fixture, CaseOutcome, ChaosFixture,
+    case_cost, default_corpus_dir, fixture_stem, generate_case, load_corpus, replay_all,
+    replay_failures, save_fixture, CaseOutcome, ChaosFixture,
 };
 use elephants::experiments::ScenarioConfig;
+use elephants::json::ToJson;
 
 /// Debug-mode budget per curated case: the judge runs every config twice
 /// (determinism oracle), so keep each run to a few megabytes of traffic.
@@ -72,6 +73,20 @@ fn curated_seed_fixtures_are_committed_and_current() {
         let path = save_fixture(&dir, &fixture).expect("write curated fixture");
         eprintln!("updated {}", path.display());
         corpus.push(fixture.config);
+    }
+}
+
+/// A fixture is written by `save_fixture` as its `to_json_pretty()` under
+/// the name of its config's content hash: re-encoding the committed files
+/// pins both the pretty writer and the fingerprint.
+#[test]
+fn committed_fixtures_re_encode_to_their_bytes_and_names() {
+    let corpus = load_corpus(&default_corpus_dir()).expect("corpus must parse");
+    for (path, fixture) in &corpus {
+        let text = std::fs::read_to_string(path).unwrap();
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        assert_eq!(fixture.to_json_pretty(), text, "{stem} re-encodes to its bytes");
+        assert_eq!(fixture_stem(&fixture.config), stem, "{stem} is named by its config");
     }
 }
 
