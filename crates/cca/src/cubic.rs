@@ -3,34 +3,18 @@
 //! CUBIC replaces AIMD's linear growth with a cubic function of the time
 //! since the last congestion event, anchored at the window size where the
 //! loss occurred (`W_max`). It is the Linux default and the paper's
-//! reference competitor in every inter-CCA experiment.
+//! reference competitor in every inter-CCA experiment. Fast convergence and
+//! the Reno-friendly region (RFC 8312 §4.2, §4.6) are always on, as in
+//! Linux `tcp_cubic`.
 
-use crate::{AckEvent, CcaState, CongestionControl, LossEvent, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
+use crate::loss_based::{take_whole, GrowthLaw, LossBased};
+use crate::{AckEvent, LossEvent};
 use elephants_netsim::{SimDuration, SimTime};
-use elephants_json::impl_json_struct;
 
-/// CUBIC tuning knobs (defaults mirror Linux `tcp_cubic`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CubicConfig {
-    /// The cubic scaling constant `C` (segments/s³).
-    pub c: f64,
-    /// Multiplicative-decrease factor β.
-    pub beta: f64,
-    /// Release buffer faster when losses cluster (Linux default on).
-    pub fast_convergence: bool,
-    /// Never grow slower than an equivalent Reno flow (RFC 8312 §4.2).
-    pub tcp_friendliness: bool,
-    /// HyStart delay-based slow-start exit (Linux default on).
-    pub hystart: bool,
-}
-
-impl_json_struct!(CubicConfig { c, beta, fast_convergence, tcp_friendliness, hystart });
-
-impl Default for CubicConfig {
-    fn default() -> Self {
-        CubicConfig { c: 0.4, beta: 0.7, fast_convergence: true, tcp_friendliness: true, hystart: true }
-    }
-}
+/// The cubic scaling constant `C` (segments/s³).
+const C: f64 = 0.4;
+/// Multiplicative-decrease factor β.
+const BETA: f64 = 0.7;
 
 /// HyStart (delay increase detection) per-round state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,13 +56,11 @@ impl HyStart {
 }
 
 /// The CUBIC congestion controller.
-#[derive(Debug, Clone)]
-pub struct Cubic {
-    cfg: CubicConfig,
-    mss: u64,
-    cwnd: u64,
-    ssthresh: u64,
-    // --- cubic epoch state (segment units, like the reference impl) ---
+pub type Cubic = LossBased<CubicLaw>;
+
+/// CUBIC's law: the cubic epoch (segment units, like the reference impl).
+#[derive(Debug, Clone, Default)]
+pub struct CubicLaw {
     epoch_start: Option<SimTime>,
     w_max: f64,
     k: f64,
@@ -87,54 +69,35 @@ pub struct Cubic {
     w_est: f64,
     /// Sub-MSS growth accumulator (Linux `snd_cwnd_cnt`).
     cwnd_cnt: f64,
-    hystart: HyStart,
-    /// (cwnd, ssthresh, w_max) before the last RTO, for spurious-RTO undo.
-    undo: Option<(u64, u64, f64)>,
+    /// HyStart delay-based slow-start exit, when on.
+    hystart: Option<HyStart>,
+    /// `w_max` before the last RTO, for spurious-RTO undo.
+    undo_w_max: f64,
 }
 
 impl Cubic {
-    /// A fresh CUBIC controller with IW10.
-    pub fn new(cfg: CubicConfig, mss: u32) -> Self {
-        let mss = mss as u64;
-        Cubic {
-            cfg,
-            mss,
-            cwnd: INITIAL_CWND_SEGMENTS * mss,
-            ssthresh: u64::MAX,
-            epoch_start: None,
-            w_max: 0.0,
-            k: 0.0,
-            origin_point: 0.0,
-            w_est: 0.0,
-            cwnd_cnt: 0.0,
-            hystart: HyStart::default(),
-            undo: None,
-        }
+    /// A fresh CUBIC controller with IW10, with or without HyStart.
+    pub fn new(hystart: bool, mss: u32) -> Self {
+        let hystart = hystart.then(HyStart::default);
+        LossBased::with_law(mss, CubicLaw { hystart, ..Default::default() })
     }
 
     /// `W_max` in segments (test hook).
     pub fn w_max(&self) -> f64 {
-        self.w_max
+        self.law.w_max
     }
 
     /// Time-to-origin `K` in seconds (test hook).
     pub fn k(&self) -> f64 {
-        self.k
+        self.law.k
     }
+}
 
-    fn cwnd_seg(&self) -> f64 {
-        self.cwnd as f64 / self.mss as f64
-    }
-
-    fn min_cwnd(&self) -> u64 {
-        MIN_CWND_SEGMENTS * self.mss
-    }
-
-    fn enter_epoch(&mut self, now: SimTime) {
+impl CubicLaw {
+    fn enter_epoch(&mut self, now: SimTime, cwnd: f64) {
         self.epoch_start = Some(now);
-        let cwnd = self.cwnd_seg();
         if cwnd < self.w_max {
-            self.k = ((self.w_max - cwnd) / self.cfg.c).cbrt();
+            self.k = ((self.w_max - cwnd) / C).cbrt();
             self.origin_point = self.w_max;
         } else {
             self.k = 0.0;
@@ -146,23 +109,41 @@ impl Cubic {
 
     /// The cubic window W(t) in segments.
     fn w_cubic(&self, t: f64) -> f64 {
-        self.origin_point + self.cfg.c * (t - self.k).powi(3)
+        self.origin_point + C * (t - self.k).powi(3)
+    }
+}
+
+impl GrowthLaw for CubicLaw {
+    const NAME: &'static str = "cubic";
+    const PHASE: &'static str = "cubic";
+
+    fn ends_slow_start(&mut self, ev: &AckEvent) -> bool {
+        let Some(hystart) = &mut self.hystart else {
+            return false;
+        };
+        if ev.round_start {
+            hystart.on_round_start();
+        }
+        hystart.on_rtt_sample(ev.rtt)
     }
 
-    fn congestion_avoidance(&mut self, ev: &AckEvent) {
-        if self.epoch_start.is_none() {
-            self.enter_epoch(ev.now);
-        }
-        let epoch = self.epoch_start.unwrap();
+    fn increase(&mut self, cwnd: u64, mss: u64, ev: &AckEvent) -> u64 {
+        let cwnd = cwnd as f64 / mss as f64;
+        let epoch = match self.epoch_start {
+            Some(t0) => t0,
+            None => {
+                self.enter_epoch(ev.now, cwnd);
+                ev.now
+            }
+        };
         // Target the window one RTT into the future (RFC 8312 §4.1).
         let t = ev.now.since(epoch).as_secs_f64() + ev.min_rtt.as_secs_f64();
-        let cwnd = self.cwnd_seg();
         let target = self.w_cubic(t);
 
         // Per-ACK increment: (target - cwnd)/cwnd segments, at most 1.5x
         // growth per RTT worth of ACKs (the reference's cnt >= 2 clamp is
         // approximated by capping the per-ack step at 0.5 segment).
-        let acked_seg = ev.newly_acked as f64 / self.mss as f64;
+        let acked_seg = ev.newly_acked as f64 / mss as f64;
         let mut inc = if target > cwnd {
             ((target - cwnd) / cwnd * acked_seg).min(0.5 * acked_seg)
         } else {
@@ -170,121 +151,44 @@ impl Cubic {
             0.01 * acked_seg / cwnd
         };
 
-        if self.cfg.tcp_friendliness {
-            // Reno-equivalent growth: 3(1-β)/(1+β) segments per cwnd ACKed.
-            let friendly_gain = 3.0 * (1.0 - self.cfg.beta) / (1.0 + self.cfg.beta);
-            self.w_est += friendly_gain * acked_seg / cwnd;
-            if self.w_est > cwnd + self.cwnd_cnt + inc {
-                inc = self.w_est - cwnd - self.cwnd_cnt;
-            }
+        // Reno-equivalent growth: 3(1-β)/(1+β) segments per cwnd ACKed.
+        let friendly_gain = 3.0 * (1.0 - BETA) / (1.0 + BETA);
+        self.w_est += friendly_gain * acked_seg / cwnd;
+        if self.w_est > cwnd + self.cwnd_cnt + inc {
+            inc = self.w_est - cwnd - self.cwnd_cnt;
         }
 
         self.cwnd_cnt += inc;
-        if self.cwnd_cnt >= 1.0 {
-            let whole = self.cwnd_cnt.floor();
-            self.cwnd += (whole as u64) * self.mss;
-            self.cwnd_cnt -= whole;
-        }
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
+        take_whole(&mut self.cwnd_cnt)
     }
 
-    fn on_ack(&mut self, ev: &AckEvent, in_recovery: bool) {
-        if in_recovery || ev.newly_acked == 0 {
-            return;
-        }
-        if self.cwnd < self.ssthresh {
-            if self.cfg.hystart {
-                if ev.round_start {
-                    self.hystart.on_round_start();
-                }
-                if self.hystart.on_rtt_sample(ev.rtt) {
-                    // Delay increase: end slow start here.
-                    self.ssthresh = self.cwnd;
-                    return;
-                }
-            }
-            let inc = ev.newly_acked.min(self.mss);
-            self.cwnd += inc;
-            if self.cwnd >= self.ssthresh {
-                self.cwnd = self.ssthresh;
-            }
-        } else {
-            self.congestion_avoidance(ev);
-        }
-    }
-
-    fn on_loss_event(&mut self, _ev: &LossEvent) {
+    fn loss_beta(&mut self, cwnd: u64, mss: u64, _ev: &LossEvent) -> f64 {
         self.epoch_start = None;
-        let cwnd = self.cwnd_seg();
-        self.w_max = if cwnd < self.w_max && self.cfg.fast_convergence {
-            cwnd * (2.0 - self.cfg.beta) / 2.0
-        } else {
-            cwnd
-        };
-        let new = ((self.cwnd as f64 * self.cfg.beta) as u64).max(self.min_cwnd());
-        self.ssthresh = new;
-        self.cwnd = new;
+        let cwnd = cwnd as f64 / mss as f64;
+        // Fast convergence: release more when losses come below W_max.
+        self.w_max = if cwnd < self.w_max { cwnd * (2.0 - BETA) / 2.0 } else { cwnd };
         self.cwnd_cnt = 0.0;
+        BETA
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.undo = Some((self.cwnd, self.ssthresh, self.w_max));
+    fn rto_beta(&mut self, cwnd: u64, mss: u64, _now: SimTime) -> f64 {
+        self.undo_w_max = self.w_max;
         self.epoch_start = None;
-        self.w_max = self.cwnd_seg();
-        self.ssthresh = ((self.cwnd as f64 * self.cfg.beta) as u64).max(self.min_cwnd());
-        self.cwnd = self.mss;
+        self.w_max = cwnd as f64 / mss as f64;
         self.cwnd_cnt = 0.0;
+        BETA
     }
 
-    fn on_spurious_rto(&mut self, _now: SimTime) {
-        if let Some((cwnd, ssthresh, w_max)) = self.undo.take() {
-            self.cwnd = self.cwnd.max(cwnd);
-            self.ssthresh = ssthresh;
-            self.w_max = w_max;
-            self.epoch_start = None;
-        }
-    }
-
-    fn on_recovery_exit(&mut self, _now: SimTime) {
-        self.cwnd = self.cwnd.max(self.min_cwnd());
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn pacing_rate(&self) -> Option<u64> {
-        None
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn state_snapshot(&self) -> CcaState {
-        CcaState {
-            phase: if self.in_slow_start() { "slow_start" } else { "cubic" },
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            pacing_rate: None,
-            bw_estimate: None,
-            pacing_gain: None,
-        }
+    fn undo_rto(&mut self) {
+        self.w_max = self.undo_w_max;
+        self.epoch_start = None;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CongestionControl;
 
     const MSS: u32 = 1000;
 
@@ -318,7 +222,7 @@ mod tests {
 
     #[test]
     fn slow_start_growth() {
-        let mut c = Cubic::new(CubicConfig { hystart: false, ..Default::default() }, MSS);
+        let mut c = Cubic::new(false, MSS);
         let w = c.cwnd();
         for _ in 0..10 {
             c.on_ack(&ack_at(0, MSS as u64, 62, false), false);
@@ -328,7 +232,7 @@ mod tests {
 
     #[test]
     fn loss_reduces_by_beta_and_sets_wmax() {
-        let mut c = Cubic::new(CubicConfig::default(), MSS);
+        let mut c = Cubic::new(true, MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss());
@@ -338,7 +242,7 @@ mod tests {
 
     #[test]
     fn fast_convergence_lowers_wmax_on_back_to_back_losses() {
-        let mut c = Cubic::new(CubicConfig::default(), MSS);
+        let mut c = Cubic::new(true, MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss()); // w_max = 100, cwnd = 70
@@ -348,7 +252,7 @@ mod tests {
 
     #[test]
     fn k_is_cube_root_of_deficit_over_c() {
-        let mut c = Cubic::new(CubicConfig { hystart: false, ..Default::default() }, MSS);
+        let mut c = Cubic::new(false, MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss());
@@ -360,10 +264,7 @@ mod tests {
 
     #[test]
     fn concave_region_grows_toward_wmax() {
-        let mut c = Cubic::new(
-            CubicConfig { hystart: false, tcp_friendliness: false, ..Default::default() },
-            MSS,
-        );
+        let mut c = Cubic::new(false, MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss()); // cwnd -> 70
@@ -383,10 +284,7 @@ mod tests {
 
     #[test]
     fn convex_region_accelerates_past_wmax() {
-        let mut c = Cubic::new(
-            CubicConfig { hystart: false, tcp_friendliness: false, ..Default::default() },
-            MSS,
-        );
+        let mut c = Cubic::new(false, MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss());
@@ -409,7 +307,7 @@ mod tests {
 
     #[test]
     fn hystart_exits_slow_start_on_delay_increase() {
-        let mut c = Cubic::new(CubicConfig::default(), MSS);
+        let mut c = Cubic::new(true, MSS);
         // Round 1: baseline RTT 62 ms.
         c.on_ack(&ack_at(0, MSS as u64, 62, true), false);
         for i in 1..10 {
@@ -427,7 +325,7 @@ mod tests {
 
     #[test]
     fn hystart_tolerates_stable_rtt() {
-        let mut c = Cubic::new(CubicConfig::default(), MSS);
+        let mut c = Cubic::new(true, MSS);
         for round in 0..5 {
             c.on_ack(&ack_at(round * 62, MSS as u64, 62, true), false);
             for i in 1..12 {
@@ -439,7 +337,7 @@ mod tests {
 
     #[test]
     fn rto_resets_to_one_segment() {
-        let mut c = Cubic::new(CubicConfig::default(), MSS);
+        let mut c = Cubic::new(true, MSS);
         c.cwnd = 50 * MSS as u64;
         c.on_rto(SimTime::ZERO);
         assert_eq!(c.cwnd(), MSS as u64);
@@ -450,7 +348,7 @@ mod tests {
     fn friendly_region_tracks_reno_under_small_bdp() {
         // With TCP friendliness on, CUBIC should not grow slower than the
         // Reno estimate right after a loss at small windows.
-        let mut c = Cubic::new(CubicConfig { hystart: false, ..Default::default() }, MSS);
+        let mut c = Cubic::new(false, MSS);
         c.cwnd = 20 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss()); // cwnd -> 14

@@ -8,47 +8,25 @@
 //! on: as FIFO bufferbloat inflates `RTT_max`, β falls toward 0.5 and H-TCP
 //! cedes buffer space that CUBIC then occupies (paper §5.1).
 
-use crate::{AckEvent, CcaState, CongestionControl, LossEvent, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
+use crate::loss_based::{take_whole, GrowthLaw, LossBased};
+use crate::{AckEvent, LossEvent};
 use elephants_netsim::{SimDuration, SimTime};
-use elephants_json::impl_json_struct;
 
-/// H-TCP parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HtcpConfig {
-    /// Low-speed regime length Δ_L: below this time since the last loss,
-    /// behave like Reno (α = 1).
-    pub delta_l: SimDuration,
-    /// Adaptive backoff: β = RTT_min/RTT_max (clamped); if off, β = 0.5.
-    pub adaptive_backoff: bool,
-    /// Throughput-change threshold that resets β to 0.5.
-    pub throughput_jump: f64,
-    /// Lower clamp for β.
-    pub beta_min: f64,
-    /// Upper clamp for β.
-    pub beta_max: f64,
-}
-
-impl_json_struct!(HtcpConfig { delta_l, adaptive_backoff, throughput_jump, beta_min, beta_max });
-
-impl Default for HtcpConfig {
-    fn default() -> Self {
-        HtcpConfig {
-            delta_l: SimDuration::from_secs(1),
-            adaptive_backoff: true,
-            throughput_jump: 0.2,
-            beta_min: 0.5,
-            beta_max: 0.8,
-        }
-    }
-}
+/// Low-speed regime length Δ_L: below this time since the last loss,
+/// behave like Reno (α = 1).
+const DELTA_L: SimDuration = SimDuration::from_secs(1);
+/// Clamp for the adaptive β = RTT_min / RTT_max.
+const BETA_MIN: f64 = 0.5;
+const BETA_MAX: f64 = 0.8;
+/// Relative throughput change between epochs that resets β to 0.5.
+const THROUGHPUT_JUMP: f64 = 0.2;
 
 /// The H-TCP congestion controller.
+pub type Htcp = LossBased<HtcpLaw>;
+
+/// H-TCP's law: α(Δ) growth and the RTT-ratio backoff.
 #[derive(Debug, Clone)]
-pub struct Htcp {
-    cfg: HtcpConfig,
-    mss: u64,
-    cwnd: u64,
-    ssthresh: u64,
+pub struct HtcpLaw {
     /// When the current congestion epoch began (last loss; None = no loss yet).
     epoch_start: Option<SimTime>,
     /// Current backoff factor.
@@ -62,185 +40,112 @@ pub struct Htcp {
     prev_throughput: Option<f64>,
     /// Sub-segment growth accumulator.
     cwnd_cnt: f64,
-    /// (cwnd, ssthresh) before the last RTO, for spurious-RTO undo.
-    undo: Option<(u64, u64)>,
 }
 
 impl Htcp {
     /// A fresh H-TCP controller with IW10.
-    pub fn new(cfg: HtcpConfig, mss: u32) -> Self {
-        let mss = mss as u64;
-        Htcp {
-            cfg,
-            mss,
-            cwnd: INITIAL_CWND_SEGMENTS * mss,
-            ssthresh: u64::MAX,
+    pub fn new(mss: u32) -> Self {
+        let law = HtcpLaw {
             epoch_start: None,
-            beta: 0.5,
+            beta: BETA_MIN,
             rtt_min_epoch: None,
             rtt_max_epoch: None,
             delivered_at_epoch: 0,
             prev_throughput: None,
             cwnd_cnt: 0.0,
-            undo: None,
-        }
+        };
+        LossBased::with_law(mss, law)
     }
 
     /// Current backoff factor β (test hook).
     pub fn beta(&self) -> f64 {
-        self.beta
+        self.law.beta
     }
 
     /// Additive-increase factor α for elapsed time `delta` since last loss.
     pub fn alpha(&self, delta: SimDuration) -> f64 {
-        let raw = if delta <= self.cfg.delta_l {
+        self.law.alpha(delta)
+    }
+}
+
+impl HtcpLaw {
+    fn alpha(&self, delta: SimDuration) -> f64 {
+        let raw = if delta <= DELTA_L {
             1.0
         } else {
-            let d = (delta - self.cfg.delta_l).as_secs_f64();
+            let d = (delta - DELTA_L).as_secs_f64();
             1.0 + 10.0 * d + 0.25 * d * d
         };
         // Compensate the adaptive backoff so average throughput is
         // independent of β (H-TCP spec: α ← 2(1-β)α).
-        if self.cfg.adaptive_backoff {
-            2.0 * (1.0 - self.beta) * raw
-        } else {
-            raw
-        }
+        2.0 * (1.0 - self.beta) * raw
     }
 
-    fn min_cwnd(&self) -> u64 {
-        MIN_CWND_SEGMENTS * self.mss
-    }
-
-    fn track_rtt(&mut self, rtt: SimDuration) {
-        self.rtt_min_epoch = Some(self.rtt_min_epoch.map_or(rtt, |m| m.min(rtt)));
-        self.rtt_max_epoch = Some(self.rtt_max_epoch.map_or(rtt, |m| m.max(rtt)));
-    }
-}
-
-impl CongestionControl for Htcp {
-    fn name(&self) -> &'static str {
-        "htcp"
-    }
-
-    fn on_ack(&mut self, ev: &AckEvent, in_recovery: bool) {
-        self.track_rtt(ev.rtt);
-        if in_recovery || ev.newly_acked == 0 {
-            return;
-        }
-        if self.cwnd < self.ssthresh {
-            let inc = ev.newly_acked.min(self.mss);
-            self.cwnd = (self.cwnd + inc).min(self.ssthresh);
-            return;
-        }
-        // Congestion avoidance: cwnd += α/cwnd segments per ACKed segment.
-        let delta = match self.epoch_start {
-            Some(t0) => ev.now.since(t0),
-            None => SimDuration::ZERO, // pre-first-loss: Reno-like α = 1
-        };
-        let alpha = self.alpha(delta);
-        let acked_seg = ev.newly_acked as f64 / self.mss as f64;
-        let cwnd_seg = self.cwnd as f64 / self.mss as f64;
-        self.cwnd_cnt += alpha * acked_seg / cwnd_seg;
-        if self.cwnd_cnt >= 1.0 {
-            let whole = self.cwnd_cnt.floor();
-            self.cwnd += whole as u64 * self.mss;
-            self.cwnd_cnt -= whole;
-        }
-    }
-
-    fn on_loss_event(&mut self, ev: &LossEvent) {
-        // Update β from the epoch's RTT excursion.
-        if self.cfg.adaptive_backoff {
-            let new_beta = match (self.rtt_min_epoch, self.rtt_max_epoch) {
-                (Some(lo), Some(hi)) if hi.as_nanos() > 0 => {
-                    (lo.as_secs_f64() / hi.as_secs_f64()).clamp(self.cfg.beta_min, self.cfg.beta_max)
-                }
-                _ => 0.5,
-            };
-            // Throughput jump check: a large change in achieved rate means
-            // conditions shifted; fall back to conservative β = 0.5.
-            let epoch_secs = self
-                .epoch_start
-                .map(|t0| ev.now.since(t0).as_secs_f64())
-                .unwrap_or(0.0);
-            let throughput = if epoch_secs > 0.0 {
-                Some((ev.delivered.saturating_sub(self.delivered_at_epoch)) as f64 / epoch_secs)
-            } else {
-                None
-            };
-            self.beta = match (throughput, self.prev_throughput) {
-                (Some(b1), Some(b0)) if b0 > 0.0 && ((b1 - b0) / b0).abs() > self.cfg.throughput_jump => 0.5,
-                _ => new_beta,
-            };
-            self.prev_throughput = throughput.or(self.prev_throughput);
-        } else {
-            self.beta = 0.5;
-        }
-
-        let new = ((self.cwnd as f64 * self.beta) as u64).max(self.min_cwnd());
-        self.ssthresh = new;
-        self.cwnd = new;
-        self.cwnd_cnt = 0.0;
-        // New epoch begins.
-        self.epoch_start = Some(ev.now);
-        self.rtt_min_epoch = None;
-        self.rtt_max_epoch = None;
-        self.delivered_at_epoch = ev.delivered;
-    }
-
-    fn on_rto(&mut self, now: SimTime) {
-        self.undo = Some((self.cwnd, self.ssthresh));
-        self.ssthresh = ((self.cwnd as f64 * 0.5) as u64).max(self.min_cwnd());
-        self.cwnd = self.mss;
+    fn new_epoch(&mut self, now: SimTime) {
         self.cwnd_cnt = 0.0;
         self.epoch_start = Some(now);
         self.rtt_min_epoch = None;
         self.rtt_max_epoch = None;
     }
+}
 
-    fn on_spurious_rto(&mut self, _now: SimTime) {
-        if let Some((cwnd, ssthresh)) = self.undo.take() {
-            self.cwnd = self.cwnd.max(cwnd);
-            self.ssthresh = ssthresh;
-        }
+impl GrowthLaw for HtcpLaw {
+    const NAME: &'static str = "htcp";
+    const PHASE: &'static str = "htcp";
+
+    fn on_any_ack(&mut self, ev: &AckEvent) {
+        self.rtt_min_epoch = Some(self.rtt_min_epoch.map_or(ev.rtt, |m| m.min(ev.rtt)));
+        self.rtt_max_epoch = Some(self.rtt_max_epoch.map_or(ev.rtt, |m| m.max(ev.rtt)));
     }
 
-    fn on_recovery_exit(&mut self, _now: SimTime) {
-        self.cwnd = self.cwnd.max(self.min_cwnd());
+    /// cwnd += α/cwnd segments per ACKed segment.
+    fn increase(&mut self, cwnd: u64, mss: u64, ev: &AckEvent) -> u64 {
+        let delta = match self.epoch_start {
+            Some(t0) => ev.now.since(t0),
+            None => SimDuration::ZERO, // pre-first-loss: Reno-like α = 1
+        };
+        let acked_seg = ev.newly_acked as f64 / mss as f64;
+        let cwnd_seg = cwnd as f64 / mss as f64;
+        self.cwnd_cnt += self.alpha(delta) * acked_seg / cwnd_seg;
+        take_whole(&mut self.cwnd_cnt)
     }
 
-    fn cwnd(&self) -> u64 {
-        self.cwnd
+    fn loss_beta(&mut self, _cwnd: u64, _mss: u64, ev: &LossEvent) -> f64 {
+        // β from the epoch's RTT excursion.
+        let new_beta = match (self.rtt_min_epoch, self.rtt_max_epoch) {
+            (Some(lo), Some(hi)) if hi.as_nanos() > 0 => {
+                (lo.as_secs_f64() / hi.as_secs_f64()).clamp(BETA_MIN, BETA_MAX)
+            }
+            _ => BETA_MIN,
+        };
+        // Throughput jump check: a large change in achieved rate means
+        // conditions shifted; fall back to conservative β = 0.5.
+        let epoch_secs = self.epoch_start.map(|t0| ev.now.since(t0).as_secs_f64()).unwrap_or(0.0);
+        let throughput = if epoch_secs > 0.0 {
+            Some((ev.delivered.saturating_sub(self.delivered_at_epoch)) as f64 / epoch_secs)
+        } else {
+            None
+        };
+        self.beta = match (throughput, self.prev_throughput) {
+            (Some(b1), Some(b0)) if b0 > 0.0 && ((b1 - b0) / b0).abs() > THROUGHPUT_JUMP => BETA_MIN,
+            _ => new_beta,
+        };
+        self.prev_throughput = throughput.or(self.prev_throughput);
+        self.new_epoch(ev.now);
+        self.delivered_at_epoch = ev.delivered;
+        self.beta
     }
 
-    fn pacing_rate(&self) -> Option<u64> {
-        None
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn state_snapshot(&self) -> CcaState {
-        CcaState {
-            phase: if self.in_slow_start() { "slow_start" } else { "htcp" },
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            pacing_rate: None,
-            bw_estimate: None,
-            pacing_gain: None,
-        }
+    fn rto_beta(&mut self, _cwnd: u64, _mss: u64, now: SimTime) -> f64 {
+        self.new_epoch(now);
+        0.5
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CongestionControl;
 
     const MSS: u32 = 1000;
 
@@ -274,32 +179,32 @@ mod tests {
 
     #[test]
     fn alpha_is_one_in_low_speed_regime() {
-        let mut h = Htcp::new(HtcpConfig { adaptive_backoff: false, ..Default::default() }, MSS);
-        h.beta = 0.5;
+        let mut h = Htcp::new(MSS);
+        h.law.beta = 0.5;
         assert_eq!(h.alpha(SimDuration::from_millis(500)), 1.0);
         assert_eq!(h.alpha(SimDuration::from_secs(1)), 1.0);
     }
 
     #[test]
     fn alpha_grows_quadratically_past_delta_l() {
-        let h = Htcp::new(HtcpConfig { adaptive_backoff: false, ..Default::default() }, MSS);
+        let h = Htcp::new(MSS);
         // Δ = 3 s → d = 2: α = 1 + 20 + 1 = 22.
         assert!((h.alpha(SimDuration::from_secs(3)) - 22.0).abs() < 1e-9);
     }
 
     #[test]
     fn alpha_scaled_by_backoff_compensation() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
-        h.beta = 0.8;
+        let mut h = Htcp::new(MSS);
+        h.law.beta = 0.8;
         // 2(1-0.8) = 0.4 scaling.
         assert!((h.alpha(SimDuration::from_secs(1)) - 0.4).abs() < 1e-9);
-        h.beta = 0.5;
+        h.law.beta = 0.5;
         assert!((h.alpha(SimDuration::from_secs(1)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn beta_tracks_rtt_ratio() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.ssthresh = h.cwnd; // CA
         // Epoch with RTT from 62 to 88.6 ms: β = 62/88.6 ≈ 0.7.
         h.on_ack(&ack_at(0, 62, 1000), false);
@@ -310,7 +215,7 @@ mod tests {
 
     #[test]
     fn beta_clamped_to_half_under_bufferbloat() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.ssthresh = h.cwnd;
         // RTT doubles: ratio 0.31 clamps to 0.5.
         h.on_ack(&ack_at(0, 62, 1000), false);
@@ -321,7 +226,7 @@ mod tests {
 
     #[test]
     fn beta_clamped_to_max_when_rtt_flat() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.ssthresh = h.cwnd;
         h.on_ack(&ack_at(0, 62, 1000), false);
         h.on_ack(&ack_at(10, 62, 1000), false);
@@ -331,7 +236,7 @@ mod tests {
 
     #[test]
     fn loss_multiplies_cwnd_by_beta() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.cwnd = 100 * MSS as u64;
         h.ssthresh = h.cwnd;
         h.on_ack(&ack_at(0, 62, 1000), false);
@@ -342,7 +247,7 @@ mod tests {
 
     #[test]
     fn long_loss_free_epoch_accelerates_growth() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.cwnd = 100 * MSS as u64;
         h.ssthresh = h.cwnd;
         h.on_loss_event(&loss_at(0, 0)); // epoch starts, cwnd -> 50 (β=0.5 default first loss... β from empty epoch = 0.5)
@@ -363,7 +268,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_window() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.cwnd = 40 * MSS as u64;
         h.on_rto(SimTime::ZERO);
         assert_eq!(h.cwnd(), MSS as u64);
@@ -372,7 +277,7 @@ mod tests {
 
     #[test]
     fn slow_start_respects_ssthresh_cap() {
-        let mut h = Htcp::new(HtcpConfig::default(), MSS);
+        let mut h = Htcp::new(MSS);
         h.ssthresh = 12 * MSS as u64;
         // Two ACKs reach the threshold exactly; the flow leaves slow start.
         h.on_ack(&ack_at(0, 62, MSS as u64), false);

@@ -20,16 +20,17 @@
 mod bbr;
 pub mod bbr1;
 pub mod bbr2;
-pub mod cubic;
+mod cubic;
 pub mod filters;
-pub mod htcp;
-pub mod reno;
+mod htcp;
+mod loss_based;
+mod reno;
 
 pub use bbr1::{BbrV1, BbrV1Config, PROBE_BW_GAINS};
 pub use bbr2::{BbrV2, BbrV2Config};
-pub use cubic::{Cubic, CubicConfig};
+pub use cubic::Cubic;
 pub use filters::{WindowedMaxByRound, WindowedMinByTime};
-pub use htcp::{Htcp, HtcpConfig};
+pub use htcp::Htcp;
 pub use reno::Reno;
 
 use elephants_netsim::{CheckFailure, SimDuration, SimTime};
@@ -225,7 +226,7 @@ elephants_json::kind_table! {
         /// Hamilton TCP.
         Htcp: "htcp", ["h-tcp"], paper: true, CcaRow {
             pretty: "HTCP",
-            build: |mss, _| Box::new(Htcp::new(HtcpConfig::default(), mss)),
+            build: |mss, _| Box::new(Htcp::new(mss)),
         };
         /// TCP Reno.
         Reno: "reno", [], paper: true, CcaRow {
@@ -235,7 +236,7 @@ elephants_json::kind_table! {
         /// TCP CUBIC (Linux default).
         Cubic: "cubic", [], paper: true, CcaRow {
             pretty: "CUBIC",
-            build: |mss, _| Box::new(Cubic::new(CubicConfig::default(), mss)),
+            build: |mss, _| Box::new(Cubic::new(true, mss)),
         };
     }
 }

@@ -1,111 +1,54 @@
 //! TCP Reno (RFC 5681): slow start, AIMD congestion avoidance.
 
-use crate::{AckEvent, CcaState, CongestionControl, LossEvent, INITIAL_CWND_SEGMENTS, MIN_CWND_SEGMENTS};
+use crate::loss_based::{GrowthLaw, LossBased};
+use crate::{AckEvent, LossEvent};
 use elephants_netsim::SimTime;
 
 /// TCP Reno congestion control.
-#[derive(Debug, Clone)]
-pub struct Reno {
-    mss: u64,
-    cwnd: u64,
-    ssthresh: u64,
+pub type Reno = LossBased<RenoLaw>;
+
+/// Reno's law: one MSS per cwnd of ACKed bytes, β = 0.5.
+#[derive(Debug, Clone, Default)]
+pub struct RenoLaw {
     /// Byte accumulator for sub-MSS congestion-avoidance increments.
     acked_accum: u64,
-    /// (cwnd, ssthresh) before the last RTO, for spurious-RTO undo.
-    undo: Option<(u64, u64)>,
 }
 
 impl Reno {
     /// A fresh Reno controller with IW10.
     pub fn new(mss: u32) -> Self {
-        let mss = mss as u64;
-        Reno { mss, cwnd: INITIAL_CWND_SEGMENTS * mss, ssthresh: u64::MAX, acked_accum: 0, undo: None }
-    }
-
-    fn min_cwnd(&self) -> u64 {
-        MIN_CWND_SEGMENTS * self.mss
+        LossBased::with_law(mss, RenoLaw::default())
     }
 }
 
-impl CongestionControl for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
+impl GrowthLaw for RenoLaw {
+    const NAME: &'static str = "reno";
+    const PHASE: &'static str = "avoidance";
+
+    fn increase(&mut self, cwnd: u64, _mss: u64, ev: &AckEvent) -> u64 {
+        self.acked_accum += ev.newly_acked;
+        if self.acked_accum < cwnd {
+            return 0;
+        }
+        self.acked_accum -= cwnd;
+        1
     }
 
-    fn on_ack(&mut self, ev: &AckEvent, in_recovery: bool) {
-        if in_recovery || ev.newly_acked == 0 {
-            return;
-        }
-        if self.cwnd < self.ssthresh {
-            // Slow start: grow by the bytes acknowledged (RFC 5681 §3.1,
-            // with the L = 1 SMSS per-ACK cap).
-            let inc = ev.newly_acked.min(self.mss);
-            self.cwnd = (self.cwnd + inc).min(self.ssthresh);
-        } else {
-            // Congestion avoidance: one MSS per cwnd of acknowledged data.
-            self.acked_accum += ev.newly_acked;
-            if self.acked_accum >= self.cwnd {
-                self.acked_accum -= self.cwnd;
-                self.cwnd += self.mss;
-            }
-        }
-    }
-
-    fn on_loss_event(&mut self, _ev: &LossEvent) {
-        self.ssthresh = (self.cwnd / 2).max(self.min_cwnd());
-        self.cwnd = self.ssthresh;
+    fn loss_beta(&mut self, _cwnd: u64, _mss: u64, _ev: &LossEvent) -> f64 {
         self.acked_accum = 0;
+        0.5
     }
 
-    fn on_rto(&mut self, _now: SimTime) {
-        self.undo = Some((self.cwnd, self.ssthresh));
-        self.ssthresh = (self.cwnd / 2).max(self.min_cwnd());
-        self.cwnd = self.mss;
+    fn rto_beta(&mut self, _cwnd: u64, _mss: u64, _now: SimTime) -> f64 {
         self.acked_accum = 0;
-    }
-
-    fn on_spurious_rto(&mut self, _now: SimTime) {
-        if let Some((cwnd, ssthresh)) = self.undo.take() {
-            self.cwnd = self.cwnd.max(cwnd);
-            self.ssthresh = ssthresh;
-        }
-    }
-
-    fn on_recovery_exit(&mut self, _now: SimTime) {
-        self.cwnd = self.cwnd.max(self.min_cwnd());
-    }
-
-    fn cwnd(&self) -> u64 {
-        self.cwnd
-    }
-
-    fn pacing_rate(&self) -> Option<u64> {
-        None
-    }
-
-    fn ssthresh(&self) -> u64 {
-        self.ssthresh
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn state_snapshot(&self) -> CcaState {
-        CcaState {
-            phase: if self.in_slow_start() { "slow_start" } else { "avoidance" },
-            cwnd: self.cwnd,
-            ssthresh: self.ssthresh,
-            pacing_rate: None,
-            bw_estimate: None,
-            pacing_gain: None,
-        }
+        0.5
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CongestionControl;
     use elephants_netsim::SimDuration;
 
     pub(crate) fn ack(newly_acked: u64) -> AckEvent {

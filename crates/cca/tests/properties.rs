@@ -9,7 +9,7 @@ use elephants_netsim::{prop_check, prop_check_eq, RngExt, SimDuration, SimTime, 
 
 const MSS: u32 = 1000;
 
-fn mk_ack(now_ms: u64, rtt_ms: u64, acked: u64, inflight: u64, rate: u64, round: bool) -> AckEvent {
+fn mk_ack(now_ms: u64, rtt_ms: u64, acked: u64, inflight: u64, rate: u64, round: bool, ce: bool) -> AckEvent {
     AckEvent {
         now: SimTime::ZERO + SimDuration::from_millis(now_ms),
         rtt: SimDuration::from_millis(rtt_ms.max(1)),
@@ -22,7 +22,7 @@ fn mk_ack(now_ms: u64, rtt_ms: u64, acked: u64, inflight: u64, rate: u64, round:
         app_limited: false,
         delivered: now_ms * 1000,
         round_start: round,
-        ecn_ce: false,
+        ecn_ce: ce,
         is_app_limited_now: false,
     }
 }
@@ -30,25 +30,29 @@ fn mk_ack(now_ms: u64, rtt_ms: u64, acked: u64, inflight: u64, rate: u64, round:
 /// A random but causally plausible ACK/loss script.
 #[derive(Debug, Clone)]
 enum Step {
-    Ack { dt_ms: u64, rtt_ms: u64, acked_segs: u8, rate_mbps: u32 },
+    Ack { dt_ms: u64, rtt_ms: u64, acked_segs: u8, rate_mbps: u32, in_recovery: bool, ce: bool },
     Loss,
     Rto,
+    SpuriousRto,
     RecoveryExit,
 }
 
 fn gen_script(rng: &mut SmallRng) -> Vec<Step> {
     vec_of(rng, 1, 300, |r| {
-        // Weights mirror the old proptest strategy: 8 acks : 1 loss : 1 RTO
-        // : 1 recovery exit.
-        match r.random_range(0u32..11) {
+        // 8 acks (zero-byte, in recovery and CE-echoing among them) : 1 loss
+        // : 1 RTO : 1 spurious-RTO undo : 1 recovery exit.
+        match r.random_range(0u32..12) {
             0..=7 => Step::Ack {
                 dt_ms: r.random_range(1u64..100),
                 rtt_ms: r.random_range(50u64..500),
-                acked_segs: r.random_range(1u8..16),
+                acked_segs: r.random_range(0u8..16),
                 rate_mbps: r.random_range(1u32..10_000),
+                in_recovery: r.random_range(0u32..4) == 0,
+                ce: r.random_range(0u32..8) == 0,
             },
             8 => Step::Loss,
             9 => Step::Rto,
+            10 => Step::SpuriousRto,
             _ => Step::RecoveryExit,
         }
     })
@@ -59,7 +63,7 @@ fn drive(cca: &mut dyn CongestionControl, script: &[Step]) -> Result<(), String>
     let mut round_acc = 0u64;
     for step in script {
         match *step {
-            Step::Ack { dt_ms, rtt_ms, acked_segs, rate_mbps } => {
+            Step::Ack { dt_ms, rtt_ms, acked_segs, rate_mbps, in_recovery, ce } => {
                 now_ms += dt_ms;
                 round_acc += dt_ms;
                 let round = round_acc >= 62;
@@ -73,8 +77,9 @@ fn drive(cca: &mut dyn CongestionControl, script: &[Step]) -> Result<(), String>
                     cca.cwnd() / 2,
                     rate_mbps as u64 * 1_000_000,
                     round,
+                    ce,
                 );
-                cca.on_ack(&ack, false);
+                cca.on_ack(&ack, in_recovery);
             }
             Step::Loss => {
                 let ev = LossEvent {
@@ -87,6 +92,7 @@ fn drive(cca: &mut dyn CongestionControl, script: &[Step]) -> Result<(), String>
                 cca.on_loss_event(&ev);
             }
             Step::Rto => cca.on_rto(SimTime::ZERO + SimDuration::from_millis(now_ms)),
+            Step::SpuriousRto => cca.on_spurious_rto(SimTime::ZERO + SimDuration::from_millis(now_ms)),
             Step::RecoveryExit => {
                 cca.on_recovery_exit(SimTime::ZERO + SimDuration::from_millis(now_ms))
             }
@@ -97,6 +103,8 @@ fn drive(cca: &mut dyn CongestionControl, script: &[Step]) -> Result<(), String>
         if let Some(rate) = cca.pacing_rate() {
             prop_check!(rate > 0, "{}: zero pacing rate", cca.name());
         }
+        let fails = cca.check_invariants(MSS);
+        prop_check!(fails.is_empty(), "{}: invariants failed after {step:?}: {fails:?}", cca.name());
     }
     Ok(())
 }
@@ -120,7 +128,7 @@ fn loss_based_ccas_cut_on_loss() {
         let mut cca = build_cca_seeded(kind, MSS, 1);
         // Grow to w segments via slow start.
         while cca.cwnd() < w * MSS as u64 {
-            cca.on_ack(&mk_ack(1, 62, MSS as u64, 0, 1_000_000, false), false);
+            cca.on_ack(&mk_ack(1, 62, MSS as u64, 0, 1_000_000, false, false), false);
             if !cca.in_slow_start() {
                 break;
             }

@@ -15,7 +15,7 @@ use elephants_analysis::{
     SuppressionShape,
 };
 use elephants_aqm::{Red, RedConfig};
-use elephants_cca::{BbrV2, BbrV2Config, CongestionControl, Cubic, CubicConfig};
+use elephants_cca::{BbrV2, BbrV2Config, CongestionControl, Cubic};
 use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 use elephants_experiments::svg::{ChartSpec, Series};
@@ -156,7 +156,7 @@ fn ablate_target() -> FigureOutput {
     };
 
     for hystart in [true, false] {
-        let cca = Box::new(Cubic::new(CubicConfig { hystart, ..Default::default() }, 8900));
+        let cca = Box::new(Cubic::new(hystart, 8900));
         let variant = if hystart { "on" } else { "off" };
         row("cubic_hystart", variant.to_string(), ablation_run(cca, small_fifo(), 20));
     }
@@ -167,7 +167,7 @@ fn ablate_target() -> FigureOutput {
     for gentle in [false, true] {
         let mut cfg = RedConfig::tc_defaults(1_550_000, 100_000_000, 8900);
         cfg.gentle = gentle;
-        let cca = Box::new(Cubic::new(CubicConfig::default(), 8900));
+        let cca = Box::new(Cubic::new(true, 8900));
         let variant = if gentle { "gentle" } else { "cliff" };
         row("red_gentle", variant.to_string(), ablation_run(cca, Box::new(Red::new(cfg)), 20));
     }

@@ -41,7 +41,7 @@
 //! ([`Cli::refuse_bw`]); `sweep` takes no `--record`; `dataset` takes all.
 
 use crate::cache::RunCache;
-use crate::runner::Recording;
+use crate::runner::{repeat_seeds, Recording};
 use crate::scenario::{DurationPreset, RunOptions, ScenarioConfig, PAPER_BWS};
 use elephants_netsim::{CheckMode, FaultPlan, LossModel, SimDuration, TopologySpec};
 
@@ -300,6 +300,14 @@ impl Cli {
                 other => return Err(format!("unknown flag '{other}'\n{HELP}")),
             }
         }
+        if repeat_seeds(opts.seed, opts.repeats).is_err() {
+            return Err(format!(
+                "--seed {} with --repeats {} runs past the largest seed, {}",
+                opts.seed,
+                opts.repeats,
+                u64::MAX
+            ));
+        }
         let cache = if use_cache { RunCache::new(format!("{out_dir}/cache")) } else { RunCache::disabled() };
         let cache = cache.check(shared.check.unwrap_or_default());
         let record = shared.recording(&out_dir)?;
@@ -389,6 +397,14 @@ mod tests {
         let cli = parse(&["--full"]).unwrap();
         assert_eq!(cli.opts.preset, DurationPreset::Full);
         assert_eq!(cli.opts.repeats, 5);
+        // Every repeat's seed must fit a u64: refused, naming both flags.
+        let max = u64::MAX.to_string();
+        for args in [&["--seed", &max, "--repeats", "2"][..], &["--full", "--seed", &max]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains("--seed") && err.contains("--repeats"), "{err}");
+        }
+        assert!(parse(&["--seed", &max]).is_ok());
+        assert!(parse(&["--seed", &(u64::MAX - 1).to_string(), "--repeats", "2"]).is_ok());
     }
 
     #[test]

@@ -436,16 +436,27 @@ impl Runner {
         let base = self.seed.unwrap_or(self.cfg.seed);
         let mut runs = Vec::with_capacity(self.repeats as usize);
         let mut check_reports = Vec::new();
-        for r in 0..self.repeats.max(1) {
+        for seed in repeat_seeds(base, self.repeats)? {
             // Record only the base-seed run: the artifact is for dynamics
             // figures, and repeats exist to average metrics, not figures.
-            let rec = if r == 0 { self.recording.as_ref() } else { None };
-            let (result, report) =
-                run_one(&self.cfg, base + r as u64, self.wall_limit, rec, self.check)?;
+            let rec = if seed == base { self.recording.as_ref() } else { None };
+            let (result, report) = run_one(&self.cfg, seed, self.wall_limit, rec, self.check)?;
             runs.push(result);
             check_reports.extend(report);
         }
         Ok(RunOutcome { config: self.cfg, runs, check_reports })
+    }
+}
+
+/// The seeds of `repeats` runs from `base` (`base`, `base + 1`, …), or an
+/// `InvalidConfig` error when the last one would overflow `u64`.
+pub(crate) fn repeat_seeds(base: u64, repeats: u32) -> Result<std::ops::RangeInclusive<u64>, RunError> {
+    match base.checked_add(u64::from(repeats.max(1) - 1)) {
+        Some(last) => Ok(base..=last),
+        None => Err(RunError {
+            kind: RunErrorKind::InvalidConfig,
+            detail: format!("seed {base} with {repeats} repeats runs past u64::MAX"),
+        }),
     }
 }
 
@@ -923,6 +934,11 @@ mod tests {
         assert_eq!(avg.runs.len(), 1);
         assert!((avg.jain - single.jain).abs() < 1e-15);
         assert_eq!(avg.sender_mbps, single.sender_mbps);
+        // The last seed a run may take is u64::MAX: a second repeat past it
+        // is refused, not wrapped to seed 0.
+        let err = Runner::new(&cfg).seed(u64::MAX).repeats(2).run().unwrap_err();
+        assert_eq!(err.kind, RunErrorKind::InvalidConfig, "{err}");
+        assert!(err.detail.contains("u64::MAX"), "{err}");
     }
 
     #[test]

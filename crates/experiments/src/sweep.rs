@@ -20,7 +20,7 @@
 
 use crate::cache::RunCache;
 use crate::par::par_try_map_with_workers;
-use crate::runner::{average_runs, AveragedResult, RunError, RunResult, DEFAULT_WALL_LIMIT};
+use crate::runner::{average_runs, repeat_seeds, AveragedResult, RunError, RunResult, DEFAULT_WALL_LIMIT};
 use crate::scenario::ScenarioConfig;
 use elephants_json::impl_json_struct;
 
@@ -79,12 +79,19 @@ impl SweepOutput {
     }
 }
 
-fn work_list(configs: &[ScenarioConfig], repeats: u32) -> Vec<(usize, u64)> {
-    configs
-        .iter()
-        .enumerate()
-        .flat_map(|(i, cfg)| (0..repeats).map(move |r| (i, cfg.seed + r as u64)))
-        .collect()
+/// The `(config index, seed)` cells to run. A config whose last repeat's
+/// seed would overflow `u64` is not run: it becomes one failed cell at its
+/// base seed.
+fn work_list(configs: &[ScenarioConfig], repeats: u32) -> (Vec<(usize, u64)>, Vec<FailedRun>) {
+    let mut work = Vec::new();
+    let mut failed = Vec::new();
+    for (i, cfg) in configs.iter().enumerate() {
+        match repeat_seeds(cfg.seed, repeats) {
+            Ok(seeds) => work.extend(seeds.map(|seed| (i, seed))),
+            Err(error) => failed.push(FailedRun { config: cfg.clone(), seed: cfg.seed, error }),
+        }
+    }
+    (work, failed)
 }
 
 /// The engine under every sweep entry point: run the work list through the
@@ -103,7 +110,7 @@ where
     F: Fn(&ScenarioConfig, u64) -> Result<RunResult, RunError> + Sync,
 {
     let repeats = repeats.max(1);
-    let work = work_list(configs, repeats);
+    let (work, mut failed) = work_list(configs, repeats);
     let total = work.len();
     let counter = std::sync::atomic::AtomicUsize::new(0);
 
@@ -155,10 +162,9 @@ where
     }
 
     // Regroup by config, preserving seed order; collect failures in work
-    // order.
+    // order, after the configs whose seeds overflowed.
     let mut grouped: Vec<Vec<RunResult>> =
         vec![Vec::with_capacity(repeats as usize); configs.len()];
-    let mut failed: Vec<FailedRun> = Vec::new();
     for (&(i, seed), outcome) in work.iter().zip(outcomes) {
         match outcome {
             Ok(run) => grouped[i].push(run),
@@ -466,7 +472,9 @@ mod tests {
 
     #[test]
     fn all_seeds_failing_drops_the_config_from_results() {
-        let configs = cfgs();
+        let mut configs = cfgs();
+        // Its second seed would be past u64::MAX: failed before it runs.
+        configs.push(ScenarioConfig { seed: u64::MAX, ..configs[0].clone() });
         let out = try_sweep_impl(
             &configs,
             2,
@@ -480,7 +488,9 @@ mod tests {
             None,
         );
         assert_eq!(out.results.len(), 1, "failed config must not appear in results");
-        assert_eq!(out.failed.len(), 2, "both seeds recorded");
+        assert_eq!(out.failed.len(), 3, "both seeds recorded, plus the overflowing config");
+        assert_eq!(out.failed[0].error.kind, RunErrorKind::InvalidConfig);
+        assert_eq!(out.failed[0].seed, u64::MAX);
         // Surviving config averaged over both seeds.
         assert_eq!(out.results[0].runs.len(), 2);
     }

@@ -37,7 +37,12 @@
 #                                tests/fixtures/bbr cells take both BBRs
 #                                through ProbeRTT and v2's ceiling cuts,
 #                                and one ECN cell per AQM runs every
-#                                discipline's CE-mark path
+#                                discipline's CE-mark path; then the CCA
+#                                property suite at 25600 cases in the same
+#                                profile drives every CCA through arbitrary
+#                                ACK / loss / RTO / undo scripts with
+#                                overflow checks on and `check_invariants`
+#                                after every step
 #   scripts/ci.sh --fuzz-smoke   also run the chaos fuzzer: ~25 fixed-seed
 #                                generated scenarios through the strict
 #                                four-oracle judge (invariants, graceful
@@ -306,4 +311,7 @@ if [[ "$check_smoke" -eq 1 ]]; then
     echo "check smoke: the strict CCA x AQM grid test did not run" >&2
     exit 1
   fi
+  # Every congestion controller, the loss-based window core included,
+  # through every entry point under overflow checks and debug assertions.
+  ELEPHANTS_PROP_CASES=25600 cargo test -q --profile checked --offline -p elephants-cca --test properties
 fi
