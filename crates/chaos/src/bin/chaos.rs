@@ -84,6 +84,13 @@ fn parse_args() -> Result<Args, String> {
                 .to_string(),
         );
     }
+    let (seed, cases) = (args.opts.base_seed, args.opts.cases);
+    if cases > 0 && seed.checked_add(u64::from(cases - 1)).is_none() {
+        return Err(format!(
+            "--seed {seed} with --cases {cases} runs past the largest seed, {}",
+            u64::MAX
+        ));
+    }
     if shared.scenario_flag().is_some() {
         args.opts.overrides = Some(shared);
     }

@@ -43,7 +43,8 @@ use std::time::Duration;
 pub struct FuzzOptions {
     /// Number of cases (seeds `base_seed .. base_seed + cases`).
     pub cases: u32,
-    /// First case seed.
+    /// First case seed. The last, `base_seed + cases - 1`, must not pass
+    /// `u64::MAX`; the `chaos` binary refuses flags that would.
     pub base_seed: u64,
     /// Shrink failing cases before reporting them.
     pub shrink: bool,

@@ -133,7 +133,13 @@ impl SharedFlags {
                 if ms <= 0.0 || !ms.is_finite() {
                     return Err("--sample-interval must be positive".into());
                 }
-                self.sample_interval = Some(SimDuration::from_secs_f64(ms / 1e3));
+                let interval = SimDuration::from_secs_f64(ms / 1e3);
+                if interval.is_zero() {
+                    return Err(format!(
+                        "--sample-interval {ms} ms is under the simulator's 1 ns clock tick"
+                    ));
+                }
+                self.sample_interval = Some(interval);
             }
             _ => return Ok(false),
         }
@@ -469,6 +475,8 @@ mod tests {
         assert!(parse(&["--record", "nope"]).is_err());
         assert!(parse(&["--sample-interval", "50"]).is_err(), "needs --record");
         assert!(parse(&["--record", "flows", "--sample-interval", "0"]).is_err());
+        let err = parse(&["--record", "flows", "--sample-interval", "0.0000001"]).unwrap_err();
+        assert!(err.contains("--sample-interval"), "{err}");
     }
 
     #[test]

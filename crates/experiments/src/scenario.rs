@@ -6,7 +6,7 @@ use elephants_netsim::rng::fnv1a;
 use elephants_netsim::{
     bdp_bytes, Bandwidth, FaultPlan, LossModel, SimDuration, TopologySpec, EDGE_ONE_WAY,
 };
-use elephants_json::{impl_json_struct, impl_json_unit_enum, ToJson};
+use elephants_json::{impl_json_struct, ToJson};
 
 /// The paper's bottleneck bandwidths (Table 1).
 pub const PAPER_BWS: [u64; 5] =
@@ -19,6 +19,9 @@ pub const PAPER_QUEUES_BDP: [f64; 6] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
 
 /// Jumbo-frame segment size used by every flow in the paper.
 pub const PAPER_MSS: u32 = 8900;
+
+/// Share of a run's duration before the measurement window opens.
+const WARMUP_FRAC: f64 = 0.25;
 
 /// The CCA every inter-CCA pairing of Table 1 is measured against.
 pub const PAPER_BASELINE: CcaKind = CcaKind::Cubic;
@@ -146,23 +149,11 @@ pub struct ScenarioBuilder {
 }
 
 impl ScenarioBuilder {
-    /// Override the simulated run length (and rescale the warmup to keep
-    /// the configured warmup fraction — call [`Self::warmup`] after this
-    /// to pin an absolute warmup instead).
+    /// Override the simulated run length; the warmup stays the first
+    /// quarter of it.
     pub fn duration(mut self, duration: SimDuration) -> Self {
-        let frac = if self.cfg.duration.is_zero() {
-            0.0
-        } else {
-            self.cfg.warmup.as_secs_f64() / self.cfg.duration.as_secs_f64()
-        };
         self.cfg.duration = duration;
-        self.cfg.warmup = duration.mul_f64(frac);
-        self
-    }
-
-    /// Override the measurement-window start.
-    pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.cfg.warmup = warmup;
+        self.cfg.warmup = duration.mul_f64(WARMUP_FRAC);
         self
     }
 
@@ -273,7 +264,7 @@ impl ScenarioConfig {
             queue_bdp,
             bw_bps,
             duration,
-            warmup: duration.mul_f64(opts.warmup_frac),
+            warmup: duration.mul_f64(WARMUP_FRAC),
             flow_scale: opts.flow_scale,
             mss: PAPER_MSS,
             ecn: false,
@@ -423,8 +414,6 @@ impl ScenarioConfig {
 pub struct RunOptions {
     /// Preset governing the per-bandwidth simulated duration.
     pub preset: DurationPreset,
-    /// Warmup fraction of the duration excluded from measurement.
-    pub warmup_frac: f64,
     /// Repetitions per configuration (paper: 5).
     pub repeats: u32,
     /// Table 2 flow-count scale.
@@ -432,8 +421,6 @@ pub struct RunOptions {
     /// Base seed.
     pub seed: u64,
 }
-
-impl_json_struct!(RunOptions { preset, warmup_frac, repeats, flow_scale, seed });
 
 /// How long to simulate per bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -447,18 +434,10 @@ pub enum DurationPreset {
     Full,
 }
 
-impl_json_unit_enum!(DurationPreset { Quick, Standard, Full });
-
 impl RunOptions {
     /// Default options: standard durations, 1 repeat, full flow counts.
     pub fn standard() -> Self {
-        RunOptions {
-            preset: DurationPreset::Standard,
-            warmup_frac: 0.25,
-            repeats: 1,
-            flow_scale: 1.0,
-            seed: 1,
-        }
+        RunOptions { preset: DurationPreset::Standard, repeats: 1, flow_scale: 1.0, seed: 1 }
     }
 
     /// Quick options for tests and smoke runs.
@@ -752,7 +731,7 @@ mod tests {
 
     #[test]
     fn builder_duration_rescales_warmup_fraction() {
-        let opts = RunOptions::quick(); // warmup_frac 0.25
+        let opts = RunOptions::quick();
         let cfg = ScenarioConfig::builder(
             CcaKind::Cubic,
             CcaKind::Cubic,

@@ -2,12 +2,7 @@
 //!
 //! The measurement pipeline of the study: Jain's fairness index (paper
 //! Eq. 2), overall link utilization φ (Eq. 3), relative retransmissions RR
-//! (Eq. 4), and small summary-statistics helpers used when averaging the
-//! paper's five repetitions.
-
-pub mod stats;
-
-pub use stats::{mean, mean_std, Summary};
+//! (Eq. 4), and the per-run [`RunMetrics`] record they make up.
 
 use elephants_json::impl_json_struct;
 
@@ -123,86 +118,6 @@ pub fn per_sender_goodput(flow_goodputs: &[(u32, f64)]) -> Vec<SenderThroughput>
     map.into_iter().map(|(sender, goodput_bps)| SenderThroughput { sender, goodput_bps }).collect()
 }
 
-/// Per-flow-group fairness summary for topology-aware runs.
-///
-/// On the paper's dumbbell a "group" and a "sender" coincide, so
-/// [`RunMetrics`] (whose JSON shape is pinned by the equivalence fixtures)
-/// already tells the whole story. Parking-lot and multi-dumbbell topologies
-/// have more than two groups with asymmetric paths; this type carries the
-/// per-group view — shares, Jain index, RR split — *alongside* the frozen
-/// `RunMetrics`, never inside it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupShare {
-    /// Flow-group index (position in the topology's sender list).
-    pub group: u32,
-    /// Aggregate goodput in bits/s over the measurement window.
-    pub goodput_bps: f64,
-    /// This group's fraction of the total goodput (`0.0` if total is zero).
-    pub share: f64,
-    /// Retransmitted segments attributed to this group's flows.
-    pub retransmits: u64,
-}
-
-impl_json_struct!(GroupShare { group, goodput_bps, share, retransmits });
-
-/// Per-group fairness report: the multi-group analogue of the scalar
-/// `jain`/`retransmits` fields of [`RunMetrics`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupFairness {
-    /// One entry per flow group, ordered by group index.
-    pub groups: Vec<GroupShare>,
-    /// Jain index over the per-group goodputs.
-    pub jain: f64,
-    /// Each group's retransmissions relative to the group-mean (all `1.0`
-    /// when no group retransmitted at all — a clean run is "fair").
-    pub rr_split: Vec<f64>,
-}
-
-impl_json_struct!(GroupFairness { groups, jain, rr_split });
-
-impl GroupFairness {
-    /// Assemble the per-group report from `(group, goodput_bps, retransmits)`
-    /// rows (one per group, any order; rows with the same group are summed).
-    pub fn compute(rows: &[(u32, f64, u64)]) -> Self {
-        let mut map: std::collections::BTreeMap<u32, (f64, u64)> =
-            std::collections::BTreeMap::new();
-        for &(group, bps, retx) in rows {
-            let e = map.entry(group).or_insert((0.0, 0));
-            e.0 += bps;
-            e.1 += retx;
-        }
-        let total: f64 = map.values().map(|&(bps, _)| bps).sum();
-        let groups: Vec<GroupShare> = map
-            .into_iter()
-            .map(|(group, (goodput_bps, retransmits))| GroupShare {
-                group,
-                goodput_bps,
-                share: if total > 0.0 { goodput_bps / total } else { 0.0 },
-                retransmits,
-            })
-            .collect();
-        let jain = jain_index(&groups.iter().map(|g| g.goodput_bps).collect::<Vec<_>>());
-        let n = groups.len();
-        let mean_retx: f64 = if n == 0 {
-            0.0
-        } else {
-            groups.iter().map(|g| g.retransmits as f64).sum::<f64>() / n as f64
-        };
-        // The mean is over these same groups, so mean == 0 implies every
-        // group is clean: define that as uniformly fair (1.0 each).
-        let rr_split = groups
-            .iter()
-            .map(|g| if mean_retx == 0.0 { 1.0 } else { g.retransmits as f64 / mean_retx })
-            .collect();
-        GroupFairness { groups, jain, rr_split }
-    }
-
-    /// The goodput share of one group (`0.0` for an unknown group).
-    pub fn share_of(&self, group: u32) -> f64 {
-        self.groups.iter().find(|g| g.group == group).map_or(0.0, |g| g.share)
-    }
-}
-
 /// Everything the study reports for one (config, seed) run.
 #[derive(Debug, Clone)]
 pub struct RunMetrics {
@@ -221,24 +136,6 @@ pub struct RunMetrics {
 }
 
 impl_json_struct!(RunMetrics { senders, jain, utilization, retransmits, rtos, drops });
-
-impl RunMetrics {
-    /// Assemble run metrics from raw ingredients.
-    pub fn compute(
-        flow_goodputs: &[(u32, f64)],
-        capacity_bps: f64,
-        retransmits: u64,
-        rtos: u64,
-        drops: u64,
-    ) -> Self {
-        let senders = per_sender_goodput(flow_goodputs);
-        let tputs: Vec<f64> = senders.iter().map(|s| s.goodput_bps).collect();
-        let jain = jain_index(&tputs);
-        let total: f64 = tputs.iter().sum();
-        let utilization = link_utilization(total, capacity_bps);
-        RunMetrics { senders, jain, utilization, retransmits, rtos, drops }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -337,48 +234,5 @@ mod tests {
         assert_eq!(agg.len(), 2);
         assert_eq!(agg[0].goodput_bps, 30.0);
         assert_eq!(agg[1].goodput_bps, 10.0);
-    }
-
-    #[test]
-    fn group_fairness_shares_jain_and_rr_split() {
-        // Three parking-lot groups: the long-path group got squeezed.
-        let rows = [(0u32, 60e6, 30u64), (1, 30e6, 10), (2, 10e6, 20), (0, 0.0, 0)];
-        let gf = GroupFairness::compute(&rows);
-        assert_eq!(gf.groups.len(), 3);
-        assert!((gf.share_of(0) - 0.6).abs() < 1e-12);
-        assert!((gf.share_of(2) - 0.1).abs() < 1e-12);
-        assert_eq!(gf.share_of(9), 0.0, "unknown group has no share");
-        let expect_jain = jain_index(&[60e6, 30e6, 10e6]);
-        assert!((gf.jain - expect_jain).abs() < 1e-12);
-        // mean retx = 20 -> splits 1.5, 0.5, 1.0
-        assert!((gf.rr_split[0] - 1.5).abs() < 1e-12);
-        assert!((gf.rr_split[1] - 0.5).abs() < 1e-12);
-        assert!((gf.rr_split[2] - 1.0).abs() < 1e-12);
-        // JSON round trip through the strict parser.
-        use elephants_json::{FromJson, ToJson};
-        let back = GroupFairness::from_json_str(&gf.to_json_string()).unwrap();
-        assert_eq!(back, gf);
-    }
-
-    #[test]
-    fn group_fairness_degenerate_inputs() {
-        let clean = GroupFairness::compute(&[(0, 50e6, 0), (1, 50e6, 0)]);
-        assert_eq!(clean.jain, 1.0);
-        assert_eq!(clean.rr_split, vec![1.0, 1.0], "clean run is uniformly fair");
-        let empty = GroupFairness::compute(&[]);
-        assert!(empty.groups.is_empty());
-        assert_eq!(empty.jain, 1.0);
-        let stalled = GroupFairness::compute(&[(0, 0.0, 5)]);
-        assert_eq!(stalled.share_of(0), 0.0, "zero total goodput yields zero shares");
-    }
-
-    #[test]
-    fn run_metrics_assembly() {
-        let flows = [(0u32, 40e6), (1, 40e6)];
-        let m = RunMetrics::compute(&flows, 100e6, 10, 0, 12);
-        assert_eq!(m.jain, 1.0);
-        assert!((m.utilization - 0.8).abs() < 1e-12);
-        assert_eq!(m.retransmits, 10);
-        assert_eq!(m.drops, 12);
     }
 }

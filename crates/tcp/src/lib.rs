@@ -24,29 +24,19 @@ pub use rtt::{RttEstimator, MAX_RTO, MIN_RTO};
 pub use scoreboard::{PktMeta, PktState, Scoreboard};
 pub use sender::{SenderConfig, TcpSender, DUPTHRESH};
 
-use elephants_cca::{build_cca, CcaKind};
-use elephants_netsim::NodeId;
-
-/// Build a matched sender/receiver endpoint pair for one flow.
-pub fn flow_pair(
-    kind: CcaKind,
-    sender_cfg: SenderConfig,
-    receiver_cfg: ReceiverConfig,
-    sender_node: NodeId,
-    receiver_node: NodeId,
-) -> (TcpSender, TcpReceiver) {
-    let cca = build_cca(kind, sender_cfg.mss);
-    let tx = TcpSender::new(sender_cfg, receiver_node, cca);
-    let rx = TcpReceiver::new(receiver_cfg, sender_node);
-    (tx, rx)
-}
-
 #[cfg(test)]
 mod e2e_tests {
     use super::*;
-    use elephants_cca::CcaKind;
+    use elephants_cca::{build_cca, CcaKind};
     use elephants_netsim::prelude::*;
     use elephants_netsim::RunSummary;
+
+    /// Add one flow from sender node 0 to receiver node 0, starting now.
+    fn add_flow(sim: &mut Simulator, spec: &DumbbellSpec, kind: CcaKind, cfg: SenderConfig) {
+        let tx = TcpSender::new(cfg, spec.receiver(0), build_cca(kind, cfg.mss));
+        let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
+        sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+    }
 
     /// Run one TCP flow through the paper dumbbell for `secs` seconds.
     fn run_single(kind: CcaKind, bw_mbps: u64, buffer_bdp: f64, secs: u64) -> RunSummary {
@@ -65,14 +55,7 @@ mod e2e_tests {
             },
             1,
         );
-        let (tx, rx) = flow_pair(
-            kind,
-            SenderConfig::default(),
-            ReceiverConfig::default(),
-            spec.sender(0),
-            spec.receiver(0),
-        );
-        sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+        add_flow(&mut sim, &spec, kind, SenderConfig::default());
         sim.run()
     }
 
@@ -184,9 +167,7 @@ mod e2e_tests {
             3,
         );
         let cfg = SenderConfig { total_segments: Some(100), ..Default::default() };
-        let (tx, rx) =
-            flow_pair(CcaKind::Cubic, cfg, ReceiverConfig::default(), spec.sender(0), spec.receiver(0));
-        sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+        add_flow(&mut sim, &spec, CcaKind::Cubic, cfg);
         let s = sim.run();
         assert_eq!(s.flows[0].receiver.delivered_segments, 100);
         assert_eq!(s.flows[0].sender.data_segments_sent, 100, "no spurious retx on clean path");

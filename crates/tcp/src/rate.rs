@@ -1,8 +1,8 @@
-//! Delivery-rate sampling notes and standalone helpers.
+//! The delivery-rate sample's arithmetic.
 //!
-//! The sampling algorithm lives inline in [`crate::sender::TcpSender`]
-//! (it needs the scoreboard's per-segment snapshots); this module holds the
-//! pure arithmetic so it can be property-tested in isolation.
+//! [`crate::sender::TcpSender`] takes the per-segment snapshots from its
+//! scoreboard and calls [`delivery_rate_bps`] for every ACK that yields a
+//! sample; keeping the arithmetic here lets it be property-tested alone.
 //!
 //! The estimator follows Linux `tcp_rate.c`: every transmitted segment
 //! records `(delivered, delivered_time, first_tx_time)` at send; when a
@@ -18,7 +18,7 @@
 //! sender-limited and ACK-compressed periods: it can underestimate but not
 //! overestimate the true delivery rate.
 
-use elephants_netsim::{SimDuration, SimTime};
+use elephants_netsim::SimTime;
 
 /// Compute a delivery-rate sample in bits/s.
 ///
@@ -40,17 +40,6 @@ pub fn delivery_rate_bps(
     }
     let delta = delivered_now.saturating_sub(delivered_at_send);
     Some((delta as f64 * 8.0 / interval.as_secs_f64()) as u64)
-}
-
-/// The send-interval / ack-interval pair, exposed for tests.
-#[inline]
-pub fn sample_intervals(
-    tx_time: SimTime,
-    first_tx_at_send: SimTime,
-    now: SimTime,
-    delivered_time_at_send: SimTime,
-) -> (SimDuration, SimDuration) {
-    (tx_time.since(first_tx_at_send), now.since(delivered_time_at_send))
 }
 
 #[cfg(test)]
@@ -86,12 +75,5 @@ mod tests {
     #[test]
     fn degenerate_interval_is_rejected() {
         assert!(delivery_rate_bps(1000, 0, t(5), t(5), t(5), t(5)).is_none());
-    }
-
-    #[test]
-    fn intervals_reported_correctly() {
-        let (snd, ack) = sample_intervals(t(10), t(2), t(30), t(25));
-        assert_eq!(snd, SimDuration::from_millis(8));
-        assert_eq!(ack, SimDuration::from_millis(5));
     }
 }

@@ -23,8 +23,6 @@ pub struct ReceiverConfig {
     /// immediate ACKing (`ack_every = 1`) rather than arming a timer for
     /// "now", which would ACK one event later and double the timer load.
     pub delack_timeout: SimDuration,
-    /// Throughput time-series bucket width (0 disables the series).
-    pub series_interval: SimDuration,
     /// GRO-style receive coalescing: batch up to this many back-to-back
     /// in-order segments into one cumulative ACK (`0` disables coalescing,
     /// the default). When enabled this *replaces* the delayed-ACK policy:
@@ -44,7 +42,6 @@ impl Default for ReceiverConfig {
         ReceiverConfig {
             ack_every: 2,
             delack_timeout: SimDuration::from_millis(40),
-            series_interval: SimDuration::ZERO,
             coalesce_segs: 0,
             coalesce_timeout: SimDuration::from_micros(500),
         }
@@ -107,8 +104,6 @@ pub struct TcpReceiver {
     delivered_segments: u64,
     delivered_bytes_at_mark: u64,
     ecn_marks: u64,
-    /// Optional goodput time series: bytes delivered per interval bucket.
-    series: Vec<u64>,
 }
 
 impl TcpReceiver {
@@ -129,7 +124,6 @@ impl TcpReceiver {
             delivered_segments: 0,
             delivered_bytes_at_mark: 0,
             ecn_marks: 0,
-            series: Vec::new(),
         }
     }
 
@@ -143,26 +137,14 @@ impl TcpReceiver {
         self.ooo.iter().map(|(&s, &e)| (s, e)).collect()
     }
 
-    /// Per-interval delivered-byte series (empty unless enabled).
-    pub fn series(&self) -> &[u64] {
-        &self.series
-    }
-
     /// Total delivered payload bytes.
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
     }
 
-    fn note_delivered(&mut self, bytes: u64, now: SimTime) {
+    fn note_delivered(&mut self, bytes: u64) {
         self.delivered_bytes += bytes;
         self.delivered_segments += 1;
-        if !self.cfg.series_interval.is_zero() {
-            let bucket = (now.as_nanos() / self.cfg.series_interval.as_nanos()) as usize;
-            if self.series.len() <= bucket {
-                self.series.resize(bucket + 1, 0);
-            }
-            self.series[bucket] += bytes;
-        }
     }
 
     /// Insert an out-of-order segment `[seq, seq+1)`, merging neighbours.
@@ -248,7 +230,7 @@ impl FlowEndpoint for TcpReceiver {
         let mut out_of_order = false;
         if seq == self.rcv_nxt {
             self.rcv_nxt += 1;
-            self.note_delivered(pkt.size as u64, ctx.now);
+            self.note_delivered(pkt.size as u64);
             // Pull in any now-contiguous out-of-order data.
             if let Some((&s, &e)) = self.ooo.iter().next() {
                 if s == self.rcv_nxt {
@@ -256,7 +238,7 @@ impl FlowEndpoint for TcpReceiver {
                     let n = e - s;
                     self.rcv_nxt = e;
                     for _ in 0..n {
-                        self.note_delivered(pkt.size as u64, ctx.now);
+                        self.note_delivered(pkt.size as u64);
                     }
                 }
             }

@@ -4,6 +4,7 @@
 //! The sender models an *elephant flow*: an unbounded source (iperf3-style)
 //! that always has data to send. Sequence numbers count MSS-sized segments.
 
+use crate::rate;
 use crate::rtt::RttEstimator;
 use crate::scoreboard::{PktMeta, PktState, Scoreboard};
 use elephants_cca::{AckEvent, CongestionControl, LossEvent};
@@ -358,14 +359,14 @@ impl TcpSender {
 
         // Delivery-rate sample (Linux tcp_rate_gen).
         let delivery_rate = sample.and_then(|s| {
-            let snd_us = s.tx_time.since(s.first_tx_at_send);
-            let ack_us = now.since(s.delivered_time_at_send);
-            let interval = snd_us.max(ack_us);
-            if interval.is_zero() {
-                return None;
-            }
-            let delivered_delta = self.delivered - s.delivered_at_send;
-            Some((delivered_delta as f64 * 8.0 / interval.as_secs_f64()) as u64)
+            rate::delivery_rate_bps(
+                self.delivered,
+                s.delivered_at_send,
+                s.tx_time,
+                s.first_tx_at_send,
+                now,
+                s.delivered_time_at_send,
+            )
         });
         if let Some(s) = sample {
             // Slide the send-rate window start to this sample's tx time.

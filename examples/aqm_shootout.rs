@@ -7,7 +7,8 @@
 //!
 //! Run with: `cargo run --release -p examples --bin aqm_shootout`
 
-use elephants::FairnessStudy;
+use elephants::experiments::{RunOptions, Runner, ScenarioConfig};
+use elephants::{AqmKind, CcaKind, SimDuration};
 
 fn main() {
     println!("Intra-CCA CUBIC, 2 BDP buffer: link utilization by AQM\n");
@@ -16,17 +17,17 @@ fn main() {
         [("100 Mbps", 100u64, 30u64), ("500 Mbps", 500, 20), ("1 Gbps", 1000, 15), ("10 Gbps", 10_000, 6)]
     {
         let mut row = format!("{label:<10}");
-        for aqm in ["fifo", "red", "fq_codel"] {
-            let out = FairnessStudy::builder()
-                .cca_pair("cubic", "cubic")
-                .aqm(aqm)
-                .bandwidth_mbps(mbps)
-                .queue_bdp(2.0)
-                .duration_secs(secs)
-                .flow_scale(if mbps >= 10_000 { 0.25 } else { 1.0 })
+        let opts = RunOptions {
+            flow_scale: if mbps >= 10_000 { 0.25 } else { 1.0 },
+            ..RunOptions::standard()
+        };
+        for aqm in [AqmKind::Fifo, AqmKind::Red, AqmKind::FqCodel] {
+            let cubic = CcaKind::Cubic;
+            let cfg = ScenarioConfig::builder(cubic, cubic, aqm, 2.0, mbps * 1_000_000, &opts)
+                .duration(SimDuration::from_secs(secs))
                 .build()
-                .expect("valid study")
-                .run();
+                .expect("valid scenario");
+            let out = Runner::new(&cfg).run().expect("run").into_averaged();
             row.push_str(&format!("  {:>8.3}", out.utilization));
         }
         println!("{row}");

@@ -7,8 +7,9 @@
 //! rises, while the model-based BBRs shrug it off until the loss rate
 //! crosses BBRv2's 2 % threshold.
 //!
-//! This example drives the simulator directly (no FairnessStudy wrapper) to
-//! show the lower-level API: topology, AQM install, fault injection, flows.
+//! This example drives the simulator directly (no `ScenarioConfig` or
+//! `Runner`) to show the lower-level API: topology, AQM install, fault
+//! injection, flows.
 //!
 //! Run with: `cargo run --release -p examples --bin lossy_path`
 

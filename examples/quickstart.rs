@@ -6,24 +6,29 @@
 //!
 //! Run with: `cargo run --release -p examples --bin quickstart`
 
-use elephants::FairnessStudy;
+use elephants::experiments::{RunOptions, Runner, ScenarioConfig};
+use elephants::{AqmKind, CcaKind, SimDuration};
 
 fn main() {
     println!("BBRv1 vs CUBIC, 100 Mbps bottleneck, FIFO, 62 ms RTT\n");
     println!("{:>10}  {:>12}  {:>12}  {:>7}  {:>5}", "buffer", "BBRv1 Mbps", "CUBIC Mbps", "Jain", "util");
+    let opts = RunOptions::standard();
     for queue_bdp in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
-        let outcome = FairnessStudy::builder()
-            .cca_pair("bbr1", "cubic")
-            .aqm("fifo")
-            .bandwidth_mbps(100)
-            .queue_bdp(queue_bdp)
-            .duration_secs(30)
-            .build()
-            .expect("valid study")
-            .run();
+        let cfg = ScenarioConfig::builder(
+            CcaKind::BbrV1,
+            CcaKind::Cubic,
+            AqmKind::Fifo,
+            queue_bdp,
+            100_000_000,
+            &opts,
+        )
+        .duration(SimDuration::from_secs(30))
+        .build()
+        .expect("valid scenario");
+        let out = Runner::new(&cfg).run().expect("run").into_averaged();
         println!(
             "{:>8} x  {:>12.2}  {:>12.2}  {:>7.3}  {:>5.2}",
-            queue_bdp, outcome.sender1_mbps, outcome.sender2_mbps, outcome.jain, outcome.utilization
+            queue_bdp, out.sender_mbps[0], out.sender_mbps[1], out.jain, out.utilization
         );
     }
     println!("\n(x = multiples of the bandwidth-delay product, 775 kB here)");

@@ -122,14 +122,16 @@ if git rev-parse --is-inside-work-tree >/dev/null 2>&1 \
   exit 1
 fi
 
-cargo build --release --offline
-cargo clippy --offline --workspace --all-targets -- -D warnings
-cargo test -q --offline
+# --locked: a manifest change that would rewrite a tracked lock file fails
+# here instead of silently moving Cargo.lock or benchmark/Cargo.lock.
+cargo build --release --offline --locked
+cargo clippy --offline --locked --workspace --all-targets -- -D warnings
+cargo test -q --offline --locked
 
 if [[ "$benchmark_smoke" -eq 1 ]]; then
   # run.sh exits nonzero when any workload reports `correct: false` or a
   # failed cell; its results go to benchmark/target/ (ignored by git).
-  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+  cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
   benchmark/run.sh --smoke --traced
 fi
 

@@ -1,52 +1,30 @@
 //! Cross-crate integration: wiring the simulator, TCP stack, AQMs and
 //! metrics together through the public APIs.
 
-use elephants::cca::{build_cca_seeded, CcaKind};
+use elephants::cca::{build_cca, build_cca_seeded, CcaKind};
 use elephants::netsim::prelude::*;
 use elephants::netsim::LossModel;
-use elephants::tcp::{flow_pair, ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use elephants::FairnessStudy;
+use elephants::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
+use integration_tests::{run_study, study_config};
 
 #[test]
 fn study_outcome_invariants_hold_across_grid_sample() {
     for aqm in ["fifo", "red", "fq_codel"] {
         for (a, b) in [("cubic", "cubic"), ("bbr2", "cubic")] {
-            let out = FairnessStudy::builder()
-                .cca_pair(a, b)
-                .aqm(aqm)
-                .bandwidth_mbps(100)
-                .queue_bdp(1.0)
-                .duration_secs(6)
-                .build()
-                .unwrap()
-                .run();
+            let out = run_study(&study_config(a, b, aqm, 1.0, 100, 6).build().unwrap(), 1);
             assert!(out.jain > 0.0 && out.jain <= 1.0, "{aqm} {a}/{b} J={}", out.jain);
             assert!(out.utilization >= 0.0 && out.utilization <= 1.0);
-            assert!(out.sender1_mbps >= 0.0 && out.sender2_mbps >= 0.0);
-            assert_eq!(out.flows, 2);
+            assert!(out.sender_mbps[0] >= 0.0 && out.sender_mbps[1] >= 0.0);
+            assert_eq!(out.runs[0].flows, 2);
         }
     }
 }
 
 #[test]
 fn repeats_average_differs_from_single_seed() {
-    let single = FairnessStudy::builder()
-        .cca_pair("cubic", "cubic")
-        .bandwidth_mbps(100)
-        .duration_secs(5)
-        .seed(1)
-        .build()
-        .unwrap()
-        .run();
-    let averaged = FairnessStudy::builder()
-        .cca_pair("cubic", "cubic")
-        .bandwidth_mbps(100)
-        .duration_secs(5)
-        .seed(1)
-        .repeats(3)
-        .build()
-        .unwrap()
-        .run();
+    let cfg = study_config("cubic", "cubic", "fifo", 2.0, 100, 5).seed(1).build().unwrap();
+    let single = run_study(&cfg, 1);
+    let averaged = run_study(&cfg, 3);
     // Both valid; the averaged one used 3 seeds (weak check: both sane).
     assert!(single.utilization > 0.5 && averaged.utilization > 0.5);
 }
@@ -54,16 +32,8 @@ fn repeats_average_differs_from_single_seed() {
 #[test]
 fn ecn_enabled_end_to_end_reduces_drops_with_fq_codel() {
     let run = |ecn: bool| {
-        FairnessStudy::builder()
-            .cca_pair("bbr2", "bbr2")
-            .aqm("fq_codel")
-            .bandwidth_mbps(100)
-            .queue_bdp(2.0)
-            .duration_secs(8)
-            .ecn(ecn)
-            .build()
-            .unwrap()
-            .run()
+        let cfg = study_config("bbr2", "bbr2", "fq_codel", 2.0, 100, 8).ecn(ecn).build().unwrap();
+        run_study(&cfg, 1)
     };
     let without = run(false);
     let with = run(true);
@@ -124,13 +94,9 @@ fn gilbert_elliott_bursts_hurt_more_than_bernoulli_for_cubic() {
             },
             5,
         );
-        let (tx, rx) = flow_pair(
-            CcaKind::Cubic,
-            SenderConfig::default(),
-            ReceiverConfig::default(),
-            spec.sender(0),
-            spec.receiver(0),
-        );
+        let cca = build_cca(CcaKind::Cubic, 8900);
+        let tx = TcpSender::new(SenderConfig::default(), spec.receiver(0), cca);
+        let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
         sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
         let s = sim.run();
         s.flows[0].window_goodput_bps(s.window) / 1e6
@@ -143,16 +109,10 @@ fn gilbert_elliott_bursts_hurt_more_than_bernoulli_for_cubic() {
 
 #[test]
 fn flow_scale_controls_flow_count() {
-    let out = FairnessStudy::builder()
-        .cca_pair("cubic", "cubic")
-        .bandwidth_mbps(500)
-        .duration_secs(4)
-        .flow_scale(0.4)
-        .build()
-        .unwrap()
-        .run();
+    let cfg = study_config("cubic", "cubic", "fifo", 2.0, 500, 4).flow_scale(0.4).build().unwrap();
+    let out = run_study(&cfg, 1);
     // Table 2 at 500 Mbps = 5 flows/node; 40% = 2/node = 4 total.
-    assert_eq!(out.flows, 4);
+    assert_eq!(out.runs[0].flows, 4);
 }
 
 #[test]
@@ -160,24 +120,8 @@ fn pie_extension_keeps_delay_low_with_good_utilization() {
     // The PIE extension (RFC 8033): near-full utilization at 100 Mbps with
     // a 15 ms delay target — the standing queue stays far below what CUBIC
     // would build through plain FIFO.
-    let fifo = elephants::FairnessStudy::builder()
-        .cca_pair("cubic", "cubic")
-        .aqm("fifo")
-        .bandwidth_mbps(100)
-        .queue_bdp(8.0)
-        .duration_secs(15)
-        .build()
-        .unwrap()
-        .run();
-    let pie = elephants::FairnessStudy::builder()
-        .cca_pair("cubic", "cubic")
-        .aqm("pie")
-        .bandwidth_mbps(100)
-        .queue_bdp(8.0)
-        .duration_secs(15)
-        .build()
-        .unwrap()
-        .run();
+    let fifo = run_study(&study_config("cubic", "cubic", "fifo", 8.0, 100, 15).build().unwrap(), 1);
+    let pie = run_study(&study_config("cubic", "cubic", "pie", 8.0, 100, 15).build().unwrap(), 1);
     assert!(pie.utilization > 0.8, "PIE phi = {:.3}", pie.utilization);
     assert!(pie.jain > 0.85, "PIE J = {:.3}", pie.jain);
     // FIFO at 8 BDP has no drops to speak of but a giant queue; PIE trades

@@ -12,10 +12,10 @@ fn fifo_small_buffer_favors_bbr1_over_cubic() {
     // CUBIC through a shallow FIFO.
     let out = quick_study("bbr1", "cubic", "fifo", 0.5, 100);
     assert!(
-        out.sender1_mbps > out.sender2_mbps,
+        out.sender_mbps[0] > out.sender_mbps[1],
         "BBRv1 should win at 0.5 BDP: bbr1={:.1} cubic={:.1}",
-        out.sender1_mbps,
-        out.sender2_mbps
+        out.sender_mbps[0],
+        out.sender_mbps[1]
     );
 }
 
@@ -26,8 +26,8 @@ fn fifo_reno_close_at_small_buffer_then_loses_at_large() {
     // (paper runs 200 s), so the 16 BDP arm runs longer.
     let small = study_secs("reno", "cubic", "fifo", 0.5, 100, 30);
     let large = study_secs("reno", "cubic", "fifo", 16.0, 100, 120);
-    let share_small = small.sender1_mbps / (small.sender1_mbps + small.sender2_mbps);
-    let share_large = large.sender1_mbps / (large.sender1_mbps + large.sender2_mbps);
+    let share_small = small.sender_mbps[0] / (small.sender_mbps[0] + small.sender_mbps[1]);
+    let share_large = large.sender_mbps[0] / (large.sender_mbps[0] + large.sender_mbps[1]);
     assert!(
         share_large < share_small,
         "Reno's share must shrink with buffer depth: {share_small:.3} -> {share_large:.3}"
@@ -39,10 +39,10 @@ fn red_lets_bbr1_crush_cubic() {
     // Fig 4(a)-(e): under RED, BBRv1 takes nearly everything.
     let out = quick_study("bbr1", "cubic", "red", 2.0, 100);
     assert!(
-        out.sender1_mbps > 3.0 * out.sender2_mbps,
+        out.sender_mbps[0] > 3.0 * out.sender_mbps[1],
         "BBRv1 must dominate under RED: bbr1={:.1} cubic={:.1}",
-        out.sender1_mbps,
-        out.sender2_mbps
+        out.sender_mbps[0],
+        out.sender_mbps[1]
     );
     assert!(out.jain < 0.9, "fairness must be poor, J={:.3}", out.jain);
 }
