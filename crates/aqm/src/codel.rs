@@ -1,9 +1,10 @@
 //! CoDel — Controlled Delay AQM (Nichols & Jacobson, RFC 8289).
 //!
 //! CoDel watches each packet's *sojourn time* through the queue. If the
-//! sojourn stays above `target` for longer than `interval`, it enters a
-//! dropping state and drops packets on dequeue at increasing frequency
-//! (`interval / sqrt(count)`) until the delay falls back under `target`.
+//! sojourn stays above `TARGET` (5 ms) for longer than `INTERVAL` (100 ms),
+//! it enters a dropping state and drops packets on dequeue at increasing
+//! frequency (`INTERVAL / sqrt(count)`) until the delay falls back under
+//! `TARGET`.
 //!
 //! [`CodelState`] is the reusable control-law core; [`Codel`] wraps it into
 //! a standalone discipline, and `FqCodel` embeds one state per flow queue.
@@ -12,38 +13,13 @@ use elephants_netsim::{
     Aqm, AqmStats, CheckFailure, DequeueResult, DropTail, Packet, PacketFifo, SimDuration, SimTime,
     Verdict,
 };
-use elephants_json::impl_json_struct;
 use elephants_netsim::SmallRng;
 
-/// CoDel parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CodelConfig {
-    /// Acceptable standing queue delay (RFC default 5 ms).
-    pub target: SimDuration,
-    /// Sliding window over which to observe the minimum sojourn
-    /// (RFC default 100 ms — a worst-case expected RTT).
-    pub interval: SimDuration,
-    /// Hard byte limit on the queue.
-    pub limit_bytes: u64,
-    /// Link MTU: dropping is suppressed when less than one MTU is queued.
-    pub mtu: u32,
-    /// Mark ECN-capable packets instead of dropping them.
-    pub ecn: bool,
-}
-
-impl_json_struct!(CodelConfig { target, interval, limit_bytes, mtu, ecn });
-
-impl Default for CodelConfig {
-    fn default() -> Self {
-        CodelConfig {
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-            limit_bytes: 32 * 1024 * 1024,
-            mtu: 8900,
-            ecn: false,
-        }
-    }
-}
+/// Acceptable standing queue delay (RFC 8289 default 5 ms).
+const TARGET: SimDuration = SimDuration::from_millis(5);
+/// Sliding window over which to observe the minimum sojourn (RFC 8289
+/// default 100 ms — a worst-case expected RTT).
+const INTERVAL: SimDuration = SimDuration::from_millis(100);
 
 /// The CoDel control-law state machine (one per queue).
 #[derive(Debug, Clone, Copy, Default)]
@@ -68,27 +44,22 @@ pub struct CodelOutcome {
 
 impl CodelState {
     #[inline]
-    fn control_law(t: SimTime, interval: SimDuration, count: u32) -> SimTime {
-        t + interval.mul_f64(1.0 / (count.max(1) as f64).sqrt())
+    fn control_law(t: SimTime, count: u32) -> SimTime {
+        t + INTERVAL.mul_f64(1.0 / (count.max(1) as f64).sqrt())
     }
 
     /// Check a freshly popped packet's sojourn time; returns `true` if the
     /// delay has been above target for a full interval ("ok to drop").
-    fn sojourn_above(
-        &mut self,
-        cfg: &CodelConfig,
-        now: SimTime,
-        pkt: &Packet,
-        backlog_after: u64,
-    ) -> bool {
+    /// Dropping is suppressed while less than one `mtu` stays queued.
+    fn sojourn_above(&mut self, mtu: u32, now: SimTime, pkt: &Packet, backlog_after: u64) -> bool {
         let sojourn = now.since(pkt.enqueued_at);
-        if sojourn < cfg.target || backlog_after <= cfg.mtu as u64 {
+        if sojourn < TARGET || backlog_after <= mtu as u64 {
             self.first_above_time = None;
             false
         } else {
             match self.first_above_time {
                 None => {
-                    self.first_above_time = Some(now + cfg.interval);
+                    self.first_above_time = Some(now + INTERVAL);
                     false
                 }
                 Some(fat) => now >= fat,
@@ -96,11 +67,12 @@ impl CodelState {
         }
     }
 
-    /// RFC 8289 dequeue: pop packets from `q`, dropping (or marking)
-    /// according to the control law.
+    /// RFC 8289 dequeue: pop packets from `q`, dropping (or, with `ecn`,
+    /// marking ECN-capable ones) according to the control law.
     pub(crate) fn dequeue(
         &mut self,
-        cfg: &CodelConfig,
+        mtu: u32,
+        ecn: bool,
         now: SimTime,
         q: &mut PacketFifo,
     ) -> (Option<Packet>, CodelOutcome) {
@@ -113,18 +85,18 @@ impl CodelState {
                 return (None, out);
             }
         };
-        let mut ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes());
+        let mut ok_to_drop = self.sojourn_above(mtu, now, &pkt, q.bytes());
 
         if self.dropping {
             if !ok_to_drop {
                 self.dropping = false;
             } else {
                 while self.dropping && now >= self.drop_next {
-                    if cfg.ecn && pkt.ecn_capable {
+                    if ecn && pkt.ecn_capable {
                         pkt.ecn_ce = true;
                         out.marked += 1;
                         self.count += 1;
-                        self.drop_next = Self::control_law(self.drop_next, cfg.interval, self.count);
+                        self.drop_next = Self::control_law(self.drop_next, self.count);
                         // Marked packets are delivered, not dropped: stop here.
                         return (Some(pkt), out);
                     }
@@ -138,17 +110,17 @@ impl CodelState {
                             return (None, out);
                         }
                     };
-                    ok_to_drop = self.sojourn_above(cfg, now, &pkt, q.bytes());
+                    ok_to_drop = self.sojourn_above(mtu, now, &pkt, q.bytes());
                     if !ok_to_drop {
                         self.dropping = false;
                     } else {
-                        self.drop_next = Self::control_law(self.drop_next, cfg.interval, self.count);
+                        self.drop_next = Self::control_law(self.drop_next, self.count);
                     }
                 }
             }
         } else if ok_to_drop {
             // Enter dropping state.
-            if cfg.ecn && pkt.ecn_capable {
+            if ecn && pkt.ecn_capable {
                 pkt.ecn_ce = true;
                 out.marked += 1;
             } else {
@@ -160,22 +132,22 @@ impl CodelState {
                         self.dropping = true;
                         self.count = 1;
                         self.lastcount = 1;
-                        self.drop_next = Self::control_law(now, cfg.interval, 1);
+                        self.drop_next = Self::control_law(now, 1);
                         return (None, out);
                     }
                 };
-                let _ = self.sojourn_above(cfg, now, &pkt, q.bytes());
+                let _ = self.sojourn_above(mtu, now, &pkt, q.bytes());
             }
             self.dropping = true;
             // If we recently stopped dropping, resume the drop rate where we
             // left off instead of restarting from 1 (RFC 8289 §5.4).
             let delta = self.count.saturating_sub(self.lastcount);
-            self.count = if delta > 1 && now.since(self.drop_next) < cfg.interval * 16 {
+            self.count = if delta > 1 && now.since(self.drop_next) < INTERVAL * 16 {
                 delta
             } else {
                 1
             };
-            self.drop_next = Self::control_law(now, cfg.interval, self.count);
+            self.drop_next = Self::control_law(now, self.count);
             self.lastcount = self.count;
         }
         (Some(pkt), out)
@@ -185,20 +157,17 @@ impl CodelState {
 /// Standalone CoDel queue discipline: the control law over a [`DropTail`].
 #[derive(Debug)]
 pub struct Codel {
-    cfg: CodelConfig,
+    mtu: u32,
+    ecn: bool,
     state: CodelState,
     queue: DropTail,
 }
 
 impl Codel {
-    /// Build a CoDel queue.
-    pub fn new(cfg: CodelConfig) -> Self {
-        Codel { cfg, state: CodelState::default(), queue: DropTail::new(cfg.limit_bytes) }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &CodelConfig {
-        &self.cfg
+    /// Build a CoDel queue of `limit_bytes` on a link of `mtu`; with `ecn`
+    /// it marks ECN-capable packets instead of dropping them.
+    pub fn new(limit_bytes: u64, mtu: u32, ecn: bool) -> Self {
+        Codel { mtu, ecn, state: CodelState::default(), queue: DropTail::new(limit_bytes) }
     }
 
     /// The control-law state (for tests).
@@ -214,7 +183,7 @@ impl Aqm for Codel {
 
     fn dequeue(&mut self, now: SimTime, _rng: &mut SmallRng) -> DequeueResult {
         self.queue.dequeue_by(|fifo| {
-            let (pkt, out) = self.state.dequeue(&self.cfg, now, fifo);
+            let (pkt, out) = self.state.dequeue(self.mtu, self.ecn, now, fifo);
             (pkt, out.dropped, out.marked)
         })
     }
@@ -258,9 +227,14 @@ mod tests {
         SimDuration::from_millis(x)
     }
 
+    /// A 32 MiB CoDel on a jumbo-frame link, ECN off.
+    fn codel() -> Codel {
+        Codel::new(32 * 1024 * 1024, 8900, false)
+    }
+
     #[test]
     fn no_drops_when_sojourn_below_target() {
-        let mut q = Codel::new(CodelConfig::default());
+        let mut q = codel();
         let mut r = rng();
         let t0 = SimTime::ZERO;
         for i in 0..100 {
@@ -277,7 +251,7 @@ mod tests {
 
     #[test]
     fn sustained_delay_triggers_dropping_state() {
-        let mut q = Codel::new(CodelConfig::default());
+        let mut q = codel();
         let mut r = rng();
         // Fill with packets all enqueued at t=0.
         let t0 = SimTime::ZERO;
@@ -298,7 +272,7 @@ mod tests {
 
     #[test]
     fn first_drop_only_after_full_interval() {
-        let mut q = Codel::new(CodelConfig::default());
+        let mut q = codel();
         let mut r = rng();
         let t0 = SimTime::ZERO;
         for i in 0..1000 {
@@ -317,7 +291,7 @@ mod tests {
 
     #[test]
     fn drop_clock_resets_when_queue_drains() {
-        let mut q = Codel::new(CodelConfig::default());
+        let mut q = codel();
         let mut r = rng();
         let t0 = SimTime::ZERO;
         for i in 0..10 {
@@ -342,10 +316,9 @@ mod tests {
     #[test]
     fn control_law_shrinks_interval_with_sqrt_count() {
         let t = SimTime::ZERO;
-        let i = ms(100);
-        let d1 = CodelState::control_law(t, i, 1) - t;
-        let d4 = CodelState::control_law(t, i, 4) - t;
-        let d16 = CodelState::control_law(t, i, 16) - t;
+        let d1 = CodelState::control_law(t, 1) - t;
+        let d4 = CodelState::control_law(t, 4) - t;
+        let d16 = CodelState::control_law(t, 16) - t;
         assert_eq!(d1, ms(100));
         assert_eq!(d4, ms(50));
         assert_eq!(d16, ms(25));
@@ -353,8 +326,7 @@ mod tests {
 
     #[test]
     fn hard_limit_tail_drops() {
-        let cfg = CodelConfig { limit_bytes: 5_000, ..Default::default() };
-        let mut q = Codel::new(cfg);
+        let mut q = Codel::new(5_000, 8900, false);
         let mut r = rng();
         let mut drops = 0;
         for i in 0..10 {
@@ -368,8 +340,7 @@ mod tests {
 
     #[test]
     fn ecn_marks_instead_of_dropping() {
-        let cfg = CodelConfig { ecn: true, ..Default::default() };
-        let mut q = Codel::new(cfg);
+        let mut q = Codel::new(32 * 1024 * 1024, 8900, true);
         let mut r = rng();
         let t0 = SimTime::ZERO;
         for i in 0..1000 {

@@ -2,9 +2,9 @@
 //! one table row per [`AqmKind`], read by everything that names, parses,
 //! lists or builds one.
 
-use crate::codel::{Codel, CodelConfig};
-use crate::fq_codel::{FqCodel, FqCodelConfig};
-use crate::pie::{Pie, PieConfig};
+use crate::codel::Codel;
+use crate::fq_codel::FqCodel;
+use crate::pie::Pie;
 use crate::red::{Red, RedConfig};
 use elephants_netsim::{Aqm, DropTail};
 
@@ -21,12 +21,8 @@ elephants_json::kind_table! {
         Fifo: "fifo", ["pfifo", "droptail"], paper: true,
             |buffer, _, mtu, _, _| Box::new(DropTail::new(buffer.max(mtu as u64)));
         /// Flow-queuing CoDel (`tc fq_codel`).
-        FqCodel: "fq_codel", ["fqcodel", "fq-codel"], paper: true, |buffer, _, mtu, ecn, hash_salt| {
-            let mut cfg = FqCodelConfig::tc_defaults(buffer, mtu);
-            cfg.codel.ecn = ecn;
-            cfg.hash_salt = hash_salt;
-            Box::new(FqCodel::new(cfg))
-        };
+        FqCodel: "fq_codel", ["fqcodel", "fq-codel"], paper: true,
+            |buffer, _, mtu, ecn, hash_salt| Box::new(FqCodel::new(buffer, mtu, ecn, hash_salt));
         /// Random Early Detection.
         Red: "red", [], paper: true, |buffer, bandwidth_bps, mtu, ecn, _| {
             let mut cfg = RedConfig::tc_defaults(buffer.max(4 * mtu as u64), bandwidth_bps, mtu);
@@ -34,15 +30,11 @@ elephants_json::kind_table! {
             Box::new(Red::new(cfg))
         };
         /// Plain single-queue CoDel (not in the paper's grid; kept for ablations).
-        Codel: "codel", [], paper: false, |buffer, _, mtu, ecn, _| {
-            let limit_bytes = buffer.max(4 * mtu as u64);
-            Box::new(Codel::new(CodelConfig { limit_bytes, mtu, ecn, ..Default::default() }))
-        };
+        Codel: "codel", [], paper: false,
+            |buffer, _, mtu, ecn, _| Box::new(Codel::new(buffer.max(4 * mtu as u64), mtu, ecn));
         /// PIE, RFC 8033 (extension: the paper's "future AQM" direction).
-        Pie: "pie", [], paper: false, |buffer, _, mtu, ecn, _| {
-            let limit_bytes = buffer.max(4 * mtu as u64);
-            Box::new(Pie::new(PieConfig { limit_bytes, ecn, ..Default::default() }))
-        };
+        Pie: "pie", [], paper: false,
+            |buffer, _, mtu, ecn, _| Box::new(Pie::new(buffer.max(4 * mtu as u64), ecn));
     }
 }
 

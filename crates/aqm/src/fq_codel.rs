@@ -1,57 +1,20 @@
 //! FQ-CoDel — flow-queuing CoDel (RFC 8290, `tc fq_codel`).
 //!
-//! Arriving packets are hashed by flow into one of `flows` sub-queues.
-//! Sub-queues are served by deficit round robin (quantum = one MTU by
-//! default) with the usual new-flow priority list, and each sub-queue is
+//! Arriving packets are hashed by flow into one of `FLOWS` (1024)
+//! sub-queues. Sub-queues are served by deficit round robin (quantum = one
+//! MTU, as in tc) with the usual new-flow priority list, and each sub-queue is
 //! governed by its own CoDel instance. On overflow, packets are dropped from
 //! the head of the *fattest* sub-queue, which is what protects light flows
 //! from heavy ones.
 
-use crate::codel::{CodelConfig, CodelState};
+use crate::codel::CodelState;
 use elephants_netsim::{Aqm, AqmStats, CheckFailure, DequeueResult, Packet, PacketFifo, SimTime, Verdict};
-use elephants_json::impl_json_struct;
 use elephants_netsim::SmallRng;
 use std::collections::VecDeque;
 
-/// FQ-CoDel parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FqCodelConfig {
-    /// Number of hash buckets (tc default 1024).
-    pub flows: usize,
-    /// DRR quantum in bytes (tc default: one MTU).
-    pub quantum: u32,
-    /// Hard limit on total queued packets (tc default 10240).
-    pub limit_pkts: usize,
-    /// Hard limit on total queued bytes (tc `memory_limit`, default 32 MB).
-    pub memory_limit: u64,
-    /// Per-bucket CoDel parameters.
-    pub codel: CodelConfig,
-    /// Salt mixed into the flow hash (set per run for collision realism).
-    pub hash_salt: u64,
-}
-
-impl_json_struct!(FqCodelConfig { flows, quantum, limit_pkts, memory_limit, codel, hash_salt });
-
-impl FqCodelConfig {
-    /// `tc fq_codel` defaults for the given MTU, with the byte capacity of
-    /// the configured buffer.
-    pub fn tc_defaults(buffer_bytes: u64, mtu: u32) -> Self {
-        FqCodelConfig {
-            flows: 1024,
-            quantum: mtu,
-            // tc defaults to 10240 packets; honour the experiment's buffer
-            // size in packets so the "queue length" knob stays meaningful.
-            limit_pkts: ((buffer_bytes / mtu as u64) as usize).clamp(64, 10240 * 64),
-            memory_limit: buffer_bytes.max(4 * mtu as u64),
-            codel: CodelConfig {
-                limit_bytes: u64::MAX, // bucket-level limit unused; global limits apply
-                mtu,
-                ..CodelConfig::default()
-            },
-            hash_salt: 0,
-        }
-    }
-}
+/// Number of hash buckets (tc default 1024).
+const FLOWS: usize = 1024;
+const _: () = assert!(FLOWS.is_power_of_two(), "bucket_of masks the hash with FLOWS - 1");
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ListState {
@@ -81,7 +44,17 @@ impl Bucket {
 
 /// The FQ-CoDel discipline.
 pub struct FqCodel {
-    cfg: FqCodelConfig,
+    /// Hard limit on total queued packets.
+    limit_pkts: usize,
+    /// Hard limit on total queued bytes (tc `memory_limit`).
+    memory_limit: u64,
+    /// Link MTU: the DRR quantum (as in tc), and the backlog under which
+    /// each bucket's CoDel stops dropping.
+    mtu: u32,
+    /// Mark ECN-capable packets instead of dropping them.
+    ecn: bool,
+    /// Salt mixed into the flow hash (set per run for collision realism).
+    hash_salt: u64,
     buckets: Vec<Bucket>,
     new_flows: VecDeque<usize>,
     old_flows: VecDeque<usize>,
@@ -96,32 +69,35 @@ pub struct FqCodel {
 }
 
 impl FqCodel {
-    /// Build an FQ-CoDel queue.
-    pub fn new(cfg: FqCodelConfig) -> Self {
-        assert!(cfg.flows > 0 && cfg.flows.is_power_of_two(), "flows must be a power of two");
-        assert!(cfg.quantum > 0);
+    /// Build an FQ-CoDel queue with the `tc fq_codel` defaults for `mtu`
+    /// and the byte capacity of the experiment's `buffer_bytes`; with `ecn`
+    /// its CoDels mark ECN-capable packets instead of dropping them, and
+    /// `hash_salt` perturbs the flow hash.
+    pub fn new(buffer_bytes: u64, mtu: u32, ecn: bool, hash_salt: u64) -> Self {
+        assert!(mtu > 0);
         FqCodel {
-            buckets: (0..cfg.flows).map(|_| Bucket::new()).collect(),
+            // tc defaults to 10240 packets; honour the experiment's buffer
+            // size in packets so the "queue length" knob stays meaningful.
+            limit_pkts: ((buffer_bytes / mtu as u64) as usize).clamp(64, 10240 * 64),
+            memory_limit: buffer_bytes.max(4 * mtu as u64),
+            mtu,
+            ecn,
+            hash_salt,
+            buckets: (0..FLOWS).map(|_| Bucket::new()).collect(),
             new_flows: VecDeque::new(),
             old_flows: VecDeque::new(),
             total_pkts: 0,
             total_bytes: 0,
             evicted_accepted: 0,
             stats: AqmStats::default(),
-            cfg,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &FqCodelConfig {
-        &self.cfg
     }
 
     /// Bucket index for a flow (exposed for tests).
     pub fn bucket_of(&self, flow: u32) -> usize {
         // Fibonacci hashing mixed with the per-run salt.
-        let h = (flow as u64 ^ self.cfg.hash_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & (self.cfg.flows - 1)
+        let h = (flow as u64 ^ self.hash_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 32) as usize & (FLOWS - 1)
     }
 
     /// Number of distinct non-empty buckets (diagnostic).
@@ -153,7 +129,7 @@ impl Aqm for FqCodel {
             b.queue.push(pkt);
             if b.state == ListState::Idle {
                 b.state = ListState::New;
-                b.deficit = self.cfg.quantum as i64;
+                b.deficit = self.mtu as i64;
                 self.new_flows.push_back(idx);
             }
         }
@@ -162,7 +138,7 @@ impl Aqm for FqCodel {
         self.stats.enqueued += 1;
 
         let mut own_dropped = false;
-        while self.total_pkts > self.cfg.limit_pkts || self.total_bytes > self.cfg.memory_limit {
+        while self.total_pkts > self.limit_pkts || self.total_bytes > self.memory_limit {
             match self.drop_from_fattest() {
                 Some(d) => {
                     if (d.flow, d.seq, d.kind) == key {
@@ -195,7 +171,7 @@ impl Aqm for FqCodel {
             };
 
             if self.buckets[idx].deficit <= 0 {
-                let q = self.cfg.quantum as i64;
+                let q = self.mtu as i64;
                 let b = &mut self.buckets[idx];
                 b.deficit += q;
                 b.state = ListState::Old;
@@ -209,10 +185,9 @@ impl Aqm for FqCodel {
             }
 
             // Run CoDel on this bucket.
-            let cfg = self.cfg.codel;
             let b = &mut self.buckets[idx];
             let bytes_before = b.queue.bytes();
-            let (pkt, outcome) = b.codel.dequeue(&cfg, now, &mut b.queue);
+            let (pkt, outcome) = b.codel.dequeue(self.mtu, self.ecn, now, &mut b.queue);
             let popped_bytes = bytes_before - b.queue.bytes();
             let popped = outcome.dropped as usize + pkt.is_some() as usize;
             self.total_pkts -= popped;
@@ -336,13 +311,14 @@ mod tests {
         SmallRng::seed_from_u64(0)
     }
 
-    fn cfg() -> FqCodelConfig {
-        FqCodelConfig::tc_defaults(1_000_000, 1000)
+    /// A 1 MB FQ-CoDel on a 1000-byte MTU: 1000 packets, one-packet quantum.
+    fn fq_codel() -> FqCodel {
+        FqCodel::new(1_000_000, 1000, false, 0)
     }
 
     #[test]
     fn single_flow_fifo_order() {
-        let mut q = FqCodel::new(cfg());
+        let mut q = fq_codel();
         let mut r = rng();
         for i in 0..10 {
             assert_eq!(q.enqueue(pkt(7, i, 1000, SimTime::ZERO), SimTime::ZERO, &mut r), Verdict::Enqueued);
@@ -358,7 +334,7 @@ mod tests {
 
     #[test]
     fn two_flows_interleave_round_robin() {
-        let mut q = FqCodel::new(cfg());
+        let mut q = fq_codel();
         let mut r = rng();
         // Flow 1 queues 10 packets, flow 2 queues 10 packets, equal sizes.
         for i in 0..10 {
@@ -382,7 +358,7 @@ mod tests {
 
     #[test]
     fn heavy_flow_cannot_starve_light_flow() {
-        let mut q = FqCodel::new(cfg());
+        let mut q = fq_codel();
         let mut r = rng();
         // Heavy flow floods; light flow sends one packet afterwards.
         for i in 0..500 {
@@ -404,29 +380,28 @@ mod tests {
 
     #[test]
     fn overflow_drops_from_fattest_flow() {
-        let mut c = cfg();
-        c.limit_pkts = 20;
-        let mut q = FqCodel::new(c);
+        // 64 kB over a 1000-byte MTU: a 64-packet limit, which 100-byte
+        // packets reach far below the byte limit.
+        let mut q = FqCodel::new(64_000, 1000, false, 0);
         let mut r = rng();
         // Flow 1 fills most of the queue; flow 2 adds two packets.
-        for i in 0..19 {
-            q.enqueue(pkt(1, i, 1000, SimTime::ZERO), SimTime::ZERO, &mut r);
+        for i in 0..63 {
+            q.enqueue(pkt(1, i, 100, SimTime::ZERO), SimTime::ZERO, &mut r);
         }
         for i in 0..2 {
-            let v = q.enqueue(pkt(2, i, 1000, SimTime::ZERO), SimTime::ZERO, &mut r);
+            let v = q.enqueue(pkt(2, i, 100, SimTime::ZERO), SimTime::ZERO, &mut r);
             // Flow 2's packets survive: the fattest flow (1) takes the hit.
             assert_eq!(v, Verdict::Enqueued);
         }
-        assert_eq!(q.backlog_pkts(), 20);
+        assert_eq!(q.backlog_pkts(), 64);
         assert_eq!(q.stats().dropped_enqueue, 1);
     }
 
     #[test]
     fn memory_limit_enforced() {
-        let mut c = cfg();
-        c.memory_limit = 10_000;
-        c.limit_pkts = usize::MAX >> 1;
-        let mut q = FqCodel::new(c);
+        // 10 kB: the byte limit binds at 10 full packets, under the
+        // 64-packet floor of the packet limit.
+        let mut q = FqCodel::new(10_000, 1000, false, 0);
         let mut r = rng();
         for i in 0..50 {
             q.enqueue(pkt(1, i, 1000, SimTime::ZERO), SimTime::ZERO, &mut r);
@@ -436,7 +411,7 @@ mod tests {
 
     #[test]
     fn codel_drops_under_sustained_per_flow_delay() {
-        let mut q = FqCodel::new(cfg());
+        let mut q = fq_codel();
         let mut r = rng();
         let t0 = SimTime::ZERO;
         for i in 0..800 {
@@ -454,7 +429,7 @@ mod tests {
 
     #[test]
     fn byte_and_packet_accounting_consistent() {
-        let mut q = FqCodel::new(cfg());
+        let mut q = fq_codel();
         let mut r = rng();
         let t0 = SimTime::ZERO;
         for f in 0..8 {
@@ -474,11 +449,9 @@ mod tests {
 
     #[test]
     fn hashing_is_stable_and_salted() {
-        let q1 = FqCodel::new(cfg());
+        let q1 = fq_codel();
         assert_eq!(q1.bucket_of(42), q1.bucket_of(42));
-        let mut c2 = cfg();
-        c2.hash_salt = 0xDEAD_BEEF;
-        let q2 = FqCodel::new(c2);
+        let q2 = FqCodel::new(1_000_000, 1000, false, 0xDEAD_BEEF);
         // Different salts should move at least some flows.
         let moved = (0..1000u32).filter(|&f| q1.bucket_of(f) != q2.bucket_of(f)).count();
         assert!(moved > 900, "salt must perturb the hash ({moved}/1000 moved)");
@@ -487,10 +460,8 @@ mod tests {
     #[test]
     fn quantum_respects_packet_size_fairness() {
         // Flow 1 sends big packets, flow 2 small; byte shares should be
-        // approximately equal over a long service sequence.
-        let mut c = cfg();
-        c.quantum = 1000;
-        let mut q = FqCodel::new(c);
+        // approximately equal over a long service sequence (quantum 1000).
+        let mut q = fq_codel();
         let mut r = rng();
         for i in 0..300 {
             q.enqueue(pkt(1, i, 2000, SimTime::ZERO), SimTime::ZERO, &mut r);

@@ -20,9 +20,9 @@ pub mod fq_codel;
 pub mod pie;
 pub mod red;
 
-pub use codel::{Codel, CodelConfig, CodelState};
+pub use codel::{Codel, CodelState};
 pub use config::{build_aqm, AqmKind};
 pub use elephants_netsim::{Aqm, AqmStats, DequeueResult, DropTail, Verdict};
-pub use fq_codel::{FqCodel, FqCodelConfig};
-pub use pie::{Pie, PieConfig};
+pub use fq_codel::FqCodel;
+pub use pie::Pie;
 pub use red::{Red, RedConfig};

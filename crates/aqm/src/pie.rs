@@ -8,72 +8,40 @@
 //!
 //! This is the timestamp variant (RFC 8033 §5.3): queueing delay is
 //! measured directly from packet sojourn times, and the drop probability
-//! is updated by a proportional-integral controller every `t_update`:
+//! is updated by a proportional-integral controller every `T_UPDATE`:
 //!
 //! ```text
-//! p += alpha * (qdelay - target) + beta * (qdelay - qdelay_old)
+//! p += ALPHA * (qdelay - TARGET) + BETA * (qdelay - qdelay_old)
 //! ```
 //!
-//! with the RFC's auto-scaling of `alpha`/`beta` when `p` is small, burst
+//! with the RFC's auto-scaling of `ALPHA`/`BETA` when `p` is small, burst
 //! allowance, and the p < 0.2 ⇒ "don't drop below-target" safeguards.
 
 use elephants_netsim::{
     Aqm, AqmStats, CheckFailure, DequeueResult, DropTail, Packet, SimDuration, SimTime, Verdict,
 };
-use elephants_json::impl_json_struct;
 use elephants_netsim::{RngExt, SmallRng};
 
-/// PIE parameters (RFC 8033 defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PieConfig {
-    /// Target queueing delay (RFC default 15 ms).
-    pub target: SimDuration,
-    /// Controller update interval (RFC default 15 ms).
-    pub t_update: SimDuration,
-    /// Proportional gain per update (RFC default 0.125 Hz scale).
-    pub alpha: f64,
-    /// Derivative gain per update (RFC default 1.25).
-    pub beta: f64,
-    /// Initial burst allowance (RFC default 150 ms).
-    pub max_burst: SimDuration,
-    /// Hard queue limit in bytes.
-    pub limit_bytes: u64,
-    /// Mark ECN-capable packets instead of dropping, below this p.
-    pub ecn: bool,
-    /// Max drop probability at which ECN marking is still used (RFC: 10 %).
-    pub mark_ecn_thresh: f64,
-}
-
-impl_json_struct!(PieConfig {
-    target,
-    t_update,
-    alpha,
-    beta,
-    max_burst,
-    limit_bytes,
-    ecn,
-    mark_ecn_thresh,
-});
-
-impl Default for PieConfig {
-    fn default() -> Self {
-        PieConfig {
-            target: SimDuration::from_millis(15),
-            t_update: SimDuration::from_millis(15),
-            alpha: 0.125,
-            beta: 1.25,
-            max_burst: SimDuration::from_millis(150),
-            limit_bytes: 32 * 1024 * 1024,
-            ecn: false,
-            mark_ecn_thresh: 0.1,
-        }
-    }
-}
+/// Target queueing delay (RFC 8033 default 15 ms).
+const TARGET: SimDuration = SimDuration::from_millis(15);
+/// Controller update interval (RFC 8033 default 15 ms).
+const T_UPDATE: SimDuration = SimDuration::from_millis(15);
+const _: () = assert!(!T_UPDATE.is_zero(), "maybe_update steps the clock by T_UPDATE");
+/// Proportional gain per update (RFC 8033: 0.125 Hz).
+const ALPHA: f64 = 0.125;
+/// Derivative gain per update (RFC 8033: 1.25 Hz).
+const BETA: f64 = 1.25;
+/// Initial burst allowance (RFC 8033 default 150 ms).
+const MAX_BURST: SimDuration = SimDuration::from_millis(150);
+/// Drop probability below which ECN marking stands in for a drop (RFC
+/// 8033: 10 %).
+const MARK_ECN_THRESH: f64 = 0.1;
 
 /// The PIE queue discipline (timestamp variant): its PI controller over a [`DropTail`].
 #[derive(Debug)]
 pub struct Pie {
-    cfg: PieConfig,
+    /// Mark ECN-capable packets instead of dropping, below `MARK_ECN_THRESH`.
+    ecn: bool,
     queue: DropTail,
     /// Current drop probability.
     p: f64,
@@ -85,13 +53,13 @@ pub struct Pie {
 }
 
 impl Pie {
-    /// Build a PIE queue.
-    pub fn new(cfg: PieConfig) -> Self {
-        assert!(!cfg.t_update.is_zero());
+    /// Build a PIE queue of `limit_bytes`; with `ecn` it marks ECN-capable
+    /// packets instead of dropping them while p is under 10 %.
+    pub fn new(limit_bytes: u64, ecn: bool) -> Self {
         Pie {
-            burst_left: cfg.max_burst,
-            queue: DropTail::new(cfg.limit_bytes),
-            cfg,
+            ecn,
+            burst_left: MAX_BURST,
+            queue: DropTail::new(limit_bytes),
             p: 0.0,
             qdelay_old: SimDuration::ZERO,
             qdelay: SimDuration::ZERO,
@@ -132,11 +100,11 @@ impl Pie {
     fn maybe_update(&mut self, now: SimTime) {
         while now >= self.next_update {
             let qd = self.qdelay.as_secs_f64();
-            let target = self.cfg.target.as_secs_f64();
+            let target = TARGET.as_secs_f64();
             let s = self.scale();
             let mut p = self.p
-                + self.cfg.alpha * s * (qd - target)
-                + self.cfg.beta * s * (qd - self.qdelay_old.as_secs_f64());
+                + ALPHA * s * (qd - target)
+                + BETA * s * (qd - self.qdelay_old.as_secs_f64());
 
             // RFC 8033: exponential decay when the queue is idle/empty.
             if self.queue.backlog_bytes() == 0 && self.qdelay.is_zero() {
@@ -146,8 +114,8 @@ impl Pie {
             self.qdelay_old = self.qdelay;
 
             // Burn down the burst allowance.
-            self.burst_left = self.burst_left.saturating_sub(self.cfg.t_update);
-            self.next_update += self.cfg.t_update;
+            self.burst_left = self.burst_left.saturating_sub(T_UPDATE);
+            self.next_update += T_UPDATE;
         }
     }
 
@@ -158,7 +126,7 @@ impl Pie {
         // Safeguards (RFC 8033 §4.1): don't drop when the delay is clearly
         // below half target and p is modest, or when only one packet sits
         // in the queue.
-        if (self.p < 0.2 && self.qdelay < self.cfg.target.mul_f64(0.5)) || self.queue.backlog_pkts() <= 1 {
+        if (self.p < 0.2 && self.qdelay < TARGET.mul_f64(0.5)) || self.queue.backlog_pkts() <= 1 {
             return false;
         }
         rng.random::<f64>() < self.p
@@ -172,7 +140,7 @@ impl Aqm for Pie {
             return self.queue.refuse();
         }
         let early = self.should_drop(rng);
-        let mark = early && self.cfg.ecn && pkt.ecn_capable && self.p < self.cfg.mark_ecn_thresh;
+        let mark = early && self.ecn && pkt.ecn_capable && self.p < MARK_ECN_THRESH;
         if early && !mark {
             return self.queue.refuse();
         }
@@ -237,9 +205,14 @@ mod tests {
         SimDuration::from_millis(x)
     }
 
+    /// A 32 MiB PIE, ECN off.
+    fn pie() -> Pie {
+        Pie::new(32 * 1024 * 1024, false)
+    }
+
     #[test]
     fn no_drops_while_burst_allowance_lasts() {
-        let mut q = Pie::new(PieConfig::default());
+        let mut q = pie();
         let mut r = rng();
         // Heavy overload inside the first 150 ms.
         let mut t = SimTime::ZERO;
@@ -252,7 +225,7 @@ mod tests {
 
     #[test]
     fn sustained_overload_raises_p_and_drops() {
-        let mut q = Pie::new(PieConfig::default());
+        let mut q = pie();
         let mut r = rng();
         let mut t = SimTime::ZERO;
         let mut seq = 0;
@@ -271,7 +244,7 @@ mod tests {
 
     #[test]
     fn p_decays_when_queue_drains() {
-        let mut q = Pie::new(PieConfig::default());
+        let mut q = pie();
         let mut r = rng();
         let mut t = SimTime::ZERO;
         let mut seq = 0;
@@ -299,7 +272,7 @@ mod tests {
 
     #[test]
     fn below_half_target_never_drops_at_modest_p() {
-        let mut q = Pie::new(PieConfig::default());
+        let mut q = pie();
         let mut r = rng();
         q.p = 0.19;
         q.burst_left = SimDuration::ZERO;
@@ -315,8 +288,7 @@ mod tests {
 
     #[test]
     fn hard_limit_always_enforced() {
-        let cfg = PieConfig { limit_bytes: 5_000, ..Default::default() };
-        let mut q = Pie::new(cfg);
+        let mut q = Pie::new(5_000, false);
         let mut r = rng();
         for i in 0..10 {
             q.enqueue(pkt(i, 1000, SimTime::ZERO), SimTime::ZERO, &mut r);
@@ -327,7 +299,7 @@ mod tests {
 
     #[test]
     fn qdelay_tracks_sojourn() {
-        let mut q = Pie::new(PieConfig::default());
+        let mut q = pie();
         let mut r = rng();
         let t0 = SimTime::ZERO;
         q.enqueue(pkt(0, 1000, t0), t0, &mut r);

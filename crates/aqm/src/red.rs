@@ -10,7 +10,6 @@
 //! the original paper (§Appendix) and `tc red`'s `red_calc_qavg_from_idle_time`.
 
 use elephants_netsim::{Aqm, AqmStats, CheckFailure, DequeueResult, DropTail, Packet, SimTime, Verdict};
-use elephants_json::impl_json_struct;
 use elephants_netsim::{RngExt, SmallRng};
 
 /// RED parameters (byte-based, like `tc red`).
@@ -35,18 +34,6 @@ pub struct RedConfig {
     /// Mark ECN-capable packets instead of dropping (off in the paper).
     pub ecn: bool,
 }
-
-impl_json_struct!(RedConfig {
-    limit_bytes,
-    min_th,
-    max_th,
-    max_p,
-    w_q,
-    avpkt,
-    bandwidth_bps,
-    gentle,
-    ecn,
-});
 
 impl RedConfig {
     /// Operator-style defaults, deliberately *not* scaled with the
@@ -134,11 +121,6 @@ impl Red {
             count_since_drop: 0,
             idle_since: None,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RedConfig {
-        &self.cfg
     }
 
     /// Current average queue estimate (bytes).

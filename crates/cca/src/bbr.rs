@@ -3,11 +3,11 @@
 //! Both estimate the bottleneck bandwidth (`BtlBw`, a windowed max over
 //! rounds) and the propagation delay (`RTprop`, a min that expires after a
 //! window), pace at `gain × BtlBw`, and walk
-//! `Startup → Drain → ProbeBW ⇄ ProbeRTT`. [`BbrCore`] is that model and
-//! every step of the walk the two take alike, mode changes included;
-//! [`crate::BbrV1`] and [`crate::BbrV2`] each own a core, the config whose
-//! constants they hand to its steps, and their ProbeBW policy. Where they
-//! differ is the nine-row table in DESIGN.md §3j.
+//! `Startup → Drain → ProbeBW ⇄ ProbeRTT`. [`BbrCore`] is that model, the
+//! constants the two share and every step of the walk they take alike, mode
+//! changes included; [`crate::BbrV1`] and [`crate::BbrV2`] each own a core,
+//! their RTprop window and their ProbeBW policy. Where they differ is the
+//! nine-row table in DESIGN.md §3j.
 
 use crate::filters::WindowedMaxByRound;
 use crate::{generic_cca_failures, AckEvent, CcaState, INITIAL_CWND_SEGMENTS};
@@ -29,8 +29,6 @@ pub enum BbrMode {
 /// Model, window and mode of one BBR flow.
 #[derive(Debug, Clone)]
 pub(crate) struct BbrCore {
-    /// Startup pacing gain; Drain paces at its inverse.
-    high_gain: f64,
     pub(crate) mss: u64,
     pub(crate) mode: BbrMode,
     pub(crate) cwnd: u64,
@@ -58,17 +56,29 @@ pub(crate) struct BbrCore {
 }
 
 impl BbrCore {
+    /// Startup pacing gain, 2/ln 2; Drain paces at its inverse.
+    pub(crate) const HIGH_GAIN: f64 = 2.885;
+    /// ProbeBW cwnd gain: the 2 BDP inflight cap.
+    pub(crate) const CWND_GAIN: f64 = 2.0;
+    /// BtlBw max-filter window, in rounds.
+    const BW_WINDOW_ROUNDS: u64 = 10;
+    /// Time held at the ProbeRTT floor.
+    const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
+    /// The pipe is full after [`Self::FULL_BW_COUNT`] rounds in a row whose
+    /// bandwidth estimate grew by less than this factor.
+    const FULL_BW_THRESH: f64 = 1.25;
+    const FULL_BW_COUNT: u32 = 3;
+
     /// A fresh core in Startup with IW10.
-    pub(crate) fn new(mss: u32, high_gain: f64, bw_window_rounds: u64, seed: u64) -> Self {
+    pub(crate) fn new(mss: u32, seed: u64) -> Self {
         let mss = mss as u64;
         BbrCore {
-            high_gain,
             mss,
             mode: BbrMode::Startup,
             cwnd: INITIAL_CWND_SEGMENTS * mss,
             prior_cwnd: 0,
-            pacing_gain: high_gain,
-            bw_filter: WindowedMaxByRound::new(bw_window_rounds),
+            pacing_gain: Self::HIGH_GAIN,
+            bw_filter: WindowedMaxByRound::new(Self::BW_WINDOW_ROUNDS),
             rtprop: SimDuration::MAX,
             rtprop_stamp: SimTime::ZERO,
             rtprop_valid: false,
@@ -130,20 +140,20 @@ impl BbrCore {
         }
     }
 
-    /// The pipe is full after `count` non-app-limited rounds in a row whose
-    /// bandwidth estimate grew by less than `thresh`.
-    fn check_full_pipe(&mut self, ev: &AckEvent, thresh: f64, count: u32) {
+    /// The pipe is full after `FULL_BW_COUNT` non-app-limited rounds in a
+    /// row whose bandwidth estimate grew by less than `FULL_BW_THRESH`.
+    fn check_full_pipe(&mut self, ev: &AckEvent) {
         if self.full_pipe || !ev.round_start || ev.app_limited {
             return;
         }
         let Some(bw) = self.bw_filter.get() else { return };
-        if bw as f64 >= self.full_bw as f64 * thresh {
+        if bw as f64 >= self.full_bw as f64 * Self::FULL_BW_THRESH {
             self.full_bw = bw;
             self.full_bw_cnt = 0;
             return;
         }
         self.full_bw_cnt += 1;
-        if self.full_bw_cnt >= count {
+        if self.full_bw_cnt >= Self::FULL_BW_COUNT {
             self.full_pipe = true;
         }
     }
@@ -153,14 +163,14 @@ impl BbrCore {
     pub(crate) fn enter_drain(&mut self) {
         self.full_pipe = true;
         self.mode = BbrMode::Drain;
-        self.pacing_gain = 1.0 / self.high_gain;
+        self.pacing_gain = 1.0 / Self::HIGH_GAIN;
     }
 
     /// Startup and Drain. True on the ACK that ends Drain into ProbeBW: the
     /// caller starts its first phase.
-    pub(crate) fn startup_drain_step(&mut self, ev: &AckEvent, thresh: f64, count: u32) -> bool {
+    pub(crate) fn startup_drain_step(&mut self, ev: &AckEvent) -> bool {
         if self.mode == BbrMode::Startup {
-            self.check_full_pipe(ev, thresh, count);
+            self.check_full_pipe(ev);
             if self.full_pipe {
                 self.enter_drain();
             }
@@ -174,11 +184,11 @@ impl BbrCore {
     }
 
     /// ProbeRTT: enter when the RTprop estimate has gone stale, hold cwnd at
-    /// `floor` until inflight has sat there for `dwell` *and* a full round
-    /// has passed, then restore the window. True on the ACK that leaves it
-    /// for ProbeBW: the caller starts its first phase (an unfilled pipe
-    /// resumes Startup instead).
-    pub(crate) fn probe_rtt_step(&mut self, ev: &AckEvent, floor: u64, dwell: SimDuration) -> bool {
+    /// `floor` until inflight has sat there for `PROBE_RTT_DURATION` *and* a
+    /// full round has passed, then restore the window. True on the ACK that
+    /// leaves it for ProbeBW: the caller starts its first phase (an unfilled
+    /// pipe resumes Startup instead).
+    pub(crate) fn probe_rtt_step(&mut self, ev: &AckEvent, floor: u64) -> bool {
         debug_assert!(floor >= self.min_pipe_cwnd(), "ProbeRTT floor {floor} under the pipe floor");
         if self.mode != BbrMode::ProbeRtt && self.rtprop_expired {
             self.mode = BbrMode::ProbeRtt;
@@ -192,7 +202,7 @@ impl BbrCore {
             return false;
         }
         if self.probe_rtt_done_stamp.is_none() && ev.inflight <= floor {
-            self.probe_rtt_done_stamp = Some(ev.now + dwell);
+            self.probe_rtt_done_stamp = Some(ev.now + Self::PROBE_RTT_DURATION);
         }
         if ev.round_start && self.round_count > self.probe_rtt_enter_round {
             self.probe_rtt_round_done = true;
@@ -208,7 +218,7 @@ impl BbrCore {
             self.mode = BbrMode::ProbeBw;
         } else {
             self.mode = BbrMode::Startup;
-            self.pacing_gain = self.high_gain;
+            self.pacing_gain = Self::HIGH_GAIN;
         }
         self.full_pipe
     }
@@ -249,7 +259,7 @@ impl BbrCore {
                 // Bootstrap before the first rate sample: IW over 1 ms,
                 // like Linux's bbr_init_pacing_rate_from_rtt.
                 let iw_bits = (INITIAL_CWND_SEGMENTS * self.mss * 8) as f64;
-                Some((self.high_gain * iw_bits / 0.001) as u64)
+                Some((Self::HIGH_GAIN * iw_bits / 0.001) as u64)
             }
         }
     }
@@ -367,7 +377,6 @@ pub(crate) mod testing {
                 delivered: self.delivered,
                 round_start,
                 ecn_ce: false,
-                is_app_limited_now: false,
             }
         }
     }
@@ -388,20 +397,18 @@ pub(crate) mod testing {
 mod tests {
     use super::testing::{AckFeeder, MSS};
     use super::*;
-    use crate::{BbrV1Config, BbrV2Config};
 
     const WINDOW: SimDuration = SimDuration::from_secs(10);
-    const DWELL: SimDuration = SimDuration::from_millis(200);
     const FLOOR: u64 = 4 * MSS as u64;
 
     fn core() -> BbrCore {
-        BbrCore::new(MSS, 2.885, 10, 0)
+        BbrCore::new(MSS, 0)
     }
 
     /// What both versions' `on_ack` do before their ProbeBW step.
     fn model_step(c: &mut BbrCore, ev: &AckEvent) -> bool {
         c.update_model(ev, WINDOW);
-        c.startup_drain_step(ev, 1.25, 3)
+        c.startup_drain_step(ev)
     }
 
     /// Into ProbeBW with a 40 Mbps x 50 ms model, then an ACK past the
@@ -413,14 +420,14 @@ mod tests {
         assert!(model_step(c, &f.ev(10, 40, 50, 200_000, false, 0)));
         let ev = f.ev(10_001, 40, 60, 200_000, true, 0);
         model_step(c, &ev);
-        assert!(!c.probe_rtt_step(&ev, FLOOR, DWELL));
+        assert!(!c.probe_rtt_step(&ev, FLOOR));
         assert_eq!(c.mode, BbrMode::ProbeRtt);
     }
 
     /// One ACK through the model and ProbeRTT; true when ProbeRTT ended.
     fn probe_rtt_ack(c: &mut BbrCore, ev: &AckEvent) -> bool {
         c.update_model(ev, WINDOW);
-        c.probe_rtt_step(ev, FLOOR, DWELL)
+        c.probe_rtt_step(ev, FLOOR)
     }
 
     #[test]
@@ -429,22 +436,15 @@ mod tests {
         // PROBE_BW_CWND_GAIN, PROBE_RTT_DURATION, FULL_BW_THRESH_FACTOR,
         // FULL_BW_COUNT_REQ) and the 10-round BtlBw window of the BBR
         // draft; DESIGN.md section 3j lists where v2 departs.
-        macro_rules! assert_shared_defaults {
-            ($cfg:expr) => {{
-                let cfg = $cfg;
-                assert_eq!(cfg.high_gain, 2.885);
-                assert_eq!(cfg.cwnd_gain, 2.0);
-                assert_eq!(cfg.bw_window_rounds, 10);
-                assert_eq!(cfg.probe_rtt_duration, SimDuration::from_millis(200));
-                assert_eq!((cfg.full_bw_thresh, cfg.full_bw_count), (1.25, 3));
-                let mut c = BbrCore::new(MSS, cfg.high_gain, cfg.bw_window_rounds, 0);
-                assert_eq!(c.pacing_gain, 2.885, "Startup paces at high_gain");
-                c.enter_drain();
-                assert_eq!(c.pacing_gain, 1.0 / 2.885, "Drain paces at its inverse");
-            }};
-        }
-        assert_shared_defaults!(BbrV1Config::default());
-        assert_shared_defaults!(BbrV2Config::default());
+        assert_eq!(BbrCore::HIGH_GAIN, 2.885);
+        assert_eq!(BbrCore::CWND_GAIN, 2.0);
+        assert_eq!(BbrCore::BW_WINDOW_ROUNDS, 10);
+        assert_eq!(BbrCore::PROBE_RTT_DURATION, SimDuration::from_millis(200));
+        assert_eq!((BbrCore::FULL_BW_THRESH, BbrCore::FULL_BW_COUNT), (1.25, 3));
+        let mut c = core();
+        assert_eq!(c.pacing_gain, 2.885, "Startup paces at HIGH_GAIN");
+        c.enter_drain();
+        assert_eq!(c.pacing_gain, 1.0 / 2.885, "Drain paces at its inverse");
     }
 
     #[test]
@@ -510,14 +510,14 @@ mod tests {
         let ev = f.ev(10_000, 40, 60, 100_000, false, 0);
         c.update_model(&ev, WINDOW);
         assert_eq!(c.rtprop, SimDuration::from_millis(50));
-        assert!(!c.probe_rtt_step(&ev, FLOOR, DWELL));
+        assert!(!c.probe_rtt_step(&ev, FLOOR));
         assert_eq!(c.mode, BbrMode::Startup);
         // One ms on, the same ACK that takes the stale estimate's place
         // (resetting the stamp) must still be seen as expired by ProbeRTT.
         let ev = f.ev(1, 40, 60, 100_000, false, 0);
         c.update_model(&ev, WINDOW);
         assert_eq!(c.rtprop, SimDuration::from_millis(60), "expired: any sample is accepted");
-        c.probe_rtt_step(&ev, FLOOR, DWELL);
+        c.probe_rtt_step(&ev, FLOOR);
         assert_eq!(c.mode, BbrMode::ProbeRtt);
         assert_eq!(c.pacing_gain, 1.0);
         assert_eq!(c.cwnd, FLOOR);

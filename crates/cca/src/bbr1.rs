@@ -1,5 +1,5 @@
-//! BBR version 1 (Cardwell et al., 2016/2017): the model of [`crate::bbr`]
-//! under an eight-phase pacing-gain cycle, capping inflight at
+//! BBR version 1 (Cardwell et al., 2016/2017): the model both BBRs share
+//! (DESIGN.md §3j) under an eight-phase pacing-gain cycle, capping inflight at
 //! `cwnd_gain × BDP` (the "2 BDP inflight cap" the paper repeatedly
 //! invokes). It is deliberately **loss-blind**: packet loss does not reduce
 //! the sending rate; only an RTO collapses the window.
@@ -7,55 +7,10 @@
 pub use crate::bbr::BbrMode;
 use crate::bbr::{forward_to_core, BbrCore};
 use crate::{AckEvent, CcaState, CongestionControl, LossEvent};
-use elephants_json::impl_json_struct;
 use elephants_netsim::{CheckFailure, SimDuration, SimTime};
 
-/// BBRv1 tuning constants (defaults mirror Linux `tcp_bbr.c`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BbrV1Config {
-    /// Startup/Drain gain: 2/ln(2) ≈ 2.885.
-    pub high_gain: f64,
-    /// Steady-state cwnd gain (the 2 BDP inflight cap).
-    pub cwnd_gain: f64,
-    /// BtlBw max-filter window, in rounds.
-    pub bw_window_rounds: u64,
-    /// RTprop min-filter window.
-    pub rtprop_window: SimDuration,
-    /// Time spent at the reduced window in ProbeRTT.
-    pub probe_rtt_duration: SimDuration,
-    /// Rounds of <25 % bandwidth growth that mark the pipe full.
-    pub full_bw_count: u32,
-    /// Growth threshold for the pipe-full check.
-    pub full_bw_thresh: f64,
-    /// Seed for the deterministic ProbeBW phase randomizer.
-    pub seed: u64,
-}
-
-impl_json_struct!(BbrV1Config {
-    high_gain,
-    cwnd_gain,
-    bw_window_rounds,
-    rtprop_window,
-    probe_rtt_duration,
-    full_bw_count,
-    full_bw_thresh,
-    seed,
-});
-
-impl Default for BbrV1Config {
-    fn default() -> Self {
-        BbrV1Config {
-            high_gain: 2.885,
-            cwnd_gain: 2.0,
-            bw_window_rounds: 10,
-            rtprop_window: SimDuration::from_secs(10),
-            probe_rtt_duration: SimDuration::from_millis(200),
-            full_bw_count: 3,
-            full_bw_thresh: 1.25,
-            seed: 0,
-        }
-    }
-}
+/// RTprop min-filter window: 10 s, as in Linux `tcp_bbr.c`.
+const RTPROP_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// The ProbeBW pacing-gain cycle (8 phases of ~1 RTprop each).
 pub const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
@@ -63,7 +18,6 @@ pub const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 /// The BBRv1 congestion controller: the shared model plus the gain cycle.
 #[derive(Debug, Clone)]
 pub struct BbrV1 {
-    cfg: BbrV1Config,
     core: BbrCore,
     // ProbeBW cycling.
     cycle_index: usize,
@@ -71,11 +25,11 @@ pub struct BbrV1 {
 }
 
 impl BbrV1 {
-    /// A fresh BBRv1 controller with IW10.
-    pub fn new(cfg: BbrV1Config, mss: u32) -> Self {
+    /// A fresh BBRv1 controller with IW10; `seed` feeds the deterministic
+    /// choice of the first ProbeBW phase.
+    pub fn new(mss: u32, seed: u64) -> Self {
         BbrV1 {
-            core: BbrCore::new(mss, cfg.high_gain, cfg.bw_window_rounds, cfg.seed),
-            cfg,
+            core: BbrCore::new(mss, seed),
             cycle_index: 0,
             cycle_stamp: SimTime::ZERO,
         }
@@ -131,21 +85,21 @@ impl CongestionControl for BbrV1 {
     }
 
     fn on_ack(&mut self, ev: &AckEvent, _in_recovery: bool) {
-        self.core.update_model(ev, self.cfg.rtprop_window);
-        if self.core.startup_drain_step(ev, self.cfg.full_bw_thresh, self.cfg.full_bw_count) {
+        self.core.update_model(ev, RTPROP_WINDOW);
+        if self.core.startup_drain_step(ev) {
             self.enter_probe_bw(ev.now);
         } else if self.core.mode == BbrMode::ProbeBw {
             self.advance_cycle(ev);
         }
         // ProbeRTT pins the window to the 4-segment pipe floor.
-        if self.core.probe_rtt_step(ev, self.core.min_pipe_cwnd(), self.cfg.probe_rtt_duration) {
+        if self.core.probe_rtt_step(ev, self.core.min_pipe_cwnd()) {
             self.enter_probe_bw(ev.now);
         }
         // The 2 BDP inflight cap is ProbeBW's; Startup and Drain (and a
-        // Startup resumed after ProbeRTT) size the window by `high_gain`.
+        // Startup resumed after ProbeRTT) size the window by `HIGH_GAIN`.
         let cwnd_gain = match self.core.mode {
-            BbrMode::ProbeBw => self.cfg.cwnd_gain,
-            _ => self.cfg.high_gain,
+            BbrMode::ProbeBw => BbrCore::CWND_GAIN,
+            _ => BbrCore::HIGH_GAIN,
         };
         self.core.set_cwnd(ev, self.core.bdp_bytes(cwnd_gain));
     }
@@ -188,14 +142,14 @@ mod tests {
 
     #[test]
     fn starts_in_startup_with_high_gain() {
-        let b = BbrV1::new(BbrV1Config::default(), MSS);
+        let b = BbrV1::new(MSS, 0);
         assert_eq!(b.mode(), BbrMode::Startup);
         assert!((b.pacing_gain() - 2.885).abs() < 1e-9);
     }
 
     #[test]
     fn startup_exits_to_drain_when_bw_plateaus() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         // Growing bandwidth: stays in startup.
         for bw in [10, 20, 40] {
@@ -212,7 +166,7 @@ mod tests {
 
     #[test]
     fn drain_enters_probe_bw_at_one_bdp() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         assert_eq!(b.mode(), BbrMode::ProbeBw);
@@ -221,7 +175,7 @@ mod tests {
 
     #[test]
     fn probe_bw_cwnd_capped_at_two_bdp() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Pump many ACKs: cwnd must not exceed 2 * BDP.
@@ -234,7 +188,7 @@ mod tests {
 
     #[test]
     fn loss_events_are_ignored() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let cwnd = b.cwnd();
         b.on_loss_event(&LossEvent {
             now: SimTime::ZERO,
@@ -248,7 +202,7 @@ mod tests {
 
     #[test]
     fn rto_collapses_then_recovery_restores() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         let before = b.cwnd();
@@ -260,7 +214,7 @@ mod tests {
 
     #[test]
     fn probe_rtt_triggers_after_stale_rtprop() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // 11 s of ACKs whose RTT never reaches the old floor.
@@ -273,7 +227,7 @@ mod tests {
 
     #[test]
     fn probe_rtt_exits_after_duration_and_round() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         for _ in 0..110 {
@@ -289,7 +243,7 @@ mod tests {
 
     #[test]
     fn app_limited_samples_do_not_lower_estimate() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         b.on_ack(&f.ev(10, 100, 50, 100_000, true, 0), false);
         assert_eq!(b.btlbw(), Some(100_000_000));
@@ -301,7 +255,7 @@ mod tests {
 
     #[test]
     fn pacing_rate_follows_gain_times_bw() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         b.on_ack(&f.ev(10, 100, 50, 100_000, true, 0), false);
         let rate = b.pacing_rate().unwrap();
@@ -310,7 +264,7 @@ mod tests {
 
     #[test]
     fn probe_bw_cycles_through_gains() {
-        let mut b = BbrV1::new(BbrV1Config::default(), MSS);
+        let mut b = BbrV1::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         let mut seen = std::collections::HashSet::new();

@@ -5,7 +5,7 @@
 //!
 //! * `inflight_hi` — the highest inflight volume that did **not** produce a
 //!   loss rate above `loss_thresh` (2 %). Probing that exceeds the threshold
-//!   cuts `inflight_hi` by `beta` (30 %). This is why, in the paper, BBRv2
+//!   cuts `inflight_hi` by `BETA` (30 %). This is why, in the paper, BBRv2
 //!   under deep-buffer FIFO fares *worse* against CUBIC than BBRv1: CUBIC's
 //!   buffer occupancy forces drop rates over 2 % and BBRv2 backs off, while
 //!   loss-blind BBRv1 holds its ground.
@@ -18,87 +18,27 @@
 pub use crate::bbr::BbrMode;
 use crate::bbr::{forward_to_core, BbrCore};
 use crate::{AckEvent, CcaState, CongestionControl, LossEvent};
-use elephants_json::impl_json_struct;
 use elephants_netsim::{CheckFailure, SimDuration, SimTime};
 
-/// BBRv2 tuning constants (defaults follow the v2alpha kernel).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BbrV2Config {
-    /// Startup/Drain pacing gain.
-    pub high_gain: f64,
-    /// Steady-state cwnd gain.
-    pub cwnd_gain: f64,
-    /// ProbeBW UP pacing gain.
-    pub up_gain: f64,
-    /// ProbeBW DOWN pacing gain.
-    pub down_gain: f64,
-    /// Loss-rate threshold that marks inflight "too high" (2 %).
-    pub loss_thresh: f64,
-    /// Multiplicative cut applied to `inflight_hi` on excessive loss.
-    pub beta: f64,
-    /// Headroom kept below `inflight_hi` while cruising (15 %).
-    pub headroom: f64,
-    /// Max-bandwidth filter window, in rounds.
-    pub bw_window_rounds: u64,
-    /// Min-RTT validity window (BBRv2 probes RTT every 5 s).
-    pub rtprop_window: SimDuration,
-    /// Time at the reduced window in ProbeRTT.
-    pub probe_rtt_duration: SimDuration,
-    /// Base wait in CRUISE before the next bandwidth probe.
-    pub probe_wait_base: SimDuration,
-    /// Random extra wait added to `probe_wait_base` (0..this).
-    pub probe_wait_rand: SimDuration,
-    /// Rounds of <25 % growth that mark the pipe full in Startup.
-    pub full_bw_count: u32,
-    /// Growth threshold for the pipe-full check.
-    pub full_bw_thresh: f64,
-    /// ECN CE-fraction threshold treated like excessive loss.
-    pub ecn_thresh: f64,
-    /// Seed for deterministic probe scheduling.
-    pub seed: u64,
-}
+// Where v2alpha departs from the constants both versions share (DESIGN.md
+// §3j). The loss threshold is the one value a caller picks: see `BbrV2::new`.
 
-impl_json_struct!(BbrV2Config {
-    high_gain,
-    cwnd_gain,
-    up_gain,
-    down_gain,
-    loss_thresh,
-    beta,
-    headroom,
-    bw_window_rounds,
-    rtprop_window,
-    probe_rtt_duration,
-    probe_wait_base,
-    probe_wait_rand,
-    full_bw_count,
-    full_bw_thresh,
-    ecn_thresh,
-    seed,
-});
-
-impl Default for BbrV2Config {
-    fn default() -> Self {
-        BbrV2Config {
-            high_gain: 2.885,
-            cwnd_gain: 2.0,
-            up_gain: 1.25,
-            down_gain: 0.75,
-            loss_thresh: 0.02,
-            beta: 0.3,
-            headroom: 0.15,
-            bw_window_rounds: 10,
-            rtprop_window: SimDuration::from_secs(5),
-            probe_rtt_duration: SimDuration::from_millis(200),
-            probe_wait_base: SimDuration::from_secs(2),
-            probe_wait_rand: SimDuration::from_secs(1),
-            full_bw_count: 3,
-            full_bw_thresh: 1.25,
-            ecn_thresh: 0.5,
-            seed: 0,
-        }
-    }
-}
+/// Min-RTT validity window: BBRv2 probes RTT every 5 s.
+const RTPROP_WINDOW: SimDuration = SimDuration::from_secs(5);
+/// ProbeBW UP pacing gain.
+const UP_GAIN: f64 = 1.25;
+/// ProbeBW DOWN pacing gain.
+const DOWN_GAIN: f64 = 0.75;
+/// Multiplicative cut applied to `inflight_hi` on excessive loss.
+const BETA: f64 = 0.3;
+/// Headroom kept below `inflight_hi` while cruising (15 %).
+const HEADROOM: f64 = 0.15;
+/// Base wait in CRUISE before the next bandwidth probe.
+const PROBE_WAIT_BASE: SimDuration = SimDuration::from_secs(2);
+/// Random extra wait added to `PROBE_WAIT_BASE` (0..this).
+const PROBE_WAIT_RAND: SimDuration = SimDuration::from_secs(1);
+/// ECN CE-fraction threshold treated like excessive loss.
+const ECN_THRESH: f64 = 0.5;
 
 /// ProbeBW sub-phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +57,9 @@ pub enum ProbePhase {
 /// ProbeBW phases.
 #[derive(Debug, Clone)]
 pub struct BbrV2 {
-    cfg: BbrV2Config,
     core: BbrCore,
+    /// Loss rate that marks inflight "too high".
+    loss_thresh: f64,
     phase: ProbePhase,
     // Inflight bounds.
     inflight_hi: u64,
@@ -138,10 +79,13 @@ pub struct BbrV2 {
 }
 
 impl BbrV2 {
-    /// A fresh BBRv2 controller with IW10.
-    pub fn new(cfg: BbrV2Config, mss: u32) -> Self {
+    /// A fresh BBRv2 controller with IW10. `loss_thresh` is the per-round
+    /// loss rate that marks inflight too high (v2alpha: 0.02); `seed` feeds
+    /// the deterministic cruise-wait jitter.
+    pub fn new(loss_thresh: f64, mss: u32, seed: u64) -> Self {
         BbrV2 {
-            core: BbrCore::new(mss, cfg.high_gain, cfg.bw_window_rounds, cfg.seed),
+            core: BbrCore::new(mss, seed),
+            loss_thresh,
             phase: ProbePhase::Cruise,
             inflight_hi: u64::MAX,
             loss_in_round: 0,
@@ -152,10 +96,9 @@ impl BbrV2 {
             loss_round_events: 0,
             ce_round_rate: 0.0,
             phase_stamp: SimTime::ZERO,
-            cruise_wait: cfg.probe_wait_base,
+            cruise_wait: PROBE_WAIT_BASE,
             refill_round: 0,
             up_rounds: 0,
-            cfg,
         }
     }
 
@@ -211,12 +154,12 @@ impl BbrV2 {
     fn inflight_too_high(&self) -> bool {
         const LOSS_EVENTS_MIN: u32 = 4;
         let committed = self.loss_round_events >= LOSS_EVENTS_MIN
-            && self.loss_round_rate > self.cfg.loss_thresh;
+            && self.loss_round_rate > self.loss_thresh;
         let live = self.loss_events_in_round >= LOSS_EVENTS_MIN
             && self.delivered_in_round > 16 * self.core.mss
             && (self.loss_in_round as f64
-                > self.cfg.loss_thresh * self.delivered_in_round as f64);
-        let ecn = self.ce_round_rate > self.cfg.ecn_thresh;
+                > self.loss_thresh * self.delivered_in_round as f64);
+        let ecn = self.ce_round_rate > ECN_THRESH;
         committed || live || ecn
     }
 
@@ -225,7 +168,7 @@ impl BbrV2 {
     fn handle_inflight_too_high(&mut self, inflight: u64) {
         let base = inflight.max(self.core.bdp_bytes(1.0));
         self.inflight_hi =
-            ((base as f64 * (1.0 - self.cfg.beta)) as u64).max(self.core.min_pipe_cwnd());
+            ((base as f64 * (1.0 - BETA)) as u64).max(self.core.min_pipe_cwnd());
         // Reset the live counters so one bad round is punished once.
         self.loss_round_rate = 0.0;
         self.loss_round_events = 0;
@@ -236,15 +179,14 @@ impl BbrV2 {
         self.phase = phase;
         self.phase_stamp = now;
         self.core.pacing_gain = match phase {
-            ProbePhase::Down => self.cfg.down_gain,
+            ProbePhase::Down => DOWN_GAIN,
             ProbePhase::Cruise | ProbePhase::Refill => 1.0,
-            ProbePhase::Up => self.cfg.up_gain,
+            ProbePhase::Up => UP_GAIN,
         };
         match phase {
             ProbePhase::Cruise => {
-                let extra = self.cfg.probe_wait_rand.as_nanos();
-                let r = if extra > 0 { self.core.next_rand() % extra } else { 0 };
-                self.cruise_wait = self.cfg.probe_wait_base + SimDuration::from_nanos(r);
+                let r = self.core.next_rand() % PROBE_WAIT_RAND.as_nanos();
+                self.cruise_wait = PROBE_WAIT_BASE + SimDuration::from_nanos(r);
             }
             ProbePhase::Refill => {
                 self.refill_round = self.core.round_count;
@@ -293,7 +235,7 @@ impl BbrV2 {
                     }
                 }
                 if ev.now.since(self.phase_stamp) > self.core.rtprop
-                    && ev.inflight >= self.core.bdp_bytes(self.cfg.up_gain)
+                    && ev.inflight >= self.core.bdp_bytes(UP_GAIN)
                 {
                     self.enter_phase(ProbePhase::Down, ev.now);
                 }
@@ -309,7 +251,7 @@ impl BbrV2 {
             // Cruise keeps headroom below the ceiling so other flows can
             // probe (v2alpha `bbr2_inflight_with_headroom`).
             (BbrMode::ProbeBw, ProbePhase::Cruise) => {
-                ((self.inflight_hi as f64 * (1.0 - self.cfg.headroom)) as u64)
+                ((self.inflight_hi as f64 * (1.0 - HEADROOM)) as u64)
                     .max(self.core.min_pipe_cwnd())
             }
             _ => self.inflight_hi,
@@ -324,8 +266,8 @@ impl CongestionControl for BbrV2 {
 
     fn on_ack(&mut self, ev: &AckEvent, _in_recovery: bool) {
         self.account_round(ev);
-        self.core.update_model(ev, self.cfg.rtprop_window);
-        if self.core.startup_drain_step(ev, self.cfg.full_bw_thresh, self.cfg.full_bw_count) {
+        self.core.update_model(ev, RTPROP_WINDOW);
+        if self.core.startup_drain_step(ev) {
             self.enter_phase(ProbePhase::Cruise, ev.now);
         } else if self.core.mode == BbrMode::Startup && self.inflight_too_high() {
             // v2 also leaves Startup when loss says inflight is too high.
@@ -336,10 +278,10 @@ impl CongestionControl for BbrV2 {
         }
         // ProbeRTT floor: half the estimated BDP (v2 probes less brutally
         // than v1's 4-segment floor).
-        if self.core.probe_rtt_step(ev, self.core.bdp_bytes(0.5), self.cfg.probe_rtt_duration) {
+        if self.core.probe_rtt_step(ev, self.core.bdp_bytes(0.5)) {
             self.enter_phase(ProbePhase::Cruise, ev.now);
         }
-        let target = self.core.bdp_bytes(self.cfg.cwnd_gain).min(self.effective_inflight_cap());
+        let target = self.core.bdp_bytes(BbrCore::CWND_GAIN).min(self.effective_inflight_cap());
         self.core.set_cwnd(ev, target);
     }
 
@@ -386,7 +328,7 @@ mod tests {
 
     #[test]
     fn startup_to_drain_to_probe_bw() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         assert_eq!(b.mode(), BbrMode::Startup);
         drive_to_probe_bw(&mut b, &mut f);
@@ -396,7 +338,7 @@ mod tests {
 
     #[test]
     fn cruise_waits_then_refills_then_probes_up() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Cruise for up to 3 s (base 2 s + rand 1 s).
@@ -411,7 +353,7 @@ mod tests {
 
     #[test]
     fn excessive_loss_in_up_cuts_inflight_hi_and_goes_down() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Walk to UP.
@@ -440,7 +382,7 @@ mod tests {
     fn small_loss_rates_are_tolerated() {
         // ~1 % loss: below the 2 % threshold, no cut — this is the RED
         // regime where BBRv2 dominates CUBIC in the paper.
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         for i in 0..300 {
@@ -452,7 +394,7 @@ mod tests {
 
     #[test]
     fn cruise_keeps_headroom_below_inflight_hi() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Force a known ceiling.
@@ -466,7 +408,7 @@ mod tests {
 
     #[test]
     fn startup_exits_on_excessive_loss() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         // One clean round, then a sustained very lossy stretch (enough
         // delivered data and distinct loss events to clear the robustness
@@ -481,7 +423,7 @@ mod tests {
 
     #[test]
     fn rto_and_recovery_round_trip() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         let before = b.cwnd();
@@ -493,7 +435,7 @@ mod tests {
 
     #[test]
     fn probe_rtt_uses_half_bdp_floor() {
-        let mut b = BbrV2::new(BbrV2Config::default(), MSS);
+        let mut b = BbrV2::new(0.02, MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Stale the 5 s window.

@@ -206,7 +206,6 @@ mod tests {
             delivered: 0,
             round_start,
             ecn_ce: false,
-            is_app_limited_now: false,
         }
     }
 

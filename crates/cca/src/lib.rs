@@ -26,8 +26,8 @@ mod htcp;
 mod loss_based;
 mod reno;
 
-pub use bbr1::{BbrV1, BbrV1Config, PROBE_BW_GAINS};
-pub use bbr2::{BbrV2, BbrV2Config};
+pub use bbr1::{BbrV1, PROBE_BW_GAINS};
+pub use bbr2::BbrV2;
 pub use cubic::Cubic;
 pub use filters::{WindowedMaxByRound, WindowedMinByTime};
 pub use htcp::Htcp;
@@ -63,8 +63,6 @@ pub struct AckEvent {
     pub round_start: bool,
     /// The receiver echoed an ECN Congestion Experienced mark.
     pub ecn_ce: bool,
-    /// Whether the sender currently has less data to send than cwnd allows.
-    pub is_app_limited_now: bool,
 }
 
 /// A fast-retransmit-triggering loss episode (once per recovery).
@@ -216,12 +214,12 @@ elephants_json::kind_table! {
         /// BBR version 1.
         BbrV1: "bbr1", ["bbrv1", "bbr"], paper: true, CcaRow {
             pretty: "BBRv1",
-            build: |mss, seed| Box::new(BbrV1::new(BbrV1Config { seed, ..Default::default() }, mss)),
+            build: |mss, seed| Box::new(BbrV1::new(mss, seed)),
         };
         /// BBR version 2 (v2alpha).
         BbrV2: "bbr2", ["bbrv2"], paper: true, CcaRow {
             pretty: "BBRv2",
-            build: |mss, seed| Box::new(BbrV2::new(BbrV2Config { seed, ..Default::default() }, mss)),
+            build: |mss, seed| Box::new(BbrV2::new(0.02, mss, seed)),
         };
         /// Hamilton TCP.
         Htcp: "htcp", ["h-tcp"], paper: true, CcaRow {

@@ -65,7 +65,6 @@ mod tests {
             delivered: 0,
             round_start: false,
             ecn_ce: false,
-            is_app_limited_now: false,
         }
     }
 

@@ -83,7 +83,6 @@ impl Loop {
                 delivered: self.delivered * MSS,
                 round_start: b == 0,
                 ecn_ce: false,
-                is_app_limited_now: false,
             };
             self.cca.on_ack(&ev, false);
         }

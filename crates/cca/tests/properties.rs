@@ -23,7 +23,6 @@ fn mk_ack(now_ms: u64, rtt_ms: u64, acked: u64, inflight: u64, rate: u64, round:
         delivered: now_ms * 1000,
         round_start: round,
         ecn_ce: ce,
-        is_app_limited_now: false,
     }
 }
 

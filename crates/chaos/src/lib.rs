@@ -10,7 +10,7 @@
 //! * [`oracle`] — the four-oracle judge (invariants, graceful
 //!   termination, determinism, artifact round-trip) running each case
 //!   under `CheckMode::Strict` inside `catch_unwind`,
-//! * [`shrink`] — a greedy deterministic minimizer for failing cases,
+//! * [`shrink`](mod@shrink) — a greedy deterministic minimizer for failing cases,
 //! * [`corpus`] — committed minimal repros replayed forever by
 //!   `cargo test`.
 //!

@@ -5,7 +5,8 @@
 //! Every cell is a recorded `Runner` run — `flows,queue` sampled every
 //! 500 ms unless `--record` / `--sample-interval` say otherwise — so
 //! `--loss`, `--flap`, `--topology`, `--coalesce`, `--fault-link` and
-//! `--check` apply as they do everywhere else. A record counts as written
+//! `--check` apply as they do everywhere else; `--limit` is refused (exit 2),
+//! since the dataset is every cell of its slice. A record counts as written
 //! once it has parsed back; a failed cell exits 1.
 //!
 //! Usage (defaults: all 9 pairs, the paper's three AQMs, 2 BDP):
@@ -17,6 +18,7 @@ use elephants_netsim::SimDuration;
 
 fn main() {
     let cli = Cli::parse();
+    cli.refuse_limit().unwrap_or_else(|e| exit_usage(&e));
     let recording = cli
         .record
         .clone()

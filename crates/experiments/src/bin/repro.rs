@@ -3,8 +3,8 @@
 //! experiment (`aqm_frontier`, `rttsweep`, `ablate`) or a checked claim
 //! (`dynamics`, `rtt_unfair`). Flags are the shared figure flags; see
 //! `repro fig2 --help`. Every target runs fixed scenarios, so the
-//! scenario-shaping flags are refused, `--record` by all but `rttsweep`,
-//! and `--bw` by the targets that run at a fixed bandwidth.
+//! scenario-shaping flags and `--limit` are refused, `--record` by all but
+//! `rttsweep`, and `--bw` by the targets that run at a fixed bandwidth.
 //!
 //! Every target returns one [`FigureOutput`]: `main` prints its caption and
 //! text and writes its tables and charts under `OUT/<id>/`. A claim target
@@ -15,7 +15,7 @@ use elephants_analysis::{
     SuppressionShape,
 };
 use elephants_aqm::{Red, RedConfig};
-use elephants_cca::{BbrV2, BbrV2Config, CongestionControl, Cubic};
+use elephants_cca::{BbrV2, CongestionControl, Cubic};
 use elephants_experiments::cli::exit_usage;
 use elephants_experiments::prelude::*;
 use elephants_experiments::svg::{ChartSpec, Series};
@@ -161,7 +161,7 @@ fn ablate_target() -> FigureOutput {
         row("cubic_hystart", variant.to_string(), ablation_run(cca, small_fifo(), 20));
     }
     for thresh in [0.02, 0.10] {
-        let cca = Box::new(BbrV2::new(BbrV2Config { loss_thresh: thresh, ..Default::default() }, 8900));
+        let cca = Box::new(BbrV2::new(thresh, 8900, 0));
         row("bbr2_loss_thresh", format!("{thresh}"), ablation_run(cca, small_fifo(), 20));
     }
     for gentle in [false, true] {
@@ -386,6 +386,7 @@ fn main() {
     cli.refuse_scenario_flags()
         .and_then(|_| if takes_record { Ok(()) } else { cli.refuse_record() })
         .and_then(|_| if takes_bw { Ok(()) } else { cli.refuse_bw() })
+        .and_then(|_| cli.refuse_limit())
         .unwrap_or_else(|e| exit_usage(&e));
     let (out, verdict) = run(&cli);
     println!("{}", out.caption);

@@ -9,6 +9,7 @@
 //! * `--bw LIST` — comma-separated bandwidths (e.g. `100M,1G,25G`)
 //! * `--no-cache` — recompute everything
 //! * `--out DIR` — output directory for CSVs (default `results`)
+//! * `--limit N` — keep only the first N cells of the grid (`sweep` only)
 //! * `--loss MODEL` — bottleneck loss model: `none`, `bernoulli:P`, or
 //!   `ge:P_GB,P_BG` (Gilbert–Elliott)
 //! * `--flap START,DUR` — take the bottleneck down at `START` seconds for
@@ -38,7 +39,8 @@
 //! running as if it had not been given: `repro` takes no scenario-shaping
 //! flags, no `--record` (`repro rttsweep` apart) and, in its fixed-bandwidth
 //! targets (`rttsweep`, `ablate`, `dynamics`, `rtt_unfair`), no `--bw`
-//! ([`Cli::refuse_bw`]); `sweep` takes no `--record`; `dataset` takes all.
+//! ([`Cli::refuse_bw`]); `sweep` takes no `--record`; only `sweep` takes
+//! `--limit` ([`Cli::refuse_limit`]); `dataset` takes the rest.
 
 use crate::cache::RunCache;
 use crate::runner::{repeat_seeds, Recording};
@@ -356,6 +358,17 @@ impl Cli {
         Ok(())
     }
 
+    /// `Err` when `--limit` was given: for binaries that run every cell of
+    /// what they reproduce.
+    pub fn refuse_limit(&self) -> Result<(), String> {
+        match self.limit {
+            Some(_) => Err("--limit is not supported here: this binary runs all of its cells \
+                            (sweep takes it)"
+                .to_string()),
+            None => Ok(()),
+        }
+    }
+
     /// Parse the process arguments, exiting with a message on error.
     pub fn parse() -> Cli {
         Cli::parse_or_exit(std::env::args().skip(1))
@@ -380,7 +393,7 @@ usage: <figure-binary> [--quick|--full] [--repeats N] [--scale F] [--seed N]
 a flag the binary cannot honour is refused (exit 2): repro takes neither
 --loss/--flap/--coalesce/--topology/--fault-link nor (repro rttsweep apart)
 --record, and repro rttsweep/ablate/dynamics/rtt_unfair no --bw; sweep takes
-no --record; dataset takes them all";
+no --record; only sweep takes --limit; dataset takes the rest";
 
 #[cfg(test)]
 mod tests {
@@ -571,9 +584,14 @@ mod tests {
             (&["--topology", "parking-lot:2"], "--topology"),
             (&["--fault-link", "0"], "--fault-link"),
             (&["--bw", "1G"], "--bw"),
+            (&["--limit", "1"], "--limit"),
         ] {
             let cli = parse(args).unwrap();
-            let msg = cli.refuse_scenario_flags().and_then(|_| cli.refuse_bw()).unwrap_err();
+            let msg = cli
+                .refuse_scenario_flags()
+                .and_then(|_| cli.refuse_bw())
+                .and_then(|_| cli.refuse_limit())
+                .unwrap_err();
             assert!(msg.starts_with(flag), "{msg}");
             assert!(cli.refuse_record().is_ok());
         }
@@ -585,6 +603,7 @@ mod tests {
         let plain = parse(&["--quick", "--bw", "100M"]).unwrap();
         assert!(plain.refuse_scenario_flags().is_ok() && plain.refuse_record().is_ok());
         assert!(parse(&["--quick"]).unwrap().refuse_bw().is_ok());
+        assert!(plain.refuse_limit().is_ok());
     }
 
     // One round-trip test per shared flag: the spelling parsed by

@@ -542,7 +542,7 @@ fn assemble(
                 .wrapping_add((group as u64) << 32 | i as u64);
             let cca = build_cca_seeded(kind, cfg.mss, flow_seed);
             let tx = TcpSender::new(
-                SenderConfig { mss: cfg.mss, ecn: cfg.ecn, ..Default::default() },
+                SenderConfig { mss: cfg.mss, ecn: cfg.ecn },
                 r_node,
                 cca,
             );

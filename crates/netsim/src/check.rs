@@ -143,7 +143,7 @@ impl CheckReport {
 }
 
 /// Name of the deliberately-injected mutation-test violation (see
-/// [`sabotage_threshold`]). The chaos harness's mutation test greps for it.
+/// [`SABOTAGE_ENV`]). The chaos harness's mutation test greps for it.
 pub const SABOTAGE_INVARIANT: &str = "sabotage_conservation";
 
 /// Environment variable enabling the mutation-test sabotage hook.

@@ -15,8 +15,9 @@
 //! shrinking lives in the `elephants-chaos` crate, which minimizes at
 //! the `ScenarioConfig` level instead.)
 //!
-//! Properties return `Result<(), String>`; the [`prop_check!`],
-//! [`prop_check_eq!`] and [`prop_check_ne!`] macros early-return a
+//! Properties return `Result<(), String>`; the [`prop_check!`](crate::prop_check!),
+//! [`prop_check_eq!`](crate::prop_check_eq!) and
+//! [`prop_check_ne!`](crate::prop_check_ne!) macros early-return a
 //! formatted `Err` the harness attaches to the panic message.
 //!
 //! # Soaking and replaying

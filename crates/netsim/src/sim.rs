@@ -531,8 +531,8 @@ impl Simulator {
     ///
     /// Check dispatch is decided *here*, once per call, not per event: the
     /// `checker.is_some()` test is hoisted into a register-resident flag
-    /// that the loop, [`Simulator::deliver`], and the per-emitted-packet
-    /// path of [`Simulator::dispatch`] branch on, instead of re-loading
+    /// that the loop, the private `deliver`, and the per-emitted-packet
+    /// path of the private `dispatch` branch on, instead of re-loading
     /// and testing the checker `Option` at every site. The checker can
     /// only be (un)installed between `run_until` calls, so the one-time
     /// selection is exact, and the checked path sees byte-for-byte the

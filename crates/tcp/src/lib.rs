@@ -151,25 +151,4 @@ mod e2e_tests {
         let min_rtt = s.flows[0].sender.min_rtt.unwrap().as_millis_f64();
         assert!((62.0..66.0).contains(&min_rtt), "min_rtt {min_rtt:.2} ms");
     }
-
-    #[test]
-    fn bounded_source_stops() {
-        let bw = Bandwidth::from_mbps(100);
-        let spec = DumbbellSpec::paper(bw);
-        let topo = spec.build();
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                duration: SimDuration::from_secs(10),
-                warmup: SimDuration::ZERO,
-                max_events: u64::MAX,
-            },
-            3,
-        );
-        let cfg = SenderConfig { total_segments: Some(100), ..Default::default() };
-        add_flow(&mut sim, &spec, CcaKind::Cubic, cfg);
-        let s = sim.run();
-        assert_eq!(s.flows[0].receiver.delivered_segments, 100);
-        assert_eq!(s.flows[0].sender.data_segments_sent, 100, "no spurious retx on clean path");
-    }
 }

@@ -17,6 +17,9 @@ use std::any::Any;
 /// Duplicate-ACK / SACK reordering threshold, in segments.
 pub const DUPTHRESH: u64 = 3;
 
+/// Burst cap per send opportunity when unpaced, in segments.
+const MAX_BURST: u32 = 64;
+
 /// Sender configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SenderConfig {
@@ -24,15 +27,11 @@ pub struct SenderConfig {
     pub mss: u32,
     /// Negotiate ECN (ECT(0) on data packets).
     pub ecn: bool,
-    /// Optional cap on total segments to send (None = unbounded elephant).
-    pub total_segments: Option<u64>,
-    /// Burst cap per send opportunity when unpaced (segments).
-    pub max_burst: u32,
 }
 
 impl Default for SenderConfig {
     fn default() -> Self {
-        SenderConfig { mss: 8900, ecn: false, total_segments: None, max_burst: 64 }
+        SenderConfig { mss: 8900, ecn: false }
     }
 }
 
@@ -143,17 +142,7 @@ impl TcpSender {
         }
     }
 
-    fn source_exhausted(&self) -> bool {
-        match self.cfg.total_segments {
-            Some(total) => self.board.snd_nxt() >= total,
-            None => false,
-        }
-    }
-
-    fn transmit_new(&mut self, ctx: &mut Ctx) -> bool {
-        if self.source_exhausted() {
-            return false;
-        }
+    fn transmit_new(&mut self, ctx: &mut Ctx) {
         let seq = self.board.snd_nxt();
         if self.board.is_empty() {
             // Pipe was empty: restart the rate-sample send window.
@@ -168,7 +157,6 @@ impl TcpSender {
         pkt.ecn_capable = self.cfg.ecn;
         ctx.send(pkt);
         self.segments_sent += 1;
-        true
     }
 
     fn transmit_retx(&mut self, seq: u64, ctx: &mut Ctx) {
@@ -186,13 +174,13 @@ impl TcpSender {
     fn try_send(&mut self, ctx: &mut Ctx) {
         let mss = self.cfg.mss as u64;
         let pacing = self.cca.pacing_rate();
-        let mut burst_left = self.cfg.max_burst;
+        let mut burst_left = MAX_BURST;
 
         loop {
             let cwnd = self.cca.cwnd().max(mss);
             let inflight = self.board.inflight_segments() * mss;
             let has_retx = self.board.lost_pending() > 0;
-            let want_new = inflight + mss <= cwnd && !self.source_exhausted();
+            let want_new = inflight + mss <= cwnd;
             // Retransmissions get priority and a little window grace.
             let want_retx = has_retx && inflight < cwnd + mss;
             if !want_new && !want_retx {
@@ -216,8 +204,8 @@ impl TcpSender {
             if want_retx {
                 let seq = self.board.next_lost().expect("lost_pending > 0");
                 self.transmit_retx(seq, ctx);
-            } else if !self.transmit_new(ctx) {
-                break;
+            } else {
+                self.transmit_new(ctx);
             }
             burst_left = burst_left.saturating_sub(1);
             if let Some(rate_bps) = pacing {
@@ -418,7 +406,6 @@ impl TcpSender {
             delivered: self.delivered,
             round_start,
             ecn_ce: ecn_echo,
-            is_app_limited_now: self.source_exhausted(),
         };
         self.cca.on_ack(&ev, self.in_recovery());
         if exited_recovery {

@@ -6,7 +6,11 @@
 # registry dependency fails resolution here before it fails review.
 #
 # Modes:
-#   scripts/ci.sh                build + lint + test (the default gate)
+#   scripts/ci.sh                build + lint + docs + test (the default
+#                                gate); the docs step builds every crate's
+#                                rustdoc with warnings as errors, so a doc
+#                                link to a renamed, deleted or private item
+#                                fails here
 #   scripts/ci.sh --fault-smoke  also run one link-flap and one
 #                                variable-loss scenario through the
 #                                fault-tolerant sweep binary in quick mode
@@ -126,6 +130,7 @@ fi
 # here instead of silently moving Cargo.lock or benchmark/Cargo.lock.
 cargo build --release --offline --locked
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --workspace
 cargo test -q --offline --locked
 
 if [[ "$benchmark_smoke" -eq 1 ]]; then

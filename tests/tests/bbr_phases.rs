@@ -41,7 +41,7 @@ fn fixture_cells() -> Vec<(&'static str, ScenarioConfig, &'static [&'static str]
         // A shallow FIFO overflows in Startup: v2's loss exit.
         ("bbr2_cubic_shallow.json", cell(BbrV2, Cubic, Fifo, 0.5, 12), &["drain", "probe_bw:down"]),
         // RED marking: per-round CE accounting (the CE rate tops out near
-        // 0.1 here, under `ecn_thresh`, so no cut comes from it).
+        // 0.1 here, under `ECN_THRESH`, so no cut comes from it).
         ("bbr2_red_ecn.json", cell(BbrV2, BbrV2, Red, 2.0, 12).ecn(true), &["probe_bw:up"]),
         // The same against CUBIC: the one cell where `on_loss_event` cuts
         // the ceiling (twice, once from Drain) rather than the UP probe;

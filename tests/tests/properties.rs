@@ -1,6 +1,6 @@
 //! Property-based tests over the public APIs (seeded harness).
 
-use elephants::aqm::{Codel, CodelConfig, FqCodel, FqCodelConfig, Red, RedConfig};
+use elephants::aqm::{Codel, FqCodel, Red, RedConfig};
 use elephants::metrics::{jain_index, relative_retransmissions};
 use elephants::netsim::prelude::*;
 use elephants::netsim::prop::{run_cases, vec_of, DEFAULT_CASES};
@@ -132,8 +132,7 @@ fn red_conserves_packets() {
 fn codel_conserves_packets() {
     run_cases("codel_conserves_packets", 64, |rng| {
         let ops = gen_ops(rng);
-        let mut q =
-            Codel::new(CodelConfig { limit_bytes: 100_000, mtu: 1500, ..Default::default() });
+        let mut q = Codel::new(100_000, 1500, false);
         exercise(&mut q, &ops)
     });
 }
@@ -142,7 +141,7 @@ fn codel_conserves_packets() {
 fn fq_codel_conserves_packets() {
     run_cases("fq_codel_conserves_packets", 64, |rng| {
         let ops = gen_ops(rng);
-        let mut q = FqCodel::new(FqCodelConfig::tc_defaults(100_000, 1500));
+        let mut q = FqCodel::new(100_000, 1500, false, 0);
         exercise(&mut q, &ops)
     });
 }
@@ -151,7 +150,7 @@ fn fq_codel_conserves_packets() {
 fn fq_codel_backlog_bytes_never_negative_nor_leaks() {
     run_cases("fq_codel_backlog_bytes_never_negative_nor_leaks", 64, |rng| {
         let ops = gen_ops(rng);
-        let mut q = FqCodel::new(FqCodelConfig::tc_defaults(50_000, 1500));
+        let mut q = FqCodel::new(50_000, 1500, false, 0);
         let mut rng2 = SmallRng::seed_from_u64(3);
         let mut now = SimTime::ZERO;
         let mut seq = 0;
