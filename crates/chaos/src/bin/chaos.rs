@@ -15,8 +15,9 @@
 //! The scenario-shaping flags are the shared set from
 //! `elephants_experiments::cli` and act as *pins*: each is forced onto
 //! every generated case (a case a pin cannot validly apply to counts as
-//! a skip). `--record`/`--check`/`--sample-interval` are rejected — the
-//! judge always runs the strict checker and owns its own artifacts.
+//! a skip). The judge always runs the strict checker and owns its own
+//! artifacts, so `--record`, `--check` and `--sample-interval` are
+//! refused like any flag off chaos's list (`chaos --help` prints it).
 //!
 //! Exit codes: `0` — all oracles clean and corpus green; `1` — findings
 //! or corpus regressions; `2` — usage error.
@@ -25,105 +26,51 @@ use elephants_chaos::{
     default_corpus_dir, fuzz, replay_all, replay_failures, save_fixture, CaseOutcome,
     FuzzOptions,
 };
-use elephants_experiments::SharedFlags;
+use elephants_experiments::cli::{exit_usage, Flag, CHAOS};
+use elephants_experiments::Cli;
 use elephants_json::ToJson;
-use std::path::PathBuf;
 
-struct Args {
-    opts: FuzzOptions,
-    corpus: PathBuf,
-    commit: bool,
-    replay_only: bool,
-    verbose: bool,
-}
+/// Chaos's own flags; it also takes the shared ones in [`CHAOS`].
+const OWN: &[Flag] = &[
+    ("--cases", "N", "generated cases, seeds --seed .. --seed + N (default 200)"),
+    ("--corpus", "DIR", "corpus of committed repros to write and replay"),
+    ("--no-commit", "", "do not write shrunk failures into the corpus"),
+    ("--no-shrink", "", "report failing cases unshrunk"),
+    ("--replay-only", "", "replay the corpus without fuzzing"),
+    ("--verbose", "", "print every case, passes too"),
+];
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        opts: FuzzOptions::default(),
-        corpus: default_corpus_dir(),
-        commit: true,
-        replay_only: false,
-        verbose: false,
+fn main() {
+    let cli = Cli::parse("chaos", CHAOS, OWN);
+    let defaults = FuzzOptions::default();
+    let opts = FuzzOptions {
+        cases: cli.value("--cases", defaults.cases),
+        base_seed: cli.opts.seed,
+        shrink: !cli.given("--no-shrink"),
+        overrides: cli.shared.scenario_flag().map(|_| cli.shared.clone()),
+        ..defaults
     };
-    let mut shared = SharedFlags::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        if shared.try_parse(&arg, &mut it)? {
-            continue;
-        }
-        let mut value = |flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--cases" => {
-                args.opts.cases = value("--cases")?
-                    .parse()
-                    .map_err(|e| format!("--cases: {e}"))?;
-            }
-            "--seed" => {
-                args.opts.base_seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--corpus" => args.corpus = PathBuf::from(value("--corpus")?),
-            "--no-commit" => args.commit = false,
-            "--no-shrink" => args.opts.shrink = false,
-            "--replay-only" => args.replay_only = true,
-            "--verbose" => args.verbose = true,
-            "--help" | "-h" => {
-                print_usage();
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    if shared.record.is_some() || shared.check.is_some() || shared.sample_interval.is_some() {
-        return Err(
-            "the chaos judge always runs the strict checker and owns its artifacts; \
-             drop --record/--check/--sample-interval"
-                .to_string(),
-        );
-    }
-    let (seed, cases) = (args.opts.base_seed, args.opts.cases);
+    // Every own flag is read here, before any work, so a read under a name
+    // off `OWN` fails on every run.
+    let corpus = cli.value("--corpus", default_corpus_dir());
+    let (commit, replay_only) = (!cli.given("--no-commit"), cli.given("--replay-only"));
+    let verbose = cli.given("--verbose");
+    let (seed, cases) = (opts.base_seed, opts.cases);
     if cases > 0 && seed.checked_add(u64::from(cases - 1)).is_none() {
-        return Err(format!(
+        exit_usage(&format!(
             "--seed {seed} with --cases {cases} runs past the largest seed, {}",
             u64::MAX
         ));
     }
-    if shared.scenario_flag().is_some() {
-        args.opts.overrides = Some(shared);
-    }
-    Ok(args)
-}
-
-fn print_usage() {
-    eprintln!(
-        "usage: chaos [--cases N] [--seed S] [--corpus DIR] [--no-commit] \
-         [--no-shrink] [--replay-only] [--verbose] [--loss MODEL] \
-         [--flap START,DUR] [--coalesce] [--topology SPEC] [--fault-link N]"
-    );
-}
-
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("chaos: {msg}");
-            print_usage();
-            std::process::exit(2);
-        }
-    };
 
     let mut dirty = false;
 
-    if !args.replay_only {
+    if !replay_only {
         eprintln!(
             "chaos: fuzzing {} cases from seed {} (strict checker, 4 oracles)",
-            args.opts.cases, args.opts.base_seed
+            opts.cases, opts.base_seed
         );
-        let verbose = args.verbose;
-        let report = fuzz(&args.opts, |seed, outcome| match outcome {
+        let report = fuzz(&opts, |seed, outcome| match outcome {
             CaseOutcome::Pass if verbose => eprintln!("  case {seed}: pass"),
             CaseOutcome::Skip { reason } => eprintln!("  case {seed}: SKIP ({reason})"),
             CaseOutcome::Fail { oracle, detail } => {
@@ -141,8 +88,8 @@ fn main() {
                 finding.shrink_evals,
                 finding.shrunk.to_json_string()
             );
-            if args.commit {
-                match save_fixture(&args.corpus, &finding.fixture()) {
+            if commit {
+                match save_fixture(&corpus, &finding.fixture()) {
                     Ok(path) => eprintln!("chaos: committed repro {}", path.display()),
                     Err(e) => eprintln!("chaos: FAILED to write repro: {e}"),
                 }
@@ -152,7 +99,7 @@ fn main() {
         dirty |= !report.findings.is_empty();
     }
 
-    match replay_all(&args.corpus) {
+    match replay_all(&corpus) {
         Ok(results) => {
             let failures = replay_failures(&results);
             for f in &failures {

@@ -5,20 +5,20 @@
 //! Every cell is a recorded `Runner` run — `flows,queue` sampled every
 //! 500 ms unless `--record` / `--sample-interval` say otherwise — so
 //! `--loss`, `--flap`, `--topology`, `--coalesce`, `--fault-link` and
-//! `--check` apply as they do everywhere else; `--limit` is refused (exit 2),
-//! since the dataset is every cell of its slice. A record counts as written
-//! once it has parsed back; a failed cell exits 1.
+//! `--check` apply as they do everywhere else. It runs every cell of its
+//! slice once, uncached, so `--limit`, `--repeats` and `--no-cache` are
+//! refused (exit 2; `dataset --help` lists what it takes). A record counts
+//! as written once it has parsed back; a failed cell exits 1.
 //!
 //! Usage (defaults: all 9 pairs, the paper's three AQMs, 2 BDP):
 //! `cargo run --release -p elephants-experiments --bin dataset -- --bw 100M --out results`
 
-use elephants_experiments::cli::exit_usage;
+use elephants_experiments::cli::{exit_usage, DATASET};
 use elephants_experiments::prelude::*;
 use elephants_netsim::SimDuration;
 
 fn main() {
-    let cli = Cli::parse();
-    cli.refuse_limit().unwrap_or_else(|e| exit_usage(&e));
+    let cli = Cli::parse("dataset", DATASET, &[]);
     let recording = cli
         .record
         .clone()

@@ -1,71 +1,51 @@
 //! Probe a single scenario cell: print its raw metrics and, with
 //! `--record`, write a flight record plus dynamics figures and verify the
-//! artifact parses back. The scenario-shaping flags (`--loss`, `--flap`,
-//! `--record`, `--sample-interval`, `--check`, `--coalesce`, `--topology`,
-//! `--fault-link`) are the shared set from `elephants_experiments::cli`,
-//! spelled identically across `probe`, `sweep`, the figure binaries and
-//! the chaos fuzzer.
+//! artifact parses back. Besides its own `--cca1`, `--cca2`, `--aqm`,
+//! `--queue` and `--secs` it takes the flags `elephants_experiments::cli`
+//! gives every binary that shapes a scenario (`probe --help` lists them);
+//! `--bw` is one bandwidth.
 //!
 //! Usage:
 //! `cargo run --release -p elephants-experiments --bin probe -- \
-//!    --cca1 bbr1 --cca2 cubic --aqm fq_codel --queue 2 --bw1 100M --secs 20 \
+//!    --cca1 bbr1 --cca2 cubic --aqm fq_codel --queue 2 --bw 100M --secs 20 \
 //!    --topology parking-lot:3 --check strict \
 //!    --record flows,queue,events --sample-interval 10 --out results`
 
-use elephants_experiments::cli::parse_bw;
+use elephants_experiments::cli::{exit_usage, Flag, PROBE};
 use elephants_experiments::prelude::*;
-use elephants_netsim::{CheckMode, SimDuration};
+use elephants_netsim::SimDuration;
 use elephants_telemetry::FlightRecord;
 
+/// Probe's own flags; it also takes the shared ones in [`PROBE`].
+const OWN: &[Flag] = &[
+    ("--cca1", "CCA", "group 1's congestion control (default cubic)"),
+    ("--cca2", "CCA", "group 2's congestion control (default cubic)"),
+    ("--aqm", "AQM", "bottleneck queue discipline (default fifo)"),
+    ("--queue", "BDP", "bottleneck buffer in bandwidth-delay products (default 2)"),
+    ("--secs", "S", "simulated seconds (default 20)"),
+];
+
 fn main() {
-    let mut cca1 = CcaKind::Cubic;
-    let mut cca2 = CcaKind::Cubic;
-    let mut aqm = AqmKind::Fifo;
-    let mut queue = 2.0f64;
-    let mut bw = 100_000_000u64;
-    let mut secs = 20u64;
-    let mut seed = 1u64;
-    let mut scale = 1.0f64;
-    let mut out_dir = "results".to_string();
-    let mut shared = SharedFlags::default();
+    // Unlike the grid binaries, probe runs one cell at 100 Mbit/s unless
+    // `--bw` says otherwise.
+    let args = ["--bw".to_string(), "100M".to_string()].into_iter().chain(std::env::args().skip(1));
+    let cli = Cli::parse_or_exit("probe", PROBE, OWN, args);
+    let [bw] = cli.bws[..] else { exit_usage("--bw: probe runs one bandwidth") };
+    let (cca1, cca2) = (cli.value("--cca1", CcaKind::Cubic), cli.value("--cca2", CcaKind::Cubic));
+    let aqm = cli.value("--aqm", AqmKind::Fifo);
+    let queue = cli.value("--queue", 2.0);
+    let secs = cli.value("--secs", 20);
+    let fail = |msg: String| -> ! { exit_usage(&format!("invalid scenario: {msg}")) };
 
-    let fail = |msg: String| -> ! {
-        eprintln!("probe: {msg}");
-        std::process::exit(2);
-    };
-
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match shared.try_parse(&a, &mut args) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => fail(e),
-        }
-        let mut val = || args.next().unwrap_or_else(|| fail(format!("{a} needs a value")));
-        match a.as_str() {
-            "--cca1" => cca1 = val().parse().unwrap_or_else(|e| fail(e)),
-            "--cca2" => cca2 = val().parse().unwrap_or_else(|e| fail(e)),
-            "--aqm" => aqm = val().parse().unwrap_or_else(|e| fail(e)),
-            "--queue" => queue = val().parse().unwrap_or_else(|e| fail(format!("bad --queue: {e}"))),
-            "--bw1" | "--bw" => bw = parse_bw(&val()).unwrap_or_else(|e| fail(e)),
-            "--secs" => secs = val().parse().unwrap_or_else(|e| fail(format!("bad --secs: {e}"))),
-            "--seed" => seed = val().parse().unwrap_or_else(|e| fail(format!("bad --seed: {e}"))),
-            "--scale" => scale = val().parse().unwrap_or_else(|e| fail(format!("bad --scale: {e}"))),
-            "--out" => out_dir = val(),
-            other => fail(format!("unknown flag {other}")),
-        }
-    }
-
-    let opts = RunOptions { seed, flow_scale: scale, ..RunOptions::standard() };
-    let mut cfg = ScenarioConfig::builder(cca1, cca2, aqm, queue, bw, &opts)
+    let mut cfg = ScenarioConfig::builder(cca1, cca2, aqm, queue, bw, &cli.opts)
         .duration(SimDuration::from_secs(secs))
         .build()
-        .unwrap_or_else(|e| fail(format!("invalid scenario: {e}")));
-    shared.apply(&mut cfg).unwrap_or_else(|e| fail(format!("invalid scenario: {e}")));
+        .unwrap_or_else(|e| fail(e));
+    cli.shared.apply(&mut cfg).unwrap_or_else(|e| fail(e));
 
-    let check = shared.check.unwrap_or(CheckMode::Off);
-    let mut runner = Runner::new(&cfg).seed(seed).check(check);
-    if let Some(rec) = shared.recording(&out_dir).unwrap_or_else(|e| fail(e)) {
+    let check = cli.shared.check.unwrap_or_default();
+    let mut runner = Runner::new(&cfg).seed(cli.opts.seed).check(check);
+    if let Some(rec) = cli.record {
         runner = runner.recorder(rec);
     }
     let outcome = runner

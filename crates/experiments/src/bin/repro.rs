@@ -1,10 +1,9 @@
 //! Regenerates one artifact: `repro <target> [flags]`, where the target is a
 //! paper figure or table (`fig2..fig8`, `table2`, `table3`), an extension
 //! experiment (`aqm_frontier`, `rttsweep`, `ablate`) or a checked claim
-//! (`dynamics`, `rtt_unfair`). Flags are the shared figure flags; see
-//! `repro fig2 --help`. Every target runs fixed scenarios, so the
-//! scenario-shaping flags and `--limit` are refused, `--record` by all but
-//! `rttsweep`, and `--bw` by the targets that run at a fixed bandwidth.
+//! (`dynamics`, `rtt_unfair`). Each target takes only the flags that change
+//! what it does, listed in its row of `TARGETS` and printed by
+//! `repro <target> --help`; any other flag exits 2.
 //!
 //! Every target returns one [`FigureOutput`]: `main` prints its caption and
 //! text and writes its tables and charts under `OUT/<id>/`. A claim target
@@ -16,7 +15,9 @@ use elephants_analysis::{
 };
 use elephants_aqm::{Red, RedConfig};
 use elephants_cca::{BbrV2, CongestionControl, Cubic};
-use elephants_experiments::cli::exit_usage;
+use elephants_experiments::cli::{
+    exit_usage, ABLATE, AQM_FRONTIER, CLAIM, FIGURE, RTTSWEEP, TABLE2,
+};
 use elephants_experiments::prelude::*;
 use elephants_experiments::svg::{ChartSpec, Series};
 use elephants_netsim::prelude::*;
@@ -356,38 +357,40 @@ fn rtt_unfair_target(cli: &Cli) -> (FigureOutput, Verdict) {
 
 type Target = fn(&Cli) -> (FigureOutput, Verdict);
 
-/// `(name, takes --record, takes --bw, run)`.
-const TARGETS: [(&str, bool, bool, Target); 14] = [
-    ("fig2", false, true, |cli| (fig2(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("fig3", false, true, |cli| (fig3(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("fig4", false, true, |cli| (fig4(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("fig5", false, true, |cli| (fig5(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("fig6", false, true, |cli| (fig6(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("fig7", false, true, |cli| (fig7(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("fig8", false, true, |cli| (fig8(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
-    ("table2", false, true, |cli| (table2_target(cli), Ok(()))),
-    ("table3", false, true, |cli| (table3_target(cli), Ok(()))),
-    ("aqm_frontier", false, true, |cli| (aqm_frontier_target(cli), Ok(()))),
-    ("rttsweep", true, false, |cli| (rttsweep_target(cli), Ok(()))),
-    ("ablate", false, false, |_| (ablate_target(), Ok(()))),
-    ("dynamics", false, false, dynamics_target),
-    ("rtt_unfair", false, false, rtt_unfair_target),
+/// `(name, the flags it takes, run)`.
+const TARGETS: [(&str, &[&str], Target); 14] = [
+    ("fig2", FIGURE, |cli| (fig2(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("fig3", FIGURE, |cli| (fig3(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("fig4", FIGURE, |cli| (fig4(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("fig5", FIGURE, |cli| (fig5(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("fig6", FIGURE, |cli| (fig6(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("fig7", FIGURE, |cli| (fig7(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("fig8", FIGURE, |cli| (fig8(&cli.opts, &cli.cache, &cli.bws), Ok(()))),
+    ("table2", TABLE2, |cli| (table2_target(cli), Ok(()))),
+    ("table3", FIGURE, |cli| (table3_target(cli), Ok(()))),
+    ("aqm_frontier", AQM_FRONTIER, |cli| (aqm_frontier_target(cli), Ok(()))),
+    ("rttsweep", RTTSWEEP, |cli| (rttsweep_target(cli), Ok(()))),
+    ("ablate", ABLATE, |_| (ablate_target(), Ok(()))),
+    ("dynamics", CLAIM, dynamics_target),
+    ("rtt_unfair", CLAIM, rtt_unfair_target),
 ];
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let target = args.next().unwrap_or_default();
-    let Some(&(_, takes_record, takes_bw, run)) = TARGETS.iter().find(|t| t.0 == target) else {
+    let Some(&(_, takes, run)) = TARGETS.iter().find(|t| t.0 == target) else {
         let names: Vec<&str> = TARGETS.iter().map(|t| t.0).collect();
-        eprintln!("usage: repro <{}> [flags]   (flags: repro fig2 --help)", names.join("|"));
-        std::process::exit(2);
+        let usage = format!(
+            "usage: repro <{}> [flags]   (`repro <target> --help` lists a target's flags)",
+            names.join("|")
+        );
+        if target == "--help" || target == "-h" {
+            println!("{usage}");
+            return;
+        }
+        exit_usage(&usage);
     };
-    let cli = Cli::parse_or_exit(args);
-    cli.refuse_scenario_flags()
-        .and_then(|_| if takes_record { Ok(()) } else { cli.refuse_record() })
-        .and_then(|_| if takes_bw { Ok(()) } else { cli.refuse_bw() })
-        .and_then(|_| cli.refuse_limit())
-        .unwrap_or_else(|e| exit_usage(&e));
+    let cli = Cli::parse_or_exit(&format!("repro {target}"), takes, &[], args);
     let (out, verdict) = run(&cli);
     println!("{}", out.caption);
     println!("{}", out.text);

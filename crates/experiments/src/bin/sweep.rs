@@ -7,12 +7,11 @@
 //! every cell; `--check audit` ends the summary with what the checker
 //! found in the cells this sweep had to run.
 
-use elephants_experiments::cli::exit_usage;
+use elephants_experiments::cli::{exit_usage, SWEEP};
 use elephants_experiments::prelude::*;
 
 fn main() {
-    let cli = Cli::parse();
-    cli.refuse_record().unwrap_or_else(|e| exit_usage(&e));
+    let cli = Cli::parse("sweep", SWEEP, &[]);
     let mut grid = paper_grid(&cli.opts);
     grid.retain(|c| cli.bws.contains(&c.bw_bps));
     if let Some(n) = cli.limit {

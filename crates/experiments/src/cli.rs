@@ -1,51 +1,27 @@
-//! Minimal argument parsing shared by `repro` and the experiment binaries.
+//! The one command-line parser of `repro`, `sweep`, `dataset`, `probe` and
+//! the `chaos` fuzzer.
 //!
-//! Flags:
+//! `FLAGS` is every flag the binaries share: its spelling, its value and
+//! what it does. Each binary, and each `repro` target, is the list of the
+//! shared flags it honours ([`SWEEP`], [`DATASET`], [`PROBE`], [`CHAOS`]
+//! and the `repro` lists [`FIGURE`] … [`ABLATE`]) plus the rows of its own
+//! flags, which live in its bin file (probe's `--cca1` … `--secs`, chaos's
+//! `--cases` … `--verbose`). A flag is listed exactly when giving it
+//! changes what that binary or target does. [`Cli::parse_from`] walks the
+//! arguments once against the list: a flag off it exits 2 with a message
+//! that starts with the flag, and `--help` prints the list and exits 0.
 //!
-//! * `--quick` / `--full` — duration preset (default: standard)
-//! * `--repeats N` — seeded repetitions per config (paper: 5)
-//! * `--scale F` — Table 2 flow-count scale in (0, 1]
-//! * `--seed N` — base seed
-//! * `--bw LIST` — comma-separated bandwidths (e.g. `100M,1G,25G`)
-//! * `--no-cache` — recompute everything
-//! * `--out DIR` — output directory for CSVs (default `results`)
-//! * `--limit N` — keep only the first N cells of the grid (`sweep` only)
-//! * `--loss MODEL` — bottleneck loss model: `none`, `bernoulli:P`, or
-//!   `ge:P_GB,P_BG` (Gilbert–Elliott)
-//! * `--flap START,DUR` — take the bottleneck down at `START` seconds for
-//!   `DUR` seconds (simulated time)
-//! * `--record CHANNELS` — attach the flight recorder to the base-seed run:
-//!   a comma-separated subset of `flows`, `queue`, `events`
-//! * `--sample-interval MS` — flight-recorder sample spacing in ms
-//! * `--check MODE` — runtime invariant checking: `off` (default), `audit`
-//!   (count violations; a sweep ends with `check_violations: N`) or
-//!   `strict` (panic on the first violation; a sweep degrades the cell to
-//!   a failed run). The mode rides on [`Cli::cache`], which every cell a
-//!   sweep or figure runs goes through.
-//! * `--coalesce` — enable GRO-style receive coalescing on every receiver
-//!   (off by default; changes cache keys, so coalesced and plain results
-//!   never mix)
-//! * `--topology SPEC` — network shape: `dumbbell` (default, the paper
-//!   testbed), `parking-lot:K` (K shaped hops, K+1 flow groups) or
-//!   `multi-dumbbell:R1,R2[,..]` (heterogeneous per-group RTTs in ms)
-//! * `--fault-link N` — aim `--loss`/`--flap` at bottleneck hop `N`
-//!   (default 0, the only hop on a dumbbell)
-//!
-//! `--loss` … `--fault-link` live in [`SharedFlags`], which `probe` and the
-//! `chaos` fuzzer reuse so every binary spells these flags identically;
-//! [`Cli`] holds the parsed set as [`Cli::shared`]. Every binary parses all
-//! of them, and one that cannot honour a flag refuses it with exit 2
-//! ([`Cli::refuse_scenario_flags`], [`Cli::refuse_record`]) instead of
-//! running as if it had not been given: `repro` takes no scenario-shaping
-//! flags, no `--record` (`repro rttsweep` apart) and, in its fixed-bandwidth
-//! targets (`rttsweep`, `ablate`, `dynamics`, `rtt_unfair`), no `--bw`
-//! ([`Cli::refuse_bw`]); `sweep` takes no `--record`; only `sweep` takes
-//! `--limit` ([`Cli::refuse_limit`]); `dataset` takes the rest.
+//! The flags that shape a scenario or its run (`--loss` … `--fault-link`)
+//! parse into [`SharedFlags`], which `chaos` also pins onto the cases it
+//! generates. A binary's own flags are kept as given and read with
+//! [`Cli::value`] and [`Cli::given`].
 
 use crate::cache::RunCache;
 use crate::runner::{repeat_seeds, Recording};
 use crate::scenario::{DurationPreset, RunOptions, ScenarioConfig, PAPER_BWS};
 use elephants_netsim::{CheckMode, FaultPlan, LossModel, SimDuration, TopologySpec};
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Print `msg` and exit with the usage-error status.
 pub fn exit_usage(msg: &str) -> ! {
@@ -53,15 +29,75 @@ pub fn exit_usage(msg: &str) -> ! {
     std::process::exit(2)
 }
 
-/// Parsed command line for a figure binary.
+/// A flag's spelling, its value (`""` for a switch) and what it does.
+pub type Flag = (&'static str, &'static str, &'static str);
+
+/// Every flag the binaries share. `--help` prints a binary's own rows,
+/// then its shared ones in this order.
+const FLAGS: &[Flag] = &[
+    ("--quick", "", "short duration preset (default: standard)"),
+    ("--full", "", "the paper's durations; raises --repeats to 5"),
+    ("--repeats", "N", "seeded repetitions per config (paper: 5)"),
+    ("--scale", "F", "Table 2 flow-count scale in (0, 1]"),
+    ("--seed", "N", "base seed (default 1)"),
+    ("--bw", "LIST", "comma-separated bandwidths, e.g. 100M,1G,25G"),
+    ("--no-cache", "", "recompute every run instead of reading OUT/cache"),
+    ("--out", "DIR", "output directory (default results)"),
+    ("--limit", "N", "keep only the first N cells of the grid"),
+    ("--loss", "MODEL", "bottleneck loss: none, bernoulli:P or ge:P_GB,P_BG"),
+    ("--flap", "START,DUR", "take the bottleneck down at START s for DUR s"),
+    ("--record", "CHANNELS", "flight recorder: a subset of flows,queue,events"),
+    ("--sample-interval", "MS", "flight-recorder sample spacing (needs --record)"),
+    ("--check", "MODE", "invariant checking: off, audit or strict"),
+    ("--coalesce", "", "GRO-style receive coalescing on every receiver"),
+    ("--topology", "SPEC", "dumbbell, parking-lot:K or multi-dumbbell:R1,R2[,..]"),
+    ("--fault-link", "N", "aim --loss / --flap at bottleneck hop N (default 0)"),
+];
+
+/// `repro fig2` … `fig8` and `table3`: grids of cached, repeated runs.
+pub const FIGURE: &[&str] = &[
+    "--quick", "--full", "--repeats", "--scale", "--seed", "--bw", "--no-cache", "--out", "--check",
+];
+/// `repro aqm_frontier`: a grid of cached runs at one seed.
+pub const AQM_FRONTIER: &[&str] =
+    &["--quick", "--full", "--scale", "--seed", "--bw", "--no-cache", "--out", "--check"];
+/// `repro table2`: no runs, one row per bandwidth.
+pub const TABLE2: &[&str] = &["--bw", "--out"];
+/// `repro dynamics` and `rtt_unfair`: fixed-length, uncached runs at one
+/// seed and a fixed bandwidth.
+pub const CLAIM: &[&str] = &["--scale", "--seed", "--check", "--out"];
+/// `repro rttsweep`: as [`CLAIM`], and it can record its 62 ms run.
+pub const RTTSWEEP: &[&str] =
+    &["--scale", "--seed", "--check", "--out", "--record", "--sample-interval"];
+/// `repro ablate`: hand-built simulators at a fixed seed and length.
+pub const ABLATE: &[&str] = &["--out"];
+/// `sweep`: the grid through the cache; it records nothing.
+pub const SWEEP: &[&str] = &[
+    "--quick", "--full", "--repeats", "--scale", "--seed", "--bw", "--no-cache", "--out", "--limit",
+    "--check", "--loss", "--flap", "--coalesce", "--topology", "--fault-link",
+];
+/// `dataset`: one recorded, uncached run at one seed per cell of its slice.
+pub const DATASET: &[&str] = &[
+    "--quick", "--full", "--scale", "--seed", "--bw", "--out", "--record", "--sample-interval",
+    "--check", "--loss", "--flap", "--coalesce", "--topology", "--fault-link",
+];
+/// `probe`: one run of one cell.
+pub const PROBE: &[&str] = &[
+    "--bw", "--seed", "--scale", "--out", "--record", "--sample-interval", "--check", "--loss",
+    "--flap", "--coalesce", "--topology", "--fault-link",
+];
+/// `chaos`: its judge runs the strict checker and owns its artifacts, so
+/// of the shared flags it takes only `--seed` and the scenario-shaping
+/// ones, as pins.
+pub const CHAOS: &[&str] = &["--seed", "--loss", "--flap", "--coalesce", "--topology", "--fault-link"];
+
+/// Parsed command line.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Run options derived from flags.
     pub opts: RunOptions,
     /// Bandwidths to sweep.
     pub bws: Vec<u64>,
-    /// Whether `--bw` was given (`bws` is `PAPER_BWS` otherwise).
-    pub bw_given: bool,
     /// Results cache (possibly disabled), carrying the `--check` mode to
     /// the runs it makes.
     pub cache: RunCache,
@@ -75,13 +111,13 @@ pub struct Cli {
     /// The shared flags as parsed; put the scenario-shaping ones on a
     /// config with `cli.shared.apply(&mut cfg)`.
     pub shared: SharedFlags,
+    /// The rows of the binary's own flags.
+    own_flags: &'static [Flag],
+    /// The binary's own flags that were given, with their values.
+    own: Vec<(&'static str, String)>,
 }
 
-/// The per-scenario flags every scenario-building binary shares (`probe`,
-/// `sweep`, the figure binaries, and — for the scenario-shaping subset —
-/// the `chaos` fuzzer). One parser, one spelling, one validation path:
-/// a binary's argument loop hands unrecognized flags to [`Self::try_parse`]
-/// and keeps its own binary-specific flags in its own `match`.
+/// The flags that shape a scenario or its run (`--loss` … `--fault-link`).
 ///
 /// Every field is optional ("was this flag given?") so callers that pin
 /// knobs onto existing configs (chaos overrides) can distinguish "leave
@@ -107,47 +143,6 @@ pub struct SharedFlags {
 }
 
 impl SharedFlags {
-    /// Try to consume `arg` (plus any value it needs from `it`). Returns
-    /// `Ok(true)` when the flag was one of the shared set, `Ok(false)` when
-    /// the caller should handle it, and `Err` on a malformed value.
-    pub fn try_parse(
-        &mut self,
-        arg: &str,
-        it: &mut dyn Iterator<Item = String>,
-    ) -> Result<bool, String> {
-        let mut need = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-        match arg {
-            "--loss" => self.loss = Some(parse_loss(&need("--loss")?)?),
-            "--flap" => self.faults = Some(parse_flap(&need("--flap")?)?),
-            "--record" => self.record = Some(Recording::parse(&need("--record")?)?),
-            "--check" => self.check = Some(need("--check")?.parse()?),
-            "--coalesce" => self.coalesce = true,
-            "--topology" => self.topology = Some(need("--topology")?.parse()?),
-            "--fault-link" => {
-                self.fault_link = Some(
-                    need("--fault-link")?.parse().map_err(|e| format!("bad --fault-link: {e}"))?,
-                )
-            }
-            "--sample-interval" => {
-                let ms: f64 = need("--sample-interval")?
-                    .parse()
-                    .map_err(|e| format!("bad --sample-interval: {e}"))?;
-                if ms <= 0.0 || !ms.is_finite() {
-                    return Err("--sample-interval must be positive".into());
-                }
-                let interval = SimDuration::from_secs_f64(ms / 1e3);
-                if interval.is_zero() {
-                    return Err(format!(
-                        "--sample-interval {ms} ms is under the simulator's 1 ns clock tick"
-                    ));
-                }
-                self.sample_interval = Some(interval);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
     /// The first scenario-shaping flag that was given (`--loss`, `--flap`,
     /// `--coalesce`, `--topology`, `--fault-link`), if any: the ones
     /// [`Self::apply`] writes onto a config.
@@ -203,6 +198,26 @@ impl SharedFlags {
     }
 }
 
+/// `v` parsed as the value of `flag`, or an error naming both.
+fn parse_value<T: FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    v.parse().map_err(|e| format!("bad {flag} '{v}': {e}"))
+}
+
+/// A count that must be at least 1 (`--repeats`, `--limit`).
+fn parse_count<T: FromStr + Default + PartialEq>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n = parse_value(flag, v)?;
+    if n == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(n)
+}
+
 fn parse_loss(s: &str) -> Result<LossModel, String> {
     let s = s.trim();
     if s.eq_ignore_ascii_case("none") {
@@ -240,8 +255,20 @@ fn parse_flap(s: &str) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-/// Parse one bandwidth: an integer in bit/s with an optional `K`, `M` or
-/// `G` suffix (`100M`, `100900K`, `25g`).
+fn parse_sample_interval(v: &str) -> Result<SimDuration, String> {
+    let ms: f64 = parse_value("--sample-interval", v)?;
+    if ms <= 0.0 || !ms.is_finite() {
+        return Err("--sample-interval must be positive".into());
+    }
+    let interval = SimDuration::from_secs_f64(ms / 1e3);
+    if interval.is_zero() {
+        return Err(format!("--sample-interval {ms} ms is under the simulator's 1 ns clock tick"));
+    }
+    Ok(interval)
+}
+
+/// Parse one bandwidth: a positive integer in bit/s with an optional `K`,
+/// `M` or `G` suffix (`100M`, `100900K`, `25g`).
 pub fn parse_bw(s: &str) -> Result<u64, String> {
     let s = s.trim().to_ascii_uppercase();
     let (num, mult) = if let Some(x) = s.strip_suffix('G') {
@@ -254,58 +281,87 @@ pub fn parse_bw(s: &str) -> Result<u64, String> {
         (s.as_str(), 1u64)
     };
     let n = num.parse::<u64>().map_err(|e| format!("bad bandwidth '{s}': {e}"))?;
-    n.checked_mul(mult).ok_or_else(|| format!("bad bandwidth '{s}': more than u64 bit/s"))
+    match n.checked_mul(mult) {
+        Some(0) => Err(format!("bad bandwidth '{s}': must be positive")),
+        Some(bps) => Ok(bps),
+        None => Err(format!("bad bandwidth '{s}': more than u64 bit/s")),
+    }
+}
+
+/// The rows of a binary that takes its `own` flags and the shared ones in
+/// `takes`.
+fn listed<'a>(takes: &'a [&str], own: &'a [Flag]) -> impl Iterator<Item = &'a Flag> {
+    own.iter().chain(FLAGS.iter().filter(|f| takes.contains(&f.0)))
+}
+
+/// `who`'s flag list, as `--help` prints it.
+fn usage(who: &str, takes: &[&str], own: &[Flag]) -> String {
+    let mut text = format!("usage: {who} [flags]\n");
+    for (flag, value, what) in listed(takes, own) {
+        text += &format!("  {:<27} {what}\n", format!("{flag} {value}"));
+    }
+    text + &format!("  {:<27} print this list", "--help")
 }
 
 impl Cli {
-    /// Parse an argument list (excluding the program name).
-    pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
+    /// Parse `args` (the arguments after the program name and any
+    /// subcommand) for `who`, which takes the rows of its own flags,
+    /// `own_flags`, and the shared flags in `takes`. A flag off the list is
+    /// an error that starts with the flag; `--help` prints the list and
+    /// exits 0.
+    pub fn parse_from<I: IntoIterator<Item = String>>(
+        who: &str,
+        takes: &[&str],
+        own_flags: &'static [Flag],
+        args: I,
+    ) -> Result<Cli, String> {
         let mut opts = RunOptions::standard();
         let mut bws: Vec<u64> = PAPER_BWS.to_vec();
-        let mut bw_given = false;
         let mut use_cache = true;
         let mut out_dir = "results".to_string();
         let mut limit = None;
         let mut shared = SharedFlags::default();
+        let mut own = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            if shared.try_parse(&arg, &mut it)? {
-                continue;
+            if arg == "--help" || arg == "-h" {
+                println!("{}", usage(who, takes, own_flags));
+                std::process::exit(0);
             }
-            let mut need = |name: &str| it.next().ok_or(format!("{name} needs a value"));
-            match arg.as_str() {
+            let Some(&(flag, value, _)) = listed(takes, own_flags).find(|f| f.0 == arg) else {
+                return Err(format!("{arg} is not a flag of {who} (`{who} --help` lists them)"));
+            };
+            let v = match value {
+                "" => String::new(),
+                _ => it.next().ok_or(format!("{flag} needs a value"))?,
+            };
+            match flag {
                 "--quick" => opts.preset = DurationPreset::Quick,
                 "--full" => {
                     opts.preset = DurationPreset::Full;
                     opts.repeats = opts.repeats.max(5);
                 }
-                "--repeats" => opts.repeats = need("--repeats")?.parse().map_err(|e| format!("{e}"))?,
+                "--repeats" => opts.repeats = parse_count(flag, &v)?,
                 "--scale" => {
-                    opts.flow_scale = need("--scale")?.parse().map_err(|e| format!("{e}"))?;
+                    opts.flow_scale = parse_value(flag, &v)?;
                     if !(opts.flow_scale > 0.0 && opts.flow_scale <= 1.0) {
                         return Err("--scale must be in (0,1]".into());
                     }
                 }
-                "--seed" => opts.seed = need("--seed")?.parse().map_err(|e| format!("{e}"))?,
-                "--bw" => {
-                    bws = need("--bw")?.split(',').map(parse_bw).collect::<Result<_, _>>()?;
-                    if bws.is_empty() {
-                        return Err("--bw list is empty".into());
-                    }
-                    bw_given = true;
-                }
+                "--seed" => opts.seed = parse_value(flag, &v)?,
+                "--bw" => bws = v.split(',').map(parse_bw).collect::<Result<_, _>>()?,
                 "--no-cache" => use_cache = false,
-                "--out" => out_dir = need("--out")?,
-                "--limit" => {
-                    let n: usize =
-                        need("--limit")?.parse().map_err(|e| format!("bad --limit: {e}"))?;
-                    if n == 0 {
-                        return Err("--limit must be at least 1".into());
-                    }
-                    limit = Some(n);
-                }
-                "--help" | "-h" => return Err(HELP.to_string()),
-                other => return Err(format!("unknown flag '{other}'\n{HELP}")),
+                "--out" => out_dir = v,
+                "--limit" => limit = Some(parse_count(flag, &v)?),
+                "--loss" => shared.loss = Some(parse_loss(&v)?),
+                "--flap" => shared.faults = Some(parse_flap(&v)?),
+                "--record" => shared.record = Some(Recording::parse(&v)?),
+                "--sample-interval" => shared.sample_interval = Some(parse_sample_interval(&v)?),
+                "--check" => shared.check = Some(parse_value(flag, &v)?),
+                "--coalesce" => shared.coalesce = true,
+                "--topology" => shared.topology = Some(parse_value(flag, &v)?),
+                "--fault-link" => shared.fault_link = Some(parse_value(flag, &v)?),
+                _ => own.push((flag, v)),
             }
         }
         if repeat_seeds(opts.seed, opts.repeats).is_err() {
@@ -319,88 +375,86 @@ impl Cli {
         let cache = if use_cache { RunCache::new(format!("{out_dir}/cache")) } else { RunCache::disabled() };
         let cache = cache.check(shared.check.unwrap_or_default());
         let record = shared.recording(&out_dir)?;
-        Ok(Cli { opts, bws, bw_given, cache, out_dir, limit, record, shared })
+        Ok(Cli { opts, bws, cache, out_dir, limit, record, shared, own_flags, own })
     }
 
-    /// `Err` naming the flag when a scenario-shaping one was given: for
-    /// binaries whose configs are fixed by what they reproduce.
-    pub fn refuse_scenario_flags(&self) -> Result<(), String> {
-        match self.shared.scenario_flag() {
-            Some(flag) => Err(format!(
-                "{flag} is not supported here: this binary runs fixed scenarios \
-                 (sweep, dataset and probe take it)"
-            )),
-            None => Ok(()),
+    /// [`Self::parse_from`], exiting with the message on error.
+    pub fn parse_or_exit<I>(who: &str, takes: &[&str], own_flags: &'static [Flag], args: I) -> Cli
+    where
+        I: IntoIterator<Item = String>,
+    {
+        Cli::parse_from(who, takes, own_flags, args).unwrap_or_else(|msg| exit_usage(&msg))
+    }
+
+    /// [`Self::parse_or_exit`] over the process arguments.
+    pub fn parse(who: &str, takes: &[&str], own_flags: &'static [Flag]) -> Cli {
+        Cli::parse_or_exit(who, takes, own_flags, std::env::args().skip(1))
+    }
+
+    /// The values given to one of the binary's own flags. Panics when
+    /// `flag` is not one of its rows, so a misspelt read fails on every
+    /// run instead of reading a default.
+    fn own_values<'a>(&'a self, flag: &'a str) -> impl DoubleEndedIterator<Item = &'a String> {
+        assert!(self.own_flags.iter().any(|f| f.0 == flag), "{flag} is not one of the binary's own flags");
+        self.own.iter().filter(move |(f, _)| *f == flag).map(|(_, v)| v)
+    }
+
+    /// The value of one of the binary's own flags (the last one given), or
+    /// `default` when it was not given. A value that does not parse exits
+    /// 2, naming the flag.
+    pub fn value<T: FromStr>(&self, flag: &str, default: T) -> T
+    where
+        T::Err: Display,
+    {
+        match self.own_values(flag).next_back() {
+            Some(v) => parse_value(flag, v).unwrap_or_else(|msg| exit_usage(&msg)),
+            None => default,
         }
     }
 
-    /// `Err` when `--record` was given: for binaries whose runs go through
-    /// the cache, which stores results and not flight records, or record
-    /// on their own terms (`repro dynamics`).
-    pub fn refuse_record(&self) -> Result<(), String> {
-        match self.record {
-            Some(_) => Err("--record is not supported here: these runs go through the result \
-                            cache or record on their own (dataset, repro rttsweep and probe \
-                            take it)"
-                .to_string()),
-            None => Ok(()),
-        }
-    }
-
-    /// `Err` when `--bw` was given: for targets that run at fixed
-    /// bandwidths.
-    pub fn refuse_bw(&self) -> Result<(), String> {
-        if self.bw_given {
-            return Err("--bw is not supported here: this target runs at a fixed bandwidth \
-                        (repro fig2..fig8, table2, table3 and aqm_frontier take it)"
-                .to_string());
-        }
-        Ok(())
-    }
-
-    /// `Err` when `--limit` was given: for binaries that run every cell of
-    /// what they reproduce.
-    pub fn refuse_limit(&self) -> Result<(), String> {
-        match self.limit {
-            Some(_) => Err("--limit is not supported here: this binary runs all of its cells \
-                            (sweep takes it)"
-                .to_string()),
-            None => Ok(()),
-        }
-    }
-
-    /// Parse the process arguments, exiting with a message on error.
-    pub fn parse() -> Cli {
-        Cli::parse_or_exit(std::env::args().skip(1))
-    }
-
-    /// Parse `args` (the process arguments after the program name and any
-    /// subcommand), exiting with a message on error.
-    pub fn parse_or_exit<I: IntoIterator<Item = String>>(args: I) -> Cli {
-        Cli::parse_from(args).unwrap_or_else(|msg| exit_usage(&msg))
+    /// Whether one of the binary's own switches was given.
+    pub fn given(&self, flag: &str) -> bool {
+        self.own_values(flag).next().is_some()
     }
 }
-
-const HELP: &str = "\
-usage: <figure-binary> [--quick|--full] [--repeats N] [--scale F] [--seed N]
-                       [--bw 100M,1G,25G] [--no-cache] [--out DIR]
-                       [--loss none|bernoulli:P|ge:P_GB,P_BG] [--flap START,DUR]
-                       [--limit N] [--record flows[,queue,events]]
-                       [--sample-interval MS] [--check off|audit|strict]
-                       [--coalesce]
-                       [--topology dumbbell|parking-lot:K|multi-dumbbell:R1,R2[,..]]
-                       [--fault-link N]
-a flag the binary cannot honour is refused (exit 2): repro takes neither
---loss/--flap/--coalesce/--topology/--fault-link nor (repro rttsweep apart)
---record, and repro rttsweep/ablate/dynamics/rtt_unfair no --bw; sweep takes
-no --record; only sweep takes --limit; dataset takes the rest";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Cli, String> {
-        Cli::parse_from(args.iter().map(|s| s.to_string()))
+    fn args(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parse for a binary that takes every shared flag.
+    fn parse(given: &[&str]) -> Result<Cli, String> {
+        let every: Vec<&str> = FLAGS.iter().map(|f| f.0).collect();
+        Cli::parse_from("test", &every, &[], args(given))
+    }
+
+    /// A binary's own rows, as chaos and probe list theirs.
+    const OWN: &[Flag] = &[
+        ("--cases", "N", "generated cases"),
+        ("--secs", "S", "simulated seconds"),
+        ("--verbose", "", "print every case"),
+    ];
+
+    /// A valid value for each flag that takes one.
+    fn example(flag: &str) -> &'static str {
+        match flag {
+            "--repeats" | "--limit" | "--fault-link" => "1",
+            "--scale" => "0.5",
+            "--seed" => "3",
+            "--bw" => "100M",
+            "--out" => "o",
+            "--loss" => "bernoulli:0.01",
+            "--flap" => "2,0.5",
+            "--record" => "flows",
+            "--sample-interval" => "50",
+            "--check" => "audit",
+            "--topology" => "parking-lot:2",
+            _ => unreachable!("{flag} has no example value"),
+        }
     }
 
     #[test]
@@ -422,6 +476,10 @@ mod tests {
             let err = parse(args).unwrap_err();
             assert!(err.contains("--seed") && err.contains("--repeats"), "{err}");
         }
+        for flag in ["--repeats", "--limit"] {
+            let err = parse(&[flag, "0"]).unwrap_err();
+            assert!(err.starts_with(flag), "{err}");
+        }
         assert!(parse(&["--seed", &max]).is_ok());
         assert!(parse(&["--seed", &(u64::MAX - 1).to_string(), "--repeats", "2"]).is_ok());
     }
@@ -435,6 +493,11 @@ mod tests {
         let err = parse(&["--bw", "99999999999G"]).unwrap_err();
         assert!(err.starts_with("bad bandwidth"), "{err}");
         assert_eq!(parse_bw("18446744073G"), Ok(18_446_744_073_000_000_000));
+        // A zero rate is refused before any binary builds a scenario on it.
+        for bw in ["0", "0G", "100M,0"] {
+            let err = parse(&["--bw", bw]).unwrap_err();
+            assert!(err.starts_with("bad bandwidth"), "{err}");
+        }
     }
 
     #[test]
@@ -446,7 +509,8 @@ mod tests {
 
     #[test]
     fn unknown_flag_errors() {
-        assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--bogus"]).unwrap_err().starts_with("--bogus"));
+        assert!(parse(&["--seed"]).unwrap_err().starts_with("--seed needs a value"));
     }
 
     #[test]
@@ -577,33 +641,68 @@ mod tests {
 
     #[test]
     fn flags_a_binary_cannot_honour_are_refused_by_name() {
-        for (args, flag) in [
-            (&["--loss", "bernoulli:0.01"][..], "--loss"),
-            (&["--flap", "2,0.5"], "--flap"),
-            (&["--coalesce"], "--coalesce"),
-            (&["--topology", "parking-lot:2"], "--topology"),
-            (&["--fault-link", "0"], "--fault-link"),
-            (&["--bw", "1G"], "--bw"),
-            (&["--limit", "1"], "--limit"),
+        for (takes, refused) in [
+            (FIGURE, "--loss --flap --coalesce --topology --fault-link --limit --record"),
+            (AQM_FRONTIER, "--repeats --topology --limit --record"),
+            (TABLE2, "--quick --full --repeats --scale --seed --no-cache --check --record"),
+            (CLAIM, "--quick --full --repeats --no-cache --bw --limit --record --sample-interval"),
+            (RTTSWEEP, "--quick --full --repeats --no-cache --bw --coalesce"),
+            (ABLATE, "--quick --full --repeats --scale --seed --bw --no-cache --check --limit"),
+            (SWEEP, "--record --sample-interval --cca1"),
+            (DATASET, "--repeats --no-cache --limit"),
+            (PROBE, "--quick --full --repeats --no-cache --limit --cases"),
+            (CHAOS, "--record --check --sample-interval --out --bw --repeats --scale"),
         ] {
-            let cli = parse(args).unwrap();
-            let msg = cli
-                .refuse_scenario_flags()
-                .and_then(|_| cli.refuse_bw())
-                .and_then(|_| cli.refuse_limit())
-                .unwrap_err();
-            assert!(msg.starts_with(flag), "{msg}");
-            assert!(cli.refuse_record().is_ok());
+            for flag in refused.split(' ') {
+                assert!(!takes.contains(&flag), "{flag}");
+                let err = Cli::parse_from("test", takes, &[], args(&[flag, "1"])).unwrap_err();
+                assert!(err.starts_with(&format!("{flag} is not a flag of test")), "{err}");
+            }
         }
-        // Flags that shape the runner, not the scenario, are not pins.
-        let cli = parse(&["--check", "audit", "--record", "flows", "--sample-interval", "50"]).unwrap();
-        assert_eq!(cli.shared.scenario_flag(), None);
-        assert!(cli.refuse_scenario_flags().is_ok());
-        assert!(cli.refuse_record().unwrap_err().starts_with("--record"));
-        let plain = parse(&["--quick", "--bw", "100M"]).unwrap();
-        assert!(plain.refuse_scenario_flags().is_ok() && plain.refuse_record().is_ok());
-        assert!(parse(&["--quick"]).unwrap().refuse_bw().is_ok());
-        assert!(plain.refuse_limit().is_ok());
+    }
+
+    #[test]
+    fn every_listed_flag_is_taken() {
+        let lists = [FIGURE, AQM_FRONTIER, TABLE2, CLAIM, RTTSWEEP, ABLATE, SWEEP, DATASET, PROBE, CHAOS];
+        for takes in lists {
+            let mut given = Vec::new();
+            for &flag in takes {
+                let &(_, value, _) = FLAGS.iter().find(|f| f.0 == flag).expect("listed in FLAGS");
+                given.push(flag);
+                if !value.is_empty() {
+                    given.push(example(flag));
+                }
+            }
+            assert!(Cli::parse_from("test", takes, &[], args(&given)).is_ok(), "{given:?}");
+        }
+    }
+
+    #[test]
+    fn own_flags_are_listed_and_read_by_name() {
+        let parse = |given: &[&str]| Cli::parse_from("test", &["--seed"], OWN, args(given));
+        let cli = parse(&["--cases", "4", "--seed", "3", "--cases", "7", "--verbose"]).unwrap();
+        assert_eq!(cli.value("--cases", 200u32), 7, "the last one given");
+        assert_eq!(cli.value("--secs", 20u64), 20, "not given: the default");
+        assert!(cli.given("--verbose"));
+        assert_eq!(cli.opts.seed, 3);
+        let cli = parse(&[]).unwrap();
+        assert!(!cli.given("--verbose"));
+        assert!(parse(&["--cases"]).unwrap_err().starts_with("--cases needs a value"));
+        // Own rows are the binary's alone, and it takes no unlisted shared flag.
+        assert!(parse(&["--bw", "1G"]).unwrap_err().starts_with("--bw is not a flag of test"));
+        let err = Cli::parse_from("test", SWEEP, &[], args(&["--cases", "1"])).unwrap_err();
+        assert!(err.starts_with("--cases is not a flag of test"), "{err}");
+        let help = usage("test", &["--seed"], OWN);
+        for row in ["--cases N", "--secs S", "--verbose ", "--seed N", "--help"] {
+            assert!(help.contains(&format!("\n  {row}")), "{help}");
+        }
+        assert!(!help.contains("--bw"), "{help}");
+    }
+
+    #[test]
+    #[should_panic(expected = "--case is not one of the binary's own flags")]
+    fn reading_an_unlisted_own_flag_panics() {
+        Cli::parse_from("test", &[], OWN, args(&["--cases", "3"])).unwrap().value("--case", 1u32);
     }
 
     // One round-trip test per shared flag: the spelling parsed by
@@ -624,11 +723,7 @@ mod tests {
             )
         };
         let through = |args: &[&str]| {
-            let mut shared = SharedFlags::default();
-            let mut it = args.iter().map(|s| s.to_string());
-            while let Some(arg) = it.next() {
-                assert!(shared.try_parse(&arg, &mut it).unwrap(), "unconsumed flag {arg}");
-            }
+            let shared = parse(args).unwrap().shared;
             let mut cfg = base();
             shared.apply(&mut cfg).unwrap();
             (shared, cfg)
@@ -653,9 +748,18 @@ mod tests {
         assert_eq!(rec.interval, SimDuration::from_millis(50));
         assert_eq!(rec.out_dir, std::path::PathBuf::from("o/records"));
 
+        // `scenario_flag` names each flag `apply` writes, and no other: these
+        // are the flags chaos pins onto its cases.
+        for flag in ["--loss", "--flap", "--coalesce", "--topology", "--fault-link"] {
+            let given: &[&str] = if flag == "--coalesce" { &[flag] } else { &[flag, example(flag)] };
+            assert_eq!(parse(given).unwrap().shared.scenario_flag(), Some(flag));
+        }
+        let shared =
+            parse(&["--check", "audit", "--record", "flows", "--sample-interval", "50"]).unwrap().shared;
+        assert_eq!(shared.scenario_flag(), None);
+
         // Flags not given leave the scenario untouched.
-        let mut shared = SharedFlags::default();
-        assert!(!shared.try_parse("--cca1", &mut std::iter::empty()).unwrap());
+        let shared = SharedFlags::default();
         let mut cfg = base();
         cfg.loss = LossModel::Bernoulli { p: 0.5 };
         cfg.topology = TopologySpec::ParkingLot { hops: 2 };
