@@ -94,15 +94,10 @@ impl FqCodel {
     }
 
     /// Bucket index for a flow (exposed for tests).
-    pub fn bucket_of(&self, flow: u32) -> usize {
+    fn bucket_of(&self, flow: u32) -> usize {
         // Fibonacci hashing mixed with the per-run salt.
         let h = (flow as u64 ^ self.hash_salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         (h >> 32) as usize & (FLOWS - 1)
-    }
-
-    /// Number of distinct non-empty buckets (diagnostic).
-    pub fn active_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.queue.is_empty()).count()
     }
 
     fn drop_from_fattest(&mut self) -> Option<Packet> {

@@ -100,19 +100,6 @@ impl WindowedMinByTime {
         self.samples.front().map(|&(_, v)| v)
     }
 
-    /// Timestamp of the sample that currently defines the minimum.
-    pub fn min_since(&self) -> Option<SimTime> {
-        self.samples.front().map(|&(t, _)| t)
-    }
-
-    /// Whether the current minimum is older than the window (stale) at `now`.
-    pub fn is_stale(&self, now: SimTime) -> bool {
-        match self.samples.front() {
-            Some(&(t, _)) => now.since(t) > self.window,
-            None => true,
-        }
-    }
-
     /// Drop all state.
     pub fn reset(&mut self) {
         self.samples.clear();
@@ -188,10 +175,12 @@ mod tests {
     #[test]
     fn min_filter_staleness() {
         let mut f = WindowedMinByTime::new(ms(100));
-        assert!(f.is_stale(at(0)));
+        assert_eq!(f.get(), None);
         f.update(at(0), ms(10));
-        assert!(!f.is_stale(at(50)));
-        assert!(f.is_stale(at(150)));
+        f.expire(at(50));
+        assert_eq!(f.get(), Some(ms(10)), "inside the window");
+        f.expire(at(150));
+        assert_eq!(f.get(), None, "older than the window");
     }
 
     #[test]

@@ -42,13 +42,11 @@ const OWN: &[Flag] = &[
 
 fn main() {
     let cli = Cli::parse("chaos", CHAOS, OWN);
-    let defaults = FuzzOptions::default();
     let opts = FuzzOptions {
-        cases: cli.value("--cases", defaults.cases),
+        cases: cli.value("--cases", FuzzOptions::default().cases),
         base_seed: cli.opts.seed,
         shrink: !cli.given("--no-shrink"),
         overrides: cli.shared.scenario_flag().map(|_| cli.shared.clone()),
-        ..defaults
     };
     // Every own flag is read here, before any work, so a read under a name
     // off `OWN` fails on every run.

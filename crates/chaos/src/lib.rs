@@ -32,11 +32,10 @@ pub use corpus::{
     ChaosFixture, ReplayResult,
 };
 pub use gen::{case_cost, generate_case, CASE_EVENT_BUDGET};
-pub use oracle::{judge, judge_with_wall_limit, CaseOutcome, OracleKind, CASE_WALL_LIMIT};
-pub use shrink::{fails_like, shrink, ShrinkOutcome, DEFAULT_SHRINK_EVALS};
+pub use oracle::{judge, CaseOutcome, OracleKind};
+pub use shrink::{shrink, ShrinkOutcome};
 
 use elephants_experiments::{ScenarioConfig, SharedFlags};
-use std::time::Duration;
 
 /// Options for one fuzzing campaign.
 #[derive(Debug, Clone)]
@@ -46,12 +45,9 @@ pub struct FuzzOptions {
     /// First case seed. The last, `base_seed + cases - 1`, must not pass
     /// `u64::MAX`; the `chaos` binary refuses flags that would.
     pub base_seed: u64,
-    /// Shrink failing cases before reporting them.
+    /// Shrink failing cases before reporting them (at most
+    /// 200 evaluations each).
     pub shrink: bool,
-    /// Evaluation budget per shrink.
-    pub max_shrink_evals: u32,
-    /// Per-execution wall-clock watchdog.
-    pub wall_limit: Duration,
     /// Shared scenario flags pinned over every generated case (the chaos
     /// binary's `--loss`/`--flap`/`--coalesce`/`--topology`/`--fault-link`).
     /// A case the pins cannot validly apply to is counted as a skip.
@@ -64,8 +60,6 @@ impl Default for FuzzOptions {
             cases: 200,
             base_seed: 1,
             shrink: true,
-            max_shrink_evals: DEFAULT_SHRINK_EVALS,
-            wall_limit: CASE_WALL_LIMIT,
             overrides: None,
         }
     }
@@ -146,7 +140,7 @@ pub fn fuzz(opts: &FuzzOptions, mut on_case: impl FnMut(u64, &CaseOutcome)) -> F
                 continue;
             }
         }
-        let outcome = judge_with_wall_limit(&cfg, opts.wall_limit);
+        let outcome = judge(&cfg);
         on_case(seed, &outcome);
         report.cases += 1;
         match outcome {
@@ -156,12 +150,8 @@ pub fn fuzz(opts: &FuzzOptions, mut on_case: impl FnMut(u64, &CaseOutcome)) -> F
                 let (shrunk, shrink_evals) = if opts.shrink {
                     let out = shrink(
                         &cfg,
-                        |candidate| {
-                            crate::oracle::judge_with_wall_limit(candidate, opts.wall_limit)
-                                .failed_oracle()
-                                == Some(oracle)
-                        },
-                        opts.max_shrink_evals,
+                        |candidate| judge(candidate).failed_oracle() == Some(oracle),
+                        shrink::DEFAULT_SHRINK_EVALS,
                     );
                     (out.config, out.evals)
                 } else {

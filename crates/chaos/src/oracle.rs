@@ -29,7 +29,7 @@ use std::time::Duration;
 /// Per-run wall-clock watchdog for fuzz cases. Generated cases simulate
 /// ≤ 3 s at ≤ 500 Mbps — seconds of wall time in release; a minute means
 /// the machine is swamped (→ Skip), not that the case is interesting.
-pub const CASE_WALL_LIMIT: Duration = Duration::from_secs(60);
+const CASE_WALL_LIMIT: Duration = Duration::from_secs(60);
 
 /// Which oracle a failing case tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +148,7 @@ fn canon(r: &ExecResult) -> String {
 
 /// Run the full oracle stack on one case. `wall_limit` bounds each of the
 /// (up to two) executions.
-pub fn judge_with_wall_limit(cfg: &ScenarioConfig, wall_limit: Duration) -> CaseOutcome {
+fn judge_with_wall_limit(cfg: &ScenarioConfig, wall_limit: Duration) -> CaseOutcome {
     // Oracle 4a: the input config itself must round-trip — it is the
     // artifact a repro fixture stores.
     if let Err(detail) = round_trips::<ScenarioConfig>("config", &cfg.to_json_string()) {
@@ -212,7 +212,8 @@ pub fn judge_with_wall_limit(cfg: &ScenarioConfig, wall_limit: Duration) -> Case
     CaseOutcome::Pass
 }
 
-/// [`judge_with_wall_limit`] at the default [`CASE_WALL_LIMIT`].
+/// Run the full oracle stack on one case, each execution under a 60 s
+/// wall-clock watchdog (a run that hits it is a [`CaseOutcome::Skip`]).
 pub fn judge(cfg: &ScenarioConfig) -> CaseOutcome {
     judge_with_wall_limit(cfg, CASE_WALL_LIMIT)
 }

@@ -22,22 +22,19 @@
 //! deterministic, so the same failing input always shrinks to the same
 //! minimal config — the property the mutation test pins.
 
-use crate::oracle::OracleKind;
 use elephants_experiments::ScenarioConfig;
 use elephants_netsim::{LossModel, SimDuration, TopologySpec};
 
 /// Default cap on predicate evaluations per shrink. Each evaluation is
 /// one (sometimes two) simulation runs; the passes converge long before
 /// this in practice.
-pub const DEFAULT_SHRINK_EVALS: u32 = 200;
+pub(crate) const DEFAULT_SHRINK_EVALS: u32 = 200;
 
 /// What a shrink produced.
 #[derive(Debug, Clone)]
 pub struct ShrinkOutcome {
     /// The minimal config still failing the target oracle.
     pub config: ScenarioConfig,
-    /// Simplification steps accepted.
-    pub steps: u32,
     /// Predicate evaluations spent.
     pub evals: u32,
     /// Whether shrinking stopped on the eval budget rather than at a
@@ -49,7 +46,6 @@ struct Shrinker<'a> {
     fails: &'a dyn Fn(&ScenarioConfig) -> bool,
     evals: u32,
     max_evals: u32,
-    steps: u32,
 }
 
 impl<'a> Shrinker<'a> {
@@ -67,7 +63,6 @@ impl<'a> Shrinker<'a> {
     fn try_adopt(&mut self, cfg: &mut ScenarioConfig, candidate: ScenarioConfig) -> bool {
         if self.still_fails(&candidate) {
             *cfg = candidate;
-            self.steps += 1;
             true
         } else {
             false
@@ -227,14 +222,13 @@ impl<'a> Shrinker<'a> {
 /// Shrink `cfg` against `fails` (true ⇔ the candidate still exhibits the
 /// target failure), spending at most `max_evals` predicate evaluations.
 ///
-/// The caller's predicate closes over the target [`OracleKind`]; see
-/// [`fails_like`] for the standard one.
+/// The caller's predicate closes over the target [`crate::OracleKind`].
 pub fn shrink(
     cfg: &ScenarioConfig,
     fails: impl Fn(&ScenarioConfig) -> bool,
     max_evals: u32,
 ) -> ShrinkOutcome {
-    let mut shrinker = Shrinker { fails: &fails, evals: 0, max_evals, steps: 0 };
+    let mut shrinker = Shrinker { fails: &fails, evals: 0, max_evals };
     let mut current = cfg.clone();
     loop {
         let mut changed = false;
@@ -252,16 +246,9 @@ pub fn shrink(
     }
     ShrinkOutcome {
         config: current,
-        steps: shrinker.steps,
         evals: shrinker.evals,
         budget_exhausted: shrinker.evals >= max_evals,
     }
-}
-
-/// The standard shrink predicate: the candidate's judged outcome fails
-/// the same oracle as the original finding.
-pub fn fails_like(kind: OracleKind) -> impl Fn(&ScenarioConfig) -> bool {
-    move |candidate| crate::oracle::judge(candidate).failed_oracle() == Some(kind)
 }
 
 #[cfg(test)]
@@ -388,6 +375,5 @@ mod tests {
         let orig_json = orig.to_json_string();
         let out = shrink(&orig, move |c| c.to_json_string() == orig_json, 500);
         assert_eq!(out.config, orig);
-        assert_eq!(out.steps, 0);
     }
 }

@@ -13,6 +13,7 @@
 
 use elephants_experiments::cli::{exit_usage, Flag, PROBE};
 use elephants_experiments::prelude::*;
+use elephants_netsim::time::NANOS_PER_SEC;
 use elephants_netsim::SimDuration;
 use elephants_telemetry::FlightRecord;
 
@@ -34,11 +35,14 @@ fn main() {
     let (cca1, cca2) = (cli.value("--cca1", CcaKind::Cubic), cli.value("--cca2", CcaKind::Cubic));
     let aqm = cli.value("--aqm", AqmKind::Fifo);
     let queue = cli.value("--queue", 2.0);
-    let secs = cli.value("--secs", 20);
+    let secs: u64 = cli.value("--secs", 20);
+    let Some(nanos) = secs.checked_mul(NANOS_PER_SEC) else {
+        exit_usage(&format!("--secs {secs}: past the simulator's nanosecond clock"))
+    };
     let fail = |msg: String| -> ! { exit_usage(&format!("invalid scenario: {msg}")) };
 
     let mut cfg = ScenarioConfig::builder(cca1, cca2, aqm, queue, bw, &cli.opts)
-        .duration(SimDuration::from_secs(secs))
+        .duration(SimDuration::from_nanos(nanos))
         .build()
         .unwrap_or_else(|e| fail(e));
     cli.shared.apply(&mut cfg).unwrap_or_else(|e| fail(e));

@@ -33,7 +33,6 @@ use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Version stamp embedded in every cache filename. Bump when the
 /// `RunResult` JSON schema (or the meaning of any field) changes, or when
@@ -167,17 +166,11 @@ impl RunCache {
     /// Run (or fetch) one seed of a scenario, reporting failures instead
     /// of aborting. Only successful runs are cached; only a run made here
     /// is checked.
-    pub fn run_checked(
-        &self,
-        cfg: &ScenarioConfig,
-        seed: u64,
-        wall_limit: Duration,
-    ) -> Result<RunResult, RunError> {
+    pub fn run_checked(&self, cfg: &ScenarioConfig, seed: u64) -> Result<RunResult, RunError> {
         if let Some(hit) = self.get(cfg, seed) {
             return Ok(hit);
         }
-        let outcome =
-            Runner::new(cfg).seed(seed).wall_limit(wall_limit).check(self.check).run()?;
+        let outcome = Runner::new(cfg).seed(seed).check(self.check).run()?;
         self.count_checks(&outcome);
         let result = outcome.into_first();
         self.put(cfg, seed, &result);
@@ -190,7 +183,7 @@ impl RunCache {
     /// Panics if the run fails; use [`RunCache::run_checked`] (or the
     /// fault-tolerant sweep) for graceful degradation.
     pub fn run(&self, cfg: &ScenarioConfig, seed: u64) -> RunResult {
-        self.run_checked(cfg, seed, crate::runner::DEFAULT_WALL_LIMIT)
+        self.run_checked(cfg, seed)
             .unwrap_or_else(|e| panic!("run failed ({}, seed {seed}): {e}", cfg.label()))
     }
 }

@@ -246,11 +246,14 @@ fn parse_flap(s: &str) -> Result<FaultPlan, String> {
         s.split_once(',').ok_or_else(|| format!("bad --flap '{s}': expected START,DUR seconds"))?;
     let start: f64 = start.parse().map_err(|e| format!("bad --flap start '{start}': {e}"))?;
     let dur: f64 = dur.parse().map_err(|e| format!("bad --flap duration '{dur}': {e}"))?;
-    if start < 0.0 || dur <= 0.0 {
-        return Err(format!("bad --flap '{s}': start must be >= 0 and duration > 0"));
+    if !(start.is_finite() && dur.is_finite() && start >= 0.0 && dur > 0.0) {
+        return Err(format!("bad --flap '{s}': start must be >= 0 and duration > 0, both finite"));
     }
-    let plan =
-        FaultPlan::flap(SimDuration::from_secs_f64(start), SimDuration::from_secs_f64(dur));
+    let (start, dur) = (SimDuration::from_secs_f64(start), SimDuration::from_secs_f64(dur));
+    if start.as_nanos().checked_add(dur.as_nanos()).is_none() {
+        return Err(format!("bad --flap '{s}': the link comes back up past the simulator's clock"));
+    }
+    let plan = FaultPlan::flap(start, dur);
     plan.validate().map_err(|e| format!("bad --flap '{s}': {e}"))?;
     Ok(plan)
 }
@@ -536,6 +539,10 @@ mod tests {
         assert!(parse(&["--flap", "2"]).is_err());
         assert!(parse(&["--flap", "-1,2"]).is_err());
         assert!(parse(&["--flap", "1,0"]).is_err());
+        for flap in ["nan,1", "1,nan", "inf,1", "1e300,1"] {
+            let err = parse(&["--flap", flap]).unwrap_err();
+            assert!(err.starts_with("bad --flap"), "{flap}: {err}");
+        }
     }
 
     #[test]

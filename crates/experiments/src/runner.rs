@@ -498,7 +498,7 @@ fn assemble(
     // A warmup at or past the end of the run would leave a zero-width
     // measurement window, turning every windowed rate below into a division
     // by zero (inf/NaN goodput). Clamp to "no warmup".
-    let warmup = if cfg.duration <= cfg.warmup && !cfg.duration.is_zero() {
+    let warmup = if cfg.duration <= cfg.warmup {
         SimDuration::ZERO
     } else {
         cfg.warmup
@@ -1166,8 +1166,8 @@ mod tests {
             .run()
             .unwrap();
         let record = outcome.load_record().expect("record written and parseable");
-        for flow in record.flow_ids() {
-            let series = record.delivered_series(flow);
+        for track in record.by_flow() {
+            let (flow, series) = (track.flow, track.delivered_series());
             assert!(
                 series.windows(2).all(|w| w[1].1 >= w[0].1),
                 "delivered_bytes must be cumulative (flow {flow})"
@@ -1237,6 +1237,11 @@ mod tests {
     fn non_positive_queue_is_an_invalid_config() {
         assert!(refused(|c| c.queue_bdp = -1.0).contains("queue_bdp"));
         assert!(refused(|c| c.queue_bdp = 0.0).contains("queue_bdp"));
+    }
+
+    #[test]
+    fn zero_duration_is_an_invalid_config() {
+        assert!(refused(|c| c.duration = SimDuration::ZERO).contains("duration"));
     }
 
     #[test]

@@ -289,6 +289,9 @@ impl ScenarioConfig {
     /// fault plan panics during assembly, and the run path degrades that
     /// panic into a failed cell rather than a diagnosis.
     pub fn validate(&self) -> Result<(), String> {
+        if self.duration.is_zero() {
+            return Err("duration must be positive: a zero-length run measures nothing".into());
+        }
         if self.bw_bps == 0 || self.mss == 0 {
             return Err(format!("bw_bps {} and mss {} must be positive", self.bw_bps, self.mss));
         }

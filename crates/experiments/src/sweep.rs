@@ -20,7 +20,7 @@
 
 use crate::cache::RunCache;
 use crate::par::par_try_map_with_workers;
-use crate::runner::{average_runs, repeat_seeds, AveragedResult, RunError, RunResult, DEFAULT_WALL_LIMIT};
+use crate::runner::{average_runs, repeat_seeds, AveragedResult, RunError, RunResult};
 use crate::scenario::ScenarioConfig;
 use elephants_json::impl_json_struct;
 
@@ -205,7 +205,7 @@ fn try_sweep_cached(
         configs,
         repeats,
         workers,
-        |cfg, seed| cache.run_checked(cfg, seed, DEFAULT_WALL_LIMIT),
+        |cfg, seed| cache.run_checked(cfg, seed),
         progress,
     );
     // The instance's own counters: a concurrent sweep (or parallel test)

@@ -89,6 +89,17 @@ fn zero_bandwidths_and_counts_are_refused() {
 }
 
 #[test]
+fn runs_that_cannot_mean_anything_are_refused() {
+    for (bin, args) in [("probe", &[][..]), ("sweep", &["--quick"]), ("dataset", &["--quick"])] {
+        for flap in ["nan,1", "1,nan", "inf,1", "1e300,1"] {
+            refused(bin, &[args, &["--flap", flap]].concat(), "bad --flap");
+        }
+    }
+    refused("probe", &["--secs", "0"], "invalid scenario: duration");
+    refused("probe", &["--secs", "18446744073709551615"], "--secs");
+}
+
+#[test]
 fn help_prints_the_flag_list_and_exits_0() {
     for (bin, args, takes, refuses) in [
         ("repro", &["ablate"][..], "--out", "--seed"),

@@ -39,8 +39,6 @@ pub enum TimerKind {
     Pace,
     /// Delayed-ACK timeout on the receiver.
     DelAck,
-    /// Endpoint-defined auxiliary timer.
-    Custom(u8),
 }
 
 /// A simulation event.
@@ -364,11 +362,6 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
 }
 
 #[cfg(test)]
@@ -417,7 +410,7 @@ mod tests {
         q.schedule(SimTime::from_nanos(7), timer(0));
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(7)));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 1);
+        assert_eq!(q.next_seq, 1);
     }
 
     #[test]

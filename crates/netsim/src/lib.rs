@@ -62,13 +62,13 @@ pub use link::{Link, LinkId, LinkSpec, LinkStats};
 pub use packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketArena, PacketKind, PacketRef, SACK_MAX};
 pub use queue::{Aqm, AqmStats, DequeueResult, DropTail, PacketFifo, Verdict};
 pub use record::{
-    EventRing, FlowProbe, FlowSample, NullRecorder, QueueSample, Recorder, RecorderConfig,
-    RecorderHandle, TraceEvent, TraceEventKind, TRACE_NO_FLOW,
+    EventRing, FlowProbe, FlowSample, QueueSample, Recorder, RecorderConfig, TraceEvent,
+    TraceEventKind, TRACE_NO_FLOW,
 };
 pub use rng::{Rng, RngExt, SeedableRng, SmallRng};
 pub use sim::{
     BottleneckReport, Ctx, EndpointReport, FlowEndpoint, LinkReport, RunSummary, SimConfig,
-    Simulator, TimerToken,
+    Simulator,
 };
 pub use time::{SimDuration, SimTime};
 pub use topology::{DumbbellSpec, Topology, TopologySpec, EDGE_ONE_WAY};
@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::link::{LinkId, LinkSpec};
     pub use crate::packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketKind};
     pub use crate::queue::{Aqm, DequeueResult, DropTail, Verdict};
-    pub use crate::record::{FlowProbe, FlowSample, NullRecorder, QueueSample, Recorder, RecorderConfig};
+    pub use crate::record::{FlowProbe, FlowSample, QueueSample, Recorder, RecorderConfig};
     pub use crate::sim::{Ctx, FlowEndpoint, SimConfig, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{DumbbellSpec, Topology, TopologySpec};

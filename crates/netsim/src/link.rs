@@ -211,13 +211,13 @@ impl Link {
     /// destroyed and counted as `down_drops`. A packet mid-serialization
     /// finishes its `LinkTxDone` and its delivery still arrives — faults
     /// cut the link, not photons already in the fiber. Idempotent.
-    pub fn set_down(&mut self) {
+    fn set_down(&mut self) {
         self.up = false;
     }
 
     /// Bring the link back up, restarting transmission if a packet is
     /// queued and the transmitter is idle. Idempotent.
-    pub fn set_up(&mut self, now: SimTime, events: &mut EventQueue, rng: &mut SmallRng) {
+    fn set_up(&mut self, now: SimTime, events: &mut EventQueue, rng: &mut SmallRng) {
         if self.up {
             return;
         }
@@ -240,11 +240,6 @@ impl Link {
     /// Queue-discipline counters.
     pub fn aqm_stats(&self) -> AqmStats {
         self.aqm.stats()
-    }
-
-    /// Whether the transmitter is currently serializing a packet.
-    pub fn is_busy(&self) -> bool {
-        self.busy
     }
 
     /// Start tracing queue operations into a ring of at most `capacity`
@@ -364,7 +359,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         link.on_tx_done(SimTime::ZERO, &mut ev, &mut rng);
         assert!(ev.is_empty());
-        assert!(!link.is_busy());
+        assert!(!link.busy);
     }
 
     #[test]
@@ -386,7 +381,7 @@ mod tests {
         link.on_tx_done(t1, &mut ev, &mut rng);
         // ...but the frozen transmitter does not pick up the backlog.
         assert!(ev.is_empty(), "down link must not serialize the backlog");
-        assert!(!link.is_busy());
+        assert!(!link.busy);
         // Coming back up resumes transmission of the surviving packet.
         link.set_up(t1, &mut ev, &mut rng);
         let (_, e) = ev.pop().unwrap();

@@ -141,16 +141,10 @@ impl Packet {
     pub fn is_data(&self) -> bool {
         matches!(self.kind, PacketKind::Data)
     }
-
-    /// `true` for pure ACKs.
-    #[inline]
-    pub fn is_ack(&self) -> bool {
-        matches!(self.kind, PacketKind::Ack(_))
-    }
 }
 
 /// On-wire size of a pure ACK (bytes): IP + TCP headers with options.
-pub const ACK_SIZE: u32 = 72;
+const ACK_SIZE: u32 = 72;
 
 /// Handle to a [`Packet`] parked in a [`PacketArena`].
 ///
@@ -215,11 +209,6 @@ impl PacketArena {
     pub fn live(&self) -> usize {
         self.live
     }
-
-    /// High-water mark of concurrently parked packets (slot count).
-    pub fn high_water(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -253,12 +242,12 @@ mod tests {
     fn packet_constructors() {
         let now = SimTime::from_nanos(42);
         let d = Packet::data(FlowId(1), NodeId(0), NodeId(5), 7, 8900, now);
-        assert!(d.is_data() && !d.is_ack());
+        assert!(d.is_data());
         assert_eq!(d.size, 8900);
         assert_eq!(d.sent_at, now);
 
         let a = Packet::ack(FlowId(1), NodeId(5), NodeId(0), 3, AckInfo::cumulative(8), now);
-        assert!(a.is_ack());
+        assert!(!a.is_data());
         assert_eq!(a.size, ACK_SIZE);
         match a.kind {
             PacketKind::Ack(info) => assert_eq!(info.cum, 8),
@@ -286,7 +275,7 @@ mod tests {
         assert_eq!(arena.live(), 1);
         // The freed slot is reused before the arena grows.
         let c = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 2, 100, now));
-        assert_eq!(arena.high_water(), 2);
+        assert_eq!(arena.slots.len(), 2);
         assert_eq!(arena.take(c).seq, 2);
         assert_eq!(arena.take(b).seq, 1);
         assert_eq!(arena.live(), 0);

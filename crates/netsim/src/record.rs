@@ -9,9 +9,9 @@
 //! link state through `&self` accessors, draws no randomness, and schedules
 //! only its own `Event::Sample` ticks — which are excluded from the
 //! processed-event counter — so a recorded run produces byte-identical
-//! metrics to an unrecorded one. When no recorder is installed
-//! ([`RecorderHandle::null`], the default) no sample events are scheduled at
-//! all: the hot path pays nothing.
+//! metrics to an unrecorded one. When no recorder is installed (the
+//! default) no sample events are scheduled at all: the hot path pays
+//! nothing.
 
 use crate::link::LinkId;
 use crate::packet::FlowId;
@@ -173,7 +173,7 @@ impl EventRing {
 }
 
 /// Sink for telemetry samples. Implemented by `elephants-telemetry`'s
-/// `FlightRecorder`; the default is the no-op [`NullRecorder`].
+/// `FlightRecorder`.
 pub trait Recorder: Send {
     /// A per-flow sample was taken.
     fn on_flow_sample(&mut self, s: &FlowSample);
@@ -190,26 +190,7 @@ pub trait Recorder: Send {
 
     /// Downcasting hook so callers can recover the concrete recorder after
     /// [`crate::sim::Simulator::take_recorder`].
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcasting hook.
     fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// The do-nothing recorder: recording off.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn on_flow_sample(&mut self, _s: &FlowSample) {}
-    fn on_queue_sample(&mut self, _s: &QueueSample) {}
-    fn on_trace_event(&mut self, _e: &TraceEvent) {}
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// What the simulator samples, and how often.
@@ -223,65 +204,6 @@ pub struct RecorderConfig {
     pub queue: bool,
 }
 
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig { interval: SimDuration::from_millis(10), flows: true, queue: false }
-    }
-}
-
-/// The simulator's slot for an installed recorder.
-///
-/// Activity is checked once per sample tick — never on the per-packet hot
-/// path. With no recorder installed (the default) the simulator schedules
-/// no sample events, so a run with the handle empty is instruction-for-
-/// instruction the pre-telemetry hot loop.
-pub struct RecorderHandle {
-    rec: Option<Box<dyn Recorder>>,
-    cfg: RecorderConfig,
-}
-
-impl RecorderHandle {
-    /// An empty handle: recording off.
-    pub fn null() -> Self {
-        RecorderHandle { rec: None, cfg: RecorderConfig::default() }
-    }
-
-    /// Install a recorder.
-    pub fn install(&mut self, rec: Box<dyn Recorder>, cfg: RecorderConfig) {
-        assert!(!cfg.interval.is_zero(), "sample interval must be positive");
-        self.rec = Some(rec);
-        self.cfg = cfg;
-    }
-
-    /// Whether a recorder is installed.
-    pub fn is_active(&self) -> bool {
-        self.rec.is_some()
-    }
-
-    /// The sampling configuration.
-    pub fn config(&self) -> RecorderConfig {
-        self.cfg
-    }
-
-    /// The installed recorder, if any.
-    pub fn recorder_mut(&mut self) -> Option<&mut (dyn Recorder + 'static)> {
-        self.rec.as_deref_mut()
-    }
-
-    /// Remove and return the installed recorder.
-    pub fn take(&mut self) -> Option<Box<dyn Recorder>> {
-        self.rec.take()
-    }
-}
-
-impl std::fmt::Debug for RecorderHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RecorderHandle")
-            .field("active", &self.is_active())
-            .field("cfg", &self.cfg)
-            .finish()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -324,18 +246,6 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_ring_panics() {
         EventRing::new(0);
-    }
-
-    #[test]
-    fn null_handle_is_inactive() {
-        let mut h = RecorderHandle::null();
-        assert!(!h.is_active());
-        assert!(h.recorder_mut().is_none());
-        assert!(h.take().is_none());
-        h.install(Box::new(NullRecorder), RecorderConfig::default());
-        assert!(h.is_active());
-        assert!(h.take().is_some());
-        assert!(!h.is_active());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::link::LinkId;
 use crate::packet::{Dir, FlowId, NodeId, Packet};
 use crate::queue::AqmStats;
-use crate::record::{FlowProbe, FlowSample, QueueSample, Recorder, RecorderConfig, RecorderHandle};
+use crate::record::{FlowProbe, FlowSample, QueueSample, Recorder, RecorderConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 use crate::rng::{SeedableRng, SmallRng};
@@ -87,79 +87,11 @@ pub trait FlowEndpoint: Send {
     fn as_any(&self) -> &dyn Any;
 }
 
-/// Handle for one armed instance of a per-endpoint timer.
-///
-/// Returned by [`Ctx::set_timer`]. Arming a timer kind again (or calling
-/// [`Ctx::cancel_timer`]) invalidates every earlier token of that kind:
-/// the superseded firing is silently dropped by the simulator. Endpoints
-/// therefore *re-arm* timers instead of tracking stale deadlines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerToken {
-    kind: TimerKind,
-    gen: u32,
-}
-
-impl TimerToken {
-    /// The timer kind this token arms.
-    pub fn kind(&self) -> TimerKind {
-        self.kind
-    }
-}
-
-/// Arming generations for one endpoint's timers: one counter per kind.
-/// A scheduled `Timer` event fires only if its generation still matches,
-/// which gives O(1) cancellation with lazy deletion in the event queue.
-#[derive(Debug, Default)]
-struct TimerGens {
-    /// Start, Rto, Pace, DelAck.
-    named: [u32; 4],
-    /// `TimerKind::Custom` tags, grown on first use (tests/extensions).
-    custom: Vec<(u8, u32)>,
-}
-
-impl TimerGens {
-    fn named_idx(kind: TimerKind) -> Option<usize> {
-        match kind {
-            TimerKind::Start => Some(0),
-            TimerKind::Rto => Some(1),
-            TimerKind::Pace => Some(2),
-            TimerKind::DelAck => Some(3),
-            TimerKind::Custom(_) => None,
-        }
-    }
-
-    fn current(&self, kind: TimerKind) -> u32 {
-        match Self::named_idx(kind) {
-            Some(i) => self.named[i],
-            None => {
-                let TimerKind::Custom(tag) = kind else { unreachable!() };
-                self.custom.iter().find(|(t, _)| *t == tag).map_or(0, |(_, g)| *g)
-            }
-        }
-    }
-
-    fn bump(&mut self, kind: TimerKind) -> u32 {
-        match Self::named_idx(kind) {
-            Some(i) => {
-                self.named[i] += 1;
-                self.named[i]
-            }
-            None => {
-                let TimerKind::Custom(tag) = kind else { unreachable!() };
-                match self.custom.iter_mut().find(|(t, _)| *t == tag) {
-                    Some((_, g)) => {
-                        *g += 1;
-                        *g
-                    }
-                    None => {
-                        self.custom.push((tag, 1));
-                        1
-                    }
-                }
-            }
-        }
-    }
-}
+/// Arming generations for one endpoint's timers, indexed by
+/// [`TimerKind`]. A scheduled `Timer` event fires only if its generation
+/// still matches, which gives O(1) cancellation with lazy deletion in the
+/// event queue.
+type TimerGens = [u32; 4];
 
 /// Per-event context handed to endpoints.
 pub struct Ctx<'a> {
@@ -194,17 +126,17 @@ impl Ctx<'_> {
     /// endpoints re-arm freely instead of filtering stale firings. Times in
     /// the past are clamped to `now` — the timer fires as soon as possible.
     #[inline]
-    pub fn set_timer(&mut self, kind: TimerKind, at: SimTime) -> TimerToken {
+    pub fn set_timer(&mut self, kind: TimerKind, at: SimTime) {
         let at = at.max(self.now);
-        let gen = self.gens.bump(kind);
-        self.timers.push((kind, at, gen));
-        TimerToken { kind, gen }
+        let gen = &mut self.gens[kind as usize];
+        *gen += 1;
+        self.timers.push((kind, at, *gen));
     }
 
     /// Cancel the armed instance of `kind`, if any. Idempotent.
     #[inline]
     pub fn cancel_timer(&mut self, kind: TimerKind) {
-        self.gens.bump(kind);
+        self.gens[kind as usize] += 1;
     }
 }
 
@@ -227,16 +159,6 @@ pub struct SimConfig {
     pub warmup: SimDuration,
     /// Hard cap on processed events (runaway protection).
     pub max_events: u64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            duration: SimDuration::from_secs(20),
-            warmup: SimDuration::from_secs(2),
-            max_events: u64::MAX,
-        }
-    }
 }
 
 /// Per-flow slice of a [`RunSummary`].
@@ -332,8 +254,9 @@ pub struct Simulator {
     mark_bytes: Vec<u64>,
     /// Installed fault actions; `Event::Fault { idx }` indexes this table.
     fault_actions: Vec<FaultAction>,
-    /// Flight-recorder slot; empty by default (recording off).
-    recorder: RecorderHandle,
+    /// The installed flight recorder and what it samples; empty by default
+    /// (recording off), in which case no sample tick is ever scheduled.
+    recorder: Option<(Box<dyn Recorder>, RecorderConfig)>,
     /// Invariant-checker slot; empty by default (checking off). Same
     /// zero-cost-when-off discipline as the recorder: the hot loop pays
     /// one predictable untaken branch per event.
@@ -369,7 +292,7 @@ impl Simulator {
             processed: 0,
             mark_bytes: Vec::new(),
             fault_actions: Vec::new(),
-            recorder: RecorderHandle::null(),
+            recorder: None,
             checker: None,
             check_subject: (None, None),
             scratch_pkts: Vec::with_capacity(64),
@@ -450,18 +373,14 @@ impl Simulator {
     /// from the processed-event counter, so a recorded run reports the
     /// same metrics, byte for byte, as an unrecorded one.
     pub fn install_recorder(&mut self, rec: Box<dyn Recorder>, cfg: RecorderConfig) {
-        self.recorder.install(rec, cfg);
+        assert!(!cfg.interval.is_zero(), "sample interval must be positive");
+        self.recorder = Some((rec, cfg));
         self.events.schedule(SimTime::ZERO + cfg.interval, Event::Sample);
     }
 
     /// Remove and return the installed recorder (post-run recovery).
     pub fn take_recorder(&mut self) -> Option<Box<dyn Recorder>> {
-        self.recorder.take()
-    }
-
-    /// Whether a recorder is installed.
-    pub fn recording(&self) -> bool {
-        self.recorder.is_active()
+        self.recorder.take().map(|(rec, _)| rec)
     }
 
     /// Enable runtime invariant checking for this run.
@@ -516,7 +435,7 @@ impl Simulator {
                     flow: FlowId(i as u32),
                     dir: Dir::Sender,
                     kind: TimerKind::Start,
-                    gen: slot.sender_gens.current(TimerKind::Start),
+                    gen: slot.sender_gens[TimerKind::Start as usize],
                 },
             );
         }
@@ -589,23 +508,16 @@ impl Simulator {
                         .link_mut(link)
                         .apply_fault(action, now, &mut self.events, &mut self.rng);
                 }
-                Event::Sample => {
-                    let now = self.now;
-                    self.sample_tick(now);
-                    let next = now + self.recorder.config().interval;
-                    if self.recorder.is_active() && next <= SimTime::ZERO + self.cfg.duration {
-                        self.events.schedule(next, Event::Sample);
-                    }
-                }
+                Event::Sample => self.sample_tick(),
                 Event::Timer { flow, dir, kind, gen } => {
                     // Lazy cancellation: a firing from a superseded arming
                     // (re-armed or cancelled since) is dropped unseen.
                     let slot = &self.flows[flow.0 as usize];
-                    let current = match dir {
-                        Dir::Sender => slot.sender_gens.current(kind),
-                        Dir::Receiver => slot.receiver_gens.current(kind),
+                    let gens = match dir {
+                        Dir::Sender => &slot.sender_gens,
+                        Dir::Receiver => &slot.receiver_gens,
                     };
-                    if gen != current {
+                    if gen != gens[kind as usize] {
                         continue;
                     }
                     self.dispatch(checked, flow, dir, |ep, ctx| match kind {
@@ -771,10 +683,11 @@ impl Simulator {
     }
 
     /// One sample tick: read flow and bottleneck-queue state into the
-    /// recorder. Pure observation — no endpoint mutation, no RNG draws.
-    fn sample_tick(&mut self, now: SimTime) {
-        let cfg = self.recorder.config();
-        let Some(rec) = self.recorder.recorder_mut() else { return };
+    /// recorder, then re-arm the tick unless it would pass the run's end.
+    /// Pure observation — no endpoint mutation, no RNG draws.
+    fn sample_tick(&mut self) {
+        let now = self.now;
+        let Some((rec, cfg)) = self.recorder.as_mut() else { return };
         if cfg.flows {
             for (i, slot) in self.flows.iter().enumerate() {
                 if let Some(probe) = slot.sender.telemetry_probe(now) {
@@ -802,6 +715,10 @@ impl Simulator {
                     control: link.aqm.control_state(),
                 });
             }
+        }
+        let next = now + cfg.interval;
+        if next <= SimTime::ZERO + self.cfg.duration {
+            self.events.schedule(next, Event::Sample);
         }
     }
 
@@ -1082,25 +999,24 @@ mod tests {
     /// Exercises the timer API edge cases: past deadlines, re-arming,
     /// cancellation.
     struct TimerProbe {
-        fires: Vec<(u8, SimTime)>,
+        fires: Vec<(TimerKind, SimTime)>,
     }
 
     impl FlowEndpoint for TimerProbe {
         fn on_start(&mut self, ctx: &mut Ctx) {
             // A deadline in the past is clamped to `now` (fires asap) in
             // all builds, rather than corrupting the event order.
-            ctx.set_timer(TimerKind::Custom(0), SimTime::ZERO);
+            ctx.set_timer(TimerKind::Rto, SimTime::ZERO);
             // Re-arming the same kind supersedes the earlier instance.
-            ctx.set_timer(TimerKind::Custom(1), ctx.now + SimDuration::from_millis(10));
-            ctx.set_timer(TimerKind::Custom(1), ctx.now + SimDuration::from_millis(20));
+            ctx.set_timer(TimerKind::Pace, ctx.now + SimDuration::from_millis(10));
+            ctx.set_timer(TimerKind::Pace, ctx.now + SimDuration::from_millis(20));
             // A cancelled instance never fires.
-            ctx.set_timer(TimerKind::Custom(2), ctx.now + SimDuration::from_millis(15));
-            ctx.cancel_timer(TimerKind::Custom(2));
+            ctx.set_timer(TimerKind::DelAck, ctx.now + SimDuration::from_millis(15));
+            ctx.cancel_timer(TimerKind::DelAck);
         }
         fn on_packet(&mut self, _pkt: &Packet, _ctx: &mut Ctx) {}
         fn on_timer(&mut self, kind: TimerKind, ctx: &mut Ctx) {
-            let TimerKind::Custom(tag) = kind else { panic!("unexpected {kind:?}") };
-            self.fires.push((tag, ctx.now));
+            self.fires.push((kind, ctx.now));
         }
         fn report(&self) -> EndpointReport {
             EndpointReport::default()
@@ -1128,9 +1044,9 @@ mod tests {
             probe.fires,
             vec![
                 // Past deadline fired immediately at the flow's start time.
-                (0, start),
+                (TimerKind::Rto, start),
                 // Only the re-armed instance fired; the cancelled one never did.
-                (1, start + SimDuration::from_millis(20)),
+                (TimerKind::Pace, start + SimDuration::from_millis(20)),
             ]
         );
     }
@@ -1191,6 +1107,34 @@ mod tests {
             ],
         };
         sim.install_fault_plan(bn, &plan);
+    }
+
+    /// Counts the queue samples it is handed.
+    struct QueueTicks(u32);
+
+    impl Recorder for QueueTicks {
+        fn on_flow_sample(&mut self, _s: &FlowSample) {}
+        fn on_queue_sample(&mut self, _s: &QueueSample) {
+            self.0 += 1;
+        }
+        fn on_trace_event(&mut self, _e: &crate::record::TraceEvent) {}
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn recorder_slot_is_empty_until_installed_and_after_take() {
+        let mut sim = build_sim();
+        assert!(sim.take_recorder().is_none());
+        add_blast(&mut sim, 0, 10);
+        let cfg = RecorderConfig { interval: SimDuration::from_millis(100), flows: true, queue: true };
+        sim.install_recorder(Box::new(QueueTicks(0)), cfg);
+        sim.run();
+        let mut rec = sim.take_recorder().expect("the installed recorder comes back");
+        // One tick per 100 ms of the 2 s run, the last at its end.
+        assert_eq!(rec.as_any_mut().downcast_mut::<QueueTicks>().unwrap().0, 20);
+        assert!(sim.take_recorder().is_none());
     }
 
     #[test]

@@ -20,12 +20,6 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Construct from kilobits per second.
-    #[inline]
-    pub const fn from_kbps(kbps: u64) -> Self {
-        Bandwidth(kbps * 1_000)
-    }
-
     /// Construct from megabits per second.
     #[inline]
     pub const fn from_mbps(mbps: u64) -> Self {
@@ -42,12 +36,6 @@ impl Bandwidth {
     #[inline]
     pub const fn as_bps(self) -> u64 {
         self.0
-    }
-
-    /// Megabits per second, fractional.
-    #[inline]
-    pub fn as_mbps_f64(self) -> f64 {
-        self.0 as f64 / 1e6
     }
 
     /// Time to serialize `bytes` onto a link of this bandwidth.
@@ -101,8 +89,7 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(Bandwidth::from_gbps(25).as_bps(), 25_000_000_000);
-        assert_eq!(Bandwidth::from_mbps(100).as_mbps_f64(), 100.0);
-        assert_eq!(Bandwidth::from_kbps(10).as_bps(), 10_000);
+        assert_eq!(Bandwidth::from_mbps(100).as_bps(), 100_000_000);
     }
 
     #[test]

@@ -7,85 +7,42 @@ use elephants_netsim::{
 use std::any::Any;
 use std::collections::BTreeMap;
 
-/// Receiver configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReceiverConfig {
-    /// ACK every n-th in-order segment (Linux delayed ACK ≈ 2).
-    ///
-    /// `0` is normalized to `1` (immediate ACK for every segment) at
-    /// receiver construction — the literal reading ("never ACK on a count
-    /// threshold") would leave every in-order window stalled on the
-    /// delayed-ACK timer, which no TCP does.
-    pub ack_every: u32,
-    /// Delayed-ACK timeout.
-    ///
-    /// A zero timeout means ACKs are never delayed; it is normalized to
-    /// immediate ACKing (`ack_every = 1`) rather than arming a timer for
-    /// "now", which would ACK one event later and double the timer load.
-    pub delack_timeout: SimDuration,
-    /// GRO-style receive coalescing: batch up to this many back-to-back
-    /// in-order segments into one cumulative ACK (`0` disables coalescing,
-    /// the default). When enabled this *replaces* the delayed-ACK policy:
-    /// the count threshold is `coalesce_segs` and the flush timer is
-    /// [`ReceiverConfig::coalesce_timeout`]. Reordering, duplicates and
-    /// ECN marks still force an immediate ACK, so loss recovery and ECN
-    /// feedback latency are unchanged.
-    pub coalesce_segs: u32,
-    /// Deadline for flushing a partially filled coalescing batch (the
-    /// GRO flush timer). Zero is normalized to immediate ACKing
-    /// (`coalesce_segs = 1`). Only meaningful when `coalesce_segs > 0`.
-    pub coalesce_timeout: SimDuration,
-}
-
-impl Default for ReceiverConfig {
-    fn default() -> Self {
-        ReceiverConfig {
-            ack_every: 2,
-            delack_timeout: SimDuration::from_millis(40),
-            coalesce_segs: 0,
-            coalesce_timeout: SimDuration::from_micros(500),
-        }
-    }
-}
-
-impl ReceiverConfig {
-    /// The default coalescing preset: aggregate up to 16 back-to-back
+/// How a receiver ACKs in-order data. Under either policy, reordering,
+/// duplicates and ECN marks force an immediate ACK, so loss recovery and
+/// ECN feedback latency do not depend on the choice.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ReceiverConfig {
+    /// Linux delayed ACK, the paper's hosts (GRO/LRO off): ACK every
+    /// second in-order segment, or 40 ms after an unacked one arrived.
+    #[default]
+    DelayedAck,
+    /// GRO-style receive coalescing: aggregate up to 16 back-to-back
     /// in-order segments (~142 KB of paper-MSS data, comfortably under a
     /// 25 Gbps link's 50 µs of wire time) into one ACK, with a 500 µs
     /// flush deadline so low-rate flows still see a prompt ACK clock.
+    Coalesced,
+}
+
+/// Delayed ACK: in-order segments per ACK, and the timer for a lone one.
+const DELACK_SEGS: u32 = 2;
+const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
+/// Coalescing: the batch size, and the flush deadline of a partial batch.
+const COALESCE_SEGS: u32 = 16;
+const COALESCE_TIMEOUT: SimDuration = SimDuration::from_micros(500);
+
+impl ReceiverConfig {
+    /// The coalescing preset, [`ReceiverConfig::Coalesced`].
     pub fn coalesced() -> Self {
-        ReceiverConfig { coalesce_segs: 16, ..Default::default() }
-    }
-
-    /// Degenerate-value normalization (see the field docs): `ack_every == 0`
-    /// and zero timeouts all collapse to immediate-ACK semantics instead of
-    /// stalling on (or spamming) the flush timer. Applied by
-    /// [`TcpReceiver::new`]; idempotent.
-    pub fn normalized(mut self) -> Self {
-        if self.ack_every == 0 || self.delack_timeout.is_zero() {
-            self.ack_every = 1;
-        }
-        if self.coalesce_segs > 0 && self.coalesce_timeout.is_zero() {
-            self.coalesce_segs = 1;
-        }
-        self
-    }
-
-    /// The in-order segment count that triggers an ACK, and the timer
-    /// deadline for a partial batch — the delayed-ACK pair, or the
-    /// coalescing pair when coalescing is enabled.
-    fn ack_policy(&self) -> (u32, SimDuration) {
-        if self.coalesce_segs > 0 {
-            (self.coalesce_segs, self.coalesce_timeout)
-        } else {
-            (self.ack_every, self.delack_timeout)
-        }
+        ReceiverConfig::Coalesced
     }
 }
 
 /// The receiver endpoint for one flow.
 pub struct TcpReceiver {
-    cfg: ReceiverConfig,
+    /// In-order segments that trigger an ACK.
+    ack_threshold: u32,
+    /// Deadline for ACKing fewer than `ack_threshold` segments.
+    flush_after: SimDuration,
     peer: NodeId,
     /// Next expected in-order sequence.
     rcv_nxt: u64,
@@ -107,11 +64,15 @@ pub struct TcpReceiver {
 }
 
 impl TcpReceiver {
-    /// A receiver whose ACKs go to `peer`. Degenerate configuration values
-    /// are normalized here (see [`ReceiverConfig::normalized`]).
+    /// A receiver whose ACKs go to `peer`.
     pub fn new(cfg: ReceiverConfig, peer: NodeId) -> Self {
+        let (ack_threshold, flush_after) = match cfg {
+            ReceiverConfig::DelayedAck => (DELACK_SEGS, DELACK_TIMEOUT),
+            ReceiverConfig::Coalesced => (COALESCE_SEGS, COALESCE_TIMEOUT),
+        };
         TcpReceiver {
-            cfg: cfg.normalized(),
+            ack_threshold,
+            flush_after,
             peer,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
@@ -125,16 +86,6 @@ impl TcpReceiver {
             delivered_bytes_at_mark: 0,
             ecn_marks: 0,
         }
-    }
-
-    /// Next expected sequence (test hook).
-    pub fn rcv_nxt(&self) -> u64 {
-        self.rcv_nxt
-    }
-
-    /// Current out-of-order ranges (test hook).
-    pub fn ooo_ranges(&self) -> Vec<(u64, u64)> {
-        self.ooo.iter().map(|(&s, &e)| (s, e)).collect()
     }
 
     /// Total delivered payload bytes.
@@ -256,11 +207,10 @@ impl FlowEndpoint for TcpReceiver {
         // Immediate ACK on reordering/dup/ECN; otherwise the delayed-ACK
         // policy, or — when receive coalescing is on — the GRO-style batch
         // policy (bigger count budget, much shorter flush deadline).
-        let (threshold, flush_after) = self.cfg.ack_policy();
-        if out_of_order || self.ecn_pending || self.unacked_count >= threshold {
+        if out_of_order || self.ecn_pending || self.unacked_count >= self.ack_threshold {
             self.send_ack(ctx);
         } else if self.delack_deadline.is_none() {
-            let at = ctx.now + flush_after;
+            let at = ctx.now + self.flush_after;
             self.delack_deadline = Some(at);
             ctx.set_timer(TimerKind::DelAck, at);
         }
@@ -307,7 +257,9 @@ mod tests {
 
     struct ScriptedSender {
         peer: NodeId,
-        script: Vec<(u64, u64)>, // (delay_ms from start, seq), chronological
+        script: Vec<(u64, u64)>, // (µs from start, seq), chronological
+        /// The seq sent with its CE mark set, if any.
+        ce: Option<u64>,
         next: usize,
         acks_seen: Vec<AckInfo>,
     }
@@ -316,8 +268,8 @@ mod tests {
         /// Arm one chained timer for the next scripted transmission (only
         /// one instance of a timer kind can be armed at a time).
         fn arm_next(&self, ctx: &mut Ctx) {
-            if let Some(&(ms, _)) = self.script.get(self.next) {
-                ctx.set_timer(TimerKind::Custom(0), SimTime::ZERO + SimDuration::from_millis(ms));
+            if let Some(&(us, _)) = self.script.get(self.next) {
+                ctx.set_timer(TimerKind::Pace, SimTime::ZERO + SimDuration::from_micros(us));
             }
         }
     }
@@ -334,7 +286,8 @@ mod tests {
         fn on_timer(&mut self, _kind: TimerKind, ctx: &mut Ctx) {
             let (_, seq) = self.script[self.next];
             self.next += 1;
-            let pkt = Packet::data(ctx.flow, ctx.local, self.peer, seq, 1000, ctx.now);
+            let mut pkt = Packet::data(ctx.flow, ctx.local, self.peer, seq, 1000, ctx.now);
+            pkt.ecn_ce = self.ce == Some(seq);
             ctx.send(pkt);
             self.arm_next(ctx);
         }
@@ -347,6 +300,14 @@ mod tests {
     }
 
     fn run_script(script: Vec<(u64, u64)>, cfg: ReceiverConfig) -> (Vec<AckInfo>, EndpointReport) {
+        run_marked(script, None, cfg)
+    }
+
+    fn run_marked(
+        script: Vec<(u64, u64)>,
+        ce: Option<u64>,
+        cfg: ReceiverConfig,
+    ) -> (Vec<AckInfo>, EndpointReport) {
         let spec = DumbbellSpec::paper(Bandwidth::from_gbps(1));
         let topo = spec.build();
         let mut sim = Simulator::new(
@@ -363,7 +324,7 @@ mod tests {
         let flow = sim.add_flow(
             s,
             r,
-            Box::new(ScriptedSender { peer: r, script, next: 0, acks_seen: vec![] }),
+            Box::new(ScriptedSender { peer: r, script, ce, next: 0, acks_seen: vec![] }),
             Box::new(TcpReceiver::new(cfg, s)),
             SimTime::ZERO,
         );
@@ -374,11 +335,11 @@ mod tests {
 
     #[test]
     fn in_order_delivery_acks_every_second_segment() {
-        let script = (0..6).map(|i| (i * 10, i)).collect();
+        let script = (0..6).map(|i| (i * 10_000, i)).collect();
         let (acks, rep) = run_script(script, ReceiverConfig::default());
         assert_eq!(rep.delivered_segments, 6);
         assert_eq!(rep.delivered_bytes, 6000);
-        // ack_every = 2: cumulative ACKs at 2, 4, 6.
+        // Every second segment: cumulative ACKs at 2, 4, 6.
         let cums: Vec<u64> = acks.iter().map(|a| a.cum).collect();
         assert_eq!(cums, vec![2, 4, 6]);
         assert!(acks.iter().all(|a| a.n_sacks == 0));
@@ -387,7 +348,7 @@ mod tests {
     #[test]
     fn gap_triggers_immediate_sack() {
         // Sequence 0, 2 (gap at 1), then 1 heals it.
-        let script = vec![(0, 0), (10, 2), (20, 1)];
+        let script = vec![(0, 0), (10_000, 2), (20_000, 1)];
         let (acks, rep) = run_script(script, ReceiverConfig::default());
         assert_eq!(rep.delivered_segments, 3);
         // The out-of-order arrival of 2 forces an immediate ACK with a SACK.
@@ -401,7 +362,7 @@ mod tests {
     #[test]
     fn multiple_gaps_reported_as_multiple_sacks() {
         // Receive 0, 2, 4, 6: three OOO ranges after seq 0.
-        let script = vec![(0, 0), (10, 2), (20, 4), (30, 6)];
+        let script = vec![(0, 0), (10_000, 2), (20_000, 4), (30_000, 6)];
         let (acks, _) = run_script(script, ReceiverConfig::default());
         let last = acks.last().unwrap();
         assert_eq!(last.cum, 1);
@@ -413,7 +374,7 @@ mod tests {
 
     #[test]
     fn adjacent_ooo_ranges_merge() {
-        let script = vec![(0, 0), (10, 3), (20, 2)];
+        let script = vec![(0, 0), (10_000, 3), (20_000, 2)];
         let (acks, _) = run_script(script, ReceiverConfig::default());
         let last = acks.last().unwrap();
         assert_eq!(last.cum, 1);
@@ -423,7 +384,7 @@ mod tests {
 
     #[test]
     fn duplicate_data_is_acked_immediately() {
-        let script = vec![(0, 0), (10, 1), (20, 0)]; // dup of 0
+        let script = vec![(0, 0), (10_000, 1), (20_000, 0)]; // dup of 0
         let (acks, rep) = run_script(script, ReceiverConfig::default());
         assert_eq!(rep.delivered_segments, 2, "duplicate must not double-count");
         // Three ACKs: delayed/2nd-seg ack, then immediate dup-ack.
@@ -433,78 +394,26 @@ mod tests {
 
     #[test]
     fn delayed_ack_timer_fires_for_odd_tail() {
-        let script = vec![(0, 0)]; // single segment, below ack_every
+        let script = vec![(0, 0)]; // a single segment, below the ACK count
         let (acks, _) = run_script(script, ReceiverConfig::default());
         assert_eq!(acks.len(), 1, "delack timer must flush the pending ACK");
         assert_eq!(acks[0].cum, 1);
     }
 
     #[test]
-    fn ack_every_one_acks_everything() {
-        let cfg = ReceiverConfig { ack_every: 1, ..Default::default() };
-        let script = (0..4).map(|i| (i * 10, i)).collect();
-        let (acks, _) = run_script(script, cfg);
-        assert_eq!(acks.len(), 4);
-    }
-
-    /// Regression (mirrors PR 6's `dupthresh == 0` fix on the sender side):
-    /// `ack_every == 0` must mean "ACK every segment", not "never reach the
-    /// count threshold and stall every window on the delayed-ACK timer".
-    #[test]
-    fn ack_every_zero_normalizes_to_immediate_ack() {
-        let cfg = ReceiverConfig { ack_every: 0, ..Default::default() };
-        let script = (0..4).map(|i| (i * 10, i)).collect();
-        let (acks, _) = run_script(script, cfg);
-        assert_eq!(acks.len(), 4, "ack_every = 0 must ACK every segment");
-        assert_eq!(acks.last().unwrap().cum, 4);
-    }
-
-    /// A zero delayed-ACK timeout means "never delay an ACK" — normalized
-    /// to immediate ACKing instead of arming a timer for the current
-    /// instant on every odd segment.
-    #[test]
-    fn zero_delack_timeout_means_never_delayed() {
-        let cfg = ReceiverConfig { delack_timeout: SimDuration::ZERO, ..Default::default() };
-        let script = (0..4).map(|i| (i * 10, i)).collect();
-        let (acks, _) = run_script(script, cfg);
-        assert_eq!(acks.len(), 4, "zero delack timeout must ACK immediately");
-    }
-
-    #[test]
-    fn zero_coalesce_timeout_normalizes_to_immediate_ack() {
-        let cfg = ReceiverConfig {
-            coalesce_segs: 16,
-            coalesce_timeout: SimDuration::ZERO,
-            ..Default::default()
-        };
-        let script = (0..4).map(|i| (i * 10, i)).collect();
-        let (acks, _) = run_script(script, cfg);
-        assert_eq!(acks.len(), 4, "zero flush deadline must ACK immediately");
-    }
-
-    #[test]
     fn coalescing_batches_in_order_segments_into_one_ack() {
-        let cfg = ReceiverConfig {
-            coalesce_segs: 4,
-            coalesce_timeout: SimDuration::from_millis(200),
-            ..Default::default()
-        };
-        let script = (0..8).map(|i| (i, i)).collect();
-        let (acks, rep) = run_script(script, cfg);
-        assert_eq!(rep.delivered_segments, 8, "coalescing must not lose data");
+        // 32 back-to-back segments, 10 µs apart: two full 16-segment batches.
+        let script = (0..32).map(|i| (i * 10, i)).collect();
+        let (acks, rep) = run_script(script, ReceiverConfig::coalesced());
+        assert_eq!(rep.delivered_segments, 32, "coalescing must not lose data");
         let cums: Vec<u64> = acks.iter().map(|a| a.cum).collect();
-        assert_eq!(cums, vec![4, 8], "4-segment batches → one ACK per batch");
+        assert_eq!(cums, vec![16, 32], "16-segment batches → one ACK per batch");
     }
 
     #[test]
     fn coalescing_flush_timer_flushes_partial_batch() {
-        let cfg = ReceiverConfig {
-            coalesce_segs: 8,
-            coalesce_timeout: SimDuration::from_millis(5),
-            ..Default::default()
-        };
-        let script = vec![(0, 0), (1, 1), (2, 2)];
-        let (acks, rep) = run_script(script, cfg);
+        let script = vec![(0, 0), (10, 1), (20, 2)];
+        let (acks, rep) = run_script(script, ReceiverConfig::coalesced());
         assert_eq!(rep.delivered_segments, 3);
         assert_eq!(acks.len(), 1, "partial batch must be flushed by the timer");
         assert_eq!(acks[0].cum, 3);
@@ -512,18 +421,26 @@ mod tests {
 
     #[test]
     fn coalescing_still_acks_reordering_immediately() {
-        let cfg = ReceiverConfig {
-            coalesce_segs: 16,
-            coalesce_timeout: SimDuration::from_millis(200),
-            ..Default::default()
-        };
         // Seq 2 arrives out of order: the SACK must go out at once, not
         // wait out the coalescing budget, or fast retransmit stalls.
         let script = vec![(0, 0), (10, 2), (20, 1)];
-        let (acks, _) = run_script(script, cfg);
+        let (acks, _) = run_script(script, ReceiverConfig::coalesced());
         let sacked = acks.iter().find(|a| a.n_sacks > 0).expect("expected immediate SACK");
         assert_eq!(sacked.cum, 1);
         assert_eq!(sacked.sacks[0], (2, 3));
         assert_eq!(acks.last().unwrap().cum, 3);
+    }
+
+    #[test]
+    fn coalescing_still_acks_duplicates_and_ce_marks_immediately() {
+        // Seq 0 again, then a CE-marked seq 2: each is ACKed on arrival,
+        // ahead of the 500 µs flush deadline.
+        let script = vec![(0, 0), (10, 1), (20, 0), (30, 2)];
+        let (acks, rep) = run_marked(script, Some(2), ReceiverConfig::coalesced());
+        assert_eq!(rep.delivered_segments, 3, "duplicate must not double-count");
+        assert_eq!(rep.ecn_marks, 1);
+        let cums: Vec<u64> = acks.iter().map(|a| a.cum).collect();
+        assert_eq!(cums, vec![2, 3], "one ACK for the duplicate, one for the mark");
+        assert!(acks[1].ecn_echo);
     }
 }

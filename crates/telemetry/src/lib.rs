@@ -169,11 +169,6 @@ impl FlowTrack<'_> {
         self.series(|p| p.delivered_bytes)
     }
 
-    /// The `(t, cumulative retransmitted segments)` series.
-    pub fn retx_series(&self) -> Vec<(f64, f64)> {
-        self.series(|p| p.retx)
-    }
-
     /// Number of completed ProbeBW cycles visible in the phase series:
     /// transitions *into* the 1.25 up-probe phase (BBRv1 labels it
     /// `"probe_bw:1.25"`, BBRv2 `"probe_bw:up"`).
@@ -223,8 +218,7 @@ impl FlightRecord {
     }
 
     /// Every flow's samples, ascending by flow id, split out in one pass
-    /// over [`FlightRecord::flow_samples`]. The way to look at all flows:
-    /// the per-flow methods below read the whole record on every call.
+    /// over [`FlightRecord::flow_samples`]: the way to read per-flow series.
     pub fn by_flow(&self) -> Vec<FlowTrack<'_>> {
         let mut tracks: BTreeMap<u32, Vec<&FlowPoint>> = BTreeMap::new();
         for p in &self.flow_samples {
@@ -233,55 +227,17 @@ impl FlightRecord {
         tracks.into_iter().map(|(flow, points)| FlowTrack { flow, points }).collect()
     }
 
-    /// One flow's samples (none for a flow the record does not hold).
-    fn track(&self, flow: u32) -> FlowTrack<'_> {
-        FlowTrack { flow, points: self.flow_samples.iter().filter(|p| p.flow == flow).collect() }
-    }
-
-    /// The `(t, cwnd)` series of one flow (cwnd in bytes).
-    pub fn cwnd_series(&self, flow: u32) -> Vec<(f64, f64)> {
-        self.track(flow).cwnd_series()
-    }
-
-    /// The `(t, cumulative delivered bytes)` series of one flow.
-    pub fn delivered_series(&self, flow: u32) -> Vec<(f64, f64)> {
-        self.track(flow).delivered_series()
-    }
-
-    /// The `(t, cumulative retransmitted segments)` series of one flow.
-    pub fn retx_series(&self, flow: u32) -> Vec<(f64, f64)> {
-        self.track(flow).retx_series()
-    }
-
-    /// The distinct instrumented link ids present, ascending.
-    pub fn queue_link_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.queue_samples.iter().map(|p| p.link).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// The `(t, backlog_pkts)` series of the primary bottleneck queue (the
     /// lowest instrumented link id — the only one on a dumbbell).
     pub fn queue_series(&self) -> Vec<(f64, f64)> {
-        match self.queue_link_ids().first() {
-            Some(&link) => self.queue_series_for(link),
-            None => Vec::new(),
-        }
-    }
-
-    /// The `(t, backlog_pkts)` series of one instrumented link's queue.
-    pub fn queue_series_for(&self, link: u32) -> Vec<(f64, f64)> {
+        let Some(link) = self.queue_samples.iter().map(|p| p.link).min() else {
+            return Vec::new();
+        };
         self.queue_samples
             .iter()
             .filter(|p| p.link == link)
             .map(|p| (p.t_s, p.backlog_pkts as f64))
             .collect()
-    }
-
-    /// Completed ProbeBW cycles of one flow ([`FlowTrack::probe_bw_cycles`]).
-    pub fn probe_bw_cycles(&self, flow: u32) -> u64 {
-        self.track(flow).probe_bw_cycles()
     }
 }
 
@@ -299,11 +255,6 @@ impl FlightRecorder {
     /// An empty recorder.
     pub fn new() -> Self {
         FlightRecorder::default()
-    }
-
-    /// Number of flow samples captured so far.
-    pub fn flow_sample_count(&self) -> usize {
-        self.flow_samples.len()
     }
 
     /// Consume the recorder into the versioned artifact.
@@ -360,10 +311,6 @@ impl Recorder for FlightRecorder {
 
     fn on_trace_truncated(&mut self, count: u64) {
         self.events_truncated = count;
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -481,8 +428,9 @@ mod tests {
             "probe_rtt",
             "probe_bw:1.25",
         ]);
-        assert_eq!(rec.probe_bw_cycles(0), 3);
-        assert_eq!(rec.probe_bw_cycles(1), 0, "unknown flow has no cycles");
+        assert_eq!(rec.by_flow()[0].probe_bw_cycles(), 3);
+        let cubic = record_with_phases(&["slow_start", "cong_avoid", "recovery"]);
+        assert_eq!(cubic.by_flow()[0].probe_bw_cycles(), 0, "no ProbeBW phase, no cycles");
     }
 
     #[test]
@@ -500,13 +448,8 @@ mod tests {
             });
         }
         let record = rec.into_record("pl".into(), 7, SimDuration::from_millis(10));
-        assert_eq!(record.queue_link_ids(), vec![4, 5]);
-        // The unqualified series is the lowest-id (primary) link.
-        assert_eq!(record.queue_series(), record.queue_series_for(4));
-        assert_eq!(record.queue_series_for(4).len(), 2);
-        let deep: Vec<f64> = record.queue_series_for(5).iter().map(|p| p.1).collect();
-        assert_eq!(deep, vec![7.0, 8.0]);
-        assert!(record.queue_series_for(99).is_empty());
+        // The series is the lowest-id (primary) link's, in time order.
+        assert_eq!(record.queue_series(), vec![(0.0, 3.0), (0.01, 4.0)]);
     }
 
     #[test]
@@ -544,15 +487,13 @@ mod tests {
             prop_check_eq!(tracks.last().map(|t| t.points.len()), Some(1));
             for track in &tracks {
                 let f = track.flow;
-                prop_check_eq!(track, &record.track(f));
+                prop_check_eq!(&track.points, &of(f).collect::<Vec<_>>());
                 prop_check_eq!(track.cwnd_series(), scan(f, |p| p.cwnd));
                 prop_check_eq!(track.delivered_series(), scan(f, |p| p.delivered_bytes));
-                prop_check_eq!(track.retx_series(), scan(f, |p| p.retx));
                 let ups: Vec<bool> =
                     of(f).map(|p| p.phase == "probe_bw:1.25" || p.phase == "probe_bw:up").collect();
                 let entries = ups.iter().enumerate().filter(|&(i, &up)| up && (i == 0 || !ups[i - 1]));
                 prop_check_eq!(track.probe_bw_cycles(), entries.count() as u64);
-                prop_check_eq!(record.probe_bw_cycles(f), track.probe_bw_cycles());
             }
             Ok(())
         });
@@ -561,15 +502,15 @@ mod tests {
     #[test]
     fn series_extraction() {
         let rec = record_with_phases(&["startup", "drain"]);
-        let cwnd = rec.cwnd_series(0);
+        let tracks = rec.by_flow();
+        let cwnd = tracks[0].cwnd_series();
         assert_eq!(cwnd.len(), 2);
         assert!((cwnd[0].0 - 0.0).abs() < 1e-12);
         assert!((cwnd[1].0 - 0.01).abs() < 1e-12);
         assert_eq!(cwnd[0].1, 10_000.0);
-        let delivered = rec.delivered_series(0);
+        let delivered = tracks[0].delivered_series();
         assert_eq!(delivered.len(), 2);
         assert_eq!(delivered[1].1, 100_000.0, "cumulative counter rides the sample");
-        assert_eq!(rec.retx_series(0)[1].1, 1.0);
         assert!(rec.queue_series().is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //! corner is uncovered, fill it from the generator with:
 //!
 //! ```sh
-//! UPDATE_CHAOS_SEEDS=1 cargo test -q -p integration-tests --test chaos_corpus
+//! UPDATE_FIXTURES=1 cargo test -q -p integration-tests --test chaos_corpus
 //! ```
 //!
 //! (then re-run without the env var to confirm everything judges clean).
@@ -56,8 +56,8 @@ fn curated_seed_fixtures_are_committed_and_current() {
             continue;
         }
         assert!(
-            std::env::var("UPDATE_CHAOS_SEEDS").is_ok(),
-            "no cheap committed fixture covers `{tag}` — add one with UPDATE_CHAOS_SEEDS=1"
+            std::env::var_os("UPDATE_FIXTURES").is_some(),
+            "no cheap committed fixture covers `{tag}` — add one with UPDATE_FIXTURES=1"
         );
         // A deterministic scan over the generator's seed space.
         let (seed, config) = (0..10_000u64)

@@ -7,9 +7,13 @@
 //! link capacity, above collapse — relative to the non-coalesced run.
 //! (That coalescing *off* changes nothing is `topology_equiv`'s dumbbell
 //! identity test: the same five cells against the same pinned metrics.)
+//! The coalesced runs themselves are pinned too: each cell's `RunMetrics`
+//! JSON and event count, one line per cell, in
+//! `tests/fixtures/coalesce/grid.jsonl`.
 
 use elephants::cca::CcaKind;
 use elephants::experiments::{RunOptions, Runner, ScenarioConfig};
+use elephants::json::ToJson;
 use elephants::netsim::CheckMode;
 use elephants::{AqmKind, SimDuration};
 
@@ -25,9 +29,11 @@ const SEED: u64 = 42;
 /// so coalescing legitimately shifts short-window dynamics (Reno under PIE
 /// moves by ~40% over a 2 s window; per-ACK window growth makes loss-based
 /// CCAs ramp slower under ACK thinning); what it must never do is
-/// manufacture bytes or wedge the transfer.
+/// manufacture bytes or wedge the transfer. Every coalesced run is also
+/// compared byte for byte with the pinned grid.
 #[test]
 fn coalesce_on_conserves_delivery_across_the_grid_under_strict_check() {
+    let mut pinned = String::new();
     for cca in CcaKind::ALL {
         for aqm in AqmKind::ALL {
             let build = |coalesce: bool| {
@@ -61,7 +67,14 @@ fn coalesce_on_conserves_delivery_across_the_grid_under_strict_check() {
                 outcome.into_first()
             };
             let plain = run(&build(false));
-            let gro = run(&build(true));
+            let gro_cfg = build(true);
+            let gro = run(&gro_cfg);
+            pinned += &format!(
+                "{{\"cell\":\"{}\",\"events_processed\":{},\"metrics\":{}}}\n",
+                gro_cfg.label(),
+                gro.events,
+                gro.metrics().to_json_string()
+            );
 
             let total = |r: &elephants::experiments::RunResult| -> f64 {
                 r.sender_mbps.iter().sum()
@@ -83,4 +96,5 @@ fn coalesce_on_conserves_delivery_across_the_grid_under_strict_check() {
             );
         }
     }
+    integration_tests::assert_pinned("coalesce", "grid.jsonl", &pinned, "coalesced grid");
 }

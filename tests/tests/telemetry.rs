@@ -82,7 +82,8 @@ fn bbr1_vs_cubic_record_shows_probe_bw_cycles() {
     let record = FlightRecord::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
 
     // Flow 0 is sender 0's first flow, running BBRv1.
-    let cycles = record.probe_bw_cycles(0);
+    let tracks = record.by_flow();
+    let cycles = tracks[0].probe_bw_cycles();
     assert!(
         cycles >= 3,
         "BBRv1 must complete at least 3 ProbeBW cycles in 10 s, saw {cycles}"
@@ -91,7 +92,7 @@ fn bbr1_vs_cubic_record_shows_probe_bw_cycles() {
     let flows = record.flow_ids();
     assert!(flows.len() >= 2, "both senders sampled: {flows:?}");
     let cubic_flow = *flows.last().unwrap();
-    assert_eq!(record.probe_bw_cycles(cubic_flow), 0, "CUBIC has no ProbeBW");
+    assert_eq!(tracks.last().unwrap().probe_bw_cycles(), 0, "CUBIC has no ProbeBW");
     assert!(
         record
             .flow_samples
