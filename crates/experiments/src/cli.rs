@@ -260,14 +260,12 @@ fn parse_flap(s: &str) -> Result<FaultPlan, String> {
 
 fn parse_sample_interval(v: &str) -> Result<SimDuration, String> {
     let ms: f64 = parse_value("--sample-interval", v)?;
-    if ms <= 0.0 || !ms.is_finite() {
-        return Err("--sample-interval must be positive".into());
+    // Sample ticks do not count against `max_events`, and every sample is
+    // held until the record is written: a finer spacing fills memory.
+    if !(ms >= 1.0 && ms.is_finite()) {
+        return Err(format!("--sample-interval must be a finite 1 ms or more, got {v}"));
     }
-    let interval = SimDuration::from_secs_f64(ms / 1e3);
-    if interval.is_zero() {
-        return Err(format!("--sample-interval {ms} ms is under the simulator's 1 ns clock tick"));
-    }
-    Ok(interval)
+    Ok(SimDuration::from_secs_f64(ms / 1e3))
 }
 
 /// Parse one bandwidth: a positive integer in bit/s with an optional `K`,
@@ -559,8 +557,10 @@ mod tests {
         assert!(parse(&["--record", "nope"]).is_err());
         assert!(parse(&["--sample-interval", "50"]).is_err(), "needs --record");
         assert!(parse(&["--record", "flows", "--sample-interval", "0"]).is_err());
-        let err = parse(&["--record", "flows", "--sample-interval", "0.0000001"]).unwrap_err();
-        assert!(err.contains("--sample-interval"), "{err}");
+        for under_a_ms in ["0.0000001", "0.000001", "0.999", "nan", "inf"] {
+            let err = parse(&["--record", "flows", "--sample-interval", under_a_ms]).unwrap_err();
+            assert!(err.starts_with("--sample-interval"), "{under_a_ms}: {err}");
+        }
     }
 
     #[test]

@@ -23,6 +23,11 @@ pub const PAPER_MSS: u32 = 8900;
 /// Share of a run's duration before the measurement window opens.
 const WARMUP_FRAC: f64 = 0.25;
 
+/// The queue lengths a scenario may ask for, in BDP: 64x either side of
+/// the paper's 0.5-16. `cache_key` prints `queue_bdp` in full, so an
+/// unbounded value names files past the OS's length limit.
+const QUEUE_BDP_RANGE: std::ops::RangeInclusive<f64> = (1.0 / 64.0)..=1024.0;
+
 /// The CCA every inter-CCA pairing of Table 1 is measured against.
 pub const PAPER_BASELINE: CcaKind = CcaKind::Cubic;
 
@@ -295,8 +300,8 @@ impl ScenarioConfig {
         if self.bw_bps == 0 || self.mss == 0 {
             return Err(format!("bw_bps {} and mss {} must be positive", self.bw_bps, self.mss));
         }
-        if !(self.queue_bdp.is_finite() && self.queue_bdp > 0.0) {
-            return Err(format!("queue_bdp must be finite and positive, got {}", self.queue_bdp));
+        if !QUEUE_BDP_RANGE.contains(&self.queue_bdp) {
+            return Err(format!("queue_bdp must be in [1/64, 1024] BDP, got {:?}", self.queue_bdp));
         }
         if self.rtt() <= EDGE_ONE_WAY * 2 {
             return Err(format!(

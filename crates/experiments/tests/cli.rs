@@ -97,6 +97,13 @@ fn runs_that_cannot_mean_anything_are_refused() {
     }
     refused("probe", &["--secs", "0"], "invalid scenario: duration");
     refused("probe", &["--secs", "18446744073709551615"], "--secs");
+    for queue in ["1e300", "1e-300"] {
+        let args = ["--queue", queue, "--secs", "1", "--record", "flows"];
+        refused("probe", &args, "invalid scenario: queue_bdp");
+    }
+    let under_a_ms = ["--record", "flows", "--sample-interval", "0.000001"];
+    refused("probe", &under_a_ms, "--sample-interval");
+    refused("dataset", &[&["--quick"], &under_a_ms[..]].concat(), "--sample-interval");
 }
 
 #[test]

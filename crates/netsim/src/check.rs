@@ -219,16 +219,6 @@ impl Checker {
         self.delivered += 1;
     }
 
-    /// Packets injected so far (test hook).
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Packets delivered so far (test hook).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Per-event preamble: time monotonicity across the wheel (including
     /// level spillover and cancelled-timer lazy pops, which still pop in
     /// `(time, seq)` order) and the checked-event counter.

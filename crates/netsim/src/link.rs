@@ -248,11 +248,6 @@ impl Link {
         self.trace = Some(Box::new(EventRing::new(capacity)));
     }
 
-    /// The trace ring, if tracing is enabled.
-    pub fn trace(&self) -> Option<&EventRing> {
-        self.trace.as_deref()
-    }
-
     /// Remove and return the trace ring (post-run drain).
     pub fn take_trace(&mut self) -> Option<Box<EventRing>> {
         self.trace.take()

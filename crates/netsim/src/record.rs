@@ -155,21 +155,6 @@ impl EventRing {
     pub fn truncated(&self) -> u64 {
         self.truncated
     }
-
-    /// Number of stored events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been stored.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
 }
 
 /// Sink for telemetry samples. Implemented by `elephants-telemetry`'s
@@ -225,7 +210,7 @@ mod tests {
         for i in 0..10 {
             ring.push(ev(i));
         }
-        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.events().len(), 3);
         assert_eq!(ring.truncated(), 7);
         let seqs: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "keep-first semantics");
@@ -236,10 +221,8 @@ mod tests {
         let mut ring = EventRing::new(8);
         ring.push(ev(0));
         ring.push(ev(1));
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.events().len(), 2);
         assert_eq!(ring.truncated(), 0);
-        assert!(!ring.is_empty());
-        assert_eq!(ring.capacity(), 8);
     }
 
     #[test]

@@ -339,11 +339,6 @@ impl Simulator {
         id
     }
 
-    /// Number of registered flows.
-    pub fn n_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Install a validated [`FaultPlan`] on `link`.
     ///
     /// Each event is scheduled through the ordinary event queue (timer

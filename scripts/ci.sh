@@ -26,27 +26,22 @@
 #                                warm into one directory: the warm run reads
 #                                every entry back (none quarantined), writes
 #                                a byte-identical grid.csv and adds no entry
-#   scripts/ci.sh --check-smoke  also run one short scenario per CCA x AQM
-#                                pair (`CcaKind::ALL` x `AqmKind::ALL`)
-#                                under `CheckMode::Strict`, as one ignored
-#                                test built in the `checked` profile
-#                                (release speed + debug assertions): any
-#                                runtime-invariant violation panics the run
-#                                and fails the lane; one extra cell runs
-#                                coalesced so the GRO-style receive path is
-#                                strict-checked too, and three loss-heavy
-#                                cells (shallow buffer, random loss, link
-#                                flap) run the scoreboard's recovery path
-#                                with its debug assertions on, the six
-#                                tests/fixtures/bbr cells take both BBRs
-#                                through ProbeRTT and v2's ceiling cuts,
-#                                and one ECN cell per AQM runs every
-#                                discipline's CE-mark path; then the CCA
-#                                property suite at 25600 cases in the same
-#                                profile drives every CCA through arbitrary
-#                                ACK / loss / RTO / undo scripts with
-#                                overflow checks on and `check_invariants`
-#                                after every step
+#   scripts/ci.sh --check-smoke  also run the table of pinned runs
+#                                (tests/src/pinned.rs: every CCA x AQM cell
+#                                plain and coalesced, the loss-recovery,
+#                                BBR-phase, ECN and multi-bottleneck cells,
+#                                one test per section), each row under
+#                                `CheckMode::Strict` and compared
+#                                with its line of tests/fixtures/runs.jsonl,
+#                                built in the `checked` profile (release
+#                                speed + debug assertions): a runtime-
+#                                invariant violation or a scoreboard /
+#                                `BbrCore` `debug_assert!` panics the run and
+#                                fails the lane; then the CCA property suite
+#                                at 25600 cases in the same profile drives
+#                                every CCA through arbitrary ACK / loss / RTO
+#                                / undo scripts with overflow checks on and
+#                                `check_invariants` after every step
 #   scripts/ci.sh --fuzz-smoke   also run the chaos fuzzer: ~25 fixed-seed
 #                                generated scenarios through the strict
 #                                four-oracle judge (invariants, graceful
@@ -54,16 +49,17 @@
 #                                round-trip) plus a full replay of the
 #                                committed regression corpus; any finding
 #                                or corpus regression fails the lane
-#   scripts/ci.sh --topo-smoke   also run the topology lane: the
-#                                equivalence suite (byte-identical RunMetrics
-#                                vs pre-topology fixtures, and every shape's
-#                                layout vs tests/fixtures/topology/shapes.json),
-#                                a strict-checked 3-hop parking-lot probe run
-#                                with one link report per hop, a
-#                                strict-checked multi-dumbbell probe run, and
-#                                `repro rtt_unfair` (which exits nonzero if
-#                                the short-RTT BBR share is not monotone in
-#                                the RTT ratio)
+#   scripts/ci.sh --topo-smoke   also run the topology lane: every
+#                                shape's layout vs
+#                                tests/fixtures/topology/shapes.json, the
+#                                table of pinned runs (its dumbbell, 3-hop
+#                                parking-lot and two-RTT multi-dumbbell rows
+#                                among them), a strict-checked 3-hop
+#                                parking-lot probe run with one link report
+#                                per hop, a strict-checked multi-dumbbell
+#                                probe run, and `repro rtt_unfair` (which
+#                                exits nonzero if the short-RTT BBR share is
+#                                not monotone in the RTT ratio)
 #   scripts/ci.sh --dynamics-smoke  also run the fairness-dynamics lane:
 #                                `repro dynamics` under the strict checker
 #                                (exits nonzero unless BBRv1-vs-CUBIC shows
@@ -232,10 +228,10 @@ fi
 
 if [[ "$topo_smoke" -eq 1 ]]; then
   # The topology subsystem's safety envelope plus its two new behaviors.
-  # 1. Equivalence: RunMetrics JSON byte-identical to fixtures pinned
-  #    before the subsystem existed, and every shape the chain builder
-  #    lays out (dumbbell, parking lot, multi-dumbbell) identical to
-  #    tests/fixtures/topology/shapes.json.
+  # 1. Equivalence: every shape the chain builder lays out (dumbbell,
+  #    parking lot, multi-dumbbell) identical to
+  #    tests/fixtures/topology/shapes.json, and the runs on each shape
+  #    identical to their lines of tests/fixtures/runs.jsonl.
   cargo test -q --offline -p integration-tests --test topology_equiv
 
   # 2. Strict runs on the other two chain shapes: a 3-hop parking lot and
@@ -307,17 +303,29 @@ if [[ "$dynamics_smoke" -eq 1 ]]; then
 fi
 
 if [[ "$check_smoke" -eq 1 ]]; then
-  # The full CCA x AQM grid (whatever `CcaKind::ALL` and `AqmKind::ALL`
-  # hold) plus one coalescing cell, one short strict-mode run each, in the
-  # `checked` profile so debug assertions guard the hot path at release
-  # speed. The test fails on a violation, and unless every cell's checker
-  # reports events it observed; the grep fails a silently-vacuous lane.
-  out="$(cargo test --profile checked --offline -p elephants-experiments -- --ignored 2>&1 | \
+  # Every row of the pinned-run table (the CCA x AQM grid whatever
+  # `CcaKind::ALL` and `AqmKind::ALL` hold, plain and coalesced, plus the
+  # recovery, BBR, ECN and multi-bottleneck cells) under the strict
+  # checker in the `checked` profile, so debug assertions guard the hot
+  # path at release speed. The test fails on a violation, unless every
+  # row's checker reports events it observed, and on any line that differs
+  # from tests/fixtures/runs.jsonl; the greps fail a silently-vacuous lane.
+  out="$(cargo test --profile checked --offline -p integration-tests --test pinned_runs \
+    --test coalesce --test topology_equiv --test recovery --test bbr_phases 2>&1 | \
     tee /dev/stderr)"
-  if ! grep -q 'strict_checking_passes_every_cca_aqm_cell ... ok' <<<"$out"; then
-    echo "check smoke: the strict CCA x AQM grid test did not run" >&2
-    exit 1
-  fi
+  for t in every_row_has_one_section_and_one_pinned_line \
+    ecn_rows_run_strict_clean_and_match_their_pinned_lines \
+    coalesce_on_conserves_delivery_across_the_grid_under_strict_check \
+    dumbbell_topology_is_byte_identical_to_pre_change_fixtures \
+    multi_bottleneck_metrics_are_byte_identical_to_pre_change_fixtures \
+    parking_lot_runs_strict_clean_with_per_link_reports \
+    loss_recovery_is_byte_identical_to_pre_change_fixtures \
+    bbr_phase_machines_are_byte_identical_to_pre_change_fixtures; do
+    if ! grep -q "$t ... ok" <<<"$out"; then
+      echo "check smoke: $t did not run" >&2
+      exit 1
+    fi
+  done
   # Every congestion controller, the loss-based window core included,
   # through every entry point under overflow checks and debug assertions.
   ELEPHANTS_PROP_CASES=25600 cargo test -q --profile checked --offline -p elephants-cca --test properties

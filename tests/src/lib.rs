@@ -1,5 +1,8 @@
 //! Cross-crate integration tests for the `elephants` workspace live in
-//! `tests/tests/`. This library only hosts shared helpers.
+//! `tests/tests/`. This library hosts shared helpers and [`pinned`], the
+//! table of pinned runs.
+
+pub mod pinned;
 
 use elephants::experiments::{AveragedResult, RunOptions, Runner, ScenarioBuilder, ScenarioConfig};
 use elephants::SimDuration;

@@ -1,19 +1,12 @@
 //! Topology-subsystem equivalence tests.
 //!
-//! PR 9 lifts the hard-coded dumbbell into a `TopologySpec` on
-//! `ScenarioConfig`. Three pinned properties form the safety envelope:
-//!
-//! **Dumbbell identity** — the default (dumbbell) topology path must
-//! produce `RunMetrics` JSON byte-identical to fixtures pinned from the
-//! build *before* the topology subsystem existed, across 5 CCA×AQM
-//! cells. Any diff means the redesign changed simulation behaviour.
-//!
-//! **Shape identity** — `shapes.json` pins every named shape's layout
-//! (node kinds, links, bottlenecks, hosts, the full route table, base and
-//! per-group RTTs) over a grid of sizes, bandwidths and RTTs, and
-//! `parking_lot_3.json` / `multi_dumbbell_31_124.json` pin one run's
-//! `RunMetrics` on each multi-bottleneck shape. Both were generated before
-//! the three shape builders became one chain.
+//! `shapes.json` pins every named shape's layout (node kinds, links,
+//! bottlenecks, hosts, the full route table, base and per-group RTTs) over
+//! a grid of sizes, bandwidths and RTTs; it was generated before the three
+//! shape builders became one chain. The runs on the dumbbell (`quick/`) and
+//! on each multi-bottleneck shape (`topology/`) are rows of the table of
+//! pinned runs (`integration_tests::pinned`), pinned before the topology
+//! subsystem and the shape chain existed.
 //!
 //! Regenerate the pinned fixtures (only when intentionally re-baselining,
 //! from a build whose behaviour is known-good) with:
@@ -24,59 +17,13 @@
 
 use elephants::cca::CcaKind;
 use elephants::experiments::{RunOptions, Runner, ScenarioConfig};
-use elephants::json::ToJson;
 use elephants::netsim::rng::fnv1a;
-use elephants::netsim::{
-    Bandwidth, CheckMode, DumbbellSpec, NodeId, SimDuration, Topology, TopologySpec,
-};
+use elephants::netsim::{Bandwidth, DumbbellSpec, NodeId, SimDuration, Topology, TopologySpec};
 use elephants::AqmKind;
+use integration_tests::pinned;
 use std::fmt::Write;
 
 const FIXTURE_SEED: u64 = 42;
-
-/// The pinned cells: one per AQM, cycling through the five CCAs (all vs
-/// CUBIC) so every discipline and every sender implementation appears.
-/// 100 Mbps quick keeps each cell a debug-mode-friendly few seconds.
-fn fixture_cells() -> Vec<(String, ScenarioConfig)> {
-    let pairs = [
-        (CcaKind::BbrV1, AqmKind::Fifo),
-        (CcaKind::BbrV2, AqmKind::Red),
-        (CcaKind::Cubic, AqmKind::FqCodel),
-        (CcaKind::Reno, AqmKind::Codel),
-        (CcaKind::Htcp, AqmKind::Pie),
-    ];
-    pairs
-        .iter()
-        .map(|&(cca, aqm)| {
-            let mut opts = RunOptions::quick();
-            opts.seed = FIXTURE_SEED;
-            let cfg =
-                ScenarioConfig::new(cca, CcaKind::Cubic, aqm, 2.0, 100_000_000, &opts);
-            (format!("{cca}_{aqm}.json"), cfg)
-        })
-        .collect()
-}
-
-fn metrics_json(cfg: &ScenarioConfig) -> String {
-    Runner::new(cfg)
-        .seed(FIXTURE_SEED)
-        .run()
-        .unwrap_or_else(|e| panic!("{} failed: {e}", cfg.label()))
-        .into_first()
-        .metrics()
-        .to_json_string()
-}
-
-/// The default (dumbbell) topology path must reproduce the pre-redesign
-/// build's pinned `RunMetrics` byte-for-byte. This is the contract that
-/// lets the topology generalization land without perturbing the paper
-/// grid.
-#[test]
-fn dumbbell_topology_is_byte_identical_to_pre_change_fixtures() {
-    for (name, cfg) in fixture_cells() {
-        integration_tests::assert_pinned("topology", &name, &metrics_json(&cfg), &cfg.label());
-    }
-}
 
 /// Everything a built topology exposes, as text: node kinds, every link,
 /// bottlenecks, hosts, the full `route(node, dst)` table, the base RTT and
@@ -154,61 +101,29 @@ fn shapes_are_byte_identical_to_pre_change_fixture() {
     integration_tests::assert_pinned("topology", "shapes.json", &got, "topology shapes");
 }
 
-/// One CUBIC-vs-CUBIC run on each multi-bottleneck shape must reproduce
-/// its `RunMetrics` pinned before the shape builders became one chain.
+/// The default (dumbbell) topology path, one cell per AQM cycling through
+/// the five CCAs, runs strict-clean and reproduces the pre-redesign
+/// build's pinned lines byte for byte.
 #[test]
-fn multi_bottleneck_metrics_are_byte_identical_to_pre_change_fixtures() {
-    let cells = [
-        ("parking_lot_3.json", TopologySpec::ParkingLot { hops: 3 }),
-        ("multi_dumbbell_31_124.json", TopologySpec::MultiDumbbell { rtts_ms: vec![31, 124] }),
-    ];
-    for (name, topology) in cells {
-        let mut opts = RunOptions::quick();
-        opts.seed = FIXTURE_SEED;
-        let mut cfg = ScenarioConfig::new(
-            CcaKind::Cubic,
-            CcaKind::Cubic,
-            AqmKind::Fifo,
-            2.0,
-            100_000_000,
-            &opts,
-        );
-        cfg.topology = topology;
-        integration_tests::assert_pinned("topology", name, &metrics_json(&cfg), &cfg.label());
-    }
+fn dumbbell_topology_is_byte_identical_to_pre_change_fixtures() {
+    pinned::check("quick/");
 }
 
-/// A strict-checked 3-hop parking-lot run completes with zero invariant
-/// violations, reports one `LinkResult` per shaped hop, and every hop
-/// carries traffic (the cross-group long flow guarantees this).
+/// CUBIC on the two-RTT multi-dumbbell runs strict-clean on one busy
+/// shared bottleneck with both groups delivering, and reproduces its line
+/// pinned before the shape builders became one chain (the parking lot's
+/// line is the next test's).
+#[test]
+fn multi_bottleneck_metrics_are_byte_identical_to_pre_change_fixtures() {
+    pinned::check("topology/multi_dumbbell");
+}
+
+/// A 3-hop parking lot runs strict-clean, reports one `LinkResult` per
+/// shaped hop, every hop carries traffic (the cross-group long flow
+/// guarantees this), and it reproduces its pinned line.
 #[test]
 fn parking_lot_runs_strict_clean_with_per_link_reports() {
-    let mut opts = RunOptions::quick();
-    opts.seed = FIXTURE_SEED;
-    opts.flow_scale = 0.5;
-    let mut cfg = ScenarioConfig::new(
-        CcaKind::Cubic,
-        CcaKind::Cubic,
-        AqmKind::Fifo,
-        2.0,
-        50_000_000,
-        &opts,
-    );
-    cfg.topology = TopologySpec::ParkingLot { hops: 3 };
-    let outcome = Runner::new(&cfg)
-        .seed(FIXTURE_SEED)
-        .check(CheckMode::Strict)
-        .run()
-        .expect("strict parking-lot run");
-    let violations: u64 =
-        outcome.check_reports.iter().map(|r| r.violations_total).sum();
-    assert_eq!(violations, 0, "strict checker must stay clean on multi-hop");
-    let r = outcome.into_first();
-    assert_eq!(r.sender_mbps.len(), 4, "K+1 flow groups on a K-hop parking lot");
-    assert_eq!(r.links.len(), 3, "one LinkResult per shaped hop");
-    for l in &r.links {
-        assert!(l.utilization > 0.0, "hop {} idle: {l:?}", l.link);
-    }
+    pinned::check("topology/parking_lot");
 }
 
 /// Heterogeneous-RTT multi-dumbbell: the short-RTT group outruns the
