@@ -1,16 +1,17 @@
 //! Deterministic chaos fuzzer for the elephants simulator.
 //!
 //! ```text
-//! chaos [--cases N] [--seed S] [--corpus DIR] [--no-commit]
-//!       [--no-shrink] [--replay-only] [--verbose]
+//! chaos [--cases N] [--seed S] [--no-shrink] [--verbose]
 //!       [--loss MODEL] [--flap START,DUR] [--coalesce]
 //!       [--topology SPEC] [--fault-link N]
 //! ```
 //!
 //! Fuzzes `N` generated scenarios (seeds `S .. S+N`) through the
-//! four-oracle judge, shrinks any failure, and (unless `--no-commit`)
-//! writes each minimal repro into the corpus; then replays the whole
-//! committed corpus. Fully deterministic in `--seed`.
+//! four-oracle judge and shrinks any failure. Each finding ends in a
+//! `shrunk (N evals) to: {...}` line: that JSON, pasted under a new name
+//! into the `chaos/` section of the pinned-run table
+//! (`tests/src/pinned.rs`), becomes a row `cargo test` strict-checks and
+//! pins. Fully deterministic in `--seed`.
 //!
 //! The scenario-shaping flags are the shared set from
 //! `elephants_experiments::cli` and act as *pins*: each is forced onto
@@ -19,13 +20,11 @@
 //! artifacts, so `--record`, `--check` and `--sample-interval` are
 //! refused like any flag off chaos's list (`chaos --help` prints it).
 //!
-//! Exit codes: `0` — all oracles clean and corpus green; `1` — findings
-//! or corpus regressions; `2` — usage error.
+//! Exit codes: `0` — all oracles clean; `1` — findings; `2` — usage
+//! error (a flag off the list, zero cases, or a last seed past
+//! `u64::MAX`).
 
-use elephants_chaos::{
-    default_corpus_dir, fuzz, replay_all, replay_failures, save_fixture, CaseOutcome,
-    FuzzOptions,
-};
+use elephants_chaos::{fuzz, CaseOutcome, FuzzOptions};
 use elephants_experiments::cli::{exit_usage, Flag, CHAOS};
 use elephants_experiments::Cli;
 use elephants_json::ToJson;
@@ -33,10 +32,7 @@ use elephants_json::ToJson;
 /// Chaos's own flags; it also takes the shared ones in [`CHAOS`].
 const OWN: &[Flag] = &[
     ("--cases", "N", "generated cases, seeds --seed .. --seed + N (default 200)"),
-    ("--corpus", "DIR", "corpus of committed repros to write and replay"),
-    ("--no-commit", "", "do not write shrunk failures into the corpus"),
     ("--no-shrink", "", "report failing cases unshrunk"),
-    ("--replay-only", "", "replay the corpus without fuzzing"),
     ("--verbose", "", "print every case, passes too"),
 ];
 
@@ -50,75 +46,41 @@ fn main() {
     };
     // Every own flag is read here, before any work, so a read under a name
     // off `OWN` fails on every run.
-    let corpus = cli.value("--corpus", default_corpus_dir());
-    let (commit, replay_only) = (!cli.given("--no-commit"), cli.given("--replay-only"));
     let verbose = cli.given("--verbose");
-    let (seed, cases) = (opts.base_seed, opts.cases);
-    if cases > 0 && seed.checked_add(u64::from(cases - 1)).is_none() {
-        exit_usage(&format!(
-            "--seed {seed} with --cases {cases} runs past the largest seed, {}",
-            u64::MAX
-        ));
-    }
 
-    let mut dirty = false;
-
-    if !replay_only {
-        eprintln!(
-            "chaos: fuzzing {} cases from seed {} (strict checker, 4 oracles)",
-            opts.cases, opts.base_seed
-        );
-        let report = fuzz(&opts, |seed, outcome| match outcome {
+    // Announced with the first case, so a campaign `fuzz` refuses prints
+    // only its usage error.
+    let mut announced = false;
+    let report = fuzz(&opts, |seed, outcome| {
+        if !std::mem::replace(&mut announced, true) {
+            eprintln!(
+                "chaos: fuzzing {} cases from seed {} (strict checker, 4 oracles)",
+                opts.cases, opts.base_seed
+            );
+        }
+        match outcome {
             CaseOutcome::Pass if verbose => eprintln!("  case {seed}: pass"),
             CaseOutcome::Skip { reason } => eprintln!("  case {seed}: SKIP ({reason})"),
             CaseOutcome::Fail { oracle, detail } => {
                 eprintln!("  case {seed}: FAIL [{oracle}] {detail}")
             }
             _ => {}
-        });
-        for finding in &report.findings {
-            eprintln!(
-                "chaos: finding at seed {} [{}]: {}",
-                finding.seed, finding.oracle, finding.detail
-            );
-            eprintln!(
-                "chaos: shrunk ({} evals) to: {}",
-                finding.shrink_evals,
-                finding.shrunk.to_json_string()
-            );
-            if commit {
-                match save_fixture(&corpus, &finding.fixture()) {
-                    Ok(path) => eprintln!("chaos: committed repro {}", path.display()),
-                    Err(e) => eprintln!("chaos: FAILED to write repro: {e}"),
-                }
-            }
         }
-        println!("{}", report.summary_line());
-        dirty |= !report.findings.is_empty();
+    })
+    .unwrap_or_else(|e| {
+        exit_usage(&format!("--seed {} with --cases {}: {e}", opts.base_seed, opts.cases))
+    });
+    for finding in &report.findings {
+        eprintln!(
+            "chaos: finding at seed {} [{}]: {}",
+            finding.seed, finding.oracle, finding.detail
+        );
+        eprintln!(
+            "chaos: shrunk ({} evals) to: {}",
+            finding.shrink_evals,
+            finding.shrunk.to_json_string()
+        );
     }
-
-    match replay_all(&corpus) {
-        Ok(results) => {
-            let failures = replay_failures(&results);
-            for f in &failures {
-                eprintln!(
-                    "chaos: corpus REGRESSION {}: {:?}",
-                    f.path.display(),
-                    f.outcome
-                );
-            }
-            println!(
-                "chaos-corpus: fixtures={} failures={}",
-                results.len(),
-                failures.len()
-            );
-            dirty |= !failures.is_empty();
-        }
-        Err(e) => {
-            eprintln!("chaos: corpus replay failed: {e}");
-            dirty = true;
-        }
-    }
-
-    std::process::exit(if dirty { 1 } else { 0 });
+    println!("{}", report.summary_line());
+    std::process::exit(if report.findings.is_empty() { 0 } else { 1 });
 }

@@ -163,8 +163,8 @@ pub fn generate_case(case_seed: u64) -> ScenarioConfig {
     cfg.max_events = CASE_EVENT_BUDGET;
 
     // Topology draws come LAST in the RNG stream: every pre-topology seed
-    // consumes the same prefix it always did, so replays of dumbbell-era
-    // corpus fixtures regenerate byte-identically.
+    // consumes the same prefix it always did, so a seed an earlier
+    // campaign reported still generates the same dumbbell-era case.
     if rng.random_bool(0.25) {
         cfg.topology = if rng.random_bool(0.5) {
             TopologySpec::ParkingLot { hops: rng.random_range(2..=3u32) as usize }
@@ -180,7 +180,7 @@ pub fn generate_case(case_seed: u64) -> ScenarioConfig {
 
     // Start-offset draws extend the END of the stream (same discipline as
     // the topology block above): every pre-offset seed consumes its old
-    // prefix unchanged, so the committed corpus replays byte-identically.
+    // prefix unchanged and still generates the case it always did.
     // One group joins late, 100 ms-quantized, at most half the duration
     // in — the offset must leave the late group time to actually run.
     if rng.random_bool(0.2) {

@@ -4,8 +4,8 @@
 //! inside `catch_unwind`, and judged against four oracles:
 //!
 //! 1. **Invariant** — the strict runtime checker must not fire (a strict
-//!    violation panics with an `invariant violated:` payload, which the
-//!    judge catches and classifies).
+//!    violation panics with a payload that starts with
+//!    [`STRICT_VIOLATION_PREFIX`], which the judge catches and classifies).
 //! 2. **Termination** — the run must end in `Ok` or a *classified*
 //!    [`RunError`]; any other panic escaping the runner is a failure.
 //! 3. **Determinism** — executing the same `(config, seed)` twice must
@@ -19,10 +19,10 @@
 //! hitting the watchdog is reported as a [`CaseOutcome::Skip`], never a
 //! failure — a loaded CI box must not manufacture chaos findings.
 
-use elephants_experiments::{RunError, RunErrorKind, Runner, ScenarioConfig};
-use elephants_json::{impl_json_unit_enum, FromJson, ToJson};
+use elephants_experiments::{RunError, RunErrorKind, RunOutcome, Runner, ScenarioConfig};
+use elephants_json::{FromJson, ToJson};
 use elephants_metrics::RunMetrics;
-use elephants_netsim::CheckMode;
+use elephants_netsim::{CheckMode, STRICT_VIOLATION_PREFIX};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -43,8 +43,6 @@ pub enum OracleKind {
     /// An emitted JSON artifact did not survive parse → re-serialize.
     RoundTrip,
 }
-
-impl_json_unit_enum!(OracleKind { Invariant, Termination, Determinism, RoundTrip });
 
 impl std::fmt::Display for OracleKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -106,17 +104,23 @@ fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Execute `cfg` once at its own base seed under the strict checker.
-fn exec(cfg: &ScenarioConfig, wall_limit: Duration) -> ExecResult {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        Runner::new(cfg).wall_limit(wall_limit).check(CheckMode::Strict).run()
-    }));
-    match result {
+/// How the judge runs a case: [`strict_run`] outside this crate's tests.
+pub(crate) type RunFn = fn(&ScenarioConfig) -> Result<RunOutcome, RunError>;
+
+/// One run of `cfg` at its own base seed under the strict checker and
+/// the 60 s wall-clock watchdog.
+pub(crate) fn strict_run(cfg: &ScenarioConfig) -> Result<RunOutcome, RunError> {
+    Runner::new(cfg).wall_limit(CASE_WALL_LIMIT).check(CheckMode::Strict).run()
+}
+
+/// Execute `cfg` once through `run`.
+fn exec(cfg: &ScenarioConfig, run: RunFn) -> ExecResult {
+    match catch_unwind(AssertUnwindSafe(|| run(cfg))) {
         Ok(Ok(outcome)) => ExecResult::Metrics(outcome.into_first().metrics().to_json_string()),
         Ok(Err(e)) => ExecResult::Error(e),
         Err(payload) => {
             let payload = panic_payload(payload);
-            ExecResult::Panic { invariant: payload.contains("invariant violated"), payload }
+            ExecResult::Panic { invariant: payload.starts_with(STRICT_VIOLATION_PREFIX), payload }
         }
     }
 }
@@ -146,16 +150,16 @@ fn canon(r: &ExecResult) -> String {
     }
 }
 
-/// Run the full oracle stack on one case. `wall_limit` bounds each of the
-/// (up to two) executions.
-fn judge_with_wall_limit(cfg: &ScenarioConfig, wall_limit: Duration) -> CaseOutcome {
+/// Run the full oracle stack on one case, executing it (up to twice)
+/// through `run`.
+pub(crate) fn judge_with(cfg: &ScenarioConfig, run: RunFn) -> CaseOutcome {
     // Oracle 4a: the input config itself must round-trip — it is the
-    // artifact a repro fixture stores.
+    // line `chaos` prints for a finding, the text of a pinned-table row.
     if let Err(detail) = round_trips::<ScenarioConfig>("config", &cfg.to_json_string()) {
         return CaseOutcome::Fail { oracle: OracleKind::RoundTrip, detail };
     }
 
-    let first = exec(cfg, wall_limit);
+    let first = exec(cfg, run);
     match &first {
         ExecResult::Panic { invariant: true, payload } => {
             return CaseOutcome::Fail {
@@ -188,7 +192,7 @@ fn judge_with_wall_limit(cfg: &ScenarioConfig, wall_limit: Duration) -> CaseOutc
 
     // Oracle 3: replay the identical case; outcomes must agree byte for
     // byte. A wall-clock skip on either side skips the whole case.
-    let second = exec(cfg, wall_limit);
+    let second = exec(cfg, run);
     if let ExecResult::Error(e) = &second {
         if e.kind == RunErrorKind::WallClock {
             return CaseOutcome::Skip {
@@ -215,7 +219,7 @@ fn judge_with_wall_limit(cfg: &ScenarioConfig, wall_limit: Duration) -> CaseOutc
 /// Run the full oracle stack on one case, each execution under a 60 s
 /// wall-clock watchdog (a run that hits it is a [`CaseOutcome::Skip`]).
 pub fn judge(cfg: &ScenarioConfig) -> CaseOutcome {
-    judge_with_wall_limit(cfg, CASE_WALL_LIMIT)
+    judge_with(cfg, strict_run)
 }
 
 #[cfg(test)]
@@ -258,20 +262,12 @@ mod tests {
 
     #[test]
     fn wall_clock_overrun_is_a_skip_not_a_finding() {
-        let out = judge_with_wall_limit(&tiny_cfg(), Duration::from_nanos(1));
+        let out = judge_with(&tiny_cfg(), |cfg| {
+            Runner::new(cfg).wall_limit(Duration::from_nanos(1)).check(CheckMode::Strict).run()
+        });
         assert!(
             matches!(&out, CaseOutcome::Skip { reason } if reason.contains("wall-clock")),
             "{out:?}"
         );
-    }
-
-    #[test]
-    fn oracle_kind_json_round_trips() {
-        for kind in
-            [OracleKind::Invariant, OracleKind::Termination, OracleKind::Determinism, OracleKind::RoundTrip]
-        {
-            let json = kind.to_json_string();
-            assert_eq!(OracleKind::from_json_str(&json).unwrap(), kind);
-        }
     }
 }

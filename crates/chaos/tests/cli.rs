@@ -2,26 +2,25 @@
 
 use std::process::Command;
 
-/// Run `chaos args.. --no-commit --corpus DIR`, assert it exits 2 and
-/// writes nothing, and return its stderr.
+/// Run `chaos args..`, assert it exits 2 before fuzzing anything, and
+/// return its stderr.
 fn usage_error(args: &[&str]) -> String {
-    let corpus = std::env::temp_dir().join(format!("chaos-cli-{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_chaos"))
-        .args(args)
-        .args(["--no-commit", "--corpus"])
-        .arg(&corpus)
-        .output()
-        .expect("run chaos");
+    let out = Command::new(env!("CARGO_BIN_EXE_chaos")).args(args).output().expect("run chaos");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(!corpus.exists(), "a usage error writes nothing");
+    assert!(out.stdout.is_empty(), "{args:?}: a usage error prints no summary");
+    assert!(!stderr.contains("chaos: fuzzing"), "{args:?}: refused, yet reports work: {stderr}");
     stderr
 }
 
 #[test]
 fn seed_range_past_u64_max_is_a_usage_error() {
-    let stderr = usage_error(&["--seed", "18446744073709551615", "--cases", "2"]);
-    assert!(stderr.contains("--seed") && stderr.contains("--cases"), "{stderr}");
+    for cases in ["2", "0"] {
+        let stderr = usage_error(&["--seed", "18446744073709551615", "--cases", cases]);
+        assert!(stderr.contains("--seed") && stderr.contains("--cases"), "{stderr}");
+    }
+    let stderr = usage_error(&["--cases", "0"]);
+    assert!(stderr.contains("zero cases"), "{stderr}");
 }
 
 #[test]

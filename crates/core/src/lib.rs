@@ -25,8 +25,8 @@
 //!   goodput, J(t), convergence time, late-joiner responsiveness and
 //!   seeded bootstrap confidence intervals;
 //! * [`chaos`] — the deterministic fuzzer: seeded scenario/fault
-//!   generation, a four-oracle judge, automatic shrinking, and the
-//!   replayable regression corpus under `tests/fixtures/chaos/`.
+//!   generation, a four-oracle judge and automatic shrinking; a finding's
+//!   shrunk config becomes a `chaos/` row of the pinned-run table.
 //!
 //! ## Quickstart
 //!

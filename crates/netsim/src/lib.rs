@@ -54,7 +54,7 @@ pub mod units;
 
 pub use check::{
     CheckFailure, CheckMode, CheckReport, Checker, Violation, MAX_STORED_VIOLATIONS,
-    SABOTAGE_ENV, SABOTAGE_INVARIANT,
+    STRICT_VIOLATION_PREFIX,
 };
 pub use event::{Event, EventQueue, TimerKind};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, LossModel};

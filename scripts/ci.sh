@@ -29,9 +29,9 @@
 #   scripts/ci.sh --check-smoke  also run the table of pinned runs
 #                                (tests/src/pinned.rs: every CCA x AQM cell
 #                                plain and coalesced, the loss-recovery,
-#                                BBR-phase, ECN and multi-bottleneck cells,
-#                                one test per section), each row under
-#                                `CheckMode::Strict` and compared
+#                                BBR-phase, ECN, multi-bottleneck and
+#                                chaos cells, one test per section), each
+#                                row under `CheckMode::Strict` and compared
 #                                with its line of tests/fixtures/runs.jsonl,
 #                                built in the `checked` profile (release
 #                                speed + debug assertions): a runtime-
@@ -46,9 +46,7 @@
 #                                generated scenarios through the strict
 #                                four-oracle judge (invariants, graceful
 #                                termination, determinism, artifact
-#                                round-trip) plus a full replay of the
-#                                committed regression corpus; any finding
-#                                or corpus regression fails the lane
+#                                round-trip); any finding fails the lane
 #   scripts/ci.sh --topo-smoke   also run the topology lane: every
 #                                shape's layout vs
 #                                tests/fixtures/topology/shapes.json, the
@@ -151,7 +149,7 @@ if [[ "$fault_smoke" -eq 1 ]]; then
     # shellcheck disable=SC2086  # knobs is deliberately word-split
     summary="$(cargo run --release --offline -p elephants-experiments --bin sweep -- \
       --quick --bw 100M --limit 2 --no-cache --out "$out_dir" $knobs 2>&1 | \
-      tee /dev/stderr | grep 'failed_cells:')"
+      tee -a /dev/stderr | grep 'failed_cells:')"
     if ! grep -q 'failed_cells: 0 ' <<<"$summary"; then
       echo "fault smoke ($knobs) reported failed cells: $summary" >&2
       exit 1
@@ -168,7 +166,7 @@ if [[ "$record_smoke" -eq 1 ]]; then
   trap 'rm -rf "$rec_dir"' EXIT
   out="$(cargo run --release --offline -p elephants-experiments --bin probe -- \
     --cca1 bbr1 --cca2 cubic --aqm fifo --queue 2 --bw 100M --secs 5 \
-    --record flows,queue,events --out "$rec_dir" 2>&1 | tee /dev/stderr)"
+    --record flows,queue,events --out "$rec_dir" 2>&1 | tee -a /dev/stderr)"
   if ! grep -q 'record       :' <<<"$out"; then
     echo "record smoke: probe did not verify a flight record" >&2
     exit 1
@@ -176,7 +174,7 @@ if [[ "$record_smoke" -eq 1 ]]; then
   # The dataset is the same recorder over a grid slice: 9 pairs x 3 AQMs,
   # each record read back through the parser before it is counted.
   out="$(cargo run --release --offline -p elephants-experiments --bin dataset -- \
-    --quick --bw 100M --out "$rec_dir" 2>&1 | tee /dev/stderr)"
+    --quick --bw 100M --out "$rec_dir" 2>&1 | tee -a /dev/stderr)"
   if ! grep -q '^dataset: 27 ' <<<"$out"; then
     echo "record smoke: dataset did not write and re-read 27 flight records" >&2
     exit 1
@@ -186,7 +184,7 @@ if [[ "$record_smoke" -eq 1 ]]; then
   cache_dir="$rec_dir/cached"
   for run in cold warm; do
     out="$(cargo run --release --offline -p elephants-experiments --bin sweep -- \
-      --quick --bw 100M --limit 2 --out "$cache_dir" 2>&1 | tee /dev/stderr)"
+      --quick --bw 100M --limit 2 --out "$cache_dir" 2>&1 | tee -a /dev/stderr)"
     cp "$cache_dir/sweep/grid.csv" "$rec_dir/grid.$run.csv"
     entries="$(find "$cache_dir/cache" -name '*.json' | wc -l)"
     if [[ "$run" == cold ]]; then
@@ -208,20 +206,15 @@ if [[ "$record_smoke" -eq 1 ]]; then
 fi
 
 if [[ "$fuzz_smoke" -eq 1 ]]; then
-  # A bounded fixed-seed chaos campaign plus the committed-corpus replay.
-  # `--no-commit` keeps CI from dirtying the working tree: a finding here
-  # fails the lane and is reproduced locally (same seed, same case) where
-  # the shrunk fixture can be committed alongside the fix. The greps pin
-  # the machine-readable summary lines, so a silently-vacuous run (zero
-  # cases, missing corpus) also fails.
+  # A bounded fixed-seed chaos campaign; it writes nothing. A finding
+  # fails the lane and is reproduced locally (same seed, same case), where
+  # its printed config becomes a `chaos/` row of the pinned-run table
+  # alongside the fix. The grep pins the machine-readable summary line, so
+  # a silently-vacuous run also fails.
   out="$(cargo run --release --offline -p elephants-chaos --bin chaos -- \
-    --cases 25 --seed 1 --no-commit 2>&1 | tee /dev/stderr)"
+    --cases 25 --seed 1 2>&1 | tee -a /dev/stderr)"
   if ! grep -Eq 'chaos-summary: cases=25 passed=[0-9]+ skipped=[0-9]+ failed=0' <<<"$out"; then
     echo "fuzz smoke: campaign reported findings (or ran no cases)" >&2
-    exit 1
-  fi
-  if ! grep -Eq 'chaos-corpus: fixtures=[1-9][0-9]* failures=0' <<<"$out"; then
-    echo "fuzz smoke: corpus replay failed or corpus is empty" >&2
     exit 1
   fi
 fi
@@ -244,7 +237,7 @@ if [[ "$topo_smoke" -eq 1 ]]; then
     hop_lines="${case#*=}"
     out="$(cargo run --release --offline -p elephants-experiments --bin probe -- \
       --cca1 cubic --cca2 cubic --aqm fifo --queue 2 --bw 100M --secs 5 \
-      --topology "$topology" --check strict 2>&1 | tee /dev/stderr)"
+      --topology "$topology" --check strict 2>&1 | tee -a /dev/stderr)"
     if ! grep -q 'check        : mode=Strict' <<<"$out"; then
       echo "topo smoke: strict checker did not report on $topology" >&2
       exit 1
@@ -264,7 +257,7 @@ if [[ "$topo_smoke" -eq 1 ]]; then
   #    ratios.
   rtt_dir="$(mktemp -d)"
   out="$(cargo run --release --offline -p elephants-experiments --bin repro -- \
-    rtt_unfair --out "$rtt_dir" 2>&1 | tee /dev/stderr)"
+    rtt_unfair --out "$rtt_dir" 2>&1 | tee -a /dev/stderr)"
   rm -rf "$rtt_dir"
   if ! grep -q 'rtt-unfair: monotone=yes' <<<"$out"; then
     echo "topo smoke: repro rtt_unfair did not report monotone shares" >&2
@@ -283,7 +276,7 @@ if [[ "$dynamics_smoke" -eq 1 ]]; then
   dyn_dir="$(mktemp -d)"
   trap 'rm -rf "$dyn_dir"' EXIT
   out="$(cargo run --release --offline -p elephants-experiments --bin repro -- \
-    dynamics --check strict --out "$dyn_dir" 2>&1 | tee /dev/stderr)"
+    dynamics --check strict --out "$dyn_dir" 2>&1 | tee -a /dev/stderr)"
   if ! grep -q 'dynamics: pairs=5 shape=ok late_join=ok' <<<"$out"; then
     echo "dynamics smoke: shape or late-join gate failed" >&2
     exit 1
@@ -305,14 +298,15 @@ fi
 if [[ "$check_smoke" -eq 1 ]]; then
   # Every row of the pinned-run table (the CCA x AQM grid whatever
   # `CcaKind::ALL` and `AqmKind::ALL` hold, plain and coalesced, plus the
-  # recovery, BBR, ECN and multi-bottleneck cells) under the strict
+  # recovery, BBR, ECN, multi-bottleneck and chaos cells) under the strict
   # checker in the `checked` profile, so debug assertions guard the hot
   # path at release speed. The test fails on a violation, unless every
   # row's checker reports events it observed, and on any line that differs
   # from tests/fixtures/runs.jsonl; the greps fail a silently-vacuous lane.
   out="$(cargo test --profile checked --offline -p integration-tests --test pinned_runs \
-    --test coalesce --test topology_equiv --test recovery --test bbr_phases 2>&1 | \
-    tee /dev/stderr)"
+    --test coalesce --test topology_equiv --test recovery --test bbr_phases \
+    --test chaos_corpus 2>&1 | \
+    tee -a /dev/stderr)"
   for t in every_row_has_one_section_and_one_pinned_line \
     ecn_rows_run_strict_clean_and_match_their_pinned_lines \
     coalesce_on_conserves_delivery_across_the_grid_under_strict_check \
@@ -320,7 +314,8 @@ if [[ "$check_smoke" -eq 1 ]]; then
     multi_bottleneck_metrics_are_byte_identical_to_pre_change_fixtures \
     parking_lot_runs_strict_clean_with_per_link_reports \
     loss_recovery_is_byte_identical_to_pre_change_fixtures \
-    bbr_phase_machines_are_byte_identical_to_pre_change_fixtures; do
+    bbr_phase_machines_are_byte_identical_to_pre_change_fixtures \
+    committed_corpus_replays_clean; do
     if ! grep -q "$t ... ok" <<<"$out"; then
       echo "check smoke: $t did not run" >&2
       exit 1

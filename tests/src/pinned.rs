@@ -1,7 +1,9 @@
 //! One table of pinned runs.
 //!
 //! Every scenario the suite pins or strict-checks is one row of `rows`.
-//! Each row runs once, at seed 42, under `CheckMode::Strict`: the checker
+//! Each row runs once, at its config's seed (42 for every row built here;
+//! a `chaos/` row keeps the seed its case was found at), under
+//! `CheckMode::Strict`: the checker
 //! must have observed events and reported no violation, the run must show
 //! what its `Expect` names, and its result is pinned as one line of
 //! `tests/fixtures/runs.jsonl`:
@@ -24,6 +26,7 @@
 //! | `recovery/`               | `recovery.rs`                          |
 //! | `bbr/`                    | `bbr_phases.rs`                        |
 //! | `ecn/`                    | `pinned_runs.rs`                       |
+//! | `chaos/`                  | `chaos_corpus.rs`                      |
 //!
 //! `pinned_runs.rs` also checks that the fixture holds one line per row,
 //! in table order. To add a row, give it a new name that says what the
@@ -42,7 +45,7 @@ use elephants::experiments::{
     par_map_with_workers, Recording, RunOptions, RunResult, Runner, ScenarioBuilder,
     ScenarioConfig,
 };
-use elephants::json::ToJson;
+use elephants::json::{FromJson, ToJson};
 use elephants::netsim::{CheckMode, FaultPlan, LossModel, TopologySpec};
 use elephants::{AqmKind, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
@@ -51,7 +54,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// The sections of the table, by cell prefix; every row is in one.
-pub const SECTIONS: [&str; 7] = [
+pub const SECTIONS: [&str; 8] = [
     "grid/",
     "quick/",
     "topology/parking_lot",
@@ -59,6 +62,7 @@ pub const SECTIONS: [&str; 7] = [
     "recovery/",
     "bbr/",
     "ecn/",
+    "chaos/",
 ];
 
 const SEED: u64 = 42;
@@ -106,7 +110,7 @@ fn rows() -> Vec<Row> {
     use CcaKind::{BbrV1, BbrV2, Cubic, Htcp, Reno};
     let mut rows = Vec::new();
     let mut row = |cell: &str, b: ScenarioBuilder, expect| {
-        let cfg = b.build().unwrap_or_else(|e| panic!("{cell}: {e}"));
+        let cfg = b.seed(SEED).build().unwrap_or_else(|e| panic!("{cell}: {e}"));
         rows.push(Row { cell: cell.to_string(), cfg, expect });
     };
 
@@ -185,7 +189,44 @@ fn rows() -> Vec<Row> {
         let ecn = cell(BbrV2, Cubic, aqm, 2.0, 8).ecn(true);
         row(&format!("ecn/bbr2_cubic_{aqm}"), ecn, Expect::Clean);
     }
+
+    // Generated cases from the corners of the fuzzer's space, each the
+    // config line `chaos` prints for a finding (`shrunk (N evals) to:
+    // {...}`): a late joiner cut by a link-down; coalesced ACKs under
+    // FQ-CoDel; random loss and a link-down on a 3-hop parking lot. A
+    // finding becomes a row by pasting that line under a new name; the
+    // row runs at the seed in the line, the one the case failed at.
+    for (name, json) in [
+        (
+            "staggered",
+            r#"{"cca1":"BbrV2","cca2":"Cubic","aqm":"Red","queue_bdp":16,"bw_bps":50000000,"duration":2500000000,"warmup":1200000000,"flow_scale":0.25,"mss":4500,"ecn":false,"rtt_ms":31,"seed":1,"loss":"None","faults":{"events":[{"at":2070000000,"action":"LinkDown"}]},"max_events":50000000,"coalesce":false,"topology":"Dumbbell","fault_link":0,"start_offset_ms":[0,400]}"#,
+        ),
+        (
+            "coalescing",
+            r#"{"cca1":"Htcp","cca2":"Htcp","aqm":"FqCodel","queue_bdp":8,"bw_bps":25000000,"duration":800000000,"warmup":300000000,"flow_scale":1,"mss":4500,"ecn":false,"rtt_ms":62,"seed":25,"loss":"None","faults":{"events":[]},"max_events":50000000,"coalesce":true,"topology":"Dumbbell","fault_link":0,"start_offset_ms":[]}"#,
+        ),
+        (
+            "multi_bottleneck",
+            r#"{"cca1":"BbrV1","cca2":"Htcp","aqm":"Pie","queue_bdp":0.5,"bw_bps":25000000,"duration":500000000,"warmup":100000000,"flow_scale":1,"mss":1500,"ecn":false,"rtt_ms":31,"seed":7,"loss":{"Bernoulli":{"p":0.01}},"faults":{"events":[{"at":10000000,"action":"LinkDown"}]},"max_events":50000000,"coalesce":false,"topology":{"ParkingLot":{"hops":3}},"fault_link":0,"start_offset_ms":[]}"#,
+        ),
+    ] {
+        let cell = format!("chaos/{name}");
+        let cfg = ScenarioConfig::from_json_str(json).unwrap_or_else(|e| panic!("{cell}: {e}"));
+        assert_eq!(cfg.to_json_string(), json, "{cell}: the config re-encodes to its text");
+        cfg.validate().unwrap_or_else(|e| panic!("{cell}: {e}"));
+        rows.push(Row { cell, cfg, expect: Expect::Clean });
+    }
     rows
+}
+
+/// The rows of `section`, in table order.
+fn rows_of(section: &str) -> Vec<Row> {
+    rows().into_iter().filter(|r| r.cell.starts_with(section)).collect()
+}
+
+/// The configs of `section`'s rows, in table order.
+pub fn configs(section: &str) -> Vec<ScenarioConfig> {
+    rows_of(section).into_iter().map(|r| r.cfg).collect()
 }
 
 /// One row's strict run, and its per-flow sample counts by phase label
@@ -199,7 +240,7 @@ fn run(row: &Row) -> Ran {
     let cell = &row.cell;
     let dir = std::env::temp_dir()
         .join(format!("elephants-pinned-{}-{}", cell.replace('/', "-"), std::process::id()));
-    let mut runner = Runner::new(&row.cfg).seed(SEED).check(CheckMode::Strict);
+    let mut runner = Runner::new(&row.cfg).check(CheckMode::Strict);
     if let Expect::Phases(_) = row.expect {
         runner = runner.recorder(Recording::flows_only().out_dir(&dir).svg(false));
     }
@@ -288,7 +329,7 @@ fn line(row: &Row, ran: &Ran) -> String {
 /// `UPDATE_FIXTURES` set, write it there).
 pub fn check(section: &str) {
     assert!(SECTIONS.contains(&section), "{section}: not one of {SECTIONS:?}");
-    let rows: Vec<Row> = rows().into_iter().filter(|r| r.cell.starts_with(section)).collect();
+    let rows = rows_of(section);
     assert!(!rows.is_empty(), "{section}: no rows");
     let runs = par_map_with_workers(&rows, 0, |row| {
         catch_unwind(AssertUnwindSafe(|| run(row))).map_err(|_| row.cell.clone())

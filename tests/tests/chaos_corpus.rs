@@ -1,39 +1,31 @@
-//! Chaos corpus replay: once-found bugs stay fixed.
+//! The chaos rows of the pinned-run table: once-found bugs stay fixed.
 //!
-//! PR 8 adds the deterministic chaos harness (`crates/chaos`). Every
-//! failure it ever finds is shrunk and committed as a fixture under
-//! `tests/fixtures/chaos/`; this test re-judges the whole corpus through
-//! the four-oracle stack on every `cargo test`, so a regression on any
-//! previously-found minimal repro fails CI immediately.
+//! The fuzzer (`crates/chaos`) prints each finding's shrunk config as one
+//! line of JSON. Pasted under a new name into the `chaos/` section of
+//! `integration_tests::pinned`, that config is a row like any other: run
+//! once under the strict checker at the seed in its line, the one the
+//! case failed at, and pinned as its line of `tests/fixtures/runs.jsonl`.
+//! Each row is also judged again by the fuzzer's four oracles, so a
+//! finding in the determinism or round-trip oracle stays fixed too.
 //!
-//! The corpus is seeded with a few **curated** generated cases (fault
-//! plans, loss models, coalescing) so the replay path is exercised even
-//! while the fuzzer has found no real bugs. A fixture stores a config, not
-//! a seed, so what is asserted is that some committed cheap fixture
-//! *covers* each corner — a change to the generator's seed -> case mapping
-//! (a new CCA or AQM in its menus, say) leaves the corpus alone. When a
-//! corner is uncovered, fill it from the generator with:
-//!
-//! ```sh
-//! UPDATE_FIXTURES=1 cargo test -q -p integration-tests --test chaos_corpus
-//! ```
-//!
-//! (then re-run without the env var to confirm everything judges clean).
+//! The section is seeded with **curated** generated cases from the
+//! corners of the fuzzer's space, so the path is exercised even while the
+//! fuzzer has found no real bugs. A row stores a config, not a seed, so
+//! what is asserted is that some cheap row *covers* each corner: a change
+//! to the generator's seed -> case mapping (a new CCA or AQM in its menus,
+//! say) leaves the rows alone.
 
-use elephants::chaos::{
-    case_cost, default_corpus_dir, fixture_stem, generate_case, load_corpus, replay_all,
-    replay_failures, save_fixture, CaseOutcome, ChaosFixture,
-};
-use elephants::experiments::ScenarioConfig;
+use elephants::chaos::{case_cost, judge};
+use elephants::experiments::{Runner, ScenarioConfig};
 use elephants::json::ToJson;
+use integration_tests::pinned;
 
-/// Debug-mode budget per curated case: the judge runs every config twice
-/// (determinism oracle), so keep each run to a few megabytes of traffic.
+/// Debug-mode budget per curated row: a few megabytes of traffic.
 const CURATED_COST_CAP: u64 = 4_000_000;
 
 type Corner = (&'static str, fn(&ScenarioConfig) -> bool);
 
-/// The corners the corpus must cover with a cheap case each.
+/// The corners the `chaos/` rows must cover with a cheap case each.
 const CURATED_CORNERS: [Corner; 5] = [
     ("faulted", |c| !c.faults.is_empty()),
     ("lossy", |c| c.loss != elephants::netsim::LossModel::None),
@@ -44,76 +36,46 @@ const CURATED_CORNERS: [Corner; 5] = [
 
 #[test]
 fn curated_seed_fixtures_are_committed_and_current() {
-    let dir = default_corpus_dir();
-    let mut corpus: Vec<ScenarioConfig> = load_corpus(&dir)
-        .expect("corpus must parse")
-        .into_iter()
-        .map(|(_, fixture)| fixture.config)
-        .collect();
+    let rows = pinned::configs("chaos/");
     for (tag, corner) in CURATED_CORNERS {
-        let covers = |c: &ScenarioConfig| case_cost(c) < CURATED_COST_CAP && corner(c);
-        if corpus.iter().any(covers) {
-            continue;
-        }
         assert!(
-            std::env::var_os("UPDATE_FIXTURES").is_some(),
-            "no cheap committed fixture covers `{tag}` — add one with UPDATE_FIXTURES=1"
+            rows.iter().any(|c| case_cost(c) < CURATED_COST_CAP && corner(c)),
+            "no cheap chaos/ row covers `{tag}`: add a generated case that does"
         );
-        // A deterministic scan over the generator's seed space.
-        let (seed, config) = (0..10_000u64)
-            .map(|s| (s, generate_case(s)))
-            .find(|(_, c)| covers(c))
-            .unwrap_or_else(|| panic!("no cheap generated case matching `{tag}` in 10k seeds"));
-        let fixture = ChaosFixture {
-            found_by_seed: seed,
-            oracle: "curated".to_string(),
-            detail: format!("curated seed corpus: cheap {tag} case"),
-            config,
-        };
-        let path = save_fixture(&dir, &fixture).expect("write curated fixture");
-        eprintln!("updated {}", path.display());
-        corpus.push(fixture.config);
-    }
-}
-
-/// A fixture is written by `save_fixture` as its `to_json_pretty()` under
-/// the name of its config's content hash: re-encoding the committed files
-/// pins both the pretty writer and the fingerprint.
-#[test]
-fn committed_fixtures_re_encode_to_their_bytes_and_names() {
-    let corpus = load_corpus(&default_corpus_dir()).expect("corpus must parse");
-    for (path, fixture) in &corpus {
-        let text = std::fs::read_to_string(path).unwrap();
-        let stem = path.file_stem().unwrap().to_str().unwrap();
-        assert_eq!(fixture.to_json_pretty(), text, "{stem} re-encodes to its bytes");
-        assert_eq!(fixture_stem(&fixture.config), stem, "{stem} is named by its config");
     }
 }
 
 #[test]
 fn committed_corpus_replays_clean() {
-    let dir = default_corpus_dir();
-    let corpus = load_corpus(&dir).expect("corpus must parse");
-    assert!(
-        !corpus.is_empty(),
-        "committed corpus must not be empty (curated seeds live in {})",
-        dir.display()
-    );
-    let results = replay_all(&dir).expect("corpus must parse");
-    let failures = replay_failures(&results);
-    assert!(
-        failures.is_empty(),
-        "corpus regressions: {:?}",
-        failures
-            .iter()
-            .map(|f| (f.path.display().to_string(), format!("{:?}", f.outcome)))
-            .collect::<Vec<_>>()
-    );
-    // Skips are tolerated (wall-clock watchdog under load) but should be
-    // loud in the log: a corpus that always skips checks nothing.
-    for r in &results {
-        if let CaseOutcome::Skip { reason } = &r.outcome {
-            eprintln!("chaos fixture {} skipped: {reason}", r.path.display());
-        }
+    pinned::check("chaos/");
+    for cfg in pinned::configs("chaos/") {
+        let outcome = judge(&cfg);
+        assert!(outcome.failed_oracle().is_none(), "{}: {outcome:?}", cfg.to_json_string());
     }
+}
+
+/// A row's line is its run at the seed in its config. Some row's run at
+/// seed 42, the seed of every hand-built row, is another run, so the pins
+/// show which seed the rows run at.
+#[test]
+fn chaos_rows_run_at_the_seed_in_their_line() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/runs.jsonl");
+    let text = std::fs::read_to_string(fixture).unwrap();
+    let pinned: Vec<u64> = text
+        .lines()
+        .filter(|l| l.starts_with(r#"{"cell":"chaos/"#))
+        .map(|l| {
+            let n = l.split(r#""events_processed":"#).nth(1).and_then(|n| n.split(',').next());
+            n.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("no event count: {l}"))
+        })
+        .collect();
+    let rows = pinned::configs("chaos/");
+    assert_eq!(rows.len(), pinned.len(), "one line per chaos/ row");
+    let mut moved = 0;
+    for (cfg, want) in rows.iter().zip(pinned) {
+        let events = |seed| Runner::new(cfg).seed(seed).run().unwrap().first().events;
+        assert_eq!(events(cfg.seed), want, "seed {}: not the pinned run", cfg.seed);
+        moved += usize::from(events(42) != want);
+    }
+    assert!(moved > 0, "every chaos/ row runs alike at seed 42");
 }

@@ -16,6 +16,10 @@
 //! be one, and a test that set it put every concurrently running test into
 //! audit mode); state belongs on the instance that owns it, as the cache
 //! counters are.
+//!
+//! A third: no crate reads the environment outside tests, so what a run
+//! does is its config and seed, never a variable set in the shell that
+//! started it. The property-test harness is the one exception.
 
 use std::path::{Path, PathBuf};
 
@@ -95,19 +99,16 @@ fn scan_manifest(text: &str) -> Vec<(usize, String)> {
     offending
 }
 
-/// Scan one source file; returns `(line_number, declaration)` for every
-/// `static` outside a `#[cfg(test)]` item whose type allows mutation
-/// through a shared reference.
-fn scan_statics(text: &str) -> Vec<(usize, String)> {
-    const SHARED_MUT: [&str; 4] = ["Atomic", "Mutex", "OnceLock", "RefCell"];
+/// The lines of one source file outside `#[cfg(test)]` items, as
+/// `(line_number, trimmed line)`.
+fn outside_test_items(text: &str) -> Vec<(usize, &str)> {
     let depth_change = |line: &str| {
         line.matches('{').count() as i64 - line.matches('}').count() as i64
     };
-    let mut hits = Vec::new();
+    let mut kept = Vec::new();
     let mut after_cfg_test = false;
     let mut test_item_depth = 0i64;
-    let mut lines = text.lines().enumerate();
-    while let Some((idx, raw)) = lines.next() {
+    for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if test_item_depth > 0 {
             test_item_depth += depth_change(line);
@@ -126,6 +127,19 @@ fn scan_statics(text: &str) -> Vec<(usize, String)> {
             }
             continue;
         }
+        kept.push((idx + 1, line));
+    }
+    kept
+}
+
+/// Scan one source file; returns `(line_number, declaration)` for every
+/// `static` outside a `#[cfg(test)]` item whose type allows mutation
+/// through a shared reference.
+fn scan_statics(text: &str) -> Vec<(usize, String)> {
+    const SHARED_MUT: [&str; 4] = ["Atomic", "Mutex", "OnceLock", "RefCell"];
+    let mut hits = Vec::new();
+    let mut lines = outside_test_items(text).into_iter();
+    while let Some((line_no, line)) = lines.next() {
         // `'static` lifetimes have no space in front of the keyword.
         if !(line.starts_with("static ") || (line.starts_with("pub") && line.contains(" static "))) {
             continue;
@@ -134,25 +148,41 @@ fn scan_statics(text: &str) -> Vec<(usize, String)> {
         while !decl.contains(';') {
             let Some((_, more)) = lines.next() else { break };
             decl.push(' ');
-            decl.push_str(more.trim());
+            decl.push_str(more);
         }
         if SHARED_MUT.iter().any(|marker| decl.contains(marker)) {
-            hits.push((idx + 1, decl));
+            hits.push((line_no, decl));
         }
     }
     hits
 }
 
-#[test]
-fn no_crate_keeps_process_wide_mutable_state() {
+/// Scan one source file; returns `(line_number, line)` for every read of
+/// the environment (`env::var`, `env::var_os`) outside a `#[cfg(test)]`
+/// item.
+fn scan_env_reads(text: &str) -> Vec<(usize, String)> {
+    outside_test_items(text)
+        .into_iter()
+        .filter(|(_, line)| line.contains("env::var"))
+        .map(|(line_no, line)| (line_no, line.to_string()))
+        .collect()
+}
+
+/// Every `.rs` file under a `src/` directory of `crates/`.
+fn crate_sources() -> Vec<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("workspace root").to_path_buf();
     let sources: Vec<PathBuf> = find_files(&root.join("crates"), ".rs")
         .into_iter()
         .filter(|path| path.components().any(|c| c.as_os_str() == "src"))
         .collect();
     assert!(sources.len() >= 50, "expected every crate's sources, found {} files", sources.len());
+    sources
+}
+
+#[test]
+fn no_crate_keeps_process_wide_mutable_state() {
     let mut violations = Vec::new();
-    for source in &sources {
+    for source in &crate_sources() {
         let text = std::fs::read_to_string(source).expect("source readable");
         for (line_no, decl) in scan_statics(&text) {
             violations.push(format!("{}:{line_no}: {decl}", source.display()));
@@ -189,6 +219,38 @@ fn static_scanner_flags_shared_mutable_state_outside_tests() {
     // Code after a test module is scanned again.
     let tail = format!("{good}static LATE: OnceLock<u32> = OnceLock::new();\n");
     assert_eq!(scan_statics(&tail).len(), 1);
+}
+
+/// A run's behaviour is its config and seed. The one source that reads
+/// the environment is the property-test harness (`netsim/src/prop.rs`),
+/// for its case count and replay seed.
+#[test]
+fn no_crate_reads_the_environment_outside_tests() {
+    let mut reads = Vec::new();
+    for source in &crate_sources() {
+        if source.ends_with("netsim/src/prop.rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(source).expect("source readable");
+        for (line_no, line) in scan_env_reads(&text) {
+            reads.push(format!("{}:{line_no}: {line}", source.display()));
+        }
+    }
+    assert!(
+        reads.is_empty(),
+        "environment read outside a test (take the value as an argument):\n{}",
+        reads.join("\n")
+    );
+}
+
+#[test]
+fn env_scanner_flags_reads_outside_tests() {
+    let text = "fn threshold() -> Option<u64> {\n\
+        \x20   std::env::var(\"N\").ok()?.parse().ok()\n}\n\
+        use std::env;\nfn home() -> bool { env::var_os(\"HOME\").is_some() }\n\
+        #[cfg(test)]\nmod tests {\n    fn set() { std::env::var(\"N\").ok(); }\n}\n";
+    let hits = scan_env_reads(text);
+    assert_eq!(hits.iter().map(|h| h.0).collect::<Vec<_>>(), [2, 5], "{hits:?}");
 }
 
 #[test]
