@@ -3,7 +3,8 @@
 //! The experiment harness that reproduces the paper's evaluation: the
 //! Table 1 scenario grid, a deterministic runner, a thread-parallel sweep
 //! with an on-disk result cache, and one assembly function per paper figure
-//! and table (binaries `repro <fig2…fig8|table2|table3>` and `sweep`).
+//! and table (binaries `repro <fig2…fig8|table2|table3>` and `sweep`), and
+//! [`claims`], the one table of the paper's shapes the repo judges.
 //!
 //! ```no_run
 //! use elephants_experiments::prelude::*;
@@ -15,6 +16,7 @@
 //! ```
 
 pub mod cache;
+pub mod claims;
 pub mod cli;
 pub mod figures;
 pub mod par;

@@ -56,14 +56,15 @@
 #                                parking-lot probe run with one link report
 #                                per hop, a strict-checked multi-dumbbell
 #                                probe run, and `repro rtt_unfair` (which
-#                                exits nonzero if the short-RTT BBR share is
-#                                not monotone in the RTT ratio)
+#                                exits nonzero unless the claims-table row
+#                                rtt_unfair/short_rtt_bbr1_share_grows_with_the_rtt_ratio
+#                                holds)
 #   scripts/ci.sh --dynamics-smoke  also run the fairness-dynamics lane:
 #                                `repro dynamics` under the strict checker
-#                                (exits nonzero unless BBRv1-vs-CUBIC shows
-#                                the paper's early-suppression/partial-
-#                                recovery shape and a late CUBIC joiner
-#                                claims fair share in finite time; all six
+#                                (exits nonzero unless the claims-table rows
+#                                dynamics/bbr1_suppresses_cubic_early_with_partial_recovery
+#                                and dynamics/late_cubic_joiner_reaches_fair_share_in_finite_time
+#                                hold; all six
 #                                recorded runs must be checked clean and its
 #                                CSVs written) plus the flight-record
 #                                integration suite (recording perturbs
@@ -253,8 +254,8 @@ if [[ "$topo_smoke" -eq 1 ]]; then
   done
 
   # 3. RTT-unfairness: `repro rtt_unfair` exits nonzero unless the
-  #    short-RTT BBR share grows monotonically through the 1:1/2:1/4:1
-  #    ratios.
+  #    claims-table row rtt_unfair/short_rtt_bbr1_share_grows_with_the_rtt_ratio
+  #    holds.
   rtt_dir="$(mktemp -d)"
   out="$(cargo run --release --offline -p elephants-experiments --bin repro -- \
     rtt_unfair --out "$rtt_dir" 2>&1 | tee -a /dev/stderr)"
@@ -269,8 +270,8 @@ if [[ "$dynamics_smoke" -eq 1 ]]; then
   # The fairness-dynamics lane: windowed-analysis claims plus the record
   # suite they rest on.
   # 1. `repro dynamics` runs the CCA-pair matrix with the recorder on
-  #    and exits nonzero if BBRv1-vs-CUBIC loses the paper's shape or the
-  #    late CUBIC joiner never reaches fair share; the greps pin the
+  #    and exits nonzero unless both `dynamics/` rows of the claims table
+  #    (crates/experiments/src/claims.rs) hold; the greps pin the
   #    machine-readable summary and the strict checker's count (five pairs
   #    plus the late joiner) so a silently-vacuous run also fails.
   dyn_dir="$(mktemp -d)"

@@ -1,33 +1,14 @@
 //! Cross-crate integration tests for the `elephants` workspace live in
-//! `tests/tests/`. This library hosts shared helpers and [`pinned`], the
-//! table of pinned runs.
+//! `tests/tests/`. This library hosts shared helpers, [`pinned`], the
+//! table of pinned runs, and [`check_claim`], which judges one row of the
+//! claims table.
 
 pub mod pinned;
 
-use elephants::experiments::{AveragedResult, RunOptions, Runner, ScenarioBuilder, ScenarioConfig};
-use elephants::SimDuration;
-use std::str::FromStr;
-
-/// The paper dumbbell for one study: the named CCA pair and AQM (the
-/// `CcaKind` / `AqmKind` names), `mbps` bottleneck, `queue_bdp` queue,
-/// `secs` simulated, seed 1 and Table 2's full flow count.
-pub fn study_config(
-    cca1: &str,
-    cca2: &str,
-    aqm: &str,
-    queue_bdp: f64,
-    mbps: u64,
-    secs: u64,
-) -> ScenarioBuilder {
-    let opts = RunOptions::standard();
-    ScenarioConfig::builder(kind(cca1), kind(cca2), kind(aqm), queue_bdp, mbps * 1_000_000, &opts)
-        .duration(SimDuration::from_secs(secs))
-}
-
-/// A `CcaKind` / `AqmKind` by name; panics with the known names otherwise.
-fn kind<K: FromStr<Err = String>>(name: &str) -> K {
-    name.parse().unwrap_or_else(|e| panic!("{e}"))
-}
+use elephants::experiments::claims::{Claim, Reading};
+use elephants::experiments::{
+    AveragedResult, Recording, RunOptions, Runner, ScenarioBuilder, ScenarioConfig,
+};
 
 /// Run `cfg` at seeds `cfg.seed..cfg.seed + repeats` and average them.
 pub fn run_study(cfg: &ScenarioConfig, repeats: u32) -> AveragedResult {
@@ -38,27 +19,36 @@ pub fn run_study(cfg: &ScenarioConfig, repeats: u32) -> AveragedResult {
         .into_averaged()
 }
 
-/// Run a study for an explicit simulated duration.
-pub fn study_secs(
-    cca1: &str,
-    cca2: &str,
-    aqm: &str,
-    queue_bdp: f64,
-    mbps: u64,
-    secs: u64,
-) -> AveragedResult {
-    let cfg = study_config(cca1, cca2, aqm, queue_bdp, mbps, secs).build().expect("valid study");
-    run_study(&cfg, 1)
+/// Runs the scenarios of the claim `id` of the claims table at seed 1 (or
+/// its row's own), each recorded, reads them as the row does and fails
+/// with its judge's line unless the claim holds.
+pub fn check_claim(id: &str) {
+    let claim = Claim::find(id);
+    let name = format!("elephants-claim-{}-{}", id.replace('/', "-"), std::process::id());
+    let records = std::env::temp_dir().join(name);
+    let read = |scenario: ScenarioBuilder| {
+        let cfg = scenario.build().unwrap_or_else(|e| panic!("{id}: {e}"));
+        let recording = Recording::flows_only().out_dir(&records).svg(false);
+        let outcome = Runner::new(&cfg).recorder(recording).run();
+        (claim.read)(&outcome.unwrap_or_else(|e| panic!("{id}: {e}")))
+    };
+    let readings: Vec<Reading> = (claim.runs)(&RunOptions::standard()).into_iter().map(read).collect();
+    let judgement = claim.judge(&readings);
+    std::fs::remove_dir_all(&records).ok();
+    assert!(judgement.holds, "{}", judgement.line);
 }
 
-/// Run a short study with sane defaults for integration testing.
-///
-/// Uses 100–500 Mbps bandwidths and small durations so the whole suite
-/// stays fast in debug builds while still exercising every crate. Slow
-/// equilibria (deep buffers, who-overtakes-whom) need [`study_secs`] with
-/// an explicit longer duration.
-pub fn quick_study(cca1: &str, cca2: &str, aqm: &str, queue_bdp: f64, mbps: u64) -> AveragedResult {
-    study_secs(cca1, cca2, aqm, queue_bdp, mbps, if mbps > 200 { 8 } else { 12 })
+/// `claim_tests!("file":` one `claim,` a line `)`: one test per claim,
+/// named after it, that judges the row `file/claim` through
+/// [`check_claim`].
+#[macro_export]
+macro_rules! claim_tests {
+    ($judge:literal: $($claim:ident,)+) => {$(
+        #[test]
+        fn $claim() {
+            $crate::check_claim(concat!($judge, "/", stringify!($claim)));
+        }
+    )+};
 }
 
 /// Compare `got` with the pinned `tests/fixtures/<subdir>/<name>`, or, with

@@ -5,13 +5,16 @@ use elephants::cca::{build_cca, build_cca_seeded, CcaKind};
 use elephants::netsim::prelude::*;
 use elephants::netsim::LossModel;
 use elephants::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
-use integration_tests::{run_study, study_config};
+use elephants::experiments::claims::paper;
+use elephants::experiments::RunOptions;
+use integration_tests::run_study;
 
 #[test]
 fn study_outcome_invariants_hold_across_grid_sample() {
+    let o = RunOptions::standard();
     for aqm in ["fifo", "red", "fq_codel"] {
         for (a, b) in [("cubic", "cubic"), ("bbr2", "cubic")] {
-            let out = run_study(&study_config(a, b, aqm, 1.0, 100, 6).build().unwrap(), 1);
+            let out = run_study(&paper(&o, a, b, aqm, 1.0, 100, 6).build().unwrap(), 1);
             assert!(out.jain > 0.0 && out.jain <= 1.0, "{aqm} {a}/{b} J={}", out.jain);
             assert!(out.utilization >= 0.0 && out.utilization <= 1.0);
             assert!(out.sender_mbps[0] >= 0.0 && out.sender_mbps[1] >= 0.0);
@@ -22,7 +25,8 @@ fn study_outcome_invariants_hold_across_grid_sample() {
 
 #[test]
 fn repeats_average_differs_from_single_seed() {
-    let cfg = study_config("cubic", "cubic", "fifo", 2.0, 100, 5).seed(1).build().unwrap();
+    let o = RunOptions::standard();
+    let cfg = paper(&o, "cubic", "cubic", "fifo", 2.0, 100, 5).seed(1).build().unwrap();
     let single = run_study(&cfg, 1);
     let averaged = run_study(&cfg, 3);
     // Both valid; the averaged one used 3 seeds (weak check: both sane).
@@ -32,7 +36,8 @@ fn repeats_average_differs_from_single_seed() {
 #[test]
 fn ecn_enabled_end_to_end_reduces_drops_with_fq_codel() {
     let run = |ecn: bool| {
-        let cfg = study_config("bbr2", "bbr2", "fq_codel", 2.0, 100, 8).ecn(ecn).build().unwrap();
+        let cfg = paper(&RunOptions::standard(), "bbr2", "bbr2", "fq_codel", 2.0, 100, 8);
+        let cfg = cfg.ecn(ecn).build().unwrap();
         run_study(&cfg, 1)
     };
     let without = run(false);
@@ -109,7 +114,8 @@ fn gilbert_elliott_bursts_hurt_more_than_bernoulli_for_cubic() {
 
 #[test]
 fn flow_scale_controls_flow_count() {
-    let cfg = study_config("cubic", "cubic", "fifo", 2.0, 500, 4).flow_scale(0.4).build().unwrap();
+    let o = RunOptions::standard();
+    let cfg = paper(&o, "cubic", "cubic", "fifo", 2.0, 500, 4).flow_scale(0.4).build().unwrap();
     let out = run_study(&cfg, 1);
     // Table 2 at 500 Mbps = 5 flows/node; 40% = 2/node = 4 total.
     assert_eq!(out.runs[0].flows, 4);
@@ -120,8 +126,9 @@ fn pie_extension_keeps_delay_low_with_good_utilization() {
     // The PIE extension (RFC 8033): near-full utilization at 100 Mbps with
     // a 15 ms delay target — the standing queue stays far below what CUBIC
     // would build through plain FIFO.
-    let fifo = run_study(&study_config("cubic", "cubic", "fifo", 8.0, 100, 15).build().unwrap(), 1);
-    let pie = run_study(&study_config("cubic", "cubic", "pie", 8.0, 100, 15).build().unwrap(), 1);
+    let o = RunOptions::standard();
+    let fifo = run_study(&paper(&o, "cubic", "cubic", "fifo", 8.0, 100, 15).build().unwrap(), 1);
+    let pie = run_study(&paper(&o, "cubic", "cubic", "pie", 8.0, 100, 15).build().unwrap(), 1);
     assert!(pie.utilization > 0.8, "PIE phi = {:.3}", pie.utilization);
     assert!(pie.jain > 0.85, "PIE J = {:.3}", pie.jain);
     // FIFO at 8 BDP has no drops to speak of but a giant queue; PIE trades

@@ -15,15 +15,10 @@
 //! UPDATE_FIXTURES=1 cargo test -q -p integration-tests --test topology_equiv
 //! ```
 
-use elephants::cca::CcaKind;
-use elephants::experiments::{RunOptions, Runner, ScenarioConfig};
 use elephants::netsim::rng::fnv1a;
 use elephants::netsim::{Bandwidth, DumbbellSpec, NodeId, SimDuration, Topology, TopologySpec};
-use elephants::AqmKind;
 use integration_tests::pinned;
 use std::fmt::Write;
-
-const FIXTURE_SEED: u64 = 42;
 
 /// Everything a built topology exposes, as text: node kinds, every link,
 /// bottlenecks, hosts, the full `route(node, dst)` table, the base RTT and
@@ -126,32 +121,10 @@ fn parking_lot_runs_strict_clean_with_per_link_reports() {
     pinned::check("topology/parking_lot");
 }
 
-/// Heterogeneous-RTT multi-dumbbell: the short-RTT group outruns the
-/// long-RTT group under loss-based congestion control on one shared
-/// bottleneck (the classic RTT-unfairness asymmetry).
-#[test]
-fn multi_dumbbell_short_rtt_group_wins_under_cubic() {
-    let mut opts = RunOptions::quick();
-    opts.seed = FIXTURE_SEED;
-    let mut cfg = ScenarioConfig::new(
-        CcaKind::Cubic,
-        CcaKind::Cubic,
-        AqmKind::Fifo,
-        2.0,
-        50_000_000,
-        &opts,
-    );
-    cfg.topology = TopologySpec::MultiDumbbell { rtts_ms: vec![10, 124] };
-    let r = Runner::new(&cfg)
-        .seed(FIXTURE_SEED)
-        .run()
-        .expect("multi-dumbbell run")
-        .into_first();
-    assert_eq!(r.sender_mbps.len(), 2);
-    assert_eq!(r.links.len(), 1, "multi-dumbbell shares one bottleneck");
-    assert!(
-        r.sender_mbps[0] > r.sender_mbps[1],
-        "10 ms group must beat the 124 ms group: {:?}",
-        r.sender_mbps
-    );
-}
+// Heterogeneous-RTT multi-dumbbell: the short-RTT group outruns the
+// long-RTT group under loss-based congestion control on one shared
+// bottleneck (the classic RTT-unfairness asymmetry), judged by its row of
+// the claims table.
+integration_tests::claim_tests!("topology_equiv":
+    multi_dumbbell_short_rtt_group_wins_under_cubic,
+);
