@@ -10,7 +10,7 @@
 //! * **Packet conservation** — every packet injected by a host is, at
 //!   finalize, exactly one of:
 //!   delivered to a host, dropped (AQM, down link, fault loss), resident in
-//!   a queue, or parked in the arena awaiting delivery.
+//!   a queue, or on the wire in a link's delivery pipe awaiting delivery.
 //! * **Scoreboard conservation** — via [`crate::sim::FlowEndpoint::check_invariants`],
 //!   which TCP senders implement over their SACK scoreboard.
 //! * **CCA sanity** — delegated through the same endpoint hook (cwnd floor,
@@ -255,8 +255,8 @@ impl Checker {
     /// `injected == delivered + dropped + resident + in_flight`
     ///
     /// where `dropped` sums every terminal drop class over all links,
-    /// `resident` sums queue backlogs, and `in_flight` is the arena's live
-    /// count (packets whose `Deliver` event is still pending).
+    /// `resident` sums queue backlogs, and `in_flight` counts the packets in
+    /// the links' delivery pipes (scheduled deliveries not yet taken).
     pub fn check_packet_conservation(
         &mut self,
         dropped: u64,

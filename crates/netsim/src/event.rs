@@ -17,16 +17,29 @@
 //! overflow top, so the exact `(time, seq)` total order of the old
 //! pure-heap queue is preserved bit for bit.
 //!
-//! The queue also owns the [`PacketArena`] for in-flight packets, so
-//! `Deliver` events carry a 4-byte [`PacketRef`] instead of a ~100-byte
-//! packet: wheel and heap elements stay at 32 bytes and the delivery hot
-//! path stops copying packet headers through the priority queue.
+//! # Delivery pipes
+//!
+//! A link serialises packets in order and adds a constant propagation
+//! delay, so its arrivals come out in the order it sent them. The queue
+//! keeps each link's packets on the wire in a *pipe*: a FIFO of
+//! `(at, seq, Packet)`, its `seq` drawn from the same counter as every
+//! other event's. The wheel holds one `Deliver` per non-empty pipe, keyed
+//! by its head's `(at, seq)`; [`EventQueue::take_packet`] pops the head
+//! and inserts the wheel entry for the next one, under that packet's own
+//! `(at, seq)`. So a BDP of packets on the wire costs the wheel one entry
+//! per link instead of one per packet, and the `(time, seq)` total order
+//! is the one the wheel would give had every packet its own entry.
+//!
+//! A `SetDelay` fault that shortens a link's delay makes a packet arrive
+//! before the link's newest one on the wire. That packet opens a second
+//! pipe on the link, which closes once it drains: each pipe stays ordered
+//! by `(at, seq)`, and the wheel orders the heads.
 
 use crate::link::LinkId;
-use crate::packet::{Dir, FlowId, NodeId, Packet, PacketArena, PacketRef};
+use crate::packet::{Dir, FlowId, NodeId, Packet, PacketRef};
 use crate::time::SimTime;
 use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Kinds of per-flow timers. The protocol endpoints interpret these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -47,7 +60,8 @@ pub enum Event {
     /// A link finished serializing a packet; its transmitter is free.
     LinkTxDone { link: LinkId },
     /// A packet arrives at `node` (after serialization + propagation).
-    /// The packet body is parked in the queue's [`PacketArena`].
+    /// The packet is the head of a delivery pipe of the link `pkt` names;
+    /// [`EventQueue::take_packet`] takes it.
     Deliver { node: NodeId, pkt: PacketRef },
     /// A per-endpoint timer fires. `gen` is the arming generation: the
     /// simulator drops the event unless it matches the endpoint's current
@@ -147,6 +161,54 @@ impl Level {
     }
 }
 
+/// A packet on the wire: its arrival key and its body.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    at: u64,
+    seq: u64,
+    pkt: Packet,
+}
+
+/// One link's packets on the wire: its pipes, each a FIFO ordered by
+/// `(at, seq)`, and the node they arrive at.
+#[derive(Debug)]
+struct Wire {
+    node: NodeId,
+    /// The link's first pipe, kept inline: the only one it has unless a
+    /// delay cut opened more.
+    pipe: VecDeque<InFlight>,
+    /// Pipes opened by delay cuts, each dropped once it drains.
+    cut: Vec<VecDeque<InFlight>>,
+}
+
+impl Wire {
+    /// The link's pipes, the first one first.
+    fn pipes(&self) -> impl Iterator<Item = &VecDeque<InFlight>> {
+        std::iter::once(&self.pipe).chain(&self.cut)
+    }
+
+    /// The pipe at index `i` of [`Wire::pipes`].
+    #[inline]
+    fn pipe_mut(&mut self, i: usize) -> &mut VecDeque<InFlight> {
+        match i {
+            0 => &mut self.pipe,
+            i => &mut self.cut[i - 1],
+        }
+    }
+
+    /// Index of the pipe whose head arrives first: the one whose `Deliver`
+    /// the wheel pops next.
+    #[inline]
+    fn head_pipe(&self) -> usize {
+        if self.cut.is_empty() {
+            return 0;
+        }
+        let key = |p: &&VecDeque<InFlight>| p.front().map_or((u64::MAX, 0), |h| (h.at, h.seq));
+        let (i, _) = self.pipes().enumerate().min_by_key(|(_, p)| key(p)).expect("a first pipe");
+        i
+    }
+}
+
 /// Where `prepare_min` located the next event.
 enum MinSrc {
     Slot(usize),
@@ -162,7 +224,8 @@ pub struct EventQueue {
     l1: Level,
     l2: Level,
     overflow: BinaryHeap<Reverse<Scheduled>>,
-    arena: PacketArena,
+    /// Delivery pipes, indexed by `LinkId`.
+    wires: Vec<Wire>,
     /// Wheel position: the time of the last popped event (or the start of
     /// the window most recently cascaded down). Slot placement is relative
     /// to this; it never decreases.
@@ -170,6 +233,8 @@ pub struct EventQueue {
     /// The level-0 slot currently sorted and being drained.
     active0: usize,
     next_seq: u64,
+    /// Pending events: wheel and heap entries, plus the packets in pipes
+    /// behind each pipe's head.
     len: usize,
 }
 
@@ -187,7 +252,7 @@ impl EventQueue {
             l1: Level::new(),
             l2: Level::new(),
             overflow: BinaryHeap::new(),
-            arena: PacketArena::new(),
+            wires: Vec::new(),
             cur: 0,
             active0: NO_ACTIVE,
             next_seq: 0,
@@ -203,37 +268,82 @@ impl EventQueue {
     pub fn schedule(&mut self, at: SimTime, ev: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        self.len += 1;
         self.insert(Scheduled { at: at.as_nanos(), seq, ev });
     }
 
-    /// Park `pkt` in the arena and schedule its delivery at `node`.
+    /// Put `pkt` on `link`'s wire, to arrive at `node` at `at`: the back of
+    /// the first of the link's pipes it does not overtake, or of a new one.
+    /// A pipe that was empty gets its wheel entry.
     #[inline]
-    pub fn schedule_deliver(&mut self, at: SimTime, node: NodeId, pkt: Packet) {
-        let pkt = self.arena.alloc(pkt);
-        self.schedule(at, Event::Deliver { node, pkt });
+    pub fn schedule_deliver(&mut self, at: SimTime, link: LinkId, node: NodeId, pkt: Packet) {
+        let (at, seq) = (at.as_nanos(), self.next_seq);
+        self.next_seq += 1;
+        self.len += 1;
+        let l = link.0 as usize;
+        if l >= self.wires.len() {
+            self.wires.resize_with(l + 1, || Wire { node, pipe: VecDeque::new(), cut: vec![] });
+        }
+        let wire = &mut self.wires[l];
+        wire.node = node;
+        let fits = wire.pipes().position(|p| p.back().is_none_or(|b| b.at <= at));
+        let i = match fits {
+            Some(i) => i,
+            None => {
+                wire.cut.push(VecDeque::new());
+                wire.cut.len()
+            }
+        };
+        let pipe = wire.pipe_mut(i);
+        debug_assert!(
+            pipe.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
+            "a pipe stays ordered by (at, seq)"
+        );
+        pipe.push_back(InFlight { at, seq, pkt });
+        if pipe.len() == 1 {
+            let ev = Event::Deliver { node, pkt: PacketRef(link.0) };
+            self.insert(Scheduled { at, seq, ev });
+        }
     }
 
-    /// Retrieve (and release) the packet behind a popped `Deliver` event.
+    /// Take the packet of a popped `Deliver` event: the head of its link's
+    /// earliest pipe. The pipe's next packet, if any, gets the wheel entry.
+    /// Call it for each popped `Deliver` before the next pop.
     #[inline]
     pub fn take_packet(&mut self, r: PacketRef) -> Packet {
-        self.arena.take(r)
+        let wire = &mut self.wires[r.0 as usize];
+        let (node, i) = (wire.node, wire.head_pipe());
+        let pipe = wire.pipe_mut(i);
+        let head = pipe.pop_front().expect("a popped Deliver has its packet on the wire");
+        match pipe.front() {
+            Some(&InFlight { at, seq, .. }) => {
+                self.insert(Scheduled { at, seq, ev: Event::Deliver { node, pkt: r } });
+            }
+            None if i > 0 => {
+                wire.cut.swap_remove(i - 1);
+            }
+            None => {}
+        }
+        head.pkt
     }
 
-    /// Read a parked packet without releasing it.
+    /// Read the packet of a popped `Deliver` event without taking it.
     pub fn packet(&self, r: PacketRef) -> &Packet {
-        self.arena.get(r)
+        let wire = &self.wires[r.0 as usize];
+        let pipe = wire.pipes().nth(wire.head_pipe()).expect("head_pipe indexes a pipe");
+        &pipe.front().expect("a popped Deliver has its packet on the wire").pkt
     }
 
-    /// Packets currently parked in the arena (i.e. scheduled `Deliver`
-    /// events not yet popped) — the "in flight" term of the checker's
-    /// packet-conservation equation.
+    /// Packets on the wire (scheduled deliveries not yet taken) — the "in
+    /// flight" term of the checker's packet-conservation equation.
     pub fn packets_live(&self) -> usize {
-        self.arena.live()
+        self.wires.iter().flat_map(Wire::pipes).map(VecDeque::len).sum()
     }
 
+    /// Place `s` on the wheel or the overflow heap. `len` counts it
+    /// already: a pipe's next head was counted when it was scheduled.
     #[inline]
     fn insert(&mut self, s: Scheduled) {
-        self.len += 1;
         // Slot placement clamps to the wheel position; the true fire time
         // stays in `s.at` and decides order within the slot.
         let t = s.at.max(self.cur);
@@ -470,22 +580,55 @@ mod tests {
     }
 
     #[test]
-    fn deliver_events_round_trip_through_arena() {
+    fn deliver_events_round_trip_through_pipes() {
         let mut q = EventQueue::new();
         let pkt = Packet::data(FlowId(7), NodeId(0), NodeId(1), 42, 1500, SimTime::ZERO);
-        q.schedule_deliver(SimTime::from_nanos(10), NodeId(1), pkt);
+        q.schedule_deliver(SimTime::from_nanos(10), LinkId(3), NodeId(1), pkt);
+        assert_eq!(q.packets_live(), 1);
         let (t, ev) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(10));
         let Event::Deliver { node, pkt: r } = ev else { panic!("expected Deliver") };
         assert_eq!(node, NodeId(1));
+        assert_eq!(q.packet(r).seq, 42);
         let got = q.take_packet(r);
         assert_eq!(got.seq, 42);
         assert_eq!(got.flow, FlowId(7));
+        assert_eq!(q.packets_live(), 0);
+    }
+
+    #[test]
+    fn a_pipe_is_one_wheel_entry_and_keeps_the_total_order() {
+        // 100 packets on one link, a timer between each pair of arrivals
+        // and one at the same time as each arrival, scheduled after it.
+        let mut q = EventQueue::new();
+        for i in 0..100u32 {
+            let at = 1_000 * u64::from(i) + 500_000;
+            let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), i.into(), 1500, SimTime::ZERO);
+            q.schedule_deliver(SimTime::from_nanos(at), LinkId(0), NodeId(1), pkt);
+            q.schedule(SimTime::from_nanos(at), timer(i));
+            q.schedule(SimTime::from_nanos(at + 500), timer(1000 + i));
+        }
+        assert_eq!(q.len(), 300);
+        assert_eq!(q.packets_live(), 100);
+        let entries = q.l0.count + q.l1.count + q.l2.count + q.overflow.len();
+        assert_eq!(entries, 201, "the pipe holds its packets behind one wheel entry");
+        let mut order = Vec::new();
+        while let Some((_, ev)) = q.pop() {
+            order.push(match ev {
+                Event::Deliver { pkt, .. } => q.take_packet(pkt).seq as u32,
+                ev => 10_000 + flow_of(ev),
+            });
+        }
+        let want: Vec<u32> = (0..100).flat_map(|i| [i, 10_000 + i, 11_000 + i]).collect();
+        assert_eq!(order, want);
+        assert_eq!(q.packets_live(), 0);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn scheduled_elements_stay_compact() {
-        // The whole point of the arena: wheel/heap elements are 32 bytes.
+        // A `Deliver` carries a 4-byte handle, not its packet: wheel and
+        // heap elements are 32 bytes.
         assert!(std::mem::size_of::<Scheduled>() <= 32);
     }
 }

@@ -59,7 +59,7 @@ pub use check::{
 pub use event::{Event, EventQueue, TimerKind};
 pub use fault::{FaultAction, FaultEvent, FaultPlan, LossModel};
 pub use link::{Link, LinkId, LinkSpec, LinkStats};
-pub use packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketArena, PacketKind, PacketRef, SACK_MAX};
+pub use packet::{AckInfo, Dir, FlowId, NodeId, Packet, PacketKind, PacketRef, SACK_MAX};
 pub use queue::{Aqm, AqmStats, DequeueResult, DropTail, PacketFifo, Verdict};
 pub use record::{
     EventRing, FlowProbe, FlowSample, QueueSample, Recorder, RecorderConfig, TraceEvent,

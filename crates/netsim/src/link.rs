@@ -181,7 +181,7 @@ impl Link {
             self.stats.fault_losses += 1;
             return;
         }
-        events.schedule_deliver(now + ser + self.prop, self.dst, pkt);
+        events.schedule_deliver(now + ser + self.prop, self.id, self.dst, pkt);
     }
 
     /// Apply a timed fault action (dispatched by the simulator).
@@ -415,5 +415,32 @@ mod tests {
         assert!(matches!(e1, Event::LinkTxDone { .. }));
         assert!(ev.pop().is_none());
         assert_eq!(link.stats().fault_losses, 1);
+    }
+
+    #[test]
+    fn delay_cut_delivers_the_later_packet_first() {
+        let mut link = mk_link(10, 5);
+        let mut ev = EventQueue::new();
+        let mut rng = SmallRng::seed_from_u64(0);
+        link.offer(pkt(0, 1250), SimTime::ZERO, &mut ev, &mut rng);
+        let (t1, _) = ev.pop().unwrap(); // TxDone pkt0 at 1 ms; it lands at 6 ms
+        link.on_tx_done(t1, &mut ev, &mut rng);
+        let cut = FaultAction::SetDelay(SimDuration::from_millis(1));
+        link.apply_fault(cut, t1, &mut ev, &mut rng);
+        link.offer(pkt(1, 1250), t1, &mut ev, &mut rng);
+        assert_eq!(ev.packets_live(), 2);
+        let mut arrivals = Vec::new();
+        while let Some((t, e)) = ev.pop() {
+            match e {
+                Event::LinkTxDone { .. } => link.on_tx_done(t, &mut ev, &mut rng),
+                Event::Deliver { pkt, .. } => {
+                    arrivals.push((t.as_nanos(), ev.take_packet(pkt).seq));
+                }
+                _ => unreachable!(),
+            }
+        }
+        // pkt1 serializes 1-2 ms and lands at 3 ms, ahead of pkt0.
+        assert_eq!(arrivals, vec![(3_000_000, 1), (6_000_000, 0)]);
+        assert_eq!(ev.packets_live(), 0);
     }
 }

@@ -146,70 +146,12 @@ impl Packet {
 /// On-wire size of a pure ACK (bytes): IP + TCP headers with options.
 const ACK_SIZE: u32 = 72;
 
-/// Handle to a [`Packet`] parked in a [`PacketArena`].
-///
-/// In-flight packets (scheduled `Deliver` events) live in the arena and the
-/// event queue carries only this 4-byte handle, keeping heap/wheel elements
-/// small. A handle is valid until `take` is called on it.
+/// Handle carried by a `Deliver` event: the link whose delivery pipe holds
+/// the packet (see [`crate::event`]). Of that link's pipes, the packet is
+/// the head of the one that arrives first, which is the event just popped.
+/// The event queue's `take_packet` takes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PacketRef(u32);
-
-/// A free-list arena of in-flight packets.
-///
-/// `alloc` parks a packet and returns a [`PacketRef`]; `take` retrieves it
-/// and recycles the slot. Steady-state simulation allocates nothing: the
-/// slot vector grows to the peak number of concurrently in-flight packets
-/// and is reused from then on. Each handle must be `take`n at most once —
-/// the delivery path consumes every `Deliver` event exactly once.
-#[derive(Debug, Default)]
-pub struct PacketArena {
-    slots: Vec<Packet>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl PacketArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        PacketArena::default()
-    }
-
-    /// Park `pkt`, returning its handle.
-    #[inline]
-    pub fn alloc(&mut self, pkt: Packet) -> PacketRef {
-        self.live += 1;
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = pkt;
-                PacketRef(i)
-            }
-            None => {
-                let i = self.slots.len() as u32;
-                self.slots.push(pkt);
-                PacketRef(i)
-            }
-        }
-    }
-
-    /// Read a parked packet.
-    #[inline]
-    pub fn get(&self, r: PacketRef) -> &Packet {
-        &self.slots[r.0 as usize]
-    }
-
-    /// Retrieve a parked packet and recycle its slot.
-    #[inline]
-    pub fn take(&mut self, r: PacketRef) -> Packet {
-        self.live -= 1;
-        self.free.push(r.0);
-        self.slots[r.0 as usize]
-    }
-
-    /// Number of currently parked packets.
-    pub fn live(&self) -> usize {
-        self.live
-    }
-}
+pub struct PacketRef(pub(crate) u32);
 
 #[cfg(test)]
 mod tests {
@@ -257,27 +199,9 @@ mod tests {
 
     #[test]
     fn packet_is_small_and_copy() {
-        // Keep the hot-loop struct compact; the arena stores these inline.
+        // Keep the hot-loop struct compact; delivery pipes store these inline.
         assert!(std::mem::size_of::<Packet>() <= 128);
         fn assert_copy<T: Copy>() {}
         assert_copy::<Packet>();
-    }
-
-    #[test]
-    fn arena_recycles_slots() {
-        let now = SimTime::ZERO;
-        let mut arena = PacketArena::new();
-        let a = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 100, now));
-        let b = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 1, 100, now));
-        assert_eq!(arena.live(), 2);
-        assert_eq!(arena.get(a).seq, 0);
-        assert_eq!(arena.take(a).seq, 0);
-        assert_eq!(arena.live(), 1);
-        // The freed slot is reused before the arena grows.
-        let c = arena.alloc(Packet::data(FlowId(0), NodeId(0), NodeId(1), 2, 100, now));
-        assert_eq!(arena.slots.len(), 2);
-        assert_eq!(arena.take(c).seq, 2);
-        assert_eq!(arena.take(b).seq, 1);
-        assert_eq!(arena.live(), 0);
     }
 }

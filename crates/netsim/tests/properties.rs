@@ -42,8 +42,10 @@ fn event_queue_total_order() {
     });
 }
 
-/// The timer wheel agrees with a sorted reference model under interleaved
-/// schedule/pop traffic spanning every wheel level and the overflow heap.
+/// The timer wheel and its delivery pipes agree with a sorted reference
+/// model under interleaved schedule/pop traffic spanning every wheel level
+/// and the overflow heap. Deliveries go on 1-3 links; a link's arrival
+/// times sometimes step backwards (a delay cut), which opens another pipe.
 #[test]
 fn event_queue_matches_reference_model() {
     run_cases("event_queue_matches_reference_model", DEFAULT_CASES, |rng| {
@@ -52,6 +54,21 @@ fn event_queue_matches_reference_model() {
         let mut popped: Vec<(u64, u32)> = Vec::new();
         let mut id = 0u32;
         let mut now = 0u64;
+        let links = rng.random_range(1u32..4);
+        // Each event carries its id: a timer in its flow, a packet in `seq`.
+        let pop = |q: &mut EventQueue| -> Result<Option<(u64, u32)>, String> {
+            let Some((at, ev)) = q.pop() else { return Ok(None) };
+            let id = match ev {
+                Event::Timer { flow, .. } => flow.0,
+                Event::Deliver { node, pkt } => {
+                    let pkt = q.take_packet(pkt);
+                    prop_check_eq!(node, pkt.dst);
+                    pkt.seq as u32
+                }
+                _ => unreachable!(),
+            };
+            Ok(Some((at.as_nanos(), id)))
+        };
         for _ in 0..rng.random_range(1usize..40) {
             // A burst of schedules at or after the last popped time, with
             // offsets from sub-µs up to beyond the ~17 s wheel horizon.
@@ -70,17 +87,27 @@ fn event_queue_matches_reference_model() {
                 reference.push((t, id));
                 id += 1;
             }
+            for _ in 0..rng.random_range(0usize..8) {
+                let link = rng.random_range(0..links);
+                let exp = rng.random_range(0u32..30);
+                let t = now + rng.random_range(0u64..(1u64 << exp));
+                let node = NodeId(100 + link);
+                let pkt = Packet::data(FlowId(0), NodeId(0), node, id.into(), 1500, SimTime::ZERO);
+                q.schedule_deliver(SimTime::from_nanos(t), LinkId(link), node, pkt);
+                reference.push((t, id));
+                id += 1;
+            }
             for _ in 0..rng.random_range(0usize..6) {
-                let Some((at, ev)) = q.pop() else { break };
-                let Event::Timer { flow, .. } = ev else { unreachable!() };
-                now = at.as_nanos();
-                popped.push((now, flow.0));
+                let Some(e) = pop(&mut q)? else { break };
+                now = e.0;
+                popped.push(e);
             }
         }
-        while let Some((at, ev)) = q.pop() {
-            let Event::Timer { flow, .. } = ev else { unreachable!() };
-            popped.push((at.as_nanos(), flow.0));
+        while let Some(e) = pop(&mut q)? {
+            popped.push(e);
         }
+        prop_check_eq!(q.packets_live(), 0);
+        prop_check!(q.is_empty(), "{} events left after the last pop", q.len());
         // Ids increase in insertion order, so sorting by (time, id) is
         // exactly the (time, seq) total order the queue must produce.
         reference.sort_unstable();

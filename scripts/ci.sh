@@ -41,7 +41,10 @@
 #                                at 25600 cases in the same profile drives
 #                                every CCA through arbitrary ACK / loss / RTO
 #                                / undo scripts with overflow checks on and
-#                                `check_invariants` after every step
+#                                `check_invariants` after every step, and the
+#                                netsim property suite at the same depth runs
+#                                the event queue and its delivery pipes
+#                                against a sorted reference model
 #   scripts/ci.sh --fuzz-smoke   also run the chaos fuzzer: ~25 fixed-seed
 #                                generated scenarios through the strict
 #                                four-oracle judge (invariants, graceful
@@ -325,4 +328,8 @@ if [[ "$check_smoke" -eq 1 ]]; then
   # Every congestion controller, the loss-based window core included,
   # through every entry point under overflow checks and debug assertions.
   ELEPHANTS_PROP_CASES=25600 cargo test -q --profile checked --offline -p elephants-cca --test properties
+  # The event queue (timer wheel, overflow heap, per-link delivery pipes)
+  # against its sorted reference model, deliveries stepping backwards on a
+  # link included, with each pipe's (at, seq) order debug-asserted.
+  ELEPHANTS_PROP_CASES=25600 cargo test -q --profile checked --offline -p elephants-netsim --test properties
 fi

@@ -46,7 +46,7 @@ use elephants::experiments::{
     ScenarioConfig,
 };
 use elephants::json::{FromJson, ToJson};
-use elephants::netsim::{CheckMode, FaultPlan, LossModel, TopologySpec};
+use elephants::netsim::{CheckMode, FaultAction, FaultPlan, LossModel, TopologySpec};
 use elephants::{AqmKind, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -140,13 +140,19 @@ fn rows() -> Vec<Row> {
     // buffer under BBRv1, bursty random loss, a link flap down at half time
     // for a fifth of the run. 20 s gives a few dozen recovery episodes, so
     // SACK marking, FACK loss detection, retransmit selection, RTO and its
-    // undo run hundreds of times a cell.
+    // undo run hundreds of times a cell. The delay cut shortens the
+    // trunk's propagation delay with a full BDP on the wire, so later
+    // packets arrive before earlier ones, then restores it.
     let ge = LossModel::GilbertElliott { p_gb: 0.002, p_bg: 0.2 };
     let flap = FaultPlan::flap(SimDuration::from_secs(10), SimDuration::from_secs(4));
+    let delay_cut = FaultPlan::none()
+        .with(SimDuration::from_secs(4), FaultAction::SetDelay(SimDuration::from_millis(5)))
+        .with(SimDuration::from_secs(6), FaultAction::SetDelay(SimDuration::from_millis(28)));
     for (name, b) in [
         ("bbr1_shallow", cell(BbrV1, Cubic, Fifo, 0.5, 20)),
         ("htcp_ge_loss", cell(Htcp, Cubic, Fifo, 2.0, 20).loss(ge)),
         ("bbr1_flap", cell(BbrV1, Cubic, Fifo, 2.0, 20).faults(flap)),
+        ("cubic_delay_cut", cell(Cubic, Cubic, Fifo, 2.0, 10).faults(delay_cut)),
     ] {
         row(&format!("recovery/{name}"), b, Expect::Recovers);
     }
