@@ -4,7 +4,7 @@
 //! explicit loss/ECN feedback:
 //!
 //! * `inflight_hi` — the highest inflight volume that did **not** produce a
-//!   loss rate above `loss_thresh` (2 %). Probing that exceeds the threshold
+//!   loss rate above `LOSS_THRESH` (2 %). Probing that exceeds the threshold
 //!   cuts `inflight_hi` by `BETA` (30 %). This is why, in the paper, BBRv2
 //!   under deep-buffer FIFO fares *worse* against CUBIC than BBRv1: CUBIC's
 //!   buffer occupancy forces drop rates over 2 % and BBRv2 backs off, while
@@ -21,8 +21,10 @@ use crate::{AckEvent, CcaState, CongestionControl, LossEvent};
 use elephants_netsim::{CheckFailure, SimDuration, SimTime};
 
 // Where v2alpha departs from the constants both versions share (DESIGN.md
-// §3j). The loss threshold is the one value a caller picks: see `BbrV2::new`.
+// §3j).
 
+/// Per-round loss rate that marks inflight too high (v2alpha: 2 %).
+const LOSS_THRESH: f64 = 0.02;
 /// Min-RTT validity window: BBRv2 probes RTT every 5 s.
 const RTPROP_WINDOW: SimDuration = SimDuration::from_secs(5);
 /// ProbeBW UP pacing gain.
@@ -58,8 +60,6 @@ pub enum ProbePhase {
 #[derive(Debug, Clone)]
 pub struct BbrV2 {
     core: BbrCore,
-    /// Loss rate that marks inflight "too high".
-    loss_thresh: f64,
     phase: ProbePhase,
     // Inflight bounds.
     inflight_hi: u64,
@@ -79,13 +79,11 @@ pub struct BbrV2 {
 }
 
 impl BbrV2 {
-    /// A fresh BBRv2 controller with IW10. `loss_thresh` is the per-round
-    /// loss rate that marks inflight too high (v2alpha: 0.02); `seed` feeds
-    /// the deterministic cruise-wait jitter.
-    pub fn new(loss_thresh: f64, mss: u32, seed: u64) -> Self {
+    /// A fresh BBRv2 controller with IW10; `seed` feeds the deterministic
+    /// cruise-wait jitter.
+    pub fn new(mss: u32, seed: u64) -> Self {
         BbrV2 {
             core: BbrCore::new(mss, seed),
-            loss_thresh,
             phase: ProbePhase::Cruise,
             inflight_hi: u64::MAX,
             loss_in_round: 0,
@@ -149,16 +147,16 @@ impl BbrV2 {
     ///
     /// Mirrors the v2alpha robustness gating: a handful of isolated losses
     /// must NOT trigger a cut (that is the RED regime where BBRv2 is meant
-    /// to sail on); only a loss *rate* above `loss_thresh` backed by at
+    /// to sail on); only a loss *rate* above `LOSS_THRESH` backed by at
     /// least `LOSS_EVENTS_MIN` distinct loss events in the round counts.
     fn inflight_too_high(&self) -> bool {
         const LOSS_EVENTS_MIN: u32 = 4;
         let committed = self.loss_round_events >= LOSS_EVENTS_MIN
-            && self.loss_round_rate > self.loss_thresh;
+            && self.loss_round_rate > LOSS_THRESH;
         let live = self.loss_events_in_round >= LOSS_EVENTS_MIN
             && self.delivered_in_round > 16 * self.core.mss
             && (self.loss_in_round as f64
-                > self.loss_thresh * self.delivered_in_round as f64);
+                > LOSS_THRESH * self.delivered_in_round as f64);
         let ecn = self.ce_round_rate > ECN_THRESH;
         committed || live || ecn
     }
@@ -328,7 +326,7 @@ mod tests {
 
     #[test]
     fn startup_to_drain_to_probe_bw() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         assert_eq!(b.mode(), BbrMode::Startup);
         drive_to_probe_bw(&mut b, &mut f);
@@ -338,7 +336,7 @@ mod tests {
 
     #[test]
     fn cruise_waits_then_refills_then_probes_up() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Cruise for up to 3 s (base 2 s + rand 1 s).
@@ -353,7 +351,7 @@ mod tests {
 
     #[test]
     fn excessive_loss_in_up_cuts_inflight_hi_and_goes_down() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Walk to UP.
@@ -382,7 +380,7 @@ mod tests {
     fn small_loss_rates_are_tolerated() {
         // ~1 % loss: below the 2 % threshold, no cut — this is the RED
         // regime where BBRv2 dominates CUBIC in the paper.
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         for i in 0..300 {
@@ -394,7 +392,7 @@ mod tests {
 
     #[test]
     fn cruise_keeps_headroom_below_inflight_hi() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Force a known ceiling.
@@ -408,7 +406,7 @@ mod tests {
 
     #[test]
     fn startup_exits_on_excessive_loss() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         // One clean round, then a sustained very lossy stretch (enough
         // delivered data and distinct loss events to clear the robustness
@@ -423,7 +421,7 @@ mod tests {
 
     #[test]
     fn rto_and_recovery_round_trip() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         let before = b.cwnd();
@@ -435,7 +433,7 @@ mod tests {
 
     #[test]
     fn probe_rtt_uses_half_bdp_floor() {
-        let mut b = BbrV2::new(0.02, MSS, 0);
+        let mut b = BbrV2::new(MSS, 0);
         let mut f = AckFeeder::new();
         drive_to_probe_bw(&mut b, &mut f);
         // Stale the 5 s window.

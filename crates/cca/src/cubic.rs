@@ -3,9 +3,9 @@
 //! CUBIC replaces AIMD's linear growth with a cubic function of the time
 //! since the last congestion event, anchored at the window size where the
 //! loss occurred (`W_max`). It is the Linux default and the paper's
-//! reference competitor in every inter-CCA experiment. Fast convergence and
-//! the Reno-friendly region (RFC 8312 §4.2, §4.6) are always on, as in
-//! Linux `tcp_cubic`.
+//! reference competitor in every inter-CCA experiment. HyStart, fast
+//! convergence and the Reno-friendly region (RFC 8312 §4.2, §4.6) are
+//! always on, as in Linux `tcp_cubic`.
 
 use crate::loss_based::{take_whole, GrowthLaw, LossBased};
 use crate::{AckEvent, LossEvent};
@@ -69,17 +69,16 @@ pub struct CubicLaw {
     w_est: f64,
     /// Sub-MSS growth accumulator (Linux `snd_cwnd_cnt`).
     cwnd_cnt: f64,
-    /// HyStart delay-based slow-start exit, when on.
-    hystart: Option<HyStart>,
+    /// HyStart delay-based slow-start exit.
+    hystart: HyStart,
     /// `w_max` before the last RTO, for spurious-RTO undo.
     undo_w_max: f64,
 }
 
 impl Cubic {
-    /// A fresh CUBIC controller with IW10, with or without HyStart.
-    pub fn new(hystart: bool, mss: u32) -> Self {
-        let hystart = hystart.then(HyStart::default);
-        LossBased::with_law(mss, CubicLaw { hystart, ..Default::default() })
+    /// A fresh CUBIC controller with IW10.
+    pub fn new(mss: u32) -> Self {
+        LossBased::with_law(mss, CubicLaw::default())
     }
 
     /// `W_max` in segments (test hook).
@@ -118,13 +117,10 @@ impl GrowthLaw for CubicLaw {
     const PHASE: &'static str = "cubic";
 
     fn ends_slow_start(&mut self, ev: &AckEvent) -> bool {
-        let Some(hystart) = &mut self.hystart else {
-            return false;
-        };
         if ev.round_start {
-            hystart.on_round_start();
+            self.hystart.on_round_start();
         }
-        hystart.on_rtt_sample(ev.rtt)
+        self.hystart.on_rtt_sample(ev.rtt)
     }
 
     fn increase(&mut self, cwnd: u64, mss: u64, ev: &AckEvent) -> u64 {
@@ -221,7 +217,7 @@ mod tests {
 
     #[test]
     fn slow_start_growth() {
-        let mut c = Cubic::new(false, MSS);
+        let mut c = Cubic::new(MSS);
         let w = c.cwnd();
         for _ in 0..10 {
             c.on_ack(&ack_at(0, MSS as u64, 62, false), false);
@@ -231,7 +227,7 @@ mod tests {
 
     #[test]
     fn loss_reduces_by_beta_and_sets_wmax() {
-        let mut c = Cubic::new(true, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss());
@@ -241,7 +237,7 @@ mod tests {
 
     #[test]
     fn fast_convergence_lowers_wmax_on_back_to_back_losses() {
-        let mut c = Cubic::new(true, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss()); // w_max = 100, cwnd = 70
@@ -251,7 +247,7 @@ mod tests {
 
     #[test]
     fn k_is_cube_root_of_deficit_over_c() {
-        let mut c = Cubic::new(false, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss());
@@ -263,7 +259,7 @@ mod tests {
 
     #[test]
     fn concave_region_grows_toward_wmax() {
-        let mut c = Cubic::new(false, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss()); // cwnd -> 70
@@ -283,7 +279,7 @@ mod tests {
 
     #[test]
     fn convex_region_accelerates_past_wmax() {
-        let mut c = Cubic::new(false, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 100 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss());
@@ -306,7 +302,7 @@ mod tests {
 
     #[test]
     fn hystart_exits_slow_start_on_delay_increase() {
-        let mut c = Cubic::new(true, MSS);
+        let mut c = Cubic::new(MSS);
         // Round 1: baseline RTT 62 ms.
         c.on_ack(&ack_at(0, MSS as u64, 62, true), false);
         for i in 1..10 {
@@ -324,7 +320,7 @@ mod tests {
 
     #[test]
     fn hystart_tolerates_stable_rtt() {
-        let mut c = Cubic::new(true, MSS);
+        let mut c = Cubic::new(MSS);
         for round in 0..5 {
             c.on_ack(&ack_at(round * 62, MSS as u64, 62, true), false);
             for i in 1..12 {
@@ -336,7 +332,7 @@ mod tests {
 
     #[test]
     fn rto_resets_to_one_segment() {
-        let mut c = Cubic::new(true, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 50 * MSS as u64;
         c.on_rto(SimTime::ZERO);
         assert_eq!(c.cwnd(), MSS as u64);
@@ -347,7 +343,7 @@ mod tests {
     fn friendly_region_tracks_reno_under_small_bdp() {
         // With TCP friendliness on, CUBIC should not grow slower than the
         // Reno estimate right after a loss at small windows.
-        let mut c = Cubic::new(false, MSS);
+        let mut c = Cubic::new(MSS);
         c.cwnd = 20 * MSS as u64;
         c.ssthresh = c.cwnd;
         c.on_loss_event(&loss()); // cwnd -> 14

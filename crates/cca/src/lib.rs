@@ -219,7 +219,7 @@ elephants_json::kind_table! {
         /// BBR version 2 (v2alpha).
         BbrV2: "bbr2", ["bbrv2"], paper: true, CcaRow {
             pretty: "BBRv2",
-            build: |mss, seed| Box::new(BbrV2::new(0.02, mss, seed)),
+            build: |mss, seed| Box::new(BbrV2::new(mss, seed)),
         };
         /// Hamilton TCP.
         Htcp: "htcp", ["h-tcp"], paper: true, CcaRow {
@@ -234,7 +234,7 @@ elephants_json::kind_table! {
         /// TCP CUBIC (Linux default).
         Cubic: "cubic", [], paper: true, CcaRow {
             pretty: "CUBIC",
-            build: |mss, _| Box::new(Cubic::new(true, mss)),
+            build: |mss, _| Box::new(Cubic::new(mss)),
         };
     }
 }

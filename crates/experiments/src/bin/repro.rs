@@ -1,6 +1,6 @@
 //! Regenerates one artifact: `repro <target> [flags]`, where the target is a
 //! paper figure or table (`fig2..fig8`, `table2`, `table3`), an extension
-//! experiment (`aqm_frontier`, `rttsweep`, `ablate`) or a checked claim
+//! experiment (`aqm_frontier`, `rttsweep`) or a checked claim
 //! (`dynamics`, `rtt_unfair`). Each target takes only the flags that change
 //! what it does, listed in its row of `TARGETS` and printed by
 //! `repro <target> --help`; any other flag exits 2.
@@ -11,16 +11,11 @@
 //! prints their lines, and `repro` exits 1 when one fails.
 
 use elephants_analysis::{convergence_time, ConvergenceSpec};
-use elephants_aqm::{Red, RedConfig};
-use elephants_cca::{CongestionControl, Cubic};
 use elephants_experiments::claims::{dumbbell, Claim, Judgement};
-use elephants_experiments::cli::{
-    exit_usage, ABLATE, AQM_FRONTIER, CLAIM, FIGURE, RTTSWEEP, TABLE2,
-};
+use elephants_experiments::cli::{exit_usage, AQM_FRONTIER, CLAIM, FIGURE, RTTSWEEP, TABLE2};
 use elephants_experiments::prelude::*;
 use elephants_experiments::svg::{ChartSpec, Series};
 use elephants_netsim::prelude::*;
-use elephants_tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 use elephants_workload::{table2_config, table2_total_flows};
 
 /// Table 2: iperf3 configuration per bottleneck bandwidth.
@@ -109,59 +104,6 @@ fn rttsweep_target(cli: &Cli) -> FigureOutput {
     }
     let caption = "BBRv1 vs CUBIC across RTTs (FIFO, 2 BDP, 100 Mbps)";
     FigureOutput::table("rttsweep", caption, "rttsweep", t)
-}
-
-/// One flow with a hand-built CCA and AQM over the paper dumbbell at
-/// 100 Mbps: `(goodput Mbps, retransmits)`.
-fn ablation_run(cca: Box<dyn CongestionControl>, aqm: Box<dyn Aqm>, secs: u64) -> (f64, u64) {
-    let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-    let mut topo = spec.build();
-    topo.set_bottleneck_aqm(aqm);
-    let mut sim = Simulator::new(
-        topo,
-        SimConfig {
-            duration: SimDuration::from_secs(secs),
-            warmup: SimDuration::from_secs(secs / 4),
-            max_events: u64::MAX,
-        },
-        11,
-    );
-    let tx = TcpSender::new(SenderConfig::default(), spec.receiver(0), cca);
-    let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-    let f = sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
-    let s = sim.run();
-    let flow = &s.flows[f.0 as usize];
-    (flow.window_goodput_bps(s.window) / 1e6, flow.sender.retransmits)
-}
-
-/// Ablations of design choices DESIGN.md calls out: CUBIC HyStart on/off
-/// (startup retransmission cost vs shallow buffers) and RED gentle vs
-/// non-gentle (forced-drop cliff behaviour).
-fn ablate_target() -> FigureOutput {
-    let small_fifo = || -> Box<dyn Aqm> {
-        let bdp = bdp_bytes(Bandwidth::from_mbps(100), SimDuration::from_millis(62));
-        Box::new(DropTail::new(bdp / 2))
-    };
-    let mut t = TextTable::new(vec!["ablation", "variant", "goodput_mbps", "retransmits"]);
-    let mut row = |ablation: &str, variant: String, (goodput, retx): (f64, u64)| {
-        t.row(vec![ablation.to_string(), variant, format!("{goodput:.1}"), format!("{retx}")]);
-    };
-
-    for hystart in [true, false] {
-        let cca = Box::new(Cubic::new(hystart, 8900));
-        let variant = if hystart { "on" } else { "off" };
-        row("cubic_hystart", variant.to_string(), ablation_run(cca, small_fifo(), 20));
-    }
-    for gentle in [false, true] {
-        let mut cfg = RedConfig::tc_defaults(1_550_000, 100_000_000, 8900);
-        cfg.gentle = gentle;
-        let cca = Box::new(Cubic::new(true, 8900));
-        let variant = if gentle { "gentle" } else { "cliff" };
-        row("red_gentle", variant.to_string(), ablation_run(cca, Box::new(Red::new(cfg)), 20));
-    }
-
-    let caption = "Design-choice ablations (single flow, 100 Mbps, 62 ms RTT)";
-    FigureOutput::table("ablate", caption, "ablate", t)
 }
 
 fn time_chart(title: String, y_label: &str) -> ChartSpec {
@@ -304,7 +246,7 @@ fn rtt_unfair_target(cli: &Cli) -> (FigureOutput, Vec<Judgement>) {
 type Target = fn(&Cli) -> (FigureOutput, Vec<Judgement>);
 
 /// `(name, the flags it takes, run)`.
-const TARGETS: [(&str, &[&str], Target); 14] = [
+const TARGETS: [(&str, &[&str], Target); 13] = [
     ("fig2", FIGURE, |cli| (fig2(&cli.opts, &cli.cache, &cli.bws), vec![])),
     ("fig3", FIGURE, |cli| (fig3(&cli.opts, &cli.cache, &cli.bws), vec![])),
     ("fig4", FIGURE, |cli| (fig4(&cli.opts, &cli.cache, &cli.bws), vec![])),
@@ -316,7 +258,6 @@ const TARGETS: [(&str, &[&str], Target); 14] = [
     ("table3", FIGURE, |cli| (table3_target(cli), vec![])),
     ("aqm_frontier", AQM_FRONTIER, |cli| (aqm_frontier_target(cli), vec![])),
     ("rttsweep", RTTSWEEP, |cli| (rttsweep_target(cli), vec![])),
-    ("ablate", ABLATE, |_| (ablate_target(), vec![])),
     ("dynamics", CLAIM, dynamics_target),
     ("rtt_unfair", CLAIM, rtt_unfair_target),
 ];

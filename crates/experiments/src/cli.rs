@@ -4,7 +4,7 @@
 //! `FLAGS` is every flag the binaries share: its spelling, its value and
 //! what it does. Each binary, and each `repro` target, is the list of the
 //! shared flags it honours ([`SWEEP`], [`DATASET`], [`PROBE`], [`CHAOS`]
-//! and the `repro` lists [`FIGURE`] … [`ABLATE`]) plus the rows of its own
+//! and the `repro` lists [`FIGURE`] … [`RTTSWEEP`]) plus the rows of its own
 //! flags, which live in its bin file (probe's `--cca1` … `--secs`, chaos's
 //! `--cases` … `--verbose`). A flag is listed exactly when giving it
 //! changes what that binary or target does. [`Cli::parse_from`] walks the
@@ -69,8 +69,6 @@ pub const CLAIM: &[&str] = &["--scale", "--seed", "--check", "--out"];
 /// `repro rttsweep`: as [`CLAIM`], and it can record its 62 ms run.
 pub const RTTSWEEP: &[&str] =
     &["--scale", "--seed", "--check", "--out", "--record", "--sample-interval"];
-/// `repro ablate`: hand-built simulators at a fixed seed and length.
-pub const ABLATE: &[&str] = &["--out"];
 /// `sweep`: the grid through the cache; it records nothing.
 pub const SWEEP: &[&str] = &[
     "--quick", "--full", "--repeats", "--scale", "--seed", "--bw", "--no-cache", "--out", "--limit",
@@ -654,7 +652,6 @@ mod tests {
             (TABLE2, "--quick --full --repeats --scale --seed --no-cache --check --record"),
             (CLAIM, "--quick --full --repeats --no-cache --bw --limit --record --sample-interval"),
             (RTTSWEEP, "--quick --full --repeats --no-cache --bw --coalesce"),
-            (ABLATE, "--quick --full --repeats --scale --seed --bw --no-cache --check --limit"),
             (SWEEP, "--record --sample-interval --cca1"),
             (DATASET, "--repeats --no-cache --limit"),
             (PROBE, "--quick --full --repeats --no-cache --limit --cases"),
@@ -670,7 +667,7 @@ mod tests {
 
     #[test]
     fn every_listed_flag_is_taken() {
-        let lists = [FIGURE, AQM_FRONTIER, TABLE2, CLAIM, RTTSWEEP, ABLATE, SWEEP, DATASET, PROBE, CHAOS];
+        let lists = [FIGURE, AQM_FRONTIER, TABLE2, CLAIM, RTTSWEEP, SWEEP, DATASET, PROBE, CHAOS];
         for takes in lists {
             let mut given = Vec::new();
             for &flag in takes {

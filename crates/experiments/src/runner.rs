@@ -483,8 +483,7 @@ fn assemble(
         .build(bw, cfg.rtt())
         .map_err(|detail| RunError { kind: RunErrorKind::InvalidConfig, detail })?;
     // Every shaped hop runs the AQM under test at the configured queue
-    // length (on the dumbbell that is exactly the old single
-    // `set_bottleneck_aqm` call).
+    // length (the dumbbell has one).
     for bn in topo.bottleneck_links().to_vec() {
         topo.set_aqm_on(
             bn,

@@ -27,15 +27,14 @@
 //! ```
 //! use elephants_netsim::prelude::*;
 //!
-//! // Build a two-host, two-router dumbbell with a 100 Mbps bottleneck.
-//! let spec = DumbbellSpec {
-//!     n_pairs: 1,
-//!     bottleneck: LinkSpec::new(Bandwidth::from_mbps(100), SimDuration::from_millis(28)),
-//!     access: LinkSpec::new(Bandwidth::from_gbps(25), SimDuration::from_millis(1)),
-//!     leaf: LinkSpec::new(Bandwidth::from_gbps(25), SimDuration::from_millis(2)),
-//! };
-//! let topo = spec.build();
-//! assert_eq!(topo.base_rtt(), SimDuration::from_millis(62));
+//! // Build the paper's dumbbell with a 100 Mbps bottleneck and a 62 ms RTT,
+//! // then put a 1 MB droptail queue on its shaped trunk.
+//! let rtt = SimDuration::from_millis(62);
+//! let mut topo = TopologySpec::Dumbbell.build(Bandwidth::from_mbps(100), rtt).unwrap();
+//! let trunk = topo.bottleneck_link().unwrap();
+//! topo.set_aqm_on(trunk, Box::new(DropTail::new(1_000_000)));
+//! assert_eq!(topo.base_rtt(), rtt);
+//! assert_eq!(topo.sender_hosts().len(), 2);
 //! ```
 
 pub mod check;
@@ -71,7 +70,7 @@ pub use sim::{
     Simulator,
 };
 pub use time::{SimDuration, SimTime};
-pub use topology::{DumbbellSpec, Topology, TopologySpec, EDGE_ONE_WAY};
+pub use topology::{Topology, TopologySpec, EDGE_ONE_WAY};
 pub use units::{bdp_bytes, Bandwidth};
 
 /// Convenience re-exports for downstream crates and examples.
@@ -85,7 +84,7 @@ pub mod prelude {
     pub use crate::record::{FlowProbe, FlowSample, QueueSample, Recorder, RecorderConfig};
     pub use crate::sim::{Ctx, FlowEndpoint, SimConfig, Simulator};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::topology::{DumbbellSpec, Topology, TopologySpec};
+    pub use crate::topology::{Topology, TopologySpec};
     pub use crate::units::{bdp_bytes, Bandwidth};
     pub use crate::rng::{Rng, RngExt, SeedableRng, SmallRng};
 }

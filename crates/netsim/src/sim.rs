@@ -850,8 +850,20 @@ mod tests {
     use super::*;
     
     use crate::packet::{AckInfo, PacketKind};
-    use crate::topology::DumbbellSpec;
+    use crate::topology::TopologySpec;
     use crate::units::Bandwidth;
+
+    /// The 100 Mbps, 62 ms paper dumbbell.
+    fn dumbbell() -> Topology {
+        let rtt = SimDuration::from_millis(62);
+        TopologySpec::Dumbbell.build(Bandwidth::from_mbps(100), rtt).unwrap()
+    }
+
+    /// Sender and receiver host of dumbbell pair `i`.
+    fn pair(sim: &Simulator, i: usize) -> (NodeId, NodeId) {
+        let topo = sim.topology();
+        (topo.sender_hosts()[i], topo.receiver_hosts()[i])
+    }
 
     /// A toy sender: blasts `n` fixed-size segments at start, counts ACKs.
     struct BlastSender {
@@ -921,8 +933,7 @@ mod tests {
     }
 
     fn build_sim() -> Simulator {
-        let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-        let topo = spec.build();
+        let topo = dumbbell();
         let cfg = SimConfig {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::ZERO,
@@ -931,10 +942,8 @@ mod tests {
         Simulator::new(topo, cfg, 42)
     }
 
-    fn add_blast(sim: &mut Simulator, pair: usize, n: u64) -> FlowId {
-        let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-        let s = spec.sender(pair);
-        let r = spec.receiver(pair);
+    fn add_blast(sim: &mut Simulator, i: usize, n: u64) -> FlowId {
+        let (s, r) = pair(sim, i);
         sim.add_flow(
             s,
             r,
@@ -1024,13 +1033,13 @@ mod tests {
     #[test]
     fn timer_clamp_rearm_and_cancel() {
         let mut sim = build_sim();
-        let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
+        let (s, r) = pair(&sim, 0);
         let start = SimTime::ZERO + SimDuration::from_millis(5);
         let flow = sim.add_flow(
-            spec.sender(0),
-            spec.receiver(0),
+            s,
+            r,
             Box::new(TimerProbe { fires: Vec::new() }),
-            Box::new(CountingReceiver { peer: spec.sender(0), next: 0, report: Default::default() }),
+            Box::new(CountingReceiver { peer: s, next: 0, report: Default::default() }),
             start,
         );
         sim.run();
@@ -1168,16 +1177,14 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_detectable() {
-        let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-        let topo = spec.build();
+        let topo = dumbbell();
         let cfg = SimConfig {
             duration: SimDuration::from_secs(2),
             warmup: SimDuration::ZERO,
             max_events: 10,
         };
         let mut sim = Simulator::new(topo, cfg, 1);
-        let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-        let (s, r) = (spec.sender(0), spec.receiver(0));
+        let (s, r) = pair(&sim, 0);
         sim.add_flow(
             s,
             r,
@@ -1284,8 +1291,7 @@ mod tests {
 
     #[test]
     fn window_counters_reset_at_mark() {
-        let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-        let topo = spec.build();
+        let topo = dumbbell();
         let cfg = SimConfig {
             duration: SimDuration::from_secs(2),
             // Mark after everything is done: window counts must be 0.

@@ -97,14 +97,9 @@ impl Topology {
         &self.bottlenecks
     }
 
-    /// Replace the queue discipline on the primary bottleneck link.
-    pub fn set_bottleneck_aqm(&mut self, aqm: Box<dyn Aqm>) {
-        let id = self.bottleneck_link().expect("topology has no designated bottleneck");
-        self.links[id.0 as usize].aqm = aqm;
-    }
-
-    /// Replace the queue discipline on an arbitrary link (multi-bottleneck
-    /// topologies install one AQM instance per shaped hop).
+    /// Replace the queue discipline on a link: the dumbbell's
+    /// [`Topology::bottleneck_link`], or each shaped hop of a
+    /// multi-bottleneck shape.
     pub fn set_aqm_on(&mut self, id: LinkId, aqm: Box<dyn Aqm>) {
         self.links[id.0 as usize].aqm = aqm;
     }
@@ -293,82 +288,16 @@ fn trunk_one_way(rtt: SimDuration) -> Result<SimDuration, String> {
     Ok((rtt / 2).saturating_sub(EDGE_ONE_WAY))
 }
 
-/// Builder for the paper's dumbbell (Fig. 1).
-///
-/// `n_pairs` sender hosts connect through router 1 → router 2 to `n_pairs`
-/// receiver hosts. Propagation delays of access (sender↔router1), bottleneck
-/// (router1↔router2) and leaf (router2↔receiver) links sum to half the RTT.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DumbbellSpec {
-    /// Number of sender/receiver host pairs (the paper uses 2).
-    pub n_pairs: usize,
-    /// Router1 → router2 link (rate = bottleneck BW under test).
-    pub bottleneck: LinkSpec,
-    /// Sender host ↔ router1 links (25 GbE NICs in the paper).
-    pub access: LinkSpec,
-    /// Router2 ↔ receiver host links.
-    pub leaf: LinkSpec,
-}
-
-impl DumbbellSpec {
-    /// The paper's topology: 2 host pairs, 25 Gbps access/leaf NICs, and a
-    /// bottleneck of `bw` shaped on router 1, with one-way delays
-    /// 1 + 28 + 2 ms so the end-to-end RTT is 62 ms.
-    pub fn paper(bw: Bandwidth) -> Self {
-        Self::paper_with_rtt(bw, SimDuration::from_millis(62))
-    }
-
-    /// The paper's topology with a custom end-to-end RTT (the paper's
-    /// future-work "different RTTs" extension). Access/leaf one-way delays
-    /// keep the paper's 1 + 2 ms; the trunk absorbs the rest.
-    ///
-    /// # Panics
-    /// Panics unless `rtt` exceeds the 6 ms the access/leaf links
-    /// contribute; [`TopologySpec::build`] returns that as an error.
-    pub fn paper_with_rtt(bw: Bandwidth, rtt: SimDuration) -> Self {
-        let trunk = trunk_one_way(rtt).unwrap_or_else(|e| panic!("{e}"));
-        DumbbellSpec {
-            n_pairs: 2,
-            bottleneck: LinkSpec::new(bw, trunk),
-            access: PAPER_ACCESS,
-            leaf: PAPER_LEAF,
-        }
-    }
-
-    /// Node id of sender host `i`.
-    pub fn sender(&self, i: usize) -> NodeId {
-        assert!(i < self.n_pairs);
-        NodeId(i as u32)
-    }
-
-    /// Node id of receiver host `i`.
-    pub fn receiver(&self, i: usize) -> NodeId {
-        assert!(i < self.n_pairs);
-        NodeId((self.n_pairs + 2 + i) as u32)
-    }
-
-    /// Materialize the topology: a one-hop chain with every pair attached
-    /// across the hop. The bottleneck link gets a large droptail queue by
-    /// default; install the AQM under test with
-    /// [`Topology::set_bottleneck_aqm`].
-    pub fn build(&self) -> Topology {
-        assert!(self.n_pairs >= 1, "dumbbell needs at least one host pair");
-        let pair = Attach { src: 0, dst: 1, access: self.access, leaf: self.leaf };
-        let base_rtt = (self.access.prop + self.bottleneck.prop + self.leaf.prop) * 2;
-        chain(&[self.bottleneck], &vec![pair; self.n_pairs], base_rtt)
-    }
-}
-
-/// The shape of the network a scenario runs on.
-///
-/// `Dumbbell` is the default and routes through the exact pre-existing
-/// [`DumbbellSpec`] path, so default-topology runs stay byte-identical to
-/// the single-bottleneck engine. The other variants build
-/// multi-bottleneck / heterogeneous-RTT shapes parameterized by the
-/// scenario's bandwidth and base RTT.
+/// The shape of the network a scenario runs on, built for the scenario's
+/// bandwidth and base RTT by [`TopologySpec::build`]. `Dumbbell`, the
+/// paper's network, is the default; the other variants are the
+/// multi-bottleneck and heterogeneous-RTT shapes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TopologySpec {
-    /// The paper's 2-pair dumbbell (Fig. 1); one shaped bottleneck.
+    /// The paper's dumbbell (Fig. 1): 2 sender/receiver host pairs on
+    /// 25 GbE NICs across one shaped router 1 → router 2 trunk, with
+    /// one-way delays of 1 ms (access), the rest of half the RTT (trunk)
+    /// and 2 ms (leaf): 1 + 28 + 2 ms at the paper's 62 ms.
     #[default]
     Dumbbell,
     /// A `hops`-hop parking lot: one long flow group crossing every
@@ -440,8 +369,10 @@ impl TopologySpec {
         self.validate()?;
         match self {
             TopologySpec::Dumbbell => {
-                let bottleneck = LinkSpec::new(bw, trunk_one_way(base_rtt)?);
-                Ok(DumbbellSpec { bottleneck, ..DumbbellSpec::paper(bw) }.build())
+                let trunk = LinkSpec::new(bw, trunk_one_way(base_rtt)?);
+                let pair = Attach { src: 0, dst: 1, access: PAPER_ACCESS, leaf: PAPER_LEAF };
+                let rtt = (PAPER_ACCESS.prop + trunk.prop + PAPER_LEAF.prop) * 2;
+                Ok(chain(&[trunk], &[pair; 2], rtt))
             }
             TopologySpec::ParkingLot { hops: k } => {
                 let k = *k;
@@ -571,22 +502,22 @@ impl FromJson for TopologySpec {
 mod tests {
     use super::*;
 
-    fn spec() -> DumbbellSpec {
-        DumbbellSpec::paper(Bandwidth::from_mbps(100))
+    fn dumbbell(bw: Bandwidth) -> Topology {
+        TopologySpec::Dumbbell.build(bw, SimDuration::from_millis(62)).unwrap()
     }
 
-    /// The paper dumbbell and its two routers, read off the bottleneck.
-    fn paper_dumbbell() -> (DumbbellSpec, Topology, NodeId, NodeId) {
-        let s = spec();
-        let topo = s.build();
+    /// The 100 Mbps paper dumbbell and its two routers, read off the
+    /// bottleneck.
+    fn paper_dumbbell() -> (Topology, NodeId, NodeId) {
+        let topo = dumbbell(Bandwidth::from_mbps(100));
         let bn = topo.link(topo.bottleneck_link().unwrap());
         let (r1, r2) = (bn.src, bn.dst);
-        (s, topo, r1, r2)
+        (topo, r1, r2)
     }
 
     #[test]
     fn paper_dumbbell_shape() {
-        let (s, topo, r1, r2) = paper_dumbbell();
+        let (topo, r1, r2) = paper_dumbbell();
         assert_eq!(topo.n_nodes(), 6);
         // 2 fwd access + bottleneck + 2 fwd leaf + 2 rev leaf + rev bottleneck + 2 rev access
         assert_eq!(topo.links().len(), 10);
@@ -596,29 +527,31 @@ mod tests {
         assert_eq!(topo.receiver_hosts(), &[NodeId(4), NodeId(5)]);
         assert_eq!((r1, r2), (NodeId(2), NodeId(3)), "routers sit between the hosts");
         assert_eq!(topo.kind(r1), NodeKind::Router);
-        assert_eq!(topo.kind(s.sender(0)), NodeKind::Host);
+        assert_eq!(topo.kind(topo.sender_hosts()[0]), NodeKind::Host);
     }
 
     #[test]
     fn forward_path_routes_through_bottleneck() {
-        let (s, topo, r1, r2) = paper_dumbbell();
+        let (topo, r1, r2) = paper_dumbbell();
+        let (tx, rx) = (topo.sender_hosts(), topo.receiver_hosts());
         let bn = topo.bottleneck_link().unwrap();
         // sender0 -> receiver0: access, bottleneck, leaf.
-        let l1 = topo.route(s.sender(0), s.receiver(0)).unwrap();
+        let l1 = topo.route(tx[0], rx[0]).unwrap();
         assert_eq!(topo.link(l1).dst, r1);
-        let l2 = topo.route(r1, s.receiver(0)).unwrap();
+        let l2 = topo.route(r1, rx[0]).unwrap();
         assert_eq!(l2, bn);
-        let l3 = topo.route(r2, s.receiver(0)).unwrap();
-        assert_eq!(topo.link(l3).dst, s.receiver(0));
+        let l3 = topo.route(r2, rx[0]).unwrap();
+        assert_eq!(topo.link(l3).dst, rx[0]);
     }
 
     #[test]
     fn reverse_path_avoids_bottleneck() {
-        let (s, topo, r1, r2) = paper_dumbbell();
+        let (topo, r1, r2) = paper_dumbbell();
+        let (tx, rx) = (topo.sender_hosts(), topo.receiver_hosts());
         let bn = topo.bottleneck_link().unwrap();
-        let l1 = topo.route(s.receiver(1), s.sender(1)).unwrap();
+        let l1 = topo.route(rx[1], tx[1]).unwrap();
         assert_eq!(topo.link(l1).dst, r2);
-        let l2 = topo.route(r2, s.sender(1)).unwrap();
+        let l2 = topo.route(r2, tx[1]).unwrap();
         assert_ne!(l2, bn);
         assert_eq!(topo.link(l2).dst, r1);
         // Reverse trunk is the unshaped 100G interconnect.
@@ -627,8 +560,7 @@ mod tests {
 
     #[test]
     fn bottleneck_rate_matches_spec() {
-        let s = DumbbellSpec::paper(Bandwidth::from_gbps(10));
-        let topo = s.build();
+        let topo = dumbbell(Bandwidth::from_gbps(10));
         let bn = topo.bottleneck_link().unwrap();
         assert_eq!(topo.link(bn).rate, Bandwidth::from_gbps(10));
         assert_eq!(topo.link(bn).prop, SimDuration::from_millis(28));
@@ -637,24 +569,25 @@ mod tests {
     #[test]
     fn cross_pair_routes_exist() {
         // sender0 can reach receiver1 (needed for arbitrary flow placement).
-        let (s, topo, r1, _) = paper_dumbbell();
-        assert!(topo.route(s.sender(0), s.receiver(1)).is_some());
-        assert!(topo.route(r1, s.receiver(1)).is_some());
+        let (topo, r1, _) = paper_dumbbell();
+        let (tx, rx) = (topo.sender_hosts(), topo.receiver_hosts());
+        assert!(topo.route(tx[0], rx[1]).is_some());
+        assert!(topo.route(r1, rx[1]).is_some());
     }
 
     #[test]
     fn path_rtt_matches_base_rtt_on_the_dumbbell() {
-        let s = spec();
-        let topo = s.build();
+        let topo = dumbbell(Bandwidth::from_mbps(100));
+        let (tx, rx) = (topo.sender_hosts(), topo.receiver_hosts());
         for g in 0..2 {
             assert_eq!(
-                topo.path_rtt(s.sender(g), s.receiver(g)),
+                topo.path_rtt(tx[g], rx[g]),
                 Some(SimDuration::from_millis(62))
             );
         }
         // Cross-pair paths share the same prop budget on the dumbbell.
         assert_eq!(
-            topo.path_rtt(s.sender(0), s.receiver(1)),
+            topo.path_rtt(tx[0], rx[1]),
             Some(SimDuration::from_millis(62))
         );
     }

@@ -306,8 +306,9 @@ mod delivery {
             let n1 = rng.random_range(1u64..300);
             let n2 = rng.random_range(1u64..300);
             let seed = rng.random_range(0u64..100);
-            let spec = DumbbellSpec::paper(Bandwidth::from_mbps(100));
-            let topo = spec.build();
+            let rtt = SimDuration::from_millis(62);
+            let topo = TopologySpec::Dumbbell.build(Bandwidth::from_mbps(100), rtt).unwrap();
+            let (tx, rx) = (topo.sender_hosts().to_vec(), topo.receiver_hosts().to_vec());
             let mut sim = Simulator::new(
                 topo,
                 SimConfig {
@@ -318,8 +319,7 @@ mod delivery {
                 seed,
             );
             for (i, n) in [(0usize, n1), (1usize, n2)] {
-                let s = spec.sender(i);
-                let r = spec.receiver(i);
+                let (s, r) = (tx[i], rx[i]);
                 sim.add_flow(
                     s,
                     r,

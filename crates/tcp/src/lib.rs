@@ -31,21 +31,22 @@ mod e2e_tests {
     use elephants_netsim::prelude::*;
     use elephants_netsim::RunSummary;
 
-    /// Add one flow from sender node 0 to receiver node 0, starting now.
-    fn add_flow(sim: &mut Simulator, spec: &DumbbellSpec, kind: CcaKind, cfg: SenderConfig) {
-        let tx = TcpSender::new(cfg, spec.receiver(0), build_cca(kind, cfg.mss));
-        let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-        sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+    /// Add one flow from sender host 0 to receiver host 0, starting now.
+    fn add_flow(sim: &mut Simulator, kind: CcaKind, cfg: SenderConfig) {
+        let (s, r) = (sim.topology().sender_hosts()[0], sim.topology().receiver_hosts()[0]);
+        let tx = TcpSender::new(cfg, r, build_cca(kind, cfg.mss));
+        let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+        sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO);
     }
 
     /// Run one TCP flow through the paper dumbbell for `secs` seconds.
     fn run_single(kind: CcaKind, bw_mbps: u64, buffer_bdp: f64, secs: u64) -> RunSummary {
         let bw = Bandwidth::from_mbps(bw_mbps);
-        let spec = DumbbellSpec::paper(bw);
-        let mut topo = spec.build();
+        let mut topo = TopologySpec::Dumbbell.build(bw, SimDuration::from_millis(62)).unwrap();
         let rtt = topo.base_rtt();
         let buffer = (elephants_netsim::bdp_bytes(bw, rtt) as f64 * buffer_bdp) as u64;
-        topo.set_bottleneck_aqm(Box::new(DropTail::new(buffer.max(4 * 8900))));
+        let trunk = topo.bottleneck_link().unwrap();
+        topo.set_aqm_on(trunk, Box::new(DropTail::new(buffer.max(4 * 8900))));
         let mut sim = Simulator::new(
             topo,
             SimConfig {
@@ -55,7 +56,7 @@ mod e2e_tests {
             },
             1,
         );
-        add_flow(&mut sim, &spec, kind, SenderConfig::default());
+        add_flow(&mut sim, kind, SenderConfig::default());
         sim.run()
     }
 

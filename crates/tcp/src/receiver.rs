@@ -249,7 +249,7 @@ impl FlowEndpoint for TcpReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use elephants_netsim::{DumbbellSpec, PacketKind, SimConfig, Simulator};
+    use elephants_netsim::{PacketKind, SimConfig, Simulator, TopologySpec};
     use elephants_netsim::Bandwidth;
 
     // The Ctx type cannot be constructed outside the simulator, so receiver
@@ -308,8 +308,9 @@ mod tests {
         ce: Option<u64>,
         cfg: ReceiverConfig,
     ) -> (Vec<AckInfo>, EndpointReport) {
-        let spec = DumbbellSpec::paper(Bandwidth::from_gbps(1));
-        let topo = spec.build();
+        let rtt = SimDuration::from_millis(62);
+        let topo = TopologySpec::Dumbbell.build(Bandwidth::from_gbps(1), rtt).unwrap();
+        let (s, r) = (topo.sender_hosts()[0], topo.receiver_hosts()[0]);
         let mut sim = Simulator::new(
             topo,
             SimConfig {
@@ -319,8 +320,6 @@ mod tests {
             },
             7,
         );
-        let s = spec.sender(0);
-        let r = spec.receiver(0);
         let flow = sim.add_flow(
             s,
             r,

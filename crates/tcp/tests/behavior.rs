@@ -6,15 +6,25 @@ use elephants_netsim::prelude::*;
 use elephants_netsim::{FaultPlan, LossModel};
 use elephants_tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 
-fn paper_sim(bw_mbps: u64, buffer_bdp: f64, secs: u64, seed: u64) -> (Simulator, DumbbellSpec) {
-    let bw = Bandwidth::from_mbps(bw_mbps);
-    let spec = DumbbellSpec::paper(bw);
-    let mut topo = spec.build();
+/// The paper dumbbell at `bw` and 62 ms, with `aqm(bdp)` on its trunk.
+fn dumbbell(bw: Bandwidth, aqm: impl FnOnce(u64) -> Box<dyn Aqm>) -> Topology {
+    let mut topo = TopologySpec::Dumbbell.build(bw, SimDuration::from_millis(62)).unwrap();
+    let trunk = topo.bottleneck_link().unwrap();
     let bdp = elephants_netsim::bdp_bytes(bw, topo.base_rtt());
-    topo.set_bottleneck_aqm(Box::new(DropTail::new(
-        ((bdp as f64 * buffer_bdp) as u64).max(4 * 8900),
-    )));
-    let sim = Simulator::new(
+    topo.set_aqm_on(trunk, aqm(bdp));
+    topo
+}
+
+/// Sender and receiver host of dumbbell pair `pair`.
+fn hosts(sim: &Simulator, pair: usize) -> (NodeId, NodeId) {
+    (sim.topology().sender_hosts()[pair], sim.topology().receiver_hosts()[pair])
+}
+
+fn paper_sim(bw_mbps: u64, buffer_bdp: f64, secs: u64, seed: u64) -> Simulator {
+    let topo = dumbbell(Bandwidth::from_mbps(bw_mbps), |bdp| {
+        Box::new(DropTail::new(((bdp as f64 * buffer_bdp) as u64).max(4 * 8900)))
+    });
+    Simulator::new(
         topo,
         SimConfig {
             duration: SimDuration::from_secs(secs),
@@ -22,18 +32,15 @@ fn paper_sim(bw_mbps: u64, buffer_bdp: f64, secs: u64, seed: u64) -> (Simulator,
             max_events: u64::MAX,
         },
         seed,
-    );
-    (sim, spec)
+    )
 }
 
-fn add_tcp(sim: &mut Simulator, spec: &DumbbellSpec, pair: usize, kind: CcaKind) -> FlowId {
-    let tx = TcpSender::new(
-        SenderConfig::default(),
-        spec.receiver(pair),
-        build_cca_seeded(kind, 8900, 42 + pair as u64),
-    );
-    let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(pair));
-    sim.add_flow(spec.sender(pair), spec.receiver(pair), Box::new(tx), Box::new(rx), SimTime::ZERO)
+fn add_tcp(sim: &mut Simulator, pair: usize, kind: CcaKind) -> FlowId {
+    let (s, r) = hosts(sim, pair);
+    let cca = build_cca_seeded(kind, 8900, 42 + pair as u64);
+    let tx = TcpSender::new(SenderConfig::default(), r, cca);
+    let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+    sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO)
 }
 
 #[test]
@@ -41,8 +48,8 @@ fn bbr_pacing_smooths_the_bottleneck_queue() {
     // A paced BBRv2 flow should keep the standing queue tiny compared to an
     // unpaced CUBIC flow at the same (deep) buffer.
     let run = |kind: CcaKind| {
-        let (mut sim, spec) = paper_sim(100, 8.0, 15, 7);
-        let flow = add_tcp(&mut sim, &spec, 0, kind);
+        let mut sim = paper_sim(100, 8.0, 15, 7);
+        let flow = add_tcp(&mut sim, 0, kind);
         let bn = sim.topology().bottleneck_link().unwrap();
         // Sample peak queue over the second half of the run.
         let mut peak = 0usize;
@@ -67,8 +74,8 @@ fn bbr_pacing_smooths_the_bottleneck_queue() {
 fn blackhole_triggers_rto_with_backoff() {
     // Kill the bottleneck entirely shortly after start: the sender must
     // RTO, back off exponentially, and not melt down.
-    let (mut sim, spec) = paper_sim(100, 2.0, 20, 1);
-    let flow = add_tcp(&mut sim, &spec, 0, CcaKind::Cubic);
+    let mut sim = paper_sim(100, 2.0, 20, 1);
+    let flow = add_tcp(&mut sim, 0, CcaKind::Cubic);
     // Let it get going, then blackhole the forward path.
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
     let bn = sim.topology().bottleneck_link().unwrap();
@@ -83,8 +90,8 @@ fn blackhole_triggers_rto_with_backoff() {
 
 #[test]
 fn path_recovers_after_transient_blackhole() {
-    let (mut sim, spec) = paper_sim(100, 2.0, 30, 1);
-    let flow = add_tcp(&mut sim, &spec, 0, CcaKind::Cubic);
+    let mut sim = paper_sim(100, 2.0, 30, 1);
+    let flow = add_tcp(&mut sim, 0, CcaKind::Cubic);
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
     let bn = sim.topology().bottleneck_link().unwrap();
     sim.topology_mut().link_mut(bn).loss_model = LossModel::Bernoulli { p: 1.0 };
@@ -120,8 +127,8 @@ fn flow_survives_a_two_second_link_flap() {
     // model) must not deadlock the sender. RTO backoff rides out the
     // outage and the flow re-attains at least 80% of its pre-flap goodput
     // once the link returns.
-    let (mut sim, spec) = paper_sim(100, 2.0, 30, 1);
-    let flow = add_tcp(&mut sim, &spec, 0, CcaKind::Cubic);
+    let mut sim = paper_sim(100, 2.0, 30, 1);
+    let flow = add_tcp(&mut sim, 0, CcaKind::Cubic);
     let bn = sim.topology().bottleneck_link().unwrap();
     sim.install_fault_plan(
         bn,
@@ -162,18 +169,16 @@ fn flow_survives_a_two_second_link_flap() {
 fn ecn_marks_flow_back_to_sender() {
     // ECN-capable sender + marking FQ-CoDel: receiver echoes CE, sender
     // counts echoes, and drops stay at zero on a clean path.
-    let bw = Bandwidth::from_mbps(100);
-    let spec = DumbbellSpec::paper(bw);
-    let mut topo = spec.build();
-    let bdp = elephants_netsim::bdp_bytes(bw, topo.base_rtt());
-    topo.set_bottleneck_aqm(elephants_aqm::build_aqm(
-        elephants_aqm::AqmKind::FqCodel,
-        2 * bdp,
-        100_000_000,
-        8900,
-        true, // ECN on
-        9,
-    ));
+    let topo = dumbbell(Bandwidth::from_mbps(100), |bdp| {
+        elephants_aqm::build_aqm(
+            elephants_aqm::AqmKind::FqCodel,
+            2 * bdp,
+            100_000_000,
+            8900,
+            true, // ECN on
+            9,
+        )
+    });
     let mut sim = Simulator::new(
         topo,
         SimConfig {
@@ -183,13 +188,14 @@ fn ecn_marks_flow_back_to_sender() {
         },
         9,
     );
+    let (s, r) = hosts(&sim, 0);
     let tx = TcpSender::new(
         SenderConfig { ecn: true, ..Default::default() },
-        spec.receiver(0),
+        r,
         build_cca_seeded(CcaKind::Cubic, 8900, 5),
     );
-    let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-    let flow = sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+    let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+    let flow = sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO);
     let summary = sim.run();
     let rep = &summary.flows[flow.0 as usize];
     assert!(rep.receiver.ecn_marks > 0, "CoDel must CE-mark the CUBIC queue");
@@ -198,8 +204,8 @@ fn ecn_marks_flow_back_to_sender() {
 
 #[test]
 fn spurious_rto_counter_stays_zero_on_clean_path() {
-    let (mut sim, spec) = paper_sim(100, 4.0, 15, 3);
-    let flow = add_tcp(&mut sim, &spec, 0, CcaKind::Cubic);
+    let mut sim = paper_sim(100, 4.0, 15, 3);
+    let flow = add_tcp(&mut sim, 0, CcaKind::Cubic);
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(15));
     let sender = sim.sender(flow).as_any().downcast_ref::<TcpSender>().unwrap();
     assert_eq!(sender.report().rto_count, 0);
@@ -209,9 +215,9 @@ fn spurious_rto_counter_stays_zero_on_clean_path() {
 #[test]
 fn two_competing_flows_are_deterministic_per_seed_and_differ_across_seeds() {
     let run = |seed: u64| {
-        let (mut sim, spec) = paper_sim(100, 1.0, 10, seed);
-        let f0 = add_tcp(&mut sim, &spec, 0, CcaKind::BbrV1);
-        let f1 = add_tcp(&mut sim, &spec, 1, CcaKind::Cubic);
+        let mut sim = paper_sim(100, 1.0, 10, seed);
+        let f0 = add_tcp(&mut sim, 0, CcaKind::BbrV1);
+        let f1 = add_tcp(&mut sim, 1, CcaKind::Cubic);
         let s = sim.run();
         (
             s.flows[f0.0 as usize].receiver.delivered_bytes,

@@ -213,9 +213,15 @@ mod tests {
         assert_eq!(p.total(), 2, "at least one flow per sender");
     }
 
+    fn dumbbell() -> elephants_netsim::Topology {
+        elephants_netsim::TopologySpec::Dumbbell
+            .build(Bandwidth::from_mbps(100), SimDuration::from_millis(62))
+            .unwrap()
+    }
+
     #[test]
     fn group_specs_on_dumbbell_match_paper_convention() {
-        let topo = elephants_netsim::DumbbellSpec::paper(Bandwidth::from_mbps(100)).build();
+        let topo = dumbbell();
         let groups = group_specs(&topo);
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].cca_slot, 0, "group 0 runs cca1");
@@ -238,7 +244,7 @@ mod tests {
 
     #[test]
     fn start_offsets_apply_prefix_and_default_zero() {
-        let topo = elephants_netsim::DumbbellSpec::paper(Bandwidth::from_mbps(100)).build();
+        let topo = dumbbell();
         let mut groups = group_specs(&topo);
         assert!(groups.iter().all(|g| g.start_offset == SimDuration::ZERO));
         apply_start_offsets(&mut groups, &[SimDuration::from_secs(3)]);
@@ -249,7 +255,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn start_offsets_reject_excess_entries() {
-        let topo = elephants_netsim::DumbbellSpec::paper(Bandwidth::from_mbps(100)).build();
+        let topo = dumbbell();
         let mut groups = group_specs(&topo);
         apply_start_offsets(&mut groups, &[SimDuration::ZERO; 3]);
     }

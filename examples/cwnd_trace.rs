@@ -12,10 +12,11 @@ use elephants::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 
 fn main() {
     let bw = Bandwidth::from_mbps(500);
-    let spec = DumbbellSpec::paper(bw);
-    let mut topo = spec.build();
+    let mut topo = TopologySpec::Dumbbell.build(bw, SimDuration::from_millis(62)).unwrap();
+    let (s, r) = (topo.sender_hosts()[0], topo.receiver_hosts()[0]);
     let bdp = bdp_bytes(bw, topo.base_rtt());
-    topo.set_bottleneck_aqm(Box::new(DropTail::new(4 * bdp)));
+    let bn = topo.bottleneck_link().unwrap();
+    topo.set_aqm_on(bn, Box::new(DropTail::new(4 * bdp)));
     let mut sim = Simulator::new(
         topo,
         SimConfig {
@@ -25,14 +26,9 @@ fn main() {
         },
         3,
     );
-    let tx = TcpSender::new(
-        SenderConfig::default(),
-        spec.receiver(0),
-        build_cca_seeded(CcaKind::Cubic, 8900, 1),
-    );
-    let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-    let flow = sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
-    let bn = sim.topology().bottleneck_link().unwrap();
+    let tx = TcpSender::new(SenderConfig::default(), r, build_cca_seeded(CcaKind::Cubic, 8900, 1));
+    let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+    let flow = sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO);
 
     println!("single CUBIC flow, 500 Mbps bottleneck, 4 BDP droptail, 62 ms RTT\n");
     println!("{:>6} {:>11} {:>11} {:>7} {:>7}", "t(s)", "cwnd(pkts)", "queue(pkts)", "drops", "retx");

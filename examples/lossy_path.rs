@@ -20,12 +20,12 @@ use elephants::tcp::{ReceiverConfig, SenderConfig, TcpReceiver, TcpSender};
 
 fn run_one(kind: CcaKind, loss: f64) -> f64 {
     let bw = Bandwidth::from_mbps(500);
-    let spec = DumbbellSpec::paper(bw);
-    let mut topo = spec.build();
+    let mut topo = TopologySpec::Dumbbell.build(bw, SimDuration::from_millis(62)).unwrap();
+    let (s, r) = (topo.sender_hosts()[0], topo.receiver_hosts()[0]);
     // 2 BDP droptail bottleneck with Bernoulli loss injected on the wire.
     let bdp = bdp_bytes(bw, topo.base_rtt());
-    topo.set_bottleneck_aqm(Box::new(DropTail::new(2 * bdp)));
     let bn = topo.bottleneck_link().expect("dumbbell has a bottleneck");
+    topo.set_aqm_on(bn, Box::new(DropTail::new(2 * bdp)));
     topo.link_mut(bn).loss_model = LossModel::Bernoulli { p: loss };
 
     let duration = SimDuration::from_secs(12);
@@ -34,13 +34,9 @@ fn run_one(kind: CcaKind, loss: f64) -> f64 {
         SimConfig { duration, warmup: SimDuration::from_secs(3), max_events: u64::MAX },
         42,
     );
-    let tx = TcpSender::new(
-        SenderConfig::default(),
-        spec.receiver(0),
-        build_cca_seeded(kind, 8900, 7),
-    );
-    let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-    let flow = sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+    let tx = TcpSender::new(SenderConfig::default(), r, build_cca_seeded(kind, 8900, 7));
+    let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+    let flow = sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO);
     let summary = sim.run();
     summary.flows[flow.0 as usize].window_goodput_bps(summary.window) / 1e6
 }

@@ -5,29 +5,39 @@
 #
 # This box drifts 10-20% within minutes, so two benchmark runs taken apart
 # cannot be compared. This script exports <rev> (`git archive`, committed
-# files only, as the benchmark driver sees them) into a scratch directory
-# with a CARGO_TARGET_DIR of its own, then runs that copy's and this
-# checkout's `benchmark/run.sh --workload W` as N interleaved pairs (default
-# and minimum 10), alternating which side goes first. Each side runs its own
-# copy of `benchmark/`, so when <rev> is the parent of a change that may not
-# touch `benchmark/`, both sides measure with identical benchmark code.
+# files only, as the benchmark driver sees them) and copies this checkout
+# once, at start (tracked and untracked files, not ignored ones), into a
+# scratch directory, each with a CARGO_TARGET_DIR of its own. It then runs
+# the two copies' `benchmark/run.sh --workload W` as N interleaved pairs
+# (default and minimum 10), alternating which side goes first. An edit made
+# to the checkout while the pairs run therefore measures nothing. Each side
+# runs its own copy of `benchmark/`, so when <rev> is the parent of a change
+# that may not touch `benchmark/`, both sides measure with identical
+# benchmark code.
+#
+# Per workload it says whether both sides ran the same simulation: `same
+# simulation` when every run of both printed one `sim_events N  sim_digest X`
+# line, otherwise `different simulation: <parent> / <change>`.
 #
 # Per workload and end-to-end metric (names, units and direction are read
 # from BENCHMARK.json) it prints both sides' median and quartiles over the N
 # runs, the change's median relative to the parent's, and how many pairs the
-# change won (ties count for neither side). A gain may be claimed when the
-# change wins at least nine tenths of the pairs and the medians differ by
-# more than the parent's own inter-quartile distance; the last column says
-# whether that holds.
+# change won (ties count for neither side). A gain may be claimed when both
+# sides ran the same simulation, the change wins at least nine tenths of the
+# pairs and the medians differ by more than the parent's own inter-quartile
+# distance; the last column says whether that holds.
 #
 # It is also the regression gate (the rule the benchmark driver applies):
 # the exit status is nonzero when, on any workload, the change's median of
 # an end-to-end metric is worse than the parent's by more than that
 # metric's `bound` in BENCHMARK.json (the last column reads `regression`),
-# or when either side had a failed or incorrect run.
+# or when either side had a failed or incorrect run. A run that exits
+# nonzero is counted as failed and left out of the medians; the pairs go on
+# and the table still prints.
 #
-# AB_WORK=<dir> keeps the export and its build there for the next call
-# (otherwise a temporary directory, removed on exit).
+# AB_WORK=<dir> keeps the copies and their builds there for the next call
+# (otherwise a temporary directory, removed on exit); the checkout's copy is
+# made, and so rebuilt, on every call.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -72,30 +82,44 @@ if [[ ! -d "$parent" ]]; then
   mkdir -p "$parent"
   git archive "$sha" | tar -x -C "$parent"
 fi
+# The copy's files get the time of copying (`tar -m`): a kept target
+# directory must not take a file older than its last build for unchanged.
+change="$work/src-change"
+rm -rf "$change"
+mkdir -p "$change"
+git ls-files -z --cached --others --exclude-standard \
+  | while IFS= read -r -d '' f; do if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi; done \
+  | tar --null -T - -c | tar -x -m -C "$change"
+declare -A src=([parent]="$parent" [change]="$change")
+declare -A tgt=([parent]="$work/target-$sha" [change]="$work/target-change")
 
-# One run of one side; prints the run's result line (the last line of stdout).
-run_side() { # <checkout> <target dir or empty> <workload>
-  ( cd "$1" && CARGO_TARGET_DIR="${2:-benchmark/target}" \
-      bash benchmark/run.sh --workload "$3" --seed "$seed" | tail -n 1 )
+# One run of one side. Prints its exit status, its `sim_events N  sim_digest
+# X` line and its result line (the last line of stdout), tab-separated, and
+# exits as the run did.
+run_side() { # <side> <workload>
+  local out status=0
+  out="$(cd "${src[$1]}" && CARGO_TARGET_DIR="${tgt[$1]}" \
+      bash benchmark/run.sh --workload "$2" --seed "$seed")" || status=$?
+  printf '%s\t%s\t%s\n' "$status" \
+    "$(grep -m 1 -oE 'sim_events [0-9]+ +sim_digest [0-9a-f]+' <<<"$out" || true)" \
+    "$(tail -n 1 <<<"$out")"
+  return "$status"
 }
 
 status=0
 for w in "${workloads[@]}"; do
   echo "== $w: parent $sha vs change (this checkout), $pairs pairs, seed $seed ==" >&2
   # Build both sides (and warm the page cache) outside the pairs.
-  run_side "$parent" "$work/target-$sha" "$w" >/dev/null
-  run_side "$PWD" "" "$w" >/dev/null
+  for side in parent change; do
+    run_side "$side" "$w" >/dev/null || echo "  warm-up run of $side failed" >&2
+  done
   results="$(mktemp)"
   for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
     for side in "${order[@]}"; do
-      if [[ "$side" == parent ]]; then
-        line="$(run_side "$parent" "$work/target-$sha" "$w")"
-      else
-        line="$(run_side "$PWD" "" "$w")"
-      fi
-      printf '%d\t%s\t%s\n' "$i" "$side" "$line" >>"$results"
-      echo "  pair $((i + 1))/$pairs $side done" >&2
+      if row="$(run_side "$side" "$w")"; then note=done; else note=FAILED; fi
+      printf '%d\t%s\t%s\n' "$i" "$side" "$row" >>"$results"
+      echo "  pair $((i + 1))/$pairs $side $note" >&2
     done
   done
   python3 - "$results" "$w" "$sha" "$pairs" "$seed" <<'PY' || status=1
@@ -105,9 +129,19 @@ path, workload, sha, pairs, seed = sys.argv[1:6]
 metrics = [(m["name"], m["unit"], m["better"], m["bound"])
            for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
 runs = {"parent": {}, "change": {}}
+exited = {"parent": 0, "change": 0}
+sims = {"parent": set(), "change": set()}
 for row in open(path):
-    pair, side, line = row.rstrip("\n").split("\t", 2)
-    runs[side][int(pair)] = json.loads(line)
+    pair, side, code, sim, line = row.rstrip("\n").split("\t", 4)
+    sims[side].add(" ".join(sim.split()) or "none")
+    try:
+        result = json.loads(line)
+    except ValueError:
+        result = None
+    if code != "0" or not isinstance(result, dict):
+        exited[side] += 1
+    else:
+        runs[side][int(pair)] = result
 
 def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
@@ -118,14 +152,24 @@ bad = False
 for side in ("parent", "change"):
     rs = runs[side].values()
     failed, incorrect = sum(r["failed"] for r in rs), sum(not r["correct"] for r in rs)
-    bad = bad or failed > 0 or incorrect > 0
+    bad = bad or failed > 0 or incorrect > 0 or exited[side] > 0
     print(f"{side}: attempted {sum(r['attempted'] for r in rs)} failed {failed} "
-          f"incorrect runs {incorrect}")
+          f"incorrect runs {incorrect} runs that exited nonzero {exited[side]}")
+same = len(sims["parent"]) == 1 and sims["parent"] == sims["change"]
+if same:
+    print("same simulation")
+else:
+    shown = lambda side: ", ".join(sorted(sims[side]))
+    print(f"different simulation: {shown('parent')} / {shown('change')}")
+idx = sorted(set(runs["parent"]) & set(runs["change"]))
 print(f"{'metric':<20}{'better':<8}{'parent median [q1, q3]':<48}{'change median [q1, q3]':<48}"
       f"{'change/parent':<15}{'pairs won':<11}gain by the 9-in-10 + IQR rule, or regression")
 for name, unit, better, bound in metrics:
+    if len(idx) < 2:
+        print(f"{name:<20}{better:<8}fewer than two pairs ran on both sides")
+        bad = True
+        continue
     value = lambda side, i: runs[side][i]["metrics"][name]["value"]
-    idx = sorted(runs["parent"])
     a = [value("parent", i) for i in idx]
     b = [value("change", i) for i in idx]
     sign = -1.0 if better == "lower" else 1.0
@@ -137,7 +181,7 @@ for name, unit, better, bound in metrics:
         verdict = f"regression: median worse by more than the {bound:.0%} bound"
         bad = True
     elif wins * 10 >= 9 * len(idx) and beyond_iqr and sign * (bm - am) > 0:
-        verdict = "yes"
+        verdict = "yes" if same else "no: the simulations differ"
     elif losses * 10 >= 9 * len(idx) and beyond_iqr:
         verdict = "no: worse by the same rule"
     else:

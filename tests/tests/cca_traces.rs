@@ -13,11 +13,6 @@
 //! H-TCP shared one window machine; any diff means a change altered a
 //! window, a threshold or a phase somewhere in the script.
 //!
-//! Four more cells drive a BBRv2 built at `loss_thresh` 0.10 (the value
-//! `repro ablate` sets beside the 0.02 default) through the same scripts as
-//! the default `bbr2` rows; they were pinned before BBRv2's other settings
-//! became constants.
-//!
 //! Regenerate (only when intentionally re-baselining, from a build whose
 //! behaviour is known-good) with:
 //!
@@ -25,7 +20,7 @@
 //! UPDATE_FIXTURES=1 cargo test -q -p integration-tests --test cca_traces
 //! ```
 
-use elephants::cca::{build_cca_seeded, AckEvent, BbrV2, CongestionControl, LossEvent};
+use elephants::cca::{build_cca_seeded, AckEvent, LossEvent};
 use elephants::netsim::rng::fnv1a;
 use elephants::netsim::{RngExt, SeedableRng, SimDuration, SimTime, SmallRng};
 use elephants::CcaKind;
@@ -39,17 +34,11 @@ const MIN_RTT_MS: u64 = 62;
 const LOSSY: [f64; 4] = [85.0, 90.0, 95.0, 98.0];
 const CALM: [f64; 4] = [98.5, 99.1, 99.7, 99.9];
 
-/// A CCA under test: its name in the cell label, the kind whose script it
-/// runs, and its constructor from the MSS.
-type Subject = (String, CcaKind, Box<dyn Fn(u32) -> Box<dyn CongestionControl>>);
-
 /// Run one cell; returns its fixture row.
-fn run_cell(subject: &Subject, mss: u32, script: &str, weights: [f64; 4]) -> String {
-    let (name, kind, build) = subject;
-    let label = format!("{name} mss={mss} script={script}");
-    let mut cca = build(mss);
-    // The script is the kind's, so a variant runs the ops its kind runs.
-    let script_seed = fnv1a(format!("{kind} mss={mss} script={script}").as_bytes());
+fn run_cell(kind: CcaKind, mss: u32, script: &str, weights: [f64; 4]) -> String {
+    let label = format!("{kind} mss={mss} script={script}");
+    let mut cca = build_cca_seeded(kind, mss, 7);
+    let script_seed = fnv1a(label.as_bytes());
     let mut rng = SmallRng::seed_from_u64(script_seed);
     let mut now = SimTime::ZERO;
     let mut delivered = 0u64;
@@ -131,22 +120,11 @@ fn run_cell(subject: &Subject, mss: u32, script: &str, weights: [f64; 4]) -> Str
 
 #[test]
 fn cca_traces_are_byte_identical_to_pre_change_fixture() {
-    let mut subjects: Vec<Subject> = CcaKind::ALL
-        .into_iter()
-        .map(|kind| -> Subject {
-            (kind.to_string(), kind, Box::new(move |mss| build_cca_seeded(kind, mss, 7)))
-        })
-        .collect();
-    subjects.push((
-        "bbr2 loss_thresh=0.10".to_string(),
-        CcaKind::BbrV2,
-        Box::new(|mss| Box::new(BbrV2::new(0.10, mss, 7))),
-    ));
     let mut rows = Vec::new();
-    for subject in &subjects {
+    for kind in CcaKind::ALL {
         for mss in [1500, 8900] {
             for (script, weights) in [("lossy", LOSSY), ("calm", CALM)] {
-                rows.push(run_cell(subject, mss, script, weights));
+                rows.push(run_cell(kind, mss, script, weights));
             }
         }
     }

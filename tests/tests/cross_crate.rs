@@ -51,17 +51,23 @@ fn ecn_enabled_end_to_end_reduces_drops_with_fq_codel() {
     );
 }
 
+/// The 100 Mbps paper dumbbell whose 2 BDP droptail trunk loses packets
+/// by `model`, and its first sender and receiver host.
+fn lossy_dumbbell(model: LossModel) -> (Topology, NodeId, NodeId) {
+    let bw = Bandwidth::from_mbps(100);
+    let mut topo = TopologySpec::Dumbbell.build(bw, SimDuration::from_millis(62)).unwrap();
+    let bdp = bdp_bytes(bw, topo.base_rtt());
+    let bn = topo.bottleneck_link().unwrap();
+    topo.set_aqm_on(bn, Box::new(DropTail::new(2 * bdp)));
+    topo.link_mut(bn).loss_model = model;
+    let (s, r) = (topo.sender_hosts()[0], topo.receiver_hosts()[0]);
+    (topo, s, r)
+}
+
 #[test]
 fn custom_topology_with_loss_injection() {
     // Build everything by hand through the low-level APIs.
-    let bw = Bandwidth::from_mbps(100);
-    let spec = DumbbellSpec::paper(bw);
-    let mut topo = spec.build();
-    let bdp = bdp_bytes(bw, topo.base_rtt());
-    topo.set_bottleneck_aqm(Box::new(DropTail::new(2 * bdp)));
-    let bn = topo.bottleneck_link().unwrap();
-    topo.link_mut(bn).loss_model = LossModel::Bernoulli { p: 0.001 };
-
+    let (topo, s, r) = lossy_dumbbell(LossModel::Bernoulli { p: 0.001 });
     let mut sim = Simulator::new(
         topo,
         SimConfig {
@@ -71,9 +77,9 @@ fn custom_topology_with_loss_injection() {
         },
         11,
     );
-    let tx = TcpSender::new(SenderConfig::default(), spec.receiver(0), build_cca_seeded(CcaKind::BbrV2, 8900, 1));
-    let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-    sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
+    let tx = TcpSender::new(SenderConfig::default(), r, build_cca_seeded(CcaKind::BbrV2, 8900, 1));
+    let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+    sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO);
     let summary = sim.run();
     assert!(summary.bottleneck.fault_losses > 0, "loss model must fire");
     let goodput = summary.flows[0].window_goodput_bps(summary.window) / 1e6;
@@ -83,13 +89,7 @@ fn custom_topology_with_loss_injection() {
 #[test]
 fn gilbert_elliott_bursts_hurt_more_than_bernoulli_for_cubic() {
     let run = |model: LossModel| {
-        let bw = Bandwidth::from_mbps(100);
-        let spec = DumbbellSpec::paper(bw);
-        let mut topo = spec.build();
-        let bdp = bdp_bytes(bw, topo.base_rtt());
-        topo.set_bottleneck_aqm(Box::new(DropTail::new(2 * bdp)));
-        let bn = topo.bottleneck_link().unwrap();
-        topo.link_mut(bn).loss_model = model;
+        let (topo, s, r) = lossy_dumbbell(model);
         let mut sim = Simulator::new(
             topo,
             SimConfig {
@@ -100,11 +100,11 @@ fn gilbert_elliott_bursts_hurt_more_than_bernoulli_for_cubic() {
             5,
         );
         let cca = build_cca(CcaKind::Cubic, 8900);
-        let tx = TcpSender::new(SenderConfig::default(), spec.receiver(0), cca);
-        let rx = TcpReceiver::new(ReceiverConfig::default(), spec.sender(0));
-        sim.add_flow(spec.sender(0), spec.receiver(0), Box::new(tx), Box::new(rx), SimTime::ZERO);
-        let s = sim.run();
-        s.flows[0].window_goodput_bps(s.window) / 1e6
+        let tx = TcpSender::new(SenderConfig::default(), r, cca);
+        let rx = TcpReceiver::new(ReceiverConfig::default(), s);
+        sim.add_flow(s, r, Box::new(tx), Box::new(rx), SimTime::ZERO);
+        let summary = sim.run();
+        summary.flows[0].window_goodput_bps(summary.window) / 1e6
     };
     let clean = run(LossModel::None);
     // Same average loss rate (~0.5%), different burstiness.
