@@ -13,19 +13,12 @@
 //! 3. **Discrete knob values.** Sampled floats come from small fixed
 //!    menus (or are rounded to a few decimals) so menu coverage can be
 //!    asserted and shrunk repros print as round, human-readable numbers.
-//!
-//! One deliberate asymmetry: `SetBandwidth` fault events only ever
-//! *lower* the link rate below the configured `bw_bps`. Raising it would
-//! let the wire carry more bytes than `capacity × window`, tripping the
-//! (intentional) sanity `debug_assert` in `link_utilization` — a
-//! measurement-model precondition, not a simulator bug.
 
 use elephants_aqm::AqmKind;
 use elephants_cca::CcaKind;
 use elephants_experiments::{RunOptions, ScenarioConfig};
 use elephants_netsim::{
-    Bandwidth, FaultAction, FaultPlan, LossModel, RngExt, SeedableRng, SimDuration, SmallRng,
-    TopologySpec,
+    FaultAction, FaultPlan, LossModel, RngExt, SeedableRng, SimDuration, SmallRng, TopologySpec,
 };
 
 /// Distinguishes the generator's RNG stream from plain `seed_from_u64`
@@ -49,13 +42,6 @@ const MSS_MENU: [u32; 3] = [1500, 4500, 8900];
 
 /// Round-trip propagation times (ms); 62 is the paper's path.
 const RTT_MENU: [u64; 4] = [10, 31, 62, 124];
-
-/// One-way delays a `SetDelay` fault can impose (ms).
-const DELAY_MENU: [u64; 4] = [5, 15, 31, 62];
-
-/// Factors a `SetBandwidth` fault scales the configured rate by (≤ 1.0;
-/// see the module docs for why faults never raise the rate).
-const BW_FACTOR_MENU: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
 /// Event budget for generated cases: a generous multiple of what the
 /// largest menu case needs, but finite, so a runaway schedule surfaces as
@@ -91,7 +77,7 @@ fn loss_model(rng: &mut SmallRng) -> LossModel {
 /// A fault plan of `n` events at non-decreasing 10 ms-quantized times in
 /// `[0, 1.25 × duration]` — the tail past `duration` deliberately
 /// generates events that validate but never fire.
-fn fault_plan(rng: &mut SmallRng, duration: SimDuration, bw_bps: u64) -> FaultPlan {
+fn fault_plan(rng: &mut SmallRng, duration: SimDuration) -> FaultPlan {
     let n = rng.random_range(1..=4u32);
     let horizon_ms = duration.as_nanos() / 1_000_000 * 5 / 4;
     let mut times_ms: Vec<u64> =
@@ -102,26 +88,19 @@ fn fault_plan(rng: &mut SmallRng, duration: SimDuration, bw_bps: u64) -> FaultPl
     for t in times_ms {
         let at = SimDuration::from_millis(t);
         // A downed link is most interesting brought back up; otherwise
-        // pick uniformly among the action classes.
+        // take it down or swap its loss process, evenly.
         let action = if down && rng.random_bool(0.7) {
             down = false;
             FaultAction::LinkUp
+        } else if rng.random_bool(0.5) {
+            down = true;
+            FaultAction::LinkDown
         } else {
-            match rng.random_range(0..4u32) {
-                0 => {
-                    down = true;
-                    FaultAction::LinkDown
-                }
-                1 => FaultAction::SetBandwidth(Bandwidth::from_bps(
-                    ((bw_bps as f64 * choose(rng, &BW_FACTOR_MENU)) as u64).max(1_000_000),
-                )),
-                2 => FaultAction::SetDelay(SimDuration::from_millis(choose(rng, &DELAY_MENU))),
-                _ => FaultAction::SetLossModel(if rng.random_bool(0.5) {
-                    LossModel::None
-                } else {
-                    LossModel::Bernoulli { p: loss_prob(rng) }
-                }),
-            }
+            FaultAction::SetLossModel(if rng.random_bool(0.5) {
+                LossModel::None
+            } else {
+                LossModel::Bernoulli { p: loss_prob(rng) }
+            })
         };
         plan = plan.with(at, action);
     }
@@ -158,7 +137,7 @@ pub fn generate_case(case_seed: u64) -> ScenarioConfig {
     cfg.coalesce = rng.random_bool(0.25);
     cfg.loss = loss_model(&mut rng);
     if rng.random_bool(0.5) {
-        cfg.faults = fault_plan(&mut rng, duration, bw_bps);
+        cfg.faults = fault_plan(&mut rng, duration);
     }
     cfg.max_events = CASE_EVENT_BUDGET;
 
@@ -232,23 +211,6 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_ne!(generate_case(1).to_json_string(), generate_case(2).to_json_string());
-    }
-
-    #[test]
-    fn bandwidth_faults_never_raise_the_rate() {
-        for seed in 0..500 {
-            let cfg = generate_case(seed);
-            for ev in &cfg.faults.events {
-                if let FaultAction::SetBandwidth(bw) = ev.action {
-                    assert!(
-                        bw.as_bps() <= cfg.bw_bps,
-                        "seed {seed}: fault raises rate to {} above {}",
-                        bw.as_bps(),
-                        cfg.bw_bps
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! hitting the watchdog is reported as a [`CaseOutcome::Skip`], never a
 //! failure — a loaded CI box must not manufacture chaos findings.
 
+use elephants_experiments::par::payload_to_string;
 use elephants_experiments::{RunError, RunErrorKind, RunOutcome, Runner, ScenarioConfig};
 use elephants_json::{FromJson, ToJson};
 use elephants_metrics::RunMetrics;
@@ -94,16 +95,6 @@ enum ExecResult {
     },
 }
 
-fn panic_payload(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// How the judge runs a case: [`strict_run`] outside this crate's tests.
 pub(crate) type RunFn = fn(&ScenarioConfig) -> Result<RunOutcome, RunError>;
 
@@ -119,7 +110,7 @@ fn exec(cfg: &ScenarioConfig, run: RunFn) -> ExecResult {
         Ok(Ok(outcome)) => ExecResult::Metrics(outcome.into_first().metrics().to_json_string()),
         Ok(Err(e)) => ExecResult::Error(e),
         Err(payload) => {
-            let payload = panic_payload(payload);
+            let payload = payload_to_string(payload);
             ExecResult::Panic { invariant: payload.starts_with(STRICT_VIOLATION_PREFIX), payload }
         }
     }

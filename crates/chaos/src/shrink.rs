@@ -283,11 +283,7 @@ mod tests {
         cfg.loss = LossModel::GilbertElliott { p_gb: 0.001, p_bg: 0.2 };
         cfg.faults = FaultPlan::none()
             .with(SimDuration::from_millis(100), FaultAction::LinkDown)
-            .with(SimDuration::from_millis(300), FaultAction::LinkUp)
-            .with(
-                SimDuration::from_millis(800),
-                FaultAction::SetDelay(SimDuration::from_millis(31)),
-            );
+            .with(SimDuration::from_millis(300), FaultAction::LinkUp);
         cfg.max_events = 50_000_000;
         cfg.topology = TopologySpec::ParkingLot { hops: 3 };
         cfg.fault_link = 2;

@@ -302,25 +302,29 @@ pub fn table3(opts: &RunOptions, cache: &RunCache, bws: &[u64], queues: &[f64]) 
                 .collect();
             sweep(&configs, opts.repeats, cache)
         };
+        let by_pair: Vec<_> =
+            paper_pairs().into_iter().map(|(c1, c2)| ((c1, c2), conditions(c1, c2))).collect();
         // CUBIC-CUBIC reference retransmissions per condition.
-        let reference = conditions(CcaKind::Cubic, CcaKind::Cubic);
+        let (_, reference) = by_pair
+            .iter()
+            .find(|(pair, _)| *pair == (CcaKind::Cubic, CcaKind::Cubic))
+            .expect("the paper's pairs include CUBIC vs CUBIC");
 
-        for (cca1, cca2) in paper_pairs() {
-            let results = conditions(cca1, cca2);
+        for (pair, results) in &by_pair {
             let n = results.len() as f64;
             let avg_phi = results.iter().map(|r| r.utilization).sum::<f64>() / n;
             let avg_jain = results.iter().map(|r| r.jain).sum::<f64>() / n;
             // RR per condition, then averaged (paper Eq. 4 then Avg(RR)).
             let rrs: Vec<f64> = results
                 .iter()
-                .zip(&reference)
+                .zip(reference)
                 .map(|(r, c)| (r.retransmits.round() as u64, c.retransmits.round() as u64))
                 .map(|(retx, cubic_retx)| relative_retransmissions(retx, cubic_retx))
                 .filter(|&rr| rr_is_defined(rr))
                 .collect();
             let avg_rr =
                 if rrs.is_empty() { f64::NAN } else { rrs.iter().sum::<f64>() / rrs.len() as f64 };
-            rows.push(Table3Row { pair: (cca1, cca2), aqm, avg_phi, avg_rr, avg_jain });
+            rows.push(Table3Row { pair: *pair, aqm, avg_phi, avg_rr, avg_jain });
         }
     }
     rows
@@ -344,6 +348,7 @@ pub fn render_table3(rows: &[Table3Row]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elephants_netsim::CheckMode;
 
     fn tiny_opts() -> RunOptions {
         RunOptions { repeats: 1, ..RunOptions::quick() }
@@ -395,9 +400,12 @@ mod tests {
 
     #[test]
     fn table3_has_27_rows() {
-        let cache = RunCache::disabled();
+        let cache = RunCache::disabled().check(CheckMode::Audit);
         let rows = table3(&tiny_opts(), &cache, &[100_000_000], &[1.0]);
         assert_eq!(rows.len(), 27); // 9 pairs × 3 AQMs
+        // One run a row: the CUBIC-CUBIC reference is its own row's run.
+        assert_eq!(cache.checked_runs(), 27);
+        assert_eq!(cache.check_violations(), 0);
         // CUBIC vs CUBIC must have RR exactly 1.
         for r in rows.iter().filter(|r| r.pair == (CcaKind::Cubic, CcaKind::Cubic)) {
             assert!((r.avg_rr - 1.0).abs() < 1e-9, "{:?}", r);

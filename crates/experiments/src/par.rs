@@ -68,7 +68,7 @@ where
 
 /// Render a panic payload as a string (the common `&str`/`String` payloads
 /// verbatim, anything else as a placeholder).
-fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

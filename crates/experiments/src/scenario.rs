@@ -78,8 +78,8 @@ pub struct ScenarioConfig {
     /// Steady-state random loss on the bottleneck (paper future work:
     /// "variable rates of packet loss"). Default: none.
     pub loss: LossModel,
-    /// Timed faults on the bottleneck (flaps, mid-run rate/delay/loss
-    /// changes). Default: empty.
+    /// Timed faults on the bottleneck (flaps, mid-run loss changes).
+    /// Default: empty.
     pub faults: FaultPlan,
     /// Event-budget watchdog: the run fails with `RunError::EventBudget`
     /// if it would process more events than this. Default: effectively

@@ -19,9 +19,10 @@
 //!
 //! # Delivery pipes
 //!
-//! A link serialises packets in order and adds a constant propagation
-//! delay, so its arrivals come out in the order it sent them. The queue
-//! keeps each link's packets on the wire in a *pipe*: a FIFO of
+//! A link serialises packets in order at a fixed rate and adds a fixed
+//! propagation delay, so its arrivals come out in the order it sent them
+//! ([`EventQueue::schedule_deliver`] refuses one that would not). The
+//! queue keeps each link's packets on the wire in one *pipe*: a FIFO of
 //! `(at, seq, Packet)`, its `seq` drawn from the same counter as every
 //! other event's. The wheel holds one `Deliver` per non-empty pipe, keyed
 //! by its head's `(at, seq)`; [`EventQueue::take_packet`] pops the head
@@ -29,11 +30,6 @@
 //! `(at, seq)`. So a BDP of packets on the wire costs the wheel one entry
 //! per link instead of one per packet, and the `(time, seq)` total order
 //! is the one the wheel would give had every packet its own entry.
-//!
-//! A `SetDelay` fault that shortens a link's delay makes a packet arrive
-//! before the link's newest one on the wire. That packet opens a second
-//! pipe on the link, which closes once it drains: each pipe stays ordered
-//! by `(at, seq)`, and the wheel orders the heads.
 
 use crate::link::LinkId;
 use crate::packet::{Dir, FlowId, NodeId, Packet, PacketRef};
@@ -60,8 +56,8 @@ pub enum Event {
     /// A link finished serializing a packet; its transmitter is free.
     LinkTxDone { link: LinkId },
     /// A packet arrives at `node` (after serialization + propagation).
-    /// The packet is the head of a delivery pipe of the link `pkt` names;
-    /// [`EventQueue::take_packet`] takes it.
+    /// The packet is the head of the delivery pipe of the link `pkt`
+    /// names; [`EventQueue::take_packet`] takes it.
     Deliver { node: NodeId, pkt: PacketRef },
     /// A per-endpoint timer fires. `gen` is the arming generation: the
     /// simulator drops the event unless it matches the endpoint's current
@@ -169,44 +165,12 @@ struct InFlight {
     pkt: Packet,
 }
 
-/// One link's packets on the wire: its pipes, each a FIFO ordered by
-/// `(at, seq)`, and the node they arrive at.
+/// One link's packets on the wire: one FIFO ordered by `(at, seq)`, and
+/// the node they arrive at.
 #[derive(Debug)]
 struct Wire {
     node: NodeId,
-    /// The link's first pipe, kept inline: the only one it has unless a
-    /// delay cut opened more.
     pipe: VecDeque<InFlight>,
-    /// Pipes opened by delay cuts, each dropped once it drains.
-    cut: Vec<VecDeque<InFlight>>,
-}
-
-impl Wire {
-    /// The link's pipes, the first one first.
-    fn pipes(&self) -> impl Iterator<Item = &VecDeque<InFlight>> {
-        std::iter::once(&self.pipe).chain(&self.cut)
-    }
-
-    /// The pipe at index `i` of [`Wire::pipes`].
-    #[inline]
-    fn pipe_mut(&mut self, i: usize) -> &mut VecDeque<InFlight> {
-        match i {
-            0 => &mut self.pipe,
-            i => &mut self.cut[i - 1],
-        }
-    }
-
-    /// Index of the pipe whose head arrives first: the one whose `Deliver`
-    /// the wheel pops next.
-    #[inline]
-    fn head_pipe(&self) -> usize {
-        if self.cut.is_empty() {
-            return 0;
-        }
-        let key = |p: &&VecDeque<InFlight>| p.front().map_or((u64::MAX, 0), |h| (h.at, h.seq));
-        let (i, _) = self.pipes().enumerate().min_by_key(|(_, p)| key(p)).expect("a first pipe");
-        i
-    }
 }
 
 /// Where `prepare_min` located the next event.
@@ -224,7 +188,7 @@ pub struct EventQueue {
     l1: Level,
     l2: Level,
     overflow: BinaryHeap<Reverse<Scheduled>>,
-    /// Delivery pipes, indexed by `LinkId`.
+    /// Delivery pipes, one per link, indexed by `LinkId`.
     wires: Vec<Wire>,
     /// Wheel position: the time of the last popped event (or the start of
     /// the window most recently cascaded down). Slot placement is relative
@@ -233,8 +197,8 @@ pub struct EventQueue {
     /// The level-0 slot currently sorted and being drained.
     active0: usize,
     next_seq: u64,
-    /// Pending events: wheel and heap entries, plus the packets in pipes
-    /// behind each pipe's head.
+    /// Pending events: wheel and heap entries, plus the packets in each
+    /// pipe behind its head.
     len: usize,
 }
 
@@ -272,9 +236,13 @@ impl EventQueue {
         self.insert(Scheduled { at: at.as_nanos(), seq, ev });
     }
 
-    /// Put `pkt` on `link`'s wire, to arrive at `node` at `at`: the back of
-    /// the first of the link's pipes it does not overtake, or of a new one.
+    /// Put `pkt` on the back of `link`'s pipe, to arrive at `node` at `at`.
     /// A pipe that was empty gets its wheel entry.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is before the arrival of the link's newest packet on the
+    /// wire: a link delivers in the order it sends.
     #[inline]
     pub fn schedule_deliver(&mut self, at: SimTime, link: LinkId, node: NodeId, pkt: Packet) {
         let (at, seq) = (at.as_nanos(), self.next_seq);
@@ -282,62 +250,45 @@ impl EventQueue {
         self.len += 1;
         let l = link.0 as usize;
         if l >= self.wires.len() {
-            self.wires.resize_with(l + 1, || Wire { node, pipe: VecDeque::new(), cut: vec![] });
+            self.wires.resize_with(l + 1, || Wire { node, pipe: VecDeque::new() });
         }
         let wire = &mut self.wires[l];
         wire.node = node;
-        let fits = wire.pipes().position(|p| p.back().is_none_or(|b| b.at <= at));
-        let i = match fits {
-            Some(i) => i,
-            None => {
-                wire.cut.push(VecDeque::new());
-                wire.cut.len()
-            }
-        };
-        let pipe = wire.pipe_mut(i);
-        debug_assert!(
-            pipe.back().is_none_or(|b| (b.at, b.seq) < (at, seq)),
-            "a pipe stays ordered by (at, seq)"
+        assert!(
+            wire.pipe.back().is_none_or(|b| b.at <= at),
+            "a link delivers in the order it sends"
         );
-        pipe.push_back(InFlight { at, seq, pkt });
-        if pipe.len() == 1 {
+        wire.pipe.push_back(InFlight { at, seq, pkt });
+        if wire.pipe.len() == 1 {
             let ev = Event::Deliver { node, pkt: PacketRef(link.0) };
             self.insert(Scheduled { at, seq, ev });
         }
     }
 
     /// Take the packet of a popped `Deliver` event: the head of its link's
-    /// earliest pipe. The pipe's next packet, if any, gets the wheel entry.
-    /// Call it for each popped `Deliver` before the next pop.
+    /// pipe. The pipe's next packet, if any, gets the wheel entry. Call it
+    /// for each popped `Deliver` before the next pop.
     #[inline]
     pub fn take_packet(&mut self, r: PacketRef) -> Packet {
         let wire = &mut self.wires[r.0 as usize];
-        let (node, i) = (wire.node, wire.head_pipe());
-        let pipe = wire.pipe_mut(i);
-        let head = pipe.pop_front().expect("a popped Deliver has its packet on the wire");
-        match pipe.front() {
-            Some(&InFlight { at, seq, .. }) => {
-                self.insert(Scheduled { at, seq, ev: Event::Deliver { node, pkt: r } });
-            }
-            None if i > 0 => {
-                wire.cut.swap_remove(i - 1);
-            }
-            None => {}
+        let head = wire.pipe.pop_front().expect("a popped Deliver has its packet on the wire");
+        if let Some(&InFlight { at, seq, .. }) = wire.pipe.front() {
+            let ev = Event::Deliver { node: wire.node, pkt: r };
+            self.insert(Scheduled { at, seq, ev });
         }
         head.pkt
     }
 
     /// Read the packet of a popped `Deliver` event without taking it.
     pub fn packet(&self, r: PacketRef) -> &Packet {
-        let wire = &self.wires[r.0 as usize];
-        let pipe = wire.pipes().nth(wire.head_pipe()).expect("head_pipe indexes a pipe");
+        let pipe = &self.wires[r.0 as usize].pipe;
         &pipe.front().expect("a popped Deliver has its packet on the wire").pkt
     }
 
     /// Packets on the wire (scheduled deliveries not yet taken) — the "in
     /// flight" term of the checker's packet-conservation equation.
     pub fn packets_live(&self) -> usize {
-        self.wires.iter().flat_map(Wire::pipes).map(VecDeque::len).sum()
+        self.wires.iter().map(|w| w.pipe.len()).sum()
     }
 
     /// Place `s` on the wheel or the overflow heap. `len` counts it
@@ -623,6 +574,15 @@ mod tests {
         assert_eq!(order, want);
         assert_eq!(q.packets_live(), 0);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a link delivers in the order it sends")]
+    fn a_delivery_may_not_overtake_the_links_newest() {
+        let mut q = EventQueue::new();
+        let pkt = Packet::data(FlowId(0), NodeId(0), NodeId(1), 0, 1500, SimTime::ZERO);
+        q.schedule_deliver(SimTime::from_nanos(6_000), LinkId(0), NodeId(1), pkt);
+        q.schedule_deliver(SimTime::from_nanos(3_000), LinkId(0), NodeId(1), pkt);
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! * **Steady-state loss** applied per packet after serialization (i.e.
 //!   in-flight corruption, invisible to the AQM): [`LossModel`].
 //! * **Timed faults**: a [`FaultPlan`] — a validated, JSON-round-trippable
-//!   list of [`FaultEvent`]s (link flaps, mid-run bandwidth/delay/loss
-//!   changes) that the simulator dispatches deterministically through the
-//!   event queue's timer wheel, so fixed-seed faulted runs stay
-//!   byte-identical.
+//!   list of [`FaultEvent`]s (link flaps and mid-run loss changes) that
+//!   the simulator dispatches deterministically through the event queue's
+//!   timer wheel, so fixed-seed faulted runs stay byte-identical. A link's
+//!   rate and delay are fixed for the run.
 
 use crate::rng::{RngExt, SmallRng};
 use crate::time::SimDuration;
-use crate::units::Bandwidth;
 use elephants_json::{impl_json_struct, write_variant, FromJson, JsonError, Reader, ToJson};
 
 /// A random packet-loss process on a link.
@@ -127,10 +126,6 @@ pub enum FaultAction {
     LinkDown,
     /// Bring the link back up; transmission resumes from the backlog.
     LinkUp,
-    /// Change the serialization rate (mid-run capacity change).
-    SetBandwidth(Bandwidth),
-    /// Change the one-way propagation delay (mid-run RTT change).
-    SetDelay(SimDuration),
     /// Swap the random-loss process (variable loss rate).
     SetLossModel(LossModel),
 }
@@ -140,8 +135,6 @@ impl ToJson for FaultAction {
         match self {
             FaultAction::LinkDown => "LinkDown".write_json(out),
             FaultAction::LinkUp => "LinkUp".write_json(out),
-            FaultAction::SetBandwidth(bw) => write_variant(out, "SetBandwidth", bw),
-            FaultAction::SetDelay(d) => write_variant(out, "SetDelay", d),
             FaultAction::SetLossModel(m) => write_variant(out, "SetLossModel", m),
         }
     }
@@ -152,8 +145,6 @@ impl FromJson for FaultAction {
         r.variant("FaultAction", |r, name, has_body| match (name, has_body) {
             ("LinkDown", false) => Ok(FaultAction::LinkDown),
             ("LinkUp", false) => Ok(FaultAction::LinkUp),
-            ("SetBandwidth", true) => Bandwidth::read_json(r).map(FaultAction::SetBandwidth),
-            ("SetDelay", true) => SimDuration::read_json(r).map(FaultAction::SetDelay),
             ("SetLossModel", true) => LossModel::read_json(r).map(FaultAction::SetLossModel),
             _ => Err(JsonError::new(format!("unknown FaultAction variant '{name}'"))),
         })
@@ -229,11 +220,6 @@ impl FaultPlan {
             if let FaultAction::SetLossModel(m) = &ev.action {
                 m.validate()?;
             }
-            if let FaultAction::SetBandwidth(bw) = &ev.action {
-                if bw.as_bps() == 0 {
-                    return Err("SetBandwidth to zero: use LinkDown instead".to_string());
-                }
-            }
         }
         Ok(())
     }
@@ -303,8 +289,7 @@ mod tests {
                 SimDuration::from_secs(6),
                 FaultAction::SetLossModel(LossModel::GilbertElliott { p_gb: 0.01, p_bg: 0.2 }),
             )
-            .with(SimDuration::from_secs(8), FaultAction::SetBandwidth(Bandwidth::from_mbps(50)))
-            .with(SimDuration::from_secs(9), FaultAction::SetDelay(SimDuration::from_millis(10)));
+            .with(SimDuration::from_secs(8), FaultAction::SetLossModel(LossModel::None));
         assert!(plan.validate().is_ok());
         let json = plan.to_json_string();
         let back = FaultPlan::from_json_str(&json).unwrap();
@@ -322,10 +307,6 @@ mod tests {
             FaultAction::SetLossModel(LossModel::Bernoulli { p: 2.0 }),
         );
         assert!(bad_loss.validate().is_err());
-
-        let zero_bw = FaultPlan::none()
-            .with(SimDuration::from_secs(1), FaultAction::SetBandwidth(Bandwidth::ZERO));
-        assert!(zero_bw.validate().is_err());
 
         assert!(FaultPlan::none().validate().is_ok());
     }

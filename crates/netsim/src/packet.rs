@@ -147,9 +147,8 @@ impl Packet {
 const ACK_SIZE: u32 = 72;
 
 /// Handle carried by a `Deliver` event: the link whose delivery pipe holds
-/// the packet (see [`crate::event`]). Of that link's pipes, the packet is
-/// the head of the one that arrives first, which is the event just popped.
-/// The event queue's `take_packet` takes it.
+/// the packet at its head (see [`crate::event`]). The event queue's
+/// `take_packet` takes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PacketRef(pub(crate) u32);
 

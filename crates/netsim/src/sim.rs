@@ -37,8 +37,6 @@ pub struct EndpointReport {
     pub min_rtt: Option<SimDuration>,
     /// Final smoothed RTT.
     pub srtt: Option<SimDuration>,
-    /// Final congestion window in bytes (sender side).
-    pub final_cwnd: u64,
     /// ECN CE marks seen (receiver) or echoes processed (sender).
     pub ecn_marks: u64,
 }
@@ -209,8 +207,7 @@ pub struct BottleneckReport {
 pub struct LinkReport {
     /// The link.
     pub link: LinkId,
-    /// The link's serialization rate at the end of the run, bits/s (for
-    /// per-link utilization; mid-run `SetBandwidth` faults move it).
+    /// The link's serialization rate, bits/s (for per-link utilization).
     pub rate_bps: u64,
     /// The link's counters.
     pub report: BottleneckReport,
@@ -1057,21 +1054,21 @@ mod tests {
 
     #[test]
     fn fault_plan_dispatches_in_time_order() {
-        use crate::fault::{FaultAction, FaultPlan};
+        use crate::fault::{FaultAction, FaultPlan, LossModel};
         let mut sim = build_sim();
         add_blast(&mut sim, 0, 100);
         let bn = sim.topology().bottleneck_link().unwrap();
         let plan = FaultPlan::flap(SimDuration::from_millis(10), SimDuration::from_millis(50))
             .with(
                 SimDuration::from_millis(100),
-                FaultAction::SetBandwidth(crate::units::Bandwidth::from_mbps(50)),
+                FaultAction::SetLossModel(LossModel::Bernoulli { p: 1.0 }),
             );
         sim.install_fault_plan(bn, &plan);
         let summary = sim.run();
         let link = sim.topology().link(bn);
         assert_eq!(link.stats().fault_events_applied, 3);
         assert!(link.is_up(), "LinkUp must have fired after LinkDown");
-        assert_eq!(link.rate, crate::units::Bandwidth::from_mbps(50));
+        assert_eq!(link.loss_model, LossModel::Bernoulli { p: 1.0 });
         // The blast starts at t=0 and the flap cuts in at 10 ms: some of the
         // 100 packets are destroyed at the dark link.
         assert!(link.stats().down_drops > 0 || summary.bottleneck.bytes_tx_total > 0);

@@ -494,7 +494,6 @@ impl FlowEndpoint for TcpSender {
             rto_count: self.rto_count,
             min_rtt: self.rtt.min_rtt(),
             srtt: self.rtt.srtt(),
-            final_cwnd: self.cca.cwnd(),
             ecn_marks: self.ecn_echoes,
             ..Default::default()
         }

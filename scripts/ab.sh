@@ -33,7 +33,10 @@
 # metric's `bound` in BENCHMARK.json (the last column reads `regression`),
 # or when either side had a failed or incorrect run. A run that exits
 # nonzero is counted as failed and left out of the medians; the pairs go on
-# and the table still prints.
+# and the table still prints. It also fails when a side's benchmark binary
+# is not the same file after the last pair as after its warm-up run (the
+# table header prints both sha256 sums): a rebuild mid-pairs measures two
+# programs as one.
 #
 # AB_WORK=<dir> keeps the copies and their builds there for the next call
 # (otherwise a temporary directory, removed on exit); the checkout's copy is
@@ -106,6 +109,12 @@ run_side() { # <side> <workload>
   return "$status"
 }
 
+# The sha256 of a side's built benchmark binary, or `missing`.
+bin_sha() { # <side>
+  local bin="${tgt[$1]}/release/elephants-benchmark"
+  if [[ -f "$bin" ]]; then sha256sum "$bin" | cut -d ' ' -f 1; else echo missing; fi
+}
+
 status=0
 for w in "${workloads[@]}"; do
   echo "== $w: parent $sha vs change (this checkout), $pairs pairs, seed $seed ==" >&2
@@ -113,6 +122,7 @@ for w in "${workloads[@]}"; do
   for side in parent change; do
     run_side "$side" "$w" >/dev/null || echo "  warm-up run of $side failed" >&2
   done
+  declare -A built=([parent]="$(bin_sha parent)" [change]="$(bin_sha change)")
   results="$(mktemp)"
   for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then order=(parent change); else order=(change parent); fi
@@ -122,10 +132,12 @@ for w in "${workloads[@]}"; do
       echo "  pair $((i + 1))/$pairs $side $note" >&2
     done
   done
-  python3 - "$results" "$w" "$sha" "$pairs" "$seed" <<'PY' || status=1
+  python3 - "$results" "$w" "$sha" "$pairs" "$seed" \
+      "${built[parent]}" "$(bin_sha parent)" "${built[change]}" "$(bin_sha change)" <<'PY' || status=1
 import json, statistics, sys
 
 path, workload, sha, pairs, seed = sys.argv[1:6]
+binary = {"parent": sys.argv[6:8], "change": sys.argv[8:10]}
 metrics = [(m["name"], m["unit"], m["better"], m["bound"])
            for m in json.load(open("BENCHMARK.json"))["end_to_end"]]
 runs = {"parent": {}, "change": {}}
@@ -149,6 +161,11 @@ def quartiles(xs):
 
 print(f"== {workload}: parent {sha} vs change (this checkout), {pairs} pairs, seed {seed} ==")
 bad = False
+for side, (warm, last) in binary.items():
+    print(f"{side} binary sha256: after warm-up {warm}, after last pair {last}")
+    if warm != last:
+        print(f"{side}: benchmark binary changed during the pairs")
+        bad = True
 for side in ("parent", "change"):
     rs = runs[side].values()
     failed, incorrect = sum(r["failed"] for r in rs), sum(not r["correct"] for r in rs)

@@ -42,14 +42,13 @@
 
 use elephants::cca::CcaKind;
 use elephants::experiments::{
-    par_map_with_workers, Recording, RunOptions, RunResult, Runner, ScenarioBuilder,
+    par_try_map_with_workers, Recording, RunOptions, RunResult, Runner, ScenarioBuilder,
     ScenarioConfig,
 };
 use elephants::json::{FromJson, ToJson};
-use elephants::netsim::{CheckMode, FaultAction, FaultPlan, LossModel, TopologySpec};
+use elephants::netsim::{CheckMode, FaultPlan, LossModel, TopologySpec};
 use elephants::{AqmKind, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -140,19 +139,13 @@ fn rows() -> Vec<Row> {
     // buffer under BBRv1, bursty random loss, a link flap down at half time
     // for a fifth of the run. 20 s gives a few dozen recovery episodes, so
     // SACK marking, FACK loss detection, retransmit selection, RTO and its
-    // undo run hundreds of times a cell. The delay cut shortens the
-    // trunk's propagation delay with a full BDP on the wire, so later
-    // packets arrive before earlier ones, then restores it.
+    // undo run hundreds of times a cell.
     let ge = LossModel::GilbertElliott { p_gb: 0.002, p_bg: 0.2 };
     let flap = FaultPlan::flap(SimDuration::from_secs(10), SimDuration::from_secs(4));
-    let delay_cut = FaultPlan::none()
-        .with(SimDuration::from_secs(4), FaultAction::SetDelay(SimDuration::from_millis(5)))
-        .with(SimDuration::from_secs(6), FaultAction::SetDelay(SimDuration::from_millis(28)));
     for (name, b) in [
         ("bbr1_shallow", cell(BbrV1, Cubic, Fifo, 0.5, 20)),
         ("htcp_ge_loss", cell(Htcp, Cubic, Fifo, 2.0, 20).loss(ge)),
         ("bbr1_flap", cell(BbrV1, Cubic, Fifo, 2.0, 20).faults(flap)),
-        ("cubic_delay_cut", cell(Cubic, Cubic, Fifo, 2.0, 10).faults(delay_cut)),
     ] {
         row(&format!("recovery/{name}"), b, Expect::Recovers);
     }
@@ -337,13 +330,11 @@ pub fn check(section: &str) {
     assert!(SECTIONS.contains(&section), "{section}: not one of {SECTIONS:?}");
     let rows = rows_of(section);
     assert!(!rows.is_empty(), "{section}: no rows");
-    let runs = par_map_with_workers(&rows, 0, |row| {
-        catch_unwind(AssertUnwindSafe(|| run(row))).map_err(|_| row.cell.clone())
-    });
+    let runs = par_try_map_with_workers(&rows, 0, run);
     let mut done = BTreeMap::new();
     let mut got = Vec::new();
     for (row, ran) in rows.iter().zip(&runs) {
-        let ran = ran.as_ref().unwrap_or_else(|cell| panic!("{cell}: the run panicked (above)"));
+        let ran = ran.as_ref().unwrap_or_else(|e| panic!("{}: the run panicked: {e}", row.cell));
         expect(row, ran, &done);
         done.insert(row.cell.as_str(), ran);
         got.push(line(row, ran));

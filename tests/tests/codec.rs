@@ -483,8 +483,6 @@ fn tagged_enums_are_pinned() {
         for topology in &topologies {
             let secs = SimDuration::from_secs;
             let faults = FaultPlan::flap(secs(1), SimDuration::from_millis(250))
-                .with(secs(2), FaultAction::SetBandwidth(Bandwidth::from_mbps(50)))
-                .with(secs(3), FaultAction::SetDelay(SimDuration::from_millis(10)))
                 .with(secs(4), FaultAction::SetLossModel(loss));
             let cfg = ScenarioConfig { loss, faults, topology: topology.clone(), ..base.clone() };
             let compact = cfg.to_json_string();
@@ -577,6 +575,17 @@ fn tagged_enums_are_pinned() {
         writeln!(out, "TopologySpec {text} -> {}", tagged_verdict::<TopologySpec>(text)).unwrap();
     }
     assert_pinned("codec", "tagged.txt", &out, "tagged enum codecs");
+}
+
+/// A plan naming a mid-run rate or delay change (actions the simulator no
+/// longer has) is refused by name, not read as some other action.
+#[test]
+fn rate_and_delay_changes_are_unknown_fault_actions() {
+    for name in ["SetBandwidth", "SetDelay"] {
+        let json = format!(r#"{{"events":[{{"at":0,"action":{{"{name}":5}}}}]}}"#);
+        let err = FaultPlan::from_json_str(&json).unwrap_err().to_string();
+        assert!(err.contains(&format!("unknown FaultAction variant '{name}'")), "{err}");
+    }
 }
 
 // ---- the committed current-version record --------------------------------

@@ -6,10 +6,7 @@
 //! FACK loss detection, retransmit selection, RTO and spurious-RTO undo
 //! hundreds of times a cell. Their lines were pinned before the
 //! scoreboard's scans got cursors; any diff means a change altered which
-//! segment is declared lost or retransmitted, or when. The delay-cut row
-//! shortens the trunk's delay with packets on the wire, so they arrive out
-//! of send order; it was pinned before the event queue kept each link's
-//! packets in delivery pipes.
+//! segment is declared lost or retransmitted, or when.
 //!
 //! ```sh
 //! UPDATE_FIXTURES=1 cargo test -q -p integration-tests --test recovery
